@@ -17,6 +17,7 @@ use mocket_bench::fmt_secs;
 use mocket_core::{BugReport, Pipeline, PipelineConfig, RunConfig};
 use mocket_raft_async::XraftBugs;
 use mocket_raft_sync::SyncRaftBugs;
+use mocket_runtime::Backend;
 use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 use mocket_specs::zab::{ZabSpec, ZabSpecConfig};
 use mocket_tla::Spec;
@@ -248,10 +249,12 @@ fn main() {
                 None,
             ),
             || {
-                Box::new(mocket_raft_sync::make_sut_with_options(
+                Box::new(mocket_raft_sync::make_sut_full(
                     vec![1, 2],
                     SyncRaftBugs::none(),
                     true,
+                    Backend::Threads,
+                    None,
                 ))
             },
         ));
@@ -268,10 +271,12 @@ fn main() {
                 None,
             ),
             || {
-                Box::new(mocket_raft_sync::make_sut_with_options(
+                Box::new(mocket_raft_sync::make_sut_full(
                     vec![1, 2],
                     SyncRaftBugs::none(),
                     false,
+                    Backend::Threads,
+                    None,
                 ))
             },
         ));

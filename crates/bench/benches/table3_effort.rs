@@ -15,7 +15,7 @@ use std::time::Instant;
 use mocket_bench::fmt_secs;
 use mocket_checker::ModelChecker;
 use mocket_core::{
-    edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, TestCase,
+    edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, RunCtx, TestCase,
     TraversalConfig,
 };
 use mocket_raft_async::XraftBugs;
@@ -70,8 +70,15 @@ fn measure(
         let final_node = graph.edge(*path.last().unwrap()).to;
         let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
         let mut sut = make_sut();
-        let (outcome, _) = run_test_case(sut.as_mut(), &tc, &registry, &final_enabled, &run_cfg)
-            .expect("no SUT failure");
+        let (outcome, _) = run_test_case(
+            sut.as_mut(),
+            &tc,
+            &registry,
+            &final_enabled,
+            &run_cfg,
+            &RunCtx::default(),
+        )
+        .expect("no SUT failure");
         sample_run += 1;
         if outcome.passed() {
             sample_passed += 1;

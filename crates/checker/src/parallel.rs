@@ -42,7 +42,6 @@
 //! fast as the purely sequential path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use mocket_tla::{successors_with, ActionDef, ActionInstance, State};
 use parking_lot::Mutex;
@@ -249,35 +248,20 @@ fn expand_wave(
     let expand_ref = &expand_one;
 
     let mut wave_tallies = vec![WorkerStats::default(); workers];
-    let obs = &checker.obs;
     std::thread::scope(|scope| {
         for tally in &mut wave_tallies {
-            scope.spawn(move || {
-                let started = Instant::now();
-                loop {
-                    let ci = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                    if ci >= n_chunks {
-                        break;
-                    }
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(frontier.len());
-                    let outs: Vec<NodeOut> = frontier[lo..hi]
-                        .iter()
-                        .map(|&n| expand_ref(n, tally))
-                        .collect();
-                    *slots_ref[ci].lock() = outs;
+            scope.spawn(move || loop {
+                let ci = cursor_ref.fetch_add(1, Ordering::Relaxed);
+                if ci >= n_chunks {
+                    break;
                 }
-                // Per-worker wave throughput. Timing metrics are
-                // wall-clock territory (commutative histogram merge,
-                // excluded from deterministic comparisons); worker
-                // threads never record events.
-                let secs = started.elapsed().as_secs_f64();
-                if secs > 0.0 && tally.states_generated > 0 {
-                    obs.metrics().observe(
-                        "timing.checker.worker_wave_states_per_sec",
-                        tally.states_generated as f64 / secs,
-                    );
-                }
+                let lo = ci * chunk;
+                let hi = (lo + chunk).min(frontier.len());
+                let outs: Vec<NodeOut> = frontier[lo..hi]
+                    .iter()
+                    .map(|&n| expand_ref(n, tally))
+                    .collect();
+                *slots_ref[ci].lock() = outs;
             });
         }
     });

@@ -33,7 +33,7 @@ use mocket_tla::{parse_action_instance, ActionInstance, ParseError};
 use crate::mapping::MappingRegistry;
 use crate::orchestrator::{DirLock, LockError};
 use crate::report::{Determinism, Inconsistency};
-use crate::runner::{run_test_case, RunConfig, RunStats, TestOutcome};
+use crate::runner::{run_test_case, RunConfig, RunCtx, RunStats, TestOutcome};
 use crate::sut::{SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
@@ -489,6 +489,7 @@ pub fn replay(
         registry,
         &artifact.final_enabled,
         &artifact.run,
+        &RunCtx::default(),
     )?;
     let verdict = match outcome {
         TestOutcome::Passed => ReplayVerdict::Passed,

@@ -51,10 +51,7 @@ pub use pipeline::{
 };
 pub use por::{partial_order_reduction, Diamond, PorResult};
 pub use report::{BugClass, BugReport, Determinism, Inconsistency, VariableDivergence};
-pub use runner::{
-    pools_from_registry, run_test_case, run_test_case_clocked, run_test_case_observed, RunConfig,
-    RunStats, TestOutcome,
-};
+pub use runner::{pools_from_registry, run_test_case, RunConfig, RunCtx, RunStats, TestOutcome};
 pub use scheduler::{find_match, translate_offers, unexpected_offers, SpecOffer};
 pub use statecheck::{check_state, state_matches, value_diff, values_match};
 pub use sut::{

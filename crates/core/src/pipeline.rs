@@ -28,7 +28,7 @@ use crate::mapping::{MappingIssue, MappingRegistry};
 use crate::minimize::{minimize_case, MinimizeConfig};
 use crate::por::partial_order_reduction;
 use crate::report::{BugClass, BugReport, Determinism, Inconsistency};
-use crate::runner::{run_test_case_clocked, run_test_case_traced, RunConfig, TestOutcome};
+use crate::runner::{run_test_case, RunConfig, RunCtx, TestOutcome};
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 use crate::traversal::{edge_coverage_paths, TraversalConfig};
@@ -742,21 +742,24 @@ impl Pipeline {
                     Tracer::disabled()
                 };
                 let mut sut = make_sut();
+                let ctx = RunCtx {
+                    clock: self.config.clock.clone(),
+                    obs: obs.clone(),
+                    tracer: tracer.clone(),
+                };
                 // A panicking SUT (or checker) must not take the
                 // buffered observability events down with it: drain the
                 // recorder before letting the unwind continue, so the
                 // triage evidence — including this case's `case.start`
                 // — reaches events.jsonl.
                 let attempt_outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_test_case_traced(
+                    run_test_case(
                         sut.as_mut(),
                         &tc,
                         &self.registry,
                         &final_enabled,
                         &self.config.run,
-                        &obs,
-                        self.config.clock.as_ref(),
-                        &tracer,
+                        &ctx,
                     )
                 }));
                 let attempt_outcome = match attempt_outcome {
@@ -1215,18 +1218,22 @@ impl Pipeline {
         // schedule; a harness error during triage counts as "did not
         // reproduce" rather than aborting the campaign.
         let obs = &self.config.obs;
+        let ctx = RunCtx {
+            clock: self.config.clock.clone(),
+            obs: obs.clone(),
+            tracer: Tracer::disabled(),
+        };
         let mut rerun = |case: &TestCase, enabled: &[ActionInstance]| -> bool {
             obs.metrics().add("pipeline.triage_reruns", 1);
             let mut sut = make_sut();
             matches!(
-                run_test_case_clocked(
+                run_test_case(
                     sut.as_mut(),
                     case,
                     &self.registry,
                     enabled,
                     &self.config.run,
-                    obs,
-                    self.config.clock.as_ref(),
+                    &ctx,
                 ),
                 Ok((TestOutcome::Failed(inc), _)) if inc.kind() == kind
             )

@@ -8,6 +8,7 @@
 //! the end leftover offers are classified against the actions the
 //! specification enables in the final state.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mocket_obs::causal::Tracer;
@@ -18,11 +19,9 @@ use mocket_tla::{ActionClass, ActionInstance, State};
 use crate::mapping::{MappingRegistry, VarTarget};
 use crate::msgpool::{MessagePools, PoolError};
 use crate::report::{Inconsistency, VariableDivergence};
-use crate::scheduler::{
-    find_match, offered_actions, translate_offers_observed, unexpected_offers_observed,
-};
-use crate::statecheck::check_state_observed;
-use crate::sut::{ExecReport, SutError, SystemUnderTest};
+use crate::scheduler::{find_match, offered_actions, translate_offers, unexpected_offers};
+use crate::statecheck::check_state;
+use crate::sut::{ExecReport, Offer, Snapshot, SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
 /// Runner configuration.
@@ -133,6 +132,41 @@ pub fn pools_from_registry(registry: &MappingRegistry) -> MessagePools {
     pools
 }
 
+/// The ambient services of one controlled run.
+///
+/// The default is a plain run: wall clock, a private metrics-only
+/// [`Obs`], no causal trace.
+#[derive(Clone)]
+pub struct RunCtx {
+    /// Every wait and every measured duration — offer deadline, poll
+    /// backoff, per-action budget, [`RunStats::seconds`] — counts this
+    /// clock's time. With a `SimClock` the whole run takes zero wall
+    /// time on waits and its timings are byte-reproducible.
+    pub clock: Arc<dyn Clock>,
+    /// Receives the run's metrics: scheduler release latency
+    /// (`timing.runner.release_latency_ms`), offer-poll and action
+    /// counters (`runner.*`, `timing.scheduler.*`) and state-check
+    /// counters (`statecheck.*`). Only metrics are recorded here —
+    /// per-step events would dominate the event stream; the pipeline
+    /// owns per-case events.
+    pub obs: Obs,
+    /// Installed on the SUT before deployment (so cluster and network
+    /// events reach it); every scheduler release and external trigger
+    /// is recorded with its step context, and the caller drains the
+    /// events afterwards.
+    pub tracer: Tracer,
+}
+
+impl Default for RunCtx {
+    fn default() -> Self {
+        RunCtx {
+            clock: Arc::new(RealClock::new()),
+            obs: Obs::disabled(),
+            tracer: Tracer::disabled(),
+        }
+    }
+}
+
 /// Runs one test case against the system under test.
 ///
 /// `final_enabled` lists the action instances the specification
@@ -144,88 +178,11 @@ pub fn run_test_case(
     registry: &MappingRegistry,
     final_enabled: &[ActionInstance],
     config: &RunConfig,
+    ctx: &RunCtx,
 ) -> Result<(TestOutcome, RunStats), SutError> {
-    run_test_case_observed(
-        sut,
-        test_case,
-        registry,
-        final_enabled,
-        config,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_test_case`] with observability: scheduler release latency
-/// (`timing.runner.release_latency_ms`), offer-poll and action
-/// counters (`runner.*`), and state-check/scheduler metrics. Only
-/// metrics are recorded here — per-step events would dominate the
-/// event stream; the pipeline owns per-case events.
-pub fn run_test_case_observed(
-    sut: &mut dyn SystemUnderTest,
-    test_case: &TestCase,
-    registry: &MappingRegistry,
-    final_enabled: &[ActionInstance],
-    config: &RunConfig,
-    obs: &Obs,
-) -> Result<(TestOutcome, RunStats), SutError> {
-    run_test_case_clocked(
-        sut,
-        test_case,
-        registry,
-        final_enabled,
-        config,
-        obs,
-        &RealClock::new(),
-    )
-}
-
-/// [`run_test_case_observed`] on an explicit [`Clock`]. Every wait and
-/// every measured duration — offer deadline, poll backoff, per-action
-/// budget, `RunStats::seconds` — counts this clock's time. With a
-/// `SimClock` the whole run takes zero wall time on waits and its
-/// timings are byte-reproducible.
-#[allow(clippy::too_many_arguments)]
-pub fn run_test_case_clocked(
-    sut: &mut dyn SystemUnderTest,
-    test_case: &TestCase,
-    registry: &MappingRegistry,
-    final_enabled: &[ActionInstance],
-    config: &RunConfig,
-    obs: &Obs,
-    clock: &dyn Clock,
-) -> Result<(TestOutcome, RunStats), SutError> {
-    run_test_case_traced(
-        sut,
-        test_case,
-        registry,
-        final_enabled,
-        config,
-        obs,
-        clock,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_test_case_clocked`] with a causal [`Tracer`]: the tracer is
-/// installed on the SUT before deployment (so cluster and network
-/// events reach it), every scheduler release and external trigger is
-/// recorded with its step context, and the caller drains the events
-/// afterwards. The disabled tracer makes this identical to the
-/// untraced path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_test_case_traced(
-    sut: &mut dyn SystemUnderTest,
-    test_case: &TestCase,
-    registry: &MappingRegistry,
-    final_enabled: &[ActionInstance],
-    config: &RunConfig,
-    obs: &Obs,
-    clock: &dyn Clock,
-    tracer: &Tracer,
-) -> Result<(TestOutcome, RunStats), SutError> {
-    let start = clock.now();
+    let start = ctx.clock.now();
     let mut stats = RunStats::default();
-    sut.install_tracer(tracer);
+    sut.install_tracer(&ctx.tracer);
     sut.deploy()?;
     let result = drive(
         sut,
@@ -234,12 +191,10 @@ pub fn run_test_case_traced(
         final_enabled,
         config,
         &mut stats,
-        obs,
-        clock,
-        tracer,
+        ctx,
     );
     sut.teardown();
-    stats.seconds = clock.now().saturating_sub(start).as_secs_f64();
+    stats.seconds = ctx.clock.now().saturating_sub(start).as_secs_f64();
     result.map(|outcome| (outcome, stats))
 }
 
@@ -279,7 +234,6 @@ fn classify_sut_error(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive(
     sut: &mut dyn SystemUnderTest,
     test_case: &TestCase,
@@ -287,11 +241,35 @@ fn drive(
     final_enabled: &[ActionInstance],
     config: &RunConfig,
     stats: &mut RunStats,
-    obs: &Obs,
-    clock: &dyn Clock,
-    tracer: &Tracer,
+    ctx: &RunCtx,
 ) -> Result<TestOutcome, SutError> {
+    let clock = ctx.clock.as_ref();
+    let tracer = &ctx.tracer;
+    let obs = &ctx.obs;
     let mut pools = pools_from_registry(registry);
+
+    // Offers translated per poll round: the number of rounds depends
+    // on the run's clock, so both counters live under the `timing.`
+    // quarantine and never appear in the deterministic summary.
+    let translate = |offers: Vec<Offer>| {
+        let out = translate_offers(registry, offers);
+        let m = obs.metrics();
+        m.add("timing.scheduler.offers_translated", out.len() as u64);
+        let unmapped = out.iter().filter(|o| o.spec.is_none()).count() as u64;
+        if unmapped > 0 {
+            m.add("timing.scheduler.unmapped_offers", unmapped);
+        }
+        out
+    };
+    let check = |expected: &State, snapshot: &Snapshot, pools: &MessagePools| {
+        let divergences = check_state(expected, snapshot, pools, registry);
+        let m = obs.metrics();
+        m.add("statecheck.checks", 1);
+        if !divergences.is_empty() {
+            m.add("statecheck.divergences", divergences.len() as u64);
+        }
+        divergences
+    };
 
     // Classifies a failed SUT call: crash-style errors become a
     // failed outcome, harness errors propagate to the caller.
@@ -316,7 +294,7 @@ fn drive(
         let init_action = ActionInstance::nullary("<Init>");
         let snapshot = try_sut!(sut.snapshot(), 0, &init_action, init_start);
         stats.checks += 1;
-        let divergences = check_state_observed(&test_case.initial, &snapshot, &pools, registry, obs);
+        let divergences = check(&test_case.initial, &snapshot, &pools);
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: 0,
@@ -353,11 +331,7 @@ fn drive(
                 let mut backoff = backoff_schedule(config);
                 loop {
                     obs.metrics().add("timing.runner.offer_polls", 1);
-                    let offers = translate_offers_observed(
-                        registry,
-                        try_sut!(sut.offers(), i, &step.action, step_start),
-                        obs,
-                    );
+                    let offers = translate(try_sut!(sut.offers(), i, &step.action, step_start));
                     if let Some(hit) = find_match(&step.action, &offers) {
                         matched = Some(hit.raw.clone());
                         break;
@@ -409,7 +383,7 @@ fn drive(
         // Check the verified post-state.
         let snapshot = try_sut!(sut.snapshot(), i, &step.action, step_start);
         stats.checks += 1;
-        let divergences = check_state_observed(&step.expected, &snapshot, &pools, registry, obs);
+        let divergences = check(&step.expected, &snapshot, &pools);
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: i,
@@ -439,18 +413,15 @@ fn drive(
     // enable in the final state are unexpected actions.
     let final_start = clock.now();
     let final_action = ActionInstance::nullary("<Final>");
-    let offers = translate_offers_observed(
-        registry,
-        try_sut!(
-            sut.offers(),
-            test_case.steps.len(),
-            &final_action,
-            final_start
-        ),
-        obs,
-    );
-    let unexpected = unexpected_offers_observed(registry, &offers, final_enabled, obs);
+    let offers = translate(try_sut!(
+        sut.offers(),
+        test_case.steps.len(),
+        &final_action,
+        final_start
+    ));
+    let unexpected = unexpected_offers(registry, &offers, final_enabled);
     if !unexpected.is_empty() {
+        obs.metrics().add("scheduler.unexpected_offers", unexpected.len() as u64);
         return Ok(TestOutcome::Failed(Inconsistency::UnexpectedAction {
             actions: unexpected,
         }));
@@ -538,6 +509,9 @@ mod tests {
         mute: bool,
         /// Extra bogus offer emitted always (unexpected at end).
         rogue_offer: bool,
+        /// Extra `recv` offer emitted always: a message receive the
+        /// spec never enables (unexpected at end).
+        stray_recv: bool,
         deployed: bool,
     }
 
@@ -549,6 +523,7 @@ mod tests {
                 broken_inc: false,
                 mute: false,
                 rogue_offer: false,
+                stray_recv: false,
                 deployed: false,
             }
         }
@@ -578,6 +553,12 @@ mod tests {
                 out.push(Offer {
                     node: 2,
                     action: ActionInstance::nullary("rogue"),
+                });
+            }
+            if self.stray_recv {
+                out.push(Offer {
+                    node: 3,
+                    action: ActionInstance::nullary("recv"),
                 });
             }
             Ok(out)
@@ -646,6 +627,7 @@ mod tests {
             &registry(),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         assert!(outcome.passed(), "{outcome:?}");
@@ -658,13 +640,16 @@ mod tests {
     fn observed_run_records_scheduler_and_statecheck_metrics() {
         let mut sut = FakeSut::new(10);
         let obs = Obs::disabled();
-        let (outcome, stats) = run_test_case_observed(
+        let (outcome, stats) = run_test_case(
             &mut sut,
             &inc_case(3),
             &registry(),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
-            &obs,
+            &RunCtx {
+                obs: obs.clone(),
+                ..RunCtx::default()
+            },
         )
         .unwrap();
         assert!(outcome.passed(), "{outcome:?}");
@@ -680,6 +665,46 @@ mod tests {
     }
 
     #[test]
+    fn observed_run_counts_unmapped_and_unexpected_offers() {
+        // No steps, so the only poll is the final one: `inc` (benign
+        // single-node leftover), `rogue` (unmapped) and `recv` (a
+        // message receive the spec does not enable).
+        let mut sut = FakeSut::new(10);
+        sut.rogue_offer = true;
+        sut.stray_recv = true;
+        let mut registry = registry();
+        registry.map_action(
+            "Recv",
+            "recv",
+            mocket_tla::ActionClass::MessageReceive,
+            ActionBinding::Snippet,
+        );
+        let obs = Obs::disabled();
+        let (outcome, _) = run_test_case(
+            &mut sut,
+            &inc_case(0),
+            &registry,
+            &[],
+            &RunConfig::fast(),
+            &RunCtx {
+                obs: obs.clone(),
+                ..RunCtx::default()
+            },
+        )
+        .unwrap();
+        match outcome {
+            TestOutcome::Failed(Inconsistency::UnexpectedAction { actions }) => {
+                assert_eq!(actions.len(), 2, "{actions:?}");
+            }
+            other => panic!("expected unexpected action, got {other:?}"),
+        }
+        let m = obs.metrics();
+        assert_eq!(m.counter("timing.scheduler.offers_translated"), 3);
+        assert_eq!(m.counter("timing.scheduler.unmapped_offers"), 1);
+        assert_eq!(m.counter("scheduler.unexpected_offers"), 2);
+    }
+
+    #[test]
     fn broken_effect_is_inconsistent_state() {
         let mut sut = FakeSut::new(10);
         sut.broken_inc = true;
@@ -689,6 +714,7 @@ mod tests {
             &registry(),
             &[],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         match outcome {
@@ -714,6 +740,7 @@ mod tests {
             &registry(),
             &[],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         match outcome {
@@ -734,6 +761,7 @@ mod tests {
             &registry(),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         match outcome {
@@ -755,6 +783,7 @@ mod tests {
             &registry(),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         assert!(outcome.passed());
@@ -776,6 +805,7 @@ mod tests {
             &registry(),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
+            &RunCtx::default(),
         )
         .unwrap();
         assert!(outcome.passed(), "{outcome:?}");
@@ -787,7 +817,15 @@ mod tests {
         let mut sut = FakeSut::new(10);
         let tc = TestCase::new(st(7), vec![]);
         let (outcome, _) =
-            run_test_case(&mut sut, &tc, &registry(), &[], &RunConfig::fast()).unwrap();
+            run_test_case(
+                &mut sut,
+                &tc,
+                &registry(),
+                &[],
+                &RunConfig::fast(),
+                &RunCtx::default(),
+            )
+            .unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::InconsistentState { action, .. }) => {
                 assert_eq!(action.name, "<Init>");
@@ -854,6 +892,7 @@ mod tests {
                 check_initial: false,
                 ..RunConfig::fast()
             },
+            &RunCtx::default(),
         )
         .unwrap();
         match outcome {
@@ -918,15 +957,17 @@ mod tests {
         let run_once = || {
             let mut sut = FakeSut::new(10);
             sut.mute = true;
-            let clock = RecordingClock::new();
-            let (outcome, _) = run_test_case_clocked(
+            let clock = Arc::new(RecordingClock::new());
+            let (outcome, _) = run_test_case(
                 &mut sut,
                 &inc_case(1),
                 &registry(),
                 &[],
                 &RunConfig::fast(),
-                &Obs::disabled(),
-                &clock,
+                &RunCtx {
+                    clock: clock.clone(),
+                    ..RunCtx::default()
+                },
             )
             .unwrap();
             assert!(matches!(
@@ -953,16 +994,17 @@ mod tests {
     fn virtual_clock_runs_report_virtual_seconds() {
         let mut sut = FakeSut::new(10);
         sut.mute = true;
-        let clock = mocket_sim::SimClock::new();
         let wall = std::time::Instant::now();
-        let (_, stats) = run_test_case_clocked(
+        let (_, stats) = run_test_case(
             &mut sut,
             &inc_case(1),
             &registry(),
             &[],
             &RunConfig::default(), // 2s offer deadline — instant virtually
-            &Obs::disabled(),
-            &clock,
+            &RunCtx {
+                clock: Arc::new(mocket_sim::SimClock::new()),
+                ..RunCtx::default()
+            },
         )
         .unwrap();
         assert!(

@@ -5,7 +5,6 @@
 //! classifies leftovers at test end. Matching is exact on the spec
 //! action instance (name plus translated parameter values).
 
-use mocket_obs::Obs;
 use mocket_tla::{ActionClass, ActionInstance};
 
 use crate::mapping::MappingRegistry;
@@ -31,27 +30,6 @@ pub fn translate_offers(registry: &MappingRegistry, offers: Vec<Offer>) -> Vec<S
             SpecOffer { raw, spec }
         })
         .collect()
-}
-
-/// [`translate_offers`] with scheduler metrics: counts every
-/// translated offer (`timing.scheduler.offers_translated`) and every
-/// offer the mapping cannot name (`timing.scheduler.unmapped_offers`).
-/// These accumulate once per poll round, and the number of poll rounds
-/// depends on the run's clock — so both live under the `timing.`
-/// quarantine and never appear in the deterministic summary section.
-pub fn translate_offers_observed(
-    registry: &MappingRegistry,
-    offers: Vec<Offer>,
-    obs: &Obs,
-) -> Vec<SpecOffer> {
-    let out = translate_offers(registry, offers);
-    let m = obs.metrics();
-    m.add("timing.scheduler.offers_translated", out.len() as u64);
-    let unmapped = out.iter().filter(|o| o.spec.is_none()).count() as u64;
-    if unmapped > 0 {
-        m.add("timing.scheduler.unmapped_offers", unmapped);
-    }
-    out
 }
 
 /// Finds the offer matching the scheduled action exactly.
@@ -105,21 +83,6 @@ pub fn unexpected_offers(
             None => Some(o.raw.action.clone()),
         })
         .collect()
-}
-
-/// [`unexpected_offers`] with a `scheduler.unexpected_offers` count.
-pub fn unexpected_offers_observed(
-    registry: &MappingRegistry,
-    offers: &[SpecOffer],
-    enabled_at_final: &[ActionInstance],
-    obs: &Obs,
-) -> Vec<ActionInstance> {
-    let out = unexpected_offers(registry, offers, enabled_at_final);
-    if !out.is_empty() {
-        obs.metrics()
-            .add("scheduler.unexpected_offers", out.len() as u64);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -223,27 +186,6 @@ mod tests {
         let offers = translate_offers(&r, vec![offer(2, "handleVote", vec![])]);
         let enabled = vec![ActionInstance::nullary("HandleVote")];
         assert!(unexpected_offers(&r, &offers, &enabled).is_empty());
-    }
-
-    #[test]
-    fn observed_wrappers_count_offers() {
-        let r = registry();
-        let obs = Obs::disabled();
-        let offers = translate_offers_observed(
-            &r,
-            vec![
-                offer(1, "becomeLeader", vec![]),
-                offer(2, "handleVote", vec![]),
-                offer(3, "unknownHook", vec![]),
-            ],
-            &obs,
-        );
-        let unexpected = unexpected_offers_observed(&r, &offers, &[], &obs);
-        assert_eq!(unexpected.len(), 2);
-        let m = obs.metrics();
-        assert_eq!(m.counter("timing.scheduler.offers_translated"), 3);
-        assert_eq!(m.counter("timing.scheduler.unmapped_offers"), 1);
-        assert_eq!(m.counter("scheduler.unexpected_offers"), 2);
     }
 
     #[test]

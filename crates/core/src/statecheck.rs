@@ -7,7 +7,7 @@
 //! the constant map. Counters and auxiliary variables are skipped:
 //! they have no mapping by design.
 
-use mocket_obs::{Obs, VarDiff};
+use mocket_obs::VarDiff;
 use mocket_tla::{State, Value, VarClass};
 
 use crate::mapping::{CompareMode, MappingRegistry, VarTarget};
@@ -65,25 +65,6 @@ pub fn check_state(
             // Counters / auxiliary variables are unmapped (§4.1.1).
             _ => {}
         }
-    }
-    divergences
-}
-
-/// [`check_state`] with state-checker metrics: `statecheck.checks`
-/// counts invocations, `statecheck.divergences` counts every diverging
-/// variable found.
-pub fn check_state_observed(
-    expected: &State,
-    snapshot: &Snapshot,
-    pools: &MessagePools,
-    registry: &MappingRegistry,
-    obs: &Obs,
-) -> Vec<VariableDivergence> {
-    let divergences = check_state(expected, snapshot, pools, registry);
-    let m = obs.metrics();
-    m.add("statecheck.checks", 1);
-    if !divergences.is_empty() {
-        m.add("statecheck.divergences", divergences.len() as u64);
     }
     divergences
 }

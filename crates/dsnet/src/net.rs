@@ -795,7 +795,7 @@ mod tests {
         net.send(1, 2, &"x".to_string()).unwrap();
         let env = net.take_matching(2, |_| true).unwrap();
         assert_eq!(env.tag, MsgTag::default());
-        assert!(!env.tag.is_traced());
+        assert!(!env.tag.is_live());
     }
 
     #[test]
@@ -807,7 +807,7 @@ mod tests {
         net.send(1, 2, &"x".to_string()).unwrap();
         net.duplicate_matching(2, |_| true).unwrap();
         let env = net.take_matching(2, |_| true).unwrap();
-        assert!(env.tag.is_traced());
+        assert!(env.tag.is_live());
         net.take_matching(2, |_| true).unwrap();
         net.partition(1, 2);
         net.send(1, 2, &"y".to_string()).unwrap();

@@ -272,9 +272,11 @@ impl FaultInjector {
     fn log(&self, point: &str, op: u64, kind: FaultKind) {
         let Some(path) = &self.log_path else { return };
         // Never route the fault log through the fault layer: plain
-        // O_APPEND, errors dropped.
+        // O_APPEND, errors dropped. One `write(2)` per line, so worker
+        // processes sharing the log cannot interleave fragments.
+        let line = format!("chaos: point={point} op={op} kind={}\n", kind.as_str());
         if let Ok(mut f) = OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(f, "chaos: point={point} op={op} kind={}", kind.as_str());
+            let _ = f.write_all(line.as_bytes());
         }
     }
 }

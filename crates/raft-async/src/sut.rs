@@ -202,19 +202,14 @@ impl ExternalDriver for XraftDriver {
 /// test. Every call creates a fresh network and fresh durable storage
 /// (one cluster per test case, §4.3.2).
 pub fn make_sut(servers: Vec<NodeId>, bugs: XraftBugs) -> ClusterSut {
-    make_sut_backend(servers, bugs, Backend::Threads)
+    make_sut_full(servers, bugs, Backend::Threads, None)
 }
 
-/// [`make_sut`] on an explicit cluster backend (threads or
-/// simulation). Under [`Backend::Sim`] the network runs on the
-/// simulation's shared virtual clock, so time-based delay faults
-/// mature deterministically in virtual time.
-pub fn make_sut_backend(servers: Vec<NodeId>, bugs: XraftBugs, backend: Backend) -> ClusterSut {
-    make_sut_full(servers, bugs, backend, None)
-}
-
-/// [`make_sut_backend`] plus an optional seed-driven fault plan
-/// installed on the network before deployment.
+/// [`make_sut`] on an explicit cluster backend, plus an optional
+/// seed-driven fault plan installed on the network before deployment.
+/// Under [`Backend::Sim`] the network runs on the simulation's shared
+/// virtual clock, so time-based delay faults mature deterministically
+/// in virtual time.
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: XraftBugs,
@@ -232,7 +227,7 @@ pub fn make_sut_full(
     let factory_net = net.clone();
     let factory_servers = servers.clone();
     let factory_storage = storage.clone();
-    let cluster = Cluster::with_backend(
+    let cluster = Cluster::new(
         Box::new(move |id| {
             Box::new(AsyncRaftNode::new(
                 id,

@@ -18,7 +18,4 @@ pub use bugs::SyncRaftBugs;
 pub use logstore::{LogEntry, LogStore};
 pub use msg::Rpc;
 pub use node::SyncRaftNode;
-pub use sut::{
-    make_sut, make_sut_backend, make_sut_full, make_sut_with_options,
-    make_sut_with_options_backend, mapping,
-};
+pub use sut::{make_sut, make_sut_full, mapping};

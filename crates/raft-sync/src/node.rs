@@ -34,7 +34,7 @@ pub struct SyncRaftNode {
     servers: Vec<NodeId>,
     bugs: SyncRaftBugs,
     /// Mirror the official spec's `UpdateTerm` as a standalone hook
-    /// (see `sut::make_sut_with_options`): when false, the `stepDown`
+    /// (see `sut::make_sut_full`): when false, the `stepDown`
     /// region never notifies on its own, which is what makes the
     /// official spec's independent `UpdateTerm` a *missing action*.
     expose_update_term: bool,

@@ -4,7 +4,7 @@
 //! (§5.2), so its mapping omits the two overriding switches. The
 //! official-specification testing of §6.1 additionally maps the
 //! spec's independent `UpdateTerm` onto the implementation's
-//! `stepDown` region (see [`make_sut_with_options`]).
+//! `stepDown` region (see [`make_sut_full`]).
 
 use std::sync::Arc;
 
@@ -158,46 +158,25 @@ impl ExternalDriver for SyncDriver {
 }
 
 /// Builds a deployable SyncRaft cluster (conformant or with seeded
-/// bugs).
+/// bugs) with the natural mapping, on the wall clock, without faults.
 pub fn make_sut(servers: Vec<NodeId>, bugs: SyncRaftBugs) -> ClusterSut {
-    make_sut_with_options(servers, bugs, false)
+    make_sut_full(servers, bugs, false, Backend::Threads, None)
 }
 
-/// [`make_sut`] on an explicit cluster backend (threads or
-/// simulation).
-pub fn make_sut_backend(servers: Vec<NodeId>, bugs: SyncRaftBugs, backend: Backend) -> ClusterSut {
-    make_sut_with_options_backend(servers, bugs, false, backend)
-}
-
-/// [`make_sut`] plus the `expose_update_term` option: whether the
-/// `stepDown` region notifies the testbed standalone. With `false`
-/// (the natural mapping) the official spec's independent `UpdateTerm`
-/// is a *missing action*; with `true` executing it runs the whole
-/// handler and the message pool diverges (*inconsistent state*
-/// `messages`) — the two spec-bug rows of Table 2.
-pub fn make_sut_with_options(
-    servers: Vec<NodeId>,
-    bugs: SyncRaftBugs,
-    expose_update_term: bool,
-) -> ClusterSut {
-    make_sut_with_options_backend(servers, bugs, expose_update_term, Backend::Threads)
-}
-
-/// [`make_sut_with_options`] on an explicit cluster backend.
-pub fn make_sut_with_options_backend(
-    servers: Vec<NodeId>,
-    bugs: SyncRaftBugs,
-    expose_update_term: bool,
-    backend: Backend,
-) -> ClusterSut {
-    make_sut_full(servers, bugs, expose_update_term, backend, None)
-}
-
-/// [`make_sut_with_options_backend`] plus an optional seed-driven
-/// fault plan installed on the network before deployment. Under
-/// [`Backend::Sim`] the network additionally runs on the simulation's
-/// shared virtual clock, so time-based delay faults and time-mode
-/// partition heals mature in virtual time.
+/// [`make_sut`] with every knob explicit.
+///
+/// `expose_update_term`: whether the `stepDown` region notifies the
+/// testbed standalone. With `false` (the natural mapping) the official
+/// spec's independent `UpdateTerm` is a *missing action*; with `true`
+/// executing it runs the whole handler and the message pool diverges
+/// (*inconsistent state* `messages`) — the two spec-bug rows of
+/// Table 2.
+///
+/// `fault_plan`: an optional seed-driven fault plan installed on the
+/// network before deployment. Under [`Backend::Sim`] the network
+/// additionally runs on the simulation's shared virtual clock, so
+/// time-based delay faults and time-mode partition heals mature in
+/// virtual time.
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: SyncRaftBugs,
@@ -215,7 +194,7 @@ pub fn make_sut_full(
     let storage: Arc<ClusterStorage<Value>> = ClusterStorage::new();
     let factory_net = net.clone();
     let factory_servers = servers.clone();
-    let cluster = Cluster::with_backend(
+    let cluster = Cluster::new(
         Box::new(move |id| {
             Box::new(SyncRaftNode::new(
                 id,

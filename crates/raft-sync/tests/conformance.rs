@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use mocket_core::{BugReport, Pipeline, PipelineConfig, RunConfig};
-use mocket_raft_sync::{make_sut, make_sut_with_options, mapping, SyncRaftBugs};
+use mocket_raft_sync::{make_sut, make_sut_full, mapping, SyncRaftBugs};
+use mocket_runtime::Backend;
 use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 
 /// Every inconsistent-state report must carry a divergence
@@ -160,10 +161,12 @@ fn official_spec_update_term_is_missing_action_without_mapping_region() {
     let p = pipeline(cfg, true, false, true);
     let result = p
         .run(|| {
-            Box::new(make_sut_with_options(
+            Box::new(make_sut_full(
                 vec![1, 2],
                 SyncRaftBugs::none(),
                 false,
+                Backend::Threads,
+                None,
             ))
         });
     let report = result.reports.first().expect("spec bug must surface");
@@ -187,10 +190,12 @@ fn official_spec_update_term_is_inconsistent_messages_with_mapping_region() {
     let p = pipeline(cfg, true, false, true);
     let result = p
         .run(|| {
-            Box::new(make_sut_with_options(
+            Box::new(make_sut_full(
                 vec![1, 2],
                 SyncRaftBugs::none(),
                 true,
+                Backend::Threads,
+                None,
             ))
         });
     let report = result.reports.first().expect("spec bug must surface");

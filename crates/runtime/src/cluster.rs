@@ -1,57 +1,56 @@
-//! The instrumented cluster: one thread per node, blocked on hooks.
+//! The instrumented cluster: direct in-process nodes, one hosting path.
 //!
-//! Each node runs its application logic on its own thread, exactly
-//! like the paper's pseudo-distributed deployment (§6.2). The testbed
-//! talks to nodes over channels with a strict request/reply protocol:
-//! ask for the actions a node is blocked on (`notifyAndBlock`),
-//! release one (`Execute`), read its shadow variables
-//! (`checkAllStates`). Crash kills the thread; restart spawns a fresh
-//! incarnation — whatever the application persisted in its
-//! `dsnet::Storage` survives, nothing else does.
+//! The paper's testbed (§4.3, §6.2) drives a deployed cluster one
+//! action at a time: ask every node for the actions it is blocked on
+//! (`notifyAndBlock`), release one (`Execute`), read its shadow
+//! variables (`checkAllStates`). Nothing in that protocol runs two
+//! nodes at once, so the cluster owns each [`NodeApp`] as a plain
+//! object and calls it directly. Crash drops the object; restart
+//! builds a fresh incarnation from the factory — whatever the
+//! application persisted in its `dsnet::Storage` survives, nothing
+//! else does.
+//!
+//! **One step, one dispatch.** Every control step is a [`Ctl`] handled
+//! by [`dispatch`] under `catch_unwind`. Observation hooks (offer
+//! collection, snapshots) run inline on the harness thread: they are
+//! the step-dense hot path — one per node per offer poll. *Execution*
+//! steps, the only place the harness runs open-ended application
+//! code, run on a single lazily spawned *sandbox* thread (one per
+//! cluster, reused across steps and nodes) so the harness can bound
+//! them with the reply timeout.
 //!
 //! **Panic isolation.** A node panicking inside application code must
-//! not tear the harness down: `node_main` catches the unwind and
-//! reports it as a structured [`ClusterError::Died`], the node is
-//! deregistered with its shadow variables frozen (the registry uses
-//! non-poisoning locks, so it stays readable after a panic), and the
-//! rest of the cluster keeps answering. Nodes that *hang* instead of
-//! panicking are detached on the first reply timeout — their thread
-//! is abandoned, never joined, so a stuck `execute` can stall one
-//! request but not the whole campaign.
+//! not tear the harness down: the unwind is caught and reported as a
+//! structured [`ClusterError::Died`], the node is deregistered with
+//! its shadow variables frozen (the registry uses non-poisoning locks,
+//! so it stays readable after a panic), and the rest of the cluster
+//! keeps answering.
 //!
-//! **Simulation backend.** [`Backend::Sim`] replaces the one-thread-
-//! per-node deployment with direct in-process nodes sequenced by a
-//! [`mocket_sim::SimExecutor`]: every control step is an event on the
-//! shared virtual clock, so a whole test case runs with zero per-node
-//! thread spawns and zero wall-clock sleeps while preserving the
-//! threaded backend's observable request/reply order. Panic isolation
-//! carries over (steps run under `catch_unwind` with the same
-//! structured [`ClusterError::Died`] reporting).
-//!
-//! **Virtual-deadline watchdog.** Hung nodes are detached under the
-//! simulation backend too: execution steps — the only place the
-//! harness runs open-ended application code — run on a single lazily
-//! spawned *sandbox* thread (one per cluster, reused across steps and
-//! nodes), and the harness waits on the reply channel with the same
-//! real-time grace bound the threaded backend uses (observation
-//! hooks, offer collection and snapshots, stay inline on the hot
-//! path). A step that
-//! exceeds the grace while virtual time is frozen is killed at its
-//! virtual deadline — the sandbox thread (and the app stuck inside
-//! it) is abandoned, the virtual clock advances by exactly the reply
-//! timeout so the timeout is deterministic per seed, and the node is
-//! buried with the identical `request timed out` →
-//! [`ClusterError::Unresponsive`] verdict path as threaded mode. A
-//! forever-blocking `NodeApp` therefore yields the same structured
-//! watchdog verdict on both backends instead of hanging a `--sim`
+//! **Watchdog.** An execution step that outlives the reply timeout is
+//! abandoned together with the sandbox thread it is stuck on — never
+//! joined, its channels dropped so a late reply cannot answer a later
+//! request — and the node is buried with `request timed out` →
+//! [`ClusterError::Unresponsive`]. The next execution step spawns a
+//! fresh sandbox, so a stuck `execute` stalls one request but not the
 //! campaign.
+//!
+//! **Backends.** A [`Backend`] only chooses the clock the steps are
+//! accounted on. [`Backend::Threads`] is the wall clock: steps cost
+//! what they cost, and trace timestamps stay 0 so wall time never
+//! leaks into a trace. [`Backend::Sim`] sequences the same steps on a
+//! [`mocket_sim::SimExecutor`]: each costs a seeded slice of virtual
+//! time, and a hung step advances the virtual clock by exactly the
+//! reply timeout, so timings, traces and watchdog verdicts are
+//! byte-reproducible per seed. Verdict parity between the two holds
+//! by construction — they share every line below except those clock
+//! reads. (The variant names are pinned by the benchmark adapter in
+//! `perfbench/`.)
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, Once};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Once};
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
@@ -90,93 +89,19 @@ enum Ctl {
     Offers,
     Execute(ActionInstance),
     Snapshot,
-    Kill,
 }
 
 enum Rsp {
     Offers(Vec<ActionInstance>),
     Done(Vec<MsgEvent>),
     Snapshot(Vec<(String, Value)>),
-    /// The node panicked while handling the request; the payload is
-    /// the panic message.
-    Died(String),
 }
 
-/// Signalled by a node thread on its way out (normal exit or panic),
-/// so [`Cluster::crash`] can wait for wind-down without polling.
-struct ExitFlag {
-    exited: Mutex<bool>,
-    cvar: Condvar,
-}
-
-impl ExitFlag {
-    fn new() -> Arc<Self> {
-        Arc::new(ExitFlag {
-            exited: Mutex::new(false),
-            cvar: Condvar::new(),
-        })
-    }
-
-    fn signal(&self) {
-        *self.exited.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cvar.notify_all();
-    }
-
-    /// Waits up to `timeout` for the flag; `true` means the thread has
-    /// reached its exit path (joining it will not block meaningfully).
-    fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut exited = self.exited.lock().unwrap_or_else(|e| e.into_inner());
-        while !*exited {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            exited = self
-                .cvar
-                .wait_timeout(exited, remaining)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        true
-    }
-}
-
-struct NodeHandle {
-    ctl_tx: Sender<Ctl>,
-    rsp_rx: Receiver<Rsp>,
-    /// The node's shadow registry, kept harness-side so a panicked or
-    /// hung node's last state stays readable (non-poisoning locks).
+/// A running node. The registry handle is kept beside the app so a
+/// panicked or hung node's last state stays readable.
+struct Node {
+    app: Box<dyn NodeApp>,
     registry: Arc<VarRegistry>,
-    /// Set by the thread's drop guard the moment `node_main` unwinds
-    /// or returns.
-    exit: Arc<ExitFlag>,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// A node hosted in-process (simulation backend): every step an
-/// instant virtual-time event, executed on the cluster's shared
-/// sandbox thread under the watchdog. `app` is `None` only while a
-/// step is in flight on the sandbox — or forever, if that step hung
-/// and the sandbox was abandoned (the node is buried then, so the
-/// slot is gone too).
-struct DirectNode {
-    app: Option<Box<dyn NodeApp>>,
-    registry: Arc<VarRegistry>,
-}
-
-enum NodeSlot {
-    Threaded(NodeHandle),
-    Direct(DirectNode),
-}
-
-impl NodeSlot {
-    fn registry(&self) -> &Arc<VarRegistry> {
-        match self {
-            NodeSlot::Threaded(h) => &h.registry,
-            NodeSlot::Direct(d) => &d.registry,
-        }
-    }
 }
 
 /// Errors from cluster control.
@@ -185,8 +110,8 @@ pub enum ClusterError {
     /// The node is not running.
     NotRunning(NodeId),
     /// The node did not answer within the timeout. The node is
-    /// deregistered and its thread detached: a late reply must never
-    /// desynchronise the request/reply protocol.
+    /// deregistered and the thread running its step detached: a late
+    /// reply must never desynchronise the request/reply protocol.
     Unresponsive(NodeId),
     /// The node answered with the wrong reply kind (protocol bug).
     ProtocolViolation(NodeId),
@@ -230,28 +155,23 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 thread_local! {
-    /// True while a thread is executing application code on behalf of
-    /// a direct (simulation-backend) node, so the panic hook can tell
-    /// a caught node fault from a genuine harness panic.
+    /// True while this thread is executing application code on behalf
+    /// of a node, so the panic hook can tell a caught node fault from
+    /// a genuine harness panic.
     static IN_NODE_STEP: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Suppresses default panic output from node code: node panics are
 /// caught, reported as [`ClusterError::Died`] and classified by the
 /// test runner, so the default stderr backtrace is just noise. Node
-/// code is recognised by thread name (`node-*`, threaded backend) or
-/// by the [`IN_NODE_STEP`] marker (simulation backend). Panics
-/// anywhere else keep the previous hook's behaviour.
+/// code is recognised by the [`IN_NODE_STEP`] marker [`dispatch`]
+/// sets. Panics anywhere else keep the previous hook's behaviour.
 fn install_node_panic_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_node_code = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("node-"))
-                || IN_NODE_STEP.with(Cell::get);
-            if !in_node_code {
+            if !IN_NODE_STEP.with(Cell::get) {
                 previous(info);
             }
         }));
@@ -269,20 +189,39 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Handles one control step on `app`. Application code runs inside
+/// `catch_unwind` so a protocol bug (or an injected fault tripping an
+/// assertion) becomes a structured death report — `Err` carries the
+/// panic message — instead of a harness teardown.
+fn dispatch(app: &mut dyn NodeApp, msg: &Ctl) -> Result<Rsp, String> {
+    IN_NODE_STEP.with(|flag| {
+        flag.set(true);
+        let result = catch_unwind(AssertUnwindSafe(|| match msg {
+            Ctl::Offers => Rsp::Offers(app.enabled()),
+            Ctl::Execute(action) => Rsp::Done(app.execute(action)),
+            Ctl::Snapshot => Rsp::Snapshot(app.registry().snapshot()),
+        }));
+        flag.set(false);
+        result.map_err(|payload| panic_message(payload.as_ref()))
+    })
+}
+
 /// Erases one node's durable storage (disk-loss fault). Protocol
 /// crates wire this to their storage substrate (e.g. wiping the
 /// node's `dsnet::Storage`); the cluster itself stays
 /// storage-agnostic.
 pub type DiskWiper = Box<dyn Fn(NodeId) + Send>;
 
-/// How the cluster hosts its nodes.
+/// The clock a cluster's control steps are accounted on. Node hosting
+/// is the same either way (see the module docs).
 #[derive(Clone)]
 pub enum Backend {
-    /// One OS thread per node, request/reply over channels — the
-    /// paper's pseudo-distributed deployment.
+    /// The wall clock: steps take the real time they take. The name
+    /// predates the single hosting path and is pinned by the benchmark
+    /// adapter.
     Threads,
-    /// Direct in-process calls sequenced on the simulation's shared
-    /// virtual clock: zero threads, zero sleeps, deterministic.
+    /// The simulation's shared virtual clock: seeded per-step cost,
+    /// zero sleeps, deterministic.
     Sim(SimHandle),
 }
 
@@ -296,56 +235,46 @@ const SIM_STEP_COST: Duration = Duration::from_micros(50);
 /// time-dependent paths) while staying bit-reproducible per seed.
 const SIM_STEP_JITTER: Duration = Duration::from_micros(20);
 
-/// One step shipped to the sandbox thread: the app to run it on and
-/// the control message to handle.
-struct SandboxStep {
-    app: Box<dyn NodeApp>,
-    msg: Ctl,
-}
+/// One execution step in flight: the app travels to the sandbox with
+/// its control message and comes back with the outcome.
+type SandboxStep = (Box<dyn NodeApp>, Ctl);
+type SandboxReply = (Box<dyn NodeApp>, Result<Rsp, String>);
 
-/// What came back from the sandbox for one step.
-enum SandboxReply {
-    /// The step completed; the app returns to its node slot.
-    Done {
-        app: Box<dyn NodeApp>,
-        rsp: Rsp,
-    },
-    /// The app panicked mid-step (and was dropped with the unwind).
-    Panicked(String),
-}
-
-/// The simulation backend's sandbox: a single reusable worker thread
-/// that runs direct-node application code so the harness thread can
-/// bound each step with a real-time grace (the virtual-deadline
-/// watchdog). Abandoned wholesale — channels dropped, thread never
-/// joined — when a step hangs; the next step lazily respawns it.
+/// A single reusable worker thread that runs execution steps so the
+/// harness thread can bound each one with the reply timeout.
+/// Abandoned wholesale — channels dropped, thread never joined — when
+/// a step hangs; the next step lazily respawns it.
 struct Sandbox {
     step_tx: Sender<SandboxStep>,
     reply_rx: Receiver<SandboxReply>,
 }
 
-/// Yield-loop iterations before parking on the OS. A direct-node step
+/// Yield-loop iterations before parking on the OS. An execution step
 /// is typically a few microseconds of application code, so a short
 /// `yield_now` loop on both sides of the sandbox channels hands the
 /// CPU straight to the peer thread instead of paying a futex
-/// park/unpark round-trip per step — most of the sim backend's
-/// throughput edge over threaded mode on step-dense workloads, and
-/// (unlike a busy spin) safe on a single-CPU host, where spinning
-/// would stall the peer for a full scheduler timeslice. A hung step
-/// still parks: the loop gives up long before the watchdog grace and
-/// falls back to a blocking wait.
+/// park/unpark round-trip per step, and (unlike a busy spin) is safe
+/// on a single-CPU host, where spinning would stall the peer for a
+/// full scheduler timeslice. A hung step still parks: the loop gives
+/// up long before the watchdog grace and falls back to a blocking
+/// wait.
 const SANDBOX_SPIN: u32 = 64;
 
 impl Sandbox {
     fn spawn() -> Sandbox {
         let (step_tx, step_rx) = bounded::<SandboxStep>(1);
         let (reply_tx, reply_rx) = bounded::<SandboxReply>(1);
-        // The `node-` name prefix routes this thread's panics through
-        // the node panic hook, same as threaded-backend node threads.
         std::thread::Builder::new()
             .name("node-sandbox".to_string())
-            .spawn(move || sandbox_main(step_rx, reply_tx))
-            .expect("spawn sim sandbox thread");
+            .spawn(move || {
+                while let Some((mut app, msg)) = sandbox_recv(&step_rx) {
+                    let result = dispatch(app.as_mut(), &msg);
+                    if reply_tx.send((app, result)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn sandbox thread");
         Sandbox { step_tx, reply_rx }
     }
 
@@ -375,42 +304,10 @@ fn sandbox_recv(step_rx: &Receiver<SandboxStep>) -> Option<SandboxStep> {
     step_rx.recv().ok()
 }
 
-fn sandbox_main(step_rx: Receiver<SandboxStep>, reply_tx: Sender<SandboxReply>) {
-    while let Some(SandboxStep { mut app, msg }) = sandbox_recv(&step_rx) {
-        let outcome = IN_NODE_STEP.with(|flag| {
-            flag.set(true);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let rsp = match msg {
-                    Ctl::Offers => Rsp::Offers(app.enabled()),
-                    Ctl::Execute(action) => Rsp::Done(app.execute(&action)),
-                    Ctl::Snapshot => Rsp::Snapshot(app.registry().snapshot()),
-                    Ctl::Kill => unreachable!("kill is handled by crash(), never dispatched"),
-                };
-                (app, rsp)
-            }));
-            flag.set(false);
-            result
-        });
-        let reply = match outcome {
-            Ok((app, rsp)) => SandboxReply::Done { app, rsp },
-            Err(payload) => SandboxReply::Panicked(panic_message(payload.as_ref())),
-        };
-        if reply_tx.send(reply).is_err() {
-            break;
-        }
-    }
-}
-
-struct SimState {
-    exec: SimExecutor<NodeId>,
-    /// Lazily spawned, abandoned on a hung step.
-    sandbox: Option<Sandbox>,
-}
-
 /// A running instrumented cluster.
 pub struct Cluster {
     factory: NodeFactory,
-    nodes: BTreeMap<NodeId, NodeSlot>,
+    nodes: BTreeMap<NodeId, Node>,
     last_snapshot: BTreeMap<NodeId, Vec<(String, Value)>>,
     /// Nodes that died involuntarily (panic / hang / channel loss)
     /// since the last [`Cluster::take_deaths`], with the reason.
@@ -421,24 +318,18 @@ pub struct Cluster {
     /// Causal tracer (disabled by default — every hook is one branch).
     tracer: Tracer,
     /// Present iff the backend is [`Backend::Sim`].
-    sim: Option<SimState>,
+    sim: Option<SimExecutor<NodeId>>,
+    /// Lazily spawned, abandoned on a hung step.
+    sandbox: Option<Sandbox>,
 }
 
 impl Cluster {
-    /// Creates a cluster (no nodes yet) on the threaded backend.
-    pub fn new(factory: NodeFactory) -> Self {
-        Cluster::with_backend(factory, Backend::Threads)
-    }
-
     /// Creates a cluster (no nodes yet) on the given backend.
-    pub fn with_backend(factory: NodeFactory, backend: Backend) -> Self {
+    pub fn new(factory: NodeFactory, backend: Backend) -> Self {
         install_node_panic_hook();
         let sim = match backend {
             Backend::Threads => None,
-            Backend::Sim(handle) => Some(SimState {
-                exec: SimExecutor::new(handle.clock.clone(), handle.seed),
-                sandbox: None,
-            }),
+            Backend::Sim(handle) => Some(SimExecutor::new(handle.clock.clone(), handle.seed)),
         };
         Cluster {
             factory,
@@ -450,6 +341,7 @@ impl Cluster {
             metrics: None,
             tracer: Tracer::disabled(),
             sim,
+            sandbox: None,
         }
     }
 
@@ -457,9 +349,9 @@ impl Cluster {
     /// ([`CausalKind::StepBegin`](mocket_obs::causal::CausalKind) /
     /// `StepEnd`), crashes and restarts become instants. Under the
     /// simulation backend the events carry virtual timestamps, so
-    /// traces are byte-deterministic per seed; under the threaded
-    /// backend timestamps stay zero (the event *order* is still
-    /// deterministic for a given schedule).
+    /// traces are byte-deterministic per seed; on the wall clock
+    /// timestamps stay zero (the event *order* is still deterministic
+    /// for a given schedule).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -468,7 +360,7 @@ impl Cluster {
     /// present, else 0 (wall-clock must never leak into traces).
     fn vtime(&self) -> u64 {
         match &self.sim {
-            Some(sim) => sim.exec.clock().now_nanos(),
+            Some(exec) => exec.clock().now_nanos(),
             None => 0,
         }
     }
@@ -494,11 +386,10 @@ impl Cluster {
         self
     }
 
-    /// Sets the per-request reply timeout on a running cluster. On
-    /// both backends this is the real-time grace an application step
-    /// gets before the watchdog detaches the node; under the
-    /// simulation backend it is also exactly how far the virtual
-    /// clock jumps when a step times out.
+    /// Sets the per-request reply timeout on a running cluster: the
+    /// real-time grace an execution step gets before the watchdog
+    /// detaches the node. Under the simulation backend it is also
+    /// exactly how far the virtual clock jumps when a step times out.
     pub fn set_reply_timeout(&mut self, timeout: Duration) {
         self.reply_timeout = timeout;
     }
@@ -542,29 +433,7 @@ impl Cluster {
         let app = (self.factory)(id);
         let registry = app.registry();
         self.deaths.remove(&id);
-        let slot = if self.sim.is_some() {
-            NodeSlot::Direct(DirectNode {
-                app: Some(app),
-                registry,
-            })
-        } else {
-            let (ctl_tx, ctl_rx) = bounded::<Ctl>(1);
-            let (rsp_tx, rsp_rx) = bounded::<Rsp>(1);
-            let exit = ExitFlag::new();
-            let exit_for_thread = exit.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("node-{id}"))
-                .spawn(move || node_main(app, ctl_rx, rsp_tx, exit_for_thread))
-                .expect("spawn node thread");
-            NodeSlot::Threaded(NodeHandle {
-                ctl_tx,
-                rsp_rx,
-                registry,
-                exit,
-                thread: Some(thread),
-            })
-        };
-        self.nodes.insert(id, slot);
+        self.nodes.insert(id, Node { app, registry });
     }
 
     /// The ids of running nodes.
@@ -577,181 +446,95 @@ impl Cluster {
         self.nodes.contains_key(&id)
     }
 
+    /// One control step on `id`. The node leaves the map for the
+    /// duration of the step and returns to it only if the step
+    /// completes; a panicked or hung node is buried instead.
     fn request(&mut self, id: NodeId, msg: Ctl) -> Result<Rsp, ClusterError> {
-        match self.nodes.get(&id) {
-            None => Err(ClusterError::NotRunning(id)),
-            Some(NodeSlot::Threaded(_)) => self.request_threaded(id, msg),
-            Some(NodeSlot::Direct(_)) => self.request_direct(id, msg),
-        }
-    }
-
-    /// One control step on a direct (simulation-backend) node: the
-    /// step is dispatched as an event on the virtual clock — which
-    /// jumps forward by the seeded step cost, instantly — and the
-    /// application code runs on the cluster's sandbox thread under
-    /// the same panic isolation and the same real-time grace bound as
-    /// a threaded node (the virtual-deadline watchdog).
-    fn request_direct(&mut self, id: NodeId, msg: Ctl) -> Result<Rsp, ClusterError> {
-        let sim = self.sim.as_mut().expect("direct node implies sim backend");
-        sim.exec
-            .schedule_after_jittered(SIM_STEP_COST, SIM_STEP_JITTER, id);
-        let _ = sim.exec.pop_next();
-        let mut app = match self.nodes.get_mut(&id) {
-            Some(NodeSlot::Direct(node)) => match node.app.take() {
-                Some(app) => app,
-                // Unreachable in practice: a node whose app was lost
-                // to a hung step is buried in the same breath.
-                None => return Err(ClusterError::NotRunning(id)),
-            },
-            _ => return Err(ClusterError::NotRunning(id)),
+        let Some(Node { mut app, registry }) = self.nodes.remove(&id) else {
+            return Err(ClusterError::NotRunning(id));
         };
-        // Observation hooks (offer collection, snapshots) run inline:
-        // they are the step-dense hot path — one per node per offer
-        // poll — and crossing to the sandbox thread for each would
-        // cost two context switches apiece. The virtual-deadline
-        // watchdog guards *execution* steps, the only place the
-        // harness runs open-ended application code.
-        if !matches!(msg, Ctl::Execute(_)) {
-            let outcome = IN_NODE_STEP.with(|flag| {
-                flag.set(true);
-                let result = catch_unwind(AssertUnwindSafe(|| match &msg {
-                    Ctl::Offers => Rsp::Offers(app.enabled()),
-                    Ctl::Snapshot => Rsp::Snapshot(app.registry().snapshot()),
-                    Ctl::Execute(_) | Ctl::Kill => {
-                        unreachable!("execute is sandboxed, kill is handled by crash()")
-                    }
-                }));
-                flag.set(false);
-                result
-            });
-            return match outcome {
-                Ok(rsp) => {
-                    if let Some(NodeSlot::Direct(node)) = self.nodes.get_mut(&id) {
-                        node.app = Some(app);
-                    }
-                    Ok(rsp)
-                }
-                Err(payload) => {
-                    let reason = panic_message(payload.as_ref());
-                    self.bury(id, reason.clone());
-                    Err(ClusterError::Died { node: id, reason })
-                }
-            };
+        if let Some(exec) = &mut self.sim {
+            // The step is an event on the virtual clock, which jumps
+            // forward by the seeded step cost, instantly.
+            exec.schedule_after_jittered(SIM_STEP_COST, SIM_STEP_JITTER, id);
+            let _ = exec.pop_next();
         }
-        enum StepOutcome {
-            Done { app: Box<dyn NodeApp>, rsp: Rsp },
-            Panicked(String),
-            Hung,
-            /// The sandbox thread died outside a step (it only exits
-            /// when its channels drop, so this is a cannot-happen
-            /// diagnostic rather than a real path).
-            ChannelLost(&'static str),
-        }
-        let grace = self.reply_timeout;
-        let outcome = {
-            let sim = self.sim.as_mut().expect("direct node implies sim backend");
-            let sandbox = sim.sandbox.get_or_insert_with(Sandbox::spawn);
-            if sandbox.step_tx.send(SandboxStep { app, msg }).is_err() {
-                StepOutcome::ChannelLost("sandbox channel closed")
-            } else {
-                match sandbox.recv_reply(grace) {
-                    Ok(SandboxReply::Done { app, rsp }) => StepOutcome::Done { app, rsp },
-                    Ok(SandboxReply::Panicked(reason)) => StepOutcome::Panicked(reason),
-                    Err(RecvTimeoutError::Timeout) => StepOutcome::Hung,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        StepOutcome::ChannelLost("sandbox reply channel closed")
-                    }
-                }
+        let outcome = if matches!(msg, Ctl::Execute(_)) {
+            self.execute_on_sandbox(id, app, msg)
+        } else {
+            match dispatch(app.as_mut(), &msg) {
+                Ok(rsp) => Ok((app, rsp)),
+                Err(reason) => Err(ClusterError::Died { node: id, reason }),
             }
         };
         match outcome {
-            StepOutcome::Done { app, rsp } => {
-                if let Some(NodeSlot::Direct(node)) = self.nodes.get_mut(&id) {
-                    node.app = Some(app);
-                }
+            Ok((app, rsp)) => {
+                self.nodes.insert(id, Node { app, registry });
                 Ok(rsp)
             }
-            StepOutcome::Panicked(reason) => {
-                self.bury(id, reason.clone());
-                Err(ClusterError::Died { node: id, reason })
-            }
-            StepOutcome::Hung => {
-                // The virtual-deadline watchdog fired: the step burned
-                // its real-time grace while virtual time stood still.
-                // Abandon the sandbox (and the app stuck inside it) —
-                // a late reply on the dropped channel can never
-                // desynchronise a future step — advance the virtual
-                // clock by exactly the grace so the timeout lands at a
-                // deterministic virtual deadline, and bury the node
-                // through the identical path threaded mode takes.
-                let sim = self.sim.as_mut().expect("sim backend");
-                sim.sandbox = None;
-                sim.exec.clock().advance(grace);
-                self.bury(id, "request timed out".to_string());
-                Err(ClusterError::Unresponsive(id))
-            }
-            StepOutcome::ChannelLost(what) => {
-                let reason = what.to_string();
-                self.sim.as_mut().expect("sim backend").sandbox = None;
-                self.bury(id, reason.clone());
-                Err(ClusterError::Died { node: id, reason })
+            Err(err) => {
+                let reason = match &err {
+                    ClusterError::Died { reason, .. } => reason.clone(),
+                    _ => "request timed out".to_string(),
+                };
+                self.bury(id, &registry, reason);
+                Err(err)
             }
         }
     }
 
-    fn request_threaded(&mut self, id: NodeId, msg: Ctl) -> Result<Rsp, ClusterError> {
-        enum Outcome {
-            Ok(Rsp),
-            Died(String),
-            Hung,
-        }
-        let outcome = {
-            let handle = match self.nodes.get(&id) {
-                Some(NodeSlot::Threaded(handle)) => handle,
-                _ => return Err(ClusterError::NotRunning(id)),
-            };
-            if handle.ctl_tx.send(msg).is_err() {
-                Outcome::Died("control channel closed".to_string())
-            } else {
-                match handle.rsp_rx.recv_timeout(self.reply_timeout) {
-                    Ok(Rsp::Died(reason)) => Outcome::Died(reason),
-                    Ok(rsp) => Outcome::Ok(rsp),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        Outcome::Died("reply channel closed".to_string())
-                    }
-                    Err(RecvTimeoutError::Timeout) => Outcome::Hung,
-                }
-            }
+    /// Runs an execution step on the sandbox thread, waiting at most
+    /// the reply timeout for it.
+    fn execute_on_sandbox(
+        &mut self,
+        id: NodeId,
+        app: Box<dyn NodeApp>,
+        msg: Ctl,
+    ) -> Result<(Box<dyn NodeApp>, Rsp), ClusterError> {
+        let grace = self.reply_timeout;
+        let sandbox = self.sandbox.get_or_insert_with(Sandbox::spawn);
+        let reply = match sandbox.step_tx.send((app, msg)) {
+            Ok(()) => sandbox.recv_reply(grace),
+            Err(_) => Err(RecvTimeoutError::Disconnected),
         };
-        match outcome {
-            Outcome::Ok(rsp) => Ok(rsp),
-            Outcome::Died(reason) => {
-                self.bury(id, reason.clone());
-                Err(ClusterError::Died { node: id, reason })
-            }
-            Outcome::Hung => {
-                // A node that misses the deadline is detached on the
-                // spot: a late reply sitting in the bounded(1) buffer
-                // would otherwise answer the *next* request.
-                self.bury(id, "request timed out".to_string());
+        match reply {
+            Ok((app, Ok(rsp))) => Ok((app, rsp)),
+            Ok((_, Err(reason))) => Err(ClusterError::Died { node: id, reason }),
+            Err(RecvTimeoutError::Timeout) => {
+                // The watchdog fired. Abandon the sandbox (and the app
+                // stuck inside it) — a late reply on the dropped
+                // channel can never answer a future step. Virtual time
+                // stood still while the step burned its real-time
+                // grace; advancing it by exactly the grace lands the
+                // timeout at a deterministic virtual deadline.
+                self.sandbox = None;
+                if let Some(exec) = &self.sim {
+                    exec.clock().advance(grace);
+                }
                 Err(ClusterError::Unresponsive(id))
+            }
+            // The sandbox thread only exits when its channels drop, so
+            // this is a cannot-happen diagnostic rather than a real
+            // path.
+            Err(RecvTimeoutError::Disconnected) => {
+                self.sandbox = None;
+                Err(ClusterError::Died {
+                    node: id,
+                    reason: "sandbox channel closed".to_string(),
+                })
             }
         }
     }
 
-    /// Deregisters a dead or hung node: freezes its shadow variables
-    /// from the harness-side registry handle, records the cause, and
-    /// abandons the thread without joining (it may be hung forever).
+    /// Records an involuntary death: freezes the node's shadow
+    /// variables from the harness-side registry handle and notes the
+    /// cause.
     ///
-    /// First reason wins: if the node is already in the death record
-    /// (e.g. a hang was detected and [`crash`](Self::crash) follows
-    /// before [`take_deaths`](Self::take_deaths) drains it), the
-    /// original cause is kept and nothing is double-reported.
-    fn bury(&mut self, id: NodeId, reason: String) {
+    /// First reason wins: if the node is already in the death record,
+    /// the original cause is kept and nothing is double-reported.
+    fn bury(&mut self, id: NodeId, registry: &VarRegistry, reason: String) {
         self.tally("cluster.deaths");
-        if let Some(slot) = self.nodes.remove(&id) {
-            self.last_snapshot.insert(id, slot.registry().snapshot());
-        }
+        self.last_snapshot.insert(id, registry.snapshot());
         self.deaths.entry(id).or_insert(reason);
     }
 
@@ -832,45 +615,19 @@ impl Cluster {
             .collect())
     }
 
-    /// Kills `id` immediately (node-crash fault): the thread exits,
-    /// in-memory state is lost.
+    /// Kills `id` immediately (node-crash fault): dropping the app
+    /// *is* the crash — in-memory state gone, storage survives.
     ///
-    /// The node's shadow variables are cached first (best effort), so
-    /// state checks after the crash still see its frozen last state —
-    /// the specification keeps modeling a crashed node's variables.
+    /// The node's shadow variables are cached first, so state checks
+    /// after the crash still see its frozen last state — the
+    /// specification keeps modeling a crashed node's variables.
     pub fn crash(&mut self, id: NodeId) {
-        let Some(slot) = self.nodes.remove(&id) else {
+        let Some(node) = self.nodes.remove(&id) else {
             return;
         };
         self.tally("cluster.crashes");
         self.tracer.crash(id, self.vtime());
-        self.last_snapshot.insert(id, slot.registry().snapshot());
-        match slot {
-            NodeSlot::Direct(node) => {
-                // No thread to wind down: dropping the app *is* the
-                // crash (in-memory state gone, storage survives).
-                drop(node);
-            }
-            NodeSlot::Threaded(mut handle) => {
-                // Best-effort kill; a hung node won't read it, and a
-                // blocking send here would hang the harness with it.
-                let _ = handle.ctl_tx.try_send(Ctl::Kill);
-                let exit = handle.exit.clone();
-                let thread = handle.thread.take();
-                // Dropping the channels disconnects the node's recv
-                // loop.
-                drop(handle);
-                if let Some(t) = thread {
-                    // Join only if the thread reaches its exit path in
-                    // time (its drop guard signals the flag); otherwise
-                    // detach it — the harness never blocks on
-                    // application code.
-                    if exit.wait_timeout(self.reply_timeout) {
-                        let _ = t.join();
-                    }
-                }
-            }
-        }
+        self.last_snapshot.insert(id, node.registry.snapshot());
     }
 
     /// Restarts `id`: kill plus a fresh incarnation from the factory.
@@ -896,51 +653,20 @@ impl Drop for Cluster {
     }
 }
 
-fn node_main(
-    mut app: Box<dyn NodeApp>,
-    ctl_rx: Receiver<Ctl>,
-    rsp_tx: Sender<Rsp>,
-    exit: Arc<ExitFlag>,
-) {
-    // Signal the exit flag on every way out of this function — normal
-    // return, kill, or an unwind from the `unreachable!` below.
-    struct SignalOnExit(Arc<ExitFlag>);
-    impl Drop for SignalOnExit {
-        fn drop(&mut self) {
-            self.0.signal();
-        }
-    }
-    let _guard = SignalOnExit(exit);
-    while let Ok(msg) = ctl_rx.recv() {
-        if matches!(msg, Ctl::Kill) {
-            break;
-        }
-        // Application code runs inside catch_unwind so a protocol bug
-        // (or an injected fault tripping an assertion) becomes a
-        // structured death report instead of a harness teardown.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match msg {
-            Ctl::Offers => Rsp::Offers(app.enabled()),
-            Ctl::Execute(action) => Rsp::Done(app.execute(&action)),
-            Ctl::Snapshot => Rsp::Snapshot(app.registry().snapshot()),
-            Ctl::Kill => unreachable!("handled above"),
-        }));
-        let reply = match outcome {
-            Ok(reply) => reply,
-            Err(payload) => {
-                let _ = rsp_tx.send(Rsp::Died(panic_message(payload.as_ref())));
-                return;
-            }
-        };
-        if rsp_tx.send(reply).is_err() {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Shadow;
+
+    /// Both backends, the simulated one with a handle to read its
+    /// virtual clock through.
+    fn backends() -> [(Backend, Option<SimHandle>); 2] {
+        let handle = SimHandle::new(7);
+        [
+            (Backend::Threads, None),
+            (Backend::Sim(handle.clone()), Some(handle)),
+        ]
+    }
 
     /// A toy app: a counter that can `bump` until 3.
     struct CounterApp {
@@ -977,21 +703,33 @@ mod tests {
     }
 
     fn cluster() -> Cluster {
-        Cluster::new(Box::new(CounterApp::boxed)).with_reply_timeout(Duration::from_secs(2))
+        Cluster::new(Box::new(CounterApp::boxed), Backend::Threads)
+            .with_reply_timeout(Duration::from_secs(2))
     }
 
     #[test]
     fn offers_execute_snapshot_roundtrip() {
-        let mut c = cluster();
-        c.start(&[1, 2]);
-        let offers = c.offers().unwrap();
-        assert_eq!(offers.len(), 2);
-        c.execute(1, &ActionInstance::nullary("bump")).unwrap();
-        let snap = c.snapshot_node(1).unwrap();
-        assert_eq!(snap, vec![("count".to_string(), Value::Int(1))]);
-        let snap2 = c.snapshot_node(2).unwrap();
-        assert_eq!(snap2, vec![("count".to_string(), Value::Int(0))]);
-        c.shutdown();
+        for (backend, _) in backends() {
+            let mut c = Cluster::new(Box::new(CounterApp::boxed), backend);
+            c.start(&[1, 2]);
+            let offers = c.offers().unwrap();
+            assert_eq!(offers.len(), 2);
+            c.execute(1, &ActionInstance::nullary("bump")).unwrap();
+            let snap = c.snapshot_node(1).unwrap();
+            assert_eq!(snap, vec![("count".to_string(), Value::Int(1))]);
+            let snap2 = c.snapshot_node(2).unwrap();
+            assert_eq!(snap2, vec![("count".to_string(), Value::Int(0))]);
+            c.crash(1);
+            let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
+            let count = agg.iter().find(|(n, _)| n == "count").unwrap();
+            assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
+            c.restart(2);
+            assert_eq!(
+                c.snapshot_node(2).unwrap(),
+                vec![("count".to_string(), Value::Int(0))]
+            );
+            c.shutdown();
+        }
     }
 
     #[test]
@@ -1097,39 +835,41 @@ mod tests {
 
     #[test]
     fn node_panic_becomes_structured_death_and_harness_survives() {
-        let mut c = Cluster::new(Box::new(PanicApp::boxed))
-            .with_reply_timeout(Duration::from_secs(2));
-        c.start(&[1, 2]);
-        c.execute(1, &ActionInstance::nullary("bump")).unwrap();
+        for (backend, _) in backends() {
+            let mut c = Cluster::new(Box::new(PanicApp::boxed), backend)
+                .with_reply_timeout(Duration::from_secs(2));
+            c.start(&[1, 2]);
+            c.execute(1, &ActionInstance::nullary("bump")).unwrap();
 
-        let err = c.execute(1, &ActionInstance::nullary("boom")).unwrap_err();
-        match &err {
-            ClusterError::Died { node, reason } => {
-                assert_eq!(*node, 1);
-                assert!(reason.contains("boom"), "reason: {reason}");
+            let err = c.execute(1, &ActionInstance::nullary("boom")).unwrap_err();
+            match &err {
+                ClusterError::Died { node, reason } => {
+                    assert_eq!(*node, 1);
+                    assert!(reason.contains("boom"), "reason: {reason}");
+                }
+                other => panic!("expected Died, got {other:?}"),
             }
-            other => panic!("expected Died, got {other:?}"),
+            assert!(!c.is_running(1), "dead node is deregistered");
+
+            // The rest of the cluster keeps answering.
+            assert_eq!(c.offers().unwrap().len(), 2);
+            c.execute(2, &ActionInstance::nullary("bump")).unwrap();
+
+            // The panicked node's last state is frozen in the aggregate.
+            let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
+            let count = agg.iter().find(|(n, _)| n == "count").unwrap();
+            assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
+
+            let deaths = c.take_deaths();
+            assert!(deaths[&1].contains("boom"));
+            assert!(c.take_deaths().is_empty(), "deaths drain");
         }
-        assert!(!c.is_running(1), "dead node is deregistered");
-
-        // The rest of the cluster keeps answering.
-        assert_eq!(c.offers().unwrap().len(), 2);
-        c.execute(2, &ActionInstance::nullary("bump")).unwrap();
-
-        // The panicked node's last state is frozen in the aggregate.
-        let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
-        let count = agg.iter().find(|(n, _)| n == "count").unwrap();
-        assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
-
-        let deaths = c.take_deaths();
-        assert!(deaths[&1].contains("boom"));
-        assert!(c.take_deaths().is_empty(), "deaths drain");
     }
 
     #[test]
     fn lifecycle_metrics_count_starts_crashes_and_deaths() {
         let metrics = Arc::new(mocket_obs::MetricsRegistry::default());
-        let mut c = Cluster::new(Box::new(PanicApp::boxed))
+        let mut c = Cluster::new(Box::new(PanicApp::boxed), Backend::Threads)
             .with_reply_timeout(Duration::from_secs(2))
             .with_metrics(metrics.clone());
         c.start(&[1, 2]);
@@ -1146,7 +886,7 @@ mod tests {
 
     #[test]
     fn restart_clears_a_recorded_death() {
-        let mut c = Cluster::new(Box::new(PanicApp::boxed))
+        let mut c = Cluster::new(Box::new(PanicApp::boxed), Backend::Threads)
             .with_reply_timeout(Duration::from_secs(2));
         c.start(&[1]);
         let _ = c.execute(1, &ActionInstance::nullary("boom"));
@@ -1157,7 +897,7 @@ mod tests {
         c.execute(1, &ActionInstance::nullary("bump")).unwrap();
     }
 
-    /// Hangs forever when told to `stall`.
+    /// Hangs forever when told to `stall`; `tick` returns at once.
     struct HangApp {
         registry: Arc<VarRegistry>,
     }
@@ -1175,7 +915,10 @@ mod tests {
             vec![ActionInstance::nullary("stall")]
         }
 
-        fn execute(&mut self, _action: &ActionInstance) -> Vec<MsgEvent> {
+        fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+            if action.name == "tick" {
+                return vec![];
+            }
             // Hang forever without burning CPU or wall-clock timers;
             // park() can wake spuriously, hence the loop.
             loop {
@@ -1188,38 +931,60 @@ mod tests {
         }
     }
 
+    /// A forever-blocking execution step is abandoned at the reply
+    /// timeout instead of hanging the harness, and the rest of the
+    /// cluster carries on with a fresh sandbox.
     #[test]
     fn hung_node_is_detached_not_joined() {
-        let mut c = Cluster::new(Box::new(HangApp::boxed))
-            .with_reply_timeout(Duration::from_millis(100));
-        c.start(&[1, 2]);
-        let start = std::time::Instant::now();
-        let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-        assert!(matches!(err, ClusterError::Unresponsive(1)));
-        assert!(!c.is_running(1), "hung node is deregistered");
-        // Shutdown must not block on the stuck thread either.
-        c.shutdown();
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "harness never waits out a hung node"
-        );
-        assert!(c.take_deaths().contains_key(&1));
+        for (backend, sim) in backends() {
+            let mut c = Cluster::new(Box::new(HangApp::boxed), backend)
+                .with_reply_timeout(Duration::from_millis(100));
+            c.start(&[1, 2]);
+            let before = sim.as_ref().map(|h| h.clock.now_nanos());
+            let start = std::time::Instant::now();
+            let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
+            assert!(matches!(err, ClusterError::Unresponsive(1)));
+            assert!(!c.is_running(1), "hung node is deregistered");
+            if let (Some(handle), Some(before)) = (&sim, before) {
+                // The virtual clock advanced by step cost + grace:
+                // deterministic, so verdicts line up per seed.
+                let advanced = handle.clock.now_nanos() - before;
+                assert!(
+                    advanced >= Duration::from_millis(100).as_nanos() as u64,
+                    "virtual deadline includes the full grace ({advanced}ns)"
+                );
+            }
+            // Node 2 still answers every kind of step; its execute
+            // runs on a respawned sandbox.
+            assert_eq!(c.offers().unwrap().len(), 1);
+            c.execute(2, &ActionInstance::nullary("tick")).unwrap();
+            assert_eq!(
+                c.snapshot_node(2).unwrap(),
+                vec![("x".to_string(), Value::Int(0))]
+            );
+            // Shutdown must not block on the stuck thread either.
+            c.shutdown();
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "harness never waits out a hung node"
+            );
+            assert_eq!(c.take_deaths()[&1], "request timed out");
+        }
     }
 
-    /// Satellite regression: crashing a threaded node that already
-    /// hung (and was detached by the watchdog) must record its death
-    /// reason exactly once — the original hang reason — and never
-    /// double-report into `take_deaths()`.
+    /// Crashing a node that already hung (and was detached by the
+    /// watchdog) must record its death reason exactly once — the
+    /// original hang reason — and never double-report into
+    /// `take_deaths()`.
     #[test]
     fn crash_on_hung_node_records_death_exactly_once() {
-        let mut c = Cluster::new(Box::new(HangApp::boxed))
+        let mut c = Cluster::new(Box::new(HangApp::boxed), Backend::Threads)
             .with_reply_timeout(Duration::from_millis(100));
         c.start(&[1]);
         let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
         assert!(matches!(err, ClusterError::Unresponsive(1)));
-        // Crash the already-buried node: best-effort kill on a thread
-        // that will never read it. Must return promptly and must not
-        // touch the death record.
+        // Crash the already-buried node. Must return promptly and must
+        // not touch the death record.
         let start = std::time::Instant::now();
         c.crash(1);
         assert!(
@@ -1232,41 +997,8 @@ mod tests {
         assert!(c.take_deaths().is_empty(), "no second report");
     }
 
-    #[test]
-    fn crash_joins_a_cooperative_node_promptly() {
-        let mut c = cluster();
-        c.start(&[1]);
-        let start = std::time::Instant::now();
-        c.crash(1);
-        // The condvar wait returns as soon as the node thread signals
-        // its exit flag — well under the 2s reply timeout.
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert!(!c.is_running(1));
-    }
-
     fn sim_cluster(factory: NodeFactory, handle: &SimHandle) -> Cluster {
-        Cluster::with_backend(factory, Backend::Sim(handle.clone()))
-    }
-
-    #[test]
-    fn sim_backend_roundtrip_matches_threaded_semantics() {
-        let handle = SimHandle::new(7);
-        let mut c = sim_cluster(Box::new(CounterApp::boxed), &handle);
-        c.start(&[1, 2]);
-        let offers = c.offers().unwrap();
-        assert_eq!(offers.len(), 2);
-        c.execute(1, &ActionInstance::nullary("bump")).unwrap();
-        let snap = c.snapshot_node(1).unwrap();
-        assert_eq!(snap, vec![("count".to_string(), Value::Int(1))]);
-        c.crash(1);
-        let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
-        let count = agg.iter().find(|(n, _)| n == "count").unwrap();
-        assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
-        c.restart(2);
-        assert_eq!(
-            c.snapshot_node(2).unwrap(),
-            vec![("count".to_string(), Value::Int(0))]
-        );
+        Cluster::new(factory, Backend::Sim(handle.clone()))
     }
 
     #[test]
@@ -1301,39 +1033,6 @@ mod tests {
         assert_ne!(run(42), run(43), "different seeds jitter differently");
     }
 
-    /// The tentpole: a forever-blocking step under the simulation
-    /// backend is killed at its virtual deadline instead of hanging
-    /// the harness, through the identical `Unresponsive` path the
-    /// threaded watchdog takes.
-    #[test]
-    fn sim_backend_detaches_a_hung_node_at_the_virtual_deadline() {
-        let handle = SimHandle::new(7);
-        let mut c = sim_cluster(Box::new(HangApp::boxed), &handle);
-        c.set_reply_timeout(Duration::from_millis(100));
-        c.start(&[1, 2]);
-        let before = handle.clock.now_nanos();
-        let start = std::time::Instant::now();
-        let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-        assert!(matches!(err, ClusterError::Unresponsive(1)));
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "the harness never waits out a hung direct node"
-        );
-        assert!(!c.is_running(1), "hung node is deregistered");
-        // The virtual clock advanced by exactly step cost + grace:
-        // deterministic, so real and sim verdicts line up per seed.
-        let advanced = handle.clock.now_nanos() - before;
-        assert!(
-            advanced >= Duration::from_millis(100).as_nanos() as u64,
-            "virtual deadline includes the full grace ({advanced}ns)"
-        );
-        // The cluster survives: node 2 still answers on a respawned
-        // sandbox, and the death record matches threaded mode.
-        assert_eq!(c.offers().unwrap().len(), 1);
-        c.shutdown();
-        assert_eq!(c.take_deaths()[&1], "request timed out");
-    }
-
     #[test]
     fn sim_hang_timeline_is_seed_deterministic() {
         let run = |seed: u64| -> (u64, String) {
@@ -1345,28 +1044,5 @@ mod tests {
             (handle.clock.now_nanos(), err.to_string())
         };
         assert_eq!(run(42), run(42), "same seed, same virtual deadline");
-    }
-
-    #[test]
-    fn sim_backend_panic_becomes_structured_death() {
-        let handle = SimHandle::new(7);
-        let mut c = sim_cluster(Box::new(PanicApp::boxed), &handle);
-        c.start(&[1, 2]);
-        let err = c.execute(1, &ActionInstance::nullary("boom")).unwrap_err();
-        match &err {
-            ClusterError::Died { node, reason } => {
-                assert_eq!(*node, 1);
-                assert!(reason.contains("boom"), "reason: {reason}");
-            }
-            other => panic!("expected Died, got {other:?}"),
-        }
-        assert!(!c.is_running(1));
-        // The harness thread survives, and the rest of the cluster
-        // keeps answering.
-        assert_eq!(c.offers().unwrap().len(), 2);
-        let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
-        let count = agg.iter().find(|(n, _)| n == "count").unwrap();
-        assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(0));
-        assert!(c.take_deaths()[&1].contains("boom"));
     }
 }

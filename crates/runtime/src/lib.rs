@@ -5,7 +5,7 @@
 //! instrumentation layer (§4.3.1). Protocol implementations keep
 //! their mapped fields in [`Shadow`] cells (every write is mirrored
 //! for the state checker), expose their blocked actions through the
-//! [`NodeApp`] trait, and run one thread per node inside a
+//! [`NodeApp`] trait, and run as in-process nodes inside a
 //! [`Cluster`] whose request/reply control protocol realizes
 //! `notifyAndBlock` / `checkAllStates` (Figure 7). [`ClusterSut`]
 //! adapts the whole thing to `mocket_core::SystemUnderTest`.

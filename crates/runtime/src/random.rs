@@ -79,7 +79,7 @@ pub fn run_random(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::NodeApp;
+    use crate::cluster::{Backend, NodeApp, NodeFactory};
     use crate::registry::{Shadow, VarRegistry};
     use mocket_core::sut::MsgEvent;
     use std::sync::Arc;
@@ -108,11 +108,12 @@ mod tests {
 
     #[test]
     fn random_run_executes_until_quiescent() {
-        let mut cluster = Cluster::new(Box::new(|_| {
+        let factory: NodeFactory = Box::new(|_| {
             let registry = VarRegistry::new();
             let n = Shadow::new("n", 0i64, registry.clone());
             Box::new(StepApp { registry, n }) as Box<dyn NodeApp>
-        }));
+        });
+        let mut cluster = Cluster::new(factory, Backend::Threads);
         cluster.start(&[1]);
         let stats = run_random(&mut cluster, 100, 7, 2).unwrap();
         assert_eq!(stats.executed, 5);

@@ -156,7 +156,7 @@ impl SystemUnderTest for ClusterSut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::NodeApp;
+    use crate::cluster::{Backend, NodeApp, NodeFactory};
     use crate::registry::{Shadow, VarRegistry};
     use mocket_core::sut::MsgEvent;
     use mocket_tla::Value;
@@ -209,11 +209,12 @@ mod tests {
     }
 
     fn sut() -> ClusterSut {
-        let cluster = Cluster::new(Box::new(|_id| {
+        let factory: NodeFactory = Box::new(|_id| {
             let registry = VarRegistry::new();
             let pinged = Shadow::new("pinged", false, registry.clone());
             Box::new(PingApp { registry, pinged }) as Box<dyn NodeApp>
-        }));
+        });
+        let cluster = Cluster::new(factory, Backend::Threads);
         ClusterSut::new(cluster, vec![1, 2], Box::new(CrashDriver))
     }
 
@@ -295,7 +296,7 @@ mod tests {
             std::collections::BTreeMap::<NodeId, i64>::new(),
         ));
         let factory_disk = disk.clone();
-        let cluster = Cluster::new(Box::new(move |id| {
+        let factory: NodeFactory = Box::new(move |id| {
             let registry = VarRegistry::new();
             let recovered = factory_disk.lock().unwrap().get(&id).copied().unwrap_or(0);
             let count = Shadow::new("count", recovered, registry.clone());
@@ -305,10 +306,11 @@ mod tests {
                 registry,
                 count,
             }) as Box<dyn NodeApp>
-        }))
-        .with_disk_wiper(Box::new(move |id| {
-            disk.lock().unwrap().remove(&id);
-        }));
+        });
+        let cluster =
+            Cluster::new(factory, Backend::Threads).with_disk_wiper(Box::new(move |id| {
+                disk.lock().unwrap().remove(&id);
+            }));
         ClusterSut::new(cluster, vec![1], Box::new(CrashDriver))
     }
 

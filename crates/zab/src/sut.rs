@@ -186,19 +186,14 @@ impl ExternalDriver for ZabDriver {
 /// Builds a deployable ZabKeeper cluster as a Mocket system under
 /// test.
 pub fn make_sut(servers: Vec<NodeId>, bugs: ZabBugs) -> ClusterSut {
-    make_sut_backend(servers, bugs, Backend::Threads)
+    make_sut_full(servers, bugs, Backend::Threads, None)
 }
 
-/// [`make_sut`] on an explicit cluster backend (threads or
-/// simulation). Under [`Backend::Sim`] the network runs on the
-/// simulation's shared virtual clock, so time-based delay faults
-/// mature deterministically in virtual time.
-pub fn make_sut_backend(servers: Vec<NodeId>, bugs: ZabBugs, backend: Backend) -> ClusterSut {
-    make_sut_full(servers, bugs, backend, None)
-}
-
-/// [`make_sut_backend`] plus an optional seed-driven fault plan
-/// installed on the network before deployment.
+/// [`make_sut`] on an explicit cluster backend, plus an optional
+/// seed-driven fault plan installed on the network before deployment.
+/// Under [`Backend::Sim`] the network runs on the simulation's shared
+/// virtual clock, so time-based delay faults mature deterministically
+/// in virtual time.
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: ZabBugs,
@@ -215,7 +210,7 @@ pub fn make_sut_full(
     let storage: Arc<ClusterStorage<Value>> = ClusterStorage::new();
     let factory_net = net.clone();
     let factory_servers = servers.clone();
-    let cluster = Cluster::with_backend(
+    let cluster = Cluster::new(
         Box::new(move |id| {
             Box::new(ZabNode::new(
                 id,

@@ -15,9 +15,11 @@ use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
-use mocket::core::{run_test_case, RunConfig, TestCase, TestOutcome};
+use mocket::core::{run_test_case, RunConfig, RunCtx, TestCase, TestOutcome};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
-use mocket::runtime::{Cluster, ClusterSut, ExternalDriver, NodeApp, Shadow, VarRegistry};
+use mocket::runtime::{
+    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeFactory, Shadow, VarRegistry,
+};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 fn main() {
@@ -112,12 +114,13 @@ fn panic_survival_demo() {
     }
 
     let sut = || {
-        let cluster = Cluster::new(Box::new(|_id| {
+        let factory: NodeFactory = Box::new(|_id| {
             let registry = VarRegistry::new();
             let pinged = Shadow::new("pinged", false, registry.clone());
             Box::new(App { registry, pinged }) as Box<dyn NodeApp>
-        }))
-        .with_reply_timeout(Duration::from_millis(500));
+        });
+        let cluster = Cluster::new(factory, Backend::Threads)
+            .with_reply_timeout(Duration::from_millis(500));
         ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal))
     };
     let mut registry = MappingRegistry::new();
@@ -133,7 +136,8 @@ fn panic_survival_demo() {
         ..RunConfig::fast()
     };
 
-    let (outcome, _) = run_test_case(&mut sut(), &case("Boom"), &registry, &[], &cfg)
+    let ctx = RunCtx::default();
+    let (outcome, _) = run_test_case(&mut sut(), &case("Boom"), &registry, &[], &cfg, &ctx)
         .expect("a panic is a verdict, not a harness error");
     match outcome {
         TestOutcome::Failed(inc) => {
@@ -143,8 +147,8 @@ fn panic_survival_demo() {
     }
 
     let boom = ActionInstance::nullary("Boom");
-    let (outcome, stats) =
-        run_test_case(&mut sut(), &case("Ping"), &registry, &[boom], &cfg).expect("healthy case");
+    let (outcome, stats) = run_test_case(&mut sut(), &case("Ping"), &registry, &[boom], &cfg, &ctx)
+        .expect("healthy case");
     println!(
         "case 2 after the crash: {:?} ({} action(s) executed) — harness survived",
         outcome, stats.actions_executed

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use mocket::core::{Pipeline, PipelineConfig, RunConfig};
-use mocket::raft_sync::{make_sut_with_options, mapping, SyncRaftBugs};
+use mocket::raft_sync::{make_sut_full, mapping, SyncRaftBugs};
+use mocket::runtime::Backend;
 use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
 
 fn pipeline() -> Pipeline {
@@ -32,10 +33,12 @@ fn main() {
     // code, so the spec's independent UpdateTerm goes missing.
     let natural = pipeline()
         .run(|| {
-            Box::new(make_sut_with_options(
+            Box::new(make_sut_full(
                 vec![1, 2],
                 SyncRaftBugs::none(),
                 false,
+                Backend::Threads,
+                None,
             ))
         });
     println!("--- natural mapping (UpdateTerm has no standalone region) ---");
@@ -48,10 +51,12 @@ fn main() {
     // handler, so the message the spec keeps in flight is consumed.
     let region = pipeline()
         .run(|| {
-            Box::new(make_sut_with_options(
+            Box::new(make_sut_full(
                 vec![1, 2],
                 SyncRaftBugs::none(),
                 true,
+                Backend::Threads,
+                None,
             ))
         });
     println!("--- stepDown-region mapping (UpdateTerm runs the handler) ---");

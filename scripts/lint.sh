@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# CI lint for the two rules that keep the execution core single-path
+# (ROADMAP items 1a and 3). Run from anywhere inside the repository.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+fail=0
+
+# One code path with a context argument: a suffixed sibling of an
+# existing function is a second path to keep in parity.
+if grep -rnE 'pub fn \w+_(observed|clocked|traced|backend|with_options\w*)\b' crates/*/src; then
+    echo "error: variant-ladder function name; pass a context argument (RunCtx, Backend) instead" >&2
+    fail=1
+fi
+
+# Harness time goes through mocket_sim::Clock so --sim runs stay
+# byte-reproducible. Wall-clock reads outside the clock crate and the
+# benches are counted per file against scripts/instant-allowlist.txt;
+# lower a count there when a site is removed, never raise one without
+# a reason in the commit message.
+while read -r file; do
+    found=$({ grep -oE 'Instant::now\(\)|\.elapsed\(\)' "$file" || true; } | wc -l)
+    allowed=$(awk -v f="$file" '$1 == f { print $2 }' scripts/instant-allowlist.txt)
+    if [ "$found" -gt "${allowed:-0}" ]; then
+        echo "error: $file has $found wall-clock reads (Instant::now()/.elapsed()), allow-list says ${allowed:-0}" >&2
+        fail=1
+    fi
+done < <(git ls-files '*.rs' | grep -vE '^(crates/sim|crates/bench|perfbench)/')
+
+exit "$fail"

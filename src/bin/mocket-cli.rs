@@ -107,7 +107,7 @@ impl Args {
     }
 
     /// The cluster backend selected by `--sim` / `--sim-seed`:
-    /// `None` means the threaded (real-deployment) backend.
+    /// `None` means the wall-clock backend.
     fn sim_handle(&self) -> Option<SimHandle> {
         self.flag_bool("sim")
             .then(|| SimHandle::new(self.flag_usize("sim-seed", 42) as u64))
@@ -117,7 +117,7 @@ impl Args {
     /// when set, every SUT network gets a seed-driven fault plan that
     /// holds messages for a base RTT plus a stable per-link offset and
     /// per-message jitter. The holds mature on the cluster clock —
-    /// virtual time under `--sim`, wall time on the threaded backend —
+    /// virtual time under `--sim`, wall time otherwise —
     /// and the seed is shared with `--sim-seed` so one number pins the
     /// whole run.
     fn rtt(&self) -> Option<Rtt> {

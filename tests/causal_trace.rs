@@ -58,10 +58,12 @@ fn run_buggy_raft(dir: &Path, trace: bool) {
     )
     .expect("mapping validates");
     let result = pipeline.run(|| {
-        Box::new(mocket::raft_sync::make_sut_backend(
+        Box::new(mocket::raft_sync::make_sut_full(
             servers.clone(),
             bugs.clone(),
+            false,
             Backend::Sim(handle.clone()),
+            None,
         )) as Box<dyn SystemUnderTest>
     });
     assert!(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use mocket::checker::{from_dot, to_dot, ModelChecker};
 use mocket::core::{
-    edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, TestCase,
+    edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, RunCtx, TestCase,
     TraversalConfig,
 };
 use mocket::raft_async::{make_sut, mapping, XraftBugs};
@@ -58,10 +58,17 @@ fn dot_boundary_then_controlled_testing() {
             .cloned()
             .collect();
 
-        // ④ controlled testing on the real threaded cluster.
+        // ④ controlled testing on a real cluster, wall clock.
         let mut sut = make_sut(vec![1, 2], XraftBugs::none());
-        let (outcome, stats) = run_test_case(&mut sut, &tc, &registry, &final_enabled, &run_cfg)
-            .expect("no SUT failure");
+        let (outcome, stats) = run_test_case(
+            &mut sut,
+            &tc,
+            &registry,
+            &final_enabled,
+            &run_cfg,
+            &RunCtx::default(),
+        )
+        .expect("no SUT failure");
         assert!(outcome.passed(), "case {ran} failed: {outcome:?}");
         assert_eq!(stats.actions_executed, tc.len());
         ran += 1;

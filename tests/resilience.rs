@@ -9,9 +9,13 @@ use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
-use mocket::core::{run_test_case, Inconsistency, RunConfig, SutError, TestCase, TestOutcome};
+use mocket::core::{
+    run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
+};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
-use mocket::runtime::{Cluster, ClusterSut, ExternalDriver, NodeApp, Shadow, VarRegistry};
+use mocket::runtime::{
+    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, Shadow, VarRegistry,
+};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 /// Offers `ping` (until pinged) and `boom`; executing `boom` panics
@@ -79,8 +83,8 @@ fn registry() -> MappingRegistry {
 }
 
 fn sut() -> ClusterSut {
-    let cluster =
-        Cluster::new(Box::new(VolatileApp::boxed)).with_reply_timeout(Duration::from_millis(200));
+    let cluster = Cluster::new(Box::new(VolatileApp::boxed), Backend::Threads)
+        .with_reply_timeout(Duration::from_millis(200));
     ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal))
 }
 
@@ -105,6 +109,7 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
         &registry(),
         &[],
         &config(),
+        &RunCtx::default(),
     )
     .expect("a node panic must not surface as a harness error");
 
@@ -136,6 +141,7 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
             ActionInstance::nullary("Hang"),
         ],
         &config(),
+        &RunCtx::default(),
     )
     .expect("healthy case");
     assert!(outcome.passed(), "{outcome:?}");
@@ -152,6 +158,7 @@ fn hung_node_trips_the_watchdog_instead_of_blocking_forever() {
         &registry(),
         &[],
         &config(),
+        &RunCtx::default(),
     )
     .expect("a hung node must not surface as a harness error");
 

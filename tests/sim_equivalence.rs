@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{
-    run_test_case_clocked, Inconsistency, Pipeline, PipelineConfig, RunConfig, SutError, TestCase,
+    run_test_case, Inconsistency, Pipeline, PipelineConfig, RunConfig, RunCtx, SutError, TestCase,
     TestOutcome,
 };
 use mocket::dsnet::{FaultPlan, FaultPlanConfig};
@@ -121,10 +121,12 @@ fn run_raft_in(sim: Option<&SimHandle>, trace_dir: Option<&std::path::Path>) -> 
         Arc::new(RaftSpec::new(cfg)),
         mocket::raft_sync::mapping(false),
         move |backend| {
-            Box::new(mocket::raft_sync::make_sut_backend(
+            Box::new(mocket::raft_sync::make_sut_full(
                 servers.clone(),
                 bugs.clone(),
+                false,
                 backend,
+                None,
             ))
         },
         sim,
@@ -149,10 +151,11 @@ fn run_zab(sim: Option<&SimHandle>) -> RunOutput {
         Arc::new(ZabSpec::new(cfg)),
         mocket::zab::mapping(),
         move |backend| {
-            Box::new(mocket::zab::make_sut_backend(
+            Box::new(mocket::zab::make_sut_full(
                 servers.clone(),
                 bugs.clone(),
                 backend,
+                None,
             ))
         },
         sim,
@@ -277,7 +280,7 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
         Some(handle) => Backend::Sim(handle.clone()),
         None => Backend::Threads,
     };
-    let cluster = Cluster::with_backend(Box::new(HangApp::boxed), backend)
+    let cluster = Cluster::new(Box::new(HangApp::boxed), backend)
         .with_reply_timeout(Duration::from_millis(200));
     let mut sut = ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal));
     let clock: Arc<dyn Clock> = match sim {
@@ -293,14 +296,16 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
         ..RunConfig::fast()
     };
     let start = Instant::now();
-    let (outcome, _) = run_test_case_clocked(
+    let (outcome, _) = run_test_case(
         &mut sut,
         &case,
         &registry,
         &[],
         &cfg,
-        &Obs::disabled(),
-        clock.as_ref(),
+        &RunCtx {
+            clock: clock.clone(),
+            ..RunCtx::default()
+        },
     )
     .expect("a hung node is a verdict, not a harness error");
     let wall_seconds = start.elapsed().as_secs_f64();
