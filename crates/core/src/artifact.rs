@@ -19,7 +19,7 @@
 //! continues instead of restarting. Quarantined cases are deliberately
 //! not journaled — they reached no verdict and deserve a fresh try.
 //! Corrupt lines (a crash mid-append, a hand-edited file) are
-//! collected as typed [`JournalIssue`]s, never panics.
+//! collected as [`LineIssue`]s, never panics.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,6 +30,7 @@ use std::time::Duration;
 use mocket_obs::DivergenceExplanation;
 use mocket_tla::{parse_action_instance, ActionInstance, ParseError};
 
+use crate::fsio::{points, AppendLog, LineIssue};
 use crate::mapping::MappingRegistry;
 use crate::orchestrator::{DirLock, LockError};
 use crate::report::{Determinism, Inconsistency};
@@ -187,11 +188,12 @@ fn deserialize_run(input: &str) -> Result<RunConfig, ArtifactError> {
 }
 
 fn serialize_determinism(d: &Determinism) -> String {
+    let label = d.label();
     match d {
-        Determinism::Unconfirmed => "unconfirmed".to_string(),
-        Determinism::Deterministic { reruns } => format!("deterministic reruns={reruns}"),
+        Determinism::Unconfirmed => label.to_string(),
+        Determinism::Deterministic { reruns } => format!("{label} reruns={reruns}"),
         Determinism::Flaky { reproduced, reruns } => {
-            format!("flaky reproduced={reproduced} reruns={reruns}")
+            format!("{label} reproduced={reproduced} reruns={reruns}")
         }
     }
 }
@@ -537,88 +539,65 @@ impl JournalEntry {
     /// Renders this entry as its single journal line (with trailing
     /// newline) — the exact bytes [`CampaignJournal::record`] appends.
     pub fn render_line(&self) -> String {
-        render_journal_line(self)
+        let outcome = match &self.outcome {
+            CaseOutcome::Passed => "passed".to_string(),
+            CaseOutcome::Failed { kind } => format!("failed {}", one_line(kind)),
+        };
+        let det = match &self.determinism {
+            Some(d) => format!("det={} ", one_line(d)),
+            None => String::new(),
+        };
+        format!(
+            "case: {} attempts={} {det}outcome={}\n",
+            self.hash, self.attempts, outcome
+        )
     }
 
     /// Parses one journal line (without trailing newline).
     pub fn parse_line(line: &str) -> Result<JournalEntry, String> {
-        parse_journal_line(line)
+        let rest = line
+            .strip_prefix("case:")
+            .ok_or_else(|| format!("unrecognized line {line:?}"))?
+            .trim();
+        let mut parts = rest.splitn(3, char::is_whitespace);
+        let hash = parts
+            .next()
+            .filter(|h| !h.is_empty())
+            .ok_or("missing case hash")?;
+        let attempts_tok = parts.next().ok_or("missing attempts=N")?;
+        let attempts = attempts_tok
+            .strip_prefix("attempts=")
+            .ok_or_else(|| format!("expected attempts=N, got {attempts_tok:?}"))?
+            .parse::<usize>()
+            .map_err(|e| format!("bad attempts: {e}"))?;
+        let mut tail = parts.next().ok_or("missing outcome=...")?;
+        // Optional determinism token, written before the outcome so the
+        // free-form failure kind can stay at the end of the line.
+        let mut determinism = None;
+        if let Some(after) = tail.strip_prefix("det=") {
+            let (det, rest) = after
+                .split_once(char::is_whitespace)
+                .ok_or("det= token without an outcome")?;
+            determinism = Some(det.to_string());
+            tail = rest.trim_start();
+        }
+        let outcome_val = tail
+            .strip_prefix("outcome=")
+            .ok_or_else(|| format!("expected outcome=..., got {tail:?}"))?;
+        let outcome = match outcome_val.split_once(' ') {
+            None if outcome_val == "passed" => CaseOutcome::Passed,
+            Some(("failed", kind)) if !kind.trim().is_empty() => CaseOutcome::Failed {
+                kind: kind.trim().to_string(),
+            },
+            _ => return Err(format!("bad outcome {outcome_val:?}")),
+        };
+        Ok(JournalEntry {
+            hash: hash.to_string(),
+            attempts,
+            determinism,
+            outcome,
+        })
     }
-}
-
-/// A journal line that could not be parsed (reported, not fatal).
-#[derive(Debug, Clone)]
-pub struct JournalIssue {
-    /// 1-based line number in the journal file.
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JournalIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "journal line {}: {}", self.line, self.message)
-    }
-}
-
-fn parse_journal_line(line: &str) -> Result<JournalEntry, String> {
-    let rest = line
-        .strip_prefix("case:")
-        .ok_or_else(|| format!("unrecognized line {line:?}"))?
-        .trim();
-    let mut parts = rest.splitn(3, char::is_whitespace);
-    let hash = parts
-        .next()
-        .filter(|h| !h.is_empty())
-        .ok_or("missing case hash")?;
-    let attempts_tok = parts.next().ok_or("missing attempts=N")?;
-    let attempts = attempts_tok
-        .strip_prefix("attempts=")
-        .ok_or_else(|| format!("expected attempts=N, got {attempts_tok:?}"))?
-        .parse::<usize>()
-        .map_err(|e| format!("bad attempts: {e}"))?;
-    let mut tail = parts.next().ok_or("missing outcome=...")?;
-    // Optional determinism token, written before the outcome so the
-    // free-form failure kind can stay at the end of the line.
-    let mut determinism = None;
-    if let Some(after) = tail.strip_prefix("det=") {
-        let (det, rest) = after
-            .split_once(char::is_whitespace)
-            .ok_or("det= token without an outcome")?;
-        determinism = Some(det.to_string());
-        tail = rest.trim_start();
-    }
-    let outcome_val = tail
-        .strip_prefix("outcome=")
-        .ok_or_else(|| format!("expected outcome=..., got {tail:?}"))?;
-    let outcome = match outcome_val.split_once(' ') {
-        None if outcome_val == "passed" => CaseOutcome::Passed,
-        Some(("failed", kind)) if !kind.trim().is_empty() => CaseOutcome::Failed {
-            kind: kind.trim().to_string(),
-        },
-        _ => return Err(format!("bad outcome {outcome_val:?}")),
-    };
-    Ok(JournalEntry {
-        hash: hash.to_string(),
-        attempts,
-        determinism,
-        outcome,
-    })
-}
-
-fn render_journal_line(entry: &JournalEntry) -> String {
-    let outcome = match &entry.outcome {
-        CaseOutcome::Passed => "passed".to_string(),
-        CaseOutcome::Failed { kind } => format!("failed {}", one_line(kind)),
-    };
-    let det = match &entry.determinism {
-        Some(d) => format!("det={} ", one_line(d)),
-        None => String::new(),
-    };
-    format!(
-        "case: {} attempts={} {det}outcome={}\n",
-        entry.hash, entry.attempts, outcome
-    )
 }
 
 /// Why a [`CampaignJournal`] could not be opened.
@@ -667,61 +646,17 @@ impl From<LockError> for JournalOpenError {
     }
 }
 
-/// Parses a journal file's text: completed entries, issues, and
-/// whether the final line was truncated mid-append.
-fn parse_journal_text(
-    text: &str,
-) -> (BTreeMap<String, JournalEntry>, Vec<JournalIssue>, bool) {
-    let mut completed = BTreeMap::new();
-    let mut issues = Vec::new();
-    // Every complete append ends in '\n'. A final line without one was
-    // interrupted mid-write; it must not be trusted even if it happens
-    // to parse (truncating `outcome=failed Missing action` at
-    // `Missing` still parses, with the wrong kind). Report it and let
-    // the case re-run — artifact writes are idempotent.
-    let truncated = !text.is_empty() && !text.ends_with('\n');
-    let line_count = text.lines().count();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if truncated && i + 1 == line_count {
-            issues.push(JournalIssue {
-                line: i + 1,
-                message: format!(
-                    "truncated final line (interrupted append), \
-                     case will be re-run: {line:?}"
-                ),
-            });
-            continue;
-        }
-        match parse_journal_line(line) {
-            Ok(entry) => {
-                completed.insert(entry.hash.clone(), entry);
-            }
-            Err(message) => issues.push(JournalIssue {
-                line: i + 1,
-                message,
-            }),
-        }
-    }
-    (completed, issues, truncated)
-}
-
-/// The append-only campaign journal.
+/// The append-only campaign journal: an [`AppendLog`] of
+/// [`JournalEntry`]s plus the hash → entry map of what completed.
 ///
 /// Opening takes an exclusive, crash-tolerant lock on the campaign
 /// directory (`journal.lock`); it is released when the journal is
 /// dropped. [`CampaignJournal::load_entries`] reads without locking —
 /// for merge/report stages that only observe.
 pub struct CampaignJournal {
-    path: PathBuf,
+    log: AppendLog,
     completed: BTreeMap<String, JournalEntry>,
-    issues: Vec<JournalIssue>,
-    /// The loaded file ended in a partial line; the next append must
-    /// start on a fresh line or it would merge with the partial one.
-    needs_newline: bool,
+    issues: Vec<LineIssue>,
     /// Held for the journal's lifetime; deletes `journal.lock` on drop.
     _lock: DirLock,
 }
@@ -733,27 +668,27 @@ impl CampaignJournal {
     /// The lock file guarding a campaign directory's journal.
     pub const LOCK_FILE_NAME: &'static str = "journal.lock";
 
+    fn log_in(dir: &Path) -> AppendLog {
+        AppendLog::new(dir.join(Self::FILE_NAME), points::JOURNAL_APPEND)
+    }
+
     /// Opens (or creates) the journal inside campaign directory
     /// `dir`, loading every completed case recorded by previous runs.
-    /// Malformed lines — a crash mid-append truncates the last line —
-    /// are collected as [`issues`](Self::issues) and skipped. Fails
-    /// with [`JournalOpenError::Locked`] while another live process
-    /// has the directory open; a lock left behind by a dead process is
-    /// taken over.
+    /// Lines the [`AppendLog`] salvage refuses — a crash mid-append
+    /// truncates the last line — are collected as
+    /// [`issues`](Self::issues) and their cases re-run (artifact
+    /// writes are idempotent). Fails with
+    /// [`JournalOpenError::Locked`] while another live process has the
+    /// directory open; a lock left behind by a dead process is taken
+    /// over.
     pub fn open(dir: &Path) -> Result<Self, JournalOpenError> {
         fs::create_dir_all(dir)?;
         let lock = DirLock::acquire(dir, Self::LOCK_FILE_NAME)?;
-        let path = dir.join(Self::FILE_NAME);
-        let (completed, issues, truncated) = match fs::read_to_string(&path) {
-            Ok(text) => parse_journal_text(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
-            Err(e) => return Err(e.into()),
-        };
+        let (completed, issues) = Self::load_entries(dir)?;
         Ok(CampaignJournal {
-            path,
+            log: Self::log_in(dir),
             completed,
             issues,
-            needs_newline: truncated,
             _lock: lock,
         })
     }
@@ -763,15 +698,10 @@ impl CampaignJournal {
     /// by merge and reporting stages, which never append.
     pub fn load_entries(
         dir: &Path,
-    ) -> Result<(BTreeMap<String, JournalEntry>, Vec<JournalIssue>), std::io::Error> {
-        match fs::read_to_string(dir.join(Self::FILE_NAME)) {
-            Ok(text) => {
-                let (completed, issues, _) = parse_journal_text(&text);
-                Ok((completed, issues))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Default::default()),
-            Err(e) => Err(e),
-        }
+    ) -> Result<(BTreeMap<String, JournalEntry>, Vec<LineIssue>), std::io::Error> {
+        let (entries, issues) = Self::log_in(dir).load(JournalEntry::parse_line)?;
+        let completed = entries.into_iter().map(|e| (e.hash.clone(), e)).collect();
+        Ok((completed, issues))
     }
 
     /// The completed entry for `hash`, if a previous run finished it.
@@ -790,23 +720,15 @@ impl CampaignJournal {
     }
 
     /// Malformed lines encountered while loading.
-    pub fn issues(&self) -> &[JournalIssue] {
+    pub fn issues(&self) -> &[LineIssue] {
         &self.issues
     }
 
     /// Appends one completed case and flushes it to disk immediately —
-    /// an interruption right after a case finishes loses nothing. The
-    /// append goes through the fault-injectable I/O layer, which both
-    /// repairs a torn trailing line (starts the new entry on a fresh
-    /// line) and rolls back its own partial appends.
+    /// an interruption right after a case finishes loses nothing.
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), std::io::Error> {
-        crate::fsio::append_line(
-            &self.path,
-            render_journal_line(&entry).trim_end_matches('\n'),
-            crate::fsio::points::JOURNAL_APPEND,
-            &crate::fsio::RetryPolicy::io(),
-        )?;
-        self.needs_newline = false;
+        self.log
+            .append(entry.render_line().trim_end_matches('\n'))?;
         self.completed.insert(entry.hash.clone(), entry);
         Ok(())
     }

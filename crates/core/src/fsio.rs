@@ -1,51 +1,10 @@
-//! Fault-injectable filesystem I/O for the campaign harness.
-//!
-//! The implementation lives in `mocket-obs` ([`mocket_obs::fsio`]) so
-//! the dependency-free obs sinks can use the same layer; this module
-//! re-exports it and owns the **fault-point catalog** — the stable
-//! names at which the seeded injector can be aimed. Every durable
-//! write in the orchestrator flows through one of these points; the
-//! catalog is documented in DESIGN.md's crash-consistency model.
+//! Fault-injectable filesystem I/O for the campaign harness: a
+//! re-export of [`mocket_obs::fsio`], where the implementation and the
+//! fault-point catalog live so the dependency-free obs sinks share
+//! them.
 
 pub use mocket_obs::fsio::{
-    append_bytes, append_line, armed, create_exclusive, is_enospc, write_atomic, Fault,
-    FaultInjector, FaultKind, RetryPolicy, MOCKET_FSIO_FAULTS_ENV, MOCKET_FSIO_FAULT_LOG_ENV,
+    append_bytes, append_line, armed, create_exclusive, is_enospc, points, write_atomic,
+    AppendLog, Fault, FaultInjector, FaultKind, LineIssue, RetryPolicy, MOCKET_FSIO_FAULTS_ENV,
+    MOCKET_FSIO_FAULT_LOG_ENV,
 };
-
-/// The named fault points: where a seeded [`FaultInjector`] can bite.
-///
-/// Names are part of the chaos-replay contract — a pinned seed plus a
-/// point name identifies a reproducible fault schedule, so renaming a
-/// point invalidates recorded chaos failures. Append, don't rename.
-pub mod points {
-    /// `plan.txt` atomic write (supervisor, campaign start).
-    pub const PLAN_WRITE: &str = "plan.write";
-    /// Lease claim: `O_EXCL` create of `shard-N.lease`.
-    pub const LEASE_CLAIM: &str = "lease.claim";
-    /// Lease rewrite: heartbeat / case pin / steal (temp + rename).
-    pub const LEASE_WRITE: &str = "lease.write";
-    /// Shard retirement: `shard-N.done` atomic write.
-    pub const LEASE_DONE: &str = "lease.done";
-    /// Per-shard `journal.log` verdict append.
-    pub const JOURNAL_APPEND: &str = "journal.append";
-    /// Quarantine forensics appends (`crashes.log`, `poisoned.log`).
-    pub const QUARANTINE_APPEND: &str = "quarantine.append";
-    /// Supervisor journal append (`supervisor.log`).
-    pub const SUPERVISOR_JOURNAL: &str = "supervisor.journal";
-    /// Canonical merged outputs (temp + rename each).
-    pub const MERGE_WRITE: &str = "merge.write";
-    /// `run-summary.json` atomic write (pipeline and merge).
-    pub const SUMMARY_WRITE: &str = "summary.write";
-    /// `campaign-history.jsonl` append.
-    pub const HISTORY_APPEND: &str = "history.append";
-    /// `events.jsonl` buffered-batch flush.
-    pub const OBS_FLUSH: &str = "obs.flush";
-    /// `DirLock` / steal-lock `O_EXCL` create.
-    pub const LOCK_CREATE: &str = "lock.create";
-    /// Pipeline insight outputs (coverage map, uncovered edges, dot).
-    pub const INSIGHT_WRITE: &str = "insight.write";
-    /// Replay-artifact atomic write (`case-<hash>.artifact`).
-    pub const ARTIFACT_WRITE: &str = "artifact.write";
-    /// Per-case causal trace append (`trace.jsonl`).
-    pub const TRACE_APPEND: &str = "trace.append";
-}

@@ -35,8 +35,8 @@ pub mod testcase;
 pub mod traversal;
 
 pub use artifact::{
-    replay, ArtifactError, CampaignJournal, CaseOutcome, JournalEntry, JournalIssue,
-    JournalOpenError, ReplayArtifact, ReplayVerdict,
+    replay, ArtifactError, CampaignJournal, CaseOutcome, JournalEntry, JournalOpenError,
+    ReplayArtifact, ReplayVerdict,
 };
 pub use explain::{explain_failure, ExplainConfig};
 pub use mapping::{

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
+use super::kv;
 use super::lock::{DirLock, LockError};
 use super::procs::{pid_alive, proc_start_token, self_token};
 use crate::fsio;
@@ -98,21 +99,21 @@ impl LeaseInfo {
     /// Renders the lease body (one line, trailing newline) — the exact
     /// bytes written to the lease file.
     pub fn render(&self) -> String {
-        let tok = match self.token {
-            Some(t) => t.to_string(),
-            None => "-".to_string(),
-        };
-        let plan = self.plan.as_deref().unwrap_or("-");
-        match &self.case {
-            Some((idx, hash)) => format!(
-                "pid={} tok={tok} worker={} hb={} plan={plan} case={idx} hash={hash}\n",
-                self.pid, self.worker, self.hb
-            ),
-            None => format!(
-                "pid={} tok={tok} worker={} hb={} plan={plan} case=- hash=-\n",
-                self.pid, self.worker, self.hb
-            ),
-        }
+        let (case, hash) = self.case.clone().unzip();
+        let mut body = kv::render(
+            "",
+            &[
+                ("pid", self.pid.to_string()),
+                ("tok", kv::opt(self.token)),
+                ("worker", self.worker.to_string()),
+                ("hb", self.hb.to_string()),
+                ("plan", kv::opt(self.plan.as_deref())),
+                ("case", kv::opt(case)),
+                ("hash", kv::opt(hash)),
+            ],
+        );
+        body.push('\n');
+        body
     }
 
     /// Parses a lease body. Returns `None` for anything that does not
@@ -121,37 +122,21 @@ impl LeaseInfo {
     /// conservative defaults so a lease written by an older worker
     /// still parses.
     pub fn parse(text: &str) -> Option<LeaseInfo> {
-        let mut pid = None;
-        let mut token = None;
-        let mut worker = None;
-        let mut hb = 0;
-        let mut plan = None;
-        let mut case_idx: Option<&str> = None;
-        let mut hash: Option<&str> = None;
-        for token_kv in text.split_whitespace() {
-            let (k, v) = token_kv.split_once('=')?;
-            match k {
-                "pid" => pid = v.parse().ok(),
-                "tok" => token = (v != "-").then(|| v.parse().ok()).flatten(),
-                "worker" => worker = v.parse().ok(),
-                "hb" => hb = v.parse().ok()?,
-                "plan" => plan = (v != "-").then(|| v.to_string()),
-                "case" => case_idx = Some(v),
-                "hash" => hash = Some(v),
-                _ => {}
-            }
-        }
-        let case = match (case_idx, hash) {
-            (Some("-"), _) | (None, _) => None,
-            (Some(idx), Some(h)) if h != "-" => Some((idx.parse().ok()?, h.to_string())),
+        let f = kv::parse(text).filter(|f| f.head.is_empty())?;
+        let hb = match f.get("hb") {
+            Some(hb) => hb.parse().ok()?,
+            None => 0,
+        };
+        let case = match (f.get("case"), f.get("hash")) {
+            (Some(idx), Some(hash)) => Some((idx.parse().ok()?, hash.to_string())),
             _ => None,
         };
         Some(LeaseInfo {
-            pid: pid?,
-            token,
-            worker: worker?,
+            pid: f.num("pid")?,
+            token: f.num("tok"),
+            worker: f.num("worker")?,
             hb,
-            plan,
+            plan: f.get("plan").map(str::to_string),
             case,
         })
     }
@@ -181,32 +166,27 @@ fn steal_lock_name(shard: usize) -> String {
     format!("shard-{shard}.steal")
 }
 
-/// Atomically (temp + rename) writes `info` into `path`, refreshing
-/// the mtime. Routed through the fault-injectable atomic-write path
+/// Atomically (temp + rename) writes `info` into `path` — a lease or a
+/// done marker — under fault point `point`, refreshing the mtime.
+/// Routed through the fault-injectable atomic-write path
 /// (size-verified, pid-suffixed temp name so two processes can never
 /// collide on it).
-fn write_lease(path: &Path, info: &LeaseInfo) -> io::Result<()> {
+fn write_lease(path: &Path, info: &LeaseInfo, point: &str) -> io::Result<()> {
     let dir = path.parent().unwrap_or(Path::new("."));
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "lease path has no name"))?;
-    fsio::write_atomic(
-        dir,
-        name,
-        info.render().as_bytes(),
-        points::LEASE_WRITE,
-        &fsio::RetryPolicy::io(),
-    )
-    .map(|_| ())
+    let body = info.render();
+    fsio::write_atomic(dir, name, body.as_bytes(), point, &fsio::RetryPolicy::io()).map(|_| ())
 }
 
 /// One observation of a lease file: the parse result (or `None` for
 /// an unparseable body), the mtime-derived age, and the raw mtime
 /// (for change detection across the confirming re-read).
-struct LeaseRead {
-    info: Option<LeaseInfo>,
-    age: Duration,
+pub(super) struct LeaseRead {
+    pub(super) info: Option<LeaseInfo>,
+    pub(super) age: Duration,
     mtime: Option<SystemTime>,
 }
 
@@ -214,7 +194,7 @@ struct LeaseRead {
 /// (claim/steal mid-flight or shard released); `info: None` when the
 /// file exists but does not parse — torn claim debris that becomes
 /// salvageable once older than the TTL.
-fn read_lease(path: &Path) -> Option<LeaseRead> {
+pub(super) fn read_lease(path: &Path) -> Option<LeaseRead> {
     let text = fs::read_to_string(path).ok()?;
     let mtime = fs::metadata(path).ok().and_then(|m| m.modified().ok());
     let age = mtime
@@ -383,7 +363,7 @@ pub fn try_claim(
         on_steal(victim);
     }
     let _ = fs::remove_file(&path);
-    write_lease(&path, &mine)?;
+    write_lease(&path, &mine, points::LEASE_WRITE)?;
     drop(steal);
     Ok(ClaimOutcome::Claimed(LeaseHandle::start(
         path,
@@ -438,7 +418,7 @@ impl LeaseHandle {
                         info.hb += 1;
                         info.clone()
                     };
-                    let _ = write_lease(&path, &snapshot);
+                    let _ = write_lease(&path, &snapshot, points::LEASE_WRITE);
                 }
             })
         };
@@ -466,7 +446,7 @@ impl LeaseHandle {
             info.case = Some((index, hash.to_string()));
             info.clone()
         };
-        let _ = write_lease(&self.path, &snapshot);
+        let _ = write_lease(&self.path, &snapshot, points::LEASE_WRITE);
     }
 
     /// Retires the shard: atomic done marker first, then lease
@@ -474,19 +454,8 @@ impl LeaseHandle {
     /// stale lease, which every reader treats as done.
     pub fn mark_done(&self) -> io::Result<()> {
         let done = done_path(&self.campaign_dir, self.shard);
-        let dir = done.parent().unwrap_or(Path::new("."));
-        let name = done
-            .file_name()
-            .and_then(|n| n.to_str())
-            .expect("done path has a file name");
-        let body = self.info.lock().unwrap().render();
-        fsio::write_atomic(
-            dir,
-            name,
-            body.as_bytes(),
-            points::LEASE_DONE,
-            &fsio::RetryPolicy::io(),
-        )?;
+        let info = self.info.lock().unwrap().clone();
+        write_lease(&done, &info, points::LEASE_DONE)?;
         self.retired.store(true, Ordering::SeqCst);
         self.stop_heartbeat();
         let _ = fs::remove_file(&self.path);
@@ -627,6 +596,7 @@ mod tests {
                 plan: Some("testplan00000000".into()),
                 case: Some((4, "feedfacefeedface".into())),
             },
+            points::LEASE_WRITE,
         )
         .unwrap();
         let mut stolen: Vec<LeaseInfo> = Vec::new();
@@ -666,6 +636,7 @@ mod tests {
                 plan: None,
                 case: Some((2, "deadbeefdeadbeef".into())),
             },
+            points::LEASE_WRITE,
         )
         .unwrap();
         let mut stolen = 0;
@@ -759,6 +730,7 @@ mod tests {
                             plan: None,
                             case: None,
                         },
+                        points::LEASE_WRITE,
                     );
                     std::thread::sleep(Duration::from_millis(5));
                 }

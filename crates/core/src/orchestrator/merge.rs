@@ -23,18 +23,16 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use mocket_checker::{to_dot_overlay, uncovered_frontier, EdgeId, StateGraph};
-use mocket_obs::{
-    CampaignHistory, CampaignRecord, CoverageMap, Event, Obs, RunSummary, COVERAGE_FILE_NAME,
-    EVENTS_FILE_NAME, UNCOVERED_FILE_NAME,
-};
+use mocket_checker::{uncovered_frontier, EdgeId, StateGraph};
+use mocket_obs::{CoverageMap, Event, Obs, RunSummary, EVENTS_FILE_NAME};
 
 use crate::artifact::{CampaignJournal, CaseOutcome, JournalEntry, ReplayArtifact};
-use crate::pipeline::COVERAGE_DOT_FILE_NAME;
+use crate::fsio::points;
+use crate::pipeline::outputs::{history_record, tally_bugs, write_insight};
 
 use super::lease::shard_data_dir;
 use super::plan::CampaignPlan;
-use super::worker::load_poisoned;
+use super::worker::{describe_issues, load_crashes, load_poisoned};
 
 /// What the merge produced.
 #[derive(Debug, Clone, Default)]
@@ -102,7 +100,7 @@ fn write_atomic(dir: &Path, name: &str, content: &str) -> io::Result<()> {
         dir,
         name,
         content.as_bytes(),
-        crate::fsio::points::MERGE_WRITE,
+        points::MERGE_WRITE,
         &crate::fsio::RetryPolicy::io(),
     )
     .map(|_| ())
@@ -134,6 +132,26 @@ fn resolve_verdicts(
     verdicts
 }
 
+/// The `case-*.artifact` file names in `dir`, sorted; a missing
+/// directory has none.
+fn artifact_names(dir: &Path) -> io::Result<Vec<String>> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut names = Vec::new();
+    for entry in entries {
+        if let Some(name) = entry?.file_name().to_str() {
+            if name.starts_with("case-") && name.ends_with(".artifact") {
+                names.push(name.to_string());
+            }
+        }
+    }
+    names.sort();
+    Ok(names)
+}
+
 /// Promotes replay artifacts from the shard data directories to the
 /// campaign top level. The artifact file name embeds the minimized
 /// case's stable hash, so two shards reproducing the same bug collapse
@@ -147,24 +165,13 @@ fn promote_artifacts(
     let mut copied = 0usize;
     for shard in 0..shard_count {
         let dir = shard_data_dir(campaign_dir, shard);
-        let entries = match fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.starts_with("case-") || !name.ends_with(".artifact") {
+        for name in artifact_names(&dir)? {
+            if !promoted.insert(name.clone()) {
                 continue;
             }
-            if !promoted.insert(name.to_string()) {
-                continue;
-            }
-            let dest = campaign_dir.join(name);
+            let dest = campaign_dir.join(&name);
             let tmp = campaign_dir.join(format!("{name}.tmp-{}", std::process::id()));
-            match fs::copy(entry.path(), &tmp).and_then(|_| fs::rename(&tmp, &dest)) {
+            match fs::copy(dir.join(&name), &tmp).and_then(|_| fs::rename(&tmp, &dest)) {
                 Ok(()) => copied += 1,
                 Err(e) => {
                     let _ = fs::remove_file(&tmp);
@@ -216,19 +223,8 @@ fn promote_traces(
 /// case is the minimized reproducer and `original_len` the revealing
 /// case's length, mirroring what the single-process pipeline records.
 fn shrink_totals(campaign_dir: &Path, issues: &mut Vec<String>) -> (u64, u64) {
-    let mut names: Vec<String> = Vec::new();
-    if let Ok(entries) = fs::read_dir(campaign_dir) {
-        for entry in entries.flatten() {
-            if let Some(name) = entry.file_name().to_str() {
-                if name.starts_with("case-") && name.ends_with(".artifact") {
-                    names.push(name.to_string());
-                }
-            }
-        }
-    }
-    names.sort();
     let (mut original, mut minimized) = (0u64, 0u64);
-    for name in names {
+    for name in artifact_names(campaign_dir).unwrap_or_default() {
         match ReplayArtifact::load(&campaign_dir.join(&name)) {
             Ok(a) => {
                 original += a.original_len as u64;
@@ -261,7 +257,7 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
         let (entries, issues) =
             CampaignJournal::load_entries(&shard_data_dir(inp.campaign_dir, shard))?;
         for issue in issues {
-            report.issues.push(format!("shard {shard}: {issue}"));
+            report.issues.push(format!("shard {shard}: journal {issue}"));
         }
         shard_entries.push(entries);
     }
@@ -270,11 +266,15 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
 
     // Unique poisoned hashes, first-crashing-index order for the logs,
     // hash set for the lookups below.
-    let mut poisoned_hashes = BTreeSet::new();
-    for rec in load_poisoned(inp.campaign_dir)? {
-        poisoned_hashes.insert(rec.hash);
-    }
+    let (poisoned, poison_issues) = load_poisoned(inp.campaign_dir)?;
+    let poisoned_hashes: BTreeSet<String> = poisoned.into_iter().map(|rec| rec.hash).collect();
     report.poisoned = poisoned_hashes.len();
+    // A refused quarantine line is a crash that stopped counting or a
+    // case that left quarantine: never silent.
+    let (_, crash_issues) = load_crashes(inp.campaign_dir)?;
+    for issue in describe_issues(&crash_issues, &poison_issues) {
+        report.issues.push(format!("quarantine: {issue}"));
+    }
 
     // Canonical journal: one line per unique hash, first-plan-index
     // order, the exact bytes `CampaignJournal::record` would append.
@@ -352,30 +352,24 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
         seq += 1;
     }
     write_atomic(inp.campaign_dir, EVENTS_FILE_NAME, &events)?;
-    write_atomic(inp.campaign_dir, COVERAGE_FILE_NAME, &coverage.to_json())?;
-    write_atomic(
-        inp.campaign_dir,
-        UNCOVERED_FILE_NAME,
-        &coverage.uncovered_listing(),
-    )?;
-    write_atomic(
-        inp.campaign_dir,
-        COVERAGE_DOT_FILE_NAME,
-        &to_dot_overlay(inp.graph, coverage.edge_hits()),
-    )?;
+    if let Some((_, e)) = write_insight(inp.campaign_dir, inp.graph, &coverage, points::MERGE_WRITE)
+        .into_iter()
+        .next()
+    {
+        return Err(e);
+    }
     profile("timing.profile.merge_coverage_seconds", stage);
 
     // Unique failed hashes → bug tallies.
-    let mut bugs_by_kind: BTreeMap<String, u64> = BTreeMap::new();
-    let mut bugs_by_determinism: BTreeMap<String, u64> = BTreeMap::new();
-    for entry in verdicts.values() {
-        if let CaseOutcome::Failed { kind } = &entry.outcome {
-            report.failed_unique += 1;
-            *bugs_by_kind.entry(kind.clone()).or_insert(0) += 1;
-            let det = entry.determinism.as_deref().unwrap_or("unconfirmed");
-            *bugs_by_determinism.entry(det.to_string()).or_insert(0) += 1;
-        }
-    }
+    let (bugs_by_kind, bugs_by_determinism) =
+        tally_bugs(verdicts.values().filter_map(|entry| match &entry.outcome {
+            CaseOutcome::Failed { kind } => Some((
+                kind.as_str(),
+                entry.determinism.as_deref().unwrap_or("unconfirmed"),
+            )),
+            CaseOutcome::Passed => None,
+        }));
+    report.failed_unique = bugs_by_kind.values().sum::<u64>() as usize;
 
     let stage = std::time::Instant::now();
     report.artifacts_copied = promote_artifacts(inp.campaign_dir, shard_count, &mut report.issues)?;
@@ -402,8 +396,8 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
         cases_quarantined: report.poisoned as u64,
         cases_skipped_from_journal: 0,
         journal_issues: 0,
-        bugs_by_kind: bugs_by_kind.clone(),
-        bugs_by_determinism: bugs_by_determinism.clone(),
+        bugs_by_kind,
+        bugs_by_determinism,
         ..RunSummary::default()
     };
     summary.write_to(inp.campaign_dir)?;
@@ -411,34 +405,14 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
     // One history record per completed campaign, deduplicated so an
     // idempotent re-run of a finished campaign appends nothing.
     if inp.completed {
-        let (shrink_original, shrink_minimized) =
-            shrink_totals(inp.campaign_dir, &mut report.issues);
-        let mut history = CampaignHistory::open(inp.campaign_dir)?;
-        for issue in history.issues() {
-            report.issues.push(issue.to_string());
-        }
-        let record = CampaignRecord {
-            seq: history.next_seq(),
-            spec: summary.spec.clone(),
-            states: summary.states,
-            edges: summary.edges,
-            coverage_edges_visited: summary.coverage_edges_visited,
-            coverage_edge_targets: summary.coverage_edge_targets,
-            coverage: summary.coverage,
-            cases_selected: summary.cases_selected,
-            cases_run: summary.cases_run,
-            cases_passed: summary.cases_passed,
-            cases_failed: summary.cases_failed,
-            cases_quarantined: summary.cases_quarantined,
-            cases_skipped_from_journal: 0,
-            bugs_by_kind,
-            bugs_by_determinism,
-            shrink_original_actions: shrink_original,
-            shrink_minimized_actions: shrink_minimized,
-            uncovered_frontier_edges: frontier.len() as u64,
-            wall_checker_states_per_sec: 0.0,
-            wall_total_seconds: 0.0,
-        };
+        let shrink = shrink_totals(inp.campaign_dir, &mut report.issues);
+        let (mut history, record) = history_record(
+            inp.campaign_dir,
+            &summary,
+            shrink,
+            frontier.len(),
+            &mut report.issues,
+        )?;
         report.history_appended = history.append_dedup(record)?;
     }
     profile("timing.profile.merge_summary_seconds", stage);

@@ -24,6 +24,7 @@
 //! <dir>/journal.log ...         canonical merged outputs
 //! ```
 
+mod kv;
 mod lease;
 mod lock;
 mod merge;

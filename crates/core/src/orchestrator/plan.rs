@@ -15,6 +15,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use mocket_checker::{EdgeId, StateGraph};
+
+use crate::testcase::TestCase;
+
 /// File name of the plan inside a campaign directory.
 pub const PLAN_FILE_NAME: &str = "plan.txt";
 
@@ -50,6 +54,47 @@ pub struct CampaignPlan {
 }
 
 impl CampaignPlan {
+    /// Pins the plan for `paths` over `graph`: one [`PlanCase`] per
+    /// selected path, by index — its stable hash and length, or `-`
+    /// for a path that cannot materialize (the pipeline skips those
+    /// indices; they never reach a verdict). The supervisor pins with
+    /// this and every worker re-pins to verify, so both must build the
+    /// plan the same way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pin(
+        target: &str,
+        bug: Option<&str>,
+        max_states: usize,
+        max_path_len: usize,
+        max_test_cases: usize,
+        shard_size: usize,
+        graph: &StateGraph,
+        paths: &[Vec<EdgeId>],
+    ) -> CampaignPlan {
+        let cases = paths
+            .iter()
+            .map(|path| match TestCase::from_edge_path(graph, path) {
+                Some(tc) => PlanCase {
+                    hash: tc.stable_hash(),
+                    len: tc.len(),
+                },
+                None => PlanCase {
+                    hash: "-".into(),
+                    len: 0,
+                },
+            })
+            .collect();
+        CampaignPlan {
+            target: target.to_string(),
+            bug: bug.map(str::to_string),
+            max_states,
+            max_path_len,
+            max_test_cases,
+            shard_size,
+            cases,
+        }
+    }
+
     /// Number of shards covering the case set. An empty plan still has
     /// one (empty) shard so the campaign machinery has something to
     /// retire.

@@ -30,13 +30,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
-use crate::fsio;
-use crate::fsio::points;
-use crate::fsio::RetryPolicy;
+use crate::fsio::{points, AppendLog, LineIssue, RetryPolicy};
 
-use super::lease::{done_path, lease_path, shards_dir, LeaseConfig, LeaseInfo};
+use super::kv;
+use super::lease::{done_path, lease_path, read_lease, shards_dir, LeaseConfig, LeaseInfo};
 use super::procs::{install_sigint_flag, same_process, self_token, send_signal, SIGKILL};
 use super::worker::{drain_requested, request_drain};
 
@@ -158,64 +157,62 @@ pub enum SupervisorEvent {
     },
 }
 
-fn render_token(token: Option<u64>) -> String {
-    match token {
-        Some(t) => t.to_string(),
-        None => "-".to_string(),
-    }
-}
-
 impl SupervisorEvent {
     /// Renders the single journal line for this event (no newline).
     pub fn render_line(&self) -> String {
         match self {
-            SupervisorEvent::Elect { pid, token, plan } => {
-                format!("elect pid={pid} tok={} plan={plan}", render_token(*token))
-            }
+            SupervisorEvent::Elect { pid, token, plan } => kv::render(
+                "elect",
+                &[
+                    ("pid", pid.to_string()),
+                    ("tok", kv::opt(*token)),
+                    ("plan", plan.clone()),
+                ],
+            ),
             SupervisorEvent::Spawn {
                 worker,
                 pid,
                 token,
                 plan,
-            } => format!(
-                "spawn worker={worker} pid={pid} tok={} plan={plan}",
-                render_token(*token)
+            } => kv::render(
+                "spawn",
+                &[
+                    ("worker", worker.to_string()),
+                    ("pid", pid.to_string()),
+                    ("tok", kv::opt(*token)),
+                    ("plan", plan.clone()),
+                ],
             ),
-            SupervisorEvent::Reap { worker, pid } => {
-                format!("reap worker={worker} pid={pid}")
-            }
+            SupervisorEvent::Reap { worker, pid } => kv::render(
+                "reap",
+                &[("worker", worker.to_string()), ("pid", pid.to_string())],
+            ),
         }
     }
 
     /// Parses one journal line. `None` for anything malformed — a torn
     /// append salvages to "skip the line", never a panic.
     pub fn parse_line(line: &str) -> Option<SupervisorEvent> {
-        let mut fields = HashMap::new();
-        let mut parts = line.split_whitespace();
-        let head = parts.next()?;
-        for tok in parts {
-            let (k, v) = tok.split_once('=')?;
-            fields.insert(k, v);
-        }
-        let pid: u32 = fields.get("pid")?.parse().ok()?;
-        let token = match fields.get("tok") {
-            Some(&"-") | None => None,
-            Some(t) => Some(t.parse().ok()?),
+        let f = kv::parse(line)?;
+        let pid = f.num("pid")?;
+        let token = match f.get("tok") {
+            Some(tok) => Some(tok.parse().ok()?),
+            None => None,
         };
-        match head {
+        match f.head {
             "elect" => Some(SupervisorEvent::Elect {
                 pid,
                 token,
-                plan: fields.get("plan")?.to_string(),
+                plan: f.get("plan")?.to_string(),
             }),
             "spawn" => Some(SupervisorEvent::Spawn {
-                worker: fields.get("worker")?.parse().ok()?,
+                worker: f.num("worker")?,
                 pid,
                 token,
-                plan: fields.get("plan")?.to_string(),
+                plan: f.get("plan")?.to_string(),
             }),
             "reap" => Some(SupervisorEvent::Reap {
-                worker: fields.get("worker")?.parse().ok()?,
+                worker: f.num("worker")?,
                 pid,
             }),
             _ => None,
@@ -223,13 +220,11 @@ impl SupervisorEvent {
     }
 }
 
-/// The supervisor's append-only journal (`supervisor.log`): process
-/// lifecycle facts a re-elected supervisor needs to adopt the previous
-/// incarnation's live workers. Appends flow through the
-/// fault-injectable I/O layer; loading salvages the valid prefix and
-/// skips torn or garbage lines.
+/// The supervisor's append-only journal (`supervisor.log`): an
+/// [`AppendLog`] of the process lifecycle facts a re-elected
+/// supervisor needs to adopt the previous incarnation's live workers.
 pub struct SupervisorJournal {
-    path: PathBuf,
+    log: AppendLog,
 }
 
 impl SupervisorJournal {
@@ -239,7 +234,7 @@ impl SupervisorJournal {
     /// Opens (creating lazily on first append) the journal in `dir`.
     pub fn open(dir: &Path) -> SupervisorJournal {
         SupervisorJournal {
-            path: dir.join(Self::FILE_NAME),
+            log: AppendLog::new(dir.join(Self::FILE_NAME), points::SUPERVISOR_JOURNAL),
         }
     }
 
@@ -247,34 +242,20 @@ impl SupervisorJournal {
     /// losing a journal line degrades adoption (a doubled worker loses
     /// the lease race and idles), never correctness.
     pub fn append(&self, event: &SupervisorEvent) -> io::Result<()> {
-        fsio::append_line(
-            &self.path,
-            &event.render_line(),
-            points::SUPERVISOR_JOURNAL,
-            &RetryPolicy::io(),
-        )
+        self.log.append(&event.render_line())
     }
 
-    /// Loads every parseable event in `dir`'s journal, plus the count
-    /// of lines skipped as unparseable (torn appends, garbage).
-    pub fn load(dir: &Path) -> (Vec<SupervisorEvent>, usize) {
-        let text = match fs::read_to_string(dir.join(Self::FILE_NAME)) {
-            Ok(text) => text,
-            Err(_) => return (Vec::new(), 0),
-        };
-        let mut events = Vec::new();
-        let mut skipped = 0usize;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match SupervisorEvent::parse_line(line) {
-                Some(ev) => events.push(ev),
-                None => skipped += 1,
-            }
-        }
-        (events, skipped)
+    /// Loads every trusted event in `dir`'s journal, plus the lines
+    /// the salvage refused (torn appends, garbage). An unreadable
+    /// journal is an empty one: nothing to adopt.
+    pub fn load(dir: &Path) -> (Vec<SupervisorEvent>, Vec<LineIssue>) {
+        Self::open(dir)
+            .log
+            .load(|line| {
+                SupervisorEvent::parse_line(line)
+                    .ok_or_else(|| format!("not a supervisor event: {line:?}"))
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -399,15 +380,10 @@ fn count_done(campaign_dir: &Path, shard_count: usize) -> usize {
         .count()
 }
 
+/// A parseable lease and its mtime age; torn debris reads as `None`.
 fn read_lease_raw(path: &Path) -> Option<(LeaseInfo, Duration)> {
-    let info = LeaseInfo::parse(&fs::read_to_string(path).ok()?)?;
-    let age = fs::metadata(path)
-        .ok()?
-        .modified()
-        .ok()
-        .and_then(|m| SystemTime::now().duration_since(m).ok())
-        .unwrap_or(Duration::ZERO);
-    Some((info, age))
+    let read = read_lease(path)?;
+    Some((read.info?, read.age))
 }
 
 /// Fires the one-shot injected supervisor crash when armed and the
@@ -459,6 +435,21 @@ pub fn supervise(
     };
 
     let journal = SupervisorJournal::open(&cfg.campaign_dir);
+    // Every worker process under supervision is journaled as it
+    // starts, so the *next* incarnation can find it.
+    let log_spawn = |worker: usize, pid: u32, token: Option<u64>| {
+        let _ = journal.append(&SupervisorEvent::Spawn {
+            worker,
+            pid,
+            token,
+            plan: cfg.plan_hash.clone(),
+        });
+    };
+    let mut spawn_logged = |id: usize| -> io::Result<WorkerProc> {
+        let child = spawn_worker(id)?;
+        log_spawn(id, child.id(), super::procs::proc_start_token(child.id()));
+        Ok(WorkerProc::Child(child))
+    };
     let adoptable = adoptable_workers(&cfg.campaign_dir, &cfg.plan_hash);
     let _ = journal.append(&SupervisorEvent::Elect {
         pid: std::process::id(),
@@ -475,27 +466,11 @@ pub fn supervise(
                     "adopting live worker {id} (pid {pid}) from previous supervisor"
                 ));
                 adopted_total += 1;
-                // Re-log under this incarnation so the *next* takeover
-                // still sees it.
-                let _ = journal.append(&SupervisorEvent::Spawn {
-                    worker: id,
-                    pid,
-                    token,
-                    plan: cfg.plan_hash.clone(),
-                });
+                // Re-logged under this incarnation.
+                log_spawn(id, pid, token);
                 WorkerProc::Adopted { pid, token }
             }
-            None => {
-                let child = spawn_worker(id)?;
-                let pid = child.id();
-                let _ = journal.append(&SupervisorEvent::Spawn {
-                    worker: id,
-                    pid,
-                    token: super::procs::proc_start_token(pid),
-                    plan: cfg.plan_hash.clone(),
-                });
-                WorkerProc::Child(child)
-            }
+            None => spawn_logged(id)?,
         };
         slots.push(Slot {
             proc: Some(proc),
@@ -582,15 +557,7 @@ pub fn supervise(
                             slot.next_restart = None;
                             slot.restarts += 1;
                             restarts_total += 1;
-                            let child = spawn_worker(id)?;
-                            let pid = child.id();
-                            let _ = journal.append(&SupervisorEvent::Spawn {
-                                worker: id,
-                                pid,
-                                token: super::procs::proc_start_token(pid),
-                                plan: cfg.plan_hash.clone(),
-                            });
-                            slot.proc = Some(WorkerProc::Child(child));
+                            slot.proc = Some(spawn_logged(id)?);
                         }
                     }
                 }
@@ -708,15 +675,7 @@ pub fn supervise(
                 slot.finished = false;
                 slot.restarts += 1;
                 restarts_total += 1;
-                let child = spawn_worker(id)?;
-                let pid = child.id();
-                let _ = journal.append(&SupervisorEvent::Spawn {
-                    worker: id,
-                    pid,
-                    token: super::procs::proc_start_token(pid),
-                    plan: cfg.plan_hash.clone(),
-                });
-                slot.proc = Some(WorkerProc::Child(child));
+                slot.proc = Some(spawn_logged(id)?);
             } else if fatal.is_none() {
                 return Ok(CampaignOutcome {
                     drained: false,
@@ -833,15 +792,15 @@ mod tests {
             .unwrap();
         f.write_all(b"spawn worker=1 pid=").unwrap();
         drop(f);
-        let (events, skipped) = SupervisorJournal::load(&dir);
+        let (events, issues) = SupervisorJournal::load(&dir);
         assert_eq!(events.len(), 2);
-        assert_eq!(skipped, 1);
+        assert_eq!(issues.len(), 1);
         // An append after the torn line starts fresh (fsio repairs it).
         j.append(&SupervisorEvent::Reap { worker: 0, pid: 2 })
             .unwrap();
-        let (events, skipped) = SupervisorJournal::load(&dir);
+        let (events, issues) = SupervisorJournal::load(&dir);
         assert_eq!(events.len(), 3);
-        assert_eq!(skipped, 1);
+        assert_eq!(issues.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

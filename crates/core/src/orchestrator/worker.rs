@@ -35,11 +35,11 @@ use crate::runner::RunConfig;
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 
+use super::kv;
 use super::lease::{shard_data_dir, try_claim, ClaimOutcome, LeaseConfig, LeaseHandle, LeaseInfo};
 use super::plan::CampaignPlan;
 use super::procs::sigkill_self;
-use crate::fsio;
-use crate::fsio::points;
+use crate::fsio::{points, AppendLog, LineIssue};
 
 /// Transient drain-request marker inside a campaign directory.
 pub const DRAIN_FILE_NAME: &str = "drain";
@@ -90,33 +90,24 @@ pub struct CrashRecord {
 
 impl CrashRecord {
     fn render(&self) -> String {
-        format!(
-            "crash: case={} hash={} worker={} pid={}\n",
-            self.case, self.hash, self.worker, self.pid
+        kv::render(
+            "crash:",
+            &[
+                ("case", self.case.to_string()),
+                ("hash", self.hash.clone()),
+                ("worker", self.worker.to_string()),
+                ("pid", self.pid.to_string()),
+            ],
         )
     }
 
     fn parse(line: &str) -> Option<CrashRecord> {
-        let rest = line.strip_prefix("crash:")?.trim();
-        let mut case = None;
-        let mut hash = None;
-        let mut worker = None;
-        let mut pid = None;
-        for token in rest.split_whitespace() {
-            let (k, v) = token.split_once('=')?;
-            match k {
-                "case" => case = v.parse().ok(),
-                "hash" => hash = Some(v.to_string()),
-                "worker" => worker = v.parse().ok(),
-                "pid" => pid = v.parse().ok(),
-                _ => {}
-            }
-        }
+        let f = kv::parse(line).filter(|f| f.head == "crash:")?;
         Some(CrashRecord {
-            case: case?,
-            hash: hash?,
-            worker: worker?,
-            pid: pid?,
+            case: f.num("case")?,
+            hash: f.get("hash")?.to_string(),
+            worker: f.num("worker")?,
+            pid: f.num("pid")?,
         })
     }
 }
@@ -134,68 +125,58 @@ pub struct PoisonRecord {
 
 impl PoisonRecord {
     fn render(&self) -> String {
-        format!(
-            "poison: case={} hash={} crashes={}\n",
-            self.case, self.hash, self.crashes
+        kv::render(
+            "poison:",
+            &[
+                ("case", self.case.to_string()),
+                ("hash", self.hash.clone()),
+                ("crashes", self.crashes.to_string()),
+            ],
         )
     }
 
     fn parse(line: &str) -> Option<PoisonRecord> {
-        let rest = line.strip_prefix("poison:")?.trim();
-        let mut case = None;
-        let mut hash = None;
-        let mut crashes = None;
-        for token in rest.split_whitespace() {
-            let (k, v) = token.split_once('=')?;
-            match k {
-                "case" => case = v.parse().ok(),
-                "hash" => hash = Some(v.to_string()),
-                "crashes" => crashes = v.parse().ok(),
-                _ => {}
-            }
-        }
+        let f = kv::parse(line).filter(|f| f.head == "poison:")?;
         Some(PoisonRecord {
-            case: case?,
-            hash: hash?,
-            crashes: crashes?,
+            case: f.num("case")?,
+            hash: f.get("hash")?.to_string(),
+            crashes: f.num("crashes")?,
         })
     }
 }
 
-/// Every attributed crash on record, in append order.
-pub fn load_crashes(campaign_dir: &Path) -> io::Result<Vec<CrashRecord>> {
-    load_log(
-        &quarantine_dir(campaign_dir).join(CRASH_LOG_FILE_NAME),
-        CrashRecord::parse,
-    )
-}
-
-/// Every quarantined case on record, in append order.
-pub fn load_poisoned(campaign_dir: &Path) -> io::Result<Vec<PoisonRecord>> {
-    load_log(
-        &quarantine_dir(campaign_dir).join(POISON_LOG_FILE_NAME),
-        PoisonRecord::parse,
-    )
-}
-
-fn load_log<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> io::Result<Vec<T>> {
-    match fs::read_to_string(path) {
-        Ok(text) => Ok(text.lines().filter_map(|l| parse(l.trim())).collect()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(e),
-    }
-}
-
-fn append_line(path: &Path, line: &str) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fsio::append_line(
-        path,
-        line.trim_end_matches('\n'),
+fn quarantine_log(campaign_dir: &Path, name: &str) -> AppendLog {
+    AppendLog::new(
+        quarantine_dir(campaign_dir).join(name),
         points::QUARANTINE_APPEND,
-        &fsio::RetryPolicy::io(),
     )
+}
+
+/// Every attributed crash on record, in append order, plus the lines
+/// the [`AppendLog`] salvage refused.
+pub fn load_crashes(campaign_dir: &Path) -> io::Result<(Vec<CrashRecord>, Vec<LineIssue>)> {
+    quarantine_log(campaign_dir, CRASH_LOG_FILE_NAME).load(|line| {
+        CrashRecord::parse(line).ok_or_else(|| format!("not a crash record: {line:?}"))
+    })
+}
+
+/// Every quarantined case on record, in append order, plus the lines
+/// the [`AppendLog`] salvage refused — a refused line un-quarantines
+/// its case, so callers surface them.
+pub fn load_poisoned(campaign_dir: &Path) -> io::Result<(Vec<PoisonRecord>, Vec<LineIssue>)> {
+    quarantine_log(campaign_dir, POISON_LOG_FILE_NAME).load(|line| {
+        PoisonRecord::parse(line).ok_or_else(|| format!("not a poison record: {line:?}"))
+    })
+}
+
+/// Refused quarantine-log lines, each named with its file.
+pub(super) fn describe_issues(crashes: &[LineIssue], poisoned: &[LineIssue]) -> Vec<String> {
+    let name = |file: &'static str| move |issue: &LineIssue| format!("{file} {issue}");
+    crashes
+        .iter()
+        .map(name(CRASH_LOG_FILE_NAME))
+        .chain(poisoned.iter().map(name(POISON_LOG_FILE_NAME)))
+        .collect()
 }
 
 /// What [`record_worker_crash`] decided.
@@ -239,29 +220,28 @@ pub fn record_worker_crash(
         return Ok(CrashDisposition::AlreadyJournaled);
     }
     let qdir = quarantine_dir(campaign_dir);
+    fs::create_dir_all(&qdir)?;
     let record = CrashRecord {
         case,
         hash: hash.clone(),
         worker: victim.worker,
         pid: victim.pid,
     };
-    append_line(&qdir.join(CRASH_LOG_FILE_NAME), &record.render())?;
-    let total = load_crashes(campaign_dir)?
-        .iter()
-        .filter(|c| c.hash == hash)
-        .count();
-    let already_poisoned = load_poisoned(campaign_dir)?.iter().any(|p| p.hash == hash);
-    let poisoned = total >= threshold.max(1) && !already_poisoned;
+    quarantine_log(campaign_dir, CRASH_LOG_FILE_NAME).append(&record.render())?;
+    let (crashes, crash_issues) = load_crashes(campaign_dir)?;
+    let (already, poison_issues) = load_poisoned(campaign_dir)?;
+    for issue in describe_issues(&crash_issues, &poison_issues) {
+        eprintln!("[mocket-worker] quarantine {issue}");
+    }
+    let total = crashes.iter().filter(|c| c.hash == hash).count();
+    let poisoned = total >= threshold.max(1) && !already.iter().any(|p| p.hash == hash);
     if poisoned {
-        append_line(
-            &qdir.join(POISON_LOG_FILE_NAME),
-            &PoisonRecord {
-                case,
-                hash: hash.clone(),
-                crashes: total,
-            }
-            .render(),
-        )?;
+        let record = PoisonRecord {
+            case,
+            hash: hash.clone(),
+            crashes: total,
+        };
+        quarantine_log(campaign_dir, POISON_LOG_FILE_NAME).append(&record.render())?;
         if let Some(artifact) = artifact_for(case) {
             if let Err(e) = artifact.write_to(&qdir) {
                 eprintln!("[mocket-worker] quarantine artifact write failed: {e}");
@@ -566,6 +546,7 @@ where
             progressed = true;
             let lease = Arc::new(claimed);
             let poisoned: BTreeSet<String> = load_poisoned(&cfg.campaign_dir)?
+                .0
                 .into_iter()
                 .map(|p| p.hash)
                 .collect();
@@ -654,13 +635,13 @@ mod tests {
             worker: 2,
             pid: 99,
         };
-        assert_eq!(CrashRecord::parse(rec.render().trim()), Some(rec));
+        assert_eq!(CrashRecord::parse(&rec.render()), Some(rec));
         let p = PoisonRecord {
             case: 4,
             hash: "abcd".into(),
             crashes: 3,
         };
-        assert_eq!(PoisonRecord::parse(p.render().trim()), Some(p));
+        assert_eq!(PoisonRecord::parse(&p.render()), Some(p));
         assert_eq!(CrashRecord::parse("garbage"), None);
     }
 
@@ -684,7 +665,7 @@ mod tests {
             record_worker_crash(&dir, 0, &victim(3, "aaaa"), 2, &none).unwrap(),
             CrashDisposition::AlreadyJournaled
         );
-        assert!(load_crashes(&dir).unwrap().is_empty());
+        assert!(load_crashes(&dir).unwrap().0.is_empty());
         // No in-flight case at all: nothing to attribute.
         let idle = LeaseInfo {
             pid: 1,
@@ -719,7 +700,8 @@ mod tests {
                 poisoned: true
             }
         );
-        let poisoned = load_poisoned(&dir).unwrap();
+        let (poisoned, issues) = load_poisoned(&dir).unwrap();
+        assert!(issues.is_empty());
         assert_eq!(poisoned.len(), 1);
         assert_eq!(poisoned[0].hash, "feed");
         assert_eq!(poisoned[0].crashes, 2);
@@ -731,8 +713,30 @@ mod tests {
                 poisoned: false
             }
         );
-        assert_eq!(load_poisoned(&dir).unwrap().len(), 1);
-        assert_eq!(load_crashes(&dir).unwrap().len(), 3);
+        assert_eq!(load_poisoned(&dir).unwrap().0.len(), 1);
+        assert_eq!(load_crashes(&dir).unwrap().0.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_final_poison_line_is_reported_not_trusted_or_lost() {
+        let dir = tmp("torn-poison");
+        let qdir = quarantine_dir(&dir);
+        fs::create_dir_all(&qdir).unwrap();
+        let whole = PoisonRecord {
+            case: 1,
+            hash: "aaaa".into(),
+            crashes: 2,
+        };
+        // The torn line parses as a record of its own (`crashes=2`
+        // cut from `crashes=25`): the loader must not believe it.
+        let text = format!("{}\npoison: case=9 hash=bbbb crashes=2", whole.render());
+        fs::write(qdir.join(POISON_LOG_FILE_NAME), text).unwrap();
+        let (poisoned, issues) = load_poisoned(&dir).unwrap();
+        assert_eq!(poisoned, vec![whole]);
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].line, 2);
+        assert!(issues[0].message.contains("bbbb"), "{}", issues[0]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -240,17 +240,26 @@ impl Determinism {
     pub fn is_deterministic(&self) -> bool {
         matches!(self, Determinism::Deterministic { .. })
     }
+
+    /// The classification without its counts: the label journal
+    /// lines, artifacts and the `bugs_by_determinism` tallies carry.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Determinism::Unconfirmed => "unconfirmed",
+            Determinism::Deterministic { .. } => "deterministic",
+            Determinism::Flaky { .. } => "flaky",
+        }
+    }
 }
 
 impl fmt::Display for Determinism {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())?;
         match self {
-            Determinism::Unconfirmed => write!(f, "unconfirmed"),
-            Determinism::Deterministic { reruns } => {
-                write!(f, "deterministic ({reruns}/{reruns} re-runs)")
-            }
+            Determinism::Unconfirmed => Ok(()),
+            Determinism::Deterministic { reruns } => write!(f, " ({reruns}/{reruns} re-runs)"),
             Determinism::Flaky { reproduced, reruns } => {
-                write!(f, "flaky ({reproduced}/{reruns} re-runs)")
+                write!(f, " ({reproduced}/{reruns} re-runs)")
             }
         }
     }

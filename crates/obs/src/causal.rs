@@ -37,14 +37,11 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::fsio::{points, AppendLog, LineIssue};
 use crate::json::{parse_flat_object, push_escaped};
 
 /// The per-case trace file name.
 pub const TRACE_FILE_NAME: &str = "trace.jsonl";
-
-/// Fault-point name for `trace.jsonl` appends. Mirrored in the
-/// `mocket-core` fsio catalog (`points::TRACE_APPEND`).
-pub const TRACE_APPEND_POINT: &str = "trace.append";
 
 /// The tag a traced run stamps on every wire message.
 ///
@@ -250,6 +247,11 @@ impl CausalEvent {
                     .as_u64()
                     .ok_or_else(|| format!("field {key:?} is not a u64"))
             };
+            let text = || {
+                value
+                    .as_str()
+                    .ok_or_else(|| format!("{key} is not a string"))
+            };
             match key.as_str() {
                 "seq" => ev.seq = num()?,
                 "case" => ev.case = num()?,
@@ -261,29 +263,13 @@ impl CausalEvent {
                 "step" => ev.step = Some(num()?),
                 "edge" => ev.edge = Some(num()?),
                 "kind" => {
-                    let label = value
-                        .as_str()
-                        .ok_or_else(|| "kind is not a string".to_string())?;
+                    let label = text()?;
                     ev.kind = CausalKind::from_label(label)
                         .ok_or_else(|| format!("unknown kind {label:?}"))?;
                     saw_kind = true;
                 }
-                "action" => {
-                    ev.action = Some(
-                        value
-                            .as_str()
-                            .ok_or_else(|| "action is not a string".to_string())?
-                            .to_string(),
-                    )
-                }
-                "note" => {
-                    ev.note = Some(
-                        value
-                            .as_str()
-                            .ok_or_else(|| "note is not a string".to_string())?
-                            .to_string(),
-                    )
-                }
+                "action" => ev.action = Some(text()?.to_string()),
+                "note" => ev.note = Some(text()?.to_string()),
                 other => return Err(format!("unknown trace key {other:?}")),
             }
         }
@@ -547,48 +533,19 @@ pub fn to_jsonl(events: &[CausalEvent]) -> String {
     out
 }
 
-/// Parses `trace.jsonl` content. Malformed lines and a truncated
-/// final line (no trailing newline — an interrupted append) are
-/// collected as issues and skipped, mirroring the journal's
-/// torn-line salvage contract.
-pub fn parse_trace(text: &str) -> (Vec<CausalEvent>, Vec<String>) {
-    let mut events = Vec::new();
-    let mut issues = Vec::new();
-    let truncated = !text.is_empty() && !text.ends_with('\n');
-    let line_count = text.lines().count();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if truncated && i + 1 == line_count {
-            issues.push(format!(
-                "line {}: truncated final line (interrupted append)",
-                i + 1
-            ));
-            continue;
-        }
-        match CausalEvent::parse_line(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) => issues.push(format!("line {}: {e}", i + 1)),
-        }
-    }
-    (events, issues)
+/// Parses `trace.jsonl` content under the [`AppendLog`] salvage rule:
+/// malformed lines and a torn final line are issues, never events.
+pub fn parse_trace(text: &str) -> (Vec<CausalEvent>, Vec<LineIssue>) {
+    AppendLog::salvage(text, CausalEvent::parse_line)
 }
 
-/// Appends rendered events to `path` through the fault-injectable
-/// append path (torn appends roll back, a torn trailing line is
-/// repaired before the new batch lands).
+/// Appends rendered events to the `trace.jsonl` at `path` as one
+/// [`AppendLog`] batch.
 pub fn append_trace(path: &Path, events: &[CausalEvent]) -> io::Result<()> {
     if events.is_empty() {
         return Ok(());
     }
-    crate::fsio::append_bytes(
-        path,
-        to_jsonl(events).as_bytes(),
-        TRACE_APPEND_POINT,
-        &crate::fsio::RetryPolicy::io(),
-    )
+    AppendLog::new(path, points::TRACE_APPEND).append_batch(to_jsonl(events).as_bytes())
 }
 
 /// Copies `events` with `vt` zeroed: the shape wall-clock-backend
@@ -761,7 +718,7 @@ mod tests {
         let (events, issues) = parse_trace(&dirty);
         assert_eq!(events.len(), 1);
         assert_eq!(issues.len(), 2, "{issues:?}");
-        assert!(issues[1].contains("truncated final line"));
+        assert!(issues[1].message.contains("truncated final line"));
     }
 
     #[test]

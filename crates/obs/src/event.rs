@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
+use crate::fsio::{points, AppendLog};
 use crate::json::{push_escaped, push_f64};
 use crate::metrics::{MetricsRegistry, TIMING_PREFIX};
 
@@ -159,7 +160,7 @@ impl Recorder for MemoryRecorder {
 /// isolated rather than corrupting the stream mid-line.
 pub struct JsonlRecorder {
     inner: Mutex<JsonlInner>,
-    path: PathBuf,
+    log: AppendLog,
 }
 
 struct JsonlInner {
@@ -182,13 +183,13 @@ impl JsonlRecorder {
                 staged: String::new(),
                 seq: 0,
             }),
-            path,
+            log: AppendLog::new(path, points::OBS_FLUSH),
         })
     }
 
     /// The path of the sink file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     fn flush_staged(&self, inner: &mut JsonlInner) {
@@ -198,12 +199,7 @@ impl JsonlRecorder {
         // Sink errors must never fail a campaign: retry via the
         // unified policy (which absorbs injected faults and transient
         // ENOSPC), then drop the batch rather than grow unboundedly.
-        let _ = crate::fsio::append_bytes(
-            &self.path,
-            inner.staged.as_bytes(),
-            "obs.flush",
-            &crate::fsio::RetryPolicy::io(),
-        );
+        let _ = self.log.append_batch(inner.staged.as_bytes());
         inner.staged.clear();
     }
 }

@@ -8,8 +8,10 @@
 //!
 //! 1. **One crash-consistency discipline.** [`write_atomic`] is
 //!    temp-file + size-verify + fsync + rename; [`append_line`] is
-//!    append-only with rollback of partial appends and newline repair.
-//!    Callers pick a policy, not an implementation.
+//!    append-only with rollback of partial appends and newline repair;
+//!    [`AppendLog`] pairs that append with the one load-time salvage
+//!    rule every line-per-record file shares. Callers pick a policy,
+//!    not an implementation.
 //! 2. **Deterministic chaos.** A seeded [`FaultInjector`] can be armed
 //!    (via [`MOCKET_FSIO_FAULTS_ENV`] or in-process) to inject torn
 //!    writes, short writes, ENOSPC, EIO, rename failures and dropped
@@ -47,6 +49,44 @@ pub const MOCKET_FSIO_FAULTS_ENV: &str = "MOCKET_FSIO_FAULTS";
 /// best-effort and never through the fault layer itself. Tests use it
 /// to assert which fault kinds actually fired.
 pub const MOCKET_FSIO_FAULT_LOG_ENV: &str = "MOCKET_FSIO_FAULT_LOG";
+
+/// The named fault points: where a seeded [`FaultInjector`] can bite.
+///
+/// Names are part of the chaos-replay contract — a pinned seed plus a
+/// point name identifies a reproducible fault schedule, so renaming a
+/// point invalidates recorded chaos failures. Append, don't rename.
+pub mod points {
+    /// `plan.txt` atomic write (supervisor, campaign start).
+    pub const PLAN_WRITE: &str = "plan.write";
+    /// Lease claim: `O_EXCL` create of `shard-N.lease`.
+    pub const LEASE_CLAIM: &str = "lease.claim";
+    /// Lease rewrite: heartbeat / case pin / steal (temp + rename).
+    pub const LEASE_WRITE: &str = "lease.write";
+    /// Shard retirement: `shard-N.done` atomic write.
+    pub const LEASE_DONE: &str = "lease.done";
+    /// Per-shard `journal.log` verdict append.
+    pub const JOURNAL_APPEND: &str = "journal.append";
+    /// Quarantine forensics appends (`crashes.log`, `poisoned.log`).
+    pub const QUARANTINE_APPEND: &str = "quarantine.append";
+    /// Supervisor journal append (`supervisor.log`).
+    pub const SUPERVISOR_JOURNAL: &str = "supervisor.journal";
+    /// Canonical merged outputs (temp + rename each).
+    pub const MERGE_WRITE: &str = "merge.write";
+    /// `run-summary.json` atomic write (pipeline and merge).
+    pub const SUMMARY_WRITE: &str = "summary.write";
+    /// `campaign-history.jsonl` append.
+    pub const HISTORY_APPEND: &str = "history.append";
+    /// `events.jsonl` buffered-batch flush.
+    pub const OBS_FLUSH: &str = "obs.flush";
+    /// `DirLock` / steal-lock `O_EXCL` create.
+    pub const LOCK_CREATE: &str = "lock.create";
+    /// Pipeline insight outputs (coverage map, uncovered edges, dot).
+    pub const INSIGHT_WRITE: &str = "insight.write";
+    /// Replay-artifact atomic write (`case-<hash>.artifact`).
+    pub const ARTIFACT_WRITE: &str = "artifact.write";
+    /// Per-case causal trace append (`trace.jsonl`).
+    pub const TRACE_APPEND: &str = "trace.append";
+}
 
 /// The injectable filesystem fault kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -433,6 +473,24 @@ fn fsync(f: &fs::File, fault: Option<Fault>) -> io::Result<()> {
     f.sync_all()
 }
 
+/// [`faulty_write`] plus size verification (catches the short writes
+/// the OS — or the injector — reported as success), then fsync.
+fn write_verified(
+    f: &mut fs::File,
+    contents: &[u8],
+    fault: Option<Fault>,
+    what: &str,
+) -> io::Result<()> {
+    let wrote = faulty_write(f, contents, fault)?;
+    if wrote != contents.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("short {what}: {wrote} of {} bytes", contents.len()),
+        ));
+    }
+    fsync(f, fault)
+}
+
 /// Atomic whole-file write: temp file (pid-suffixed, so concurrent
 /// writers cannot collide), payload, **size verification** (catches
 /// short writes the OS reported as success), fsync, rename. On any
@@ -452,14 +510,7 @@ pub fn write_atomic(
         let fault = decide(point);
         let outcome = (|| {
             let mut f = fs::File::create(&tmp)?;
-            let wrote = faulty_write(&mut f, contents, fault)?;
-            if wrote != contents.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("short write: {wrote} of {} bytes", contents.len()),
-                ));
-            }
-            fsync(&f, fault)?;
+            write_verified(&mut f, contents, fault, "write")?;
             drop(f);
             if matches!(fault, Some(Fault { kind: FaultKind::RenameFail, .. })) {
                 return Err(injected_errno(FaultKind::RenameFail));
@@ -517,17 +568,7 @@ pub fn append_bytes(path: &Path, bytes: &[u8], point: &str, retry: &RetryPolicy)
         }
         buf.extend_from_slice(bytes);
         let fault = decide(point);
-        let outcome = (|| {
-            let wrote = faulty_write(&mut f, &buf, fault)?;
-            if wrote != buf.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("short append: {wrote} of {} bytes", buf.len()),
-                ));
-            }
-            fsync(&f, fault)?;
-            Ok(())
-        })();
+        let outcome = write_verified(&mut f, &buf, fault, "append");
         if outcome.is_err() {
             // Roll the partial append back so the log's valid prefix
             // stays valid. Best-effort: a failure here leaves a torn
@@ -536,6 +577,108 @@ pub fn append_bytes(path: &Path, bytes: &[u8], point: &str, retry: &RetryPolicy)
         }
         outcome
     })
+}
+
+/// One line of an append-only log that [`AppendLog::load`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineIssue {
+    /// 1-based line number in the file.
+    pub line: usize,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for LineIssue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+/// One line-per-record, append-only campaign file: the path plus the
+/// fault point its appends run under. Every such file (`journal.log`,
+/// `supervisor.log`, the quarantine logs, `campaign-history.jsonl`,
+/// `trace.jsonl`) is a record type on top of this; appends are
+/// [`append_line`]/[`append_bytes`] under [`RetryPolicy::io`], loads
+/// follow the one salvage rule of [`AppendLog::salvage`].
+#[derive(Debug, Clone)]
+pub struct AppendLog {
+    path: PathBuf,
+    point: &'static str,
+}
+
+impl AppendLog {
+    /// The log at `path`, appending under fault point `point`.
+    pub fn new(path: impl Into<PathBuf>, point: &'static str) -> AppendLog {
+        AppendLog {
+            path: path.into(),
+            point,
+        }
+    }
+
+    /// Where the log lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Appends one record (`line` carries no newline).
+    pub fn append(&self, line: &str) -> io::Result<()> {
+        append_line(&self.path, line, self.point, &RetryPolicy::io())
+    }
+
+    /// Appends pre-rendered, newline-terminated records in one write.
+    pub fn append_batch(&self, bytes: &[u8]) -> io::Result<()> {
+        append_bytes(&self.path, bytes, self.point, &RetryPolicy::io())
+    }
+
+    /// Reads the log and salvages it (see [`AppendLog::salvage`]). A
+    /// missing file is an empty log; bytes that are not UTF-8 fail
+    /// their line's parse instead of failing the load.
+    pub fn load<T>(
+        &self,
+        parse: impl FnMut(&str) -> Result<T, String>,
+    ) -> io::Result<(Vec<T>, Vec<LineIssue>)> {
+        match fs::read(&self.path) {
+            Ok(bytes) => Ok(Self::salvage(&String::from_utf8_lossy(&bytes), parse)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Vec::new(), Vec::new())),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The salvage rule of every campaign log: blank lines are
+    /// skipped, a line `parse` rejects becomes a [`LineIssue`], and a
+    /// final line without `'\n'` was interrupted mid-append — it is
+    /// reported and never trusted, even if it parses (truncating
+    /// `outcome=failed Missing action` at `Missing` still parses, with
+    /// the wrong kind).
+    pub fn salvage<T>(
+        text: &str,
+        mut parse: impl FnMut(&str) -> Result<T, String>,
+    ) -> (Vec<T>, Vec<LineIssue>) {
+        let torn = (!text.is_empty() && !text.ends_with('\n')).then(|| text.lines().count());
+        let mut records = Vec::new();
+        let mut issues = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let parsed = if torn == Some(i + 1) {
+                Err(format!(
+                    "truncated final line (interrupted append), not trusted: {line:?}"
+                ))
+            } else {
+                parse(line)
+            };
+            match parsed {
+                Ok(record) => records.push(record),
+                Err(message) => issues.push(LineIssue {
+                    line: i + 1,
+                    message,
+                }),
+            }
+        }
+        (records, issues)
+    }
 }
 
 /// `O_CREAT|O_EXCL` create-with-contents through the fault point — the
@@ -550,15 +693,7 @@ pub fn create_exclusive(path: &Path, contents: &[u8], point: &str) -> io::Result
         .write(true)
         .create_new(true)
         .open(path)?;
-    let wrote = faulty_write(&mut f, contents, fault)?;
-    if wrote != contents.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("short create: {wrote} of {} bytes", contents.len()),
-        ));
-    }
-    fsync(&f, fault)?;
-    Ok(())
+    write_verified(&mut f, contents, fault, "create")
 }
 
 #[cfg(test)]
@@ -677,6 +812,32 @@ mod tests {
         append_line(&path, "ok: 2", "test.append", &RetryPolicy::none()).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "ok: 1\npartial without newline\nok: 2\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_log_salvages_by_one_rule() {
+        let dir = tmp_dir("appendlog");
+        let log = AppendLog::new(dir.join("log"), "test.append");
+        let parse = |l: &str| l.strip_prefix("ok: ").map(str::to_string).ok_or("no".to_string());
+        // A missing file is an empty log.
+        assert_eq!(log.load(parse).unwrap(), (vec![], vec![]));
+        log.append("ok: 1").unwrap();
+        log.append_batch(b"ok: 2\n\nbad\n").unwrap();
+        // Blank lines are skipped, a rejected line is an issue with its
+        // 1-based line number, invalid UTF-8 fails only its own line.
+        let mut raw = fs::read(log.path()).unwrap();
+        raw.extend_from_slice(b"ok: \xff\xfe\n");
+        // The final line parses but has no newline: never trusted.
+        raw.extend_from_slice(b"ok: 3");
+        fs::write(log.path(), raw).unwrap();
+        let (records, issues) = log.load(parse).unwrap();
+        assert_eq!(records, ["1", "2", "\u{fffd}\u{fffd}"]);
+        assert_eq!(issues.len(), 2);
+        assert_eq!((issues[0].line, issues[0].message.as_str()), (4, "no"));
+        assert_eq!(issues[1].line, 6);
+        assert!(issues[1].message.contains("truncated final line"));
+        assert!(issues[1].to_string().starts_with("line 6: "));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,6 +8,8 @@
 //! per line, string keys, scalar values — which is what
 //! `campaign-history.jsonl` round-trips through.
 
+use std::collections::BTreeMap;
+
 /// Appends `s` to `out` as a quoted JSON string with full escaping.
 pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -34,6 +36,79 @@ pub fn push_f64(out: &mut String, v: f64) {
         out.push_str(&format!("{v}"));
     } else {
         out.push_str("null");
+    }
+}
+
+/// Writer for one flat JSON object (string keys, scalar values) in
+/// the two layouts this crate emits: a JSONL record on one line, or a
+/// document with one key per line. Keys appear in call order.
+pub struct FlatJson {
+    out: String,
+    document: bool,
+}
+
+impl FlatJson {
+    /// A one-line object, `{"k":v,"k2":v2}` — no trailing newline.
+    pub fn line() -> FlatJson {
+        FlatJson {
+            out: String::from("{"),
+            document: false,
+        }
+    }
+
+    /// A document: `  "key": value` per line, then `}` and a newline.
+    pub fn document() -> FlatJson {
+        FlatJson {
+            out: String::from("{"),
+            document: true,
+        }
+    }
+
+    /// Adds `key` with an already-rendered JSON `value`.
+    pub fn raw(&mut self, key: &str, value: &str) -> &mut FlatJson {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        if self.document {
+            self.out.push_str("\n  ");
+        }
+        push_escaped(&mut self.out, key);
+        self.out.push_str(if self.document { ": " } else { ":" });
+        self.out.push_str(value);
+        self
+    }
+
+    /// Adds an integer.
+    pub fn num(&mut self, key: &str, value: u64) -> &mut FlatJson {
+        self.raw(key, &value.to_string())
+    }
+
+    /// Adds a float (`null` when not finite, see [`push_f64`]).
+    pub fn float(&mut self, key: &str, value: f64) -> &mut FlatJson {
+        let mut v = String::new();
+        push_f64(&mut v, value);
+        self.raw(key, &v)
+    }
+
+    /// Adds a string, escaped.
+    pub fn string(&mut self, key: &str, value: &str) -> &mut FlatJson {
+        let mut v = String::new();
+        push_escaped(&mut v, value);
+        self.raw(key, &v)
+    }
+
+    /// Adds one `<prefix>.<name>` integer per map entry, in map order.
+    pub fn counts(&mut self, prefix: &str, counts: &BTreeMap<String, u64>) -> &mut FlatJson {
+        for (name, n) in counts {
+            self.num(&format!("{prefix}.{name}"), *n);
+        }
+        self
+    }
+
+    /// Closes the object and returns the text.
+    pub fn finish(mut self) -> String {
+        self.out.push_str(if self.document { "\n}\n" } else { "}" });
+        self.out
     }
 }
 
@@ -250,6 +325,25 @@ mod tests {
         out.push(' ');
         push_f64(&mut out, f64::INFINITY);
         assert_eq!(out, "1.5 null null");
+    }
+
+    #[test]
+    fn flat_writer_layouts_parse_back() {
+        let mut counts = BTreeMap::new();
+        counts.insert("x y".to_string(), 2u64);
+        let fill = |w: &mut FlatJson| {
+            w.num("a", 1).float("b", 0.5).string("c", "q\"").counts("n", &counts);
+        };
+        let mut line = FlatJson::line();
+        fill(&mut line);
+        let line = line.finish();
+        assert_eq!(line, r#"{"a":1,"b":0.5,"c":"q\"","n.x y":2}"#);
+        let mut doc = FlatJson::document();
+        fill(&mut doc);
+        let doc = doc.finish();
+        assert_eq!(doc, "{\n  \"a\": 1,\n  \"b\": 0.5,\n  \"c\": \"q\\\"\",\n  \"n.x y\": 2\n}\n");
+        assert_eq!(parse_flat_object(&line).unwrap(), parse_flat_object(&doc).unwrap());
+        assert_eq!(FlatJson::line().finish(), "{}");
     }
 
     #[test]

@@ -52,12 +52,12 @@
 pub mod causal;
 pub mod coverage;
 mod event;
+pub mod explain;
 pub mod fsio;
 mod json;
 mod metrics;
 pub mod report;
 pub mod summary;
-pub mod trace;
 
 pub use causal::{CausalEvent, CausalKind, MsgTag, Tracer, TRACE_FILE_NAME};
 pub use coverage::{
@@ -68,13 +68,13 @@ pub use event::{
     Span, EVENTS_FILE_NAME,
 };
 pub use fsio::{
-    FaultInjector, FaultKind, RetryPolicy, MOCKET_FSIO_FAULTS_ENV, MOCKET_FSIO_FAULT_LOG_ENV,
+    AppendLog, FaultInjector, FaultKind, LineIssue, RetryPolicy, MOCKET_FSIO_FAULTS_ENV,
+    MOCKET_FSIO_FAULT_LOG_ENV,
 };
-pub use json::{parse_flat_object, JsonScalar};
+pub use json::{parse_flat_object, FlatJson, JsonScalar};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, TIMING_PREFIX};
 pub use report::{
-    render_html, render_text, CampaignHistory, CampaignRecord, HistoryIssue,
-    CAMPAIGN_HISTORY_FILE_NAME,
+    render_html, render_text, CampaignHistory, CampaignRecord, CAMPAIGN_HISTORY_FILE_NAME,
 };
 pub use summary::{strip_wall_clock, RunSummary, RUN_SUMMARY_FILE_NAME};
-pub use trace::{sanitize, DivergenceExplanation, NearestVerdict, VarDiff};
+pub use explain::{sanitize, DivergenceExplanation, NearestVerdict, VarDiff};

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json::{push_escaped, push_f64};
+use crate::json::{push_f64, FlatJson};
 
 /// Prefix marking wall-clock-derived metrics.
 pub const TIMING_PREFIX: &str = "timing.";
@@ -205,19 +205,11 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut entries = self.flat_json_entries();
         entries.sort();
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in entries.iter().enumerate() {
-            out.push_str("  ");
-            push_escaped(&mut out, k);
-            out.push_str(": ");
-            out.push_str(v);
-            if i + 1 < entries.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        let mut w = FlatJson::document();
+        for (key, value) in &entries {
+            w.raw(key, value);
         }
-        out.push('}');
-        out
+        w.finish()
     }
 }
 

@@ -13,18 +13,17 @@
 //! HTML renderer simply omits wall-clock data, so same-seed renders
 //! are byte-identical without stripping.
 //!
-//! The history file gets the same hardening as the campaign journal:
-//! a final line without a trailing newline was interrupted mid-append,
-//! is reported as an issue rather than trusted, and the next append
-//! starts on a fresh line.
+//! The history file is an [`AppendLog`]: torn and unparsable lines are
+//! reported as issues, never trusted, and the next append starts on a
+//! fresh line.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
+use std::path::Path;
 
-use std::path::{Path, PathBuf};
-
-use crate::json::{parse_flat_object, push_escaped, push_f64, JsonScalar};
+use crate::fsio::{points, AppendLog, LineIssue};
+use crate::json::{parse_flat_object, FlatJson, JsonScalar};
+use crate::summary::RunSummary;
 
 /// File name of the cross-run history inside a campaign directory.
 pub const CAMPAIGN_HISTORY_FILE_NAME: &str = "campaign-history.jsonl";
@@ -90,87 +89,70 @@ impl CampaignRecord {
         }
     }
 
+    /// The history record of the run `summary` describes. `shrink` is
+    /// `(original, minimized)` action totals over the failing cases;
+    /// the wall-clock keys derive from the summary's own (zero in a
+    /// merged campaign, whose summary carries only logical data).
+    pub fn from_summary(
+        summary: &RunSummary,
+        seq: u64,
+        shrink: (u64, u64),
+        frontier_edges: u64,
+    ) -> CampaignRecord {
+        CampaignRecord {
+            seq,
+            spec: summary.spec.clone(),
+            states: summary.states,
+            edges: summary.edges,
+            coverage_edges_visited: summary.coverage_edges_visited,
+            coverage_edge_targets: summary.coverage_edge_targets,
+            coverage: summary.coverage,
+            cases_selected: summary.cases_selected,
+            cases_run: summary.cases_run,
+            cases_passed: summary.cases_passed,
+            cases_failed: summary.cases_failed,
+            cases_quarantined: summary.cases_quarantined,
+            cases_skipped_from_journal: summary.cases_skipped_from_journal,
+            bugs_by_kind: summary.bugs_by_kind.clone(),
+            bugs_by_determinism: summary.bugs_by_determinism.clone(),
+            shrink_original_actions: shrink.0,
+            shrink_minimized_actions: shrink.1,
+            uncovered_frontier_edges: frontier_edges,
+            wall_checker_states_per_sec: if summary.wall_check_seconds > 0.0 {
+                summary.states as f64 / summary.wall_check_seconds
+            } else {
+                0.0
+            },
+            wall_total_seconds: summary.wall_total_seconds,
+        }
+    }
+
     /// Renders the record as one JSON object on one line. Key order is
     /// fixed: deterministic keys first, `wall_` keys last.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        let mut push = |out: &mut String, key: &str, value: &str| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_escaped(out, key);
-            out.push(':');
-            out.push_str(value);
-        };
-        push(&mut out, "schema_version", "1");
-        push(&mut out, "seq", &self.seq.to_string());
-        let mut spec = String::new();
-        push_escaped(&mut spec, &self.spec);
-        push(&mut out, "spec", &spec);
-        push(&mut out, "states", &self.states.to_string());
-        push(&mut out, "edges", &self.edges.to_string());
-        push(
-            &mut out,
-            "coverage_edges_visited",
-            &self.coverage_edges_visited.to_string(),
-        );
-        push(
-            &mut out,
-            "coverage_edge_targets",
-            &self.coverage_edge_targets.to_string(),
-        );
-        let mut cov = String::new();
-        push_f64(&mut cov, self.coverage);
-        push(&mut out, "coverage", &cov);
-        push(&mut out, "cases_selected", &self.cases_selected.to_string());
-        push(&mut out, "cases_run", &self.cases_run.to_string());
-        push(&mut out, "cases_passed", &self.cases_passed.to_string());
-        push(&mut out, "cases_failed", &self.cases_failed.to_string());
-        push(
-            &mut out,
-            "cases_quarantined",
-            &self.cases_quarantined.to_string(),
-        );
-        push(
-            &mut out,
-            "cases_skipped_from_journal",
-            &self.cases_skipped_from_journal.to_string(),
-        );
-        for (kind, n) in &self.bugs_by_kind {
-            let mut key = String::from("bugs_by_kind.");
-            key.push_str(kind);
-            push(&mut out, &key, &n.to_string());
-        }
-        for (kind, n) in &self.bugs_by_determinism {
-            let mut key = String::from("bugs_by_determinism.");
-            key.push_str(kind);
-            push(&mut out, &key, &n.to_string());
-        }
-        push(
-            &mut out,
-            "shrink_original_actions",
-            &self.shrink_original_actions.to_string(),
-        );
-        push(
-            &mut out,
-            "shrink_minimized_actions",
-            &self.shrink_minimized_actions.to_string(),
-        );
-        push(
-            &mut out,
-            "uncovered_frontier_edges",
-            &self.uncovered_frontier_edges.to_string(),
-        );
-        let mut v = String::new();
-        push_f64(&mut v, self.wall_checker_states_per_sec);
-        push(&mut out, "wall_checker_states_per_sec", &v);
-        let mut v = String::new();
-        push_f64(&mut v, self.wall_total_seconds);
-        push(&mut out, "wall_total_seconds", &v);
-        out.push('}');
-        out
+        let mut w = FlatJson::line();
+        w.num("schema_version", 1)
+            .num("seq", self.seq)
+            .string("spec", &self.spec)
+            .num("states", self.states)
+            .num("edges", self.edges)
+            .num("coverage_edges_visited", self.coverage_edges_visited)
+            .num("coverage_edge_targets", self.coverage_edge_targets)
+            .float("coverage", self.coverage)
+            .num("cases_selected", self.cases_selected)
+            .num("cases_run", self.cases_run)
+            .num("cases_passed", self.cases_passed)
+            .num("cases_failed", self.cases_failed)
+            .num("cases_quarantined", self.cases_quarantined)
+            .num("cases_skipped_from_journal", self.cases_skipped_from_journal)
+            .counts("bugs_by_kind", &self.bugs_by_kind)
+            .counts("bugs_by_determinism", &self.bugs_by_determinism)
+            .num("shrink_original_actions", self.shrink_original_actions)
+            .num("shrink_minimized_actions", self.shrink_minimized_actions)
+            .num("uncovered_frontier_edges", self.uncovered_frontier_edges)
+            .float("wall_checker_states_per_sec", self.wall_checker_states_per_sec)
+            .float("wall_total_seconds", self.wall_total_seconds);
+        w.finish()
     }
 
     /// Parses a history line. Unknown keys are skipped (forward
@@ -185,127 +167,84 @@ impl CampaignRecord {
             v.as_f64().ok_or_else(|| format!("key {key:?}: expected number"))
         };
         for (key, value) in &pairs {
-            match key.as_str() {
+            let count: &mut u64 = match key.as_str() {
                 "schema_version" => {
                     let v = u64_of(key, value)?;
                     if v != 1 {
                         return Err(format!("unsupported schema_version {v}"));
                     }
+                    continue;
                 }
-                "seq" => rec.seq = u64_of(key, value)?,
                 "spec" => {
                     rec.spec = value
                         .as_str()
                         .ok_or_else(|| format!("key {key:?}: expected string"))?
-                        .to_string()
+                        .to_string();
+                    continue;
                 }
-                "states" => rec.states = u64_of(key, value)?,
-                "edges" => rec.edges = u64_of(key, value)?,
-                "coverage_edges_visited" => rec.coverage_edges_visited = u64_of(key, value)?,
-                "coverage_edge_targets" => rec.coverage_edge_targets = u64_of(key, value)?,
-                "coverage" => rec.coverage = f64_of(key, value)?,
-                "cases_selected" => rec.cases_selected = u64_of(key, value)?,
-                "cases_run" => rec.cases_run = u64_of(key, value)?,
-                "cases_passed" => rec.cases_passed = u64_of(key, value)?,
-                "cases_failed" => rec.cases_failed = u64_of(key, value)?,
-                "cases_quarantined" => rec.cases_quarantined = u64_of(key, value)?,
-                "cases_skipped_from_journal" => {
-                    rec.cases_skipped_from_journal = u64_of(key, value)?
+                "coverage" => {
+                    rec.coverage = f64_of(key, value)?;
+                    continue;
                 }
-                "shrink_original_actions" => rec.shrink_original_actions = u64_of(key, value)?,
-                "shrink_minimized_actions" => rec.shrink_minimized_actions = u64_of(key, value)?,
-                "uncovered_frontier_edges" => rec.uncovered_frontier_edges = u64_of(key, value)?,
                 "wall_checker_states_per_sec" => {
-                    rec.wall_checker_states_per_sec = f64_of(key, value)?
+                    rec.wall_checker_states_per_sec = f64_of(key, value)?;
+                    continue;
                 }
-                "wall_total_seconds" => rec.wall_total_seconds = f64_of(key, value)?,
+                "wall_total_seconds" => {
+                    rec.wall_total_seconds = f64_of(key, value)?;
+                    continue;
+                }
+                "seq" => &mut rec.seq,
+                "states" => &mut rec.states,
+                "edges" => &mut rec.edges,
+                "coverage_edges_visited" => &mut rec.coverage_edges_visited,
+                "coverage_edge_targets" => &mut rec.coverage_edge_targets,
+                "cases_selected" => &mut rec.cases_selected,
+                "cases_run" => &mut rec.cases_run,
+                "cases_passed" => &mut rec.cases_passed,
+                "cases_failed" => &mut rec.cases_failed,
+                "cases_quarantined" => &mut rec.cases_quarantined,
+                "cases_skipped_from_journal" => &mut rec.cases_skipped_from_journal,
+                "shrink_original_actions" => &mut rec.shrink_original_actions,
+                "shrink_minimized_actions" => &mut rec.shrink_minimized_actions,
+                "uncovered_frontier_edges" => &mut rec.uncovered_frontier_edges,
                 other => {
                     if let Some(kind) = other.strip_prefix("bugs_by_kind.") {
-                        rec.bugs_by_kind.insert(kind.to_string(), u64_of(key, value)?);
+                        rec.bugs_by_kind.entry(kind.to_string()).or_default()
                     } else if let Some(kind) = other.strip_prefix("bugs_by_determinism.") {
-                        rec.bugs_by_determinism
-                            .insert(kind.to_string(), u64_of(key, value)?);
+                        rec.bugs_by_determinism.entry(kind.to_string()).or_default()
+                    } else {
+                        continue; // a future schema's key
                     }
-                    // Anything else: a future schema's key — skip.
                 }
-            }
+            };
+            *count = u64_of(key, value)?;
         }
         Ok(rec)
     }
 }
 
-/// An anomaly found while loading the history file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryIssue {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for HistoryIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "history line {}: {}", self.line, self.message)
-    }
-}
-
-/// The append-only cross-run history (`campaign-history.jsonl`).
+/// The append-only cross-run history (`campaign-history.jsonl`): an
+/// [`AppendLog`] of [`CampaignRecord`]s.
 pub struct CampaignHistory {
-    path: PathBuf,
+    log: AppendLog,
     records: Vec<CampaignRecord>,
-    issues: Vec<HistoryIssue>,
-    /// The loaded file ended in a partial line; the next append must
-    /// start on a fresh line or it would merge with the partial one.
-    needs_newline: bool,
+    issues: Vec<LineIssue>,
 }
 
 impl CampaignHistory {
     /// Opens (or creates) the history inside campaign directory `dir`,
-    /// loading every record previous runs appended. Malformed lines —
-    /// a crash mid-append truncates the last line — are collected as
-    /// [`issues`](Self::issues) and skipped, never trusted.
+    /// loading every record previous runs appended. Lines the
+    /// [`AppendLog`] salvage refuses are kept as
+    /// [`issues`](Self::issues).
     pub fn open(dir: &Path) -> Result<Self, std::io::Error> {
         fs::create_dir_all(dir)?;
-        let path = dir.join(CAMPAIGN_HISTORY_FILE_NAME);
-        let mut records = Vec::new();
-        let mut issues = Vec::new();
-        let mut truncated = false;
-        match fs::read_to_string(&path) {
-            Ok(text) => {
-                truncated = !text.is_empty() && !text.ends_with('\n');
-                let line_count = text.lines().count();
-                for (i, line) in text.lines().enumerate() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if truncated && i + 1 == line_count {
-                        issues.push(HistoryIssue {
-                            line: i + 1,
-                            message: format!(
-                                "truncated final line (interrupted append), \
-                                 record dropped: {line:?}"
-                            ),
-                        });
-                        continue;
-                    }
-                    match CampaignRecord::parse(line) {
-                        Ok(rec) => records.push(rec),
-                        Err(message) => issues.push(HistoryIssue {
-                            line: i + 1,
-                            message,
-                        }),
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        let log = AppendLog::new(dir.join(CAMPAIGN_HISTORY_FILE_NAME), points::HISTORY_APPEND);
+        let (records, issues) = log.load(CampaignRecord::parse)?;
         Ok(CampaignHistory {
-            path,
+            log,
             records,
             issues,
-            needs_newline: truncated,
         })
     }
 
@@ -315,7 +254,7 @@ impl CampaignHistory {
     }
 
     /// Anomalies found while loading.
-    pub fn issues(&self) -> &[HistoryIssue] {
+    pub fn issues(&self) -> &[LineIssue] {
         &self.issues
     }
 
@@ -324,17 +263,9 @@ impl CampaignHistory {
         self.records.last().map(|r| r.seq + 1).unwrap_or(0)
     }
 
-    /// Appends one record and flushes it to disk immediately. Runs
-    /// through the fault-injectable append path, which also repairs a
-    /// torn final line before writing (superseding `needs_newline`).
+    /// Appends one record and flushes it to disk immediately.
     pub fn append(&mut self, record: CampaignRecord) -> Result<(), std::io::Error> {
-        crate::fsio::append_line(
-            &self.path,
-            &record.to_json_line(),
-            "history.append",
-            &crate::fsio::RetryPolicy::io(),
-        )?;
-        self.needs_newline = false;
+        self.log.append(&record.to_json_line())?;
         self.records.push(record);
         Ok(())
     }
@@ -353,6 +284,21 @@ impl CampaignHistory {
         self.append(record)?;
         Ok(true)
     }
+}
+
+/// Confirmed bugs over all runs, by kind and by determinism verdict.
+fn bug_totals(records: &[CampaignRecord]) -> (BTreeMap<&str, u64>, BTreeMap<&str, u64>) {
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut by_det: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in records {
+        for (k, n) in &r.bugs_by_kind {
+            *by_kind.entry(k).or_insert(0) += n;
+        }
+        for (k, n) in &r.bugs_by_determinism {
+            *by_det.entry(k).or_insert(0) += n;
+        }
+    }
+    (by_kind, by_det)
 }
 
 fn pct(v: f64) -> String {
@@ -395,16 +341,7 @@ pub fn render_text(records: &[CampaignRecord]) -> String {
         ));
     }
 
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut by_det: BTreeMap<&str, u64> = BTreeMap::new();
-    for r in records {
-        for (k, n) in &r.bugs_by_kind {
-            *by_kind.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in &r.bugs_by_determinism {
-            *by_det.entry(k).or_insert(0) += n;
-        }
-    }
+    let (by_kind, by_det) = bug_totals(records);
     out.push_str("\nbugs by kind (all runs):\n");
     if by_kind.is_empty() {
         out.push_str("  none\n");
@@ -519,16 +456,7 @@ pub fn render_html(records: &[CampaignRecord]) -> String {
     }
     out.push_str("</table>\n");
 
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut by_det: BTreeMap<&str, u64> = BTreeMap::new();
-    for r in records {
-        for (k, n) in &r.bugs_by_kind {
-            *by_kind.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in &r.bugs_by_determinism {
-            *by_det.entry(k).or_insert(0) += n;
-        }
-    }
+    let (by_kind, by_det) = bug_totals(records);
     out.push_str("<h2>bugs</h2>\n<table>\n<tr><th class=\"name\">kind</th><th>count</th></tr>\n");
     if by_kind.is_empty() {
         out.push_str("<tr><td class=\"name\">none</td><td>0</td></tr>\n");

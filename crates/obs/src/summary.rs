@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::{push_escaped, push_f64};
+use crate::json::FlatJson;
 use crate::metrics::{MetricsSnapshot, TIMING_PREFIX};
 
 /// File name of the summary inside a campaign directory.
@@ -70,70 +70,40 @@ impl RunSummary {
     /// (plain wall-clock fields followed by flattened
     /// [`TIMING_PREFIX`] metrics).
     pub fn to_json(&self) -> String {
-        let mut det: Vec<(String, String)> = vec![
-            ("schema_version".into(), "1".into()),
-            ("spec".into(), json_str(&self.spec)),
-            (
-                "fault_plan".into(),
-                match &self.fault_plan {
-                    Some(p) => json_str(p),
-                    None => "null".into(),
-                },
-            ),
-            ("states".into(), self.states.to_string()),
-            ("edges".into(), self.edges.to_string()),
-            (
-                "coverage_edges_visited".into(),
-                self.coverage_edges_visited.to_string(),
-            ),
-            (
-                "coverage_edge_targets".into(),
-                self.coverage_edge_targets.to_string(),
-            ),
-            ("coverage".into(), json_f64(self.coverage)),
-            (
-                "por_excluded_edges".into(),
-                self.por_excluded_edges.to_string(),
-            ),
-            ("cases_selected".into(), self.cases_selected.to_string()),
-            ("cases_run".into(), self.cases_run.to_string()),
-            ("cases_passed".into(), self.cases_passed.to_string()),
-            ("cases_failed".into(), self.cases_failed.to_string()),
-            (
-                "cases_quarantined".into(),
-                self.cases_quarantined.to_string(),
-            ),
-            (
-                "cases_skipped_from_journal".into(),
-                self.cases_skipped_from_journal.to_string(),
-            ),
-            ("journal_issues".into(), self.journal_issues.to_string()),
-        ];
-        for (kind, n) in &self.bugs_by_kind {
-            det.push((format!("bugs_by_kind.{kind}"), n.to_string()));
-        }
-        for (kind, n) in &self.bugs_by_determinism {
-            det.push((format!("bugs_by_determinism.{kind}"), n.to_string()));
-        }
+        let mut w = FlatJson::document();
+        w.num("schema_version", 1).string("spec", &self.spec);
+        match &self.fault_plan {
+            Some(plan) => w.string("fault_plan", plan),
+            None => w.raw("fault_plan", "null"),
+        };
+        w.num("states", self.states)
+            .num("edges", self.edges)
+            .num("coverage_edges_visited", self.coverage_edges_visited)
+            .num("coverage_edge_targets", self.coverage_edge_targets)
+            .float("coverage", self.coverage)
+            .num("por_excluded_edges", self.por_excluded_edges)
+            .num("cases_selected", self.cases_selected)
+            .num("cases_run", self.cases_run)
+            .num("cases_passed", self.cases_passed)
+            .num("cases_failed", self.cases_failed)
+            .num("cases_quarantined", self.cases_quarantined)
+            .num("cases_skipped_from_journal", self.cases_skipped_from_journal)
+            .num("journal_issues", self.journal_issues)
+            .counts("bugs_by_kind", &self.bugs_by_kind)
+            .counts("bugs_by_determinism", &self.bugs_by_determinism);
         // Deterministic metrics, flattened and name-sorted.
         let mut metric_entries = self.metrics.deterministic().flat_json_entries();
         metric_entries.sort();
-        det.extend(metric_entries);
+        for (key, value) in &metric_entries {
+            w.raw(key, value);
+        }
 
         // Wall-clock section: plain fields, then timing metrics. Every
         // key gets the `wall_` prefix so strip_wall_clock can filter
         // on the key alone.
-        let mut wall: Vec<(String, String)> = vec![
-            (
-                "wall_check_seconds".into(),
-                json_f64(self.wall_check_seconds),
-            ),
-            ("wall_test_seconds".into(), json_f64(self.wall_test_seconds)),
-            (
-                "wall_total_seconds".into(),
-                json_f64(self.wall_total_seconds),
-            ),
-        ];
+        w.float("wall_check_seconds", self.wall_check_seconds)
+            .float("wall_test_seconds", self.wall_test_seconds)
+            .float("wall_total_seconds", self.wall_total_seconds);
         let timing_only = MetricsSnapshot {
             counters: filter_timing(&self.metrics.counters),
             gauges: filter_timing(&self.metrics.gauges),
@@ -141,26 +111,10 @@ impl RunSummary {
         };
         let mut timing_entries = timing_only.flat_json_entries();
         timing_entries.sort();
-        wall.extend(
-            timing_entries
-                .into_iter()
-                .map(|(k, v)| (format!("wall_{k}"), v)),
-        );
-
-        let mut out = String::from("{\n");
-        let total = det.len() + wall.len();
-        for (i, (k, v)) in det.into_iter().chain(wall).enumerate() {
-            out.push_str("  ");
-            push_escaped(&mut out, &k);
-            out.push_str(": ");
-            out.push_str(&v);
-            if i + 1 < total {
-                out.push(',');
-            }
-            out.push('\n');
+        for (key, value) in &timing_entries {
+            w.raw(&format!("wall_{key}"), value);
         }
-        out.push_str("}\n");
-        out
+        w.finish()
     }
 
     /// Writes `run-summary.json` under `dir` (atomic temp + rename
@@ -172,7 +126,7 @@ impl RunSummary {
             dir,
             RUN_SUMMARY_FILE_NAME,
             self.to_json().as_bytes(),
-            "summary.write",
+            crate::fsio::points::SUMMARY_WRITE,
             &crate::fsio::RetryPolicy::io(),
         )
     }
@@ -183,18 +137,6 @@ fn filter_timing<V: Clone>(map: &BTreeMap<String, V>) -> BTreeMap<String, V> {
         .filter(|(k, _)| k.starts_with(TIMING_PREFIX))
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect()
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    push_escaped(&mut out, s);
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    let mut out = String::new();
-    push_f64(&mut out, v);
-    out
 }
 
 /// Drops every `wall_`-prefixed line from a rendered summary (or any

@@ -10,8 +10,8 @@
 //! application persisted in its `dsnet::Storage` survives, nothing
 //! else does.
 //!
-//! **One step, one dispatch.** Every control step is a [`Ctl`] handled
-//! by [`dispatch`] under `catch_unwind`. Observation hooks (offer
+//! **One step, one dispatch.** Every control step is a typed closure
+//! run by [`dispatch`] under `catch_unwind`. Observation hooks (offer
 //! collection, snapshots) run inline on the harness thread: they are
 //! the step-dense hot path — one per node per offer poll. *Execution*
 //! steps, the only place the harness runs open-ended application
@@ -85,18 +85,6 @@ pub trait NodeApp: Send + 'static {
 /// Builds node applications; called at deploy and again at restart.
 pub type NodeFactory = Box<dyn FnMut(NodeId) -> Box<dyn NodeApp> + Send>;
 
-enum Ctl {
-    Offers,
-    Execute(ActionInstance),
-    Snapshot,
-}
-
-enum Rsp {
-    Offers(Vec<ActionInstance>),
-    Done(Vec<MsgEvent>),
-    Snapshot(Vec<(String, Value)>),
-}
-
 /// A running node. The registry handle is kept beside the app so a
 /// panicked or hung node's last state stays readable.
 struct Node {
@@ -113,8 +101,6 @@ pub enum ClusterError {
     /// deregistered and the thread running its step detached: a late
     /// reply must never desynchronise the request/reply protocol.
     Unresponsive(NodeId),
-    /// The node answered with the wrong reply kind (protocol bug).
-    ProtocolViolation(NodeId),
     /// The node's application code panicked (or its channels closed
     /// unexpectedly). The harness survives; the node is gone.
     Died {
@@ -129,9 +115,7 @@ impl ClusterError {
     /// The node the error concerns.
     pub fn node(&self) -> NodeId {
         match self {
-            ClusterError::NotRunning(n)
-            | ClusterError::Unresponsive(n)
-            | ClusterError::ProtocolViolation(n) => *n,
+            ClusterError::NotRunning(n) | ClusterError::Unresponsive(n) => *n,
             ClusterError::Died { node, .. } => *node,
         }
     }
@@ -142,9 +126,6 @@ impl std::fmt::Display for ClusterError {
         match self {
             ClusterError::NotRunning(n) => write!(f, "node {n} is not running"),
             ClusterError::Unresponsive(n) => write!(f, "node {n} is unresponsive"),
-            ClusterError::ProtocolViolation(n) => {
-                write!(f, "node {n} violated the control protocol")
-            }
             ClusterError::Died { node, reason } => {
                 write!(f, "node {node} died: {reason}")
             }
@@ -189,18 +170,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Handles one control step on `app`. Application code runs inside
-/// `catch_unwind` so a protocol bug (or an injected fault tripping an
-/// assertion) becomes a structured death report — `Err` carries the
-/// panic message — instead of a harness teardown.
-fn dispatch(app: &mut dyn NodeApp, msg: &Ctl) -> Result<Rsp, String> {
+/// Runs one control step — `hook` — on `app`. Application code runs
+/// inside `catch_unwind` so a protocol bug (or an injected fault
+/// tripping an assertion) becomes a structured death report — `Err`
+/// carries the panic message — instead of a harness teardown.
+fn dispatch<T>(
+    app: &mut dyn NodeApp,
+    hook: impl FnOnce(&mut dyn NodeApp) -> T,
+) -> Result<T, String> {
     IN_NODE_STEP.with(|flag| {
         flag.set(true);
-        let result = catch_unwind(AssertUnwindSafe(|| match msg {
-            Ctl::Offers => Rsp::Offers(app.enabled()),
-            Ctl::Execute(action) => Rsp::Done(app.execute(action)),
-            Ctl::Snapshot => Rsp::Snapshot(app.registry().snapshot()),
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| hook(app)));
         flag.set(false);
         result.map_err(|payload| panic_message(payload.as_ref()))
     })
@@ -236,9 +216,9 @@ const SIM_STEP_COST: Duration = Duration::from_micros(50);
 const SIM_STEP_JITTER: Duration = Duration::from_micros(20);
 
 /// One execution step in flight: the app travels to the sandbox with
-/// its control message and comes back with the outcome.
-type SandboxStep = (Box<dyn NodeApp>, Ctl);
-type SandboxReply = (Box<dyn NodeApp>, Result<Rsp, String>);
+/// the action to release and comes back with the outcome.
+type SandboxStep = (Box<dyn NodeApp>, ActionInstance);
+type SandboxReply = (Box<dyn NodeApp>, Result<Vec<MsgEvent>, String>);
 
 /// A single reusable worker thread that runs execution steps so the
 /// harness thread can bound each one with the reply timeout.
@@ -267,8 +247,8 @@ impl Sandbox {
         std::thread::Builder::new()
             .name("node-sandbox".to_string())
             .spawn(move || {
-                while let Some((mut app, msg)) = sandbox_recv(&step_rx) {
-                    let result = dispatch(app.as_mut(), &msg);
+                while let Some((mut app, action)) = sandbox_recv(&step_rx) {
+                    let result = dispatch(app.as_mut(), |app| app.execute(&action));
                     if reply_tx.send((app, result)).is_err() {
                         break;
                     }
@@ -446,11 +426,16 @@ impl Cluster {
         self.nodes.contains_key(&id)
     }
 
-    /// One control step on `id`. The node leaves the map for the
+    /// One control step on `id`: `run` gets the app and hands it back
+    /// with the step's result. The node leaves the map for the
     /// duration of the step and returns to it only if the step
     /// completes; a panicked or hung node is buried instead.
-    fn request(&mut self, id: NodeId, msg: Ctl) -> Result<Rsp, ClusterError> {
-        let Some(Node { mut app, registry }) = self.nodes.remove(&id) else {
+    fn step<T>(
+        &mut self,
+        id: NodeId,
+        run: impl FnOnce(&mut Self, Box<dyn NodeApp>) -> Result<(Box<dyn NodeApp>, T), ClusterError>,
+    ) -> Result<T, ClusterError> {
+        let Some(Node { app, registry }) = self.nodes.remove(&id) else {
             return Err(ClusterError::NotRunning(id));
         };
         if let Some(exec) = &mut self.sim {
@@ -459,18 +444,10 @@ impl Cluster {
             exec.schedule_after_jittered(SIM_STEP_COST, SIM_STEP_JITTER, id);
             let _ = exec.pop_next();
         }
-        let outcome = if matches!(msg, Ctl::Execute(_)) {
-            self.execute_on_sandbox(id, app, msg)
-        } else {
-            match dispatch(app.as_mut(), &msg) {
-                Ok(rsp) => Ok((app, rsp)),
-                Err(reason) => Err(ClusterError::Died { node: id, reason }),
-            }
-        };
-        match outcome {
-            Ok((app, rsp)) => {
+        match run(self, app) {
+            Ok((app, out)) => {
                 self.nodes.insert(id, Node { app, registry });
-                Ok(rsp)
+                Ok(out)
             }
             Err(err) => {
                 let reason = match &err {
@@ -483,22 +460,35 @@ impl Cluster {
         }
     }
 
+    /// An observation step (offer collection, snapshot): `hook` runs
+    /// inline on the harness thread.
+    fn observe<T>(
+        &mut self,
+        id: NodeId,
+        hook: impl FnOnce(&mut dyn NodeApp) -> T,
+    ) -> Result<T, ClusterError> {
+        self.step(id, |_, mut app| match dispatch(app.as_mut(), hook) {
+            Ok(out) => Ok((app, out)),
+            Err(reason) => Err(ClusterError::Died { node: id, reason }),
+        })
+    }
+
     /// Runs an execution step on the sandbox thread, waiting at most
     /// the reply timeout for it.
     fn execute_on_sandbox(
         &mut self,
         id: NodeId,
         app: Box<dyn NodeApp>,
-        msg: Ctl,
-    ) -> Result<(Box<dyn NodeApp>, Rsp), ClusterError> {
+        action: ActionInstance,
+    ) -> Result<(Box<dyn NodeApp>, Vec<MsgEvent>), ClusterError> {
         let grace = self.reply_timeout;
         let sandbox = self.sandbox.get_or_insert_with(Sandbox::spawn);
-        let reply = match sandbox.step_tx.send((app, msg)) {
+        let reply = match sandbox.step_tx.send((app, action)) {
             Ok(()) => sandbox.recv_reply(grace),
             Err(_) => Err(RecvTimeoutError::Disconnected),
         };
         match reply {
-            Ok((app, Ok(rsp))) => Ok((app, rsp)),
+            Ok((app, Ok(events))) => Ok((app, events)),
             Ok((_, Err(reason))) => Err(ClusterError::Died { node: id, reason }),
             Err(RecvTimeoutError::Timeout) => {
                 // The watchdog fired. Abandon the sandbox (and the app
@@ -549,12 +539,8 @@ impl Cluster {
         let ids = self.running();
         let mut out = Vec::new();
         for id in ids {
-            match self.request(id, Ctl::Offers)? {
-                Rsp::Offers(actions) => {
-                    out.extend(actions.into_iter().map(|a| (id, a)));
-                }
-                _ => return Err(ClusterError::ProtocolViolation(id)),
-            }
+            let actions = self.observe(id, |app| app.enabled())?;
+            out.extend(actions.into_iter().map(|a| (id, a)));
         }
         Ok(out)
     }
@@ -566,23 +552,17 @@ impl Cluster {
         action: &ActionInstance,
     ) -> Result<Vec<MsgEvent>, ClusterError> {
         self.tracer.step_begin(id, self.vtime());
-        let result = self.request(id, Ctl::Execute(action.clone()));
+        let action = action.clone();
+        let result = self.step(id, |cluster, app| cluster.execute_on_sandbox(id, app, action));
         self.tracer.step_end(id, self.vtime());
-        match result? {
-            Rsp::Done(events) => Ok(events),
-            _ => Err(ClusterError::ProtocolViolation(id)),
-        }
+        result
     }
 
     /// Reads `id`'s shadow variables (cached for crash survivors).
     pub fn snapshot_node(&mut self, id: NodeId) -> Result<Vec<(String, Value)>, ClusterError> {
-        match self.request(id, Ctl::Snapshot)? {
-            Rsp::Snapshot(vars) => {
-                self.last_snapshot.insert(id, vars.clone());
-                Ok(vars)
-            }
-            _ => Err(ClusterError::ProtocolViolation(id)),
-        }
+        let vars = self.observe(id, |app| app.registry().snapshot())?;
+        self.last_snapshot.insert(id, vars.clone());
+        Ok(vars)
     }
 
     /// Aggregates every node's shadow variables into per-variable

@@ -77,10 +77,6 @@ fn convert(err: ClusterError) -> SutError {
             node: n,
             message: "unresponsive".into(),
         },
-        ClusterError::ProtocolViolation(n) => SutError::NodeFailure {
-            node: n,
-            message: "control protocol violation".into(),
-        },
         ClusterError::Died { node, reason } => SutError::NodeDeath { node, reason },
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI lint for the two rules that keep the execution core single-path
-# (ROADMAP items 1a and 3). Run from anywhere inside the repository.
+# CI lint for the rules that keep the execution core and the record
+# layer single-path (ROADMAP items 1a and 3). Run from anywhere inside
+# the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -25,5 +26,23 @@ while read -r file; do
         fail=1
     fi
 done < <(git ls-files '*.rs' | grep -vE '^(crates/sim|crates/bench|perfbench)/')
+
+# One salvage rule: the torn-final-line handling of every campaign log
+# lives in AppendLog::salvage. A second copy of its message outside
+# obs::fsio (unit-test modules aside) is a second implementation.
+while read -r file; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -q 'truncated final line'; then
+        echo "error: $file spells out the torn-line salvage rule; load through obs::fsio::AppendLog" >&2
+        fail=1
+    fi
+done < <(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -vE '^crates/obs/src/fsio\.rs$|/tests\.rs$')
+
+# One `head k=v k=v` codec: orchestrator records parse through
+# orchestrator::kv, the only place that splits a token on '='.
+found=$({ grep -rn "split_once('=')" crates/core/src/orchestrator/ || true; } | wc -l)
+if [ "$found" -gt 1 ]; then
+    echo "error: $found split_once('=') sites under crates/core/src/orchestrator/; parse through kv::parse" >&2
+    fail=1
+fi
 
 exit "$fail"

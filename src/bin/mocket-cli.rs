@@ -29,15 +29,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mocket::checker::{to_dot, ModelChecker, StateGraph};
+use mocket::checker::{to_dot, ModelChecker};
 use mocket::core::orchestrator::{
     clear_drain_marker, done_path, ignore_sigint, lease_path, merge_campaign, pid_alive,
     shard_data_dir, supervise, sweep_dead_leases, CampaignPlan, DirLock, InjectionConfig,
-    LeaseConfig, LeaseInfo, LockError, MergeInputs, PlanCase, ShardSetup, SupervisorConfig,
+    LeaseConfig, LeaseInfo, LockError, MergeInputs, ShardSetup, SupervisorConfig,
     WorkerConfig, WorkerContext, EXIT_PLAN_MISMATCH,
 };
 use mocket::core::{CampaignJournal, CaseOutcome};
-use mocket::core::{Pipeline, PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest, TestCase};
+use mocket::core::{Pipeline, PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig};
 use mocket::raft_async::XraftBugs;
 use mocket::raft_sync::SyncRaftBugs;
@@ -492,25 +492,6 @@ fn campaign_pipeline_config(bounds: CampaignBounds) -> PipelineConfig {
     pc
 }
 
-/// Materializes the plan's view of the selected paths: stable hash and
-/// length per case, `-` for a path that cannot materialize (the
-/// pipeline skips those indices; they never reach a verdict).
-fn plan_cases(graph: &StateGraph, paths: &[Vec<mocket::checker::EdgeId>]) -> Vec<PlanCase> {
-    paths
-        .iter()
-        .map(|p| match TestCase::from_edge_path(graph, p) {
-            Some(tc) => PlanCase {
-                hash: tc.stable_hash(),
-                len: tc.len(),
-            },
-            None => PlanCase {
-                hash: "-".into(),
-                len: 0,
-            },
-        })
-        .collect()
-}
-
 fn lease_config(args: &Args) -> LeaseConfig {
     LeaseConfig {
         heartbeat: Duration::from_millis(args.flag_usize("heartbeat-ms", 300) as u64),
@@ -584,15 +565,16 @@ fn cmd_campaign(args: &Args) {
     }
     let (graph, _check_seconds) = pipeline.check();
     let (paths, _ec, _ecpor, por_excluded) = pipeline.generate_paths(&graph);
-    let fresh = CampaignPlan {
-        target: name.to_string(),
-        bug: bug.map(str::to_string),
-        max_states: bounds.max_states,
-        max_path_len: bounds.max_path_len,
-        max_test_cases: bounds.max_test_cases,
+    let fresh = CampaignPlan::pin(
+        name,
+        bug,
+        bounds.max_states,
+        bounds.max_path_len,
+        bounds.max_test_cases,
         shard_size,
-        cases: plan_cases(&graph, &paths),
-    };
+        &graph,
+        &paths,
+    );
     let plan = match CampaignPlan::load(&campaign_dir) {
         Ok(Some(existing)) => {
             if let Err(mismatch) = existing.verify_matches(&fresh) {
@@ -929,15 +911,16 @@ fn cmd_campaign_worker(args: &Args) -> ! {
     });
     let (graph, check_seconds) = base.check();
     let (paths, _ec, _ecpor, _excl) = base.generate_paths(&graph);
-    let fresh = CampaignPlan {
-        target: plan.target.clone(),
-        bug: plan.bug.clone(),
-        max_states: plan.max_states,
-        max_path_len: plan.max_path_len,
-        max_test_cases: plan.max_test_cases,
-        shard_size: plan.shard_size,
-        cases: plan_cases(&graph, &paths),
-    };
+    let fresh = CampaignPlan::pin(
+        &plan.target,
+        plan.bug.as_deref(),
+        plan.max_states,
+        plan.max_path_len,
+        plan.max_test_cases,
+        plan.shard_size,
+        &graph,
+        &paths,
+    );
     if let Err(mismatch) = plan.verify_matches(&fresh) {
         eprintln!(
             "worker {worker_id}: regenerated case set contradicts the pinned plan \

@@ -111,7 +111,7 @@ fn sigkilled_worker_shard_is_recovered_and_merge_is_byte_identical() {
     );
 
     // The crash actually happened and was attributed.
-    let crashes = load_crashes(&crashed.dir).expect("crash log readable");
+    let (crashes, _) = load_crashes(&crashed.dir).expect("crash log readable");
     assert!(
         crashes.iter().any(|c| c.case == 5),
         "crash log must attribute case 5, got {crashes:?}"
@@ -120,6 +120,7 @@ fn sigkilled_worker_shard_is_recovered_and_merge_is_byte_identical() {
     assert!(
         load_poisoned(&crashed.dir)
             .expect("poison log readable")
+            .0
             .is_empty(),
         "a single crash must not quarantine the case"
     );
@@ -163,7 +164,7 @@ fn poison_case_is_quarantined_with_replay_artifact_and_campaign_completes() {
         "campaign must complete despite a poison case"
     );
 
-    let poisoned = load_poisoned(&run.dir).expect("poison log readable");
+    let (poisoned, _) = load_poisoned(&run.dir).expect("poison log readable");
     assert_eq!(poisoned.len(), 1, "exactly one quarantined case");
     assert_eq!(poisoned[0].case, 5);
     assert_eq!(
