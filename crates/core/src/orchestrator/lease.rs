@@ -29,6 +29,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
@@ -385,8 +386,9 @@ pub struct LeaseHandle {
     campaign_dir: PathBuf,
     shard: usize,
     info: Arc<Mutex<LeaseInfo>>,
-    stop: Arc<AtomicBool>,
-    heartbeat: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The heartbeat thread and the channel it waits on between beats;
+    /// dropping the sender wakes and ends it.
+    heartbeat: Mutex<Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>>,
     retired: AtomicBool,
 }
 
@@ -399,17 +401,14 @@ impl LeaseHandle {
         heartbeat: Duration,
     ) -> Self {
         let info = Arc::new(Mutex::new(info));
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = {
             let path = path.clone();
             let info = info.clone();
-            let stop = stop.clone();
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(heartbeat);
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
+                // One beat per `heartbeat` of silence; the owner ends
+                // the wait at once by dropping its sender.
+                while stopped.recv_timeout(heartbeat) == Err(RecvTimeoutError::Timeout) {
                     let snapshot = {
                         let mut info = info.lock().unwrap();
                         // The counter is the freshness signal a
@@ -427,8 +426,7 @@ impl LeaseHandle {
             campaign_dir,
             shard,
             info,
-            stop,
-            heartbeat: Mutex::new(Some(thread)),
+            heartbeat: Mutex::new(Some((stop, thread))),
             retired: AtomicBool::new(false),
         }
     }
@@ -463,9 +461,9 @@ impl LeaseHandle {
     }
 
     fn stop_heartbeat(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.heartbeat.lock().unwrap().take() {
-            let _ = t.join();
+        if let Some((stop, thread)) = self.heartbeat.lock().unwrap().take() {
+            drop(stop);
+            let _ = thread.join();
         }
     }
 }
@@ -698,6 +696,32 @@ mod tests {
             "heartbeat must keep the lease mtime fresh"
         );
         drop(h);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retiring_or_releasing_a_lease_does_not_sleep_out_the_heartbeat() {
+        let dir = tmp("retire-fast");
+        let cfg = LeaseConfig {
+            heartbeat: Duration::from_secs(5),
+            ttl: Duration::from_secs(60),
+        };
+        let mut noop = |_: &LeaseInfo| {};
+        for retire in [true, false] {
+            let ClaimOutcome::Claimed(h) = claim(&dir, retire as usize, 0, &cfg, &mut noop) else {
+                panic!("claim");
+            };
+            let started = SystemTime::now();
+            if retire {
+                h.mark_done().unwrap();
+            }
+            drop(h);
+            let waited = SystemTime::now().duration_since(started).unwrap();
+            assert!(
+                waited < Duration::from_secs(1),
+                "retire={retire}: waited {waited:?} on a parked heartbeat"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

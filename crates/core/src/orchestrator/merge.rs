@@ -28,7 +28,7 @@ use mocket_obs::{CoverageMap, Event, Obs, RunSummary, EVENTS_FILE_NAME};
 
 use crate::artifact::{CampaignJournal, CaseOutcome, JournalEntry, ReplayArtifact};
 use crate::fsio::points;
-use crate::pipeline::outputs::{history_record, tally_bugs, write_insight};
+use crate::pipeline::outputs::{count_bug, history_record, write_insight, BugTally};
 
 use super::lease::shard_data_dir;
 use super::plan::CampaignPlan;
@@ -361,14 +361,13 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
     profile("timing.profile.merge_coverage_seconds", stage);
 
     // Unique failed hashes → bug tallies.
-    let (bugs_by_kind, bugs_by_determinism) =
-        tally_bugs(verdicts.values().filter_map(|entry| match &entry.outcome {
-            CaseOutcome::Failed { kind } => Some((
-                kind.as_str(),
-                entry.determinism.as_deref().unwrap_or("unconfirmed"),
-            )),
-            CaseOutcome::Passed => None,
-        }));
+    let mut bugs = BugTally::default();
+    for entry in verdicts.values() {
+        if let CaseOutcome::Failed { kind } = &entry.outcome {
+            count_bug(&mut bugs, kind, entry.determinism.as_deref().unwrap_or("unconfirmed"));
+        }
+    }
+    let (bugs_by_kind, bugs_by_determinism) = bugs;
     report.failed_unique = bugs_by_kind.values().sum::<u64>() as usize;
 
     let stage = std::time::Instant::now();
@@ -379,7 +378,8 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
     let frontier = uncovered_frontier(inp.graph, coverage.edge_hits());
 
     // The merged summary carries only logical data: wall-clock fields
-    // zeroed, metrics empty (per-worker metrics live in worker-<id>/).
+    // zeroed, metrics empty (each worker's own metrics are in the one
+    // `worker-<id>/run-summary.json` it writes when its loop ends).
     let summary = RunSummary {
         spec: inp.spec_name.to_string(),
         fault_plan: None,

@@ -8,7 +8,8 @@
 //! (`mocket-cli campaign`) spawns N crash-isolated worker processes
 //! (`mocket-cli campaign-worker`, hidden) and survives worker
 //! crashes, hangs, `kill -9`, SIGINT drains and full restarts of the
-//! campaign itself.
+//! campaign itself. A worker is one pipeline run (one model check, one
+//! generation, one summary); a shard is a case window of it.
 //!
 //! Layout of a campaign directory:
 //!
@@ -19,7 +20,8 @@
 //! <dir>/shards/shard-<s>.lease  work-queue lease (pid + heartbeat)
 //! <dir>/shards/shard-<s>.done   shard retirement marker
 //! <dir>/shards/shard-<s>/       shard journal + replay artifacts
-//! <dir>/worker-<id>/            per-worker obs stream + log
+//! <dir>/worker-<id>/            events.jsonl (streamed), worker.log, and
+//!                               one run-summary.json at worker exit
 //! <dir>/quarantine/             poison cases (crashes.log, artifacts)
 //! <dir>/journal.log ...         canonical merged outputs
 //! ```

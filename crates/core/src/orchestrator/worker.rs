@@ -2,12 +2,13 @@
 //! pipeline, attributes crashes, and quarantines poison cases.
 //!
 //! A worker is one crash-isolated process (the hidden
-//! `mocket-cli campaign-worker` subcommand). It model-checks the spec
-//! once, verifies its regenerated case set against the pinned plan,
-//! then loops: claim a shard (fresh or stolen), run exactly that
-//! case-index window via [`Pipeline::run_prepared`] with a per-case
-//! gate, retire the shard, repeat until every shard is done or a
-//! drain is requested.
+//! `mocket-cli campaign-worker` subcommand) and one pipeline run. It
+//! model-checks the spec and generates the case set once, verifies
+//! them against the pinned plan, then loops: claim a shard (fresh or
+//! stolen), drive exactly that case-index window of its run with a
+//! per-case gate, retire the shard, repeat until every shard is done
+//! or a drain is requested. A shard costs its cases plus the lease and
+//! journal protocol; the run is summarised once, when the loop ends.
 //!
 //! Crash attribution: when a worker steals a stale lease it reads the
 //! victim's in-flight case from the lease body and records a crash in
@@ -29,7 +30,7 @@ use mocket_checker::{EdgeId, StateGraph};
 use mocket_tla::ActionInstance;
 
 use crate::artifact::{CampaignJournal, ReplayArtifact};
-use crate::pipeline::{CaseGate, Pipeline, PipelineResult};
+use crate::pipeline::{CaseGate, Pipeline};
 use crate::report::{Determinism, Inconsistency};
 use crate::runner::RunConfig;
 use crate::sut::SystemUnderTest;
@@ -348,7 +349,7 @@ pub struct WorkerContext<'a> {
     /// The selected edge paths, by plan index.
     pub paths: &'a [Vec<EdgeId>],
     /// Model-checking seconds spent building the graph (folded into
-    /// per-shard wall totals).
+    /// the wall total of the worker's one run summary).
     pub check_seconds: f64,
 }
 
@@ -463,12 +464,15 @@ fn poison_artifact(
 }
 
 /// The worker's main loop: claim shards (stealing stale leases and
-/// attributing crashes), run each through `build_pipeline(setup)`'s
-/// pipeline, retire them, until all shards are done or a drain lands.
+/// attributing crashes), drive each as one case window of the worker's
+/// run through `build_pipeline(setup)`'s pipeline, retire them, until
+/// all shards are done or a drain lands. Then the run is summarised,
+/// once, next to the events the pipelines stream (`worker-<id>/`); a
+/// worker that never got to drive a shard writes no summary.
 pub fn worker_loop<BP, MS>(
     cfg: &WorkerConfig,
     ctx: &WorkerContext<'_>,
-    mut graph: StateGraph,
+    graph: StateGraph,
     mut build_pipeline: BP,
     mut make_sut: MS,
 ) -> io::Result<WorkerOutcome>
@@ -477,15 +481,16 @@ where
     MS: FnMut() -> Box<dyn SystemUnderTest>,
 {
     let shard_count = ctx.plan.shard_count();
-    loop {
-        if drain_requested(&cfg.campaign_dir) {
-            return Ok(WorkerOutcome::Drained);
-        }
+    // The run's tallies, begun at the first claim, and the last
+    // pipeline to drive a window of it (context for the summary).
+    let mut run = None;
+    let mut last_pipeline = None;
+    let outcome = 'scan: loop {
         let mut all_done = true;
         let mut progressed = false;
         for i in 0..shard_count {
             if drain_requested(&cfg.campaign_dir) {
-                return Ok(WorkerOutcome::Drained);
+                break 'scan WorkerOutcome::Drained;
             }
             // Offset the scan by worker id so fresh workers spread out
             // instead of all contending for shard 0.
@@ -557,40 +562,50 @@ where
                 gate: make_gate(cfg, lease.clone(), poisoned),
             };
             let pipeline = build_pipeline(&setup);
-            let PipelineResult {
-                graph: g,
-                lock_conflict,
-                stopped_by_gate,
-                ..
-            } = pipeline.run_prepared(graph, ctx.check_seconds, &mut make_sut);
-            graph = g;
-            if let Some(conflict) = lock_conflict {
-                // The shard journal is still locked — most likely the
-                // hung worker we stole the lease from hasn't been
-                // killed yet. Release the shard and come back to it.
-                eprintln!(
-                    "[mocket-worker {}] shard {shard} journal busy, will retry: {conflict}",
-                    cfg.worker_id
-                );
-                drop(lease);
-                progressed = false;
-                continue;
-            }
+            let run = run.get_or_insert_with(|| pipeline.new_run(&graph, ctx.paths.len()));
+            // The window's evidence (reports, artifact paths) is on
+            // disk in the shard directory; only its tallies are kept.
+            let window = pipeline.run_window(run, &graph, ctx.paths, &mut make_sut);
+            pipeline.obs().flush();
+            let stopped_by_gate = match window {
+                Ok(window) => window.stopped_by_gate,
+                Err(conflict) => {
+                    // The shard journal is still locked — most likely the
+                    // hung worker we stole the lease from hasn't been
+                    // killed yet. Release the shard (the lease drops with
+                    // this iteration) and come back to it.
+                    eprintln!(
+                        "[mocket-worker {}] shard {shard} journal busy, will retry: {conflict}",
+                        cfg.worker_id
+                    );
+                    progressed = false;
+                    continue;
+                }
+            };
+            last_pipeline = Some(pipeline);
             if stopped_by_gate {
                 // Drain: the lease is released (not retired) on drop.
-                return Ok(WorkerOutcome::Drained);
+                break 'scan WorkerOutcome::Drained;
             }
             lease.mark_done()?;
         }
         if all_done {
-            return Ok(WorkerOutcome::Completed);
+            break WorkerOutcome::Completed;
         }
         if !progressed {
             // Everything claimable is busy (or waiting out a lock):
             // idle one heartbeat before rescanning.
             std::thread::sleep(cfg.lease.heartbeat);
         }
+    };
+    if let (Some(run), Some(pipeline)) = (run, last_pipeline) {
+        let (_, summary) = pipeline.summarise(&run, &graph, ctx.check_seconds);
+        if let Some(Err(e)) = pipeline.obs().dir().map(|dir| summary.write_to(dir)) {
+            eprintln!("[mocket-worker {}] run summary write failed: {e}", cfg.worker_id);
+        }
+        pipeline.obs().flush();
     }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -614,6 +629,93 @@ mod tests {
             plan: None,
             case: Some((case, hash.to_string())),
         }
+    }
+
+    #[test]
+    fn worker_loop_drives_shards_as_windows_of_one_run() {
+        use crate::orchestrator::lease::done_path;
+        use crate::pipeline::tests::{registry, CounterSpec, CounterSut};
+        use crate::pipeline::PipelineConfig;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let dir = tmp("loop");
+        let worker_dir = dir.join("worker-0");
+        let obs = mocket_obs::Obs::jsonl_in(&worker_dir).unwrap();
+        let filter_calls = Arc::new(AtomicUsize::new(0));
+        let pipeline = |shard: Option<&ShardSetup>| {
+            let mut pc = PipelineConfig::default();
+            pc.por = false;
+            pc.stop_at_first_bug = false;
+            pc.max_path_len = 3;
+            pc.obs = obs.clone();
+            if let Some(setup) = shard {
+                // Consulted by `generate_paths` only: a call means a
+                // shard regenerated the case set.
+                let calls = filter_calls.clone();
+                pc.case_filter = Some(Arc::new(move |_| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    true
+                }));
+                pc.case_range = Some(setup.range);
+                pc.case_gate = Some(setup.gate.clone());
+                pc.triage.campaign_dir = Some(setup.shard_dir.clone());
+            }
+            Pipeline::new(Arc::new(CounterSpec), registry(), pc).unwrap()
+        };
+        let base = pipeline(None);
+        let (graph, check_seconds) = base.check();
+        let (paths, ..) = base.generate_paths(&graph);
+        let plan = CampaignPlan::pin("counter", None, 1_000_000, 3, 0, 1, &graph, &paths);
+        assert!(plan.shard_count() >= 2, "{} shard(s)", plan.shard_count());
+
+        let cfg = WorkerConfig {
+            campaign_dir: dir.clone(),
+            worker_id: 0,
+            lease: LeaseConfig::default(),
+            poison_threshold: 3,
+            plan_hash: plan.stable_hash(),
+            inject: InjectionConfig::default(),
+        };
+        let run_cfg = RunConfig::default();
+        let ctx = WorkerContext {
+            plan: &plan,
+            spec_name: "Counter",
+            spec_config: "test",
+            run: &run_cfg,
+            paths: &paths,
+            check_seconds,
+        };
+        let outcome = worker_loop(
+            &cfg,
+            &ctx,
+            graph,
+            |setup| pipeline(Some(setup)),
+            || Box::new(CounterSut { n: 0, buggy: false }),
+        )
+        .unwrap();
+        assert_eq!(outcome, WorkerOutcome::Completed);
+        assert_eq!(filter_calls.load(Ordering::SeqCst), 0, "a shard regenerated");
+        for shard in 0..plan.shard_count() {
+            assert!(done_path(&dir, shard).exists(), "shard {shard} not retired");
+            let journal = shard_data_dir(&dir, shard).join(CampaignJournal::FILE_NAME);
+            assert!(journal.exists(), "shard {shard} has no journal");
+        }
+
+        // One summary over the worker's whole run, next to its events;
+        // no per-shard summary, insight or history files.
+        let mut left: Vec<String> = fs::read_dir(&worker_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["events.jsonl", "run-summary.json"]);
+        let summary = fs::read_to_string(worker_dir.join("run-summary.json")).unwrap();
+        let cases_run = format!("\"cases_run\": {},", plan.cases.len());
+        assert!(summary.contains(&cases_run), "{summary}");
+        let events = fs::read_to_string(worker_dir.join("events.jsonl")).unwrap();
+        assert_eq!(events.matches("\"event\":\"generate.done\"").count(), 0);
+        assert_eq!(events.matches("\"event\":\"run.done\"").count(), 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Stage ④, case by case: open the run, drive each case to a verdict.
+//! Stage ④, case by case: a run, its case windows, one case's verdict.
 //!
-//! [`Run`] is everything a campaign accumulates between "the graph is
-//! checked" and "the outputs are written": the resume journal, the
-//! trace log, the verdict counters, the coverage map. Opening it takes
-//! the campaign directory's lock; [`Pipeline::drive_case`] then
-//! materializes one case, consults the gate and the journal, and runs
-//! it under the retry policy until it passes, fails (handed to
-//! [`triage`](super::triage)) or is quarantined.
+//! A [`Run`] is the tallies the summary is built from. A [`Window`] is
+//! one `case_range` of the run's paths driven against one campaign
+//! directory, holding its journal lock from open to close. A
+//! single-process run is one window over every case; a campaign worker
+//! drives one window per claimed shard into the same `Run`.
+//! [`Pipeline::drive_case`] materializes one case, consults the gate
+//! and the journal, and runs it under the retry policy until it passes,
+//! fails (handed to [`triage`](super::triage)) or is quarantined.
 
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -24,37 +25,61 @@ use crate::runner::{run_test_case, RunCtx, RunStats, TestOutcome};
 use crate::sut::{SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
+use super::outputs::BugTally;
 use super::{AttemptRecord, CaseGate, Pipeline, QuarantinedCase};
 
-/// What one campaign accumulates while its cases run.
-pub(super) struct Run {
-    /// Resume journal, when a campaign directory is configured.
-    pub(super) journal: Option<CampaignJournal>,
-    /// `trace.jsonl`, when tracing is on and there is a directory.
-    trace_path: Option<PathBuf>,
+/// The tallies of one run, over however many windows it drives:
+/// counts, a coverage map the size of the graph, and the persistence
+/// problems met. Nothing here grows with the number of cases driven.
+#[derive(Default)]
+pub(crate) struct Run {
     pub(super) cases_selected: usize,
+    /// When the run began (before generation, when it generates).
+    pub(super) run_start: Duration,
+    /// When controlled testing began.
     pub(super) test_start: Duration,
-    pub(super) reports: Vec<BugReport>,
-    pub(super) quarantined: Vec<QuarantinedCase>,
     pub(super) passed: usize,
     pub(super) cases_run: usize,
+    pub(super) quarantined: usize,
     pub(super) skipped_from_journal: usize,
-    pub(super) artifacts: Vec<PathBuf>,
+    /// Confirmed failures by kind and by determinism.
+    pub(super) bugs: BugTally,
     /// Non-fatal persistence problems (`PipelineResult::journal_issues`).
     pub(super) issues: Vec<String>,
-    /// Per-edge/per-action hit counts over every case the campaign
-    /// disposed of (run, journal-skipped or quarantined) — the overlay
-    /// and the uncovered-edge listing come from this.
+    /// Per-edge/per-action hit counts over every case the run disposed
+    /// of (run, journal-skipped or quarantined) — the overlay and the
+    /// uncovered-edge listing come from this.
     pub(super) coverage: CoverageMap,
-    pub(super) stopped_by_gate: bool,
 }
 
-impl Run {
-    /// Folds one disposed case into the campaign coverage map.
-    pub(super) fn cover(&mut self, graph: &StateGraph, path: &[EdgeId]) {
-        self.coverage.record_case(
+/// What a closed window hands back besides the tallies: the evidence
+/// behind its failed and quarantined cases, and how it ended.
+#[derive(Default)]
+pub(crate) struct WindowResult {
+    pub(super) reports: Vec<BugReport>,
+    pub(super) quarantined: Vec<QuarantinedCase>,
+    pub(super) artifacts: Vec<PathBuf>,
+    /// The case gate returned [`CaseGate::Stop`] inside this window.
+    pub(crate) stopped_by_gate: bool,
+}
+
+/// One open case window of `run` over `graph`.
+pub(super) struct Window<'r> {
+    pub(super) run: &'r mut Run,
+    pub(super) graph: &'r StateGraph,
+    /// Resume journal, when a campaign directory is configured.
+    journal: Option<CampaignJournal>,
+    /// `trace.jsonl`, when tracing is on and there is a directory.
+    trace_path: Option<PathBuf>,
+    pub(super) result: WindowResult,
+}
+
+impl Window<'_> {
+    /// Folds one disposed case into the run's coverage map.
+    pub(super) fn cover(&mut self, path: &[EdgeId]) {
+        self.run.coverage.record_case(
             path.iter().map(|e| e.0),
-            path.iter().map(|&e| graph.edge(e).action.name.as_str()),
+            path.iter().map(|&e| self.graph.edge(e).action.name.as_str()),
         );
     }
 
@@ -62,7 +87,7 @@ impl Run {
     pub(super) fn journal_verdict(&mut self, entry: JournalEntry) {
         if let Some(journal) = self.journal.as_mut() {
             if let Err(e) = journal.record(entry) {
-                self.issues.push(format!("journal append failed: {e}"));
+                self.run.issues.push(format!("journal append failed: {e}"));
             }
         }
     }
@@ -79,30 +104,46 @@ pub(super) struct Case<'a> {
 }
 
 impl Pipeline {
-    /// Opens the run: resume journal (taking the campaign directory's
-    /// lock) and a fresh trace log. `Err` carries the message of a
-    /// lock conflict — another live campaign owns the directory, and
-    /// not a byte may be written into it.
-    pub(super) fn open_run(
+    /// A run with nothing tallied yet, beginning now.
+    pub(crate) fn new_run(&self, graph: &StateGraph, cases_selected: usize) -> Run {
+        let now = self.config.clock.now();
+        Run {
+            cases_selected,
+            run_start: now,
+            test_start: now,
+            coverage: CoverageMap::new(graph.edge_count()),
+            ..Run::default()
+        }
+    }
+
+    /// Drives this pipeline's `case_range` of `paths` as one window of
+    /// `run`, on the resume journal (taking `triage.campaign_dir`'s
+    /// lock) and a fresh trace log. `Err` carries the message of a lock
+    /// conflict — another live campaign owns the directory, and not a
+    /// byte may be written into it.
+    pub(crate) fn run_window<F>(
         &self,
+        run: &mut Run,
         graph: &StateGraph,
-        cases_selected: usize,
-    ) -> Result<Run, String> {
+        paths: &[Vec<EdgeId>],
+        make_sut: &mut F,
+    ) -> Result<WindowResult, String>
+    where
+        F: FnMut() -> Box<dyn SystemUnderTest>,
+    {
         let obs = &self.config.obs;
-        let mut issues = Vec::new();
-        let test_start = self.config.clock.now();
         // Resume: load the campaign journal (if a campaign directory
         // is configured) so previously completed cases are folded back
         // into the counters instead of re-run.
         let journal = match &self.config.triage.campaign_dir {
             Some(dir) => match CampaignJournal::open(dir) {
                 Ok(j) => {
-                    issues.extend(j.issues().iter().map(|i| format!("journal {i}")));
+                    run.issues.extend(j.issues().iter().map(|i| format!("journal {i}")));
                     Some(j)
                 }
                 Err(locked @ JournalOpenError::Locked { .. }) => return Err(locked.to_string()),
                 Err(e) => {
-                    issues.push(format!("campaign journal unavailable: {e}"));
+                    run.issues.push(format!("campaign journal unavailable: {e}"));
                     None
                 }
             },
@@ -112,15 +153,12 @@ impl Pipeline {
         // Causal tracing (`--trace`): one batch of events per attempt
         // appended to `trace.jsonl` next to the replay artifacts
         // (campaign dir first, obs dir otherwise). The file is
-        // truncated at run start so it always describes the latest
-        // run — which makes same-seed `--sim` runs byte-identical.
+        // truncated when the window opens so it always describes the
+        // latest run — which makes same-seed `--sim` runs
+        // byte-identical.
         let trace_path = if self.config.trace {
-            self.config
-                .triage
-                .campaign_dir
-                .clone()
-                .or_else(|| obs.dir().map(|d| d.to_path_buf()))
-                .map(|d| d.join(TRACE_FILE_NAME))
+            let dir = self.config.triage.campaign_dir.as_deref().or(obs.dir());
+            dir.map(|d| d.join(TRACE_FILE_NAME))
         } else {
             None
         };
@@ -129,35 +167,33 @@ impl Pipeline {
                 let _ = std::fs::create_dir_all(parent);
             }
             if let Err(e) = std::fs::write(tp, b"") {
-                issues.push(format!("trace reset failed: {e}"));
+                run.issues.push(format!("trace reset failed: {e}"));
             }
         }
 
-        Ok(Run {
+        let mut window = Window {
+            run,
+            graph,
             journal,
             trace_path,
-            cases_selected,
-            test_start,
-            reports: Vec::new(),
-            quarantined: Vec::new(),
-            passed: 0,
-            cases_run: 0,
-            skipped_from_journal: 0,
-            artifacts: Vec::new(),
-            issues,
-            coverage: CoverageMap::new(graph.edge_count()),
-            stopped_by_gate: false,
-        })
+            result: WindowResult::default(),
+        };
+        let (start, end) = self.config.case_range.unwrap_or((0, paths.len()));
+        for (idx, path) in paths.iter().enumerate().take(end).skip(start) {
+            if self.drive_case(&mut window, idx, path, make_sut).is_break() {
+                break;
+            }
+        }
+        Ok(window.result)
     }
 
     /// Drives case `idx` (the edge path `path`) to its disposition:
     /// gate-skipped, journal-skipped, passed, failed or quarantined.
     /// `Break` ends the case loop (a gate stop, or the first bug when
     /// the run stops there).
-    pub(super) fn drive_case<F>(
+    fn drive_case<F>(
         &self,
-        run: &mut Run,
-        graph: &StateGraph,
+        w: &mut Window<'_>,
         idx: usize,
         path: &[EdgeId],
         make_sut: &mut F,
@@ -166,6 +202,7 @@ impl Pipeline {
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
         let obs = &self.config.obs;
+        let graph = w.graph;
         // Materialize one case at a time. An empty path carries no
         // actions to schedule (a fully-excluded initial node can
         // produce one upstream); skip it instead of panicking.
@@ -199,22 +236,22 @@ impl Pipeline {
                     vec![("case", idx.into()), ("reason", "gate".into())],
                 );
                 self.progress(format_args!("stopping at case {} on gate request", idx + 1));
-                run.stopped_by_gate = true;
+                w.result.stopped_by_gate = true;
                 return Break(());
             }
         }
-        let journaled = run.journal.as_ref().and_then(|j| j.completed(&case.hash));
+        let journaled = w.journal.as_ref().and_then(|j| j.completed(&case.hash));
         if let Some(entry) = journaled {
             // A previous run of this campaign already reached a
             // verdict here; rebuild the counters and move on.
             // (Quarantined cases are never journaled, so they get
             // a fresh try on resume.)
             let passed = entry.outcome == CaseOutcome::Passed;
-            run.skipped_from_journal += 1;
-            run.cases_run += 1;
-            run.cover(graph, path);
+            w.run.skipped_from_journal += 1;
+            w.run.cases_run += 1;
+            w.cover(path);
             if passed {
-                run.passed += 1;
+                w.run.passed += 1;
             }
             self.verdict(idx, "skipped_journal", vec![]);
             obs.metrics().add("pipeline.cases_skipped_journal", 1);
@@ -237,7 +274,7 @@ impl Pipeline {
                     .clock
                     .sleep(self.config.retry.delay(attempt - 2, false));
             }
-            let (outcome, trace) = self.attempt_case(run, &case, make_sut);
+            let (outcome, trace) = self.attempt_case(w, &case, make_sut);
             let (outcome, stats) = match outcome {
                 Ok(verdict) => verdict,
                 Err(err) => {
@@ -266,16 +303,15 @@ impl Pipeline {
                     continue;
                 }
             }
-            run.cases_run += 1;
+            w.run.cases_run += 1;
             return match outcome {
                 TestOutcome::Passed => {
-                    self.record_pass(run, graph, &case, attempt);
+                    self.record_pass(w, &case, attempt);
                     Continue(())
                 }
                 TestOutcome::Failed(inconsistency) => {
                     self.dispose_failure(
-                        run,
-                        graph,
+                        w,
                         &case,
                         attempt,
                         inconsistency,
@@ -293,16 +329,17 @@ impl Pipeline {
         }
 
         // No attempt reached a verdict.
-        run.cover(graph, path);
+        w.cover(path);
         self.verdict(idx, "quarantined", vec![("attempt", attempts.len().into())]);
         obs.metrics().add("pipeline.cases_quarantined", 1);
         self.progress(format_args!(
             "case {}/{}: quarantined after {} attempts",
             idx + 1,
-            run.cases_selected,
+            w.run.cases_selected,
             attempts.len()
         ));
-        run.quarantined.push(QuarantinedCase {
+        w.run.quarantined += 1;
+        w.result.quarantined.push(QuarantinedCase {
             test_case: case.tc,
             attempts,
         });
@@ -311,10 +348,10 @@ impl Pipeline {
 
     /// One attempt at `case` on a fresh SUT: the runner's verdict (or
     /// the harness error) plus the attempt's causal trace, which has
-    /// already been appended to the run's trace log.
+    /// already been appended to the window's trace log.
     fn attempt_case<F>(
         &self,
-        run: &mut Run,
+        w: &mut Window<'_>,
         case: &Case<'_>,
         make_sut: &mut F,
     ) -> (Result<(TestOutcome, RunStats), SutError>, Vec<CausalEvent>)
@@ -368,9 +405,9 @@ impl Pipeline {
             };
             tracer.end_case(label, 0);
             trace = tracer.take_events();
-            if let Some(tp) = &run.trace_path {
+            if let Some(tp) = &w.trace_path {
                 if let Err(e) = append_trace(tp, &trace) {
-                    run.issues.push(format!("trace append failed: {e}"));
+                    w.run.issues.push(format!("trace append failed: {e}"));
                 }
             }
         }
@@ -390,18 +427,18 @@ impl Pipeline {
         self.config.obs.event("case.verdict", idx as u64, fields);
     }
 
-    fn record_pass(&self, run: &mut Run, graph: &StateGraph, case: &Case<'_>, attempt: usize) {
+    fn record_pass(&self, w: &mut Window<'_>, case: &Case<'_>, attempt: usize) {
         let obs = &self.config.obs;
-        run.passed += 1;
-        run.cover(graph, case.path);
+        w.run.passed += 1;
+        w.cover(case.path);
         self.verdict(case.idx, "passed", vec![("attempt", attempt.into())]);
         obs.metrics().add("pipeline.cases_passed", 1);
         self.progress(format_args!(
             "case {}/{}: passed",
             case.idx + 1,
-            run.cases_selected
+            w.run.cases_selected
         ));
-        run.journal_verdict(JournalEntry {
+        w.journal_verdict(JournalEntry {
             hash: case.hash.clone(),
             attempts: attempt,
             determinism: None,

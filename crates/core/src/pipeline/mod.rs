@@ -7,9 +7,9 @@
 //!
 //! This module holds the configuration and result types and the two
 //! entry points; the stages live in submodules: `generate` (③),
-//! `cases` (④: open the run, drive one case), `triage` (what follows a
-//! failed case) and `outputs` (summary, coverage files, history — the
-//! tail a merged campaign shares).
+//! `cases` (④: a run's tallies, its case windows, the drive of one
+//! case), `triage` (what follows a failed case) and `outputs` (summary,
+//! coverage files, history — the tail a merged campaign shares).
 
 mod cases;
 mod generate;
@@ -33,6 +33,8 @@ use crate::report::BugReport;
 use crate::runner::RunConfig;
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
+
+use cases::Run;
 
 /// File name of the coverage-annotated DOT overlay inside a campaign
 /// directory.
@@ -347,6 +349,11 @@ impl Pipeline {
         &self.registry
     }
 
+    /// The observability handle the pipeline reports through.
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.config.obs
+    }
+
     /// Stage ②: model checking.
     pub fn check(&self) -> (StateGraph, f64) {
         let start = self.config.clock.now();
@@ -397,10 +404,10 @@ impl Pipeline {
         self.run_prepared(graph, check_seconds, make_sut)
     }
 
-    /// Stage ④ against an already-checked graph. Campaign workers
-    /// model-check once per process and then drive one shard at a time
-    /// through this entry point; `check_seconds` is folded into the
-    /// reported wall totals.
+    /// Stage ④ against an already-checked graph: generate, drive one
+    /// window over every selected case, finish; `check_seconds` is
+    /// folded into the reported wall totals. (A campaign worker drives
+    /// its shards through `run_window`, not through here.)
     pub fn run_prepared<F>(
         &self,
         graph: StateGraph,
@@ -413,7 +420,6 @@ impl Pipeline {
         let obs = &self.config.obs;
         let run_start = self.config.clock.now();
         let (paths, paths_ec, paths_ec_por, por_excluded) = self.generate_paths(&graph);
-        let path_counts = (paths_ec, paths_ec_por, por_excluded);
 
         let m = obs.metrics();
         obs.event(
@@ -444,76 +450,12 @@ impl Pipeline {
             m.gauge("coverage.fraction").unwrap_or(0.0) * 100.0
         ));
 
-        let mut run = match self.open_run(&graph, paths.len()) {
-            Ok(run) => run,
-            Err(conflict) => {
-                return self.aborted(graph, paths.len(), path_counts, check_seconds, conflict)
-            }
+        let mut run = Run {
+            run_start,
+            ..self.new_run(&graph, paths.len())
         };
-        let (start, end) = self.config.case_range.unwrap_or((0, paths.len()));
-        for (idx, path) in paths.iter().enumerate().take(end).skip(start) {
-            if self.drive_case(&mut run, &graph, idx, path, &mut make_sut).is_break() {
-                break;
-            }
-        }
-        self.finish(run, graph, path_counts, check_seconds, run_start)
-    }
-
-    /// The result of a run that found the campaign directory's journal
-    /// locked by another live campaign: aborted before deploying
-    /// anything and before writing a single byte into the contested
-    /// directory — interleaved appends would corrupt both campaigns.
-    fn aborted(
-        &self,
-        graph: StateGraph,
-        cases_selected: usize,
-        (paths_ec, paths_ec_por, por_excluded): (usize, usize, usize),
-        check_seconds: f64,
-        message: String,
-    ) -> PipelineResult {
-        let obs = &self.config.obs;
-        obs.event(
-            "run.aborted",
-            0,
-            vec![
-                ("reason", "campaign_dir_locked".into()),
-                ("detail", message.clone().into()),
-            ],
-        );
-        self.progress(format_args!("aborted: {message}"));
-        obs.flush();
-        let edge_count = graph.edge_count();
-        PipelineResult {
-            cases_selected,
-            reports: Vec::new(),
-            quarantined: Vec::new(),
-            effort: TestingEffort {
-                states: graph.state_count(),
-                edges: edge_count,
-                paths_ec,
-                paths_ec_por,
-                por_excluded_edges: por_excluded,
-                cases_run: 0,
-                test_seconds: 0.0,
-                check_seconds,
-            },
-            passed: 0,
-            skipped_from_journal: 0,
-            artifacts: Vec::new(),
-            journal_issues: vec![message.clone()],
-            summary: RunSummary {
-                spec: self.spec.name().to_string(),
-                states: graph.state_count() as u64,
-                edges: edge_count as u64,
-                journal_issues: 1,
-                ..RunSummary::default()
-            },
-            coverage: CoverageMap::new(edge_count),
-            frontier: Vec::new(),
-            graph,
-            lock_conflict: Some(message),
-            stopped_by_gate: false,
-        }
+        let window = self.run_window(&mut run, &graph, &paths, &mut make_sut);
+        self.finish(run, window, graph, check_seconds)
     }
 
     /// Emits one `--progress` line when enabled.
@@ -525,4 +467,4 @@ impl Pipeline {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

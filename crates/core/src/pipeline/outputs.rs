@@ -4,14 +4,15 @@
 //! Both end the same way — tally the confirmed bugs, write
 //! `run-summary.json`, the three coverage files and one
 //! `campaign-history.jsonl` record. What differs is where the verdicts
-//! come from (this run's reports vs the shard journals) and which
+//! come from (this run's tallies vs the shard journals) and which
 //! fault point the files are written under; the helpers here take
-//! exactly that, and [`Pipeline::finish`] is the pipeline's caller.
+//! exactly that. [`Pipeline::summarise`] builds a run's summary (all a
+//! campaign worker needs of this), [`Pipeline::finish`] adds the file
+//! writes and the [`PipelineResult`].
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::time::Duration;
 
 use mocket_checker::{to_dot_overlay, uncovered_frontier, StateGraph};
 use mocket_obs::{
@@ -20,22 +21,18 @@ use mocket_obs::{
 };
 
 use crate::fsio::{points, write_atomic, RetryPolicy};
+use crate::report::BugReport;
 
-use super::cases::Run;
+use super::cases::{Run, WindowResult};
 use super::{Pipeline, PipelineResult, TestingEffort, COVERAGE_DOT_FILE_NAME};
 
-/// `(bugs_by_kind, bugs_by_determinism)` over confirmed failures given
-/// as `(inconsistency kind, determinism label)`.
-pub(crate) fn tally_bugs<'a>(
-    failures: impl Iterator<Item = (&'a str, &'a str)>,
-) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-    let mut by_kind = BTreeMap::new();
-    let mut by_determinism = BTreeMap::new();
-    for (kind, determinism) in failures {
-        *by_kind.entry(kind.to_string()).or_insert(0) += 1;
-        *by_determinism.entry(determinism.to_string()).or_insert(0) += 1;
-    }
-    (by_kind, by_determinism)
+/// `(bugs_by_kind, bugs_by_determinism)` over confirmed failures.
+pub(crate) type BugTally = (BTreeMap<String, u64>, BTreeMap<String, u64>);
+
+/// Counts one confirmed failure by inconsistency kind and determinism.
+pub(crate) fn count_bug(tally: &mut BugTally, kind: &str, determinism: &str) {
+    *tally.0.entry(kind.to_string()).or_insert(0) += 1;
+    *tally.1.entry(determinism.to_string()).or_insert(0) += 1;
 }
 
 /// Writes `coverage.json`, `uncovered-edges.txt` and `coverage.dot`
@@ -81,26 +78,62 @@ pub(crate) fn history_record(
     Ok((history, record))
 }
 
+/// The file writes: summary, insight files and one history record into
+/// `dir`. Every file is attempted; failures go to the run's issues.
+fn write_outputs(
+    dir: &Path,
+    graph: &StateGraph,
+    summary: &RunSummary,
+    run: &mut Run,
+    reports: &[BugReport],
+    frontier_edges: usize,
+) {
+    let issues = &mut run.issues;
+    if let Err(e) = summary.write_to(dir) {
+        issues.push(format!("run summary write failed: {e}"));
+    }
+    for (name, e) in write_insight(dir, graph, &run.coverage, points::INSIGHT_WRITE) {
+        issues.push(format!("{name} write failed: {e}"));
+    }
+    let minimized = || reports.iter().filter(|r| r.minimized.is_some());
+    let shrink = (
+        minimized().map(|r| r.test_case.len() as u64).sum(),
+        minimized()
+            .flat_map(|r| &r.minimized)
+            .map(|m| m.len() as u64)
+            .sum(),
+    );
+    match history_record(dir, summary, shrink, frontier_edges, issues) {
+        Ok((mut history, record)) => {
+            if let Err(e) = history.append(record) {
+                issues.push(format!("campaign history append failed: {e}"));
+            }
+        }
+        Err(e) => issues.push(format!("campaign history unavailable: {e}")),
+    }
+}
+
 impl Pipeline {
-    /// Closes the run: the `run.done` event, stage timings, the
-    /// summary, and — when an obs or campaign directory is configured —
-    /// every output file.
-    pub(super) fn finish(
+    /// The summary builder: the `run.done` event, the stage timings,
+    /// and effort and summary from `run`'s tallies and the gauges
+    /// `generate_paths` left in the metrics. Writes nothing.
+    pub(crate) fn summarise(
         &self,
-        mut run: Run,
-        graph: StateGraph,
-        (paths_ec, paths_ec_por, por_excluded): (usize, usize, usize),
+        run: &Run,
+        graph: &StateGraph,
         check_seconds: f64,
-        run_start: Duration,
-    ) -> PipelineResult {
+    ) -> (TestingEffort, RunSummary) {
         let obs = &self.config.obs;
         let clock = &self.config.clock;
+        let m = obs.metrics();
+        let gauge = |name: &str| m.gauge(name).unwrap_or(0.0);
+        let failed: u64 = run.bugs.0.values().sum();
         let effort = TestingEffort {
             states: graph.state_count(),
             edges: graph.edge_count(),
-            paths_ec,
-            paths_ec_por,
-            por_excluded_edges: por_excluded,
+            paths_ec: gauge("pipeline.paths_ec") as usize,
+            paths_ec_por: gauge("pipeline.paths_ec_por") as usize,
+            por_excluded_edges: gauge("pipeline.por_excluded_edges") as usize,
             cases_run: run.cases_run,
             test_seconds: clock.now().saturating_sub(run.test_start).as_secs_f64(),
             check_seconds,
@@ -112,88 +145,87 @@ impl Pipeline {
             vec![
                 ("cases_run", run.cases_run.into()),
                 ("passed", run.passed.into()),
-                ("failed", run.reports.len().into()),
-                ("quarantined", run.quarantined.len().into()),
+                ("failed", failed.into()),
+                ("quarantined", run.quarantined.into()),
                 ("skipped_journal", run.skipped_from_journal.into()),
             ],
         );
         self.progress(format_args!(
             "done: {} run, {} passed, {} failed, {} quarantined",
-            run.cases_run,
-            run.passed,
-            run.reports.len(),
-            run.quarantined.len()
+            run.cases_run, run.passed, failed, run.quarantined
         ));
 
-        let run_seconds = clock.now().saturating_sub(run_start).as_secs_f64();
-        let m = obs.metrics();
+        let run_seconds = clock.now().saturating_sub(run.run_start).as_secs_f64();
         m.observe("timing.stage.test_seconds", effort.test_seconds);
         m.observe("timing.stage.total_seconds", check_seconds + run_seconds);
 
-        let (bugs_by_kind, bugs_by_determinism) = tally_bugs(
-            run.reports
-                .iter()
-                .map(|r| (r.inconsistency.kind(), r.determinism.label())),
-        );
         let summary = RunSummary {
             spec: self.spec.name().to_string(),
             fault_plan: self.config.triage.fault_plan.clone(),
             states: graph.state_count() as u64,
             edges: graph.edge_count() as u64,
-            coverage_edges_visited: m.gauge("coverage.edges_visited").unwrap_or(0.0) as u64,
-            coverage_edge_targets: m.gauge("coverage.edge_targets").unwrap_or(0.0) as u64,
-            coverage: m.gauge("coverage.fraction").unwrap_or(0.0),
-            por_excluded_edges: por_excluded as u64,
+            coverage_edges_visited: gauge("coverage.edges_visited") as u64,
+            coverage_edge_targets: gauge("coverage.edge_targets") as u64,
+            coverage: gauge("coverage.fraction"),
+            por_excluded_edges: effort.por_excluded_edges as u64,
             cases_selected: run.cases_selected as u64,
             cases_run: run.cases_run as u64,
             cases_passed: run.passed as u64,
-            cases_failed: run.reports.len() as u64,
-            cases_quarantined: run.quarantined.len() as u64,
+            cases_failed: failed,
+            cases_quarantined: run.quarantined as u64,
             cases_skipped_from_journal: run.skipped_from_journal as u64,
             journal_issues: run.issues.len() as u64,
-            bugs_by_kind,
-            bugs_by_determinism,
+            bugs_by_kind: run.bugs.0.clone(),
+            bugs_by_determinism: run.bugs.1.clone(),
             metrics: m.snapshot(),
             wall_check_seconds: check_seconds,
             wall_test_seconds: effort.test_seconds,
             wall_total_seconds: check_seconds + run_seconds,
         };
+        (effort, summary)
+    }
 
-        let frontier = uncovered_frontier(&graph, run.coverage.edge_hits());
-        m.set_gauge("coverage.frontier_edges", frontier.len() as f64);
-
-        // The summary and the insight artifacts land next to
-        // events.jsonl when obs streams to a directory, otherwise next
-        // to the replay artifacts.
-        let out_dir = obs
-            .dir()
-            .map(|d| d.to_path_buf())
-            .or_else(|| self.config.triage.campaign_dir.clone());
-        if let Some(dir) = &out_dir {
-            if let Err(e) = summary.write_to(dir) {
-                run.issues.push(format!("run summary write failed: {e}"));
-            }
-            for (name, e) in write_insight(dir, &graph, &run.coverage, points::INSIGHT_WRITE) {
-                run.issues.push(format!("{name} write failed: {e}"));
-            }
-            let minimized = || run.reports.iter().filter(|r| r.minimized.is_some());
-            let shrink = (
-                minimized().map(|r| r.test_case.len() as u64).sum(),
-                minimized()
-                    .flat_map(|r| &r.minimized)
-                    .map(|m| m.len() as u64)
-                    .sum(),
+    /// Closes a run whose one window was `window`: the summary and —
+    /// when an obs or campaign directory is configured — every output
+    /// file. An `Err` window never opened, the directory's journal
+    /// being locked by another live campaign: the run aborted before
+    /// deploying anything.
+    pub(super) fn finish(
+        &self,
+        mut run: Run,
+        window: Result<WindowResult, String>,
+        graph: StateGraph,
+        check_seconds: f64,
+    ) -> PipelineResult {
+        let obs = &self.config.obs;
+        let lock_conflict = window.as_ref().err().cloned();
+        let window = window.unwrap_or_default();
+        if let Some(message) = &lock_conflict {
+            obs.event(
+                "run.aborted",
+                0,
+                vec![
+                    ("reason", "campaign_dir_locked".into()),
+                    ("detail", message.clone().into()),
+                ],
             );
-            match history_record(dir, &summary, shrink, frontier.len(), &mut run.issues) {
-                Ok((mut history, record)) => {
-                    if let Err(e) = history.append(record) {
-                        run.issues
-                            .push(format!("campaign history append failed: {e}"));
-                    }
-                }
-                Err(e) => run
-                    .issues
-                    .push(format!("campaign history unavailable: {e}")),
+            self.progress(format_args!("aborted: {message}"));
+            run.issues.push(message.clone());
+        }
+        let (effort, summary) = self.summarise(&run, &graph, check_seconds);
+
+        // A locked directory gets not a byte (interleaved appends would
+        // corrupt both campaigns); an aborted run claims no frontier.
+        let mut frontier = Vec::new();
+        if lock_conflict.is_none() {
+            frontier = uncovered_frontier(&graph, run.coverage.edge_hits());
+            obs.metrics()
+                .set_gauge("coverage.frontier_edges", frontier.len() as f64);
+            // The summary and the insight artifacts land next to
+            // events.jsonl when obs streams to a directory, otherwise
+            // next to the replay artifacts.
+            if let Some(dir) = obs.dir().or(self.config.triage.campaign_dir.as_deref()) {
+                write_outputs(dir, &graph, &summary, &mut run, &window.reports, frontier.len());
             }
         }
         obs.flush();
@@ -201,18 +233,18 @@ impl Pipeline {
         PipelineResult {
             graph,
             cases_selected: run.cases_selected,
-            reports: run.reports,
-            quarantined: run.quarantined,
+            reports: window.reports,
+            quarantined: window.quarantined,
             effort,
             passed: run.passed,
             skipped_from_journal: run.skipped_from_journal,
-            artifacts: run.artifacts,
+            artifacts: window.artifacts,
             journal_issues: run.issues,
             summary,
             coverage: run.coverage,
             frontier,
-            lock_conflict: None,
-            stopped_by_gate: run.stopped_by_gate,
+            lock_conflict,
+            stopped_by_gate: window.stopped_by_gate,
         }
     }
 }

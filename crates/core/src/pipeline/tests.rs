@@ -8,7 +8,7 @@ use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 /// Counter spec: Inc up to 2, Dec down to 0.
-struct CounterSpec;
+pub(crate) struct CounterSpec;
 
 impl Spec for CounterSpec {
     fn name(&self) -> &str {
@@ -35,9 +35,9 @@ impl Spec for CounterSpec {
 }
 
 /// A counter implementation with an optional off-by-one bug.
-struct CounterSut {
-    n: i64,
-    buggy: bool,
+pub(crate) struct CounterSut {
+    pub(crate) n: i64,
+    pub(crate) buggy: bool,
 }
 
 impl SystemUnderTest for CounterSut {
@@ -78,7 +78,7 @@ impl SystemUnderTest for CounterSut {
     }
 }
 
-fn registry() -> MappingRegistry {
+pub(crate) fn registry() -> MappingRegistry {
     let mut r = MappingRegistry::new();
     r.map_class_field("n", "count")
         .map_action("Inc", "inc", ActionClass::SingleNode, ActionBinding::Method)
@@ -505,4 +505,54 @@ fn interrupted_campaign_resumes_from_journal() {
     );
     assert!(resumed.journal_issues.is_empty(), "{:?}", resumed.journal_issues);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_windows_leave_the_journal_of_one_run() {
+    let whole_dir = temp_campaign_dir("window-whole");
+    let split_dir = temp_campaign_dir("window-split");
+    let pipeline = |range: (usize, usize), dir: &std::path::Path| {
+        let mut cfg = PipelineConfig::default();
+        cfg.por = false;
+        cfg.stop_at_first_bug = false;
+        cfg.max_path_len = 3;
+        cfg.case_range = Some(range);
+        cfg.triage.campaign_dir = Some(dir.to_path_buf());
+        Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap()
+    };
+    let mut make = || -> Box<dyn SystemUnderTest> { Box::new(CounterSut { n: 0, buggy: true }) };
+    let (graph, _) = pipeline((0, 0), &whole_dir).check();
+    let (paths, ..) = pipeline((0, 0), &whole_dir).generate_paths(&graph);
+    let (a, m, b) = (0, 1, paths.len());
+    assert!(m < b, "need at least two cases, got {b}");
+
+    let whole = pipeline((a, b), &whole_dir).run_prepared(graph.clone(), 0.0, &mut make);
+    assert_eq!(whole.effort.cases_run, b - a);
+    assert!(!whole.reports.is_empty(), "the journal should hold a failed line");
+
+    // The same cases as two windows of one run: nothing is generated,
+    // nothing summarised, and the tallies carry over.
+    let mut run = pipeline((a, b), &split_dir).new_run(&graph, paths.len());
+    let mut reports = 0;
+    for range in [(a, m), (m, b)] {
+        let window = pipeline(range, &split_dir)
+            .run_window(&mut run, &graph, &paths, &mut make)
+            .expect("the first window released the journal lock");
+        assert!(!window.stopped_by_gate);
+        reports += window.reports.len();
+    }
+    assert_eq!(run.cases_run, whole.effort.cases_run);
+    assert_eq!(run.passed, whole.passed);
+    assert_eq!(reports, whole.reports.len());
+    let journal = |dir: &std::path::Path| {
+        std::fs::read(dir.join(crate::artifact::CampaignJournal::FILE_NAME)).unwrap()
+    };
+    assert_eq!(journal(&split_dir), journal(&whole_dir));
+    assert!(
+        !split_dir.join(mocket_obs::RUN_SUMMARY_FILE_NAME).exists(),
+        "a window writes no summary"
+    );
+    assert!(whole_dir.join(mocket_obs::RUN_SUMMARY_FILE_NAME).exists());
+    let _ = std::fs::remove_dir_all(&whole_dir);
+    let _ = std::fs::remove_dir_all(&split_dir);
 }

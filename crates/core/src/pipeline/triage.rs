@@ -18,7 +18,8 @@ use crate::runner::{run_test_case, RunCtx, RunStats, TestOutcome};
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 
-use super::cases::{Case, Run};
+use super::cases::{Case, Window};
+use super::outputs::count_bug;
 use super::Pipeline;
 
 impl Pipeline {
@@ -27,8 +28,7 @@ impl Pipeline {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn dispose_failure<F>(
         &self,
-        run: &mut Run,
-        graph: &StateGraph,
+        w: &mut Window<'_>,
         case: &Case<'_>,
         attempt: usize,
         inconsistency: Inconsistency,
@@ -39,6 +39,7 @@ impl Pipeline {
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
         let obs = &self.config.obs;
+        let graph = w.graph;
         self.verdict(
             case.idx,
             "failed",
@@ -49,11 +50,11 @@ impl Pipeline {
             ],
         );
         obs.metrics().add("pipeline.cases_failed", 1);
-        run.cover(graph, case.path);
+        w.cover(case.path);
         self.progress(format_args!(
             "case {}/{}: FAILED ({})",
             case.idx + 1,
-            run.cases_selected,
+            w.run.cases_selected,
             inconsistency.kind()
         ));
         // Insight layer: where did the implementation actually go?
@@ -98,12 +99,12 @@ impl Pipeline {
             match artifact.write_to(dir) {
                 Ok(path) => {
                     obs.metrics().add("pipeline.artifacts_written", 1);
-                    run.artifacts.push(path)
+                    w.result.artifacts.push(path)
                 }
-                Err(e) => run.issues.push(format!("artifact write failed: {e}")),
+                Err(e) => w.run.issues.push(format!("artifact write failed: {e}")),
             }
         }
-        run.journal_verdict(JournalEntry {
+        w.journal_verdict(JournalEntry {
             hash: case.hash.clone(),
             attempts: attempt,
             determinism: Some(determinism.label().to_string()),
@@ -111,11 +112,12 @@ impl Pipeline {
                 kind: inconsistency.kind().to_string(),
             },
         });
-        run.reports.push(BugReport {
+        count_bug(&mut w.run.bugs, inconsistency.kind(), determinism.label());
+        w.result.reports.push(BugReport {
             inconsistency,
             test_case: case.tc.clone(),
             actions_executed: stats.actions_executed,
-            elapsed: self.config.clock.now().saturating_sub(run.test_start),
+            elapsed: self.config.clock.now().saturating_sub(w.run.test_start),
             attempt,
             determinism,
             minimized,

@@ -25,7 +25,7 @@ pub const COVERAGE_FILE_NAME: &str = "coverage.json";
 pub const UNCOVERED_FILE_NAME: &str = "uncovered-edges.txt";
 
 /// Per-edge and per-action hit counts for one campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageMap {
     edge_hits: Vec<u64>,
     action_hits: BTreeMap<String, u64>,

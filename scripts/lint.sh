@@ -45,4 +45,14 @@ if [ "$found" -gt 1 ]; then
     fail=1
 fi
 
+# A shard is a case window of the worker's one run, not a run: the
+# orchestrator drives `Pipeline::run_window` and never the whole-run
+# entry point (which generates and summarises on every call).
+while read -r file; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -q 'run_prepared'; then
+        echo "error: $file mentions run_prepared; a campaign worker drives shards through Pipeline::run_window" >&2
+        fail=1
+    fi
+done < <(git ls-files 'crates/core/src/orchestrator/*.rs')
+
 exit "$fail"

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mocket::checker::{to_dot, ModelChecker};
+use mocket::checker::{to_dot, EdgeId, ModelChecker, StateGraph};
 use mocket::core::orchestrator::{
     clear_drain_marker, done_path, ignore_sigint, lease_path, merge_campaign, pid_alive,
     shard_data_dir, supervise, sweep_dead_leases, CampaignPlan, DirLock, InjectionConfig,
@@ -37,7 +37,9 @@ use mocket::core::orchestrator::{
     WorkerConfig, WorkerContext, EXIT_PLAN_MISMATCH,
 };
 use mocket::core::{CampaignJournal, CaseOutcome};
-use mocket::core::{Pipeline, PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest};
+use mocket::core::{
+    MappingRegistry, Pipeline, PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest,
+};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig};
 use mocket::raft_async::XraftBugs;
 use mocket::raft_sync::SyncRaftBugs;
@@ -74,25 +76,39 @@ fn usage() -> ! {
 struct Args {
     positional: Vec<String>,
     flags: std::collections::BTreeMap<String, String>,
+    /// This command line with the subcommand swapped for the hidden
+    /// `campaign-worker`: what the campaign supervisor spawns its
+    /// workers with (plus `--worker-id N`), so every flag a worker
+    /// reads (`--sim`, `--trace`, `--rtt-ms`, lease timing, ...) is
+    /// forwarded. Target, bug and bounds a worker takes from `plan.txt`.
+    worker_argv: Vec<String>,
 }
 
 impl Args {
     fn parse() -> Self {
         let mut positional = Vec::new();
         let mut flags = std::collections::BTreeMap::new();
-        let mut args = std::env::args().skip(1).peekable();
-        while let Some(a) = args.next() {
+        let mut worker_argv: Vec<String> = std::env::args().skip(1).collect();
+        let mut args = worker_argv.clone().into_iter().enumerate().peekable();
+        while let Some((at, a)) = args.next() {
             if let Some(key) = a.strip_prefix("--") {
-                let value = match args.peek() {
-                    Some(v) if !v.starts_with("--") => args.next().unwrap(),
-                    _ => "true".to_string(),
+                let value = match args.next_if(|(_, v)| !v.starts_with("--")) {
+                    Some((_, v)) => v,
+                    None => "true".to_string(),
                 };
                 flags.insert(key.to_string(), value);
             } else {
+                if positional.is_empty() {
+                    worker_argv[at] = "campaign-worker".to_string();
+                }
                 positional.push(a);
             }
         }
-        Args { positional, flags }
+        Args {
+            positional,
+            flags,
+            worker_argv,
+        }
     }
 
     fn flag_usize(&self, key: &str, default: usize) -> usize {
@@ -162,7 +178,7 @@ fn spec_by_name(name: &str) -> Arc<dyn Spec> {
 
 struct Target {
     spec: Arc<dyn Spec>,
-    registry: mocket::core::MappingRegistry,
+    registry: MappingRegistry,
     make: Box<dyn FnMut() -> Box<dyn SystemUnderTest>>,
 }
 
@@ -451,45 +467,67 @@ fn cmd_test(args: &Args) {
     }
 }
 
-/// Shared campaign bounds: the supervisor pins them in `plan.txt`,
-/// every worker regenerates under the identical bounds and verifies.
-#[derive(Clone, Copy)]
-struct CampaignBounds {
+/// The pipeline configuration every campaign process uses, under the
+/// bounds the supervisor pins in `plan.txt` and every worker
+/// regenerates under: no POR (so shard indices line up with the plan),
+/// never stop at the first bug (a campaign's job is the whole case
+/// set), fast runner settings.
+fn campaign_pipeline_config(
     max_states: usize,
     max_path_len: usize,
     max_test_cases: usize,
-}
-
-impl CampaignBounds {
-    fn from_args(args: &Args) -> Self {
-        CampaignBounds {
-            max_states: args.flag_usize("max-states", 1_000_000),
-            max_path_len: args.flag_usize("max-path-len", 60),
-            max_test_cases: args.flag_usize("limit", 0),
-        }
-    }
-
-    fn from_plan(plan: &CampaignPlan) -> Self {
-        CampaignBounds {
-            max_states: plan.max_states,
-            max_path_len: plan.max_path_len,
-            max_test_cases: plan.max_test_cases,
-        }
-    }
-}
-
-/// The pipeline configuration every campaign process uses: no POR (so
-/// shard indices line up with the plan), never stop at the first bug
-/// (a campaign's job is the whole case set), fast runner settings.
-fn campaign_pipeline_config(bounds: CampaignBounds) -> PipelineConfig {
+) -> PipelineConfig {
     let mut pc = PipelineConfig::default();
-    pc.max_states = bounds.max_states;
+    pc.max_states = max_states;
     pc.por = false;
     pc.stop_at_first_bug = false;
-    pc.max_path_len = bounds.max_path_len;
-    pc.max_test_cases = bounds.max_test_cases;
+    pc.max_path_len = max_path_len;
+    pc.max_test_cases = max_test_cases;
     pc.run = RunConfig::fast();
     pc
+}
+
+/// The one campaign preparation, for supervisor and worker alike:
+/// validate the mapping, model-check, generate under `pc`'s bounds, pin
+/// the plan and verify it against the directory's, if it holds one.
+/// `Ok` is the graph, its check seconds, the selected paths and the
+/// plan they pin; `Err` the message to exit with.
+fn prepare_campaign(
+    name: &str,
+    bug: Option<&str>,
+    shard_size: usize,
+    target: &Target,
+    pc: PipelineConfig,
+    pinned: Option<&CampaignPlan>,
+) -> Result<(StateGraph, f64, Vec<Vec<EdgeId>>, CampaignPlan), String> {
+    let (max_states, max_path_len, max_test_cases) =
+        (pc.max_states, pc.max_path_len, pc.max_test_cases);
+    let pipeline =
+        Pipeline::new(target.spec.clone(), target.registry.clone(), pc).map_err(|issues| {
+            let issues: String = issues.iter().map(|i| format!("\n  {i}")).collect();
+            format!("mapping issues:{issues}")
+        })?;
+    let (graph, check_seconds) = pipeline.check();
+    let (paths, ..) = pipeline.generate_paths(&graph);
+    let plan = CampaignPlan::pin(
+        name,
+        bug,
+        max_states,
+        max_path_len,
+        max_test_cases,
+        shard_size,
+        &graph,
+        &paths,
+    );
+    if let Some(pinned) = pinned {
+        pinned.verify_matches(&plan).map_err(|mismatch| {
+            format!(
+                "regenerated case set contradicts the pinned plan ({mismatch}); \
+                 resume with the original target/flags, or use a fresh directory"
+            )
+        })?;
+    }
+    Ok((graph, check_seconds, paths, plan))
 }
 
 fn lease_config(args: &Args) -> LeaseConfig {
@@ -521,7 +559,6 @@ fn cmd_campaign(args: &Args) {
     let campaign_dir = PathBuf::from(dir);
     let workers = args.flag_usize("workers", 2).max(1);
     let shard_size = args.flag_usize("shard-size", 8).max(1);
-    let bounds = CampaignBounds::from_args(args);
     let progress = args.flag_bool("progress");
 
     // Exclusive claim on the directory: a second campaign (or anything
@@ -544,70 +581,49 @@ fn cmd_campaign(args: &Args) {
     };
 
     // Model-check once and pin (or verify) the plan. The supervisor
-    // itself never deploys a SUT; --sim only needs forwarding to the
-    // workers (each worker owns its own virtual clock).
-    let sim = args.sim_handle();
-    let target = target_by_name(name, bug, sim.as_ref(), args.rtt());
+    // itself never deploys a SUT; the workers, spawned with this
+    // command line, each own their backend and virtual clock.
+    let target = target_by_name(name, bug, None, None);
     let spec_name = target.spec.name().to_string();
     let obs = mocket::obs::Obs::disabled();
-    let mut pc = campaign_pipeline_config(bounds);
+    let mut pc = campaign_pipeline_config(
+        args.flag_usize("max-states", 1_000_000),
+        args.flag_usize("max-path-len", 60),
+        args.flag_usize("limit", 0),
+    );
     pc.obs = obs.clone();
     pc.progress = progress;
-    let pipeline = Pipeline::new(target.spec, target.registry, pc).unwrap_or_else(|issues| {
-        eprintln!("mapping issues:");
-        for issue in issues {
-            eprintln!("  {issue}");
-        }
+    let existing = CampaignPlan::load(&campaign_dir).unwrap_or_else(|e| {
+        eprintln!("cannot load campaign plan from {dir}: {e}");
         std::process::exit(1);
     });
     if progress {
-        eprintln!("[mocket-campaign] model checking {name} (max {} states)", bounds.max_states);
+        eprintln!("[mocket-campaign] model checking {name} (max {} states)", pc.max_states);
     }
-    let (graph, _check_seconds) = pipeline.check();
-    let (paths, _ec, _ecpor, por_excluded) = pipeline.generate_paths(&graph);
-    let fresh = CampaignPlan::pin(
-        name,
-        bug,
-        bounds.max_states,
-        bounds.max_path_len,
-        bounds.max_test_cases,
-        shard_size,
-        &graph,
-        &paths,
-    );
-    let plan = match CampaignPlan::load(&campaign_dir) {
-        Ok(Some(existing)) => {
-            if let Err(mismatch) = existing.verify_matches(&fresh) {
-                eprintln!(
-                    "campaign directory {dir} holds a different campaign: {mismatch}\n\
-                     resume with the original target/flags, or use a fresh directory"
-                );
+    let (graph, _, paths, plan) =
+        prepare_campaign(name, bug, shard_size, &target, pc, existing.as_ref()).unwrap_or_else(
+            |e| {
+                eprintln!("campaign directory {dir}: {e}");
                 std::process::exit(1);
-            }
-            println!(
-                "resuming campaign in {dir}: {} cases across {} shards",
-                existing.cases.len(),
-                existing.shard_count()
-            );
-            existing
-        }
-        Ok(None) => {
-            if let Err(e) = fresh.write_to(&campaign_dir) {
-                eprintln!("cannot write campaign plan: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "campaign plan pinned: {} cases across {} shards in {dir}",
-                fresh.cases.len(),
-                fresh.shard_count()
-            );
-            fresh
-        }
-        Err(e) => {
-            eprintln!("cannot load campaign plan from {dir}: {e}");
+            },
+        );
+    if existing.is_some() {
+        println!(
+            "resuming campaign in {dir}: {} cases across {} shards",
+            plan.cases.len(),
+            plan.shard_count()
+        );
+    } else {
+        if let Err(e) = plan.write_to(&campaign_dir) {
+            eprintln!("cannot write campaign plan: {e}");
             std::process::exit(1);
         }
-    };
+        println!(
+            "campaign plan pinned: {} cases across {} shards in {dir}",
+            plan.cases.len(),
+            plan.shard_count()
+        );
+    }
 
     // A leftover drain marker or dead lease from an interrupted run
     // must not stop this one before it starts.
@@ -631,30 +647,6 @@ fn cmd_campaign(args: &Args) {
         eprintln!("cannot locate own binary for worker spawn: {e}");
         std::process::exit(1);
     });
-    let poison_threshold = args.flag_usize("poison-threshold", 3);
-    let heartbeat_ms = args.flag_usize("heartbeat-ms", 300);
-    let ttl_ms = args.flag_usize("lease-ttl-ms", 5000);
-    let mut sim_args: Vec<String> = if sim.is_some() {
-        vec![
-            "--sim".to_string(),
-            "--sim-seed".to_string(),
-            args.flag_usize("sim-seed", 42).to_string(),
-        ]
-    } else {
-        Vec::new()
-    };
-    // Virtual-RTT knobs apply per deployed SUT, so workers (which do
-    // the deploying) need them forwarded just like the sim backend.
-    if args.rtt().is_some() {
-        sim_args.push("--rtt-ms".to_string());
-        sim_args.push(args.flag_usize("rtt-ms", 0).to_string());
-        sim_args.push("--rtt-spread-ms".to_string());
-        sim_args.push(args.flag_usize("rtt-spread-ms", 0).to_string());
-    }
-    // Causal tracing is per executed case, which happens in workers.
-    if args.flag_bool("trace") {
-        sim_args.push("--trace".to_string());
-    }
     let mut spawn = |id: usize| -> std::io::Result<std::process::Child> {
         let worker_dir = campaign_dir.join(format!("worker-{id}"));
         std::fs::create_dir_all(&worker_dir)?;
@@ -664,14 +656,8 @@ fn cmd_campaign(args: &Args) {
             .open(worker_dir.join("worker.log"))?;
         let log_err = log.try_clone()?;
         std::process::Command::new(&exe)
-            .arg("campaign-worker")
-            .arg("--campaign-dir")
-            .arg(&campaign_dir)
+            .args(&args.worker_argv)
             .args(["--worker-id", &id.to_string()])
-            .args(["--poison-threshold", &poison_threshold.to_string()])
-            .args(["--heartbeat-ms", &heartbeat_ms.to_string()])
-            .args(["--lease-ttl-ms", &ttl_ms.to_string()])
-            .args(&sim_args)
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::from(log))
             .stderr(std::process::Stdio::from(log_err))
@@ -697,7 +683,7 @@ fn cmd_campaign(args: &Args) {
         coverage_visited: m.gauge("coverage.edges_visited").unwrap_or(0.0) as u64,
         coverage_targets: m.gauge("coverage.edge_targets").unwrap_or(0.0) as u64,
         coverage_fraction: m.gauge("coverage.fraction").unwrap_or(0.0),
-        por_excluded: por_excluded as u64,
+        por_excluded: m.gauge("pipeline.por_excluded_edges").unwrap_or(0.0) as u64,
         completed: outcome.completed(),
         obs: obs.clone(),
     }) {
@@ -881,10 +867,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
     };
     let sim = args.sim_handle();
     let target = target_by_name(&plan.target, plan.bug.as_deref(), sim.as_ref(), args.rtt());
-    let spec = target.spec;
-    let registry = target.registry;
-    let mut make = target.make;
-    let spec_name = spec.name().to_string();
+    let spec_name = target.spec.name().to_string();
     let spec_config = format!(
         "target={} bug={}",
         plan.target,
@@ -899,35 +882,28 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         mocket::obs::Obs::disabled()
     });
 
-    let bounds = CampaignBounds::from_plan(&plan);
-    let mut base_pc = campaign_pipeline_config(bounds);
-    base_pc.obs = obs.clone();
-    if let Some(handle) = &sim {
-        base_pc.clock = handle.clock.clone();
-    }
-    let base = Pipeline::new(spec.clone(), registry.clone(), base_pc).unwrap_or_else(|issues| {
-        eprintln!("worker {worker_id}: mapping issues: {issues:?}");
-        std::process::exit(EXIT_PLAN_MISMATCH);
-    });
-    let (graph, check_seconds) = base.check();
-    let (paths, _ec, _ecpor, _excl) = base.generate_paths(&graph);
-    let fresh = CampaignPlan::pin(
+    let worker_pc = || {
+        let mut pc =
+            campaign_pipeline_config(plan.max_states, plan.max_path_len, plan.max_test_cases);
+        pc.obs = obs.clone();
+        if let Some(handle) = &sim {
+            pc.clock = handle.clock.clone();
+        }
+        pc
+    };
+    let (graph, check_seconds, paths, _) = prepare_campaign(
         &plan.target,
         plan.bug.as_deref(),
-        plan.max_states,
-        plan.max_path_len,
-        plan.max_test_cases,
         plan.shard_size,
-        &graph,
-        &paths,
-    );
-    if let Err(mismatch) = plan.verify_matches(&fresh) {
-        eprintln!(
-            "worker {worker_id}: regenerated case set contradicts the pinned plan \
-             ({mismatch}); refusing to run"
-        );
+        &target,
+        worker_pc(),
+        Some(&plan),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("worker {worker_id}: {e}");
         std::process::exit(EXIT_PLAN_MISMATCH);
-    }
+    });
+    let (spec, registry, mut make) = (target.spec, target.registry, target.make);
 
     let run_cfg = RunConfig::fast();
     let wcfg = WorkerConfig {
@@ -947,11 +923,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         check_seconds,
     };
     let build = |setup: &ShardSetup| {
-        let mut pc = campaign_pipeline_config(bounds);
-        pc.obs = obs.clone();
-        if let Some(handle) = &sim {
-            pc.clock = handle.clock.clone();
-        }
+        let mut pc = worker_pc();
         pc.case_range = Some(setup.range);
         pc.case_gate = Some(setup.gate.clone());
         pc.trace = args.flag_bool("trace");
@@ -1065,38 +1037,22 @@ fn cmd_simulate(args: &Args) {
         .get(1)
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    let mut target = target_by_name(name, None, None, None);
-    let mut sut = (target.make)();
-    sut.deploy().expect("deploy");
-    // The random driver needs the raw cluster; only cluster-backed
-    // targets support simulation, which all three are.
-    drop(sut);
+    let servers = vec![1, 2, 3];
+    let mut sut = match name {
+        "xraft" => mocket::raft_async::make_sut(servers, XraftBugs::none()),
+        "raft-java" => mocket::raft_sync::make_sut(servers, SyncRaftBugs::none()),
+        "zab" => mocket::zab::make_sut(servers, ZabBugs::none()),
+        other => {
+            eprintln!("unknown target {other:?} (try `mocket-cli list`)");
+            std::process::exit(2);
+        }
+    };
     let steps = args.flag_usize("steps", 2000);
     let seed = args.flag_usize("seed", 42) as u64;
-    let stats = match name {
-        "xraft" => {
-            let mut sut = mocket::raft_async::make_sut(vec![1, 2, 3], XraftBugs::none());
-            sut.deploy().expect("deploy");
-            let s = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
-            sut.teardown();
-            s
-        }
-        "raft-java" => {
-            let mut sut = mocket::raft_sync::make_sut(vec![1, 2, 3], SyncRaftBugs::none());
-            sut.deploy().expect("deploy");
-            let s = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
-            sut.teardown();
-            s
-        }
-        _ => {
-            let mut sut = mocket::zab::make_sut(vec![1, 2, 3], ZabBugs::none());
-            sut.deploy().expect("deploy");
-            let s = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
-            sut.teardown();
-            s
-        }
-    }
-    .expect("random run");
+    sut.deploy().expect("deploy");
+    let stats = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
+    sut.teardown();
+    let stats = stats.expect("random run");
     println!("{name}: {} actions under a random schedule", stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<24} x{count}");

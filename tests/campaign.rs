@@ -139,6 +139,43 @@ fn merge_is_invariant_to_worker_count_and_rerun_is_idempotent() {
     assert!(one.run(1).success());
     assert_canonical_identical(&two, &one, "workers=1 vs workers=2");
 
+    // A shard is a window of its worker's one run: each worker leaves
+    // one summary covering every case it drove, and none of the
+    // per-run files the merge derives for the campaign as a whole.
+    for run in [&two, &one] {
+        let mut cases_run = 0u64;
+        for entry in std::fs::read_dir(&run.dir).unwrap() {
+            let worker_dir = entry.unwrap().path();
+            let name = worker_dir.file_name().unwrap().to_string_lossy().into_owned();
+            if !name.starts_with("worker-") {
+                continue;
+            }
+            for per_run in [
+                "coverage.dot",
+                "coverage.json",
+                "uncovered-edges.txt",
+                "campaign-history.jsonl",
+            ] {
+                assert!(
+                    !worker_dir.join(per_run).exists(),
+                    "{name}/{per_run} must not be written"
+                );
+            }
+            // A worker that found every shard taken drove nothing and
+            // summarises nothing.
+            let Ok(summary) = std::fs::read_to_string(worker_dir.join("run-summary.json")) else {
+                continue;
+            };
+            cases_run += mocket::obs::parse_flat_object(&summary)
+                .unwrap()
+                .iter()
+                .find(|(key, _)| key == "cases_run")
+                .and_then(|(_, value)| value.as_u64())
+                .unwrap_or_else(|| panic!("{name}: no cases_run in {summary}"));
+        }
+        assert_eq!(cases_run, 12, "worker summaries must add up to the plan");
+    }
+
     let before: Vec<Vec<u8>> = CANONICAL.iter().map(|n| two.read(n)).collect();
     assert!(two.run(2).success(), "re-run of a completed campaign");
     for (name, snapshot) in CANONICAL.iter().zip(before) {
