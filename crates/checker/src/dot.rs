@@ -13,13 +13,16 @@
 //! per-node or per-edge `String` allocation), and the escaper copies
 //! unescaped spans in bulk instead of byte-at-a-time. Import reads
 //! line by line through one reusable line buffer, so neither
-//! direction ever holds the whole file in memory.
+//! direction ever holds the whole file in memory, and parses each
+//! distinct `variable = value` binding of the node labels once per
+//! import: a graph repeats a few hundred of them across all its nodes.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
-use mocket_tla::{parse_action_instance, parse_state, ParseError};
+use mocket_tla::{parse_action_instance, parse_state_memo, ParseError, State};
 
 use crate::graph::{EdgeId, NodeId, StateGraph};
 
@@ -179,15 +182,27 @@ pub fn to_dot_overlay(graph: &StateGraph, hits: &[u64]) -> String {
     String::from_utf8(buf).expect("DOT output is UTF-8")
 }
 
+/// What an import carries from line to line.
+#[derive(Default)]
+struct Import {
+    graph: StateGraph,
+    /// DOT node name ("s12") -> graph NodeId.
+    names: HashMap<String, NodeId>,
+    /// The bindings already parsed (see [`parse_state_memo`]): a
+    /// graph's labels repeat a few hundred of them tens of thousands of
+    /// times.
+    bindings: HashMap<String, State>,
+    /// The unescaped label of the current line.
+    label: String,
+}
+
 /// Streams a DOT file produced by [`write_dot`] back into a graph.
 ///
 /// Node ids are remapped densely in order of appearance, preserving
 /// initial-state marks and edge order. The returned graph is
 /// [`StateGraph::finish`]ed: compacted, with its CSR adjacency built.
 pub fn read_dot<R: BufRead>(mut r: R) -> Result<StateGraph, DotError> {
-    let mut graph = StateGraph::new();
-    // DOT node name ("s12") -> graph NodeId.
-    let mut names: std::collections::HashMap<String, NodeId> = std::collections::HashMap::new();
+    let mut import = Import::default();
     let mut raw = String::new();
 
     let mut lineno = 0usize;
@@ -196,11 +211,11 @@ pub fn read_dot<R: BufRead>(mut r: R) -> Result<StateGraph, DotError> {
         if r.read_line(&mut raw)? == 0 {
             break;
         }
-        parse_line(&raw, lineno, &mut graph, &mut names)?;
+        import.line(&raw, lineno)?;
         lineno += 1;
     }
-    graph.finish();
-    Ok(graph)
+    import.graph.finish();
+    Ok(import.graph)
 }
 
 /// Parses a DOT string produced by [`to_dot`] back into a graph.
@@ -208,51 +223,45 @@ pub fn from_dot(input: &str) -> Result<StateGraph, DotError> {
     read_dot(input.as_bytes())
 }
 
-/// Processes one DOT line: node declaration, edge, or ignorable noise.
-fn parse_line(
-    raw: &str,
-    lineno: usize,
-    graph: &mut StateGraph,
-    names: &mut std::collections::HashMap<String, NodeId>,
-) -> Result<(), DotError> {
-    let line = raw.trim().trim_end_matches(';');
-    if line.is_empty()
-        || line.starts_with("digraph")
-        || line.starts_with('}')
-        || line.starts_with("//")
-        || !line.contains('[')
-    {
-        return Ok(());
-    }
-    let (head, attrs) = split_attrs(line).ok_or_else(|| DotError::syntax(lineno, line))?;
-    if let Some((from, to)) = head.split_once("->") {
-        // Edge line.
-        let from = from.trim();
-        let to = to.trim();
-        let label = attr_label(attrs).ok_or_else(|| DotError::syntax(lineno, line))?;
-        let action = parse_action_instance(&label).map_err(|e| DotError::parse(lineno, e))?;
-        let f = *names
-            .get(from)
-            .ok_or_else(|| DotError::unknown_node(lineno, from))?;
-        let t = *names
-            .get(to)
-            .ok_or_else(|| DotError::unknown_node(lineno, to))?;
-        graph.add_edge(f, action, t);
-    } else {
-        // Node line.
-        let name = head.trim().to_string();
-        if name == "nodesep" {
+impl Import {
+    /// Processes one DOT line: node declaration, edge, or ignorable noise.
+    fn line(&mut self, raw: &str, lineno: usize) -> Result<(), DotError> {
+        let line = raw.trim().trim_end_matches(';');
+        if line.is_empty()
+            || line.starts_with("digraph")
+            || line.starts_with('}')
+            || line.starts_with("//")
+            || !line.contains('[')
+        {
             return Ok(());
         }
-        let label = attr_label(attrs).ok_or_else(|| DotError::syntax(lineno, line))?;
-        let state = parse_state(&label).map_err(|e| DotError::parse(lineno, e))?;
-        let (id, _) = graph.insert_state(state);
-        if attrs.contains("initial=true") {
-            graph.mark_initial(id);
+        let (head, attrs) = split_attrs(line).ok_or_else(|| DotError::syntax(lineno, line))?;
+        let head = head.trim();
+        if head == "nodesep" {
+            return Ok(());
         }
-        names.insert(name, id);
+        unescape_label(attrs, &mut self.label).ok_or_else(|| DotError::syntax(lineno, line))?;
+        if let Some((from, to)) = head.split_once("->") {
+            let action =
+                parse_action_instance(&self.label).map_err(|e| DotError::parse(lineno, e))?;
+            let node = |name: &str| {
+                let name = name.trim();
+                let id = self.names.get(name).copied();
+                id.ok_or_else(|| DotError::unknown_node(lineno, name))
+            };
+            let (f, t) = (node(from)?, node(to)?);
+            self.graph.add_edge(f, action, t);
+        } else {
+            let state = parse_state_memo(&self.label, &mut self.bindings)
+                .map_err(|e| DotError::parse(lineno, e))?;
+            let (id, _) = self.graph.insert_state(state);
+            if attrs.contains("initial=true") {
+                self.graph.mark_initial(id);
+            }
+            self.names.insert(head.to_string(), id);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Splits `head [attrs]` into `(head, attrs)`.
@@ -262,24 +271,25 @@ fn split_attrs(line: &str) -> Option<(&str, &str)> {
     (close > open).then(|| (&line[..open], &line[open + 1..close]))
 }
 
-/// Extracts and unescapes the quoted `label="..."` attribute.
-fn attr_label(attrs: &str) -> Option<String> {
-    let idx = attrs.find("label=\"")?;
-    let rest = &attrs[idx + 7..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            },
-            '"' => return Some(out),
-            other => out.push(other),
+/// Unescapes the quoted `label="..."` attribute into `out`, copying
+/// the clean spans in bulk — the mirror of [`write_escaped`].
+fn unescape_label(attrs: &str, out: &mut String) -> Option<()> {
+    out.clear();
+    let mut rest = &attrs[attrs.find("label=\"")? + 7..];
+    loop {
+        let stop = rest.find(['\\', '"'])?;
+        out.push_str(&rest[..stop]);
+        if rest.as_bytes()[stop] == b'"' {
+            return Some(());
         }
+        let mut escaped = rest[stop + 1..].chars();
+        out.push(match escaped.next()? {
+            'n' => '\n',
+            'r' => '\r',
+            other => other,
+        });
+        rest = escaped.as_str();
     }
-    None
 }
 
 /// Streams `s` with `\`, `"`, newline, and carriage return escaped,
@@ -513,6 +523,51 @@ mod tests {
             );
             // Re-export must be byte-identical: escaping is canonical.
             assert_eq!(to_dot(&g2), dot, "re-export differs for {hostile:?}");
+        }
+    }
+
+    #[test]
+    fn import_cuts_labels_where_the_parser_would_or_not_at_all() {
+        // String values holding `/\`, quotes, backslashes and line
+        // breaks: the memoised import cuts a label into bindings, and
+        // must end with exactly what `parse_state` makes of the whole
+        // label — the same state, or the same refusal.
+        let hostiles = [
+            ("a /\\ b", true),
+            ("/\\", true),
+            ("x /\\ y = 1", true),
+            ("back\\slash /\\ q", true),
+            ("line\n/\\ break\r", true),
+            ("\\\\ /\\ \\", true),
+            ("quo\"te", false),
+            ("\" /\\ w = \"b", false),
+            ("\"", false),
+            ("\\\" /\\", false),
+        ];
+        for (hostile, round_trips) in hostiles {
+            // Two states, so the second import takes the binding from
+            // the memo the first one filled.
+            let states = [1, 2].map(|n| {
+                State::from_pairs([("u", Value::str(hostile)), ("v", Value::Int(n))])
+            });
+            let mut g = StateGraph::new();
+            for s in &states {
+                g.insert_state(s.clone());
+            }
+            let expected: Result<Vec<State>, _> =
+                states.iter().map(|s| mocket_tla::parse_state(&s.to_string())).collect();
+            match (from_dot(&to_dot(&g)), expected) {
+                (Ok(g2), Ok(expected)) => {
+                    let got: Vec<&State> = g2.states().map(|(_, s)| s).collect();
+                    assert_eq!(got, expected.iter().collect::<Vec<_>>(), "{hostile:?}");
+                    assert_eq!(expected == states, round_trips, "{hostile:?}");
+                }
+                (Err(DotError::Label { line, error }), Err(expected)) => {
+                    assert_eq!((line, error), (2, expected), "{hostile:?}");
+                    assert!(!round_trips, "{hostile:?}");
+                }
+                (got, expected) => panic!("{hostile:?}: {got:?} vs {expected:?}"),
+            }
         }
     }
 

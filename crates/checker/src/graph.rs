@@ -6,8 +6,15 @@
 //! the edge-coverage traversal and partial-order reduction can mark
 //! them individually.
 //!
-//! Two representation choices keep large graphs cheap:
+//! Three representation choices keep large graphs cheap:
 //!
+//! * The graph stores [`State`]s and nothing of its own per value: a
+//!   state is a pointer to its model's shared schema plus one small
+//!   slice of pointers into `mocket-tla`'s process-wide value pool, so
+//!   a distinct variable value exists once however many nodes — of
+//!   this graph, of its DOT re-import, of test cases cut from either —
+//!   bind it (see `mocket_tla::state`). Node equality during dedup is
+//!   a pointer comparison per variable until the first difference.
 //! * The fingerprint dedup index is sharded by `fp % N_SHARDS` under
 //!   striped `parking_lot::RwLock`s. Single-threaded insertion goes
 //!   through `get_mut` (no locking); the parallel explorer's workers

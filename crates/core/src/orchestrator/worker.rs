@@ -642,7 +642,7 @@ mod tests {
         let worker_dir = dir.join("worker-0");
         let obs = mocket_obs::Obs::jsonl_in(&worker_dir).unwrap();
         let filter_calls = Arc::new(AtomicUsize::new(0));
-        let pipeline = |shard: Option<&ShardSetup>| {
+        let pipeline = |obs: &mocket_obs::Obs, shard: Option<&ShardSetup>| {
             let mut pc = PipelineConfig::default();
             pc.por = false;
             pc.stop_at_first_bug = false;
@@ -662,7 +662,7 @@ mod tests {
             }
             Pipeline::new(Arc::new(CounterSpec), registry(), pc).unwrap()
         };
-        let base = pipeline(None);
+        let base = pipeline(&obs, None);
         let (graph, check_seconds) = base.check();
         let (paths, ..) = base.generate_paths(&graph);
         let plan = CampaignPlan::pin("counter", None, 1_000_000, 3, 0, 1, &graph, &paths);
@@ -685,15 +685,17 @@ mod tests {
             paths: &paths,
             check_seconds,
         };
-        let outcome = worker_loop(
-            &cfg,
-            &ctx,
-            graph,
-            |setup| pipeline(Some(setup)),
-            || Box::new(CounterSut { n: 0, buggy: false }),
-        )
-        .unwrap();
-        assert_eq!(outcome, WorkerOutcome::Completed);
+        let run_worker = |obs: &mocket_obs::Obs, graph: StateGraph| {
+            worker_loop(
+                &cfg,
+                &ctx,
+                graph,
+                |setup| pipeline(obs, Some(setup)),
+                || Box::new(CounterSut { n: 0, buggy: false }),
+            )
+            .unwrap()
+        };
+        assert_eq!(run_worker(&obs, graph.clone()), WorkerOutcome::Completed);
         assert_eq!(filter_calls.load(Ordering::SeqCst), 0, "a shard regenerated");
         for shard in 0..plan.shard_count() {
             assert!(done_path(&dir, shard).exists(), "shard {shard} not retired");
@@ -715,6 +717,17 @@ mod tests {
         let events = fs::read_to_string(worker_dir.join("events.jsonl")).unwrap();
         assert_eq!(events.matches("\"event\":\"generate.done\"").count(), 0);
         assert_eq!(events.matches("\"event\":\"run.done\"").count(), 1);
+
+        // A restarted worker on the finished campaign claims nothing,
+        // runs nothing and summarises nothing. Opening its directory
+        // truncates the events, so the first run's summary must go too:
+        // the pair describes one run.
+        let obs = mocket_obs::Obs::jsonl_in(&worker_dir).unwrap();
+        assert_eq!(run_worker(&obs, graph), WorkerOutcome::Completed);
+        obs.flush();
+        let events = fs::read_to_string(worker_dir.join("events.jsonl")).unwrap();
+        assert_eq!(events.matches("\"event\":\"run.done\"").count(), 0);
+        assert!(!worker_dir.join("run-summary.json").exists(), "stale summary");
         let _ = fs::remove_dir_all(&dir);
     }
 

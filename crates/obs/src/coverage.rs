@@ -56,7 +56,14 @@ impl CoverageMap {
             }
         }
         for a in actions {
-            *self.action_hits.entry(a.to_string()).or_insert(0) += 1;
+            // A campaign sees a handful of action names millions of
+            // times: allocate the key on first sight only.
+            match self.action_hits.get_mut(a) {
+                Some(hits) => *hits += 1,
+                None => {
+                    self.action_hits.insert(a.to_string(), 1);
+                }
+            }
         }
     }
 
@@ -195,6 +202,23 @@ mod tests {
         assert_eq!(cov.edge_coverage(), 0.75);
         assert_eq!(cov.action_hits().get("B"), Some(&2));
         assert_eq!(cov.action_hits().get("C"), Some(&1));
+    }
+
+    #[test]
+    fn repeated_actions_total_like_first_sights() {
+        // Steps of an already counted action take the lookup-only path;
+        // totals must be those of counting every step by name.
+        let steps = ["Vote", "Ack", "Vote", "Vote", "Commit", "Ack", "Vote"];
+        let mut cov = CoverageMap::new(1);
+        cov.record_case([0], steps);
+        cov.record_case([0], steps);
+        let mut expected = BTreeMap::new();
+        for a in steps.iter().chain(&steps) {
+            *expected.entry(a.to_string()).or_insert(0u64) += 1;
+        }
+        assert_eq!(cov.action_hits(), &expected);
+        assert_eq!(cov.action_hits().values().sum::<u64>(), 14);
+        assert_eq!((cov.cases(), cov.hit(0)), (2, 2));
     }
 
     #[test]

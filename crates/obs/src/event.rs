@@ -173,11 +173,19 @@ struct JsonlInner {
 const JSONL_STAGE_LIMIT: usize = 64 * 1024;
 
 impl JsonlRecorder {
-    /// Creates (truncating) `events.jsonl` under `dir`.
+    /// Creates (truncating) `events.jsonl` under `dir`, and removes a
+    /// `run-summary.json` beside it: the two files describe one run, and
+    /// a run that ends without a summary (a campaign worker that finds
+    /// every shard done) must not leave an earlier run's beside its own
+    /// events.
     pub fn create(dir: &Path) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = dir.join(EVENTS_FILE_NAME);
         fs::File::create(&path)?;
+        match fs::remove_file(dir.join(crate::summary::RUN_SUMMARY_FILE_NAME)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         Ok(JsonlRecorder {
             inner: Mutex::new(JsonlInner {
                 staged: String::new(),

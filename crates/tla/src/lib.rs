@@ -14,7 +14,9 @@ pub mod state;
 pub mod value;
 
 pub use fingerprint::{fingerprint_value, Fingerprinter};
-pub use parse::{parse_action_instance, parse_state, parse_value, ParseError};
+pub use parse::{
+    parse_action_instance, parse_state, parse_state_memo, parse_value, ParseError,
+};
 pub use spec::{
     enabled_actions, successors, successors_with, ActionClass, ActionDef, ActionInstance, Spec,
     VarClass, VarDef,

@@ -6,7 +6,7 @@
 //! file-format boundary the paper's pipeline crosses between TLC and
 //! Mocket's test-case generator.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use crate::state::State;
@@ -237,7 +237,7 @@ impl<'a> Parser<'a> {
     }
 
     fn state(&mut self) -> Result<State, ParseError> {
-        let mut st = State::new();
+        let mut bindings = Vec::new();
         // `/\ var = value` repeated; an empty state prints `/\ TRUE`.
         loop {
             self.skip_ws();
@@ -246,7 +246,7 @@ impl<'a> Parser<'a> {
             }
             self.expect("/\\")?;
             self.skip_ws();
-            if self.rest().starts_with("TRUE") && st.is_empty() {
+            if self.rest().starts_with("TRUE") && bindings.is_empty() {
                 self.pos += 4;
                 self.skip_ws();
                 if self.rest().is_empty() {
@@ -254,12 +254,16 @@ impl<'a> Parser<'a> {
                 }
                 return Err(self.err("unexpected input after /\\ TRUE"));
             }
-            let name = self.ident()?;
-            self.expect("=")?;
-            let v = self.value()?;
-            st.set(name, v);
+            bindings.push(self.binding()?);
         }
-        Ok(st)
+        Ok(State::from_pairs(bindings))
+    }
+
+    /// One conjunct without its `/\`: `var = value`.
+    fn binding(&mut self) -> Result<(String, Value), ParseError> {
+        let name = self.ident()?;
+        self.expect("=")?;
+        Ok((name, self.value()?))
     }
 }
 
@@ -309,6 +313,65 @@ pub fn parse_value(input: &str) -> Result<Value, ParseError> {
 /// Parses a state from its `/\ var = value ...` `Display` syntax.
 pub fn parse_state(input: &str) -> Result<State, ParseError> {
     Parser::new(input).state()
+}
+
+/// `conjunct` as the one binding it spells from end to end, if it does.
+fn sole_binding(conjunct: &str) -> Option<(String, Value)> {
+    let mut p = Parser::new(conjunct);
+    p.skip_ws();
+    // `TRUE` after a `/\` is the empty state's, not a name's start.
+    if p.rest().starts_with("TRUE") {
+        return None;
+    }
+    let binding = p.binding().ok()?;
+    p.skip_ws();
+    p.rest().is_empty().then_some(binding)
+}
+
+/// [`parse_state`] for many states that share most of their bindings
+/// (the node labels of one graph): `memo` maps the source text of a
+/// conjunct to the one-variable state it parsed to, so a binding seen
+/// before costs a lookup instead of a parse, an allocation and a pool
+/// probe. Start with an empty map and pass the same one every time.
+///
+/// The input is cut before every `/\` outside a string literal — the
+/// only places the grammar allows one — and a piece counts only if the
+/// parser consumes it whole. Anything else (`/\ TRUE`, a string
+/// holding a quote, malformed input) goes to [`parse_state`] in one
+/// piece, so the result is always exactly what it returns.
+pub fn parse_state_memo(
+    input: &str,
+    memo: &mut HashMap<String, State>,
+) -> Result<State, ParseError> {
+    let bytes = input.as_bytes();
+    let mut cuts = Vec::new();
+    let mut in_string = false;
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'"' => in_string = !in_string,
+            b'/' if !in_string && bytes.get(i + 1) == Some(&b'\\') => cuts.push(i),
+            _ => {}
+        }
+    }
+    if cuts.first() != Some(&0) {
+        return parse_state(input);
+    }
+    cuts.push(input.len());
+    let mut parts = Vec::with_capacity(cuts.len());
+    for cut in cuts.windows(2) {
+        let conjunct = &input[cut[0] + 2..cut[1]];
+        if let Some(known) = memo.get(conjunct) {
+            parts.push(known.clone());
+            continue;
+        }
+        let Some(binding) = sole_binding(conjunct) else {
+            return parse_state(input);
+        };
+        let one = State::from_pairs([binding]);
+        memo.insert(conjunct.to_string(), one.clone());
+        parts.push(one);
+    }
+    Ok(State::merged(&parts))
 }
 
 #[cfg(test)]
@@ -370,6 +433,43 @@ mod tests {
     fn empty_state_roundtrip() {
         let st = State::new();
         assert_eq!(parse_state(&st.to_string()).unwrap(), st);
+    }
+
+    #[test]
+    fn memoised_state_parse_is_parse_state() {
+        // One memo across all inputs, each parsed twice: a binding
+        // remembered from one label must not change what another
+        // label means, whichever way that label is cut.
+        let inputs = [
+            "/\\ a = 1 /\\ b = {\"x /\\ y\"} /\\ c = <<>>",
+            "/\\ a = 1 /\\ b = 2 /\\ a = 3",
+            "/\\a=1/\\b=[f |-> (1 :> \"s\")]",
+            "/\\ b = 2 /\\ a = 1\n",
+            "  /\\ a = 1",
+            "/\\ TRUE",
+            "/\\ TRUE ",
+            "/\\ TRUEx = 1",
+            "/\\ a = 1 /\\ TRUEx = 1",
+            "/\\ TRUEx = 1 /\\ a = 1",
+            "/\\ a = TRUE /\\ b = FALSE",
+            "",
+            "/\\",
+            "/\\ a = 1 /\\",
+            "/\\ a = 1 2",
+            "/\\ a = \"un /\\ b = 2",
+            "/\\ a = \"q\"uote\" /\\ b = 2",
+            "/\\ a = \"\" /\\ b = \"\" /\\ c = 1",
+            "/\\ a = {1, /\\ b = 2}",
+            "a = 1 /\\ b = 2",
+        ];
+        let mut memo = HashMap::new();
+        for _ in 0..2 {
+            for input in inputs {
+                assert_eq!(parse_state_memo(input, &mut memo), parse_state(input), "{input:?}");
+            }
+        }
+        assert!(memo.contains_key(" a = 1 "), "{:?}", memo.keys());
+        assert!(memo.keys().all(|k| !k.trim_start().starts_with("TRUE")));
     }
 
     #[test]

@@ -5,47 +5,144 @@
 //! paper). States are fingerprinted for deduplication during
 //! exploration and pretty-printed in TLA+ conjunction syntax.
 //!
-//! Storage is structurally shared: variable names are interned
-//! (`Arc<str>`) and values are `Arc`-backed, so the primed assignment
-//! [`State::with`] copies only the variable map — every unchanged
-//! value is shared with the predecessor state. The fingerprint is
-//! computed once per state and cached, so exploration probes stop
-//! re-hashing.
+//! Storage is hash-consed. A state is two shared slices: its *schema*
+//! — the sorted variable names, one allocation per distinct variable
+//! set — and one `Arc<Value>` per variable in schema order. Every
+//! value bound into a state goes through a process-wide pool first, so
+//! a distinct variable value is allocated once per process however
+//! many states, graphs and test cases bind it. A model's states
+//! recombine a few hundred values (382 over the 37,249 × 15 bindings
+//! of the Raft-java bench model), so a state costs one small slice:
+//! cloning bumps two reference counts, the primed assignment
+//! [`State::with`] allocates one slice and copies pointers. The pool
+//! drops the values nothing else holds each time it has doubled, so it
+//! needs no cap and keeps nothing of a model whose graphs are gone.
+//!
+//! Sharing is an optimisation only: equality, order, hashing, printing
+//! and fingerprints read names and values, never addresses, and are
+//! those of the sorted `(name, value)` sequence. The fingerprint is
+//! computed once per state and cached.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-use crate::fingerprint::Fingerprinter;
+use crate::fingerprint::{fingerprint_value, Fingerprinter};
 use crate::value::Value;
 
-/// Returns the canonical shared allocation for a variable name.
+type InternPool<T> = OnceLock<Mutex<HashSet<Arc<T>>>>;
+
+/// Returns the canonical shared allocation for `key` in `pool`.
 ///
-/// Specifications use a small fixed vocabulary of variable names, so
-/// every state's keys alias the same handful of allocations; the pool
-/// is only consulted when a name is bound for the first time (rebinding
-/// through [`State::set`] / [`State::with`] reuses the existing key).
-fn intern(name: &str) -> Arc<str> {
-    static POOL: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    let pool = POOL.get_or_init(Default::default);
-    let mut guard = match pool.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(existing) = guard.get(name) {
+/// Specifications use a small fixed vocabulary of variable names and
+/// one or two variable sets, so these pools stay tiny and are only
+/// consulted when a state is built from scratch (rebinding through
+/// [`State::with`] reuses the schema it has).
+fn intern<T>(pool: &InternPool<T>, key: &T) -> Arc<T>
+where
+    T: ?Sized + Hash + Eq,
+    for<'a> Arc<T>: From<&'a T>,
+{
+    let mut guard = pool
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(existing) = guard.get(key) {
         return existing.clone();
     }
-    let fresh: Arc<str> = Arc::from(name);
+    let fresh: Arc<T> = key.into();
     guard.insert(fresh.clone());
     fresh
+}
+
+static NAMES: InternPool<str> = OnceLock::new();
+static SCHEMAS: InternPool<[Arc<str>]> = OnceLock::new();
+
+/// Lock stripes of the value pool; the parallel checker's workers
+/// intern concurrently, almost always hitting under a read lock.
+const POOL_SHARDS: usize = 16;
+/// A shard holds at least this many values before its first sweep.
+const MIN_SWEEP: usize = 64;
+
+/// One stripe of the value pool: value fingerprint → the one pooled
+/// allocation of that value, and the size at which to sweep next.
+#[derive(Default)]
+struct PoolShard {
+    values: HashMap<u64, Arc<Value>>,
+    sweep_at: usize,
+}
+
+impl PoolShard {
+    /// Drops the values only the pool holds. Called under the shard's
+    /// write lock, and a value leaves the pool only through that lock,
+    /// so a count of one cannot rise concurrently.
+    fn sweep(&mut self) {
+        self.values.retain(|_, v| Arc::strong_count(v) > 1);
+        self.sweep_at = (2 * self.values.len()).max(MIN_SWEEP);
+    }
+}
+
+fn value_pool() -> &'static [RwLock<PoolShard>; POOL_SHARDS] {
+    static POOL: OnceLock<[RwLock<PoolShard>; POOL_SHARDS]> = OnceLock::new();
+    POOL.get_or_init(Default::default)
+}
+
+/// Returns the pooled allocation equal to `value`, pooling it if it is
+/// the first. Keyed by [`fingerprint_value`] and confirmed by full
+/// equality: of two distinct values that collide the second stays
+/// outside the pool, which costs sharing and nothing else.
+fn intern_value(value: Value) -> Arc<Value> {
+    fn confirm(hit: &Arc<Value>, value: Value) -> Arc<Value> {
+        if **hit == value {
+            hit.clone()
+        } else {
+            Arc::new(value)
+        }
+    }
+    let fp = fingerprint_value(&value);
+    let shard = &value_pool()[fp as usize % POOL_SHARDS];
+    if let Some(hit) = shard
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .values
+        .get(&fp)
+    {
+        return confirm(hit, value);
+    }
+    let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);
+    if shard.values.len() >= shard.sweep_at {
+        shard.sweep();
+    }
+    match shard.values.entry(fp) {
+        Entry::Occupied(e) => confirm(e.get(), value),
+        Entry::Vacant(e) => e.insert(Arc::new(value)).clone(),
+    }
+}
+
+/// Drops every pooled value no state holds and returns how many stay
+/// pooled. The pool does this by itself as it grows; tests call it to
+/// see what is live.
+pub fn sweep_value_pool() -> usize {
+    value_pool()
+        .iter()
+        .map(|shard| {
+            let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);
+            shard.sweep();
+            shard.values.len()
+        })
+        .sum()
 }
 
 /// A mapping from variable names to values.
 #[derive(Clone)]
 pub struct State {
-    vars: BTreeMap<Arc<str>, Arc<Value>>,
+    /// The variable names, sorted; interned per variable set.
+    schema: Arc<[Arc<str>]>,
+    /// `values[i]` is bound to `schema[i]`; every one is pooled.
+    values: Arc<[Arc<Value>]>,
     /// Cached fingerprint; cleared on mutation, cloned along with the
     /// state so successors inherit nothing but dedup probes pay the
     /// hash at most once per state.
@@ -55,30 +152,55 @@ pub struct State {
 impl State {
     /// Creates an empty state.
     pub fn new() -> Self {
-        State {
-            vars: BTreeMap::new(),
-            fp: OnceLock::new(),
-        }
+        Self::from_bindings(Vec::new())
     }
 
-    /// Creates a state from `(variable, value)` pairs.
+    /// Creates a state from `(variable, value)` pairs; the last
+    /// binding of a name wins.
     pub fn from_pairs<I, S>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (S, Value)>,
         S: Into<String>,
     {
+        let bind = |(k, v): (S, Value)| (intern(&NAMES, k.into().as_str()), intern_value(v));
+        Self::from_bindings(pairs.into_iter().map(bind).collect())
+    }
+
+    /// The state binding every variable of every part — a later part
+    /// wins a name bound twice — sharing the parts' values.
+    pub(crate) fn merged<'a>(parts: impl IntoIterator<Item = &'a State>) -> State {
+        Self::from_bindings(parts.into_iter().flat_map(State::bindings).collect())
+    }
+
+    fn from_bindings(mut pairs: Vec<(Arc<str>, Arc<Value>)>) -> State {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        // The sort is stable: of equal names keep the last binding.
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        let (names, values): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         State {
-            vars: pairs
-                .into_iter()
-                .map(|(k, v)| (intern(&k.into()), Arc::new(v)))
-                .collect(),
+            schema: intern(&SCHEMAS, names.as_slice()),
+            values: values.into(),
             fp: OnceLock::new(),
         }
     }
 
+    fn bindings(&self) -> impl Iterator<Item = (Arc<str>, Arc<Value>)> + '_ {
+        self.schema.iter().cloned().zip(self.values.iter().cloned())
+    }
+
+    fn index_of(&self, name: &str) -> Result<usize, usize> {
+        self.schema.binary_search_by(|k| (**k).cmp(name))
+    }
+
     /// The value of variable `name`, if bound.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.vars.get(name).map(|v| v.as_ref())
+        self.index_of(name).ok().map(|i| &*self.values[i])
     }
 
     /// The value of variable `name`; panics if unbound (spec-internal
@@ -88,49 +210,52 @@ impl State {
             .unwrap_or_else(|| panic!("state has no variable {name:?}"))
     }
 
-    /// Binds `name` to `value`, returning the previous binding.
-    pub fn set(&mut self, name: impl Into<String>, value: Value) -> Option<Value> {
-        let name = name.into();
-        self.fp = OnceLock::new();
-        // Rebinding an existing variable reuses its key allocation and
-        // skips the intern pool entirely — the hot path for primed
-        // assignments during successor generation.
-        let key = match self.vars.get_key_value(name.as_str()) {
-            Some((k, _)) => k.clone(),
-            None => intern(&name),
-        };
-        self.vars
-            .insert(key, Arc::new(value))
-            .map(Arc::unwrap_or_clone)
+    /// Binds `name` to `value`.
+    pub fn set(&mut self, name: impl AsRef<str>, value: Value) {
+        *self = self.with(name, value);
     }
 
     /// Returns a copy of this state with `name` rebound — the primed
-    /// assignment `name' = value`. Only the variable map is copied;
-    /// all unchanged values are shared with `self`.
-    pub fn with(&self, name: impl Into<String>, value: Value) -> State {
-        let mut s = self.clone();
-        s.set(name, value);
-        s
+    /// assignment `name' = value`. One slice is allocated; the schema
+    /// and all unchanged values are shared with `self`.
+    pub fn with(&self, name: impl AsRef<str>, value: Value) -> State {
+        let (name, value) = (name.as_ref(), intern_value(value));
+        match self.index_of(name) {
+            Ok(i) => State {
+                schema: self.schema.clone(),
+                values: self.values.iter().enumerate()
+                    .map(|(j, old)| if j == i { &value } else { old }.clone())
+                    .collect(),
+                fp: OnceLock::new(),
+            },
+            // A new variable changes the schema: states are built
+            // whole, so this path is as rare as it is general.
+            Err(_) => Self::from_bindings(
+                self.bindings()
+                    .chain([(intern(&NAMES, name), value)])
+                    .collect(),
+            ),
+        }
     }
 
     /// Number of variables.
     pub fn len(&self) -> usize {
-        self.vars.len()
+        self.schema.len()
     }
 
     /// Whether the state binds no variables.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.schema.is_empty()
     }
 
     /// Iterates over `(variable, value)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.vars.iter().map(|(k, v)| (k.as_ref(), v.as_ref()))
+        self.variable_names().zip(self.values.iter().map(|v| &**v))
     }
 
     /// The variable names in order.
     pub fn variable_names(&self) -> impl Iterator<Item = &str> {
-        self.vars.keys().map(|k| k.as_ref())
+        self.schema.iter().map(|k| &**k)
     }
 
     /// A stable 64-bit fingerprint of the full variable assignment.
@@ -142,7 +267,7 @@ impl State {
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
             let mut fp = Fingerprinter::new();
-            for (k, v) in &self.vars {
+            for (k, v) in self.iter() {
                 fp.write_str(k);
                 fp.write_value(v);
             }
@@ -154,27 +279,23 @@ impl State {
     /// values. Variables bound on only one side pair with `None`.
     pub fn diff<'a>(&'a self, other: &'a State) -> Vec<StateDiff<'a>> {
         let mut out = Vec::new();
-        for (k, v) in &self.vars {
-            match other.vars.get(k) {
-                Some(w) if w == v => {}
-                Some(w) => out.push(StateDiff {
-                    variable: k.as_ref(),
-                    left: Some(v.as_ref()),
-                    right: Some(w.as_ref()),
-                }),
-                None => out.push(StateDiff {
-                    variable: k.as_ref(),
-                    left: Some(v.as_ref()),
-                    right: None,
-                }),
+        for (variable, v) in self.schema.iter().zip(self.values.iter()) {
+            // Compared as `Arc`s: pooled equal values are one address.
+            let w = other.index_of(variable).ok().map(|i| &other.values[i]);
+            if w != Some(v) {
+                out.push(StateDiff {
+                    variable,
+                    left: Some(v),
+                    right: w.map(|w| &**w),
+                });
             }
         }
-        for (k, w) in &other.vars {
-            if !self.vars.contains_key(k) {
+        for (variable, w) in other.iter() {
+            if self.get(variable).is_none() {
                 out.push(StateDiff {
-                    variable: k.as_ref(),
+                    variable,
                     left: None,
-                    right: Some(w.as_ref()),
+                    right: Some(w),
                 });
             }
         }
@@ -184,13 +305,11 @@ impl State {
     /// Projects the state onto the given variables, dropping the rest.
     /// The kept values are shared, not cloned.
     pub fn project<'a, I: IntoIterator<Item = &'a str>>(&self, keep: I) -> State {
-        let mut s = State::new();
-        for name in keep {
-            if let Some((k, v)) = self.vars.get_key_value(name) {
-                s.vars.insert(k.clone(), v.clone());
-            }
-        }
-        s
+        let kept = keep.into_iter().filter_map(|name| {
+            let i = self.index_of(name).ok()?;
+            Some((self.schema[i].clone(), self.values[i].clone()))
+        });
+        Self::from_bindings(kept.collect())
     }
 }
 
@@ -201,12 +320,13 @@ impl Default for State {
 }
 
 // Equality, ordering and hashing consider only the variable
-// assignment, never the fingerprint cache. `Arc`'s implementations
-// delegate to the pointee (with a pointer-equality fast path), so
-// shared values compare cheaply.
+// assignment, never the fingerprint cache, and are those of the sorted
+// `(name, value)` sequence. `Arc`'s equality has a pointer fast path,
+// so states over the same schema and pooled values compare by address
+// until the first variable on which they differ.
 impl PartialEq for State {
     fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars
+        self.schema == other.schema && self.values == other.values
     }
 }
 
@@ -220,13 +340,16 @@ impl PartialOrd for State {
 
 impl Ord for State {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.vars.cmp(&other.vars)
+        self.iter().cmp(other.iter())
     }
 }
 
 impl Hash for State {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.vars.hash(state);
+        state.write_usize(self.len());
+        for binding in self.iter() {
+            binding.hash(state);
+        }
     }
 }
 
@@ -245,10 +368,10 @@ impl fmt::Display for State {
     /// Renders as TLA+ conjunctions, e.g. `/\ stage = "respond" /\ ...`
     /// matching the node labels of the paper's Figure 2.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.vars.is_empty() {
+        if self.is_empty() {
             return write!(f, "/\\ TRUE");
         }
-        for (i, (k, v)) in self.vars.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -376,5 +499,145 @@ mod tests {
         let p = s.project(["cache", "nope"]);
         assert_eq!(p.len(), 1);
         assert!(p.get("cache").is_some());
+    }
+
+    /// SplitMix64: a fixed stream, so the property test below checks
+    /// the same few thousand states on every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Few distinct values per kind, so that states collide on
+        /// values (and the pool is hit) as often as they differ.
+        fn value(&mut self, depth: u32) -> Value {
+            match self.below(if depth == 0 { 4 } else { 7 }) {
+                0 => Value::Nil,
+                1 => Value::Bool(self.below(2) == 0),
+                2 => Value::Int(self.below(3) as i64 - 1),
+                3 => Value::str(["Follower", "Leader", "a /\\ b"][self.below(3) as usize]),
+                4 => Value::set((0..self.below(3)).map(|_| self.value(depth - 1))),
+                5 => Value::seq((0..self.below(3)).map(|_| self.value(depth - 1))),
+                _ => Value::record((0..self.below(3)).map(|i| (format!("f{i}"), self.value(depth - 1)))),
+            }
+        }
+    }
+
+    type Model = std::collections::BTreeMap<String, Value>;
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Everything a `State` answers, computed from the sorted map the
+    /// type used to be.
+    fn assert_agrees(s: &State, m: &Model) {
+        assert_eq!(s.len(), m.len());
+        assert_eq!(s.is_empty(), m.is_empty());
+        assert!(s.iter().eq(m.iter().map(|(k, v)| (k.as_str(), v))));
+        assert!(s.variable_names().eq(m.keys().map(String::as_str)));
+        for name in ["a", "b", "c", "d", "e", "nope"] {
+            assert_eq!(s.get(name), m.get(name));
+        }
+        assert_eq!(hash_of(s), hash_of(m));
+        let mut fp = Fingerprinter::new();
+        let mut text = Vec::new();
+        for (k, v) in m {
+            fp.write_str(k);
+            fp.write_value(v);
+            text.push(format!("/\\ {k} = {v}"));
+        }
+        assert_eq!(s.fingerprint(), fp.finish());
+        let text = if m.is_empty() { "/\\ TRUE".to_string() } else { text.join(" ") };
+        assert_eq!(s.to_string(), text);
+        assert_eq!(crate::parse_state(&text).unwrap(), *s);
+    }
+
+    fn model_diff<'a>(a: &'a Model, b: &'a Model) -> Vec<StateDiff<'a>> {
+        let changed = a.iter().filter(|(k, v)| b.get(*k) != Some(v)).map(|(k, v)| StateDiff {
+            variable: k,
+            left: Some(v),
+            right: b.get(k),
+        });
+        let added = b.iter().filter(|(k, _)| !a.contains_key(*k)).map(|(k, w)| StateDiff {
+            variable: k,
+            left: None,
+            right: Some(w),
+        });
+        changed.chain(added).collect()
+    }
+
+    #[test]
+    fn dense_interned_state_agrees_with_a_sorted_map() {
+        const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+        let mut rng = Rng(22);
+        let mut seen: Vec<(State, Model)> = Vec::new();
+        for round in 0..400 {
+            // Built from pairs in any order, a name possibly twice.
+            let pairs: Vec<(&str, Value)> = (0..rng.below(7))
+                .map(|_| (NAMES[rng.below(5) as usize], rng.value(2)))
+                .collect();
+            let mut s = State::from_pairs(pairs.clone());
+            let mut m: Model = pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+            assert_agrees(&s, &m);
+
+            // Rebound, and bound to a variable the schema may lack.
+            for _ in 0..rng.below(4) {
+                let (name, v) = (NAMES[rng.below(5) as usize], rng.value(2));
+                if rng.below(2) == 0 {
+                    s = s.with(name, v.clone());
+                } else {
+                    s.set(name, v.clone());
+                }
+                m.insert(name.to_string(), v);
+                assert_agrees(&s, &m);
+            }
+
+            let keep: Vec<&str> = NAMES.iter().copied().filter(|_| rng.below(2) == 0).collect();
+            let projected: Model = (m.iter())
+                .filter(|(k, _)| keep.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_agrees(&s.project(keep.iter().copied().chain(["nope"])), &projected);
+
+            // Against earlier states: other schemas, shared values.
+            for (t, n) in seen.iter().rev().take(12) {
+                assert_eq!(s == *t, m == *n, "round {round}: {s} vs {t}");
+                assert_eq!(s.cmp(t), m.cmp(n), "round {round}: {s} vs {t}");
+                assert_eq!(s.diff(t), model_diff(&m, n));
+                assert_eq!(t.diff(&s), model_diff(n, &m));
+                assert_agrees(&State::merged([t, &s]), &{
+                    let mut both = n.clone();
+                    both.extend(m.clone());
+                    both
+                });
+            }
+            seen.push((s, m));
+        }
+    }
+
+    #[test]
+    fn equal_values_are_one_allocation_however_they_are_bound() {
+        let big = || Value::set((0..5).map(Value::Int));
+        let a = State::from_pairs([("x", big()), ("y", Value::Nil)]);
+        let mut b = State::new().with("y", big());
+        b.set("z", big());
+        let c = crate::parse_state(&a.to_string()).unwrap().project(["x"]);
+        let addr = |s: &State, name| s.get(name).unwrap() as *const Value;
+        assert_eq!(addr(&a, "x"), addr(&b, "y"));
+        assert_eq!(addr(&a, "x"), addr(&b, "z"));
+        assert_eq!(addr(&a, "x"), addr(&c, "x"));
     }
 }

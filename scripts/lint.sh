@@ -55,4 +55,23 @@ while read -r file; do
     fi
 done < <(git ls-files 'crates/core/src/orchestrator/*.rs')
 
+# The benchmark trajectory (scripts/bench-history.sh) is machine-read
+# and append-only: every line is one flat record of the shape the
+# script writes, and what a commit holds stays a byte prefix of what
+# the next one does — history grows by whole lines and never changes.
+history=BENCH_history.jsonl
+num='-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?'
+shape="^\\{\"commit\":\"[^\"]+\",\"workload\":\"[a-z-]+\",\"wall_s\":$num,\"setup_s\":$num,\"cases_per_s\":$num,\"cpu_s\":$num,\"peak_rss_mb\":$num,\"states\":([0-9]+|null),\"cases\":[0-9]+\\}\$"
+if grep -nvE "$shape" "$history" || [ -n "$(tail -c1 "$history")" ]; then
+    echo "error: $history has a line that is not a whole bench-history record" >&2
+    fail=1
+fi
+for base in HEAD 'HEAD^'; do
+    if size=$(git cat-file -s "$base:$history" 2>/dev/null) \
+        && ! git show "$base:$history" | cmp -s - <(head -c "$size" "$history"); then
+        echo "error: $history no longer starts with its contents at $base; it is append-only" >&2
+        fail=1
+    fi
+done
+
 exit "$fail"
