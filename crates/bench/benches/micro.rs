@@ -35,7 +35,10 @@ fn bench(name: &str, mut f: impl FnMut()) {
 }
 
 fn sample_state() -> State {
-    RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2, 3]))
+    RaftSpec::new(RaftSpecConfig {
+        servers: vec![1, 2, 3],
+        ..mocket_bench::xraft_model()
+    })
         .init_states()
         .remove(0)
 }
@@ -46,7 +49,7 @@ fn main() {
         std::hint::black_box(state.fingerprint());
     });
 
-    let spec = RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2]));
+    let spec = RaftSpec::new(mocket_bench::xraft_model());
     let actions = spec.actions();
     let init = spec.init_states().remove(0);
     bench("successors_raft2_init", || {

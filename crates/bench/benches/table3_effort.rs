@@ -9,9 +9,10 @@
 //! for days; the shape to check is the POR reduction ratio and the
 //! ordering between systems).
 
-use std::sync::Arc;
 use std::time::Instant;
 
+use mocket::runtime::Backend;
+use mocket::targets::{self, Target};
 use mocket_bench::fmt_secs;
 use mocket_checker::ModelChecker;
 use mocket_core::{
@@ -20,8 +21,6 @@ use mocket_core::{
 };
 use mocket_raft_async::XraftBugs;
 use mocket_raft_sync::SyncRaftBugs;
-use mocket_specs::raft::RaftSpec;
-use mocket_specs::zab::ZabSpec;
 use mocket_zab::ZabBugs;
 
 const SAMPLE: usize = 150;
@@ -39,14 +38,9 @@ struct SystemRow {
     sample_run: usize,
 }
 
-fn measure(
-    name: &'static str,
-    spec: Arc<dyn mocket_tla::Spec>,
-    registry: mocket_core::MappingRegistry,
-    mut make_sut: Box<dyn FnMut() -> Box<dyn mocket_core::SystemUnderTest>>,
-) -> SystemRow {
+fn measure(name: &'static str, target: Target) -> SystemRow {
     let start = Instant::now();
-    let result = ModelChecker::new(spec).run();
+    let result = ModelChecker::new(target.spec.clone()).run();
     let check_secs = start.elapsed().as_secs_f64();
     let graph = result.graph;
 
@@ -69,11 +63,11 @@ fn measure(
         let tc = TestCase::from_edge_path(&graph, path).expect("traversal paths are non-empty");
         let final_node = graph.edge(*path.last().unwrap()).to;
         let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
-        let mut sut = make_sut();
+        let mut sut = target.sut(Backend::Threads, None);
         let (outcome, _) = run_test_case(
-            sut.as_mut(),
+            &mut sut,
             &tc,
-            &registry,
+            &target.registry,
             &final_enabled,
             &run_cfg,
             &RunCtx::default(),
@@ -100,29 +94,19 @@ fn measure(
 }
 
 fn main() {
+    // The conformant implementations against the bench models.
     let rows = vec![
         measure(
             "Xraft",
-            Arc::new(RaftSpec::new(mocket_bench::xraft_model())),
-            mocket_raft_async::mapping(),
-            Box::new(|| Box::new(mocket_raft_async::make_sut(vec![1, 2], XraftBugs::none()))),
+            targets::xraft(mocket_bench::xraft_model(), XraftBugs::none()),
         ),
         measure(
             "Raft-java",
-            Arc::new(RaftSpec::new(mocket_bench::raft_java_model())),
-            mocket_raft_sync::mapping(false),
-            Box::new(|| {
-                Box::new(mocket_raft_sync::make_sut(
-                    vec![1, 2, 3],
-                    SyncRaftBugs::none(),
-                ))
-            }),
+            targets::raft_java(mocket_bench::raft_java_model(), SyncRaftBugs::none(), false),
         ),
         measure(
             "ZooKeeper",
-            Arc::new(ZabSpec::new(mocket_bench::zookeeper_model())),
-            mocket_zab::mapping(),
-            Box::new(|| Box::new(mocket_zab::make_sut(vec![1, 2], ZabBugs::none()))),
+            targets::zab(mocket_bench::zookeeper_model(), ZabBugs::none()),
         ),
     ];
 

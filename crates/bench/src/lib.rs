@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use mocket_core::{Pipeline, PipelineConfig, RunConfig};
 use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 use mocket_specs::zab::{ZabSpec, ZabSpecConfig};
 use mocket_tla::Spec;
@@ -20,12 +19,7 @@ pub fn xraft_model() -> RaftSpecConfig {
 /// The Raft-java bench model (synchronous Raft, two candidates, two
 /// client requests — deep enough for the log-conflict scenario).
 pub fn raft_java_model() -> RaftSpecConfig {
-    let mut cfg = RaftSpecConfig::raft_java(vec![1, 2, 3]);
-    cfg.max_term = 3;
-    cfg.client_request_limit = 2;
-    cfg.candidates = Some(vec![1, 2]);
-    cfg.max_in_flight = 1;
-    cfg
+    RaftSpecConfig::raft_java_log_conflict()
 }
 
 /// The ZooKeeper bench model (full election + sync + broadcast).
@@ -42,20 +36,6 @@ pub fn bench_specs() -> Vec<(&'static str, Arc<dyn Spec>)> {
     ]
 }
 
-/// A pipeline with bench-wide defaults.
-pub fn bench_pipeline(
-    spec: Arc<dyn Spec>,
-    registry: mocket_core::MappingRegistry,
-    por: bool,
-) -> Pipeline {
-    let mut pc = PipelineConfig::default();
-    pc.por = por;
-    pc.stop_at_first_bug = true;
-    pc.max_path_len = 60;
-    pc.run = RunConfig::fast();
-    Pipeline::new(spec, registry, pc).expect("bench mapping is valid")
-}
-
 /// Formats a duration in the style of the paper's Table 2.
 pub fn fmt_secs(seconds: f64) -> String {
     if seconds < 60.0 {
@@ -64,5 +44,18 @@ pub fn fmt_secs(seconds: f64) -> String {
         format!("{:.1} min", seconds / 60.0)
     } else {
         format!("{:.1} h", seconds / 3600.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Raft-java bench model (and through this crate perfbench's
+    /// `raftjava-graph`) is the constructor the catalogue's
+    /// log-truncation row calls; `src/targets.rs` pins the row's side.
+    #[test]
+    fn raft_java_model_is_the_log_truncation_rows_model() {
+        assert_eq!(raft_java_model(), RaftSpecConfig::raft_java_log_conflict());
     }
 }

@@ -27,7 +27,7 @@ use mocket_checker::{uncovered_frontier, EdgeId, StateGraph};
 use mocket_obs::{CoverageMap, Event, Obs, RunSummary, EVENTS_FILE_NAME};
 
 use crate::artifact::{CampaignJournal, CaseOutcome, JournalEntry, ReplayArtifact};
-use crate::fsio::points;
+use crate::fsio::{points, TORN_MARKER};
 use crate::pipeline::outputs::{count_bug, history_record, write_insight, BugTally};
 
 use super::lease::shard_data_dir;
@@ -186,10 +186,10 @@ fn promote_artifacts(
 /// Concatenates the per-shard causal traces (`trace.jsonl` in each
 /// shard data directory) into one campaign-level `trace.jsonl`, in
 /// shard order. A torn shard file (no trailing newline — an append
-/// died after its rollback also failed) is newline-isolated so the
-/// next shard's first record is not fused to the debris; the torn line
-/// itself is left for `parse_trace`'s salvage. Untraced campaigns have
-/// no shard traces and get no top-level file.
+/// died after its rollback also failed) is sealed with `TORN_MARKER`
+/// so the next shard's first record is not fused to the debris and
+/// `parse_trace`'s salvage reports the debris instead of parsing it.
+/// Untraced campaigns have no shard traces and get no top-level file.
 fn promote_traces(
     campaign_dir: &Path,
     shard_count: usize,
@@ -205,6 +205,7 @@ fn promote_traces(
                 }
                 merged.push_str(&text);
                 if !text.ends_with('\n') {
+                    merged.push_str(TORN_MARKER);
                     merged.push('\n');
                 }
             }

@@ -8,7 +8,7 @@
 //!
 //! 1. **One crash-consistency discipline.** [`write_atomic`] is
 //!    temp-file + size-verify + fsync + rename; [`append_line`] is
-//!    append-only with rollback of partial appends and newline repair;
+//!    append-only with rollback of partial appends and torn-tail isolation;
 //!    [`AppendLog`] pairs that append with the one load-time salvage
 //!    rule every line-per-record file shares. Callers pick a policy,
 //!    not an implementation.
@@ -538,12 +538,20 @@ fn ends_mid_line(f: &mut fs::File, len: u64) -> io::Result<bool> {
     Ok(last[0] != b'\n')
 }
 
+/// What a torn final line (an interrupted append whose rollback also
+/// failed) is terminated with when something is written after it.
+/// [`AppendLog::salvage`] reports a line ending in it as a
+/// [`LineIssue`] and never parses it. A bare `'\n'` would instead
+/// *complete* the debris, and debris can parse: `outcome=failed Missing
+/// action` cut at `Missing` does, with the wrong kind.
+pub const TORN_MARKER: &str = " <<torn-append>>";
+
 /// Appends `line` (newline added) to an append-only log through the
 /// fault point. Partial appends are **rolled back** (`ftruncate` to
 /// the pre-append length) before the retry; if even the rollback is
-/// impossible, the next attempt repairs by prefixing a newline so the
-/// partial line is isolated for parse-time salvage rather than merged
-/// into the new record.
+/// impossible, the next append seals the partial line with
+/// [`TORN_MARKER`], so it is isolated for parse-time salvage rather
+/// than merged into the new record or trusted as a record of its own.
 pub fn append_line(path: &Path, line: &str, point: &str, retry: &RetryPolicy) -> io::Result<()> {
     let mut payload = String::with_capacity(line.len() + 1);
     payload.push_str(line);
@@ -562,8 +570,9 @@ pub fn append_bytes(path: &Path, bytes: &[u8], point: &str, retry: &RetryPolicy)
             .append(true)
             .open(path)?;
         let len_before = f.metadata()?.len();
-        let mut buf = Vec::with_capacity(bytes.len() + 1);
+        let mut buf = Vec::with_capacity(bytes.len() + TORN_MARKER.len() + 1);
         if ends_mid_line(&mut f, len_before)? {
+            buf.extend_from_slice(TORN_MARKER.as_bytes());
             buf.push(b'\n');
         }
         buf.extend_from_slice(bytes);
@@ -646,10 +655,11 @@ impl AppendLog {
 
     /// The salvage rule of every campaign log: blank lines are
     /// skipped, a line `parse` rejects becomes a [`LineIssue`], and a
-    /// final line without `'\n'` was interrupted mid-append — it is
-    /// reported and never trusted, even if it parses (truncating
-    /// `outcome=failed Missing action` at `Missing` still parses, with
-    /// the wrong kind).
+    /// final line without `'\n'` — or an earlier one sealed with
+    /// [`TORN_MARKER`] by the append that followed it — was interrupted
+    /// mid-append: it is reported and never trusted, even if it parses
+    /// (truncating `outcome=failed Missing action` at `Missing` still
+    /// parses, with the wrong kind).
     pub fn salvage<T>(
         text: &str,
         mut parse: impl FnMut(&str) -> Result<T, String>,
@@ -662,7 +672,7 @@ impl AppendLog {
             if line.is_empty() {
                 continue;
             }
-            let parsed = if torn == Some(i + 1) {
+            let parsed = if torn == Some(i + 1) || line.ends_with(TORN_MARKER) {
                 Err(format!(
                     "truncated final line (interrupted append), not trusted: {line:?}"
                 ))
@@ -805,13 +815,20 @@ mod tests {
     }
 
     #[test]
-    fn append_line_repairs_partial_lines() {
+    fn append_line_seals_a_torn_tail_so_salvage_never_parses_it() {
         let dir = tmp_dir("append");
-        let path = dir.join("log");
-        fs::write(&path, "ok: 1\npartial without newline").unwrap();
-        append_line(&path, "ok: 2", "test.append", &RetryPolicy::none()).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "ok: 1\npartial without newline\nok: 2\n");
+        let log = AppendLog::new(dir.join("log"), "test.append");
+        // The debris parses: a bare newline would make it a record.
+        fs::write(log.path(), "ok: 1\nok: 2 tor").unwrap();
+        log.append("ok: 3").unwrap();
+        let text = fs::read_to_string(log.path()).unwrap();
+        assert_eq!(text, format!("ok: 1\nok: 2 tor{TORN_MARKER}\nok: 3\n"));
+        let parse = |l: &str| l.strip_prefix("ok: ").map(str::to_string).ok_or("no".to_string());
+        let (records, issues) = log.load(parse).unwrap();
+        assert_eq!(records, ["1", "3"]);
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].line, 2);
+        assert!(issues[0].message.contains("not trusted"), "{}", issues[0]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,4 +15,4 @@ pub mod sut;
 pub use bugs::XraftBugs;
 pub use msg::{Entry, RaftMsg};
 pub use node::AsyncRaftNode;
-pub use sut::{make_sut, make_sut_full, mapping};
+pub use sut::{make_sut_full, mapping};

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use mocket_core::mapping::{ActionBinding, MappingRegistry};
-use mocket_core::sut::{int_param, record_int_field, ExecReport, MsgEvent, SutError};
+use mocket_core::sut::{record_int_field, ExecReport, MsgEvent, SutError};
 use mocket_dsnet::{ClusterStorage, Net, NodeId};
-use mocket_runtime::{Backend, Cluster, ClusterSut, ExternalDriver};
+use mocket_runtime::{Backend, Cluster, ClusterSut, ExternalDriver, ScriptDriver};
 use mocket_tla::{ActionClass, ActionInstance, Value};
 
 use crate::bugs::XraftBugs;
@@ -125,10 +125,11 @@ pub fn mapping() -> MappingRegistry {
     r
 }
 
-/// Testbed-side driver for external faults and user requests.
+/// Testbed-side driver for external faults and user requests: the
+/// shared scripts plus the drop/duplicate overriding switches.
 struct XraftDriver {
     net: Arc<Net<RaftMsg>>,
-    client_counter: i64,
+    scripts: ScriptDriver,
 }
 
 impl ExternalDriver for XraftDriver {
@@ -138,29 +139,6 @@ impl ExternalDriver for XraftDriver {
         action: &ActionInstance,
     ) -> Result<ExecReport, SutError> {
         match action.name.as_str() {
-            "ClientRequest" => {
-                // §4.1.2: the k-th user request writes datum k.
-                let leader = int_param(action, 0)? as NodeId;
-                self.client_counter += 1;
-                let datum = self.client_counter;
-                let events = cluster
-                    .execute(
-                        leader,
-                        &ActionInstance::new("clientSet", vec![Value::Int(datum)]),
-                    )
-                    .map_err(|e| SutError::External(e.to_string()))?;
-                Ok(ExecReport { msg_events: events })
-            }
-            "Restart" => {
-                let id = int_param(action, 0)? as NodeId;
-                cluster.restart(id);
-                Ok(ExecReport::default())
-            }
-            "Crash" => {
-                let id = int_param(action, 0)? as NodeId;
-                cluster.crash(id);
-                Ok(ExecReport::default())
-            }
             "DropMessage" => {
                 let wanted = &action.params[0];
                 let dest = record_int_field(wanted, "mdest")? as NodeId;
@@ -191,25 +169,18 @@ impl ExternalDriver for XraftDriver {
                     }],
                 })
             }
-            other => Err(SutError::External(format!(
-                "unknown external action {other}"
-            ))),
+            _ => self.scripts.execute(cluster, action),
         }
     }
 }
 
 /// Builds a deployable AsyncRaft cluster as a Mocket system under
-/// test. Every call creates a fresh network and fresh durable storage
-/// (one cluster per test case, §4.3.2).
-pub fn make_sut(servers: Vec<NodeId>, bugs: XraftBugs) -> ClusterSut {
-    make_sut_full(servers, bugs, Backend::Threads, None)
-}
-
-/// [`make_sut`] on an explicit cluster backend, plus an optional
-/// seed-driven fault plan installed on the network before deployment.
-/// Under [`Backend::Sim`] the network runs on the simulation's shared
-/// virtual clock, so time-based delay faults mature deterministically
-/// in virtual time.
+/// test, on an explicit cluster backend, plus an optional seed-driven
+/// fault plan installed on the network before deployment. Every call
+/// creates a fresh network and fresh durable storage (one cluster per
+/// test case, §4.3.2). Under [`Backend::Sim`] the network runs on the
+/// simulation's shared virtual clock, so time-based delay faults
+/// mature deterministically in virtual time.
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: XraftBugs,
@@ -251,7 +222,7 @@ pub fn make_sut_full(
         servers,
         Box::new(XraftDriver {
             net,
-            client_counter: 0,
+            scripts: ScriptDriver::new("clientSet"),
         }),
     )
     .with_tracer_hook(Box::new(move |t| trace_net.set_tracer(t.clone())))

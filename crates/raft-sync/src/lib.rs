@@ -18,4 +18,4 @@ pub use bugs::SyncRaftBugs;
 pub use logstore::{LogEntry, LogStore};
 pub use msg::Rpc;
 pub use node::SyncRaftNode;
-pub use sut::{make_sut, make_sut_full, mapping};
+pub use sut::{make_sut_full, mapping};

@@ -9,10 +9,9 @@
 use std::sync::Arc;
 
 use mocket_core::mapping::{ActionBinding, MappingRegistry};
-use mocket_core::sut::{int_param, ExecReport, SutError};
 use mocket_dsnet::{ClusterStorage, Net, NodeId};
-use mocket_runtime::{Backend, Cluster, ClusterSut, ExternalDriver};
-use mocket_tla::{ActionClass, ActionInstance, Value};
+use mocket_runtime::{Backend, Cluster, ClusterSut, ScriptDriver};
+use mocket_tla::{ActionClass, Value};
 
 use crate::bugs::SyncRaftBugs;
 
@@ -120,50 +119,8 @@ pub fn mapping(with_update_term: bool) -> MappingRegistry {
     r
 }
 
-struct SyncDriver {
-    client_counter: i64,
-}
-
-impl ExternalDriver for SyncDriver {
-    fn execute(
-        &mut self,
-        cluster: &mut Cluster,
-        action: &ActionInstance,
-    ) -> Result<ExecReport, SutError> {
-        match action.name.as_str() {
-            "ClientRequest" => {
-                let leader = int_param(action, 0)? as NodeId;
-                self.client_counter += 1;
-                let events = cluster
-                    .execute(
-                        leader,
-                        &ActionInstance::new("clientWrite", vec![Value::Int(self.client_counter)]),
-                    )
-                    .map_err(|e| SutError::External(e.to_string()))?;
-                Ok(ExecReport { msg_events: events })
-            }
-            "Restart" => {
-                cluster.restart(int_param(action, 0)? as NodeId);
-                Ok(ExecReport::default())
-            }
-            "Crash" => {
-                cluster.crash(int_param(action, 0)? as NodeId);
-                Ok(ExecReport::default())
-            }
-            other => Err(SutError::External(format!(
-                "unknown external action {other}"
-            ))),
-        }
-    }
-}
-
 /// Builds a deployable SyncRaft cluster (conformant or with seeded
-/// bugs) with the natural mapping, on the wall clock, without faults.
-pub fn make_sut(servers: Vec<NodeId>, bugs: SyncRaftBugs) -> ClusterSut {
-    make_sut_full(servers, bugs, false, Backend::Threads, None)
-}
-
-/// [`make_sut`] with every knob explicit.
+/// bugs) as a Mocket system under test.
 ///
 /// `expose_update_term`: whether the `stepDown` region notifies the
 /// testbed standalone. With `false` (the natural mapping) the official
@@ -194,6 +151,7 @@ pub fn make_sut_full(
     let storage: Arc<ClusterStorage<Value>> = ClusterStorage::new();
     let factory_net = net.clone();
     let factory_servers = servers.clone();
+    let factory_storage = storage.clone();
     let cluster = Cluster::new(
         Box::new(move |id| {
             Box::new(SyncRaftNode::new(
@@ -202,13 +160,15 @@ pub fn make_sut_full(
                 bugs.clone(),
                 expose_update_term,
                 factory_net.clone(),
-                storage.for_node(id),
+                factory_storage.for_node(id),
             )) as Box<dyn mocket_runtime::NodeApp>
         }),
         backend,
-    );
+    )
+    // Disk loss erases the node's durable storage (see `DISK_LOSS_ACTION`).
+    .with_disk_wiper(Box::new(move |id| storage.for_node(id).wipe()));
     let trace_net = net.clone();
-    ClusterSut::new(cluster, servers, Box::new(SyncDriver { client_counter: 0 }))
+    ClusterSut::new(cluster, servers, Box::new(ScriptDriver::new("clientWrite")))
         .with_tracer_hook(Box::new(move |t| trace_net.set_tracer(t.clone())))
 }
 

@@ -380,11 +380,6 @@ impl Cluster {
         self
     }
 
-    /// Whether a disk wiper is installed.
-    pub fn has_disk_wiper(&self) -> bool {
-        self.disk_wiper.is_some()
-    }
-
     /// Erases `id`'s durable storage (disk-loss fault). Unlike
     /// [`crash`](Self::crash), which only loses volatile state, a
     /// wiped node must come back empty after

@@ -18,4 +18,4 @@ pub mod sutadapter;
 pub use cluster::{Backend, Cluster, ClusterError, DiskWiper, NodeApp, NodeFactory, NodeId};
 pub use random::{run_random, RandomRunStats, XorShift};
 pub use registry::{Shadow, VarRegistry};
-pub use sutadapter::{ClusterSut, ExternalDriver, DISK_LOSS_ACTION};
+pub use sutadapter::{ClusterSut, ExternalDriver, ScriptDriver, DISK_LOSS_ACTION};

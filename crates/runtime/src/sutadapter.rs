@@ -6,7 +6,7 @@
 //! requests, and the drop/duplicate overriding switches); the adapter
 //! wires both to the testbed.
 
-use mocket_core::sut::{ExecReport, Offer, Snapshot, SutError, SystemUnderTest};
+use mocket_core::sut::{int_param, ExecReport, Offer, Snapshot, SutError, SystemUnderTest};
 use mocket_obs::causal::Tracer;
 use mocket_tla::{ActionInstance, Value};
 
@@ -26,6 +26,56 @@ pub trait ExternalDriver: Send {
         cluster: &mut Cluster,
         action: &ActionInstance,
     ) -> Result<ExecReport, SutError>;
+}
+
+/// The scripts every protocol shares (§4.1.2): `ClientRequest(leader)`
+/// — the k-th user request writes datum k through the `client_hook`
+/// action of the leader — plus `Restart(n)` and `Crash(n)`.
+pub struct ScriptDriver {
+    client_hook: &'static str,
+    client_counter: i64,
+}
+
+impl ScriptDriver {
+    /// The scripts of a protocol whose client write is `client_hook`.
+    pub fn new(client_hook: &'static str) -> Self {
+        ScriptDriver {
+            client_hook,
+            client_counter: 0,
+        }
+    }
+}
+
+impl ExternalDriver for ScriptDriver {
+    fn execute(
+        &mut self,
+        cluster: &mut Cluster,
+        action: &ActionInstance,
+    ) -> Result<ExecReport, SutError> {
+        match action.name.as_str() {
+            "ClientRequest" => {
+                let leader = int_param(action, 0)? as NodeId;
+                self.client_counter += 1;
+                let write =
+                    ActionInstance::new(self.client_hook, vec![Value::Int(self.client_counter)]);
+                let events = cluster
+                    .execute(leader, &write)
+                    .map_err(|e| SutError::External(e.to_string()))?;
+                Ok(ExecReport { msg_events: events })
+            }
+            "Restart" => {
+                cluster.restart(int_param(action, 0)? as NodeId);
+                Ok(ExecReport::default())
+            }
+            "Crash" => {
+                cluster.crash(int_param(action, 0)? as NodeId);
+                Ok(ExecReport::default())
+            }
+            other => Err(SutError::External(format!(
+                "unknown external action {other}"
+            ))),
+        }
+    }
 }
 
 /// A cluster exposed as a system under test.
@@ -180,30 +230,6 @@ mod tests {
         }
     }
 
-    struct CrashDriver;
-
-    impl ExternalDriver for CrashDriver {
-        fn execute(
-            &mut self,
-            cluster: &mut Cluster,
-            action: &ActionInstance,
-        ) -> Result<ExecReport, SutError> {
-            match action.name.as_str() {
-                "Crash" => {
-                    let id = action.params[0].expect_int() as NodeId;
-                    cluster.crash(id);
-                    Ok(ExecReport::default())
-                }
-                "Restart" => {
-                    let id = action.params[0].expect_int() as NodeId;
-                    cluster.restart(id);
-                    Ok(ExecReport::default())
-                }
-                other => Err(SutError::External(format!("unknown {other}"))),
-            }
-        }
-    }
-
     fn sut() -> ClusterSut {
         let factory: NodeFactory = Box::new(|_id| {
             let registry = VarRegistry::new();
@@ -211,7 +237,7 @@ mod tests {
             Box::new(PingApp { registry, pinged }) as Box<dyn NodeApp>
         });
         let cluster = Cluster::new(factory, Backend::Threads);
-        ClusterSut::new(cluster, vec![1, 2], Box::new(CrashDriver))
+        ClusterSut::new(cluster, vec![1, 2], Box::new(ScriptDriver::new("ping")))
     }
 
     #[test]
@@ -307,7 +333,7 @@ mod tests {
             Cluster::new(factory, Backend::Threads).with_disk_wiper(Box::new(move |id| {
                 disk.lock().unwrap().remove(&id);
             }));
-        ClusterSut::new(cluster, vec![1], Box::new(CrashDriver))
+        ClusterSut::new(cluster, vec![1], Box::new(ScriptDriver::new("ping")))
     }
 
     fn count_of(s: &mut ClusterSut, node: i64) -> Value {

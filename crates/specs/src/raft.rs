@@ -32,7 +32,7 @@ pub const LEADER: &str = "Leader";
 pub const NOOP: &str = "NoOp";
 
 /// Model configuration for [`RaftSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaftSpecConfig {
     /// Server ids (the `Server` constant).
     pub servers: Vec<i64>,
@@ -105,6 +105,19 @@ impl RaftSpecConfig {
             leader_noop: false,
             bug_update_term_independent: false,
             bug_missing_reply: false,
+        }
+    }
+
+    /// The deep Raft-java model: three servers, two candidates, two
+    /// client requests, terms up to 3, one message in flight — just deep
+    /// enough for the log-conflict scenario of Raft-java bug #2, and the
+    /// Raft-java model of the benches.
+    pub fn raft_java_log_conflict() -> Self {
+        RaftSpecConfig {
+            client_request_limit: 2,
+            candidates: Some(vec![1, 2]),
+            max_in_flight: 1,
+            ..Self::raft_java(vec![1, 2, 3])
         }
     }
 

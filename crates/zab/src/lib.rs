@@ -14,4 +14,4 @@ pub mod sut;
 pub use bugs::ZabBugs;
 pub use msg::{ZEntry, ZVote, ZabMsg};
 pub use node::ZabNode;
-pub use sut::{make_sut, make_sut_full, mapping};
+pub use sut::{make_sut_full, mapping};

@@ -20,23 +20,16 @@
 //! Exits non-zero if any of it fails to hold (CI uses this as the
 //! observability smoke test).
 
-use std::sync::Arc;
-
-use mocket::core::{Pipeline, PipelineConfig, RunConfig};
+use mocket::core::{PipelineConfig, RunConfig};
 use mocket::obs::{
     render_html, render_text, strip_wall_clock, CampaignHistory, Obs, EVENTS_FILE_NAME,
     RUN_SUMMARY_FILE_NAME,
 };
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
+use mocket::runtime::Backend;
+use mocket::targets::by_name;
 
 fn run_once(dir: &std::path::Path) -> (String, String) {
-    let spec_cfg = RaftSpecConfig {
-        dup_limit: 0,
-        restart_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    };
-    let servers: Vec<u64> = spec_cfg.servers.iter().map(|&i| i as u64).collect();
+    let target = by_name("xraft", None).expect("catalogue target");
 
     let mut pc = PipelineConfig::default();
     pc.max_path_len = 40;
@@ -46,9 +39,7 @@ fn run_once(dir: &std::path::Path) -> (String, String) {
     pc.progress = true;
     pc.obs = Obs::jsonl_in(dir).expect("open obs dir");
 
-    let pipeline = Pipeline::new(Arc::new(RaftSpec::new(spec_cfg)), mapping(), pc)
-        .expect("mapping validates");
-    let result = pipeline.run(|| Box::new(make_sut(servers.clone(), XraftBugs::none())));
+    let result = target.run(pc, &Backend::Threads);
     assert!(
         result.reports.is_empty() && result.quarantined.is_empty(),
         "clean target must conform"

@@ -1,73 +1,20 @@
 //! Bug hunt on AsyncRaft (the Xraft analog): all three previously
 //! unknown Xraft bugs from the paper's Table 2, found by the full
-//! Mocket pipeline.
+//! Mocket pipeline. The rows — narrowed model, seeded switch — come
+//! from the catalogue (`mocket::targets::TABLE2`).
 //!
 //! Run with: `cargo run --release --example raft_bughunt`
 
-use std::sync::Arc;
-
-use mocket::core::{Pipeline, PipelineConfig, RunConfig};
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
-
-fn pipeline(cfg: RaftSpecConfig) -> Pipeline {
-    let mut pc = PipelineConfig::default();
-    pc.por = false;
-    pc.stop_at_first_bug = true;
-    pc.max_path_len = 60;
-    pc.run = RunConfig::fast();
-    Pipeline::new(Arc::new(RaftSpec::new(cfg)), mapping(), pc).expect("mapping is valid")
-}
+use mocket::runtime::Backend;
+use mocket::targets::TABLE2;
 
 fn main() {
-    let scenarios: Vec<(&str, RaftSpecConfig, XraftBugs)> = vec![
-        (
-            "Bug #1: duplicated vote response elects a leader without quorum",
-            RaftSpecConfig {
-                restart_limit: 0,
-                client_request_limit: 0,
-                ..RaftSpecConfig::xraft(vec![1, 2])
-            },
-            XraftBugs {
-                duplicate_vote_counting: true,
-                ..XraftBugs::none()
-            },
-        ),
-        (
-            "Bug #2: votedFor forgotten across a restart",
-            RaftSpecConfig {
-                dup_limit: 0,
-                client_request_limit: 0,
-                ..RaftSpecConfig::xraft(vec![1, 2])
-            },
-            XraftBugs {
-                voted_for_not_persisted: true,
-                ..XraftBugs::none()
-            },
-        ),
-        (
-            "Bug #3: NoOp entries discounted in the vote-granting log check",
-            RaftSpecConfig {
-                dup_limit: 0,
-                restart_limit: 0,
-                client_request_limit: 0,
-                max_term: 3,
-                ..RaftSpecConfig::xraft(vec![1, 2])
-            },
-            XraftBugs {
-                noop_log_grant: true,
-                ..XraftBugs::none()
-            },
-        ),
-    ];
-
-    for (title, cfg, bugs) in scenarios {
+    for row in TABLE2.iter().filter(|row| row.target == "xraft") {
         println!("==================================================================");
-        println!("{title}");
+        println!("{}: {} (expected: {} : {})", row.id, row.bug, row.kind, row.subject);
         println!("==================================================================");
-        let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-        let result = pipeline(cfg)
-            .run(|| Box::new(make_sut(servers.clone(), bugs.clone())));
+        let target = row.target();
+        let result = target.run(target.hunt_config(), &Backend::Threads);
         println!(
             "model: {} states / {} edges; ran {} of {} cases",
             result.effort.states,

@@ -22,46 +22,24 @@
 //! Exits non-zero if any stage misbehaves (CI uses this as the triage
 //! smoke test).
 
-use std::sync::Arc;
-
-use mocket::core::{replay, Pipeline, PipelineConfig, ReplayArtifact, RunConfig};
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
+use mocket::core::{replay, ReplayArtifact};
+use mocket::runtime::Backend;
+use mocket::targets::by_name;
 
 fn main() {
     let campaign_dir = std::env::temp_dir().join("mocket-replay-example");
     let _ = std::fs::remove_dir_all(&campaign_dir);
 
-    let spec_cfg = RaftSpecConfig {
-        dup_limit: 0,
-        client_request_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    };
-    let bugs = XraftBugs {
-        voted_for_not_persisted: true,
-        ..XraftBugs::none()
-    };
-    let servers: Vec<u64> = spec_cfg.servers.iter().map(|&i| i as u64).collect();
-
-    let configure = |campaign_dir: &std::path::Path| {
-        let mut pc = PipelineConfig::default();
-        pc.por = false;
-        pc.stop_at_first_bug = true;
-        pc.max_path_len = 60;
-        pc.run = RunConfig::fast();
-        pc.triage.campaign_dir = Some(campaign_dir.to_path_buf());
-        pc.triage.spec_config = "xraft servers=2 bug=voted_for_not_persisted".into();
+    let target = by_name("xraft", Some("voted-for-not-persisted")).expect("catalogue row");
+    let configure = || {
+        let mut pc = target.hunt_config();
+        pc.triage.campaign_dir = Some(campaign_dir.clone());
+        pc.triage.spec_config = "target=xraft bug=voted-for-not-persisted".into();
         pc
     };
 
     println!("== campaign: AsyncRaft with Bug #2 (votedFor not persisted) ==");
-    let pipeline = Pipeline::new(
-        Arc::new(RaftSpec::new(spec_cfg.clone())),
-        mapping(),
-        configure(&campaign_dir),
-    )
-    .expect("mapping is valid");
-    let result = pipeline.run(|| Box::new(make_sut(servers.clone(), bugs.clone())));
+    let result = target.run(configure(), &Backend::Threads);
 
     let report = result.reports.first().expect("the bug must be detected");
     println!(
@@ -99,9 +77,9 @@ fn main() {
         "stored reproducer is never longer than the revealing case"
     );
 
-    let mut fresh = make_sut(servers.clone(), bugs.clone());
+    let mut fresh = target.sut(Backend::Threads, None);
     let (verdict, stats) =
-        replay(&artifact, &mut fresh, &mapping()).expect("replay run completes");
+        replay(&artifact, &mut fresh, &target.registry).expect("replay run completes");
     println!(
         "replay verdict after {} actions: {}",
         stats.actions_executed,
@@ -119,13 +97,7 @@ fn main() {
     // Resume: the journal remembers every completed case, so a second
     // run of the same campaign skips straight to new work.
     println!("\n== resuming the campaign from its journal ==");
-    let pipeline = Pipeline::new(
-        Arc::new(RaftSpec::new(spec_cfg)),
-        mapping(),
-        configure(&campaign_dir),
-    )
-    .expect("mapping is valid");
-    let resumed = pipeline.run(|| Box::new(make_sut(servers.clone(), bugs.clone())));
+    let resumed = target.run(configure(), &Backend::Threads);
     println!(
         "resumed: {} cases skipped from the journal, {} run fresh",
         resumed.skipped_from_journal,

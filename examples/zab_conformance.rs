@@ -8,15 +8,15 @@
 //!
 //! Run with: `cargo run --release --example zab_conformance`
 
-use std::sync::Arc;
-
-use mocket::core::{Pipeline, PipelineConfig, RunConfig};
-use mocket::specs::zab::{ZabSpec, ZabSpecConfig};
-use mocket::zab::{make_sut, mapping, ZabBugs};
+use mocket::runtime::Backend;
+use mocket::specs::zab::ZabSpecConfig;
+use mocket::targets;
+use mocket::zab::ZabBugs;
 
 fn main() {
     // --- Uncontrolled random-schedule run -----------------------------
-    let mut sut = make_sut(vec![1, 2, 3], ZabBugs::none());
+    let conformant = targets::by_name("zab", None).expect("catalogue target");
+    let mut sut = conformant.sut_on(vec![1, 2, 3], Backend::Threads, None);
     use mocket::core::SystemUnderTest;
     sut.deploy().expect("deploy");
     let stats = mocket::runtime::run_random(sut.cluster_mut(), 4000, 7, 3).expect("random run");
@@ -30,17 +30,19 @@ fn main() {
     sut.teardown();
 
     // --- Controlled conformance testing -------------------------------
-    let mut cfg = ZabSpecConfig::small(vec![1, 2]);
-    cfg.client_request_limit = 0;
-    let mut pc = PipelineConfig::default();
+    // The election + synchronization model (no client requests) is
+    // small enough to run every POR-reduced case.
+    let election = targets::zab(
+        ZabSpecConfig {
+            client_request_limit: 0,
+            ..targets::zab_model()
+        },
+        ZabBugs::none(),
+    );
+    let mut pc = election.hunt_config();
     pc.por = true;
     pc.stop_at_first_bug = false;
-    pc.max_path_len = 60;
-    pc.run = RunConfig::fast();
-    let pipeline =
-        Pipeline::new(Arc::new(ZabSpec::new(cfg)), mapping(), pc).expect("mapping is valid");
-    let result = pipeline
-        .run(|| Box::new(make_sut(vec![1, 2], ZabBugs::none())));
+    let result = election.run(pc, &Backend::Threads);
     println!(
         "\nControlled testing: {} states, {} EC paths -> {} after POR; \
          {} cases run, {} passed, {} inconsistencies",

@@ -55,6 +55,15 @@ while read -r file; do
     fi
 done < <(git ls-files 'crates/core/src/orchestrator/*.rs')
 
+# One target catalogue: a system under test is deployed through
+# `mocket::targets` (which pairs the builder with its spec, mapping and
+# bug switch), never by calling a system crate's builder directly.
+if git grep -nE 'make_sut_full\(' -- '*.rs' \
+    ':!src/targets.rs' ':!crates/*/src/sut.rs' ':!perfbench/'; then
+    echo "error: make_sut_full( outside src/targets.rs; build the SUT through mocket::targets" >&2
+    fail=1
+fi
+
 # The benchmark trajectory (scripts/bench-history.sh) is machine-read
 # and append-only: every line is one flat record of the shape the
 # script writes, and what a commit holds stays a byte prefix of what

@@ -14,8 +14,8 @@
 //! mocket-cli list
 //! ```
 //!
-//! Specs: `cachemax`, `xraft`, `raft-java`, `raft-official`, `zab`.
-//! Targets: `xraft`, `raft-java`, `zab` (bug names via `list`).
+//! Spec, target and bug names come from the catalogue in
+//! `mocket::targets` (`list` prints them).
 //!
 //! `campaign` runs the crash-tolerant sharded orchestrator: a
 //! supervisor process (this command) shards the pinned case plan
@@ -26,7 +26,6 @@
 //! same command against the same directory resumes idempotently.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use mocket::checker::{to_dot, EdgeId, ModelChecker, StateGraph};
@@ -37,19 +36,11 @@ use mocket::core::orchestrator::{
     WorkerConfig, WorkerContext, EXIT_PLAN_MISMATCH,
 };
 use mocket::core::{CampaignJournal, CaseOutcome};
-use mocket::core::{
-    MappingRegistry, Pipeline, PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest,
-};
+use mocket::core::{PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig};
-use mocket::raft_async::XraftBugs;
-use mocket::raft_sync::SyncRaftBugs;
 use mocket::runtime::Backend;
 use mocket::sim::SimHandle;
-use mocket::specs::cachemax::CacheMax;
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
-use mocket::specs::zab::{ZabSpec, ZabSpecConfig};
-use mocket::tla::Spec;
-use mocket::zab::ZabBugs;
+use mocket::targets::{self, Target};
 
 fn usage() -> ! {
     eprintln!(
@@ -129,193 +120,65 @@ impl Args {
             .then(|| SimHandle::new(self.flag_usize("sim-seed", 42) as u64))
     }
 
+    /// The spec or target name every subcommand but `report`/`list` takes.
+    fn name(&self) -> &str {
+        self.positional.get(1).unwrap_or_else(|| usage())
+    }
+
+    fn bug(&self) -> Option<&str> {
+        self.flags.get("bug").map(String::as_str)
+    }
+
+    /// The catalogue target named by `<target>` and `--bug`.
+    fn target(&self) -> Target {
+        or_exit_2(targets::by_name(self.name(), self.bug()))
+    }
+
     /// Virtual link latency selected by `--rtt-ms` / `--rtt-spread-ms`:
     /// when set, every SUT network gets a seed-driven fault plan that
     /// holds messages for a base RTT plus a stable per-link offset and
     /// per-message jitter. The holds mature on the cluster clock —
     /// virtual time under `--sim`, wall time otherwise —
     /// and the seed is shared with `--sim-seed` so one number pins the
-    /// whole run.
-    fn rtt(&self) -> Option<Rtt> {
+    /// whole run. Plans carry mutable replay state, so every deployment
+    /// takes its own clone of this pristine one.
+    fn fault_plan(&self) -> Option<FaultPlan> {
         let base_ms = self.flag_usize("rtt-ms", 0);
-        (base_ms > 0).then(|| Rtt {
-            seed: self.flag_usize("sim-seed", 42) as u64,
-            base: Duration::from_millis(base_ms as u64),
-            spread: Duration::from_millis(self.flag_usize("rtt-spread-ms", 0) as u64),
+        (base_ms > 0).then(|| {
+            FaultPlan::with_config(
+                self.flag_usize("sim-seed", 42) as u64,
+                FaultPlanConfig::timed_delays(
+                    Duration::from_millis(base_ms as u64),
+                    Duration::from_millis(self.flag_usize("rtt-spread-ms", 0) as u64),
+                ),
+            )
         })
     }
 }
 
-/// Seeded virtual-RTT knobs (see [`Args::rtt`]).
-#[derive(Clone, Copy)]
-struct Rtt {
-    seed: u64,
-    base: Duration,
-    spread: Duration,
+/// Unknown spec, target and bug names all exit 2 with the catalogue's
+/// one-line message.
+fn or_exit_2<T>(resolved: Result<T, String>) -> T {
+    resolved.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
-impl Rtt {
-    /// A fresh per-deployment fault plan (plans carry mutable replay
-    /// state, so every SUT instance needs its own).
-    fn plan(self) -> FaultPlan {
-        FaultPlan::with_config(self.seed, FaultPlanConfig::timed_delays(self.base, self.spread))
-    }
-}
-
-fn spec_by_name(name: &str) -> Arc<dyn Spec> {
-    match name {
-        "cachemax" => Arc::new(CacheMax::paper_model()),
-        "xraft" => Arc::new(RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2]))),
-        "raft-java" => Arc::new(RaftSpec::new(RaftSpecConfig::raft_java(vec![1, 2, 3]))),
-        "raft-official" => Arc::new(RaftSpec::new(RaftSpecConfig::official_buggy(vec![1, 2]))),
-        "zab" => Arc::new(ZabSpec::new(ZabSpecConfig::small(vec![1, 2]))),
-        other => {
-            eprintln!("unknown spec {other:?} (try `mocket-cli list`)");
-            std::process::exit(2);
-        }
-    }
-}
-
-struct Target {
-    spec: Arc<dyn Spec>,
-    registry: MappingRegistry,
-    make: Box<dyn FnMut() -> Box<dyn SystemUnderTest>>,
-}
-
-fn target_by_name(
-    name: &str,
-    bug: Option<&str>,
+/// A fresh deployment of `target` per call, on the backend `--sim`
+/// selects and under the `--rtt-ms` fault plan.
+fn deployer<'a>(
+    target: &'a Target,
     sim: Option<&SimHandle>,
-    rtt: Option<Rtt>,
-) -> Target {
-    let backend = match sim {
-        Some(handle) => Backend::Sim(handle.clone()),
-        None => Backend::Threads,
-    };
-    match name {
-        "xraft" => {
-            let mut bugs = XraftBugs::none();
-            let mut cfg = RaftSpecConfig::xraft(vec![1, 2]);
-            match bug {
-                None => {}
-                Some("duplicate-vote-counting") => {
-                    bugs.duplicate_vote_counting = true;
-                    cfg.restart_limit = 0;
-                    cfg.client_request_limit = 0;
-                }
-                Some("voted-for-not-persisted") => {
-                    bugs.voted_for_not_persisted = true;
-                    cfg.dup_limit = 0;
-                    cfg.client_request_limit = 0;
-                }
-                Some("noop-log-grant") => {
-                    bugs.noop_log_grant = true;
-                    cfg.dup_limit = 0;
-                    cfg.restart_limit = 0;
-                    cfg.client_request_limit = 0;
-                    cfg.max_term = 3;
-                }
-                Some(other) => {
-                    eprintln!("unknown xraft bug {other:?}");
-                    std::process::exit(2);
-                }
-            }
-            let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-            Target {
-                spec: Arc::new(RaftSpec::new(cfg)),
-                registry: mocket::raft_async::mapping(),
-                make: Box::new(move || {
-                    Box::new(mocket::raft_async::make_sut_full(
-                        servers.clone(),
-                        bugs.clone(),
-                        backend.clone(),
-                        rtt.map(Rtt::plan),
-                    ))
-                }),
-            }
-        }
-        "raft-java" => {
-            let mut bugs = SyncRaftBugs::none();
-            let mut cfg = RaftSpecConfig::raft_java(vec![1, 2, 3]);
-            match bug {
-                None => {}
-                Some("ignore-extra-vote-response") => {
-                    bugs.ignore_extra_vote_response = true;
-                    cfg.max_term = 2;
-                    cfg.client_request_limit = 0;
-                    cfg.candidates = Some(vec![1]);
-                }
-                Some("log-truncation") => {
-                    bugs.log_truncation_bug = true;
-                    cfg.max_term = 3;
-                    cfg.client_request_limit = 2;
-                    cfg.candidates = Some(vec![1, 2]);
-                    cfg.max_in_flight = 1;
-                }
-                Some(other) => {
-                    eprintln!("unknown raft-java bug {other:?}");
-                    std::process::exit(2);
-                }
-            }
-            let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-            Target {
-                spec: Arc::new(RaftSpec::new(cfg)),
-                registry: mocket::raft_sync::mapping(false),
-                make: Box::new(move || {
-                    Box::new(mocket::raft_sync::make_sut_full(
-                        servers.clone(),
-                        bugs.clone(),
-                        false,
-                        backend.clone(),
-                        rtt.map(Rtt::plan),
-                    ))
-                }),
-            }
-        }
-        "zab" => {
-            let mut bugs = ZabBugs::none();
-            let mut cfg = ZabSpecConfig::small(vec![1, 2]);
-            match bug {
-                None => {}
-                Some("election-echo-storm") => bugs.election_echo_storm = true,
-                Some("epoch-marker-race") => {
-                    bugs.epoch_marker_race = true;
-                    cfg.restart_limit = 1;
-                    cfg.client_request_limit = 0;
-                }
-                Some(other) => {
-                    eprintln!("unknown zab bug {other:?}");
-                    std::process::exit(2);
-                }
-            }
-            let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-            Target {
-                spec: Arc::new(ZabSpec::new(cfg)),
-                registry: mocket::zab::mapping(),
-                make: Box::new(move || {
-                    Box::new(mocket::zab::make_sut_full(
-                        servers.clone(),
-                        bugs.clone(),
-                        backend.clone(),
-                        rtt.map(Rtt::plan),
-                    ))
-                }),
-            }
-        }
-        other => {
-            eprintln!("unknown target {other:?} (try `mocket-cli list`)");
-            std::process::exit(2);
-        }
-    }
+    faults: Option<FaultPlan>,
+) -> impl FnMut() -> Box<dyn SystemUnderTest> + 'a {
+    let backend = sim.map_or(Backend::Threads, |handle| Backend::Sim(handle.clone()));
+    move || Box::new(target.sut(backend.clone(), faults.clone()))
 }
 
 fn cmd_check(args: &Args) {
-    let name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let spec = spec_by_name(name);
+    let name = args.name();
+    let spec = or_exit_2(targets::spec_named(name));
     let result = ModelChecker::new(spec)
         .max_states(args.flag_usize("max-states", 1_000_000))
         .run();
@@ -339,12 +202,8 @@ fn cmd_check(args: &Args) {
 }
 
 fn cmd_generate(args: &Args) {
-    let name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let spec = spec_by_name(name);
+    let name = args.name();
+    let spec = or_exit_2(targets::spec_named(name));
     let result = ModelChecker::new(spec).run();
     let por = mocket::core::partial_order_reduction(&result.graph);
     let mut cfg = mocket::core::TraversalConfig::default();
@@ -378,20 +237,12 @@ fn cmd_generate(args: &Args) {
 }
 
 fn cmd_test(args: &Args) {
-    let name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let bug = args.flags.get("bug").map(String::as_str);
+    let name = args.name();
+    let bug = args.bug();
     let sim = args.sim_handle();
-    let mut target = target_by_name(name, bug, sim.as_ref(), args.rtt());
-    let mut pc = PipelineConfig::default();
-    pc.por = false;
-    pc.stop_at_first_bug = true;
-    pc.max_path_len = 60;
+    let target = args.target();
+    let mut pc = target.hunt_config();
     pc.max_test_cases = args.flag_usize("limit", 0);
-    pc.run = RunConfig::fast();
     pc.progress = args.flag_bool("progress");
     pc.trace = args.flag_bool("trace");
     if let Some(handle) = &sim {
@@ -420,14 +271,14 @@ fn cmd_test(args: &Args) {
             pc.priority_edges.len()
         );
     }
-    let pipeline = Pipeline::new(target.spec, target.registry, pc).unwrap_or_else(|issues| {
+    let pipeline = target.pipeline(pc).unwrap_or_else(|issues| {
         eprintln!("mapping issues:");
         for issue in issues {
             eprintln!("  {issue}");
         }
         std::process::exit(1);
     });
-    let result = pipeline.run(&mut target.make);
+    let result = pipeline.run(deployer(&target, sim.as_ref(), args.fault_plan()));
     println!(
         "{name}{}: {} states, {} cases selected, {} run, {} passed, {} quarantined",
         bug.map(|b| format!(" (bug: {b})")).unwrap_or_default(),
@@ -448,7 +299,11 @@ fn cmd_test(args: &Args) {
         );
     }
     match result.reports.first() {
-        Some(report) => println!("\n{report}"),
+        Some(report) => println!(
+            "verdict: {} : {}\n\n{report}",
+            report.inconsistency.kind(),
+            report.inconsistency.subject()
+        ),
         None => println!("no inconsistencies: the implementation conforms"),
     }
     if let Some(dir) = args.flags.get("obs-dir") {
@@ -502,11 +357,10 @@ fn prepare_campaign(
 ) -> Result<(StateGraph, f64, Vec<Vec<EdgeId>>, CampaignPlan), String> {
     let (max_states, max_path_len, max_test_cases) =
         (pc.max_states, pc.max_path_len, pc.max_test_cases);
-    let pipeline =
-        Pipeline::new(target.spec.clone(), target.registry.clone(), pc).map_err(|issues| {
-            let issues: String = issues.iter().map(|i| format!("\n  {i}")).collect();
-            format!("mapping issues:{issues}")
-        })?;
+    let pipeline = target.pipeline(pc).map_err(|issues| {
+        let issues: String = issues.iter().map(|i| format!("\n  {i}")).collect();
+        format!("mapping issues:{issues}")
+    })?;
     let (graph, check_seconds) = pipeline.check();
     let (paths, ..) = pipeline.generate_paths(&graph);
     let plan = CampaignPlan::pin(
@@ -546,12 +400,9 @@ fn cmd_campaign(args: &Args) {
         cmd_campaign_status(args);
         return;
     }
-    let name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let bug = args.flags.get("bug").map(String::as_str);
+    let name = args.name();
+    let bug = args.bug();
+    let target = args.target();
     let Some(dir) = args.flags.get("campaign-dir") else {
         eprintln!("campaign requires --campaign-dir DIR");
         usage();
@@ -583,7 +434,6 @@ fn cmd_campaign(args: &Args) {
     // Model-check once and pin (or verify) the plan. The supervisor
     // itself never deploys a SUT; the workers, spawned with this
     // command line, each own their backend and virtual clock.
-    let target = target_by_name(name, bug, None, None);
     let spec_name = target.spec.name().to_string();
     let obs = mocket::obs::Obs::disabled();
     let mut pc = campaign_pipeline_config(
@@ -866,7 +716,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         }
     };
     let sim = args.sim_handle();
-    let target = target_by_name(&plan.target, plan.bug.as_deref(), sim.as_ref(), args.rtt());
+    let target = or_exit_2(targets::by_name(&plan.target, plan.bug.as_deref()));
     let spec_name = target.spec.name().to_string();
     let spec_config = format!(
         "target={} bug={}",
@@ -903,8 +753,6 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         eprintln!("worker {worker_id}: {e}");
         std::process::exit(EXIT_PLAN_MISMATCH);
     });
-    let (spec, registry, mut make) = (target.spec, target.registry, target.make);
-
     let run_cfg = RunConfig::fast();
     let wcfg = WorkerConfig {
         campaign_dir: campaign_dir.clone(),
@@ -929,10 +777,12 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         pc.trace = args.flag_bool("trace");
         pc.triage.campaign_dir = Some(setup.shard_dir.clone());
         pc.triage.spec_config = spec_config.clone();
-        Pipeline::new(spec.clone(), registry.clone(), pc)
+        target
+            .pipeline(pc)
             .expect("mapping validated at worker startup")
     };
-    match mocket::core::orchestrator::worker_loop(&wcfg, &ctx, graph, build, &mut make) {
+    let make = deployer(&target, sim.as_ref(), args.fault_plan());
+    match mocket::core::orchestrator::worker_loop(&wcfg, &ctx, graph, build, make) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
             eprintln!("worker {worker_id}: {e}");
@@ -1032,40 +882,30 @@ fn cmd_trace_view(args: &Args) {
 }
 
 fn cmd_simulate(args: &Args) {
-    let name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let servers = vec![1, 2, 3];
-    let mut sut = match name {
-        "xraft" => mocket::raft_async::make_sut(servers, XraftBugs::none()),
-        "raft-java" => mocket::raft_sync::make_sut(servers, SyncRaftBugs::none()),
-        "zab" => mocket::zab::make_sut(servers, ZabBugs::none()),
-        other => {
-            eprintln!("unknown target {other:?} (try `mocket-cli list`)");
-            std::process::exit(2);
-        }
-    };
+    // A free-running three-node cluster of the target's implementation.
+    let target = args.target();
+    let mut sut = target.sut_on(vec![1, 2, 3], Backend::Threads, None);
     let steps = args.flag_usize("steps", 2000);
     let seed = args.flag_usize("seed", 42) as u64;
     sut.deploy().expect("deploy");
     let stats = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
     sut.teardown();
     let stats = stats.expect("random run");
-    println!("{name}: {} actions under a random schedule", stats.executed);
+    println!("{}: {} actions under a random schedule", target.name, stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<24} x{count}");
     }
 }
 
+/// Rendered from the catalogue; CI loops over the `bugs:` rows
+/// (`<target> <bug> <kind> : <subject>`) and runs each.
 fn cmd_list() {
-    println!("specs:    cachemax, xraft, raft-java, raft-official, zab");
-    println!("targets:  xraft, raft-java, zab");
-    println!("bugs:");
-    println!("  xraft:     duplicate-vote-counting, voted-for-not-persisted, noop-log-grant");
-    println!("  raft-java: ignore-extra-vote-response, log-truncation");
-    println!("  zab:       election-echo-storm, epoch-marker-race");
+    println!("specs:    {}", targets::SPECS.join(", "));
+    println!("targets:  {}", targets::TARGETS.join(", "));
+    println!("bugs (Table 2; `test <target> --bug <name>` must report `verdict: <expected>`):");
+    for row in &targets::TABLE2 {
+        println!("  {:<10} {:<27} {} : {}", row.target, row.bug, row.kind, row.subject);
+    }
 }
 
 fn main() {

@@ -5,6 +5,10 @@
 //! ([`checker`]), Mocket itself ([`core`]), the instrumentation
 //! runtime ([`runtime`]), the distributed-system substrate
 //! ([`dsnet`]), the three target systems and their specifications.
+//! [`targets`] is the catalogue that pairs them: every system under
+//! test and every Table-2 bug, defined once.
+
+pub mod targets;
 
 pub use mocket_checker as checker;
 pub use mocket_core as core;

@@ -13,16 +13,13 @@
 //!   requested — the fast no-op path.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use mocket::core::{
-    Pipeline, PipelineConfig, ReplayArtifact, RunConfig, SystemUnderTest,
-};
+use mocket::core::ReplayArtifact;
 use mocket::obs::causal::{CausalEvent, CausalKind};
 use mocket::obs::TRACE_FILE_NAME;
 use mocket::runtime::Backend;
 use mocket::sim::SimHandle;
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
+use mocket::targets::by_name;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mocket-causal-{tag}-{}", std::process::id()));
@@ -34,38 +31,13 @@ fn scratch(tag: &str) -> PathBuf {
 /// Runs the seeded ignore-extra-vote-response campaign (which fails
 /// with missing actions) under `--sim`, returning the campaign dir.
 fn run_buggy_raft(dir: &Path, trace: bool) {
-    let mut bugs = mocket::raft_sync::SyncRaftBugs::none();
-    bugs.ignore_extra_vote_response = true;
-    let mut cfg = RaftSpecConfig::raft_java(vec![1, 2, 3]);
-    cfg.max_term = 2;
-    cfg.client_request_limit = 0;
-    cfg.candidates = Some(vec![1]);
-    let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-    let handle = SimHandle::new(42);
-    let mut pc = PipelineConfig::default();
-    pc.por = false;
+    let target = by_name("raft-java", Some("ignore-extra-vote-response")).unwrap();
+    let mut pc = target.hunt_config();
     pc.stop_at_first_bug = false;
-    pc.max_path_len = 60;
     pc.max_test_cases = 6;
-    pc.run = RunConfig::fast();
     pc.trace = trace;
-    pc.clock = handle.clock.clone();
     pc.triage.campaign_dir = Some(dir.to_path_buf());
-    let pipeline = Pipeline::new(
-        Arc::new(RaftSpec::new(cfg)),
-        mocket::raft_sync::mapping(false),
-        pc,
-    )
-    .expect("mapping validates");
-    let result = pipeline.run(|| {
-        Box::new(mocket::raft_sync::make_sut_full(
-            servers.clone(),
-            bugs.clone(),
-            false,
-            Backend::Sim(handle.clone()),
-            None,
-        )) as Box<dyn SystemUnderTest>
-    });
+    let result = target.run(pc, &Backend::Sim(SimHandle::new(42)));
     assert!(
         !result.reports.is_empty(),
         "the seeded bug must produce failures"

@@ -3,21 +3,26 @@
 //! the multi-round workflow that shakes them out: validate, fix the
 //! mapping, regenerate, re-test.
 
-use std::sync::Arc;
-
 use mocket::core::mapping::ActionBinding;
 use mocket::core::{MappingIssue, MappingRegistry, Pipeline, PipelineConfig};
-use mocket::raft_async::{make_sut, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
+use mocket::raft_async::XraftBugs;
+use mocket::runtime::Backend;
+use mocket::specs::raft::RaftSpecConfig;
+use mocket::targets::{self, Target};
 use mocket::tla::ActionClass;
 
-fn small_model() -> RaftSpecConfig {
-    RaftSpecConfig {
-        dup_limit: 0,
-        restart_limit: 0,
-        client_request_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    }
+/// Conformant AsyncRaft against an election-only model (no faults, no
+/// client requests) — deliberately not a catalogue model.
+fn small_target() -> Target {
+    targets::xraft(
+        RaftSpecConfig {
+            dup_limit: 0,
+            restart_limit: 0,
+            client_request_limit: 0,
+            ..targets::xraft_model()
+        },
+        XraftBugs::none(),
+    )
 }
 
 #[test]
@@ -30,13 +35,9 @@ fn miswritten_action_name_is_caught_before_testing() {
         ActionClass::SingleNode,
         ActionBinding::Method,
     );
-    let err = Pipeline::new(
-        Arc::new(RaftSpec::new(small_model())),
-        registry,
-        PipelineConfig::default(),
-    )
-    .err()
-    .expect("validation must fail fast");
+    let err = Pipeline::new(small_target().spec, registry, PipelineConfig::default())
+        .err()
+        .expect("validation must fail fast");
     assert!(err.contains(&MappingIssue::UnknownSpecName("BecomeLeadr".into())));
 }
 
@@ -85,10 +86,10 @@ fn wrong_hook_binding_surfaces_as_missing_action_then_fixed_mapping_passes() {
     let mut pc = PipelineConfig::default();
     pc.por = true;
     pc.stop_at_first_bug = true;
-    let pipeline = Pipeline::new(Arc::new(RaftSpec::new(small_model())), wrong, pc)
-        .expect("spec names are all valid");
-    let result = pipeline
-        .run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let target = small_target();
+    let pipeline =
+        Pipeline::new(target.spec.clone(), wrong, pc).expect("spec names are all valid");
+    let result = pipeline.run(|| Box::new(target.sut(Backend::Threads, None)));
     let report = result
         .reports
         .first()
@@ -100,14 +101,7 @@ fn wrong_hook_binding_surfaces_as_missing_action_then_fixed_mapping_passes() {
     let mut pc = PipelineConfig::default();
     pc.por = true;
     pc.stop_at_first_bug = true;
-    let fixed = Pipeline::new(
-        Arc::new(RaftSpec::new(small_model())),
-        mocket::raft_async::mapping(),
-        pc,
-    )
-    .expect("mapping is valid");
-    let result = fixed
-        .run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let result = target.run(pc, &Backend::Threads);
     assert!(
         result.reports.is_empty(),
         "after the fix the multi-round re-test is clean"
@@ -132,13 +126,9 @@ fn unmapped_message_variable_is_reported() {
             am.binding,
         );
     }
-    let err = Pipeline::new(
-        Arc::new(RaftSpec::new(small_model())),
-        broken,
-        PipelineConfig::default(),
-    )
-    .err()
-    .expect("validation must fail");
+    let err = Pipeline::new(small_target().spec, broken, PipelineConfig::default())
+        .err()
+        .expect("validation must fail");
     assert!(err
         .iter()
         .any(|i| matches!(i, MappingIssue::UnmappedVariable(v) if v == "messages")));

@@ -10,8 +10,16 @@
 
 use mocket::core::sut::SystemUnderTest;
 use mocket::core::Offer;
-use mocket::raft_async::{make_sut, XraftBugs};
+use mocket::runtime::{Backend, ClusterSut};
+use mocket::targets::by_name;
 use mocket::tla::{ActionInstance, Value};
+
+/// A free-running AsyncRaft cluster with the catalogue's `bug` switch.
+fn xraft_cluster(bug: Option<&str>, servers: Vec<u64>) -> ClusterSut {
+    by_name("xraft", bug)
+        .unwrap()
+        .sut_on(servers, Backend::Threads, None)
+}
 
 fn offer(node: u64, name: &str, params: Vec<Value>) -> Offer {
     Offer {
@@ -54,13 +62,7 @@ fn var_of(sut: &mut dyn SystemUnderTest, var: &str, node: u64) -> Value {
 fn figure8_restart_cancels_a_vote() {
     // votedFor is never persisted: after a restart the voter forgets
     // its vote and grants the same term to a second candidate.
-    let mut sut = make_sut(
-        vec![1, 2, 3],
-        XraftBugs {
-            voted_for_not_persisted: true,
-            ..XraftBugs::none()
-        },
-    );
+    let mut sut = xraft_cluster(Some("voted-for-not-persisted"), vec![1, 2, 3]);
     sut.deploy().expect("deploy");
 
     // Node 1 and node 3 become rival candidates of the same term.
@@ -108,13 +110,7 @@ fn figure9_noop_discounting_elects_stale_candidate() {
     // never received it. With the NoOp-discounting check, node 1
     // wrongly grants the *empty-logged* node 2 a vote, electing a
     // leader whose log misses an entry a correct election protects.
-    let mut sut = make_sut(
-        vec![1, 2],
-        XraftBugs {
-            noop_log_grant: true,
-            ..XraftBugs::none()
-        },
-    );
+    let mut sut = xraft_cluster(Some("noop-log-grant"), vec![1, 2]);
     sut.deploy().expect("deploy");
 
     // Elect node 1 at term 2; it appends its NoOp, never replicated.
@@ -164,7 +160,7 @@ fn figure9_noop_discounting_elects_stale_candidate() {
 #[test]
 fn conformant_voter_refuses_the_figure9_vote() {
     // The same schedule with the bug off: node 1 keeps its vote.
-    let mut sut = make_sut(vec![1, 2], XraftBugs::none());
+    let mut sut = xraft_cluster(None, vec![1, 2]);
     sut.deploy().expect("deploy");
     step(&mut sut, 1, "onElectionTimeout", vec![Value::Int(1)]);
     step(

@@ -10,26 +10,17 @@
 use std::sync::Arc;
 
 use mocket::checker::{to_dot_overlay, ModelChecker};
-use mocket::core::{
-    edge_coverage_paths, Pipeline, PipelineConfig, RunConfig, TraversalConfig,
-};
+mod common;
+
+use mocket::core::{edge_coverage_paths, PipelineConfig, RunConfig, TraversalConfig};
 use mocket::obs::{render_html, render_text, strip_wall_clock, CampaignHistory, CoverageMap, Obs};
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
+use mocket::runtime::Backend;
 use mocket::specs::cachemax::CacheMax;
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mocket-insight-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn small_model() -> RaftSpecConfig {
-    RaftSpecConfig {
-        dup_limit: 0,
-        restart_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    }
 }
 
 /// Check CacheMax with `workers` threads, run the edge-coverage
@@ -83,9 +74,7 @@ fn truncated_campaign_marks_a_frontier_and_full_campaign_does_not() {
     pc.max_test_cases = 1;
     pc.max_path_len = 2;
     pc.run = RunConfig::fast();
-    let p = Pipeline::new(Arc::new(RaftSpec::new(small_model())), mapping(), pc)
-        .expect("mapping validates");
-    let truncated = p.run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let truncated = common::small_xraft().run(pc, &Backend::Threads);
     assert!(
         !truncated.frontier.is_empty(),
         "a truncated campaign must expose an uncovered frontier"
@@ -99,9 +88,7 @@ fn truncated_campaign_marks_a_frontier_and_full_campaign_does_not() {
     pc.por = false;
     pc.max_path_len = 40;
     pc.run = RunConfig::fast();
-    let p = Pipeline::new(Arc::new(RaftSpec::new(small_model())), mapping(), pc)
-        .expect("mapping validates");
-    let full = p.run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let full = common::small_xraft().run(pc, &Backend::Threads);
     assert!(
         full.frontier.is_empty(),
         "a fully-covered campaign has no frontier: {:?}",
@@ -121,9 +108,7 @@ fn campaign_report(dir: &std::path::Path) -> (String, String) {
     pc.max_test_cases = 3;
     pc.run = RunConfig::fast();
     pc.obs = obs;
-    let p = Pipeline::new(Arc::new(RaftSpec::new(small_model())), mapping(), pc)
-        .expect("mapping validates");
-    let result = p.run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let result = common::small_xraft().run(pc, &Backend::Threads);
     assert!(result.reports.is_empty(), "clean target must pass");
     let history = CampaignHistory::open(dir).expect("open history");
     assert!(history.issues().is_empty(), "{:?}", history.issues());

@@ -10,24 +10,14 @@
 //! - checker runs with `workers(4)` and `workers(1)` emit the same
 //!   event stream and the same coverage-relevant metrics.
 
-use std::sync::Arc;
+mod common;
 
 use mocket::checker::ModelChecker;
 use mocket::core::{
-    edge_coverage_paths, partial_order_reduction, Pipeline, PipelineConfig, RunConfig,
-    TraversalConfig,
+    edge_coverage_paths, partial_order_reduction, PipelineConfig, RunConfig, TraversalConfig,
 };
 use mocket::obs::{strip_wall_clock, Obs};
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
-
-fn small_model() -> RaftSpecConfig {
-    RaftSpecConfig {
-        dup_limit: 0,
-        restart_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    }
-}
+use mocket::runtime::Backend;
 
 fn campaign_config(obs: Obs) -> PipelineConfig {
     let mut pc = PipelineConfig::default();
@@ -43,13 +33,7 @@ fn campaign_config(obs: Obs) -> PipelineConfig {
 /// the rendered event stream and run summary.
 fn run_campaign() -> (String, String) {
     let (obs, rec) = Obs::in_memory();
-    let pipeline = Pipeline::new(
-        Arc::new(RaftSpec::new(small_model())),
-        mapping(),
-        campaign_config(obs),
-    )
-    .expect("mapping validates");
-    let result = pipeline.run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let result = common::small_xraft().run(campaign_config(obs), &Backend::Threads);
     assert!(result.reports.is_empty(), "clean target must pass");
     assert!(result.quarantined.is_empty());
     (rec.to_jsonl(), result.summary.to_json())
@@ -93,10 +77,7 @@ fn same_config_campaigns_emit_identical_observability() {
 #[test]
 fn summary_coverage_matches_traversal_exactly() {
     let (obs, _rec) = Obs::in_memory();
-    let spec = Arc::new(RaftSpec::new(small_model()));
-    let pipeline =
-        Pipeline::new(spec.clone(), mapping(), campaign_config(obs)).expect("mapping validates");
-    let result = pipeline.run(|| Box::new(make_sut(vec![1, 2], XraftBugs::none())));
+    let result = common::small_xraft().run(campaign_config(obs), &Backend::Threads);
 
     // Recompute the chosen traversal independently (default config
     // has POR on) and compare against what the summary reported.
@@ -119,7 +100,7 @@ fn summary_coverage_matches_traversal_exactly() {
 fn worker_count_does_not_change_coverage_metrics() {
     let check = |workers: usize| {
         let (obs, rec) = Obs::in_memory();
-        let result = ModelChecker::new(Arc::new(RaftSpec::new(small_model())))
+        let result = ModelChecker::new(common::small_xraft().spec)
             .workers(workers)
             .obs(obs.clone())
             .run();

@@ -9,17 +9,16 @@
 
 use std::sync::Arc;
 
+use mocket::targets::spec_named;
 use mocket_checker::{to_dot, CheckResult, ModelChecker};
-use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
-use mocket_specs::zab::{ZabSpec, ZabSpecConfig};
 use mocket_tla::Spec;
 
 fn raft_spec() -> Arc<dyn Spec> {
-    Arc::new(RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2])))
+    spec_named("xraft").unwrap()
 }
 
 fn zab_spec() -> Arc<dyn Spec> {
-    Arc::new(ZabSpec::new(ZabSpecConfig::small(vec![1, 2])))
+    spec_named("zab").unwrap()
 }
 
 fn check(spec: Arc<dyn Spec>, workers: usize) -> CheckResult {

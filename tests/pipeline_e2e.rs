@@ -5,6 +5,8 @@
 //! POR → test-case serialization round trip → controlled testing of
 //! the re-imported cases against the real AsyncRaft cluster.
 
+mod common;
+
 use std::sync::Arc;
 
 use mocket::checker::{from_dot, to_dot, ModelChecker};
@@ -12,21 +14,13 @@ use mocket::core::{
     edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, RunCtx, TestCase,
     TraversalConfig,
 };
-use mocket::raft_async::{make_sut, mapping, XraftBugs};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
-
-fn small_model() -> RaftSpecConfig {
-    RaftSpecConfig {
-        dup_limit: 0,
-        restart_limit: 0,
-        ..RaftSpecConfig::xraft(vec![1, 2])
-    }
-}
+use mocket::runtime::Backend;
 
 #[test]
 fn dot_boundary_then_controlled_testing() {
     // ② model checking.
-    let result = ModelChecker::new(Arc::new(RaftSpec::new(small_model()))).run();
+    let target = common::small_xraft();
+    let result = ModelChecker::new(target.spec.clone()).run();
     assert!(result.ok());
 
     // The DOT boundary: export, re-import.
@@ -44,7 +38,6 @@ fn dot_boundary_then_controlled_testing() {
 
     // Test-case serialization boundary: serialize, parse back, verify
     // the parsed case still validates against the graph.
-    let registry = mapping();
     let run_cfg = RunConfig::fast();
     let mut ran = 0;
     for path in traversal.paths.iter().take(40) {
@@ -59,11 +52,11 @@ fn dot_boundary_then_controlled_testing() {
             .collect();
 
         // ④ controlled testing on a real cluster, wall clock.
-        let mut sut = make_sut(vec![1, 2], XraftBugs::none());
+        let mut sut = target.sut(Backend::Threads, None);
         let (outcome, stats) = run_test_case(
             &mut sut,
             &tc,
-            &registry,
+            &target.registry,
             &final_enabled,
             &run_cfg,
             &RunCtx::default(),

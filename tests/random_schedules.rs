@@ -4,10 +4,16 @@
 //! runs are reproducible.
 
 use mocket::core::sut::SystemUnderTest;
-use mocket::raft_async::{make_sut as raft_sut, XraftBugs};
-use mocket::runtime::run_random;
+use mocket::runtime::{run_random, Backend, ClusterSut};
+use mocket::targets::by_name;
 use mocket::tla::Value;
-use mocket::zab::{make_sut as zab_sut, ZabBugs};
+
+/// A free-running three-node cluster of the conformant `target`.
+fn cluster(target: &str) -> ClusterSut {
+    by_name(target, None)
+        .unwrap()
+        .sut_on(vec![1, 2, 3], Backend::Threads, None)
+}
 
 /// At most one Raft leader per term (election safety), read from the
 /// runtime snapshot.
@@ -35,7 +41,7 @@ const SEEDS: [u64; 12] = [1, 7, 42, 97, 311, 977, 1753, 2961, 4099, 5807, 7919, 
 #[test]
 fn asyncraft_election_safety_under_random_schedules() {
     for seed in SEEDS {
-        let mut sut = raft_sut(vec![1, 2, 3], XraftBugs::none());
+        let mut sut = cluster("xraft");
         sut.deploy().expect("deploy");
         run_random(sut.cluster_mut(), 250, seed, 5).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");
@@ -51,7 +57,7 @@ fn asyncraft_election_safety_under_random_schedules() {
 #[test]
 fn asyncraft_committed_logs_agree() {
     for seed in SEEDS {
-        let mut sut = raft_sut(vec![1, 2, 3], XraftBugs::none());
+        let mut sut = cluster("xraft");
         sut.deploy().expect("deploy");
         run_random(sut.cluster_mut(), 300, seed.wrapping_mul(31), 5).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");
@@ -80,7 +86,7 @@ fn asyncraft_committed_logs_agree() {
 #[test]
 fn zabkeeper_single_leader_under_random_schedules() {
     for seed in SEEDS {
-        let mut sut = zab_sut(vec![1, 2, 3], ZabBugs::none());
+        let mut sut = cluster("zab");
         sut.deploy().expect("deploy");
         run_random(sut.cluster_mut(), 250, seed.wrapping_mul(17), 5).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");

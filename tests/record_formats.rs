@@ -169,6 +169,32 @@ fn journal_salvages_prefix_and_distrusts_torn_line() {
 }
 
 #[test]
+fn append_after_a_torn_line_isolates_the_debris_instead_of_completing_it() {
+    let dir = tmp("journal-torn-append");
+    // The interrupted append was `... outcome=failed Missing action`:
+    // cut at `Missing` it still parses, with the wrong kind. A later
+    // append must not turn that debris into a trusted record.
+    let torn = "case: aaaaaaaaaaaaaaaa attempts=1 det=deterministic outcome=failed Missing";
+    assert!(JournalEntry::parse_line(torn).is_ok(), "the debris parses");
+    write(&dir, CampaignJournal::FILE_NAME, &format!("{JOURNAL_PASSED}{torn}"));
+
+    let mut journal = CampaignJournal::open(&dir).unwrap();
+    assert_eq!((journal.len(), journal.issues().len()), (1, 1));
+    journal.record(failed_entry()).unwrap();
+    drop(journal);
+
+    let (entries, issues) = CampaignJournal::load_entries(&dir).unwrap();
+    let mut hashes: Vec<&str> = entries.keys().map(String::as_str).collect();
+    hashes.sort_unstable();
+    assert_eq!(hashes, ["0123456789abcdef", "fedcba9876543210"]);
+    assert_eq!(issues.len(), 1, "the debris stays an issue on every later load");
+    // Clean records around the debris are byte-for-byte the fixtures.
+    let bytes = std::fs::read_to_string(dir.join(CampaignJournal::FILE_NAME)).unwrap();
+    assert!(bytes.starts_with(JOURNAL_PASSED) && bytes.ends_with(JOURNAL_FAILED));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn supervisor_lines_roundtrip_and_append_verbatim() {
     let dir = tmp("supervisor");
     let journal = SupervisorJournal::open(&dir);

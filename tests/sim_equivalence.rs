@@ -26,16 +26,14 @@ use std::time::{Duration, Instant};
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{
-    run_test_case, Inconsistency, Pipeline, PipelineConfig, RunConfig, RunCtx, SutError, TestCase,
-    TestOutcome,
+    run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
 };
 use mocket::dsnet::{FaultPlan, FaultPlanConfig};
 use mocket::obs::{strip_wall_clock, Obs};
 use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, VarRegistry};
 use mocket::sim::{Clock, RealClock, SimHandle};
-use mocket::specs::raft::{RaftSpec, RaftSpecConfig};
-use mocket::specs::zab::{ZabSpec, ZabSpecConfig};
-use mocket::tla::{ActionClass, ActionInstance, Spec, State, Value};
+use mocket::targets::{by_name, Target};
+use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 /// Everything a backend-equivalence comparison looks at.
 struct RunOutput {
@@ -49,24 +47,18 @@ struct RunOutput {
     wall_seconds: f64,
 }
 
-fn run_workload<S, M>(
-    spec: Arc<S>,
-    registry: mocket::core::MappingRegistry,
-    make_sut: M,
+/// The first six cases of `target`'s hunt, all run, under the fault
+/// plan `faults` builds per deployment.
+fn run_workload(
+    target: Target,
+    faults: impl Fn() -> Option<FaultPlan>,
     sim: Option<&SimHandle>,
     trace_dir: Option<&std::path::Path>,
-) -> RunOutput
-where
-    S: Spec + 'static,
-    M: FnMut(Backend) -> Box<dyn mocket::core::SystemUnderTest>,
-{
+) -> RunOutput {
     let (obs, rec) = Obs::in_memory();
-    let mut pc = PipelineConfig::default();
-    pc.por = false;
+    let mut pc = target.hunt_config();
     pc.stop_at_first_bug = false;
-    pc.max_path_len = 60;
     pc.max_test_cases = 6;
-    pc.run = RunConfig::fast();
     pc.obs = obs;
     if let Some(dir) = trace_dir {
         pc.trace = true;
@@ -79,10 +71,9 @@ where
         }
         None => Backend::Threads,
     };
-    let pipeline = Pipeline::new(spec, registry, pc).expect("mapping validates");
+    let pipeline = target.pipeline(pc).expect("mapping validates");
     let start = Instant::now();
-    let mut make_sut = make_sut;
-    let result = pipeline.run(|| make_sut(backend.clone()));
+    let result = pipeline.run(|| Box::new(target.sut(backend.clone(), faults())));
     let wall_seconds = start.elapsed().as_secs_f64();
     let trace = trace_dir
         .map(|d| std::fs::read_to_string(d.join(mocket::obs::TRACE_FILE_NAME)).unwrap_or_default())
@@ -109,29 +100,13 @@ fn run_raft(sim: Option<&SimHandle>) -> RunOutput {
     run_raft_in(sim, None)
 }
 
+/// Raft-java bug #1: every case fails with a missing action.
+fn buggy_raft() -> Target {
+    by_name("raft-java", Some("ignore-extra-vote-response")).unwrap()
+}
+
 fn run_raft_in(sim: Option<&SimHandle>, trace_dir: Option<&std::path::Path>) -> RunOutput {
-    let mut bugs = mocket::raft_sync::SyncRaftBugs::none();
-    bugs.ignore_extra_vote_response = true;
-    let mut cfg = RaftSpecConfig::raft_java(vec![1, 2, 3]);
-    cfg.max_term = 2;
-    cfg.client_request_limit = 0;
-    cfg.candidates = Some(vec![1]);
-    let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-    run_workload(
-        Arc::new(RaftSpec::new(cfg)),
-        mocket::raft_sync::mapping(false),
-        move |backend| {
-            Box::new(mocket::raft_sync::make_sut_full(
-                servers.clone(),
-                bugs.clone(),
-                false,
-                backend,
-                None,
-            ))
-        },
-        sim,
-        trace_dir,
-    )
+    run_workload(buggy_raft(), || None, sim, trace_dir)
 }
 
 /// A fresh scratch directory for traced runs.
@@ -143,24 +118,8 @@ fn trace_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn run_zab(sim: Option<&SimHandle>) -> RunOutput {
-    let mut bugs = mocket::zab::ZabBugs::none();
-    bugs.election_echo_storm = true;
-    let cfg = ZabSpecConfig::small(vec![1, 2]);
-    let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-    run_workload(
-        Arc::new(ZabSpec::new(cfg)),
-        mocket::zab::mapping(),
-        move |backend| {
-            Box::new(mocket::zab::make_sut_full(
-                servers.clone(),
-                bugs.clone(),
-                backend,
-                None,
-            ))
-        },
-        sim,
-        None,
-    )
+    let target = by_name("zab", Some("election-echo-storm")).unwrap();
+    run_workload(target, || None, sim, None)
 }
 
 fn assert_equivalent(real: &RunOutput, sim: &RunOutput, system: &str) {
@@ -191,34 +150,15 @@ fn assert_equivalent(real: &RunOutput, sim: &RunOutput, system: &str) {
 /// simulation — and sit far below the 50ms offer deadline, so both
 /// backends must reach the same verdicts through the same schedules.
 fn run_raft_timed_delays(sim: Option<&SimHandle>) -> RunOutput {
-    let mut bugs = mocket::raft_sync::SyncRaftBugs::none();
-    bugs.ignore_extra_vote_response = true;
-    let mut cfg = RaftSpecConfig::raft_java(vec![1, 2, 3]);
-    cfg.max_term = 2;
-    cfg.client_request_limit = 0;
-    cfg.candidates = Some(vec![1]);
-    let servers: Vec<u64> = cfg.servers.iter().map(|&i| i as u64).collect();
-    run_workload(
-        Arc::new(RaftSpec::new(cfg)),
-        mocket::raft_sync::mapping(false),
-        move |backend| {
-            // Plans carry mutable replay state, so each deployment
-            // gets a fresh one; the fixed seed keeps them identical.
-            let plan = FaultPlan::with_config(
-                99,
-                FaultPlanConfig::timed_delays(Duration::from_millis(5), Duration::from_millis(2)),
-            );
-            Box::new(mocket::raft_sync::make_sut_full(
-                servers.clone(),
-                bugs.clone(),
-                false,
-                backend,
-                Some(plan),
-            ))
-        },
-        sim,
-        None,
-    )
+    // Plans carry mutable replay state, so each deployment gets a
+    // fresh one; the fixed seed keeps them identical.
+    let plan = || {
+        Some(FaultPlan::with_config(
+            99,
+            FaultPlanConfig::timed_delays(Duration::from_millis(5), Duration::from_millis(2)),
+        ))
+    };
+    run_workload(buggy_raft(), plan, sim, None)
 }
 
 /// Offers only `hang`; executing it blocks the node forever. The

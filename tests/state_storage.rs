@@ -10,13 +10,12 @@
 //! threads, so every test here takes `POOL` first.
 
 use std::collections::{BTreeSet, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use mocket_checker::{from_dot, to_dot, ModelChecker, StateGraph};
 use mocket_core::{edge_coverage_paths, partial_order_reduction, TestCase, TraversalConfig};
-use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 use mocket_tla::state::sweep_value_pool;
-use mocket_tla::{Spec, Value};
+use mocket_tla::Value;
 
 static POOL: Mutex<()> = Mutex::new(());
 
@@ -25,7 +24,7 @@ fn pool() -> MutexGuard<'static, ()> {
 }
 
 fn xraft(workers: usize) -> StateGraph {
-    let spec: Arc<dyn Spec> = Arc::new(RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2])));
+    let spec = mocket::targets::spec_named("xraft").unwrap();
     let result = ModelChecker::new(spec).workers(workers).run();
     assert!(result.ok());
     result.graph
