@@ -382,15 +382,6 @@ impl StateGraph {
         }
     }
 
-    /// States with no outgoing edges (deadlocks or exploration
-    /// frontier cut-offs).
-    pub fn terminal_states(&self) -> Vec<NodeId> {
-        (0..self.states.len())
-            .filter(|&i| self.out.out_edges(i).is_empty())
-            .map(NodeId)
-            .collect()
-    }
-
     /// Nodes reachable from the initial states.
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.states.len()];
@@ -408,40 +399,6 @@ impl StateGraph {
             }
         }
         seen
-    }
-
-    /// The distinct action names appearing on edges.
-    pub fn action_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.edges.iter().map(|e| e.action.name.clone()).collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Maximum distance from an initial state (graph diameter along
-    /// BFS layers); `None` for an empty graph.
-    pub fn depth(&self) -> Option<usize> {
-        if self.initial.is_empty() {
-            return None;
-        }
-        let mut dist = vec![usize::MAX; self.states.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for &n in &self.initial {
-            dist[n.0] = 0;
-            queue.push_back(n.0);
-        }
-        let mut max = 0;
-        while let Some(n) = queue.pop_front() {
-            for &eid in self.out.out_edges(n) {
-                let t = self.edges[eid.0].to.0;
-                if dist[t] == usize::MAX {
-                    dist[t] = dist[n] + 1;
-                    max = max.max(dist[t]);
-                    queue.push_back(t);
-                }
-            }
-        }
-        Some(max)
     }
 }
 
@@ -521,7 +478,7 @@ mod tests {
         g.finish();
         let after: Vec<Vec<EdgeId>> = ids.iter().map(|&i| g.out_edges(i).to_vec()).collect();
         assert_eq!(before, after);
-        assert_eq!(g.depth(), Some(2));
+        assert!(g.reachable().iter().all(|&r| r), "traversal works on the CSR form");
         // Finishing twice is a no-op.
         g.finish();
         assert_eq!(g.out_edges(ids[0]).len(), 2);
@@ -544,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn reachability_and_terminals() {
+    fn reachability_follows_edges_from_initial_states() {
         let mut g = StateGraph::new();
         let (a, _) = g.insert_state(st(1));
         let (b, _) = g.insert_state(st(2));
@@ -553,29 +510,6 @@ mod tests {
         g.add_edge(a, act("Go"), b);
         let r = g.reachable();
         assert!(r[a.0] && r[b.0] && !r[c.0]);
-        assert_eq!(g.terminal_states(), vec![b, c]);
-    }
-
-    #[test]
-    fn depth_counts_bfs_layers() {
-        let mut g = StateGraph::new();
-        let ids: Vec<_> = (0..4).map(|i| g.insert_state(st(i)).0).collect();
-        g.mark_initial(ids[0]);
-        for w in ids.windows(2) {
-            g.add_edge(w[0], act("Step"), w[1]);
-        }
-        assert_eq!(g.depth(), Some(3));
-    }
-
-    #[test]
-    fn action_names_deduplicated_sorted() {
-        let mut g = StateGraph::new();
-        let (a, _) = g.insert_state(st(1));
-        let (b, _) = g.insert_state(st(2));
-        g.add_edge(a, act("B"), b);
-        g.add_edge(b, act("A"), a);
-        g.add_edge(a, act("A"), a);
-        assert_eq!(g.action_names(), ["A", "B"]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use mapping::{
     ActionBinding, ActionMapping, CompareMode, ConstMap, MappingIssue, MappingRegistry, VarTarget,
     VariableMapping,
 };
-pub use minimize::{minimize_case, weaken, MinimizeConfig, Minimized};
+pub use minimize::{minimize_case, MinimizeConfig, Minimized};
 pub use msgpool::{MessagePools, PoolError};
 pub use pipeline::{
     AttemptRecord, CaseGate, Pipeline, PipelineConfig, PipelineResult, QuarantinedCase,
@@ -53,7 +53,7 @@ pub use por::{partial_order_reduction, Diamond, PorResult};
 pub use report::{BugClass, BugReport, Determinism, Inconsistency, VariableDivergence};
 pub use runner::{pools_from_registry, run_test_case, RunConfig, RunCtx, RunStats, TestOutcome};
 pub use scheduler::{find_match, translate_offers, unexpected_offers, SpecOffer};
-pub use statecheck::{check_state, state_matches, value_diff, values_match};
+pub use statecheck::{check_state, value_diff, values_match};
 pub use sut::{
     int_param, record_int_field, ExecReport, MsgEvent, Offer, Snapshot, SutError, SystemUnderTest,
 };

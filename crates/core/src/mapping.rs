@@ -91,12 +91,12 @@ pub struct ActionMapping {
     pub binding: ActionBinding,
 }
 
-/// Bidirectional constant translation (§4.1.3): e.g. spec `"Follower"`
-/// ↔ impl `"STATE_FOLLOWER"`.
+/// Constant translation (§4.1.3): e.g. impl `"STATE_FOLLOWER"` → spec
+/// `"Follower"`. The harness only ever reads the implementation, so
+/// only that direction exists.
 #[derive(Debug, Clone, Default)]
 pub struct ConstMap {
     impl_to_spec: BTreeMap<Value, Value>,
-    spec_to_impl: BTreeMap<Value, Value>,
 }
 
 impl ConstMap {
@@ -105,10 +105,9 @@ impl ConstMap {
         ConstMap::default()
     }
 
-    /// Registers `spec ↔ impl`.
+    /// Registers `impl_v → spec`.
     pub fn bind(&mut self, spec: Value, impl_v: Value) {
-        self.impl_to_spec.insert(impl_v.clone(), spec.clone());
-        self.spec_to_impl.insert(spec, impl_v);
+        self.impl_to_spec.insert(impl_v, spec);
     }
 
     /// Translates a single implementation value into the spec domain,
@@ -117,18 +116,7 @@ impl ConstMap {
         if let Some(s) = self.impl_to_spec.get(v) {
             return s.clone();
         }
-        self.map_children(v, &|x| self.to_spec(x))
-    }
-
-    /// Translates a spec value into the implementation domain.
-    pub fn to_impl(&self, v: &Value) -> Value {
-        if let Some(s) = self.spec_to_impl.get(v) {
-            return s.clone();
-        }
-        self.map_children(v, &|x| self.to_impl(x))
-    }
-
-    fn map_children(&self, v: &Value, f: &dyn Fn(&Value) -> Value) -> Value {
+        let f = |x| self.to_spec(x);
         match v {
             Value::Set(s) => Value::Set(s.iter().map(f).collect()),
             Value::Seq(s) => Value::Seq(s.iter().map(f).collect()),
@@ -297,16 +285,6 @@ impl MappingRegistry {
     /// All action mappings.
     pub fn actions(&self) -> &[ActionMapping] {
         &self.actions
-    }
-
-    /// Looks up the variable mapping whose implementation name is
-    /// `impl_name` (snapshot translation).
-    pub fn variable_by_impl_name(&self, impl_name: &str) -> Option<&VariableMapping> {
-        self.variables.iter().find(|v| match &v.target {
-            Some(VarTarget::ClassField { impl_name: n })
-            | Some(VarTarget::MethodVariable { impl_name: n, .. }) => n == impl_name,
-            _ => false,
-        })
     }
 
     /// Looks up a variable mapping by spec name.
@@ -525,7 +503,6 @@ mod tests {
                 (Value::Int(2), Value::str("Follower")),
             ])
         );
-        assert_eq!(r.consts().to_impl(&spec_v), impl_v);
     }
 
     #[test]

@@ -20,12 +20,6 @@
 //! where the shrinkage lives. Every candidate the oracle accepts
 //! becomes the new baseline, so the result is 1-minimal with respect
 //! to the chunks tried within the oracle budget.
-//!
-//! [`weaken`] is the config-side counterpart: given a ladder of
-//! strictly weaker fault configurations (weakest first, e.g.
-//! `FaultPlanConfig::weakenings`), it returns the weakest one that
-//! still reproduces — shrinking the *environment* the same way ddmin
-//! shrinks the *schedule*.
 
 use mocket_checker::StateGraph;
 
@@ -187,19 +181,6 @@ where
     }
 }
 
-/// Picks the weakest configuration that still reproduces.
-///
-/// `ladder` is ordered weakest first (see
-/// `FaultPlanConfig::weakenings`); the first entry the oracle accepts
-/// wins. Returns `None` when no weakening reproduces — the original
-/// configuration is already minimal.
-pub fn weaken<C, F>(ladder: Vec<C>, mut reproduces: F) -> Option<C>
-where
-    F: FnMut(&C) -> bool,
-{
-    ladder.into_iter().find(|candidate| reproduces(candidate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +234,7 @@ mod tests {
         ]);
         let out = minimize_case(&g, &case, 5, &MinimizeConfig::default(), reaches_two);
         assert_eq!(out.case.len(), 2, "{}", out.case);
-        assert_eq!(out.case.action_names(), ["Inc", "Inc"]);
+        assert!(out.case.steps.iter().all(|s| s.action.name == "Inc"));
         assert!(out.case.validate_against(&g).is_ok());
         assert!(reaches_two(&out.case));
     }
@@ -319,12 +300,5 @@ mod tests {
             tc.steps.iter().any(|s| s.expected == st(3))
         });
         assert_eq!(out.case, case);
-    }
-
-    #[test]
-    fn weaken_picks_the_first_reproducing_rung() {
-        let ladder = vec![0u32, 1, 2, 3];
-        assert_eq!(weaken(ladder.clone(), |&c| c >= 2), Some(2));
-        assert_eq!(weaken(ladder, |_| false), None);
     }
 }

@@ -74,11 +74,6 @@ impl MessagePools {
         );
     }
 
-    /// Whether a pool is registered.
-    pub fn has_pool(&self, name: &str) -> bool {
-        self.pools.contains_key(name)
-    }
-
     /// Applies one reported event. Messages must already be translated
     /// into the spec domain.
     pub fn apply(&mut self, event: &MsgEvent) -> Result<(), PoolError> {
@@ -136,22 +131,6 @@ impl MessagePools {
             }
         })
     }
-
-    /// Total number of in-flight messages across pools (multiplicity
-    /// counted).
-    pub fn total_in_flight(&self) -> usize {
-        self.pools
-            .values()
-            .map(|p| p.contents.values().sum::<usize>())
-            .sum()
-    }
-
-    /// Empties every pool (new test case).
-    pub fn reset(&mut self) {
-        for p in self.pools.values_mut() {
-            p.contents.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +161,6 @@ mod tests {
             pools.as_value("messages").unwrap(),
             Value::fun([(msg(1), Value::Int(2))])
         );
-        assert_eq!(pools.total_in_flight(), 2);
         pools
             .apply(&MsgEvent::Receive {
                 pool: "messages".into(),
@@ -260,21 +238,9 @@ mod tests {
                 msg: msg(1),
             })
             .unwrap();
-        assert_eq!(pools.total_in_flight(), 1);
-    }
-
-    #[test]
-    fn reset_clears_contents_but_keeps_pools() {
-        let mut pools = MessagePools::new();
-        pools.register("messages", true);
-        pools
-            .apply(&MsgEvent::Send {
-                pool: "messages".into(),
-                msg: msg(1),
-            })
-            .unwrap();
-        pools.reset();
-        assert!(pools.has_pool("messages"));
-        assert_eq!(pools.total_in_flight(), 0);
+        assert_eq!(
+            pools.as_value("messages").unwrap(),
+            Value::fun([(msg(1), Value::Int(1))])
+        );
     }
 }

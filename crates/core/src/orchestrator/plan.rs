@@ -11,11 +11,13 @@
 //! is recorded in it), so resuming with a different `--workers` count
 //! reuses the identical shard layout.
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use mocket_checker::{EdgeId, StateGraph};
+use mocket_obs::fsio::Fnv1a;
 
 use crate::testcase::TestCase;
 
@@ -111,21 +113,25 @@ impl CampaignPlan {
         (start, end)
     }
 
+    fn render_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(out, "{HEADER}")?;
+        writeln!(out, "target: {}", self.target)?;
+        writeln!(out, "bug: {}", self.bug.as_deref().unwrap_or("-"))?;
+        writeln!(out, "max_states: {}", self.max_states)?;
+        writeln!(out, "max_path_len: {}", self.max_path_len)?;
+        writeln!(out, "max_test_cases: {}", self.max_test_cases)?;
+        writeln!(out, "shard_size: {}", self.shard_size)?;
+        writeln!(out, "cases: {}", self.cases.len())?;
+        for (idx, case) in self.cases.iter().enumerate() {
+            writeln!(out, "case: {idx} {} len={}", case.hash, case.len)?;
+        }
+        Ok(())
+    }
+
     /// Serializes the plan.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("target: {}\n", self.target));
-        out.push_str(&format!("bug: {}\n", self.bug.as_deref().unwrap_or("-")));
-        out.push_str(&format!("max_states: {}\n", self.max_states));
-        out.push_str(&format!("max_path_len: {}\n", self.max_path_len));
-        out.push_str(&format!("max_test_cases: {}\n", self.max_test_cases));
-        out.push_str(&format!("shard_size: {}\n", self.shard_size));
-        out.push_str(&format!("cases: {}\n", self.cases.len()));
-        for (idx, case) in self.cases.iter().enumerate() {
-            out.push_str(&format!("case: {idx} {} len={}\n", case.hash, case.len));
-        }
+        self.render_into(&mut out).expect("writing to a String cannot fail");
         out
     }
 
@@ -135,12 +141,9 @@ impl CampaignPlan {
     /// can prove two processes agree on the campaign epoch without
     /// re-reading and re-comparing the whole plan.
     pub fn stable_hash(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.render().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        let mut h = Fnv1a::new();
+        self.render_into(&mut h).expect("hashing cannot fail");
+        h.hex()
     }
 
     /// Atomically writes the plan into `dir` (size-verified temp +

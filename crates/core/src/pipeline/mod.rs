@@ -257,18 +257,6 @@ pub struct TestingEffort {
     pub check_seconds: f64,
 }
 
-impl TestingEffort {
-    /// Fraction of EC paths removed by POR (the paper reports 87% for
-    /// ZooKeeper).
-    pub fn por_reduction(&self) -> f64 {
-        if self.paths_ec == 0 {
-            0.0
-        } else {
-            1.0 - self.paths_ec_por as f64 / self.paths_ec as f64
-        }
-    }
-}
-
 /// Result of a full pipeline run.
 pub struct PipelineResult {
     /// The state-space graph from model checking.

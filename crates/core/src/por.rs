@@ -36,13 +36,6 @@ pub struct PorResult {
     pub excluded_edges: HashSet<EdgeId>,
 }
 
-impl PorResult {
-    /// Number of excluded edges.
-    pub fn excluded_count(&self) -> usize {
-        self.excluded_edges.len()
-    }
-}
-
 /// Analyzes the graph for commutative diamonds and chooses one order
 /// per diamond.
 ///
@@ -160,7 +153,7 @@ mod tests {
         assert_eq!(d.target, n[3]);
         // "a" < "b", so the a-then-b order is kept: excluded edges are
         // 0 -b-> 2 and 2 -a-> 3.
-        assert_eq!(r.excluded_count(), 2);
+        assert_eq!(r.excluded_edges.len(), 2);
         for e in &r.excluded_edges {
             let edge = g.edge(*e);
             assert!(

@@ -658,10 +658,8 @@ mod tests {
         assert!(m.counter("timing.runner.offer_polls") >= 3);
         assert_eq!(m.counter("statecheck.checks"), stats.checks as u64);
         assert_eq!(m.counter("statecheck.divergences"), 0);
-        let latency = m
-            .histogram("timing.runner.release_latency_ms")
-            .expect("release latency recorded");
-        assert_eq!(latency.count, 3);
+        let latency = m.snapshot().histograms["timing.runner.release_latency_ms"];
+        assert_eq!(latency.count, 3, "release latency recorded");
     }
 
     #[test]

@@ -171,22 +171,6 @@ fn diff_into(path: &str, expected: &Value, actual: &Value, out: &mut Vec<VarDiff
     }
 }
 
-/// Convenience: `true` when nothing diverges.
-pub fn state_matches(
-    expected: &State,
-    snapshot: &Snapshot,
-    pools: &MessagePools,
-    registry: &MappingRegistry,
-) -> bool {
-    check_state(expected, snapshot, pools, registry).is_empty()
-}
-
-/// Renders the expected value of a message pool variable for error
-/// reports, if present in the expected state.
-pub fn expected_pool_value<'a>(expected: &'a State, pool: &str) -> Option<&'a Value> {
-    expected.get(pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,12 +232,7 @@ mod tests {
     fn matching_state_has_no_divergences() {
         let mut pools = MessagePools::new();
         pools.register("messages", true);
-        assert!(state_matches(
-            &expected(),
-            &matching_snapshot(),
-            &pools,
-            &registry()
-        ));
+        assert!(check_state(&expected(), &matching_snapshot(), &pools, &registry()).is_empty());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 
 use std::fmt;
 
-use mocket_tla::{parse_action_instance, parse_state, ActionInstance, ParseError, State, Value};
+use mocket_tla::{parse_action_instance, parse_state, ActionInstance, ParseError, State};
 
 use mocket_checker::{NodeId, StateGraph};
+use mocket_obs::fsio::Fnv1a;
 
 /// One scheduled step: the action and the verified state it must
 /// produce.
@@ -78,45 +79,19 @@ impl TestCase {
         self.steps.is_empty()
     }
 
-    /// The final expected state (the initial state for empty cases).
-    pub fn final_state(&self) -> &State {
-        self.steps
-            .last()
-            .map(|s| &s.expected)
-            .unwrap_or(&self.initial)
-    }
-
-    /// The action names along the case, in order.
-    pub fn action_names(&self) -> Vec<&str> {
-        self.steps.iter().map(|s| s.action.name.as_str()).collect()
-    }
-
-    /// Assigns concrete data to user requests (§4.1.2): the *k*-th
-    /// occurrence of a user-request action gets datum `k` (the paper
-    /// writes `(1, 1)` for the first `ClientRequest`, `(2, 2)` for the
-    /// second). Returns, per step, `Some(k)` for user-request steps.
-    pub fn user_request_data(&self, user_request_actions: &[&str]) -> Vec<Option<i64>> {
-        let mut counter = 0;
-        self.steps
-            .iter()
-            .map(|s| {
-                if user_request_actions.contains(&s.action.name.as_str()) {
-                    counter += 1;
-                    Some(counter)
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// Writes the line-oriented format (`init:`/`step:` lines).
+    fn render_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(out, "init: {}", self.initial)?;
+        for s in &self.steps {
+            writeln!(out, "step: {} => {}", s.action, s.expected)?;
+        }
+        Ok(())
     }
 
     /// Serializes into a line-oriented format (`init:`/`step:` lines).
     pub fn serialize(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("init: {}\n", self.initial));
-        for s in &self.steps {
-            out.push_str(&format!("step: {} => {}\n", s.action, s.expected));
-        }
+        self.render_into(&mut out).expect("writing to a String cannot fail");
         out
     }
 
@@ -160,12 +135,9 @@ impl TestCase {
     /// text), rendered as fixed-width hex. Stable across processes and
     /// platforms — the campaign journal keys completed cases by it.
     pub fn stable_hash(&self) -> String {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.serialize().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        format!("{h:016x}")
+        let mut h = Fnv1a::new();
+        self.render_into(&mut h).expect("hashing cannot fail");
+        h.hex()
     }
 
     /// Validates the case against a graph: every step must follow an
@@ -210,16 +182,10 @@ impl fmt::Display for TestCase {
     }
 }
 
-/// A user-request datum in the implementation domain: the key/value
-/// pair written for the k-th `ClientRequest` (the paper writes
-/// `(k, k)`).
-pub fn user_request_payload(k: i64) -> (Value, Value) {
-    (Value::Int(k), Value::Int(k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mocket_tla::Value;
 
     fn st(n: i64) -> State {
         State::from_pairs([("n", Value::Int(n))])
@@ -240,8 +206,6 @@ mod tests {
         let tc = case();
         assert_eq!(tc.len(), 2);
         assert!(!tc.is_empty());
-        assert_eq!(tc.final_state(), &st(6));
-        assert_eq!(tc.action_names(), ["Inc", "Add"]);
     }
 
     #[test]
@@ -266,23 +230,6 @@ mod tests {
         assert_eq!(a.stable_hash().len(), 16);
         let b = TestCase::new(st(0), vec![(ActionInstance::nullary("Inc"), st(1))]);
         assert_ne!(a.stable_hash(), b.stable_hash());
-    }
-
-    #[test]
-    fn user_request_numbering_counts_occurrences() {
-        let tc = TestCase::new(
-            st(0),
-            vec![
-                (ActionInstance::nullary("ClientRequest"), st(1)),
-                (ActionInstance::nullary("Inc"), st(2)),
-                (ActionInstance::nullary("ClientRequest"), st(3)),
-            ],
-        );
-        assert_eq!(
-            tc.user_request_data(&["ClientRequest"]),
-            vec![Some(1), None, Some(2)]
-        );
-        assert_eq!(user_request_payload(2), (Value::Int(2), Value::Int(2)));
     }
 
     #[test]

@@ -211,15 +211,6 @@ impl FaultPlanConfig {
         }
     }
 
-    /// Whether the config injects nothing at all.
-    pub fn is_quiescent(&self) -> bool {
-        self.drop_per_mille == 0
-            && self.duplicate_per_mille == 0
-            && self.delay_per_mille == 0
-            && self.reorder_per_mille == 0
-            && self.partition_per_mille == 0
-    }
-
     /// Serializes into the single-line `key=value` format (the same
     /// hand-rolled text style as `TestCase`), e.g.
     /// `drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20`.
@@ -340,59 +331,6 @@ impl FaultPlanConfig {
         }
         Ok(cfg)
     }
-
-    /// Strictly weaker configurations, ordered weakest first — the
-    /// candidate ladder a minimizer climbs when shrinking a failing
-    /// schedule toward `quiescent` (§ triage): no faults at all, each
-    /// fault family alone, then everything halved. `self` is never in
-    /// the list.
-    pub fn weakenings(&self) -> Vec<FaultPlanConfig> {
-        if self.is_quiescent() {
-            return Vec::new();
-        }
-        let mut out = vec![FaultPlanConfig::quiescent()];
-        let families: [FaultPlanConfig; 3] = [
-            // Drops and duplicates only.
-            FaultPlanConfig {
-                delay_per_mille: 0,
-                reorder_per_mille: 0,
-                partition_per_mille: 0,
-                ..*self
-            },
-            // Delays and reorders only.
-            FaultPlanConfig {
-                drop_per_mille: 0,
-                duplicate_per_mille: 0,
-                partition_per_mille: 0,
-                ..*self
-            },
-            // Partitions only.
-            FaultPlanConfig {
-                drop_per_mille: 0,
-                duplicate_per_mille: 0,
-                delay_per_mille: 0,
-                reorder_per_mille: 0,
-                ..*self
-            },
-        ];
-        for f in families {
-            if !f.is_quiescent() && f != *self && !out.contains(&f) {
-                out.push(f);
-            }
-        }
-        let halved = FaultPlanConfig {
-            drop_per_mille: self.drop_per_mille / 2,
-            duplicate_per_mille: self.duplicate_per_mille / 2,
-            delay_per_mille: self.delay_per_mille / 2,
-            reorder_per_mille: self.reorder_per_mille / 2,
-            partition_per_mille: self.partition_per_mille / 2,
-            ..*self
-        };
-        if halved != *self && !out.contains(&halved) {
-            out.push(halved);
-        }
-        out
-    }
 }
 
 /// A deterministic fault schedule.
@@ -412,9 +350,6 @@ pub struct FaultPlan {
     trace: Vec<TraceEntry>,
     /// Pair → when the cut heals (send count or clock deadline).
     partitions: BTreeMap<(NodeId, NodeId), HealAt>,
-    /// Trace entries already folded into metrics (see
-    /// [`record_metrics`](Self::record_metrics)).
-    recorded: usize,
 }
 
 fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -426,11 +361,6 @@ fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 }
 
 impl FaultPlan {
-    /// Creates a plan from a seed with default intensities.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan::with_config(seed, FaultPlanConfig::default())
-    }
-
     /// Creates a plan from a seed and explicit intensities.
     pub fn with_config(seed: u64, cfg: FaultPlanConfig) -> Self {
         FaultPlan {
@@ -440,13 +370,7 @@ impl FaultPlan {
             seq: 0,
             trace: Vec::new(),
             partitions: BTreeMap::new(),
-            recorded: 0,
         }
-    }
-
-    /// The seed the plan was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Serializes the plan's *identity* — seed plus intensities, the
@@ -492,27 +416,9 @@ impl FaultPlan {
         (self.next_u64() % 1000) as u32
     }
 
-    /// The intensities this plan runs with.
-    pub fn config(&self) -> &FaultPlanConfig {
-        &self.cfg
-    }
-
-    /// Number of sends decided so far.
-    pub fn decided(&self) -> u64 {
-        self.seq
-    }
-
     /// Every decision made so far, in order.
     pub fn trace(&self) -> &[TraceEntry] {
         &self.trace
-    }
-
-    /// Whether the plan currently partitions `a` from `b`, as of the
-    /// plan's own send sequence (time-mode cuts are treated as still
-    /// raised; use [`is_partitioned_at`](Self::is_partitioned_at)
-    /// when a clock time is available).
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.is_partitioned_at(a, b, 0)
     }
 
     /// Whether the plan partitions `a` from `b` at clock time
@@ -548,15 +454,9 @@ impl FaultPlan {
         h % (self.cfg.link_spread_nanos + 1)
     }
 
-    /// Decides the fate of one send. Called by the network under its
-    /// lock, once per [`crate::net::Net::send`]. Equivalent to
-    /// [`decide_at`](Self::decide_at) at clock time zero — exact
-    /// legacy behaviour for plans without virtual-time fields.
-    pub fn decide(&mut self, from: NodeId, to: NodeId) -> (FaultDecision, Option<PartitionEdict>) {
-        self.decide_at(from, to, 0)
-    }
-
-    /// Decides the fate of one send at clock time `now_nanos`.
+    /// Decides the fate of one send at clock time `now_nanos`. Called
+    /// by the network under its lock, once per [`crate::net::Net::send`].
+    /// Plans without virtual-time fields never read the clock.
     ///
     /// The decision itself is still a pure function of `(seed, send
     /// index, endpoints, config)` — time-based delays record a
@@ -647,31 +547,6 @@ impl FaultPlan {
         self.seq += 1;
         (decision, partition)
     }
-
-    /// Folds every decision not yet recorded into `dsnet.fault.*`
-    /// counters, one per [`FaultDecision`] kind, plus
-    /// `dsnet.fault.partitions` for raised cuts. A cursor makes the
-    /// call idempotent over already-recorded entries, so campaigns can
-    /// invoke it at any control point (typically once per test case)
-    /// and the counters accumulate exactly once per decision.
-    pub fn record_metrics(&mut self, metrics: &mocket_obs::MetricsRegistry) {
-        for e in &self.trace[self.recorded..] {
-            let name = match e.decision {
-                FaultDecision::Deliver => "dsnet.fault.deliver",
-                FaultDecision::Drop => "dsnet.fault.drop",
-                FaultDecision::Duplicate => "dsnet.fault.duplicate",
-                FaultDecision::Delay { .. } | FaultDecision::DelayFor { .. } => {
-                    "dsnet.fault.delay"
-                }
-                FaultDecision::Reorder => "dsnet.fault.reorder",
-            };
-            metrics.add(name, 1);
-            if e.partition.is_some() {
-                metrics.add("dsnet.fault.partitions", 1);
-            }
-        }
-        self.recorded = self.trace.len();
-    }
 }
 
 #[cfg(test)]
@@ -682,7 +557,7 @@ mod tests {
         for i in 0..sends {
             let from = 1 + i % 3;
             let to = 1 + (i + 1) % 3;
-            plan.decide(from, to);
+            plan.decide_at(from, to, 0);
         }
         plan.trace().to_vec()
     }
@@ -728,18 +603,18 @@ mod tests {
         // Raise a partition by hand through the config-independent
         // bookkeeping: simulate what a Partition edict does.
         p.partitions.insert(pair(1, 2), HealAt::AfterSeq(p.seq + 3));
-        assert!(p.is_partitioned(1, 2));
-        assert!(p.is_partitioned(2, 1), "cuts are symmetric");
-        let (d, _) = p.decide(1, 2);
+        assert!(p.is_partitioned_at(1, 2, 0));
+        assert!(p.is_partitioned_at(2, 1, 0), "cuts are symmetric");
+        let (d, _) = p.decide_at(1, 2, 0);
         assert_eq!(d, FaultDecision::Drop);
-        let (d, _) = p.decide(2, 1);
+        let (d, _) = p.decide_at(2, 1, 0);
         assert_eq!(d, FaultDecision::Drop);
-        let (d, _) = p.decide(1, 2);
+        let (d, _) = p.decide_at(1, 2, 0);
         assert_eq!(d, FaultDecision::Drop);
         // Healed: the fourth send goes through.
-        let (d, _) = p.decide(1, 2);
+        let (d, _) = p.decide_at(1, 2, 0);
         assert_eq!(d, FaultDecision::Deliver);
-        assert!(!p.is_partitioned(1, 2));
+        assert!(!p.is_partitioned_at(1, 2, 0));
     }
 
     #[test]
@@ -775,8 +650,8 @@ mod tests {
         let mut original = FaultPlan::with_config(42, FaultPlanConfig::aggressive());
         let text = original.serialize();
         let mut replayed = FaultPlan::deserialize(&text).unwrap();
-        assert_eq!(replayed.seed(), 42);
-        assert_eq!(replayed.config(), original.config());
+        assert_eq!(replayed.seed, 42);
+        assert_eq!(replayed.cfg, original.cfg);
         assert_eq!(drive(&mut original, 500), drive(&mut replayed, 500));
     }
 
@@ -785,53 +660,6 @@ mod tests {
         assert!(FaultPlan::deserialize("").is_err());
         assert!(FaultPlan::deserialize("drop=1").is_err(), "seed missing");
         assert!(FaultPlan::deserialize("seed=zzz drop=1").is_err());
-    }
-
-    #[test]
-    fn weakenings_are_ordered_and_end_before_self() {
-        let cfg = FaultPlanConfig::aggressive();
-        let ladder = cfg.weakenings();
-        assert!(!ladder.is_empty());
-        assert!(ladder[0].is_quiescent(), "weakest candidate first");
-        assert!(!ladder.contains(&cfg), "self is never a weakening");
-        assert!(FaultPlanConfig::quiescent().weakenings().is_empty());
-    }
-
-    #[test]
-    fn record_metrics_counts_each_decision_once() {
-        let metrics = mocket_obs::MetricsRegistry::default();
-        let mut p = FaultPlan::with_config(3, FaultPlanConfig::aggressive());
-        drive(&mut p, 500);
-        p.record_metrics(&metrics);
-        let total: u64 = [
-            "dsnet.fault.deliver",
-            "dsnet.fault.drop",
-            "dsnet.fault.duplicate",
-            "dsnet.fault.delay",
-            "dsnet.fault.reorder",
-        ]
-        .iter()
-        .map(|n| metrics.counter(n))
-        .sum();
-        assert_eq!(total, 500, "every decision tallied exactly once");
-        assert!(metrics.counter("dsnet.fault.drop") > 0);
-        // Idempotent over already-recorded entries; later decisions
-        // still accumulate.
-        p.record_metrics(&metrics);
-        let again: u64 = metrics.counter("dsnet.fault.deliver")
-            + metrics.counter("dsnet.fault.drop")
-            + metrics.counter("dsnet.fault.duplicate")
-            + metrics.counter("dsnet.fault.delay")
-            + metrics.counter("dsnet.fault.reorder");
-        assert_eq!(again, 500);
-        drive(&mut p, 10);
-        p.record_metrics(&metrics);
-        let grown: u64 = metrics.counter("dsnet.fault.deliver")
-            + metrics.counter("dsnet.fault.drop")
-            + metrics.counter("dsnet.fault.duplicate")
-            + metrics.counter("dsnet.fault.delay")
-            + metrics.counter("dsnet.fault.reorder");
-        assert_eq!(grown, 510);
     }
 
     #[test]
@@ -853,9 +681,9 @@ mod tests {
         let legacy = "seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20";
         let plan = FaultPlan::deserialize(legacy).unwrap();
         assert_eq!(plan.serialize(), legacy);
-        assert_eq!(plan.config().delay_nanos, 0);
-        assert_eq!(plan.config().link_spread_nanos, 0);
-        assert_eq!(plan.config().heal_nanos, 0);
+        assert_eq!(plan.cfg.delay_nanos, 0);
+        assert_eq!(plan.cfg.link_spread_nanos, 0);
+        assert_eq!(plan.cfg.heal_nanos, 0);
         // And it decides exactly like a hand-built legacy plan.
         let mut a = FaultPlan::deserialize(legacy).unwrap();
         let mut b = FaultPlan::with_config(42, FaultPlanConfig::default());

@@ -81,7 +81,6 @@ struct Inner<M> {
     delayed_count: u64,
     reordered: u64,
     partition_dropped: u64,
-    crash_discarded: u64,
 }
 
 fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -203,11 +202,6 @@ pub struct NetStats {
     pub reordered: u64,
     /// Messages discarded by a partition (scripted or planned).
     pub partition_dropped: u64,
-    /// Messages (inbox + delayed) discarded because their destination
-    /// crashed. Keeps the conservation law honest: every sent copy is
-    /// eventually delivered, dropped, partition-dropped, crash-
-    /// discarded, or still in flight.
-    pub crash_discarded: u64,
 }
 
 impl<M: Wire + Clone> Net<M> {
@@ -228,7 +222,6 @@ impl<M: Wire + Clone> Net<M> {
                 delayed_count: 0,
                 reordered: 0,
                 partition_dropped: 0,
-                crash_discarded: 0,
             }),
         })
     }
@@ -397,25 +390,6 @@ impl<M: Wire + Clone> Net<M> {
         Some(copy)
     }
 
-    /// Discards every message addressed to `node` (node crash: the
-    /// process's socket buffers die with it). Delayed messages for
-    /// the node die too, and every discarded copy is accounted in
-    /// [`NetStats::crash_discarded`] so `in_flight()` and the
-    /// conservation law stay consistent — no phantom in-flight
-    /// messages survive a crash.
-    pub fn clear_inbox(&self, node: NodeId) {
-        let mut inner = self.inner.lock();
-        let mut discarded = 0u64;
-        if let Some(inbox) = inner.inboxes.get_mut(&node) {
-            discarded += inbox.len() as u64;
-            inbox.clear();
-        }
-        if let Some(queue) = inner.delayed.remove(&node) {
-            discarded += queue.len() as u64;
-        }
-        inner.crash_discarded += discarded;
-    }
-
     /// Cuts the link between `a` and `b` in both directions until
     /// [`Net::heal`] (scripted partition fault).
     pub fn partition(&self, a: NodeId, b: NodeId) {
@@ -427,26 +401,10 @@ impl<M: Wire + Clone> Net<M> {
         self.inner.lock().partitions.remove(&pair(a, b));
     }
 
-    /// Removes every scripted partition.
-    pub fn heal_all(&self) {
-        self.inner.lock().partitions.clear();
-    }
-
-    /// Whether a scripted partition currently cuts `a` from `b`.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.inner.lock().partitions.contains(&pair(a, b))
-    }
-
     /// Installs a seed-driven fault plan consulted on every
     /// subsequent send. Replaces any previous plan.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         self.inner.lock().plan = Some(plan);
-    }
-
-    /// Removes the fault plan and returns it (its trace records every
-    /// decision it made — the replay-determinism hook).
-    pub fn take_fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.lock().plan.take()
     }
 
     /// The installed plan's decision trace so far (empty without a
@@ -468,28 +426,6 @@ impl<M: Wire + Clone> Net<M> {
         inner.delayed.get(&node).map(Vec::len).unwrap_or(0)
     }
 
-    /// Releases every delayed message into its destination inbox
-    /// (e.g. when a test case ends and held messages must surface).
-    pub fn flush_delayed(&self) {
-        let mut inner = self.inner.lock();
-        let delayed = std::mem::take(&mut inner.delayed);
-        for (dest, queue) in delayed {
-            inner
-                .inboxes
-                .entry(dest)
-                .or_default()
-                .extend(queue.into_iter().map(|d| d.env));
-        }
-    }
-
-    /// Total messages in flight across all inboxes, including
-    /// messages held back by delay faults.
-    pub fn in_flight(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.inboxes.values().map(Vec::len).sum::<usize>()
-            + inner.delayed.values().map(Vec::len).sum::<usize>()
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> NetStats {
         let inner = self.inner.lock();
@@ -501,7 +437,6 @@ impl<M: Wire + Clone> Net<M> {
             delayed: inner.delayed_count,
             reordered: inner.reordered,
             partition_dropped: inner.partition_dropped,
-            crash_discarded: inner.crash_discarded,
         }
     }
 }
@@ -509,6 +444,13 @@ impl<M: Wire + Clone> Net<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Messages still in the network: deliverable or held back.
+    fn in_flight<M: Wire + Clone>(net: &Net<M>) -> usize {
+        let inner = net.inner.lock();
+        inner.inboxes.values().map(Vec::len).sum::<usize>()
+            + inner.delayed.values().map(Vec::len).sum::<usize>()
+    }
 
     #[test]
     fn send_and_take_roundtrip() {
@@ -519,7 +461,7 @@ mod tests {
         let env = net.take_matching(2, |_| true).unwrap();
         assert_eq!(env.from, 1);
         assert_eq!(env.msg, "hello");
-        assert_eq!(net.in_flight(), 0);
+        assert_eq!(in_flight(&net), 0);
         let stats = net.stats();
         assert_eq!((stats.sent, stats.delivered), (1, 1));
     }
@@ -562,15 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_inbox_on_crash() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
-        net.send(1, 2, &"x".to_string()).unwrap();
-        net.send(1, 2, &"y".to_string()).unwrap();
-        net.clear_inbox(2);
-        assert_eq!(net.inbox_len(2), 0);
-    }
-
-    #[test]
     fn unknown_destination_gets_an_inbox() {
         // Late-joining nodes (restart with a fresh id) still receive.
         let net: Arc<Net<String>> = Net::new([1]);
@@ -582,7 +515,6 @@ mod tests {
     fn scripted_partition_blocks_both_directions_until_healed() {
         let net: Arc<Net<String>> = Net::new([1, 2, 3]);
         net.partition(1, 2);
-        assert!(net.is_partitioned(2, 1));
         net.send(1, 2, &"a".to_string()).unwrap();
         net.send(2, 1, &"b".to_string()).unwrap();
         // Unrelated links are unaffected.
@@ -609,7 +541,7 @@ mod tests {
         net.send(1, 2, &"first".to_string()).unwrap();
         assert_eq!(net.inbox_len(2), 0, "held back");
         assert_eq!(net.delayed_len(2), 1);
-        assert_eq!(net.in_flight(), 1, "delayed messages stay in flight");
+        assert_eq!(in_flight(&net), 1, "delayed messages stay in flight");
         // The next send matures it (and is itself delayed).
         net.send(1, 2, &"second".to_string()).unwrap();
         let inbox = net.inbox(2);
@@ -618,8 +550,6 @@ mod tests {
             ["first"]
         );
         assert_eq!(net.delayed_len(2), 1);
-        net.flush_delayed();
-        assert_eq!(net.inbox_len(2), 2);
         assert_eq!(net.stats().delayed, 2);
     }
 
@@ -664,40 +594,19 @@ mod tests {
         assert_ne!(run(42).0, run(43).0, "different seeds diverge");
     }
 
-    #[test]
-    fn crash_clears_delayed_messages_too() {
-        use crate::faults::{FaultPlan, FaultPlanConfig};
-        let net: Arc<Net<String>> = Net::new([1, 2]);
-        let cfg = FaultPlanConfig {
-            delay_per_mille: 1000,
-            max_delay: 3,
-            ..FaultPlanConfig::quiescent()
-        };
-        net.install_fault_plan(FaultPlan::with_config(5, cfg));
-        net.send(1, 2, &"x".to_string()).unwrap();
-        assert_eq!(net.delayed_len(2), 1);
-        net.clear_inbox(2);
-        assert_eq!(net.delayed_len(2), 0);
-        assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.stats().crash_discarded, 1);
-    }
-
     /// Conservation law: every sent copy (plus duplicates) ends up
-    /// delivered, dropped, partition-dropped, crash-discarded, or
-    /// still in flight. `clear_inbox` used to discard silently and
-    /// leave the ledger unbalanced.
-    fn assert_conserved<Msg: crate::wire::Wire + Clone>(net: &Net<Msg>) {
+    /// delivered, dropped, partition-dropped, or still in flight.
+    fn assert_conserved<Msg: Wire + Clone>(net: &Net<Msg>) {
         let s = net.stats();
         assert_eq!(
             s.sent + s.duplicated,
-            s.delivered + s.dropped + s.partition_dropped + s.crash_discarded
-                + net.in_flight() as u64,
+            s.delivered + s.dropped + s.partition_dropped + in_flight(net) as u64,
             "message ledger out of balance: {s:?}"
         );
     }
 
     #[test]
-    fn crash_accounting_keeps_the_ledger_balanced() {
+    fn fault_accounting_keeps_the_ledger_balanced() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
         let net: Arc<Net<String>> = Net::new([1, 2, 3]);
         net.install_fault_plan(FaultPlan::with_config(
@@ -708,20 +617,11 @@ mod tests {
             let from = 1 + i % 3;
             let to = 1 + (i + 1) % 3;
             net.send(from, to, &format!("m{i}")).unwrap();
-            if i % 37 == 0 {
-                net.clear_inbox(to);
-            }
             if i % 11 == 0 {
                 net.take_matching(to, |_| true);
             }
             assert_conserved(&net);
         }
-        net.clear_inbox(1);
-        net.clear_inbox(2);
-        net.clear_inbox(3);
-        assert_conserved(&net);
-        net.flush_delayed();
-        assert_conserved(&net);
     }
 
     #[test]
@@ -744,7 +644,7 @@ mod tests {
         net.send(1, 2, &"held".to_string()).unwrap();
         assert_eq!(net.inbox_len(2), 0, "held back at virtual t=0");
         assert_eq!(net.delayed_len(2), 1);
-        assert_eq!(net.in_flight(), 1, "delayed messages stay in flight");
+        assert_eq!(in_flight(&net), 1, "delayed messages stay in flight");
         // Short of any possible deadline: still held.
         clock.advance(Duration::from_micros(999));
         assert_eq!(net.inbox_len(2), 0);

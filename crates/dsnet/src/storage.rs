@@ -17,7 +17,6 @@ use crate::net::NodeId;
 #[derive(Debug, Default)]
 pub struct Storage<V> {
     data: Mutex<BTreeMap<String, V>>,
-    writes: Mutex<u64>,
 }
 
 impl<V: Clone> Storage<V> {
@@ -25,35 +24,17 @@ impl<V: Clone> Storage<V> {
     pub fn new() -> Arc<Self> {
         Arc::new(Storage {
             data: Mutex::new(BTreeMap::new()),
-            writes: Mutex::new(0),
         })
     }
 
     /// Durably writes `key`.
     pub fn put(&self, key: impl Into<String>, value: V) {
         self.data.lock().insert(key.into(), value);
-        *self.writes.lock() += 1;
     }
 
     /// Reads `key`.
     pub fn get(&self, key: &str) -> Option<V> {
         self.data.lock().get(key).cloned()
-    }
-
-    /// Removes `key`.
-    pub fn remove(&self, key: &str) -> Option<V> {
-        self.data.lock().remove(key)
-    }
-
-    /// Number of durable writes ever performed (for assertions about
-    /// persistence behavior).
-    pub fn write_count(&self) -> u64 {
-        *self.writes.lock()
-    }
-
-    /// All keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.data.lock().keys().cloned().collect()
     }
 
     /// Wipes the storage (disk loss, not restart).
@@ -92,13 +73,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn put_get_remove() {
+    fn put_overwrites_and_get_reads_back() {
         let s: Arc<Storage<i64>> = Storage::new();
-        s.put("term", 2);
-        assert_eq!(s.get("term"), Some(2));
-        assert_eq!(s.remove("term"), Some(2));
         assert_eq!(s.get("term"), None);
-        assert_eq!(s.write_count(), 1);
+        s.put("term", 2);
+        s.put("term", 3);
+        assert_eq!(s.get("term"), Some(3));
     }
 
     #[test]
@@ -126,6 +106,6 @@ mod tests {
         s.put("a", 1);
         s.put("b", 2);
         s.wipe();
-        assert!(s.keys().is_empty());
+        assert_eq!((s.get("a"), s.get("b")), (None, None));
     }
 }

@@ -137,18 +137,6 @@ impl CausalKind {
             _ => return None,
         })
     }
-
-    /// Whether this kind is a message-fate event (carries a `msg` id).
-    pub fn is_message(&self) -> bool {
-        matches!(
-            self,
-            CausalKind::Send
-                | CausalKind::Recv
-                | CausalKind::Drop
-                | CausalKind::Duplicate
-                | CausalKind::Delay
-        )
-    }
 }
 
 /// One recorded trace event. Optional fields are omitted from the

@@ -67,11 +67,6 @@ impl CoverageMap {
         }
     }
 
-    /// Number of cases recorded.
-    pub fn cases(&self) -> u64 {
-        self.cases
-    }
-
     /// Number of edges the map tracks.
     pub fn edge_count(&self) -> usize {
         self.edge_hits.len()
@@ -109,11 +104,6 @@ impl CoverageMap {
             .filter(|(_, &h)| h == 0)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Per-action hit counts, in action-name order.
-    pub fn action_hits(&self) -> &BTreeMap<String, u64> {
-        &self.action_hits
     }
 
     /// Renders `coverage.json`: a deterministic JSON document with the
@@ -195,13 +185,13 @@ mod tests {
         let mut cov = CoverageMap::new(4);
         cov.record_case([0, 1], ["A", "B"]);
         cov.record_case([1, 3], ["B", "C"]);
-        assert_eq!(cov.cases(), 2);
+        assert_eq!(cov.cases, 2);
         assert_eq!(cov.edge_hits(), &[1, 2, 0, 1]);
         assert_eq!(cov.edges_covered(), 3);
         assert_eq!(cov.uncovered_edges(), vec![2]);
         assert_eq!(cov.edge_coverage(), 0.75);
-        assert_eq!(cov.action_hits().get("B"), Some(&2));
-        assert_eq!(cov.action_hits().get("C"), Some(&1));
+        assert_eq!(cov.action_hits.get("B"), Some(&2));
+        assert_eq!(cov.action_hits.get("C"), Some(&1));
     }
 
     #[test]
@@ -216,9 +206,9 @@ mod tests {
         for a in steps.iter().chain(&steps) {
             *expected.entry(a.to_string()).or_insert(0u64) += 1;
         }
-        assert_eq!(cov.action_hits(), &expected);
-        assert_eq!(cov.action_hits().values().sum::<u64>(), 14);
-        assert_eq!((cov.cases(), cov.hit(0)), (2, 2));
+        assert_eq!(cov.action_hits, expected);
+        assert_eq!(cov.action_hits.values().sum::<u64>(), 14);
+        assert_eq!((cov.cases, cov.hit(0)), (2, 2));
     }
 
     #[test]

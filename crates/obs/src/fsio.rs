@@ -27,6 +27,7 @@
 //! a campaign instead of aborting it.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::fs::OpenOptions;
 use std::io;
@@ -159,13 +160,45 @@ impl Fault {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit FNV-1a as a streaming sink: `write!` the text to hash
+/// straight into it — the hash of the concatenated bytes, with no
+/// intermediate `String`. The identity hash behind case hashes, plan
+/// fingerprints and per-fault-point decision streams.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of the empty string (the FNV offset basis).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// [`finish`](Self::finish) as the fixed-width hex every on-disk
+    /// identity (case hash, plan fingerprint) is spelled in.
+    pub fn hex(self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -299,7 +332,9 @@ impl FaultInjector {
         if self.kinds.is_empty() {
             return None;
         }
-        let roll = splitmix64(self.seed ^ fnv1a64(point.as_bytes()).wrapping_add(op));
+        let mut point_hash = Fnv1a::new();
+        let _ = point_hash.write_str(point);
+        let roll = splitmix64(self.seed ^ point_hash.finish().wrapping_add(op));
         if (roll % 1024) as u32 >= self.rate {
             return None;
         }

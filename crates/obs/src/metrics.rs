@@ -117,11 +117,6 @@ impl MetricsRegistry {
         self.inner.lock().unwrap().gauges.get(name).copied()
     }
 
-    /// Current histogram aggregate.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().unwrap().histograms.get(name).copied()
-    }
-
     /// A point-in-time copy of every metric, name-ordered.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
@@ -232,7 +227,7 @@ mod tests {
         for v in [2.0, 8.0, 5.0] {
             m.observe("h", v);
         }
-        let h = m.histogram("h").unwrap();
+        let h = m.snapshot().histograms["h"];
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 15.0);
         assert_eq!(h.min, 2.0);

@@ -29,7 +29,7 @@
 //! **Watchdog.** An execution step that outlives the reply timeout is
 //! abandoned together with the sandbox thread it is stuck on — never
 //! joined, its channels dropped so a late reply cannot answer a later
-//! request — and the node is buried with `request timed out` →
+//! request — and the node is deregistered →
 //! [`ClusterError::Unresponsive`]. The next execution step spawns a
 //! fresh sandbox, so a stuck `execute` stalls one request but not the
 //! campaign.
@@ -37,10 +37,10 @@
 //! **Backends.** A [`Backend`] only chooses the clock the steps are
 //! accounted on. [`Backend::Threads`] is the wall clock: steps cost
 //! what they cost, and trace timestamps stay 0 so wall time never
-//! leaks into a trace. [`Backend::Sim`] sequences the same steps on a
-//! [`mocket_sim::SimExecutor`]: each costs a seeded slice of virtual
-//! time, and a hung step advances the virtual clock by exactly the
-//! reply timeout, so timings, traces and watchdog verdicts are
+//! leaks into a trace. [`Backend::Sim`] charges the same steps to the
+//! run's shared [`mocket_sim::SimClock`]: each costs a seeded slice of
+//! virtual time, and a hung step advances the virtual clock by exactly
+//! the reply timeout, so timings, traces and watchdog verdicts are
 //! byte-reproducible per seed. Verdict parity between the two holds
 //! by construction — they share every line below except those clock
 //! reads. (The variant names are pinned by the benchmark adapter in
@@ -56,7 +56,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 
 use mocket_core::sut::MsgEvent;
 use mocket_obs::causal::Tracer;
-use mocket_sim::{SimExecutor, SimHandle};
+use mocket_sim::{SimClock, SimHandle, SimRng};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::registry::VarRegistry;
@@ -109,16 +109,6 @@ pub enum ClusterError {
         /// Panic message or channel diagnosis.
         reason: String,
     },
-}
-
-impl ClusterError {
-    /// The node the error concerns.
-    pub fn node(&self) -> NodeId {
-        match self {
-            ClusterError::NotRunning(n) | ClusterError::Unresponsive(n) => *n,
-            ClusterError::Died { node, .. } => *node,
-        }
-    }
 }
 
 impl std::fmt::Display for ClusterError {
@@ -289,16 +279,13 @@ pub struct Cluster {
     factory: NodeFactory,
     nodes: BTreeMap<NodeId, Node>,
     last_snapshot: BTreeMap<NodeId, Vec<(String, Value)>>,
-    /// Nodes that died involuntarily (panic / hang / channel loss)
-    /// since the last [`Cluster::take_deaths`], with the reason.
-    deaths: BTreeMap<NodeId, String>,
     reply_timeout: Duration,
     disk_wiper: Option<DiskWiper>,
-    metrics: Option<Arc<mocket_obs::MetricsRegistry>>,
     /// Causal tracer (disabled by default — every hook is one branch).
     tracer: Tracer,
-    /// Present iff the backend is [`Backend::Sim`].
-    sim: Option<SimExecutor<NodeId>>,
+    /// Present iff the backend is [`Backend::Sim`]: the run's shared
+    /// virtual clock and this cluster's step-jitter stream.
+    sim: Option<(Arc<SimClock>, SimRng)>,
     /// Lazily spawned, abandoned on a hung step.
     sandbox: Option<Sandbox>,
 }
@@ -309,16 +296,14 @@ impl Cluster {
         install_node_panic_hook();
         let sim = match backend {
             Backend::Threads => None,
-            Backend::Sim(handle) => Some(SimExecutor::new(handle.clock.clone(), handle.seed)),
+            Backend::Sim(handle) => Some((handle.clock, SimRng::new(handle.seed))),
         };
         Cluster {
             factory,
             nodes: BTreeMap::new(),
             last_snapshot: BTreeMap::new(),
-            deaths: BTreeMap::new(),
             reply_timeout: Duration::from_secs(5),
             disk_wiper: None,
-            metrics: None,
             tracer: Tracer::disabled(),
             sim,
             sandbox: None,
@@ -340,38 +325,18 @@ impl Cluster {
     /// present, else 0 (wall-clock must never leak into traces).
     fn vtime(&self) -> u64 {
         match &self.sim {
-            Some(exec) => exec.clock().now_nanos(),
+            Some((clock, _)) => clock.now_nanos(),
             None => 0,
         }
     }
 
-    /// Installs a metrics registry; the cluster then counts lifecycle
-    /// events under `cluster.*` (starts, crashes, restarts, deaths,
-    /// disk wipes). All updates are commutative counters, so sharing
-    /// the campaign's registry is safe.
-    pub fn with_metrics(mut self, metrics: Arc<mocket_obs::MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    fn tally(&self, name: &str) {
-        if let Some(m) = &self.metrics {
-            m.add(name, 1);
-        }
-    }
-
-    /// Sets the per-request reply timeout (builder form).
+    /// Sets the per-request reply timeout: the real-time grace an
+    /// execution step gets before the watchdog detaches the node.
+    /// Under the simulation backend it is also exactly how far the
+    /// virtual clock jumps when a step times out.
     pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.set_reply_timeout(timeout);
-        self
-    }
-
-    /// Sets the per-request reply timeout on a running cluster: the
-    /// real-time grace an execution step gets before the watchdog
-    /// detaches the node. Under the simulation backend it is also
-    /// exactly how far the virtual clock jumps when a step times out.
-    pub fn set_reply_timeout(&mut self, timeout: Duration) {
         self.reply_timeout = timeout;
+        self
     }
 
     /// Installs the disk wiper used by [`wipe_disk`](Self::wipe_disk).
@@ -388,7 +353,6 @@ impl Cluster {
     pub fn wipe_disk(&mut self, id: NodeId) -> bool {
         match &self.disk_wiper {
             Some(wiper) => {
-                self.tally("cluster.disk_wipes");
                 wiper(id);
                 true
             }
@@ -404,10 +368,8 @@ impl Cluster {
     }
 
     fn spawn(&mut self, id: NodeId) {
-        self.tally("cluster.starts");
         let app = (self.factory)(id);
         let registry = app.registry();
-        self.deaths.remove(&id);
         self.nodes.insert(id, Node { app, registry });
     }
 
@@ -433,11 +395,11 @@ impl Cluster {
         let Some(Node { app, registry }) = self.nodes.remove(&id) else {
             return Err(ClusterError::NotRunning(id));
         };
-        if let Some(exec) = &mut self.sim {
-            // The step is an event on the virtual clock, which jumps
-            // forward by the seeded step cost, instantly.
-            exec.schedule_after_jittered(SIM_STEP_COST, SIM_STEP_JITTER, id);
-            let _ = exec.pop_next();
+        if let Some((clock, rng)) = &mut self.sim {
+            // The virtual clock jumps forward by the seeded step cost,
+            // instantly.
+            let jitter = rng.below(SIM_STEP_JITTER.as_nanos() as u64);
+            clock.advance(SIM_STEP_COST + Duration::from_nanos(jitter));
         }
         match run(self, app) {
             Ok((app, out)) => {
@@ -445,11 +407,11 @@ impl Cluster {
                 Ok(out)
             }
             Err(err) => {
-                let reason = match &err {
-                    ClusterError::Died { reason, .. } => reason.clone(),
-                    _ => "request timed out".to_string(),
-                };
-                self.bury(id, &registry, reason);
+                // An involuntary death: the node stays out of the map
+                // with its shadow variables frozen from the
+                // harness-side registry handle; the cause travels in
+                // `err`.
+                self.last_snapshot.insert(id, registry.snapshot());
                 Err(err)
             }
         }
@@ -493,8 +455,8 @@ impl Cluster {
                 // grace; advancing it by exactly the grace lands the
                 // timeout at a deterministic virtual deadline.
                 self.sandbox = None;
-                if let Some(exec) = &self.sim {
-                    exec.clock().advance(grace);
+                if let Some((clock, _)) = &self.sim {
+                    clock.advance(grace);
                 }
                 Err(ClusterError::Unresponsive(id))
             }
@@ -509,24 +471,6 @@ impl Cluster {
                 })
             }
         }
-    }
-
-    /// Records an involuntary death: freezes the node's shadow
-    /// variables from the harness-side registry handle and notes the
-    /// cause.
-    ///
-    /// First reason wins: if the node is already in the death record,
-    /// the original cause is kept and nothing is double-reported.
-    fn bury(&mut self, id: NodeId, registry: &VarRegistry, reason: String) {
-        self.tally("cluster.deaths");
-        self.last_snapshot.insert(id, registry.snapshot());
-        self.deaths.entry(id).or_insert(reason);
-    }
-
-    /// Drains the record of involuntary node deaths (panics, hangs,
-    /// lost channels) observed since the last call.
-    pub fn take_deaths(&mut self) -> BTreeMap<NodeId, String> {
-        std::mem::take(&mut self.deaths)
     }
 
     /// All blocked-action notifications, across all running nodes.
@@ -600,14 +544,12 @@ impl Cluster {
         let Some(node) = self.nodes.remove(&id) else {
             return;
         };
-        self.tally("cluster.crashes");
         self.tracer.crash(id, self.vtime());
         self.last_snapshot.insert(id, node.registry.snapshot());
     }
 
     /// Restarts `id`: kill plus a fresh incarnation from the factory.
     pub fn restart(&mut self, id: NodeId) {
-        self.tally("cluster.restarts");
         self.crash(id);
         self.spawn(id);
         self.tracer.restart(id, self.vtime());
@@ -834,33 +776,11 @@ mod tests {
             let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
             let count = agg.iter().find(|(n, _)| n == "count").unwrap();
             assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
-
-            let deaths = c.take_deaths();
-            assert!(deaths[&1].contains("boom"));
-            assert!(c.take_deaths().is_empty(), "deaths drain");
         }
     }
 
     #[test]
-    fn lifecycle_metrics_count_starts_crashes_and_deaths() {
-        let metrics = Arc::new(mocket_obs::MetricsRegistry::default());
-        let mut c = Cluster::new(Box::new(PanicApp::boxed), Backend::Threads)
-            .with_reply_timeout(Duration::from_secs(2))
-            .with_metrics(metrics.clone());
-        c.start(&[1, 2]);
-        let _ = c.execute(1, &ActionInstance::nullary("boom"));
-        c.restart(1);
-        c.crash(2);
-        assert_eq!(metrics.counter("cluster.starts"), 3, "2 start + 1 restart");
-        assert_eq!(metrics.counter("cluster.restarts"), 1);
-        assert_eq!(metrics.counter("cluster.deaths"), 1, "the panic");
-        // The panicked node was already gone when restart() crashed
-        // it, so only node 2's crash registers.
-        assert_eq!(metrics.counter("cluster.crashes"), 1);
-    }
-
-    #[test]
-    fn restart_clears_a_recorded_death() {
+    fn restart_revives_a_panicked_node() {
         let mut c = Cluster::new(Box::new(PanicApp::boxed), Backend::Threads)
             .with_reply_timeout(Duration::from_secs(2));
         c.start(&[1]);
@@ -868,7 +788,6 @@ mod tests {
         assert!(!c.is_running(1));
         c.restart(1);
         assert!(c.is_running(1));
-        assert!(c.take_deaths().is_empty());
         c.execute(1, &ActionInstance::nullary("bump")).unwrap();
     }
 
@@ -943,33 +862,7 @@ mod tests {
                 start.elapsed() < Duration::from_secs(30),
                 "harness never waits out a hung node"
             );
-            assert_eq!(c.take_deaths()[&1], "request timed out");
         }
-    }
-
-    /// Crashing a node that already hung (and was detached by the
-    /// watchdog) must record its death reason exactly once — the
-    /// original hang reason — and never double-report into
-    /// `take_deaths()`.
-    #[test]
-    fn crash_on_hung_node_records_death_exactly_once() {
-        let mut c = Cluster::new(Box::new(HangApp::boxed), Backend::Threads)
-            .with_reply_timeout(Duration::from_millis(100));
-        c.start(&[1]);
-        let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-        assert!(matches!(err, ClusterError::Unresponsive(1)));
-        // Crash the already-buried node. Must return promptly and must
-        // not touch the death record.
-        let start = std::time::Instant::now();
-        c.crash(1);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "crash on a detached node returns without joining"
-        );
-        let deaths = c.take_deaths();
-        assert_eq!(deaths.len(), 1, "exactly one death entry: {deaths:?}");
-        assert_eq!(deaths[&1], "request timed out");
-        assert!(c.take_deaths().is_empty(), "no second report");
     }
 
     fn sim_cluster(factory: NodeFactory, handle: &SimHandle) -> Cluster {
@@ -1008,12 +901,41 @@ mod tests {
         assert_ne!(run(42), run(43), "different seeds jitter differently");
     }
 
+    /// The seed-7 virtual timeline, pinned to the nanosecond: every
+    /// step costs `SIM_STEP_COST` plus the next draw of the seed's
+    /// jitter stream, and a hung step adds exactly the reply timeout.
+    /// `wall_*` summary keys and trace `vt` stamps under `--sim` are
+    /// sums of these readings, so a moved literal is a moved byte.
+    #[test]
+    fn sim_timeline_is_pinned_for_seed_7() {
+        let handle = SimHandle::new(7);
+        let mut c = sim_cluster(Box::new(HangApp::boxed), &handle)
+            .with_reply_timeout(Duration::from_millis(100));
+        c.start(&[1, 2]);
+        let mut readings = Vec::new();
+        assert_eq!(c.offers().unwrap().len(), 2);
+        readings.push(handle.clock.now_nanos());
+        for id in [1, 2, 1] {
+            c.execute(id, &ActionInstance::nullary("tick")).unwrap();
+            readings.push(handle.clock.now_nanos());
+        }
+        c.snapshot_node(2).unwrap();
+        readings.push(handle.clock.now_nanos());
+        let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
+        assert!(matches!(err, ClusterError::Unresponsive(1)));
+        readings.push(handle.clock.now_nanos());
+        assert_eq!(
+            readings,
+            [130_291, 189_637, 251_840, 305_514, 363_819, 100_425_617]
+        );
+    }
+
     #[test]
     fn sim_hang_timeline_is_seed_deterministic() {
         let run = |seed: u64| -> (u64, String) {
             let handle = SimHandle::new(seed);
-            let mut c = sim_cluster(Box::new(HangApp::boxed), &handle);
-            c.set_reply_timeout(Duration::from_millis(50));
+            let mut c = sim_cluster(Box::new(HangApp::boxed), &handle)
+                .with_reply_timeout(Duration::from_millis(50));
             c.start(&[1]);
             let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
             (handle.clock.now_nanos(), err.to_string())

@@ -7,10 +7,7 @@
 //! a 50 ms offer deadline costs zero wall time, and the observed
 //! durations are identical on every run with the same inputs.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A monotonic time source plus a way to wait on it.
@@ -64,32 +61,19 @@ impl Clock for RealClock {
     }
 }
 
-/// Identifier of one scheduled timer on a [`SimClock`].
-pub type TimerId = u64;
-
-#[derive(Debug, Default)]
-struct Timers {
-    /// Min-heap of `(deadline_nanos, timer_id)`.
-    heap: BinaryHeap<Reverse<(u64, TimerId)>>,
-    next_id: TimerId,
-}
-
-/// Virtual time: an atomic nanosecond counter plus a min-heap of
-/// outstanding timers.
+/// Virtual time: an atomic nanosecond counter.
 ///
-/// Time only moves when something advances it — a `sleep`, an
-/// executor delivering its next event, or an explicit
-/// [`advance_to_nanos`](Self::advance_to_nanos). Advancement is
-/// monotonic (`fetch_max`), so cooperating components sharing one
-/// clock can never move it backwards.
+/// Time only moves when something advances it — a `sleep` or an
+/// explicit [`advance`](Self::advance) — and only forwards, so
+/// cooperating components sharing one clock can never move it
+/// backwards.
 #[derive(Debug, Default)]
 pub struct SimClock {
     nanos: AtomicU64,
-    timers: Mutex<Timers>,
 }
 
 impl SimClock {
-    /// A virtual clock at time zero with no timers.
+    /// A virtual clock at time zero.
     pub fn new() -> Self {
         SimClock::default()
     }
@@ -99,62 +83,14 @@ impl SimClock {
         self.nanos.load(Ordering::SeqCst)
     }
 
-    /// Moves time forward to `deadline` nanoseconds. Never moves it
-    /// backwards. Returns the (possibly newer) current time.
-    pub fn advance_to_nanos(&self, deadline: u64) -> u64 {
-        self.nanos.fetch_max(deadline, Ordering::SeqCst);
-        self.now_nanos()
-    }
-
-    /// Moves time forward by `d`.
+    /// Moves time forward by `d`, saturating at the end of time.
     pub fn advance(&self, d: Duration) {
-        let target = self.now_nanos().saturating_add(nanos_of(d));
-        self.advance_to_nanos(target);
-    }
-
-    /// Registers a timer `after` from now; returns its id and pushes
-    /// it onto the min-heap. The timer fires (becomes *due*) once the
-    /// clock reaches its deadline.
-    pub fn schedule(&self, after: Duration) -> TimerId {
-        let deadline = self.now_nanos().saturating_add(nanos_of(after));
-        let mut timers = lock(&self.timers);
-        let id = timers.next_id;
-        timers.next_id += 1;
-        timers.heap.push(Reverse((deadline, id)));
-        id
-    }
-
-    /// Deadline of the earliest outstanding timer, if any.
-    pub fn next_timer_nanos(&self) -> Option<u64> {
-        lock(&self.timers).heap.peek().map(|Reverse((at, _))| *at)
-    }
-
-    /// Pops every timer whose deadline is at or before now, in
-    /// (deadline, id) order.
-    pub fn pop_due(&self) -> Vec<TimerId> {
-        let now = self.now_nanos();
-        let mut timers = lock(&self.timers);
-        let mut due = Vec::new();
-        while let Some(&Reverse((at, id))) = timers.heap.peek() {
-            if at > now {
-                break;
-            }
-            timers.heap.pop();
-            due.push(id);
-        }
-        due
-    }
-
-    /// Jumps to the earliest outstanding timer and pops everything due
-    /// there. Returns the fired timers (empty when none are pending).
-    pub fn advance_to_next_timer(&self) -> Vec<TimerId> {
-        match self.next_timer_nanos() {
-            Some(at) => {
-                self.advance_to_nanos(at);
-                self.pop_due()
-            }
-            None => Vec::new(),
-        }
+        let d = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let _ = self
+            .nanos
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| {
+                Some(now.saturating_add(d))
+            });
     }
 }
 
@@ -163,29 +99,15 @@ impl Clock for SimClock {
         Duration::from_nanos(self.now_nanos())
     }
 
-    /// A virtual sleep: register a timer, jump straight to it. Any
-    /// other timers that became due along the way fire too — a sleep
-    /// never jumps past an earlier deadline without firing it.
+    /// A virtual sleep is an instant jump: nothing is ever pending on
+    /// this clock, so there is nothing to wake on the way.
     fn sleep(&self, d: Duration) {
-        let _ = self.schedule(d);
-        let deadline = self.now_nanos().saturating_add(nanos_of(d));
-        self.advance_to_nanos(deadline);
-        let _ = self.pop_due();
+        self.advance(d);
     }
 
     fn is_virtual(&self) -> bool {
         true
     }
-}
-
-fn nanos_of(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Non-poisoning lock: a panic while holding the timer heap must not
-/// take the whole simulation down with it.
-fn lock(m: &Mutex<Timers>) -> std::sync::MutexGuard<'_, Timers> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -198,9 +120,10 @@ mod tests {
         assert_eq!(c.now(), Duration::ZERO);
         c.advance(Duration::from_millis(5));
         assert_eq!(c.now(), Duration::from_millis(5));
-        // Advancing to an older deadline is a no-op.
-        c.advance_to_nanos(1_000);
+        c.advance(Duration::ZERO);
         assert_eq!(c.now(), Duration::from_millis(5));
+        c.advance(Duration::MAX);
+        assert_eq!(c.now_nanos(), u64::MAX, "saturates, never wraps");
     }
 
     #[test]
@@ -217,26 +140,14 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_deadline_order() {
-        let c = SimClock::new();
-        let late = c.schedule(Duration::from_millis(30));
-        let early = c.schedule(Duration::from_millis(10));
-        let mid = c.schedule(Duration::from_millis(20));
-        assert_eq!(c.next_timer_nanos(), Some(10_000_000));
-        assert!(c.pop_due().is_empty(), "nothing due at time zero");
-        c.advance(Duration::from_millis(25));
-        assert_eq!(c.pop_due(), vec![early, mid]);
-        assert_eq!(c.advance_to_next_timer(), vec![late]);
-        assert_eq!(c.now(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn ties_fire_in_schedule_order() {
-        let c = SimClock::new();
-        let a = c.schedule(Duration::from_millis(10));
-        let b = c.schedule(Duration::from_millis(10));
-        c.advance(Duration::from_millis(10));
-        assert_eq!(c.pop_due(), vec![a, b]);
+    fn sim_sleep_is_advance() {
+        let (slept, advanced) = (SimClock::new(), SimClock::new());
+        for d in [Duration::from_nanos(1), Duration::from_millis(50), Duration::ZERO] {
+            slept.sleep(d);
+            advanced.advance(d);
+            assert_eq!(slept.now_nanos(), advanced.now_nanos());
+        }
+        assert_eq!(slept.now_nanos(), 50_000_001);
     }
 
     #[test]

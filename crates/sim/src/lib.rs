@@ -1,27 +1,25 @@
 //! Deterministic-simulation primitives for the Mocket harness.
 //!
-//! Three pieces, dependency-free so every layer of the stack can use
+//! Two pieces, dependency-free so every layer of the stack can use
 //! them:
 //!
 //! - [`Clock`] — the real-vs-virtual time abstraction. [`RealClock`]
 //!   is `Instant` + `thread::sleep`; [`SimClock`] is an atomic
-//!   nanosecond counter with a min-heap of timers where sleeping is an
-//!   instant jump.
-//! - [`SimExecutor`] — a single-threaded cooperative event loop over a
-//!   shared `SimClock`: events fire in `(virtual deadline, sequence)`
-//!   order, optionally perturbed by seeded jitter.
+//!   nanosecond counter where sleeping is an instant jump.
 //! - [`SimRng`] — the simulation's private SplitMix64 stream.
+//!
+//! The harness releases one action at a time, so nothing is ever
+//! pending in virtual time: there is no event queue and no timer
+//! heap, only the counter and the seed.
 //!
 //! [`SimHandle`] bundles the shared clock and the seed; one handle is
 //! threaded through a whole run (pipeline config + cluster backend) so
 //! every component counts the same virtual time.
 
 mod clock;
-mod executor;
 mod rng;
 
-pub use clock::{Clock, RealClock, SimClock, TimerId};
-pub use executor::SimExecutor;
+pub use clock::{Clock, RealClock, SimClock};
 pub use rng::SimRng;
 
 use std::sync::Arc;

@@ -48,18 +48,6 @@ impl Spec for CacheMax {
         ]
     }
 
-    fn constants(&self) -> Vec<(String, Value)> {
-        vec![
-            ("Max".into(), Value::str("Max")),
-            ("NotMax".into(), Value::str("NotMax")),
-            ("Nil".into(), Value::Nil),
-            (
-                "Data".into(),
-                Value::set(self.data.iter().map(|&d| Value::Int(d))),
-            ),
-        ]
-    }
-
     fn init_states(&self) -> Vec<State> {
         vec![State::from_pairs([
             ("msg", Value::Nil),

@@ -278,24 +278,6 @@ impl Spec for RaftSpec {
         ]
     }
 
-    fn constants(&self) -> Vec<(String, Value)> {
-        vec![
-            (
-                "Server".into(),
-                Value::set(self.config.servers.iter().map(|&i| Value::Int(i))),
-            ),
-            ("Follower".into(), Value::str(FOLLOWER)),
-            ("Candidate".into(), Value::str(CANDIDATE)),
-            ("Leader".into(), Value::str(LEADER)),
-            ("Nil".into(), Value::Nil),
-            ("MaxTerm".into(), Value::Int(self.config.max_term)),
-            (
-                "ClientRequestLimit".into(),
-                Value::Int(self.config.client_request_limit),
-            ),
-        ]
-    }
-
     fn init_states(&self) -> Vec<State> {
         let servers: Vec<Value> = self.config.servers.iter().map(|&i| Value::Int(i)).collect();
         let one_per_peer = Value::const_fun(servers.clone(), Value::Int(1));

@@ -168,19 +168,6 @@ impl Spec for ZabSpec {
         ]
     }
 
-    fn constants(&self) -> Vec<(String, Value)> {
-        vec![
-            (
-                "Server".into(),
-                Value::set(self.config.servers.iter().map(|&i| Value::Int(i))),
-            ),
-            ("Looking".into(), Value::str(LOOKING)),
-            ("Following".into(), Value::str(FOLLOWING)),
-            ("Leading".into(), Value::str(LEADING)),
-            ("Nil".into(), Value::Nil),
-        ]
-    }
-
     fn init_states(&self) -> Vec<State> {
         let servers: Vec<Value> = self.config.servers.iter().map(|&i| Value::Int(i)).collect();
         vec![State::from_pairs([

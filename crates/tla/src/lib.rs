@@ -21,5 +21,5 @@ pub use spec::{
     enabled_actions, successors, successors_with, ActionClass, ActionDef, ActionInstance, Spec,
     VarClass, VarDef,
 };
-pub use state::{State, StateDiff};
+pub use state::State;
 pub use value::Value;

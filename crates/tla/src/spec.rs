@@ -190,12 +190,6 @@ pub trait Spec: Send + Sync {
     /// Declared variables with their classes.
     fn variables(&self) -> Vec<VarDef>;
 
-    /// Constant assignments of the model (for reporting; constants are
-    /// baked into the actions themselves).
-    fn constants(&self) -> Vec<(String, Value)> {
-        Vec::new()
-    }
-
     /// The set of initial states (`Init`).
     fn init_states(&self) -> Vec<State>;
 
@@ -268,7 +262,7 @@ mod tests {
                     (n < 2).then(|| s.with("n", Value::Int(n + 1)))
                 }),
                 ActionDef::nullary("Flip", ActionClass::SingleNode, |s| {
-                    let b = s.expect("b").as_bool().unwrap();
+                    let b = s.expect("b") == &Value::Bool(true);
                     Some(s.with("b", Value::Bool(!b)))
                 }),
             ]

@@ -274,43 +274,6 @@ impl State {
             fp.finish()
         })
     }
-
-    /// The variables on which `self` and `other` differ, with both
-    /// values. Variables bound on only one side pair with `None`.
-    pub fn diff<'a>(&'a self, other: &'a State) -> Vec<StateDiff<'a>> {
-        let mut out = Vec::new();
-        for (variable, v) in self.schema.iter().zip(self.values.iter()) {
-            // Compared as `Arc`s: pooled equal values are one address.
-            let w = other.index_of(variable).ok().map(|i| &other.values[i]);
-            if w != Some(v) {
-                out.push(StateDiff {
-                    variable,
-                    left: Some(v),
-                    right: w.map(|w| &**w),
-                });
-            }
-        }
-        for (variable, w) in other.iter() {
-            if self.get(variable).is_none() {
-                out.push(StateDiff {
-                    variable,
-                    left: None,
-                    right: Some(w),
-                });
-            }
-        }
-        out
-    }
-
-    /// Projects the state onto the given variables, dropping the rest.
-    /// The kept values are shared, not cloned.
-    pub fn project<'a, I: IntoIterator<Item = &'a str>>(&self, keep: I) -> State {
-        let kept = keep.into_iter().filter_map(|name| {
-            let i = self.index_of(name).ok()?;
-            Some((self.schema[i].clone(), self.values[i].clone()))
-        });
-        Self::from_bindings(kept.collect())
-    }
 }
 
 impl Default for State {
@@ -351,17 +314,6 @@ impl Hash for State {
             binding.hash(state);
         }
     }
-}
-
-/// One differing variable between two states.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateDiff<'a> {
-    /// The variable name.
-    pub variable: &'a str,
-    /// The value on the left-hand state, if bound.
-    pub left: Option<&'a Value>,
-    /// The value on the right-hand state, if bound.
-    pub right: Option<&'a Value>,
 }
 
 impl fmt::Display for State {
@@ -465,40 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_changed_variables() {
-        let s = sample();
-        let s2 = s
-            .with("msg", Value::Int(1))
-            .with("stage", Value::str("respond"));
-        let d = s.diff(&s2);
-        assert_eq!(d.len(), 2);
-        let vars: Vec<_> = d.iter().map(|x| x.variable).collect();
-        assert!(vars.contains(&"msg") && vars.contains(&"stage"));
-    }
-
-    #[test]
-    fn diff_reports_missing_variables() {
-        let s = sample();
-        let t = s.project(["stage"]);
-        let d = s.diff(&t);
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|x| x.right.is_none()));
-        let d2 = t.diff(&s);
-        assert!(d2.iter().all(|x| x.left.is_none()));
-    }
-
-    #[test]
     fn display_matches_figure2_labels() {
         let s = State::from_pairs([("cache", Value::empty_set()), ("msg", Value::Nil)]);
         assert_eq!(s.to_string(), "/\\ cache = {} /\\ msg = Nil");
-    }
-
-    #[test]
-    fn project_keeps_only_requested() {
-        let s = sample();
-        let p = s.project(["cache", "nope"]);
-        assert_eq!(p.len(), 1);
-        assert!(p.get("cache").is_some());
     }
 
     /// SplitMix64: a fixed stream, so the property test below checks
@@ -565,20 +486,6 @@ mod tests {
         assert_eq!(crate::parse_state(&text).unwrap(), *s);
     }
 
-    fn model_diff<'a>(a: &'a Model, b: &'a Model) -> Vec<StateDiff<'a>> {
-        let changed = a.iter().filter(|(k, v)| b.get(*k) != Some(v)).map(|(k, v)| StateDiff {
-            variable: k,
-            left: Some(v),
-            right: b.get(k),
-        });
-        let added = b.iter().filter(|(k, _)| !a.contains_key(*k)).map(|(k, w)| StateDiff {
-            variable: k,
-            left: None,
-            right: Some(w),
-        });
-        changed.chain(added).collect()
-    }
-
     #[test]
     fn dense_interned_state_agrees_with_a_sorted_map() {
         const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -605,19 +512,10 @@ mod tests {
                 assert_agrees(&s, &m);
             }
 
-            let keep: Vec<&str> = NAMES.iter().copied().filter(|_| rng.below(2) == 0).collect();
-            let projected: Model = (m.iter())
-                .filter(|(k, _)| keep.contains(&k.as_str()))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            assert_agrees(&s.project(keep.iter().copied().chain(["nope"])), &projected);
-
             // Against earlier states: other schemas, shared values.
             for (t, n) in seen.iter().rev().take(12) {
                 assert_eq!(s == *t, m == *n, "round {round}: {s} vs {t}");
                 assert_eq!(s.cmp(t), m.cmp(n), "round {round}: {s} vs {t}");
-                assert_eq!(s.diff(t), model_diff(&m, n));
-                assert_eq!(t.diff(&s), model_diff(n, &m));
                 assert_agrees(&State::merged([t, &s]), &{
                     let mut both = n.clone();
                     both.extend(m.clone());
@@ -634,7 +532,7 @@ mod tests {
         let a = State::from_pairs([("x", big()), ("y", Value::Nil)]);
         let mut b = State::new().with("y", big());
         b.set("z", big());
-        let c = crate::parse_state(&a.to_string()).unwrap().project(["x"]);
+        let c = crate::parse_state(&a.to_string()).unwrap();
         let addr = |s: &State, name| s.get(name).unwrap() as *const Value;
         assert_eq!(addr(&a, "x"), addr(&b, "y"));
         assert_eq!(addr(&a, "x"), addr(&b, "z"));

@@ -101,31 +101,9 @@ impl Value {
         }
     }
 
-    /// Short kind name, used in error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Nil => "Nil",
-            Value::Bool(_) => "Bool",
-            Value::Int(_) => "Int",
-            Value::Str(_) => "Str",
-            Value::Set(_) => "Set",
-            Value::Seq(_) => "Seq",
-            Value::Record(_) => "Record",
-            Value::Fun(_) => "Fun",
-        }
-    }
-
     // ------------------------------------------------------------------
     // Accessors.
     // ------------------------------------------------------------------
-
-    /// Returns the boolean if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 
     /// Returns the integer if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
@@ -237,39 +215,10 @@ impl Value {
         }
     }
 
-    /// Set union.
-    pub fn union(&self, other: &Value) -> Value {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => Value::Set(a.union(b).cloned().collect()),
-            _ => panic!("union on non-sets {self} / {other}"),
-        }
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &Value) -> Value {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => Value::Set(a.difference(b).cloned().collect()),
-            _ => panic!("difference on non-sets {self} / {other}"),
-        }
-    }
-
-    /// Set intersection.
-    pub fn intersection(&self, other: &Value) -> Value {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => Value::Set(a.intersection(b).cloned().collect()),
-            _ => panic!("intersection on non-sets {self} / {other}"),
-        }
-    }
-
     /// `CHOOSE t \in S : \A s \in S : t >= s` — the maximum element
     /// (Figure 1's `getMax`). Returns `None` on the empty set.
     pub fn choose_max(&self) -> Option<&Value> {
         self.as_set().and_then(|s| s.iter().next_back())
-    }
-
-    /// Deterministic `CHOOSE t \in S : TRUE` — the least element.
-    pub fn choose_any(&self) -> Option<&Value> {
-        self.as_set().and_then(|s| s.iter().next())
     }
 
     // ------------------------------------------------------------------
@@ -317,14 +266,6 @@ impl Value {
         self.as_seq().and_then(|s| s.last())
     }
 
-    /// `SubSeq(s, 1, n)` — the prefix of length `n` (clamped).
-    pub fn prefix(&self, n: usize) -> Value {
-        match self {
-            Value::Seq(s) => Value::Seq(s.iter().take(n).cloned().collect()),
-            _ => panic!("prefix on non-seq {self}"),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Record / function operations.
     // ------------------------------------------------------------------
@@ -369,15 +310,6 @@ impl Value {
                 Value::Record(r)
             }
             _ => panic!("except on non-function {self}"),
-        }
-    }
-
-    /// The domain of a function as a set value.
-    pub fn domain(&self) -> Value {
-        match self {
-            Value::Fun(f) => Value::Set(f.keys().cloned().collect()),
-            Value::Seq(s) => Value::Set((1..=s.len() as i64).map(Value::Int).collect()),
-            _ => panic!("domain on non-function {self}"),
         }
     }
 }
@@ -535,10 +467,6 @@ mod tests {
     #[test]
     fn set_operations() {
         let a = vset![1, 2, 3];
-        let b = vset![3, 4];
-        assert_eq!(a.union(&b), vset![1, 2, 3, 4]);
-        assert_eq!(a.difference(&b), vset![1, 2]);
-        assert_eq!(a.intersection(&b), vset![3]);
         assert_eq!(a.cardinality(), 3);
         assert!(a.contains(&Value::Int(2)));
         assert!(!a.contains(&Value::Int(9)));
@@ -554,12 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_any_is_deterministic() {
-        let s = vset![3, 1, 2];
-        assert_eq!(s.choose_any(), Some(&Value::Int(1)));
-    }
-
-    #[test]
     fn sequence_operations() {
         let s = vseq![10, 20];
         let s = s.append(Value::Int(30));
@@ -569,8 +491,6 @@ mod tests {
         assert_eq!(s.index(0), None);
         assert_eq!(s.index(4), None);
         assert_eq!(s.last(), Some(&Value::Int(30)));
-        assert_eq!(s.prefix(2), vseq![10, 20]);
-        assert_eq!(s.prefix(99), s);
     }
 
     #[test]
@@ -589,7 +509,6 @@ mod tests {
         let f2 = f.except(&Value::Int(1), Value::str("Leader"));
         assert_eq!(f2.expect_apply(&Value::Int(1)), &Value::str("Leader"));
         assert_eq!(f2.expect_apply(&Value::Int(2)), &Value::str("Follower"));
-        assert_eq!(f.domain(), vset![1, 2]);
     }
 
     #[test]
@@ -608,10 +527,5 @@ mod tests {
     #[should_panic(expected = "expected Int")]
     fn expect_int_panics_on_wrong_kind() {
         Value::str("no").expect_int();
-    }
-
-    #[test]
-    fn seq_domain() {
-        assert_eq!(vseq![5, 6, 7].domain(), vset![1, 2, 3]);
     }
 }

@@ -106,26 +106,6 @@ fn ordering_is_total_and_antisymmetric() {
 }
 
 #[test]
-fn set_union_laws() {
-    for seed in 1..=CASES {
-        let mut rng = Rng::new(seed.wrapping_mul(31));
-        let xs: Vec<i64> = (0..rng.pick(8)).map(|_| rng.next_u64() as i64 % 16).collect();
-        let ys: Vec<i64> = (0..rng.pick(8)).map(|_| rng.next_u64() as i64 % 16).collect();
-        let a = Value::set(xs.iter().map(|&x| Value::Int(x)));
-        let b = Value::set(ys.iter().map(|&y| Value::Int(y)));
-        // Commutativity and idempotence.
-        assert_eq!(a.union(&b), b.union(&a), "seed {seed}");
-        assert_eq!(a.union(&a), a.clone(), "seed {seed}");
-        // |A ∪ B| = |A| + |B| - |A ∩ B|.
-        assert_eq!(
-            a.union(&b).cardinality() + a.intersection(&b).cardinality(),
-            a.cardinality() + b.cardinality(),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
 fn except_is_persistent() {
     for seed in 1..=CASES {
         let mut rng = Rng::new(seed.wrapping_mul(17));

@@ -64,6 +64,27 @@ if git grep -nE 'make_sut_full\(' -- '*.rs' \
     fail=1
 fi
 
+# Nothing ships that no product path reaches: every `pub fn` /
+# `pub(crate) fn` defined in the non-test part of the product crates
+# must be named, outside comments and other than by its own `fn`
+# line, somewhere a product path can start from — the non-test part of
+# crates/ src/ examples/ perfbench/src, or a root tests/ file. A name
+# only its own unit tests mention is a capability nothing uses: delete
+# it with those tests. Exceptions, one `name reason` per line, live in
+# scripts/reach-allowlist.txt.
+nontest() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }' "$@"; }
+mapfile -t product < <(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -v '/tests\.rs$')
+mapfile -t callers < <(git ls-files 'crates/bench/*.rs' 'examples/*.rs' 'perfbench/src/*.rs')
+used=$({ nontest "${product[@]}" "${callers[@]}" | cut -d: -f3-; git ls-files -z 'tests/*.rs' | xargs -0 cat; } \
+    | sed -E 's://.*$::; s/\bfn +[A-Za-z_0-9]+//g' | grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u)
+while IFS=: read -r file line name; do
+    if ! grep -qxF "$name" <<<"$used" && ! grep -qE "^$name " scripts/reach-allowlist.txt; then
+        echo "error: $file:$line: \`$name\` is reached by no product path (only its definition and tests name it)" >&2
+        fail=1
+    fi
+done < <(nontest "${product[@]}" \
+    | sed -nE 's/^([^:]+):([0-9]+):[[:space:]]*pub(\(crate\))? (const |unsafe )*fn ([A-Za-z_0-9]+).*/\1:\2:\5/p')
+
 # The benchmark trajectory (scripts/bench-history.sh) is machine-read
 # and append-only: every line is one flat record of the shape the
 # script writes, and what a commit holds stays a byte prefix of what

@@ -3,7 +3,7 @@
 //! ```text
 //! mocket-cli check <spec> [--max-states N] [--dot FILE]
 //! mocket-cli generate <spec> [--por] [--max-path-len N] [--limit N] [--out FILE]
-//! mocket-cli test <target> [--bug NAME] [--all] [--limit N] [--progress] [--obs-dir DIR]
+//! mocket-cli test <target> [--bug NAME] [--limit N] [--progress] [--obs-dir DIR]
 //!                          [--priority-edges FILE] [--sim] [--sim-seed S]
 //!                          [--rtt-ms B] [--rtt-spread-ms S]
 //! mocket-cli campaign <target> --campaign-dir DIR [--bug NAME] [--workers N] [--limit N]
@@ -63,6 +63,19 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Every flag some subcommand reads. Anything else on the command line
+/// is a typo that would otherwise silently fall back to a default
+/// (`--sim-sed 7` running seed 42), so `Args::parse` rejects it. The
+/// hidden `campaign-worker` is spawned with the campaign's own flags
+/// plus `--worker-id`, all of them listed here.
+const KNOWN_FLAGS: &[&str] = &[
+    "bug", "campaign-dir", "dot", "hang-timeout-ms", "heartbeat-ms", "html", "interval-ms",
+    "lease-ttl-ms", "limit", "max-path-len", "max-restarts", "max-states", "obs-dir", "out",
+    "poison-threshold", "por", "priority-edges", "progress", "rtt-ms", "rtt-spread-ms", "seed",
+    "shard-size", "sim", "sim-seed", "status", "steps", "trace", "trace-file", "trace-view",
+    "watch", "worker-id", "workers",
+];
+
 /// Minimal flag parser: `--key value` pairs and bare flags.
 struct Args {
     positional: Vec<String>,
@@ -83,6 +96,10 @@ impl Args {
         let mut args = worker_argv.clone().into_iter().enumerate().peekable();
         while let Some((at, a)) = args.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !KNOWN_FLAGS.contains(&key) {
+                    eprintln!("mocket-cli: unknown flag --{key}");
+                    std::process::exit(2);
+                }
                 let value = match args.next_if(|(_, v)| !v.starts_with("--")) {
                     Some((_, v)) => v,
                     None => "true".to_string(),
@@ -102,15 +119,20 @@ impl Args {
         }
     }
 
+    /// The value of `--key`, if given (`"true"` for a bare flag).
+    fn flag(&self, key: &str) -> Option<&str> {
+        debug_assert!(KNOWN_FLAGS.contains(&key), "--{key} is read but not in KNOWN_FLAGS");
+        self.flags.get(key).map(String::as_str)
+    }
+
     fn flag_usize(&self, key: &str, default: usize) -> usize {
-        self.flags
-            .get(key)
+        self.flag(key)
             .map(|v| v.parse().unwrap_or_else(|_| usage()))
             .unwrap_or(default)
     }
 
     fn flag_bool(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
+        self.flag(key).is_some()
     }
 
     /// The cluster backend selected by `--sim` / `--sim-seed`:
@@ -126,7 +148,7 @@ impl Args {
     }
 
     fn bug(&self) -> Option<&str> {
-        self.flags.get("bug").map(String::as_str)
+        self.flag("bug")
     }
 
     /// The catalogue target named by `<target>` and `--bug`.
@@ -195,7 +217,7 @@ fn cmd_check(args: &Args) {
             ""
         },
     );
-    if let Some(path) = args.flags.get("dot") {
+    if let Some(path) = args.flag("dot") {
         std::fs::write(path, to_dot(&result.graph)).expect("write DOT file");
         println!("state-space graph written to {path}");
     }
@@ -227,7 +249,7 @@ fn cmd_generate(args: &Args) {
         traversal.edges_visited,
         limit.min(traversal.paths.len()),
     );
-    match args.flags.get("out") {
+    match args.flag("out") {
         Some(path) => {
             std::fs::write(path, out).expect("write test cases");
             println!("test cases written to {path}");
@@ -248,7 +270,7 @@ fn cmd_test(args: &Args) {
     if let Some(handle) = &sim {
         pc.clock = handle.clock.clone();
     }
-    if let Some(dir) = args.flags.get("obs-dir") {
+    if let Some(dir) = args.flag("obs-dir") {
         match mocket::obs::Obs::jsonl_in(std::path::Path::new(dir)) {
             Ok(obs) => pc.obs = obs,
             Err(e) => {
@@ -257,7 +279,7 @@ fn cmd_test(args: &Args) {
             }
         }
     }
-    if let Some(path) = args.flags.get("priority-edges") {
+    if let Some(path) = args.flag("priority-edges") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read priority-edges file {path}: {e}");
             std::process::exit(1);
@@ -306,7 +328,7 @@ fn cmd_test(args: &Args) {
         ),
         None => println!("no inconsistencies: the implementation conforms"),
     }
-    if let Some(dir) = args.flags.get("obs-dir") {
+    if let Some(dir) = args.flag("obs-dir") {
         println!(
             "observability artifacts in {dir}/ (events.jsonl, run-summary.json, \
              coverage.json, coverage.dot, uncovered-edges.txt, campaign-history.jsonl)"
@@ -403,7 +425,7 @@ fn cmd_campaign(args: &Args) {
     let name = args.name();
     let bug = args.bug();
     let target = args.target();
-    let Some(dir) = args.flags.get("campaign-dir") else {
+    let Some(dir) = args.flag("campaign-dir") else {
         eprintln!("campaign requires --campaign-dir DIR");
         usage();
     };
@@ -586,7 +608,7 @@ fn cmd_campaign(args: &Args) {
 /// nothing, so it is safe against an in-flight campaign; `--watch`
 /// polls until every shard retires.
 fn cmd_campaign_status(args: &Args) {
-    let Some(dir) = args.flags.get("campaign-dir") else {
+    let Some(dir) = args.flag("campaign-dir") else {
         eprintln!("campaign --status requires --campaign-dir DIR");
         usage();
     };
@@ -699,7 +721,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
     // supervisor translates it into a drain marker, workers must not
     // die mid-case from the raw signal.
     ignore_sigint();
-    let Some(dir) = args.flags.get("campaign-dir") else {
+    let Some(dir) = args.flag("campaign-dir") else {
         usage();
     };
     let campaign_dir = PathBuf::from(dir);
@@ -797,10 +819,8 @@ fn cmd_report(args: &Args) {
         return;
     }
     let dir = args
-        .flags
-        .get("obs-dir")
-        .or_else(|| args.flags.get("campaign-dir"))
-        .map(String::as_str)
+        .flag("obs-dir")
+        .or_else(|| args.flag("campaign-dir"))
         .or_else(|| args.positional.get(1).map(String::as_str))
         .unwrap_or_else(|| usage());
     let history = mocket::obs::CampaignHistory::open(std::path::Path::new(dir))
@@ -823,7 +843,7 @@ fn cmd_report(args: &Args) {
     } else {
         mocket::obs::render_text(history.records())
     };
-    match args.flags.get("out") {
+    match args.flag("out") {
         Some(path) => {
             std::fs::write(path, &rendered).unwrap_or_else(|e| {
                 eprintln!("cannot write report to {path}: {e}");
@@ -844,14 +864,12 @@ fn cmd_report(args: &Args) {
 /// Torn or truncated trace lines are salvaged and reported to stderr;
 /// the view renders everything that survived.
 fn cmd_trace_view(args: &Args) {
-    let path = match args.flags.get("trace-file") {
+    let path = match args.flag("trace-file") {
         Some(p) => PathBuf::from(p),
         None => {
             let dir = args
-                .flags
-                .get("obs-dir")
-                .or_else(|| args.flags.get("campaign-dir"))
-                .map(String::as_str)
+                .flag("obs-dir")
+                .or_else(|| args.flag("campaign-dir"))
                 .or_else(|| args.positional.get(1).map(String::as_str))
                 .unwrap_or_else(|| usage());
             PathBuf::from(dir).join(mocket::obs::TRACE_FILE_NAME)
@@ -866,7 +884,7 @@ fn cmd_trace_view(args: &Args) {
         eprintln!("warning: {issue}");
     }
     let json = mocket::obs::causal::chrome_trace(&events);
-    match args.flags.get("out") {
+    match args.flag("out") {
         Some(out) => {
             std::fs::write(out, &json).unwrap_or_else(|e| {
                 eprintln!("cannot write trace view to {out}: {e}");

@@ -297,3 +297,19 @@ fn concurrent_campaign_on_same_dir_fails_fast() {
     drop(lock);
     assert!(run.run(1).success(), "released lock unblocks the campaign");
 }
+
+/// A flag no subcommand reads is a typo, not a default: `--sim-sed 7`
+/// must not quietly run seed 42, nor `--worker 4` two workers.
+#[test]
+fn unknown_flag_exits_2_naming_it() {
+    for (argv, flag) in [
+        (&["test", "xraft", "--sim", "--sim-sed", "7"][..], "--sim-sed"),
+        (&["campaign", "xraft", "--worker", "4"][..], "--worker"),
+    ] {
+        let out = Command::new(CLI).args(argv).output().expect("spawn cli");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one line, got: {stderr}");
+        assert!(stderr.contains(flag), "must name {flag}, got: {stderr}");
+    }
+}
