@@ -5,9 +5,11 @@
 //! state after each action. During controlled testing each action is
 //! scheduled in order and each intermediate state is a check point.
 
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
-use mocket_tla::{parse_action_instance, parse_state, ActionInstance, ParseError, State};
+use mocket_tla::fingerprint::fnv1a;
+use mocket_tla::{parse_action_instance, parse_state_memo, ActionInstance, ParseError, State};
 
 use mocket_checker::{NodeId, StateGraph};
 use mocket_obs::fsio::Fnv1a;
@@ -79,26 +81,24 @@ impl TestCase {
         self.steps.is_empty()
     }
 
-    /// Writes the line-oriented format (`init:`/`step:` lines).
-    fn render_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        writeln!(out, "init: {}", self.initial)?;
-        for s in &self.steps {
-            writeln!(out, "step: {} => {}", s.action, s.expected)?;
-        }
-        Ok(())
-    }
-
     /// Serializes into a line-oriented format (`init:`/`step:` lines).
     pub fn serialize(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out).expect("writing to a String cannot fail");
+        let _ = writeln!(out, "init: {}", self.initial);
+        for s in &self.steps {
+            let _ = writeln!(out, "step: {} => {}", s.action, s.expected);
+        }
         out
     }
 
-    /// Parses the [`serialize`](Self::serialize) format.
+    /// Parses the [`serialize`](Self::serialize) format. The states of
+    /// a case share most of their bindings, so each distinct binding is
+    /// parsed once (see [`parse_state_memo`]).
     pub fn deserialize(input: &str) -> Result<Self, ParseError> {
         let mut initial = None;
         let mut steps = Vec::new();
+        let mut bindings = HashMap::new();
+        let mut parse_state = |text: &str| parse_state_memo(text, &mut bindings);
         for line in input.lines() {
             let line = line.trim();
             if line.is_empty() {
@@ -131,13 +131,23 @@ impl TestCase {
         })
     }
 
-    /// A stable 64-bit identity hash (FNV-1a over the serialized
-    /// text), rendered as fixed-width hex. Stable across processes and
-    /// platforms — the campaign journal keys completed cases by it.
+    /// A stable 64-bit identity hash — 64-bit FNV-1a over the bytes
+    /// [`serialize`](Self::serialize) writes — rendered as fixed-width
+    /// hex. Stable across processes and platforms: the campaign journal
+    /// keys completed cases by it. The states are not printed: each is
+    /// folded in by [`State::fnv1a`], one jump per variable.
     pub fn stable_hash(&self) -> String {
-        let mut h = Fnv1a::new();
-        self.render_into(&mut h).expect("hashing cannot fail");
-        h.hex()
+        // From the offset basis, i.e. the hash of the empty text.
+        let mut h = FnvSink(Fnv1a::new().finish());
+        let _ = h.write_str("init: ");
+        h.state(&self.initial);
+        let _ = h.write_str("\n");
+        for s in &self.steps {
+            let _ = write!(h, "step: {} => ", s.action);
+            h.state(&s.expected);
+            let _ = h.write_str("\n");
+        }
+        format!("{:016x}", h.0)
     }
 
     /// Validates the case against a graph: every step must follow an
@@ -162,6 +172,24 @@ impl TestCase {
             cur = next;
         }
         Ok(nodes)
+    }
+}
+
+/// A running FNV-1a hash that text is `write!`n into and states are
+/// folded into.
+struct FnvSink(u64);
+
+impl FnvSink {
+    /// Folds in `state`'s `Display` bytes.
+    fn state(&mut self, state: &State) {
+        self.0 = state.fnv1a(self.0);
+    }
+}
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -230,6 +258,99 @@ mod tests {
         assert_eq!(a.stable_hash().len(), 16);
         let b = TestCase::new(st(0), vec![(ActionInstance::nullary("Inc"), st(1))]);
         assert_ne!(a.stable_hash(), b.stable_hash());
+    }
+
+    /// `obs::fsio::Fnv1a` over `text`, the one FNV-1a the other
+    /// identity hashes (plan fingerprints, fault streams) use.
+    fn obs_fnv1a(text: &str) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_str(text).unwrap();
+        h.finish()
+    }
+
+    #[test]
+    fn tla_fnv1a_is_obs_fnv1a() {
+        let texts = ["", "a", "init: /\\ n = 0\n", "ünïcödé ✓ 𝄞", &"x/\\\"\n".repeat(100)];
+        for text in texts {
+            let offset = Fnv1a::new().finish();
+            assert_eq!(fnv1a(offset, text.as_bytes()), obs_fnv1a(text), "{text:?}");
+            // Resumed at any byte (not only at a character boundary).
+            let (a, b) = text.as_bytes().split_at(text.len() / 2);
+            assert_eq!(fnv1a(fnv1a(offset, a), b), obs_fnv1a(text), "{text:?}");
+        }
+    }
+
+    /// States whose string value holds `/\`, backslashes and quotes:
+    /// the text a memoised parse cuts into bindings, or must not.
+    fn hostile_cases() -> Vec<TestCase> {
+        let hostiles = [
+            "back\\slash",
+            "trailing\\",
+            "\\n literal backslash-n",
+            "a /\\ b",
+            "/\\",
+            "x /\\ y = 1",
+            "back\\slash /\\ q",
+            "\\\\ /\\ \\",
+            "quo\"te",
+            "\" /\\ w = \"b",
+            "\"",
+            "\\\" /\\",
+        ];
+        hostiles
+            .into_iter()
+            .map(|hostile| {
+                let st = |n: i64| {
+                    State::from_pairs([("u", Value::str(hostile)), ("v", Value::Int(n))])
+                };
+                TestCase::new(
+                    st(0),
+                    vec![
+                        (ActionInstance::new("Set", vec![Value::str("u /\\ v")]), st(1)),
+                        (ActionInstance::nullary("Inc"), st(2)),
+                        (ActionInstance::nullary("Clear"), State::new()),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stable_hash_is_fnv1a_of_the_serialized_text() {
+        let mut cases = hostile_cases();
+        cases.push(case());
+        cases.push(TestCase::new(State::new(), vec![]));
+        for tc in cases {
+            let text = tc.serialize();
+            assert_eq!(tc.stable_hash(), format!("{:016x}", obs_fnv1a(&text)), "{text}");
+        }
+    }
+
+    #[test]
+    fn deserialize_is_parse_state_per_line_on_hostile_strings() {
+        for tc in hostile_cases() {
+            let text = tc.serialize();
+            // A string holding a quote is the one thing the printed
+            // syntax cannot carry.
+            let quoted = tc.initial.expect("u").expect_str().contains('"');
+            let states = |tc: &TestCase| {
+                let steps = tc.steps.iter().map(|s| s.expected.clone());
+                std::iter::once(tc.initial.clone()).chain(steps).collect::<Vec<_>>()
+            };
+            let expected: Result<Vec<State>, _> =
+                states(&tc).iter().map(|s| mocket_tla::parse_state(&s.to_string())).collect();
+            match (TestCase::deserialize(&text), expected) {
+                (Ok(back), Ok(expected)) => {
+                    assert_eq!(states(&back), expected, "{text}");
+                    assert_eq!(back == tc, !quoted, "{text}");
+                }
+                (Err(got), Err(expected)) => {
+                    assert_eq!(got, expected, "{text}");
+                    assert!(quoted, "{text}");
+                }
+                (got, expected) => panic!("{text}: {got:?} vs {expected:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,68 @@
 //! states), deterministic across runs and platforms, and
 //! allocation-free. Word-wise mixing is ~8× fewer multiply rounds
 //! than the previous byte-at-a-time FNV-1a on the same input.
+//!
+//! Plain byte-at-a-time 64-bit FNV-1a ([`fnv1a`]) stays the identity
+//! hash of printed text — test cases are keyed by it — and [`FnvJump`]
+//! folds a fixed text into a running FNV-1a in one step.
 
 use crate::value::Value;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the running 64-bit FNV-1a hash `h`: the hash of
+/// a text is `fnv1a(0xcbf2_9ce4_8422_2325, text)`, and hashing two
+/// pieces in turn is hashing their concatenation.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// [`fnv1a`] over one fixed text, from any running hash, in one
+/// multiply-add: `FnvJump::of(text).apply(h) == fnv1a(h, text)`.
+///
+/// A round `h ← (h ^ b)·P mod 2⁶⁴` reads only the low byte of `h` to
+/// set the low byte of the result (the xor touches bits 0–7, and
+/// multiplication carries upward only). So for `h = H + lo`, `lo = h &
+/// 0xff`, every round keeps the form `H·Pᵏ + g_k(lo)`, and after `n`
+/// bytes `fnv1a(h, text) = h·Pⁿ + (fnv1a(lo, text) − lo·Pⁿ)`: one table
+/// entry per possible low byte, 2 KB per text.
+pub(crate) struct FnvJump {
+    /// `Pⁿ` for a text of `n` bytes.
+    pow: u64,
+    /// `add[lo] = fnv1a(lo, text) − lo·Pⁿ`.
+    add: [u64; 256],
+}
+
+impl FnvJump {
+    /// Runs `text` once from each of the 256 low bytes.
+    pub(crate) fn of(text: &[u8]) -> Box<FnvJump> {
+        let mut jump = Box::new(FnvJump {
+            pow: 1,
+            add: std::array::from_fn(|lo| lo as u64),
+        });
+        for &b in text {
+            jump.pow = jump.pow.wrapping_mul(FNV_PRIME);
+            for add in &mut jump.add {
+                *add = (*add ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        let pow = jump.pow;
+        for (lo, add) in jump.add.iter_mut().enumerate() {
+            *add = add.wrapping_sub((lo as u64).wrapping_mul(pow));
+        }
+        jump
+    }
+
+    /// `fnv1a(h, text)`.
+    #[inline]
+    pub(crate) fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.pow).wrapping_add(self.add[(h & 0xff) as usize])
+    }
+}
 
 /// Incremental word-wise fingerprinter over canonical value encodings.
 #[derive(Debug, Clone)]
@@ -190,6 +247,50 @@ mod tests {
         assert_eq!(fingerprint_value(&Value::Int(42)), 0xd428_e955_8ecb_f87c);
         assert_eq!(fingerprint_value(&Value::str("Leader")), 0xef8a_6a09_2e2d_9b10);
         assert_eq!(fingerprint_value(&vseq![1, 2, 3]), 0x0de1_521c_c159_f2e3);
+    }
+
+    #[test]
+    fn fnv1a_is_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), fnv1a(FNV_OFFSET, b"foobar"));
+    }
+
+    #[test]
+    fn a_jump_is_the_byte_loop_from_every_running_hash() {
+        // SplitMix64: the same 10,360 `(h, text)` pairs on every run.
+        let mut seed = 25u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let utf8 = "ünïcödé ✓ 𝄞 /\\ ".repeat(20);
+        let mut texts: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"\n".to_vec(),
+            utf8.as_bytes().to_vec(),
+            // Cut inside a multi-byte character.
+            utf8.as_bytes()[..7].to_vec(),
+        ];
+        for len in [1, 2, 7, 8, 9, 255, 256, 257, 300] {
+            texts.push((0..len).map(|_| next() as u8).collect());
+        }
+        while texts.len() < 40 {
+            let len = (next() % 64) as usize;
+            texts.push((0..len).map(|_| next() as u8).collect());
+        }
+        for text in &texts {
+            let jump = FnvJump::of(text);
+            // Every low byte once under random high bits, and the edges.
+            let hs: Vec<u64> = (0..256).map(|lo| next() & !0xff | lo).collect();
+            for h in hs.into_iter().chain([0, u64::MAX, FNV_OFFSET]) {
+                assert_eq!(jump.apply(h), fnv1a(h, text), "h={h:#x} text={text:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Storage is hash-consed. A state is two shared slices: its *schema*
 //! — the sorted variable names, one allocation per distinct variable
-//! set — and one `Arc<Value>` per variable in schema order. Every
+//! set — and one shared pooled value per variable in schema order. Every
 //! value bound into a state goes through a process-wide pool first, so
 //! a distinct variable value is allocated once per process however
 //! many states, graphs and test cases bind it. A model's states
@@ -22,6 +22,15 @@
 //! and fingerprints read names and values, never addresses, and are
 //! those of the sorted `(name, value)` sequence. The fingerprint is
 //! computed once per state and cached.
+//!
+//! A distinct value is also printed once. Its pool entry keeps the
+//! value's TLA+ text from the first time a state holding it is printed
+//! ([`State`]'s `Display` copies that text), and an FNV-1a jump over
+//! that text (`fingerprint::FnvJump`) from the first time one is hashed: [`State::fnv1a`] folds the state's printed
+//! bytes into a running FNV-1a — test cases are keyed by that hash —
+//! with one multiply-add per variable instead of one per byte. Both
+//! last as long as the value, so the cost is 2 KB plus the text per
+//! distinct value ever hashed (a few hundred per bench model).
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -30,7 +39,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-use crate::fingerprint::{fingerprint_value, Fingerprinter};
+use crate::fingerprint::{fingerprint_value, fnv1a, Fingerprinter, FnvJump};
 use crate::value::Value;
 
 type InternPool<T> = OnceLock<Mutex<HashSet<Arc<T>>>>;
@@ -67,11 +76,47 @@ const POOL_SHARDS: usize = 16;
 /// A shard holds at least this many values before its first sweep.
 const MIN_SWEEP: usize = 64;
 
+/// A pooled value, its printed text and the FNV-1a jump over that
+/// text; the last two are computed on first use.
+struct Pooled {
+    value: Value,
+    text: OnceLock<Box<str>>,
+    jump: OnceLock<Box<FnvJump>>,
+}
+
+impl Pooled {
+    fn new(value: Value) -> Arc<Pooled> {
+        Arc::new(Pooled {
+            value,
+            text: OnceLock::new(),
+            jump: OnceLock::new(),
+        })
+    }
+
+    fn text(&self) -> &str {
+        self.text.get_or_init(|| self.value.to_string().into())
+    }
+
+    fn jump(&self) -> &FnvJump {
+        self.jump.get_or_init(|| FnvJump::of(self.text().as_bytes()))
+    }
+}
+
+// The caches are functions of the value. `Eq` also gives `Arc<Pooled>`
+// its pointer fast path.
+impl PartialEq for Pooled {
+    fn eq(&self, other: &Self) -> bool {
+        self.value == other.value
+    }
+}
+
+impl Eq for Pooled {}
+
 /// One stripe of the value pool: value fingerprint → the one pooled
 /// allocation of that value, and the size at which to sweep next.
 #[derive(Default)]
 struct PoolShard {
-    values: HashMap<u64, Arc<Value>>,
+    values: HashMap<u64, Arc<Pooled>>,
     sweep_at: usize,
 }
 
@@ -94,12 +139,12 @@ fn value_pool() -> &'static [RwLock<PoolShard>; POOL_SHARDS] {
 /// the first. Keyed by [`fingerprint_value`] and confirmed by full
 /// equality: of two distinct values that collide the second stays
 /// outside the pool, which costs sharing and nothing else.
-fn intern_value(value: Value) -> Arc<Value> {
-    fn confirm(hit: &Arc<Value>, value: Value) -> Arc<Value> {
-        if **hit == value {
+fn intern_value(value: Value) -> Arc<Pooled> {
+    fn confirm(hit: &Arc<Pooled>, value: Value) -> Arc<Pooled> {
+        if hit.value == value {
             hit.clone()
         } else {
-            Arc::new(value)
+            Pooled::new(value)
         }
     }
     let fp = fingerprint_value(&value);
@@ -118,7 +163,7 @@ fn intern_value(value: Value) -> Arc<Value> {
     }
     match shard.values.entry(fp) {
         Entry::Occupied(e) => confirm(e.get(), value),
-        Entry::Vacant(e) => e.insert(Arc::new(value)).clone(),
+        Entry::Vacant(e) => e.insert(Pooled::new(value)).clone(),
     }
 }
 
@@ -142,7 +187,7 @@ pub struct State {
     /// The variable names, sorted; interned per variable set.
     schema: Arc<[Arc<str>]>,
     /// `values[i]` is bound to `schema[i]`; every one is pooled.
-    values: Arc<[Arc<Value>]>,
+    values: Arc<[Arc<Pooled>]>,
     /// Cached fingerprint; cleared on mutation, cloned along with the
     /// state so successors inherit nothing but dedup probes pay the
     /// hash at most once per state.
@@ -172,7 +217,7 @@ impl State {
         Self::from_bindings(parts.into_iter().flat_map(State::bindings).collect())
     }
 
-    fn from_bindings(mut pairs: Vec<(Arc<str>, Arc<Value>)>) -> State {
+    fn from_bindings(mut pairs: Vec<(Arc<str>, Arc<Pooled>)>) -> State {
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         // The sort is stable: of equal names keep the last binding.
         pairs.dedup_by(|later, kept| {
@@ -190,8 +235,13 @@ impl State {
         }
     }
 
-    fn bindings(&self) -> impl Iterator<Item = (Arc<str>, Arc<Value>)> + '_ {
+    fn bindings(&self) -> impl Iterator<Item = (Arc<str>, Arc<Pooled>)> + '_ {
         self.schema.iter().cloned().zip(self.values.iter().cloned())
+    }
+
+    /// The names with their pooled values, in order.
+    fn pooled(&self) -> impl Iterator<Item = (&str, &Pooled)> {
+        self.variable_names().zip(self.values.iter().map(|v| &**v))
     }
 
     fn index_of(&self, name: &str) -> Result<usize, usize> {
@@ -200,7 +250,7 @@ impl State {
 
     /// The value of variable `name`, if bound.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.index_of(name).ok().map(|i| &*self.values[i])
+        self.index_of(name).ok().map(|i| &self.values[i].value)
     }
 
     /// The value of variable `name`; panics if unbound (spec-internal
@@ -250,7 +300,7 @@ impl State {
 
     /// Iterates over `(variable, value)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.variable_names().zip(self.values.iter().map(|v| &**v))
+        self.pooled().map(|(k, v)| (k, &v.value))
     }
 
     /// The variable names in order.
@@ -273,6 +323,26 @@ impl State {
             }
             fp.finish()
         })
+    }
+
+    /// Folds this state's printed text (its `Display` bytes) into the
+    /// running 64-bit FNV-1a hash `h`, as
+    /// [`fingerprint::fnv1a`](crate::fingerprint::fnv1a)`(h,
+    /// self.to_string().as_bytes())` does, without printing it: each
+    /// value's text is folded in by its cached jump.
+    pub fn fnv1a(&self, mut h: u64) -> u64 {
+        if self.is_empty() {
+            return fnv1a(h, b"/\\ TRUE");
+        }
+        for (i, (k, v)) in self.pooled().enumerate() {
+            if i > 0 {
+                h = fnv1a(h, b" ");
+            }
+            h = fnv1a(h, b"/\\ ");
+            h = fnv1a(h, k.as_bytes());
+            h = v.jump().apply(fnv1a(h, b" = "));
+        }
+        h
     }
 }
 
@@ -318,16 +388,20 @@ impl Hash for State {
 
 impl fmt::Display for State {
     /// Renders as TLA+ conjunctions, e.g. `/\ stage = "respond" /\ ...`
-    /// matching the node labels of the paper's Figure 2.
+    /// matching the node labels of the paper's Figure 2. Each value's
+    /// text is printed once per process and copied thereafter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
-            return write!(f, "/\\ TRUE");
+            return f.write_str("/\\ TRUE");
         }
-        for (i, (k, v)) in self.iter().enumerate() {
+        for (i, (k, v)) in self.pooled().enumerate() {
             if i > 0 {
-                write!(f, " ")?;
+                f.write_str(" ")?;
             }
-            write!(f, "/\\ {k} = {v}")?;
+            f.write_str("/\\ ")?;
+            f.write_str(k)?;
+            f.write_str(" = ")?;
+            f.write_str(v.text())?;
         }
         Ok(())
     }
@@ -463,7 +537,7 @@ mod tests {
     }
 
     /// Everything a `State` answers, computed from the sorted map the
-    /// type used to be.
+    /// type used to be, printed without the pool's cached text.
     fn assert_agrees(s: &State, m: &Model) {
         assert_eq!(s.len(), m.len());
         assert_eq!(s.is_empty(), m.is_empty());
@@ -484,6 +558,11 @@ mod tests {
         let text = if m.is_empty() { "/\\ TRUE".to_string() } else { text.join(" ") };
         assert_eq!(s.to_string(), text);
         assert_eq!(crate::parse_state(&text).unwrap(), *s);
+        // The printed bytes' FNV-1a from a few running hashes, the
+        // fingerprint standing in for a random one.
+        for h in [0, u64::MAX, 0xcbf2_9ce4_8422_2325, s.fingerprint()] {
+            assert_eq!(s.fnv1a(h), fnv1a(h, text.as_bytes()), "h={h:#x} {text}");
+        }
     }
 
     #[test]

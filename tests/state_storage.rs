@@ -68,6 +68,18 @@ fn a_distinct_value_is_one_allocation_across_explored_and_imported_graphs() {
     assert_eq!(imported_addrs, explored_addrs, "the two graphs share every value");
 }
 
+/// The ECPOR suite of a graph, under perfbench's path bound.
+fn ecpor_cases(graph: &StateGraph) -> Vec<TestCase> {
+    let mut cfg = TraversalConfig::default()
+        .with_excluded_edges(partial_order_reduction(graph).excluded_edges);
+    cfg.max_path_len = 60;
+    edge_coverage_paths(graph, &cfg)
+        .paths
+        .iter()
+        .filter_map(|p| TestCase::from_edge_path(graph, p))
+        .collect()
+}
+
 #[test]
 fn dot_bytes_and_case_hashes_are_the_parent_commits() {
     let _pool = pool();
@@ -76,20 +88,26 @@ fn dot_bytes_and_case_hashes_are_the_parent_commits() {
     assert_eq!((dot.len(), fnv1a(dot.bytes())), (4_069_418, 0x34ff_fc88_1aa0_98f3), "DOT bytes");
 
     let graph = from_dot(&dot).unwrap();
-    let mut cfg = TraversalConfig::default()
-        .with_excluded_edges(partial_order_reduction(&graph).excluded_edges);
-    cfg.max_path_len = 60;
-    let hashes: Vec<String> = edge_coverage_paths(&graph, &cfg)
-        .paths
-        .iter()
-        .filter_map(|p| TestCase::from_edge_path(&graph, p))
-        .map(|case| case.stable_hash())
-        .collect();
+    let hashes: Vec<String> = ecpor_cases(&graph).iter().map(TestCase::stable_hash).collect();
     assert_eq!(hashes.len(), 2760);
     assert_eq!(hashes[0], "8df53bbfc9757ffd");
     assert_eq!(hashes[2759], "d714a6fb6974a735");
     let all = fnv1a(hashes.iter().flat_map(|h| h.bytes().chain([b'\n'])));
     assert_eq!(all, 0xe5cf_a987_51dd_8a34, "FNV-1a over every ECPOR case hash");
+}
+
+/// `stable_hash` folds each state in by its values' cached jumps; this
+/// is the definition it must agree with, kept only here.
+#[test]
+fn every_case_hash_is_fnv1a_of_its_serialized_text() {
+    let _pool = pool();
+    let graph = from_dot(&to_dot(&xraft(1))).unwrap();
+    let cases = ecpor_cases(&graph);
+    assert_eq!(cases.len(), 2760);
+    for (i, case) in cases.iter().enumerate() {
+        let text = case.serialize();
+        assert_eq!(case.stable_hash(), format!("{:016x}", fnv1a(text.bytes())), "case {i}:\n{text}");
+    }
 }
 
 #[test]
