@@ -649,15 +649,15 @@ impl From<LockError> for JournalOpenError {
 /// The append-only campaign journal: an [`AppendLog`] of
 /// [`JournalEntry`]s plus the hash → entry map of what completed.
 ///
-/// Opening takes an exclusive, crash-tolerant lock on the campaign
-/// directory (`journal.lock`); it is released when the journal is
-/// dropped. [`CampaignJournal::load_entries`] reads without locking —
+/// Opening takes an exclusive `flock` on the campaign directory's
+/// `journal.lock`; it is released when the journal is dropped or its
+/// process dies. [`CampaignJournal::load_entries`] reads without locking —
 /// for merge/report stages that only observe.
 pub struct CampaignJournal {
     log: AppendLog,
     completed: BTreeMap<String, JournalEntry>,
     issues: Vec<LineIssue>,
-    /// Held for the journal's lifetime; deletes `journal.lock` on drop.
+    /// Held for the journal's lifetime.
     _lock: DirLock,
 }
 
@@ -679,8 +679,7 @@ impl CampaignJournal {
     /// [`issues`](Self::issues) and their cases re-run (artifact
     /// writes are idempotent). Fails with
     /// [`JournalOpenError::Locked`] while another live process has the
-    /// directory open; a lock left behind by a dead process is taken
-    /// over.
+    /// directory open; a dead process holds nothing.
     pub fn open(dir: &Path) -> Result<Self, JournalOpenError> {
         fs::create_dir_all(dir)?;
         let lock = DirLock::acquire(dir, Self::LOCK_FILE_NAME)?;

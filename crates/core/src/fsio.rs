@@ -4,7 +4,7 @@
 //! them.
 
 pub use mocket_obs::fsio::{
-    append_bytes, append_line, armed, create_exclusive, is_enospc, points, write_atomic,
+    append_bytes, append_line, armed, is_enospc, points, write_atomic,
     AppendLog, Fault, FaultInjector, FaultKind, LineIssue, RetryPolicy, MOCKET_FSIO_FAULTS_ENV,
     MOCKET_FSIO_FAULT_LOG_ENV, TORN_MARKER,
 };

@@ -1,33 +1,35 @@
-//! Cross-process directory locks (`O_EXCL` + stale-pid takeover).
+//! Cross-process exclusive locks: one `flock` per lock file.
 //!
-//! A [`DirLock`] is one file created with `create_new` (the portable
-//! `O_CREAT|O_EXCL`) whose content names the owning pid. Acquisition
-//! fails fast with a typed error while the owner lives; a lock whose
-//! owner pid no longer exists is taken over. Two processes racing for
-//! a stale lock both remove it, but only one wins the exclusive
-//! re-create — the loser reports the winner as the owner.
+//! A [`DirLock`] opens `dir/file_name`, creating it if needed, and takes
+//! an exclusive `flock` on it without waiting ([`File::try_lock`]). The
+//! kernel arbitrates: one open file holds the lock, a second open of
+//! the same file conflicts even within one process, and the lock is
+//! released the moment its holder's process dies, however it dies. So
+//! there is no staleness to judge and nothing to take over. Dropping a
+//! lock leaves the file in place, because a later opener would lock a
+//! fresh inode next to the holder; only a retired shard's lock files
+//! are removed, once no claimer can win them. The pid written into the
+//! file is a diagnostic for [`LockError::Held`] only. Dropping a lock unlocks it explicitly: a
+//! child spawned meanwhile shares the open file until it execs, and a
+//! bare close would leave the lock held through that copy.
 //!
-//! The campaign journal uses this to stop two campaigns from
-//! interleaving appends into the same directory, and the supervisor
-//! uses it to claim a whole campaign directory.
+//! The supervisor claims a campaign directory with one (`journal.lock`),
+//! a campaign journal stops two writers interleaving appends with one,
+//! and a worker claims a shard with one (`shards/shard-<s>.lock`).
 
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions, TryLockError};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-
-use super::procs::{same_process, self_token};
-use crate::fsio;
-use crate::fsio::points;
 
 /// Why a [`DirLock`] could not be acquired.
 #[derive(Debug)]
 pub enum LockError {
-    /// Another live process holds the lock.
+    /// Another open file holds the lock.
     Held {
         /// The lock file.
         path: PathBuf,
-        /// The pid recorded in it.
+        /// The pid recorded in it; 0 when unreadable.
         owner_pid: u32,
     },
     /// Filesystem trouble unrelated to contention.
@@ -53,71 +55,41 @@ impl From<io::Error> for LockError {
     }
 }
 
-/// An exclusively held lock file; released (deleted) on drop.
+/// An exclusively held lock file; released when dropped.
 #[derive(Debug)]
 pub struct DirLock {
     path: PathBuf,
-    held: bool,
+    file: File,
 }
 
 impl DirLock {
-    /// Acquires `dir/file_name` exclusively for this process, creating
-    /// `dir` if needed. A lock owned by a dead pid, a *recycled* pid
-    /// (start-token mismatch), or with unreadable content (a write
-    /// interrupted before the pid landed) is removed and re-acquired.
-    /// Transient I/O failures of the exclusive create are retried
-    /// under the unified policy.
+    /// Locks `dir/file_name` exclusively, creating `dir` and the file if
+    /// needed. Fails at once with [`LockError::Held`] while another open
+    /// file holds it.
     pub fn acquire(dir: &Path, file_name: &str) -> Result<Self, LockError> {
         fs::create_dir_all(dir)?;
         let path = dir.join(file_name);
-        let body = match self_token() {
-            Some(tok) => format!("{} tok={tok}\n", std::process::id()),
-            None => format!("{}\n", std::process::id()),
-        };
-        let retry = fsio::RetryPolicy::io();
-        let mut io_failures = 0;
-        let mut takeover_done = false;
-        loop {
-            match fsio::create_exclusive(&path, body.as_bytes(), points::LOCK_CREATE) {
-                Ok(()) => return Ok(DirLock { path, held: true }),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let owner = read_owner(&path);
-                    match owner {
-                        Some((pid, tok)) if owner_alive(pid, tok) => {
-                            return Err(LockError::Held {
-                                path,
-                                owner_pid: pid,
-                            })
-                        }
-                        // Dead/recycled owner or torn content: stale
-                        // either way. One takeover attempt; losing the
-                        // re-create race afterwards means someone else
-                        // took the stale lock over first.
-                        _ if !takeover_done => {
-                            takeover_done = true;
-                            let _ = fs::remove_file(&path);
-                        }
-                        _ => {
-                            return Err(LockError::Held {
-                                path,
-                                owner_pid: owner.map(|(pid, _)| pid).unwrap_or(0),
-                            })
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The create itself failed (injected fault or real
-                    // I/O error), possibly leaving torn debris we own:
-                    // remove it and retry.
-                    let _ = fs::remove_file(&path);
-                    io_failures += 1;
-                    if io_failures >= retry.attempts.max(1) {
-                        return Err(LockError::Io(e));
-                    }
-                    std::thread::sleep(retry.delay(io_failures - 1, fsio::is_enospc(&e)));
-                }
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let owner_pid = fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|text| text.split_whitespace().next()?.parse().ok())
+                    .unwrap_or(0);
+                return Err(LockError::Held { path, owner_pid });
             }
+            Err(TryLockError::Error(e)) => return Err(LockError::Io(e)),
         }
+        let _ = file
+            .set_len(0)
+            .and_then(|()| writeln!(file, "{}", std::process::id()));
+        Ok(DirLock { path, file })
     }
 
     /// The lock file's path.
@@ -128,40 +100,26 @@ impl DirLock {
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        if self.held {
-            let _ = fs::remove_file(&self.path);
-        }
+        let _ = self.file.unlock();
     }
-}
-
-/// The pid (and optional start token) recorded in a lock file, if it
-/// parses. Locks written before token recording carry only the pid.
-fn read_owner(path: &Path) -> Option<(u32, Option<u64>)> {
-    let text = fs::read_to_string(path).ok()?;
-    let mut parts = text.split_whitespace();
-    let pid = parts.next()?.parse().ok()?;
-    let tok = parts
-        .next()
-        .and_then(|t| t.strip_prefix("tok="))
-        .and_then(|t| t.parse().ok());
-    Some((pid, tok))
-}
-
-/// Whether the recorded owner is the *same process* that wrote the
-/// lock: pid alive, and (when both sides have start tokens) the same
-/// incarnation of that pid.
-fn owner_alive(pid: u32, recorded_token: Option<u64>) -> bool {
-    same_process(pid, recorded_token)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mocket-lock-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn dead_pid() -> u32 {
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let pid = child.id();
+        child.wait().unwrap();
+        pid
     }
 
     #[test]
@@ -175,10 +133,10 @@ mod tests {
             other => panic!("expected Held, got {other:?}"),
         }
         drop(lock);
-        // Released: re-acquirable.
-        let again = DirLock::acquire(&dir, "t.lock").unwrap();
+        let again = DirLock::acquire(&dir, "t.lock").expect("released on drop");
+        assert!(DirLock::acquire(&dir, "t.lock").is_err(), "re-acquired");
         drop(again);
-        assert!(!dir.join("t.lock").exists());
+        DirLock::acquire(&dir, "t.lock").expect("released again");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -186,11 +144,7 @@ mod tests {
     fn stale_dead_pid_lock_is_taken_over() {
         let dir = tmp("stale");
         fs::create_dir_all(&dir).unwrap();
-        // A dead child's pid: guaranteed-stale owner.
-        let mut child = std::process::Command::new("true").spawn().unwrap();
-        let dead_pid = child.id();
-        child.wait().unwrap();
-        fs::write(dir.join("t.lock"), format!("{dead_pid}\n")).unwrap();
+        fs::write(dir.join("t.lock"), format!("{}\n", dead_pid())).unwrap();
         let lock = DirLock::acquire(&dir, "t.lock").expect("stale lock must be taken over");
         drop(lock);
         let _ = fs::remove_dir_all(&dir);
@@ -212,6 +166,47 @@ mod tests {
         let a = DirLock::acquire(&dir, "a.lock").unwrap();
         let b = DirLock::acquire(&dir, "b.lock").unwrap();
         drop((a, b));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Four contenders start together from each shape a lock file can
+    /// be found in — absent, naming a dead pid, empty — and every one
+    /// keeps its result until all have tried: exactly one may hold it.
+    #[test]
+    fn at_most_one_holder_under_contention() {
+        const THREADS: usize = 4;
+        let dir = tmp("contend");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.lock");
+        let dead = format!("{}\n", dead_pid());
+        let (start, tried) = (Barrier::new(THREADS), Barrier::new(THREADS));
+        for round in 0..3000 {
+            match round % 3 {
+                0 => {
+                    let _ = fs::remove_file(&path);
+                }
+                1 => fs::write(&path, &dead).unwrap(),
+                _ => fs::write(&path, "").unwrap(),
+            }
+            let holders = std::thread::scope(|scope| {
+                let contenders: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            let result = DirLock::acquire(&dir, "t.lock");
+                            tried.wait();
+                            result.is_ok()
+                        })
+                    })
+                    .collect();
+                contenders
+                    .into_iter()
+                    .map(|c| c.join().unwrap())
+                    .filter(|&held| held)
+                    .count()
+            });
+            assert_eq!(holders, 1, "round {round} (start state {})", round % 3);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

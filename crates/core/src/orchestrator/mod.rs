@@ -4,7 +4,9 @@
 //! [`plan`](crate::orchestrator::CampaignPlan) of cases, per-shard
 //! lease files forming a file-backed work queue, per-shard journals
 //! and replay artifacts, and a deterministic merge that rebuilds the
-//! canonical top-level outputs from the verdict set. The supervisor
+//! canonical top-level outputs from the verdict set. Who holds a shard
+//! or the directory is decided by the kernel: each is one `flock`,
+//! released when its holder dies. The supervisor
 //! (`mocket-cli campaign`) spawns N crash-isolated worker processes
 //! (`mocket-cli campaign-worker`, hidden) and survives worker
 //! crashes, hangs, `kill -9`, SIGINT drains and full restarts of the
@@ -14,12 +16,15 @@
 //! Layout of a campaign directory:
 //!
 //! ```text
-//! <dir>/journal.lock            supervisor's exclusive claim
+//! <dir>/journal.lock            supervisor's exclusive claim (flock)
+//! <dir>/supervisor.log          elections, spawns, reaps (for adoption)
 //! <dir>/plan.txt                pinned case set + shard arithmetic
 //! <dir>/drain                   transient drain request marker
-//! <dir>/shards/shard-<s>.lease  work-queue lease (pid + heartbeat)
+//! <dir>/shards/shard-<s>.lock   shard ownership (flock; gone once done)
+//! <dir>/shards/shard-<s>.lease  owner record: pid, plan, case in flight
 //! <dir>/shards/shard-<s>.done   shard retirement marker
-//! <dir>/shards/shard-<s>/       shard journal + replay artifacts
+//! <dir>/shards/shard-<s>/       shard journal (+ journal.lock until
+//!                               done) and replay artifacts
 //! <dir>/worker-<id>/            events.jsonl (streamed), worker.log, and
 //!                               one run-summary.json at worker exit
 //! <dir>/quarantine/             poison cases (crashes.log, artifacts)

@@ -1,12 +1,14 @@
 //! Minimal process-control shims for the campaign orchestrator.
 //!
 //! The workspace carries no `libc` crate, so the handful of raw calls
-//! the supervisor needs — liveness probes (`kill(pid, 0)`), SIGINT
-//! capture and self-delivered signals for crash-injection tests — are
-//! declared directly against the C library `std` already links on
-//! Unix. Everything is gated behind `cfg(unix)`; other platforms get
+//! the supervisor needs — liveness probes (`kill(pid, 0)`) for adopting
+//! a previous supervisor's workers, SIGINT capture and self-delivered
+//! signals for crash-injection tests — are declared directly against
+//! the C library `std` already links on Unix. Shard and directory
+//! ownership needs none of them: it is an `flock` (see `lock`).
+//! Everything is gated behind `cfg(unix)`; other platforms get
 //! conservative fallbacks (never treat a pid as dead, never install a
-//! handler), which disables work stealing but keeps the build green.
+//! handler), which weakens adoption but keeps the build green.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

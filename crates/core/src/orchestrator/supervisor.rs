@@ -3,7 +3,7 @@
 //! and survives being SIGKILLed itself.
 //!
 //! The supervisor never touches cases. It owns process lifecycle only;
-//! all work-queue state lives in the shard lease files, so a
+//! all work-queue state lives in the shard locks and lease records, so a
 //! supervisor crash loses nothing — re-running the campaign on the
 //! same directory resumes from the journals. To make that resumption
 //! seamless the supervisor keeps its own append-only journal
@@ -15,14 +15,12 @@
 //! spawning doubles; dead slots are restarted under the unified
 //! [`RetryPolicy`].
 //!
-//! Hang detection is two-pronged. A frozen worker (SIGSTOP, swap
-//! death) stops heartbeating, its lease mtime goes stale past the
-//! TTL, and both the supervisor (kill) and its peers (steal) notice.
-//! A *hung* worker — one live thread stuck inside a case while the
-//! heartbeat thread keeps the lease fresh — is caught by the
-//! supervisor tracking how long each lease has shown the *same*
-//! in-flight case: past `hang_timeout`, the worker is SIGKILLed and
-//! its shard is stolen like any other crash.
+//! A dead worker needs no detection: the kernel frees its shard lock
+//! and the next claimer steals the shard. A hung or frozen one (stuck
+//! in a case, SIGSTOPped) keeps its lock, so the supervisor has one
+//! hang rule: an own or adopted worker whose lease record has not
+//! changed for the lease TTL is SIGKILLed, and its shard is then stolen
+//! like any other crash.
 
 use std::collections::HashMap;
 use std::fs;
@@ -35,7 +33,7 @@ use std::time::{Duration, Instant};
 use crate::fsio::{points, AppendLog, LineIssue, RetryPolicy};
 
 use super::kv;
-use super::lease::{done_path, lease_path, read_lease, shards_dir, LeaseConfig, LeaseInfo};
+use super::lease::{done_path, lease_path, lock_shard, read_lease, LeaseConfig, LeaseInfo};
 use super::procs::{install_sigint_flag, same_process, self_token, send_signal, SIGKILL};
 use super::worker::{drain_requested, request_drain};
 
@@ -60,11 +58,9 @@ pub struct SupervisorConfig {
     pub campaign_dir: PathBuf,
     /// Worker process count.
     pub workers: usize,
-    /// Lease parameters (shared with the workers).
+    /// Lease parameters (shared with the workers); `ttl` is the hang
+    /// rule's threshold.
     pub lease: LeaseConfig,
-    /// How long one case may stay in flight on a fresh lease before
-    /// its worker counts as hung and is SIGKILLed.
-    pub hang_timeout: Duration,
     /// Restart budget and backoff per worker slot (the unified retry
     /// policy shape: `attempts` restarts, exponential backoff from
     /// `backoff` capped at `max_backoff`).
@@ -83,7 +79,6 @@ impl Default for SupervisorConfig {
             campaign_dir: PathBuf::new(),
             workers: 2,
             lease: LeaseConfig::default(),
-            hang_timeout: Duration::from_secs(30),
             restart: RetryPolicy {
                 attempts: 5,
                 backoff: Duration::from_millis(50),
@@ -362,15 +357,10 @@ struct Slot {
     finished: bool,
 }
 
-/// Per-shard in-flight tracking for hung-case detection.
-struct InflightWatch {
-    case: usize,
-    pid: u32,
-    /// Lease heartbeat counter when the case was first observed; a
-    /// counter that *moves* while the case stays pinned proves the
-    /// heartbeat thread is alive and the worker thread is stuck — the
-    /// precise hang signature.
-    hb: u64,
+/// A shard's lease record as last seen, and since when it has not
+/// changed.
+struct Sighting {
+    info: LeaseInfo,
     since: Instant,
 }
 
@@ -378,12 +368,6 @@ fn count_done(campaign_dir: &Path, shard_count: usize) -> usize {
     (0..shard_count)
         .filter(|&s| done_path(campaign_dir, s).exists())
         .count()
-}
-
-/// A parseable lease and its mtime age; torn debris reads as `None`.
-fn read_lease_raw(path: &Path) -> Option<(LeaseInfo, Duration)> {
-    let read = read_lease(path)?;
-    Some((read.info?, read.age))
 }
 
 /// Fires the one-shot injected supervisor crash when armed and the
@@ -483,7 +467,7 @@ pub fn supervise(
     let mut restarts_total = 0usize;
     let mut hung_killed = 0usize;
     let mut fatal: Option<String> = None;
-    let mut inflight: HashMap<usize, InflightWatch> = HashMap::new();
+    let mut sightings: HashMap<usize, Sighting> = HashMap::new();
     let tick = Duration::from_millis(100);
     let max_restarts = cfg.restart.attempts;
 
@@ -564,70 +548,43 @@ pub fn supervise(
             }
         }
 
-        // Hung-worker detection: a lease whose *same* in-flight case
-        // has been pinned past hang_timeout (heartbeat thread may well
-        // still be refreshing the mtime and bumping the counter), or
-        // whose heartbeat went stale past the TTL while its pid is one
-        // of our live workers.
+        // Hung-worker detection: a lease record of one of our live
+        // workers that has not changed for the TTL.
         let own_pids: Vec<u32> = slots
             .iter()
             .filter_map(|s| s.proc.as_ref().map(|p| p.pid()))
             .collect();
         for shard in 0..shard_count {
-            let path = lease_path(&cfg.campaign_dir, shard);
-            let Some((info, age)) = read_lease_raw(&path) else {
-                inflight.remove(&shard);
-                continue;
-            };
-            if !own_pids.contains(&info.pid) {
-                inflight.remove(&shard);
-                continue;
-            }
-            let hung_case = match info.case {
-                Some((case, _)) => {
-                    let watch = inflight.entry(shard).or_insert_with(|| InflightWatch {
-                        case,
-                        pid: info.pid,
-                        hb: info.hb,
-                        since: Instant::now(),
-                    });
-                    if watch.case != case || watch.pid != info.pid {
-                        *watch = InflightWatch {
-                            case,
-                            pid: info.pid,
-                            hb: info.hb,
-                            since: Instant::now(),
-                        };
-                    } else if info.hb > watch.hb {
-                        // Heartbeat still moving under the pinned case:
-                        // the classic hung-worker signature. Track the
-                        // counter so a *frozen* worker (counter stuck)
-                        // is left to the mtime-staleness path instead.
-                        watch.hb = info.hb;
-                    }
-                    watch.since.elapsed() > cfg.hang_timeout
-                }
-                None => {
-                    inflight.remove(&shard);
-                    false
+            let info = match read_lease(&lease_path(&cfg.campaign_dir, shard)) {
+                Some(info) if own_pids.contains(&info.pid) => info,
+                _ => {
+                    sightings.remove(&shard);
+                    continue;
                 }
             };
-            if hung_case || age > cfg.lease.ttl + cfg.lease.mtime_slack() {
-                for slot in slots.iter_mut() {
-                    if let Some(proc) = slot.proc.as_mut() {
-                        if proc.pid() == info.pid {
-                            progress(&format!(
-                                "worker pid {} hung on shard {shard} \
-                                 (case pinned or heartbeat stale); killing",
-                                info.pid
-                            ));
-                            proc.kill();
-                            hung_killed += 1;
-                        }
-                    }
+            let unchanged_for = match sightings.get(&shard) {
+                Some(seen) if seen.info == info => seen.since.elapsed(),
+                _ => {
+                    let since = Instant::now();
+                    sightings.insert(shard, Sighting { info, since });
+                    continue;
                 }
-                inflight.remove(&shard);
+            };
+            if unchanged_for < cfg.lease.ttl {
+                continue;
             }
+            for proc in slots.iter_mut().filter_map(|s| s.proc.as_mut()) {
+                if proc.pid() == info.pid {
+                    progress(&format!(
+                        "worker pid {} hung on shard {shard} (lease unchanged for {:?}); \
+                         killing",
+                        info.pid, cfg.lease.ttl
+                    ));
+                    proc.kill();
+                    hung_killed += 1;
+                }
+            }
+            sightings.remove(&shard);
         }
 
         let running = slots.iter().filter(|s| s.proc.is_some()).count();
@@ -661,8 +618,8 @@ pub fn supervise(
         if running == 0 && !pending_restart {
             // Every worker is gone, shards remain, no drain: either
             // all slots exhausted their budget, or everyone exited 0
-            // while a hung peer still nominally owned a shard whose
-            // lease has since gone stale. Respawn one worker if any
+            // while a hung peer still owned a shard it has since been
+            // killed for. Respawn one worker if any
             // budget remains; otherwise give up fatally (resumable).
             if let Some((id, slot)) = slots
                 .iter_mut()
@@ -697,19 +654,14 @@ pub fn supervise(
     }
 }
 
-/// Removes leftover shard leases whose owners are dead — cosmetic
-/// cleanup at campaign start so `ls shards/` reflects reality.
+/// Removes lease records whose shard lock nobody holds — left by
+/// workers that died while no supervisor ran — at campaign start, so
+/// `ls shards/` reflects reality. Each lock is held only while looking.
 pub fn sweep_dead_leases(campaign_dir: &Path, shard_count: usize) {
-    let dir = shards_dir(campaign_dir);
-    if !dir.exists() {
-        return;
-    }
     for shard in 0..shard_count {
         let path = lease_path(campaign_dir, shard);
-        if let Some((info, _)) = read_lease_raw(&path) {
-            if !same_process(info.pid, info.token) {
-                let _ = fs::remove_file(&path);
-            }
+        if path.exists() && lock_shard(campaign_dir, shard).is_ok() {
+            let _ = fs::remove_file(&path);
         }
     }
 }

@@ -10,8 +10,9 @@
 //! or a drain is requested. A shard costs its cases plus the lease and
 //! journal protocol; the run is summarised once, when the loop ends.
 //!
-//! Crash attribution: when a worker steals a stale lease it reads the
-//! victim's in-flight case from the lease body and records a crash in
+//! Crash attribution: when a worker claims a shard and finds the lease
+//! record of a dead owner, it reads the victim's in-flight case from it
+//! and records a crash in
 //! `quarantine/crashes.log` — unless the shard journal already holds
 //! a verdict for that case (the victim died *after* journaling, so
 //! the case is innocent). A case whose crash count reaches the poison
@@ -183,7 +184,7 @@ pub(super) fn describe_issues(crashes: &[LineIssue], poisoned: &[LineIssue]) -> 
 /// What [`record_worker_crash`] decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashDisposition {
-    /// The stale lease carried no in-flight case — the victim died
+    /// The dead owner's lease carried no in-flight case — the victim died
     /// between cases; nothing to attribute.
     NoInflightCase,
     /// The shard journal already holds a verdict for the in-flight
@@ -200,8 +201,8 @@ pub enum CrashDisposition {
 }
 
 /// Records a stolen lease's in-flight case as a crash, quarantining
-/// the case once its crash count reaches `threshold`. Called under
-/// the per-shard steal lock, which serializes counting per shard.
+/// the case once its crash count reaches `threshold`. Called by the
+/// holder of the shard's lock, which serializes counting per shard.
 /// `artifact_for` materializes the quarantine replay artifact for a
 /// plan index (`None` when the case cannot be rebuilt — the poison
 /// record is still written).
@@ -322,7 +323,8 @@ pub struct WorkerConfig {
     pub campaign_dir: PathBuf,
     /// This worker's slot id under the supervisor.
     pub worker_id: usize,
-    /// Lease heartbeat/TTL parameters (must match the supervisor's).
+    /// Lease timing: a worker uses `heartbeat` as its idle re-scan
+    /// interval (`ttl` is the supervisor's).
     pub lease: LeaseConfig,
     /// Crash count at which a case is quarantined.
     pub poison_threshold: usize,
@@ -463,8 +465,8 @@ fn poison_artifact(
     ))
 }
 
-/// The worker's main loop: claim shards (stealing stale leases and
-/// attributing crashes), drive each as one case window of the worker's
+/// The worker's main loop: claim shards (stealing dead owners' and
+/// attributing their crashes), drive each as one case window of the worker's
 /// run through `build_pipeline(setup)`'s pipeline, retire them, until
 /// all shards are done or a drain lands. Then the run is summarised,
 /// once, next to the events the pipelines stream (`worker-<id>/`); a
@@ -536,7 +538,6 @@ where
                 &cfg.campaign_dir,
                 shard,
                 cfg.worker_id,
-                &cfg.lease,
                 Some(&cfg.plan_hash),
                 &mut on_steal,
             )? {
@@ -570,10 +571,9 @@ where
             let stopped_by_gate = match window {
                 Ok(window) => window.stopped_by_gate,
                 Err(conflict) => {
-                    // The shard journal is still locked — most likely the
-                    // hung worker we stole the lease from hasn't been
-                    // killed yet. Release the shard (the lease drops with
-                    // this iteration) and come back to it.
+                    // Another open of the shard journal holds its lock.
+                    // Release the shard (the lease drops with this
+                    // iteration) and come back to it.
                     eprintln!(
                         "[mocket-worker {}] shard {shard} journal busy, will retry: {conflict}",
                         cfg.worker_id
@@ -588,13 +588,16 @@ where
                 break 'scan WorkerOutcome::Drained;
             }
             lease.mark_done()?;
+            // Nobody opens a retired shard's journal for writing again,
+            // so its lock file can go like the shard's own.
+            let _ = fs::remove_file(setup.shard_dir.join(CampaignJournal::LOCK_FILE_NAME));
         }
         if all_done {
             break WorkerOutcome::Completed;
         }
         if !progressed {
-            // Everything claimable is busy (or waiting out a lock):
-            // idle one heartbeat before rescanning.
+            // Everything claimable is busy: idle one heartbeat before
+            // rescanning.
             std::thread::sleep(cfg.lease.heartbeat);
         }
     };
@@ -625,7 +628,6 @@ mod tests {
             pid: 12345,
             token: None,
             worker: 0,
-            hb: 0,
             plan: None,
             case: Some((case, hash.to_string())),
         }
@@ -786,7 +788,6 @@ mod tests {
             pid: 1,
             token: None,
             worker: 0,
-            hb: 0,
             plan: None,
             case: None,
         };

@@ -59,9 +59,9 @@ pub const MOCKET_FSIO_FAULT_LOG_ENV: &str = "MOCKET_FSIO_FAULT_LOG";
 pub mod points {
     /// `plan.txt` atomic write (supervisor, campaign start).
     pub const PLAN_WRITE: &str = "plan.write";
-    /// Lease claim: `O_EXCL` create of `shard-N.lease`.
+    /// Lease claim: first write of `shard-N.lease` under the shard lock.
     pub const LEASE_CLAIM: &str = "lease.claim";
-    /// Lease rewrite: heartbeat / case pin / steal (temp + rename).
+    /// Lease rewrite: in-flight case pin (temp + rename).
     pub const LEASE_WRITE: &str = "lease.write";
     /// Shard retirement: `shard-N.done` atomic write.
     pub const LEASE_DONE: &str = "lease.done";
@@ -79,8 +79,6 @@ pub mod points {
     pub const HISTORY_APPEND: &str = "history.append";
     /// `events.jsonl` buffered-batch flush.
     pub const OBS_FLUSH: &str = "obs.flush";
-    /// `DirLock` / steal-lock `O_EXCL` create.
-    pub const LOCK_CREATE: &str = "lock.create";
     /// Pipeline insight outputs (coverage map, uncovered edges, dot).
     pub const INSIGHT_WRITE: &str = "insight.write";
     /// Replay-artifact atomic write (`case-<hash>.artifact`).
@@ -726,21 +724,6 @@ impl AppendLog {
     }
 }
 
-/// `O_CREAT|O_EXCL` create-with-contents through the fault point — the
-/// primitive under lock files and lease claims. No retry: the caller
-/// distinguishes `AlreadyExists` (lost the race) from transient I/O
-/// errors and owns that loop. An injected torn write leaves a partial
-/// file behind, exactly like a crash between create and write — the
-/// claim/lock protocols must (and do) salvage such debris.
-pub fn create_exclusive(path: &Path, contents: &[u8], point: &str) -> io::Result<()> {
-    let fault = decide(point);
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(path)?;
-    write_verified(&mut f, contents, fault, "create")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,24 +887,21 @@ mod tests {
     }
 
     #[test]
-    fn create_exclusive_leaves_debris_on_torn_create() {
-        let dir = tmp_dir("excl");
-        let path = dir.join("lock");
+    fn torn_write_leaves_a_prefix_as_debris() {
+        let dir = tmp_dir("torn");
+        let path = dir.join("out");
+        let payload = b"pid=12345 worker=1\n";
         let inj = FaultInjector::new(9, 1024).with_kinds(vec![FaultKind::TornWrite]);
-        let fault = inj.decide("test.excl");
+        let fault = inj.decide("test.torn");
         assert!(fault.is_some());
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .unwrap();
-        assert!(faulty_write(&mut f, b"pid: 12345\n", fault).is_err());
+        let mut f = fs::File::create(&path).unwrap();
+        assert!(faulty_write(&mut f, payload, fault).is_err());
         drop(f);
         // The file exists with a strict prefix of the payload — the
         // shape every salvage path must handle.
         let debris = fs::read(&path).unwrap();
-        assert!(debris.len() < b"pid: 12345\n".len());
-        assert!(b"pid: 12345\n".starts_with(&debris[..]));
+        assert!(debris.len() < payload.len());
+        assert!(payload.starts_with(&debris[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -45,6 +45,15 @@ if [ "$found" -gt 1 ]; then
     fail=1
 fi
 
+# Liveness is the kernel's: a shard or a campaign directory is held by
+# an flock that dies with its holder, so the lock and lease code reads
+# no wall clock, sleeps nothing and runs no thread (ROADMAP item 1).
+if grep -nE 'SystemTime|thread::sleep|thread::spawn' \
+    crates/core/src/orchestrator/lease.rs crates/core/src/orchestrator/lock.rs; then
+    echo "error: wall clock, sleep or thread in lease.rs/lock.rs; ownership is an flock (DirLock)" >&2
+    fail=1
+fi
+
 # A shard is a case window of the worker's one run, not a run: the
 # orchestrator drives `Pipeline::run_window` and never the whole-run
 # entry point (which generates and summarises on every call).

@@ -20,9 +20,10 @@
 //! `campaign` runs the crash-tolerant sharded orchestrator: a
 //! supervisor process (this command) shards the pinned case plan
 //! across N crash-isolated worker processes (the hidden
-//! `campaign-worker` subcommand), restarts the dead, steals stale
-//! leases, quarantines poison cases, and deterministically merges the
-//! per-shard results into canonical top-level outputs. Re-running the
+//! `campaign-worker` subcommand), restarts the dead, kills the hung,
+//! lets peers steal a dead worker's shard, quarantines poison cases,
+//! and deterministically merges the per-shard results into canonical
+//! top-level outputs. Re-running the
 //! same command against the same directory resumes idempotently.
 
 use std::path::PathBuf;
@@ -52,8 +53,7 @@ fn usage() -> ! {
          mocket-cli campaign <target> --campaign-dir DIR [--bug NAME] [--workers N] \
          [--limit N] [--max-states N] [--max-path-len N] [--shard-size N] \
          [--poison-threshold K] [--max-restarts N] [--heartbeat-ms N] [--lease-ttl-ms N] \
-         [--hang-timeout-ms N] [--progress] [--trace] [--sim] [--sim-seed S] \
-         [--rtt-ms B] [--rtt-spread-ms S]\n  \
+         [--progress] [--trace] [--sim] [--sim-seed S] [--rtt-ms B] [--rtt-spread-ms S]\n  \
          mocket-cli campaign --status --campaign-dir DIR [--watch] [--interval-ms N]\n  \
          mocket-cli report --obs-dir DIR [--html] [--out FILE]\n  \
          mocket-cli report --trace-view [--trace-file FILE | --obs-dir DIR] [--out FILE]\n  \
@@ -69,7 +69,7 @@ fn usage() -> ! {
 /// hidden `campaign-worker` is spawned with the campaign's own flags
 /// plus `--worker-id`, all of them listed here.
 const KNOWN_FLAGS: &[&str] = &[
-    "bug", "campaign-dir", "dot", "hang-timeout-ms", "heartbeat-ms", "html", "interval-ms",
+    "bug", "campaign-dir", "dot", "heartbeat-ms", "html", "interval-ms",
     "lease-ttl-ms", "limit", "max-path-len", "max-restarts", "max-states", "obs-dir", "out",
     "poison-threshold", "por", "priority-edges", "progress", "rtt-ms", "rtt-spread-ms", "seed",
     "shard-size", "sim", "sim-seed", "status", "steps", "trace", "trace-file", "trace-view",
@@ -409,7 +409,7 @@ fn prepare_campaign(
 fn lease_config(args: &Args) -> LeaseConfig {
     LeaseConfig {
         heartbeat: Duration::from_millis(args.flag_usize("heartbeat-ms", 300) as u64),
-        ttl: Duration::from_millis(args.flag_usize("lease-ttl-ms", 5000) as u64),
+        ttl: Duration::from_millis(args.flag_usize("lease-ttl-ms", 30_000) as u64),
     }
 }
 
@@ -506,7 +506,6 @@ fn cmd_campaign(args: &Args) {
         campaign_dir: campaign_dir.clone(),
         workers,
         lease: lease_config(args),
-        hang_timeout: Duration::from_millis(args.flag_usize("hang-timeout-ms", 30_000) as u64),
         restart: RetryPolicy {
             attempts: args.flag_usize("max-restarts", 5),
             backoff: Duration::from_millis(50),
@@ -685,8 +684,8 @@ fn print_campaign_status(campaign_dir: &std::path::Path, plan: &CampaignPlan) ->
                             None => "between cases".to_string(),
                         };
                         format!(
-                            "leased by worker {} (pid {} {owner}, hb {}) — {case}",
-                            lease.worker, lease.pid, lease.hb
+                            "leased by worker {} (pid {} {owner}) — {case}",
+                            lease.worker, lease.pid
                         )
                     }
                     None => "torn lease (claim in flight or debris)".to_string(),

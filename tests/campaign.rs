@@ -5,15 +5,18 @@
 //! with lease-based work stealing, then deterministically merges the
 //! per-shard outputs. The contract under test is byte-identity of the
 //! canonical campaign outputs — no matter whether the campaign ran
-//! clean, lost a worker to `kill -9` mid-shard, quarantined a poison
-//! case, drained on SIGINT and resumed, or used a different worker
-//! count.
+//! clean, lost a worker to `kill -9` mid-shard, had a hung worker
+//! killed, quarantined a poison case, drained on SIGINT and resumed,
+//! or used a different worker count.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use mocket::core::orchestrator::{load_crashes, load_poisoned};
-use mocket::core::ReplayArtifact;
+use mocket::core::orchestrator::{
+    done_path, lease_path, load_crashes, load_poisoned, send_signal, shard_data_dir, CampaignPlan,
+    LeaseInfo, SIGKILL,
+};
+use mocket::core::{CampaignJournal, ReplayArtifact};
 
 const CLI: &str = env!("CARGO_BIN_EXE_mocket-cli");
 
@@ -42,11 +45,9 @@ impl CampaignRun {
         CampaignRun { dir }
     }
 
-    /// Runs `mocket-cli campaign` with a small xraft state space and
-    /// aggressive lease timing so steals happen within the test
-    /// budget. Injection env vars are scoped to this one invocation —
-    /// a resume must not re-inject the fault it is recovering from.
-    fn run_with(&self, workers: usize, env: &[(&str, &str)]) -> std::process::ExitStatus {
+    /// `mocket-cli campaign` on a small xraft state space; `extra`
+    /// flags come last, so they override the defaults here.
+    fn command(&self, workers: usize, extra: &[&str]) -> Command {
         let mut cmd = Command::new(CLI);
         cmd.args(["campaign", "xraft"])
             .arg("--campaign-dir")
@@ -56,11 +57,16 @@ impl CampaignRun {
             .args(["--shard-size", "4"])
             .args(["--max-states", "2000"])
             .args(["--poison-threshold", "2"])
-            .args(["--heartbeat-ms", "50"])
-            .args(["--lease-ttl-ms", "500"]);
-        for (k, v) in env {
-            cmd.env(k, v);
-        }
+            .args(extra);
+        cmd
+    }
+
+    /// Runs the campaign. Injection env vars are scoped to this one
+    /// invocation — a resume must not re-inject the fault it is
+    /// recovering from.
+    fn run_with(&self, workers: usize, env: &[(&str, &str)]) -> std::process::ExitStatus {
+        let mut cmd = self.command(workers, &[]);
+        cmd.envs(env.iter().copied());
         cmd.status().expect("spawn mocket-cli campaign")
     }
 
@@ -187,6 +193,98 @@ fn merge_is_invariant_to_worker_count_and_rerun_is_idempotent() {
         1,
         "idempotent re-run must not append a second history record"
     );
+}
+
+/// Polls the campaign's lease records until one names a case in
+/// flight, stops that worker with SIGSTOP and returns its shard and
+/// record. A worker caught after journaling the named case (or after
+/// retiring the shard) is not hung in it: it is resumed and the next
+/// record tried.
+#[cfg(target_os = "linux")]
+fn stop_a_worker_mid_case(dir: &Path) -> (usize, LeaseInfo) {
+    const SIGSTOP: i32 = 19;
+    const SIGCONT: i32 = 18;
+    let read = |shard| LeaseInfo::parse(&std::fs::read_to_string(lease_path(dir, shard)).ok()?);
+    // About a minute of 2 ms polls.
+    for _ in 0..30_000 {
+        let shards = CampaignPlan::load(dir)
+            .ok()
+            .flatten()
+            .map_or(0, |p| p.shard_count());
+        for shard in 0..shards {
+            let Some(seen) = read(shard).filter(|l| l.case.is_some()) else {
+                continue;
+            };
+            send_signal(seen.pid, SIGSTOP);
+            // Stopped, the record is final.
+            let Some(stopped) = read(shard).filter(|l| l.pid == seen.pid) else {
+                send_signal(seen.pid, SIGCONT);
+                continue;
+            };
+            let (journaled, _) =
+                CampaignJournal::load_entries(&shard_data_dir(dir, shard)).unwrap();
+            let in_flight = match &stopped.case {
+                Some((_, hash)) => !journaled.contains_key(hash),
+                None => false,
+            };
+            if in_flight && !done_path(dir, shard).exists() {
+                return (shard, stopped);
+            }
+            send_signal(seen.pid, SIGCONT);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    panic!("no worker was caught with a case in flight");
+}
+
+/// A hung worker keeps its shard lock, so only the supervisor's hang
+/// rule frees its shard: a worker SIGSTOPped mid-case is SIGKILLed once
+/// its lease record has sat unchanged for the lease TTL, a peer claims
+/// the shard and attributes the case once, and the merged outputs match
+/// a clean campaign's.
+#[cfg(target_os = "linux")]
+#[test]
+fn hung_worker_is_killed_after_the_lease_ttl_and_its_shard_stolen() {
+    let flags = ["--limit", "96", "--lease-ttl-ms", "2000"];
+    let clean = CampaignRun::new("hang-clean");
+    assert!(clean.command(2, &flags).status().unwrap().success());
+
+    let hung = CampaignRun::new("hung");
+    let mut campaign = hung
+        .command(2, &flags)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mocket-cli campaign");
+    let (shard, victim) = stop_a_worker_mid_case(&hung.dir);
+    // Two minutes: without the hang rule the campaign never ends.
+    let status = (0..1200).find_map(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        campaign.try_wait().unwrap()
+    });
+    let Some(status) = status else {
+        let _ = campaign.kill();
+        send_signal(victim.pid, SIGKILL);
+        panic!("the stopped worker was never killed, so the campaign never ended");
+    };
+    let mut stdout = String::new();
+    std::io::Read::read_to_string(&mut campaign.stdout.take().unwrap(), &mut stdout).unwrap();
+    assert!(
+        status.success(),
+        "campaign must survive a hung worker: {stdout}"
+    );
+    assert!(
+        stdout.contains(" 1 hung worker(s) killed"),
+        "the supervisor must kill the hung worker: {stdout}"
+    );
+
+    // The peer that claimed the shard blamed the case, once.
+    let (case, hash) = victim.case.clone().unwrap();
+    let (crashes, _) = load_crashes(&hung.dir).expect("crash log readable");
+    let blamed: Vec<_> = crashes.iter().filter(|c| c.hash == hash).collect();
+    assert_eq!(blamed.len(), 1, "shard {shard}, case {case}: {crashes:?}");
+    assert_eq!((blamed[0].case, blamed[0].pid), (case, victim.pid));
+
+    assert_canonical_identical(&clean, &hung, "hung-and-killed vs clean");
 }
 
 /// A case that deterministically kills its worker is quarantined after

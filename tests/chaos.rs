@@ -70,8 +70,6 @@ impl CampaignRun {
             .args(["--shard-size", "4"])
             .args(["--max-states", "2000"])
             .args(["--poison-threshold", "2"])
-            .args(["--heartbeat-ms", "50"])
-            .args(["--lease-ttl-ms", "500"])
             .args(extra);
         for (k, v) in env {
             cmd.env(k, v);
@@ -416,7 +414,6 @@ fn lease_parse_never_panics_and_rejects_interleaved_bodies() {
         pid: 4242,
         token: Some(987654321),
         worker: 1,
-        hb: 17,
         plan: Some("0123456789abcdef".into()),
         case: Some((7, "ffeeddccbbaa9988".into())),
     };
@@ -440,7 +437,6 @@ fn lease_parse_never_panics_and_rejects_interleaved_bodies() {
         pid: 9999,
         token: Some(1),
         worker: 0,
-        hb: 2,
         plan: None,
         case: None,
     };
