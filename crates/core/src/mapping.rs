@@ -10,6 +10,7 @@
 //! mapping errors §5.4 describes (e.g. a miswritten action name),
 //! before any testing time is spent.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use mocket_tla::{ActionClass, ActionInstance, Spec, Value, VarClass};
@@ -124,6 +125,32 @@ impl ConstMap {
             Value::Fun(m) => Value::Fun(m.iter().map(|(k, x)| (f(k), f(x))).collect()),
             other => other.clone(),
         }
+    }
+
+    /// [`to_spec`](Self::to_spec) without the copy: borrows `v` when no
+    /// part of it is a mapped implementation constant — translation
+    /// would be the identity — and builds the owned translation only
+    /// otherwise. The state checker and the offer matcher compare
+    /// through this view, so a passing step allocates nothing.
+    pub fn view<'a>(&self, v: &'a Value) -> Cow<'a, Value> {
+        if !self.impl_to_spec.is_empty() && self.translates(v) {
+            Cow::Owned(self.to_spec(v))
+        } else {
+            Cow::Borrowed(v)
+        }
+    }
+
+    /// Whether `v` or any value inside it is a mapped constant.
+    fn translates(&self, v: &Value) -> bool {
+        let f = |x| self.translates(x);
+        self.impl_to_spec.contains_key(v)
+            || match v {
+                Value::Set(s) => s.iter().any(f),
+                Value::Seq(s) => s.iter().any(f),
+                Value::Record(r) => r.values().any(f),
+                Value::Fun(m) => m.iter().any(|(k, x)| f(k) || f(x)),
+                _ => false,
+            }
     }
 }
 
@@ -305,6 +332,9 @@ impl MappingRegistry {
     /// Translates an implementation-side action notification into the
     /// spec domain: maps the name and translates every parameter
     /// through the constant map. Returns `None` for unmapped names.
+    /// The scheduler's matcher (`scheduler::find_match`) answers
+    /// "does this translate to the scheduled action?" without building
+    /// the translation; this owned form is for diagnostics.
     pub fn offer_to_spec(&self, impl_action: &ActionInstance) -> Option<ActionInstance> {
         let mapping = self.action_by_impl_name(&impl_action.name)?;
         Some(ActionInstance::new(
@@ -503,6 +533,17 @@ mod tests {
                 (Value::Int(2), Value::str("Follower")),
             ])
         );
+    }
+
+    #[test]
+    fn view_borrows_unless_a_constant_is_inside() {
+        let r = good_registry();
+        let plain = Value::fun([(Value::Int(1), Value::seq([Value::str("x")]))]);
+        assert!(matches!(r.consts().view(&plain), Cow::Borrowed(_)));
+        let mapped = Value::set([Value::Int(1), Value::str("STATE_LEADER")]);
+        let view = r.consts().view(&mapped);
+        assert!(matches!(view, Cow::Owned(_)));
+        assert_eq!(*view, r.consts().to_spec(&mapped));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! implementation, so the testbed maintains one pool per variable:
 //! sending actions add the reported message, receiving actions remove
 //! it, and drop/duplicate faults adjust multiplicity. During state
-//! checks the pool is rendered as a value in exactly the
-//! representation the specification uses (bag or set) and compared
-//! against the verified state.
+//! checks the pool is compared in place against the verified state's
+//! value ([`MessagePools::equals`]); it is rendered as a value in the
+//! specification's representation (bag or set) only for a report.
 
 use std::collections::BTreeMap;
 
@@ -74,16 +74,15 @@ impl MessagePools {
         );
     }
 
-    /// Applies one reported event. Messages must already be translated
-    /// into the spec domain.
-    pub fn apply(&mut self, event: &MsgEvent) -> Result<(), PoolError> {
+    /// Applies one reported event; a sent message moves into the pool.
+    /// Messages must already be translated into the spec domain.
+    pub fn apply(&mut self, event: MsgEvent) -> Result<(), PoolError> {
         match event {
             MsgEvent::Send { pool, msg } | MsgEvent::Duplicate { pool, msg } => {
-                let p = self
-                    .pools
-                    .get_mut(pool)
-                    .ok_or_else(|| PoolError::UnknownPool(pool.clone()))?;
-                let slot = p.contents.entry(msg.clone()).or_insert(0);
+                let Some(p) = self.pools.get_mut(&pool) else {
+                    return Err(PoolError::UnknownPool(pool));
+                };
+                let slot = p.contents.entry(msg).or_insert(0);
                 if p.bag {
                     *slot += 1;
                 } else {
@@ -92,25 +91,44 @@ impl MessagePools {
                 Ok(())
             }
             MsgEvent::Receive { pool, msg } | MsgEvent::Drop { pool, msg } => {
-                let p = self
-                    .pools
-                    .get_mut(pool)
-                    .ok_or_else(|| PoolError::UnknownPool(pool.clone()))?;
-                match p.contents.get_mut(msg) {
+                let Some(p) = self.pools.get_mut(&pool) else {
+                    return Err(PoolError::UnknownPool(pool));
+                };
+                match p.contents.get_mut(&msg) {
                     Some(n) if *n > 1 => {
                         *n -= 1;
                         Ok(())
                     }
                     Some(_) => {
-                        p.contents.remove(msg);
+                        p.contents.remove(&msg);
                         Ok(())
                     }
-                    None => Err(PoolError::MissingMessage {
-                        pool: pool.clone(),
-                        msg: msg.clone(),
-                    }),
+                    None => Err(PoolError::MissingMessage { pool, msg }),
                 }
             }
+        }
+    }
+
+    /// Whether pool `name` renders to exactly `expected` — the same
+    /// answer as `as_value(name).as_ref() == Some(expected)`, read in
+    /// place: a bag pool against a `Fun(message → count)`, a set pool
+    /// against a `Set(message)`. Both sides iterate in value order, so
+    /// one zipped walk decides it.
+    pub fn equals(&self, name: &str, expected: &Value) -> bool {
+        let Some(p) = self.pools.get(name) else {
+            return false;
+        };
+        match expected {
+            Value::Fun(f) if p.bag => {
+                f.len() == p.contents.len()
+                    && f.iter()
+                        .zip(&p.contents)
+                        .all(|((em, en), (m, n))| em == m && en.as_int() == Some(*n as i64))
+            }
+            Value::Set(s) if !p.bag => {
+                s.len() == p.contents.len() && s.iter().eq(p.contents.keys())
+            }
+            _ => false,
         }
     }
 
@@ -150,9 +168,9 @@ mod tests {
             pool: "messages".into(),
             msg: msg(1),
         };
-        pools.apply(&send).unwrap();
+        pools.apply(send).unwrap();
         pools
-            .apply(&MsgEvent::Duplicate {
+            .apply(MsgEvent::Duplicate {
                 pool: "messages".into(),
                 msg: msg(1),
             })
@@ -162,7 +180,7 @@ mod tests {
             Value::fun([(msg(1), Value::Int(2))])
         );
         pools
-            .apply(&MsgEvent::Receive {
+            .apply(MsgEvent::Receive {
                 pool: "messages".into(),
                 msg: msg(1),
             })
@@ -179,7 +197,7 @@ mod tests {
         pools.register("le_msgs", false);
         for _ in 0..2 {
             pools
-                .apply(&MsgEvent::Send {
+                .apply(MsgEvent::Send {
                     pool: "le_msgs".into(),
                     msg: msg(1),
                 })
@@ -187,7 +205,7 @@ mod tests {
         }
         assert_eq!(pools.as_value("le_msgs").unwrap(), Value::set([msg(1)]));
         pools
-            .apply(&MsgEvent::Receive {
+            .apply(MsgEvent::Receive {
                 pool: "le_msgs".into(),
                 msg: msg(1),
             })
@@ -200,7 +218,7 @@ mod tests {
         let mut pools = MessagePools::new();
         pools.register("messages", true);
         let err = pools
-            .apply(&MsgEvent::Receive {
+            .apply(MsgEvent::Receive {
                 pool: "messages".into(),
                 msg: msg(9),
             })
@@ -212,7 +230,7 @@ mod tests {
     fn unknown_pool_errors() {
         let mut pools = MessagePools::new();
         let err = pools
-            .apply(&MsgEvent::Send {
+            .apply(MsgEvent::Send {
                 pool: "nope".into(),
                 msg: msg(1),
             })
@@ -226,14 +244,14 @@ mod tests {
         pools.register("messages", true);
         for _ in 0..2 {
             pools
-                .apply(&MsgEvent::Send {
+                .apply(MsgEvent::Send {
                     pool: "messages".into(),
                     msg: msg(1),
                 })
                 .unwrap();
         }
         pools
-            .apply(&MsgEvent::Drop {
+            .apply(MsgEvent::Drop {
                 pool: "messages".into(),
                 msg: msg(1),
             })

@@ -7,7 +7,16 @@
 //! state checker compares runtime values with the verified state; at
 //! the end leftover offers are classified against the actions the
 //! specification enables in the final state.
+//!
+//! A passing step copies nothing on the harness side: the scheduled
+//! action is matched against the raw offers and the matched offer is
+//! taken out of the batch, not cloned; reported messages enter the pools
+//! untranslated unless a mapped constant is inside them; and the state
+//! check compares through the constant map's borrowed view. Owned
+//! spec-domain values are built only for a report — a divergence, a
+//! missing action's offered set, the final unexpected offers.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +30,7 @@ use crate::msgpool::{MessagePools, PoolError};
 use crate::report::{Inconsistency, VariableDivergence};
 use crate::scheduler::{find_match, offered_actions, translate_offers, unexpected_offers};
 use crate::statecheck::check_state;
-use crate::sut::{ExecReport, Offer, Snapshot, SutError, SystemUnderTest};
+use crate::sut::{ExecReport, MsgEvent, Offer, Snapshot, SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
 /// Runner configuration.
@@ -248,18 +257,19 @@ fn drive(
     let obs = &ctx.obs;
     let mut pools = pools_from_registry(registry);
 
-    // Offers translated per poll round: the number of rounds depends
-    // on the run's clock, so both counters live under the `timing.`
+    // Offers seen per poll round: the number of rounds depends on the
+    // run's clock, so both counters live under the `timing.`
     // quarantine and never appear in the deterministic summary.
-    let translate = |offers: Vec<Offer>| {
-        let out = translate_offers(registry, offers);
+    let count_offers = |offers: &[Offer]| {
         let m = obs.metrics();
-        m.add("timing.scheduler.offers_translated", out.len() as u64);
-        let unmapped = out.iter().filter(|o| o.spec.is_none()).count() as u64;
+        m.add("timing.scheduler.offers_translated", offers.len() as u64);
+        let unmapped = offers
+            .iter()
+            .filter(|o| registry.action_by_impl_name(&o.action.name).is_none())
+            .count() as u64;
         if unmapped > 0 {
             m.add("timing.scheduler.unmapped_offers", unmapped);
         }
-        out
     };
     let check = |expected: &State, snapshot: &Snapshot, pools: &MessagePools| {
         let divergences = check_state(expected, snapshot, pools, registry);
@@ -331,9 +341,10 @@ fn drive(
                 let mut backoff = backoff_schedule(config);
                 loop {
                     obs.metrics().add("timing.runner.offer_polls", 1);
-                    let offers = translate(try_sut!(sut.offers(), i, &step.action, step_start));
-                    if let Some(hit) = find_match(&step.action, &offers) {
-                        matched = Some(hit.raw.clone());
+                    let mut offers = try_sut!(sut.offers(), i, &step.action, step_start);
+                    count_offers(&offers);
+                    if let Some(hit) = find_match(registry, &step.action, &offers) {
+                        matched = Some(offers.swap_remove(hit));
                         break;
                     }
                     last_offers = offers;
@@ -361,7 +372,7 @@ fn drive(
                         return Ok(TestOutcome::Failed(Inconsistency::MissingAction {
                             step: i,
                             action: step.action.clone(),
-                            offered: offered_actions(&last_offers),
+                            offered: offered_actions(&translate_offers(registry, last_offers)),
                         }));
                     }
                 }
@@ -371,9 +382,8 @@ fn drive(
 
         // Maintain the message pools from the reported events,
         // translating message contents into the spec domain.
-        for event in &report.msg_events {
-            let event = translate_event(registry, event);
-            if let Err(err) = pools.apply(&event) {
+        for event in report.msg_events {
+            if let Err(err) = pools.apply(translate_event(registry, event)) {
                 return Ok(TestOutcome::Failed(pool_error_to_inconsistency(
                     i, step, &pools, err,
                 )));
@@ -413,12 +423,14 @@ fn drive(
     // enable in the final state are unexpected actions.
     let final_start = clock.now();
     let final_action = ActionInstance::nullary("<Final>");
-    let offers = translate(try_sut!(
+    let offers = try_sut!(
         sut.offers(),
         test_case.steps.len(),
         &final_action,
         final_start
-    ));
+    );
+    count_offers(&offers);
+    let offers = translate_offers(registry, offers);
     let unexpected = unexpected_offers(registry, &offers, final_enabled);
     if !unexpected.is_empty() {
         obs.metrics().add("scheduler.unexpected_offers", unexpected.len() as u64);
@@ -430,30 +442,17 @@ fn drive(
     Ok(TestOutcome::Passed)
 }
 
-fn translate_event(
-    registry: &MappingRegistry,
-    event: &crate::sut::MsgEvent,
-) -> crate::sut::MsgEvent {
-    use crate::sut::MsgEvent;
-    let t = |v: &mocket_tla::Value| registry.consts().to_spec(v);
-    match event {
-        MsgEvent::Send { pool, msg } => MsgEvent::Send {
-            pool: pool.clone(),
-            msg: t(msg),
-        },
-        MsgEvent::Receive { pool, msg } => MsgEvent::Receive {
-            pool: pool.clone(),
-            msg: t(msg),
-        },
-        MsgEvent::Drop { pool, msg } => MsgEvent::Drop {
-            pool: pool.clone(),
-            msg: t(msg),
-        },
-        MsgEvent::Duplicate { pool, msg } => MsgEvent::Duplicate {
-            pool: pool.clone(),
-            msg: t(msg),
-        },
+/// The event with its message in the spec domain; returned as it came
+/// when no mapped constant is inside the message.
+fn translate_event(registry: &MappingRegistry, mut event: MsgEvent) -> MsgEvent {
+    let (MsgEvent::Send { msg, .. }
+    | MsgEvent::Receive { msg, .. }
+    | MsgEvent::Drop { msg, .. }
+    | MsgEvent::Duplicate { msg, .. }) = &mut event;
+    if let Cow::Owned(spec) = registry.consts().view(msg) {
+        *msg = spec;
     }
+    event
 }
 
 /// A pool bookkeeping failure means the implementation consumed or

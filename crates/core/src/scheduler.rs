@@ -3,7 +3,12 @@
 //! The scheduler holds the set of blocked action notifications, picks
 //! the one matching the scheduled step of the current test case, and
 //! classifies leftovers at test end. Matching is exact on the spec
-//! action instance (name plus translated parameter values).
+//! action instance (name plus translated parameter values), and reads
+//! the raw offers in place: [`find_match`] looks the implementation
+//! name up and compares parameters through the constant map's borrowed
+//! view. Offers are translated into owned spec-domain instances
+//! ([`translate_offers`]) only for the missing-action and
+//! unexpected-action diagnostics.
 
 use mocket_tla::{ActionClass, ActionInstance};
 
@@ -32,12 +37,27 @@ pub fn translate_offers(registry: &MappingRegistry, offers: Vec<Offer>) -> Vec<S
         .collect()
 }
 
-/// Finds the offer matching the scheduled action exactly.
-pub fn find_match<'a>(
+/// The index of the first offer whose translation is exactly the
+/// scheduled action — the offer `o` with
+/// `registry.offer_to_spec(&o.action) == Some(scheduled)` — found
+/// without translating any offer.
+pub fn find_match(
+    registry: &MappingRegistry,
     scheduled: &ActionInstance,
-    offers: &'a [SpecOffer],
-) -> Option<&'a SpecOffer> {
-    offers.iter().find(|o| o.spec.as_ref() == Some(scheduled))
+    offers: &[Offer],
+) -> Option<usize> {
+    offers.iter().position(|o| {
+        let action = &o.action;
+        registry
+            .action_by_impl_name(&action.name)
+            .is_some_and(|m| m.spec_name == scheduled.name)
+            && action.params.len() == scheduled.params.len()
+            && action
+                .params
+                .iter()
+                .zip(&scheduled.params)
+                .all(|(p, s)| *registry.consts().view(p) == *s)
+    })
 }
 
 /// The spec-domain views of a batch of offers, for diagnostics;
@@ -136,26 +156,27 @@ mod tests {
     #[test]
     fn matching_is_exact_on_instance() {
         let r = registry();
-        let offers = translate_offers(
-            &r,
-            vec![
-                offer(1, "becomeLeader", vec![Value::Int(1)]),
-                offer(2, "handleVote", vec![]),
-            ],
-        );
+        let offers = vec![
+            offer(1, "handleVote", vec![]),
+            offer(2, "becomeLeader", vec![Value::Int(1)]),
+        ];
         let hit = find_match(
+            &r,
             &ActionInstance::new("BecomeLeader", vec![Value::str("N1")]),
             &offers,
         );
-        assert_eq!(hit.unwrap().raw.node, 1);
-        // Wrong parameters: no match.
-        assert!(find_match(
-            &ActionInstance::new("BecomeLeader", vec![Value::str("N2")]),
-            &offers
-        )
-        .is_none());
+        assert_eq!(hit, Some(1));
+        // Wrong parameters, untranslated parameters or the wrong
+        // arity: no match.
+        for params in [vec![Value::str("N2")], vec![Value::Int(1)], vec![]] {
+            let scheduled = ActionInstance::new("BecomeLeader", params);
+            assert_eq!(find_match(&r, &scheduled, &offers), None);
+        }
         // Unscheduled action name: no match.
-        assert!(find_match(&ActionInstance::nullary("Crash"), &offers).is_none());
+        assert_eq!(
+            find_match(&r, &ActionInstance::nullary("Crash"), &offers),
+            None
+        );
     }
 
     #[test]

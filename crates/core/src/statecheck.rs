@@ -6,6 +6,16 @@
 //! translating implementation constants into the spec domain through
 //! the constant map. Counters and auxiliary variables are skipped:
 //! they have no mapping by design.
+//!
+//! Translation is lazy: a value is compared through
+//! [`ConstMap::view`](crate::mapping::ConstMap::view), which borrows it
+//! unless a mapped constant is inside, and a pool is compared in place
+//! ([`MessagePools::equals`]). A passing check therefore copies
+//! nothing; the owned spec-domain values a [`VariableDivergence`]
+//! carries are built only for a variable that diverges, exactly as an
+//! eager translation would have built them.
+
+use std::borrow::Cow;
 
 use mocket_obs::VarDiff;
 use mocket_tla::{State, Value, VarClass};
@@ -37,9 +47,7 @@ pub fn check_state(
                     | VarTarget::MethodVariable { impl_name, .. } => impl_name,
                     VarTarget::MessagePool { .. } => continue,
                 };
-                let actual = snapshot
-                    .get(impl_name)
-                    .map(|v| registry.consts().to_spec(v));
+                let actual = snapshot.get(impl_name).map(|v| registry.consts().view(v));
                 let matches = match &actual {
                     Some(a) => values_match(expected_value, a, vm.compare),
                     None => false,
@@ -48,19 +56,18 @@ pub fn check_state(
                     divergences.push(VariableDivergence {
                         variable: vm.spec_name.clone(),
                         expected: expected_value.clone(),
-                        actual,
+                        actual: actual.map(Cow::into_owned),
                     });
                 }
             }
-            (VarClass::MessageRelated, Some(VarTarget::MessagePool { pool, .. })) => {
-                let actual = pools.as_value(pool);
-                if actual.as_ref() != Some(expected_value) {
-                    divergences.push(VariableDivergence {
-                        variable: vm.spec_name.clone(),
-                        expected: expected_value.clone(),
-                        actual,
-                    });
-                }
+            (VarClass::MessageRelated, Some(VarTarget::MessagePool { pool, .. }))
+                if !pools.equals(pool, expected_value) =>
+            {
+                divergences.push(VariableDivergence {
+                    variable: vm.spec_name.clone(),
+                    expected: expected_value.clone(),
+                    actual: pools.as_value(pool),
+                });
             }
             // Counters / auxiliary variables are unmapped (§4.1.1).
             _ => {}
@@ -279,7 +286,7 @@ mod tests {
         let mut pools = MessagePools::new();
         pools.register("messages", true);
         pools
-            .apply(&MsgEvent::Send {
+            .apply(MsgEvent::Send {
                 pool: "messages".into(),
                 msg: vrec! { mtype => "Req" },
             })

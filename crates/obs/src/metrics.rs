@@ -67,8 +67,9 @@ struct Inner {
 }
 
 /// Shared metric store. A single mutex is fine: updates are rare
-/// relative to the work they measure (one per wave / case / fault
-/// decision), never per-state.
+/// relative to the work they measure (a few per runner step, one per
+/// wave / case / fault decision), never per-state. An update looks its
+/// name up first and allocates only for a name it has not seen.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -78,16 +79,23 @@ impl MetricsRegistry {
     /// Adds `delta` to counter `name` (creating it at 0).
     pub fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        match inner.counters.get_mut(name) {
+            Some(n) => *n += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets gauge `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .gauges
-            .insert(name.to_string(), v);
+        let mut inner = self.inner.lock().unwrap();
+        match inner.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                inner.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Adds one observation to histogram `name`.

@@ -13,7 +13,10 @@
 //! **One step, one dispatch.** Every control step is a typed closure
 //! run by [`dispatch`] under `catch_unwind`. Observation hooks (offer
 //! collection, snapshots) run inline on the harness thread: they are
-//! the step-dense hot path — one per node per offer poll. *Execution*
+//! the step-dense hot path — one per node per offer poll. A snapshot
+//! reads each live node's registry under its lock straight into the
+//! aggregate, one clone per shadow value; only a crashed or dead node
+//! keeps a frozen copy of its values. *Execution*
 //! steps, the only place the harness runs open-ended application
 //! code, run on a single lazily spawned *sandbox* thread (one per
 //! cluster, reused across steps and nodes) so the harness can bound
@@ -278,6 +281,7 @@ fn sandbox_recv(step_rx: &Receiver<SandboxStep>) -> Option<SandboxStep> {
 pub struct Cluster {
     factory: NodeFactory,
     nodes: BTreeMap<NodeId, Node>,
+    /// The frozen shadow values of nodes that crashed or died.
     last_snapshot: BTreeMap<NodeId, Vec<(String, Value)>>,
     reply_timeout: Duration,
     disk_wiper: Option<DiskWiper>,
@@ -497,41 +501,35 @@ impl Cluster {
         result
     }
 
-    /// Reads `id`'s shadow variables (cached for crash survivors).
-    pub fn snapshot_node(&mut self, id: NodeId) -> Result<Vec<(String, Value)>, ClusterError> {
-        let vars = self.observe(id, |app| app.registry().snapshot())?;
-        self.last_snapshot.insert(id, vars.clone());
-        Ok(vars)
-    }
-
     /// Aggregates every node's shadow variables into per-variable
-    /// functions `node id → value`. Crashed nodes contribute their
-    /// last observed values — the specification keeps modeling a
-    /// crashed node's (frozen) state.
+    /// functions `node id → value`, sorted by variable name. A running
+    /// node is observed (one step) and its registry read under its lock
+    /// straight into the functions, so each shadow value is cloned
+    /// once. Crashed nodes contribute the values frozen when they went
+    /// down — the specification keeps modeling a crashed node's state.
     pub fn aggregate_snapshot(
         &mut self,
         all_ids: &[NodeId],
     ) -> Result<Vec<(String, Value)>, ClusterError> {
+        let mut vars = Vec::new();
         for &id in all_ids {
-            if self.is_running(id) {
-                self.snapshot_node(id)?;
-            }
-        }
-        let mut by_var: BTreeMap<String, BTreeMap<Value, Value>> = BTreeMap::new();
-        for &id in all_ids {
-            if let Some(vars) = self.last_snapshot.get(&id) {
-                for (name, value) in vars {
-                    by_var
-                        .entry(name.clone())
-                        .or_default()
-                        .insert(Value::Int(id as i64), value.clone());
+            let mut add = |name: &str, value: &Value| {
+                let at = vars.binary_search_by(|(n, _): &(String, Value)| n.as_str().cmp(name));
+                let i = at.unwrap_or_else(|i| {
+                    vars.insert(i, (name.to_string(), Value::Fun(BTreeMap::new())));
+                    i
+                });
+                if let Value::Fun(fun) = &mut vars[i].1 {
+                    fun.insert(Value::Int(id as i64), value.clone());
                 }
+            };
+            if self.is_running(id) {
+                self.observe(id, |app| app.registry().for_each(add))?;
+            } else if let Some(frozen) = self.last_snapshot.get(&id) {
+                frozen.iter().for_each(|(name, value)| add(name, value));
             }
         }
-        Ok(by_var
-            .into_iter()
-            .map(|(name, fun)| (name, Value::Fun(fun)))
-            .collect())
+        Ok(vars)
     }
 
     /// Kills `id` immediately (node-crash fault): dropping the app
@@ -624,6 +622,16 @@ mod tests {
             .with_reply_timeout(Duration::from_secs(2))
     }
 
+    /// `id`'s shadow variables, read through a one-node aggregate.
+    fn vars_of(c: &mut Cluster, id: NodeId) -> Vec<(String, Value)> {
+        let key = Value::Int(id as i64);
+        c.aggregate_snapshot(&[id])
+            .unwrap()
+            .into_iter()
+            .map(|(name, fun)| (name, fun.expect_apply(&key).clone()))
+            .collect()
+    }
+
     #[test]
     fn offers_execute_snapshot_roundtrip() {
         for (backend, _) in backends() {
@@ -632,9 +640,9 @@ mod tests {
             let offers = c.offers().unwrap();
             assert_eq!(offers.len(), 2);
             c.execute(1, &ActionInstance::nullary("bump")).unwrap();
-            let snap = c.snapshot_node(1).unwrap();
+            let snap = vars_of(&mut c, 1);
             assert_eq!(snap, vec![("count".to_string(), Value::Int(1))]);
-            let snap2 = c.snapshot_node(2).unwrap();
+            let snap2 = vars_of(&mut c, 2);
             assert_eq!(snap2, vec![("count".to_string(), Value::Int(0))]);
             c.crash(1);
             let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
@@ -642,7 +650,7 @@ mod tests {
             assert_eq!(count.1.expect_apply(&Value::Int(1)), &Value::Int(1));
             c.restart(2);
             assert_eq!(
-                c.snapshot_node(2).unwrap(),
+                vars_of(&mut c, 2),
                 vec![("count".to_string(), Value::Int(0))]
             );
             c.shutdown();
@@ -672,7 +680,8 @@ mod tests {
         let mut c = cluster();
         c.start(&[1, 2]);
         c.execute(1, &ActionInstance::nullary("bump")).unwrap();
-        c.snapshot_node(1).unwrap();
+        // No snapshot before the crash: the crash itself freezes the
+        // node's values.
         c.crash(1);
         assert!(!c.is_running(1));
         let agg = c.aggregate_snapshot(&[1, 2]).unwrap();
@@ -687,11 +696,25 @@ mod tests {
     #[test]
     fn restart_resets_volatile_state() {
         let mut c = cluster();
-        c.start(&[1]);
+        c.start(&[1, 2]);
         c.execute(1, &ActionInstance::nullary("bump")).unwrap();
         c.restart(1);
-        let snap = c.snapshot_node(1).unwrap();
+        let snap = vars_of(&mut c, 1);
         assert_eq!(snap, vec![("count".to_string(), Value::Int(0))]);
+        // The values frozen by the restart's crash are not read while
+        // the new incarnation runs.
+        c.execute(1, &ActionInstance::nullary("bump")).unwrap();
+        c.execute(1, &ActionInstance::nullary("bump")).unwrap();
+        assert_eq!(
+            c.aggregate_snapshot(&[1, 2]).unwrap(),
+            vec![(
+                "count".to_string(),
+                Value::fun([
+                    (Value::Int(1), Value::Int(2)),
+                    (Value::Int(2), Value::Int(0))
+                ])
+            )]
+        );
     }
 
     #[test]
@@ -852,10 +875,7 @@ mod tests {
             // runs on a respawned sandbox.
             assert_eq!(c.offers().unwrap().len(), 1);
             c.execute(2, &ActionInstance::nullary("tick")).unwrap();
-            assert_eq!(
-                c.snapshot_node(2).unwrap(),
-                vec![("x".to_string(), Value::Int(0))]
-            );
+            assert_eq!(vars_of(&mut c, 2), vec![("x".to_string(), Value::Int(0))]);
             // Shutdown must not block on the stuck thread either.
             c.shutdown();
             assert!(
@@ -919,7 +939,7 @@ mod tests {
             c.execute(id, &ActionInstance::nullary("tick")).unwrap();
             readings.push(handle.clock.now_nanos());
         }
-        c.snapshot_node(2).unwrap();
+        vars_of(&mut c, 2);
         readings.push(handle.clock.now_nanos());
         let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
         assert!(matches!(err, ClusterError::Unresponsive(1)));

@@ -38,13 +38,22 @@ impl VarRegistry {
     }
 
     /// Snapshot of all shadow values (the node's `checkAllStates`
-    /// payload).
+    /// payload), kept by the cluster for a node that went down.
     pub fn snapshot(&self) -> Vec<(String, Value)> {
         self.vars
             .lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
+    }
+
+    /// Visits every shadow value in name order under the registry's
+    /// lock, copying nothing: a live node's snapshot reads through
+    /// this straight into the cluster's aggregate.
+    pub fn for_each(&self, mut visit: impl FnMut(&str, &Value)) {
+        for (name, value) in self.vars.lock().iter() {
+            visit(name, value);
+        }
     }
 }
 
