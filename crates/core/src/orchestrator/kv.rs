@@ -1,7 +1,7 @@
-//! The `head k=v k=v` line codec behind `supervisor.log`, the
-//! quarantine logs and the lease body.
+//! The `head k=v k=v` line codec behind the quarantine logs and the
+//! lease body.
 //!
-//! A line is an optional head word (`elect`, `crash:`; a lease body
+//! A line is an optional head word (`crash:`, `poison:`; a lease body
 //! has none) followed by whitespace-separated `key=value` tokens. A
 //! value of `-` means absent. Readers ignore keys they do not know, so
 //! a newer writer can add one; a token without `=` makes the whole

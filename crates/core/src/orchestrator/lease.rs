@@ -19,8 +19,11 @@
 //! overwritten without attribution. Retiring writes the done marker,
 //! then removes the record and the lock file.
 //!
-//! Hangs are the supervisor's business: a record unchanged for
-//! [`LeaseConfig::ttl`] gets its owner SIGKILLed, which frees the lock.
+//! A worker with nothing to claim blocks on a busy shard's lock
+//! ([`wait_unlocked`]) until its holder retires the shard, releases it
+//! or dies. Hangs are the supervisor's business: a record unchanged for
+//! [`LeaseConfig::ttl`] gets the process it names SIGKILLed, which
+//! frees the lock.
 
 use std::fs;
 use std::io;
@@ -31,14 +34,17 @@ use std::time::Duration;
 use super::kv;
 use super::lock::{DirLock, LockError};
 use super::procs::self_token;
+use crate::artifact::CampaignJournal;
 use crate::fsio;
 use crate::fsio::points;
 
-/// Lease timing.
+/// Lease timing; both fields are the supervisor's, a worker reads
+/// neither.
 #[derive(Debug, Clone)]
 pub struct LeaseConfig {
-    /// How long a worker that found nothing to claim idles before it
-    /// scans the shards again.
+    /// The supervisor's scan period: how often, between worker exits,
+    /// it looks at the done markers, the drain marker and the lease
+    /// records.
     pub heartbeat: Duration,
     /// How long a lease record may stay unchanged (same owner, same
     /// case in flight) before the supervisor SIGKILLs its owner as hung.
@@ -48,7 +54,7 @@ pub struct LeaseConfig {
 impl Default for LeaseConfig {
     fn default() -> Self {
         LeaseConfig {
-            heartbeat: Duration::from_millis(300),
+            heartbeat: Duration::from_millis(100),
             ttl: Duration::from_secs(30),
         }
     }
@@ -135,6 +141,21 @@ pub fn shard_data_dir(campaign_dir: &Path, shard: usize) -> PathBuf {
 /// Takes `shard`'s ownership lock (`shard-<s>.lock`) without waiting.
 pub(super) fn lock_shard(campaign_dir: &Path, shard: usize) -> Result<DirLock, LockError> {
     DirLock::acquire(&shards_dir(campaign_dir), &format!("shard-{shard}.lock"))
+}
+
+/// Blocks until nobody holds `shard`'s lock, or with `journal` its
+/// journal's lock. A lock file this open re-created after the shard
+/// retired is removed again, as [`try_claim`] does.
+pub(super) fn wait_unlocked(campaign_dir: &Path, shard: usize, journal: bool) -> io::Result<()> {
+    let lock = if journal {
+        DirLock::wait(&shard_data_dir(campaign_dir, shard), CampaignJournal::LOCK_FILE_NAME)
+    } else {
+        DirLock::wait(&shards_dir(campaign_dir), &format!("shard-{shard}.lock"))
+    }?;
+    if done_path(campaign_dir, shard).exists() {
+        let _ = fs::remove_file(lock.path());
+    }
+    Ok(())
 }
 
 /// The parsed lease record at `path`; `None` when it is missing or
@@ -252,13 +273,15 @@ impl LeaseHandle {
     }
 
     /// Retires the shard: atomic done marker first, then the record and
-    /// the lock file. Every claimer re-checks the marker under the
-    /// lock, so removing the lock file here cannot admit a second
-    /// owner, and a crash in between leaves a done shard.
+    /// the lock file, and the lock itself, so a worker waiting on it
+    /// wakes now rather than when this handle drops. Every claimer
+    /// re-checks the marker under the lock, so neither can admit a
+    /// second owner, and a crash in between leaves a done shard.
     pub fn mark_done(&self) -> io::Result<()> {
         write_lease(&self.done, &self.info.lock().unwrap(), points::LEASE_DONE)?;
         let _ = fs::remove_file(&self.record);
         let _ = fs::remove_file(self.lock.path());
+        self.lock.release();
         Ok(())
     }
 }
@@ -371,7 +394,7 @@ mod tests {
         assert!(done_path(&dir, 3).exists());
         assert!(!lease_path(&dir, 3).exists());
         assert!(!shards_dir(&dir).join("shard-3.lock").exists());
-        // Still held until dropped, yet nobody can claim a retired shard.
+        // The handle lives on, and nobody can claim a retired shard.
         assert!(matches!(claim(&dir, 3, 1, &mut noop), ClaimOutcome::Done));
         drop(h);
         assert!(matches!(claim(&dir, 3, 1, &mut noop), ClaimOutcome::Done));

@@ -1,8 +1,10 @@
 //! Cross-process exclusive locks: one `flock` per lock file.
 //!
 //! A [`DirLock`] opens `dir/file_name`, creating it if needed, and takes
-//! an exclusive `flock` on it without waiting ([`File::try_lock`]). The
-//! kernel arbitrates: one open file holds the lock, a second open of
+//! an exclusive `flock` on it, either without waiting
+//! ([`DirLock::acquire`], [`File::try_lock`]) or by sleeping in the
+//! kernel until the holder lets go ([`DirLock::wait`], [`File::lock`]).
+//! The kernel arbitrates: one open file holds the lock, a second open of
 //! the same file conflicts even within one process, and the lock is
 //! released the moment its holder's process dies, however it dies. So
 //! there is no staleness to judge and nothing to take over. Dropping a
@@ -15,7 +17,8 @@
 //!
 //! The supervisor claims a campaign directory with one (`journal.lock`),
 //! a campaign journal stops two writers interleaving appends with one,
-//! and a worker claims a shard with one (`shards/shard-<s>.lock`).
+//! a worker claims a shard with one (`shards/shard-<s>.lock`), and a
+//! worker process waits for its slot with one (`worker-<id>/worker.lock`).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions, TryLockError};
@@ -67,41 +70,65 @@ impl DirLock {
     /// needed. Fails at once with [`LockError::Held`] while another open
     /// file holds it.
     pub fn acquire(dir: &Path, file_name: &str) -> Result<Self, LockError> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(file_name);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
+        let (path, file) = open(dir, file_name)?;
         match file.try_lock() {
-            Ok(()) => {}
+            Ok(()) => Ok(DirLock::held(path, file)),
             Err(TryLockError::WouldBlock) => {
                 let owner_pid = fs::read_to_string(&path)
                     .ok()
                     .and_then(|text| text.split_whitespace().next()?.parse().ok())
                     .unwrap_or(0);
-                return Err(LockError::Held { path, owner_pid });
+                Err(LockError::Held { path, owner_pid })
             }
-            Err(TryLockError::Error(e)) => return Err(LockError::Io(e)),
+            Err(TryLockError::Error(e)) => Err(LockError::Io(e)),
         }
+    }
+
+    /// Locks `dir/file_name` exclusively like [`acquire`](Self::acquire),
+    /// but blocks until the holder lets go: it unlocks, drops the lock or
+    /// dies.
+    pub fn wait(dir: &Path, file_name: &str) -> io::Result<Self> {
+        let (path, file) = open(dir, file_name)?;
+        file.lock()?;
+        Ok(DirLock::held(path, file))
+    }
+
+    /// Stamps our pid into a file we now hold the lock on.
+    fn held(path: PathBuf, mut file: File) -> Self {
         let _ = file
             .set_len(0)
             .and_then(|()| writeln!(file, "{}", std::process::id()));
-        Ok(DirLock { path, file })
+        DirLock { path, file }
     }
 
     /// The lock file's path.
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Unlocks before the handle drops, waking whoever waits on it.
+    pub(super) fn release(&self) {
+        let _ = self.file.unlock();
+    }
 }
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        let _ = self.file.unlock();
+        self.release();
     }
+}
+
+/// Opens (creating `dir` and the file if needed) the lock file.
+fn open(dir: &Path, file_name: &str) -> io::Result<(PathBuf, File)> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)?;
+    Ok((path, file))
 }
 
 #[cfg(test)]
@@ -157,6 +184,32 @@ mod tests {
         fs::write(dir.join("t.lock"), "").unwrap();
         let lock = DirLock::acquire(&dir, "t.lock").expect("empty lock must be taken over");
         drop(lock);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `wait` takes a free lock at once, and blocks on a held one, held
+    /// even by a second open in this same process, until that holder
+    /// drops it.
+    #[test]
+    fn wait_blocks_until_the_holder_drops() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+
+        let dir = tmp("wait");
+        drop(DirLock::wait(&dir, "t.lock").expect("a free lock is taken at once"));
+        let holder = DirLock::acquire(&dir, "t.lock").unwrap();
+        let (tx, rx) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let lock = DirLock::wait(&dir, "t.lock").unwrap();
+                tx.send(()).unwrap();
+                drop(lock);
+            });
+            let early = rx.recv_timeout(Duration::from_millis(200));
+            assert_eq!(early, Err(RecvTimeoutError::Timeout), "took a held lock");
+            drop(holder);
+            rx.recv().expect("the waiter takes the lock once it is dropped");
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 

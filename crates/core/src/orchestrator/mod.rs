@@ -4,9 +4,10 @@
 //! [`plan`](crate::orchestrator::CampaignPlan) of cases, per-shard
 //! lease files forming a file-backed work queue, per-shard journals
 //! and replay artifacts, and a deterministic merge that rebuilds the
-//! canonical top-level outputs from the verdict set. Who holds a shard
-//! or the directory is decided by the kernel: each is one `flock`,
-//! released when its holder dies. The supervisor
+//! canonical top-level outputs from the verdict set. Who holds a shard,
+//! a worker slot or the directory is decided by the kernel: each is one
+//! `flock`, released when its holder dies, and whoever waits for one
+//! sleeps in the kernel, not in a poll loop. The supervisor
 //! (`mocket-cli campaign`) spawns N crash-isolated worker processes
 //! (`mocket-cli campaign-worker`, hidden) and survives worker
 //! crashes, hangs, `kill -9`, SIGINT drains and full restarts of the
@@ -17,7 +18,6 @@
 //!
 //! ```text
 //! <dir>/journal.lock            supervisor's exclusive claim (flock)
-//! <dir>/supervisor.log          elections, spawns, reaps (for adoption)
 //! <dir>/plan.txt                pinned case set + shard arithmetic
 //! <dir>/drain                   transient drain request marker
 //! <dir>/shards/shard-<s>.lock   shard ownership (flock; gone once done)
@@ -25,8 +25,9 @@
 //! <dir>/shards/shard-<s>.done   shard retirement marker
 //! <dir>/shards/shard-<s>/       shard journal (+ journal.lock until
 //!                               done) and replay artifacts
-//! <dir>/worker-<id>/            events.jsonl (streamed), worker.log, and
-//!                               one run-summary.json at worker exit
+//! <dir>/worker-<id>/            worker.lock (slot flock), events.jsonl
+//!                               (streamed), worker.log, and one
+//!                               run-summary.json at worker exit
 //! <dir>/quarantine/             poison cases (crashes.log, artifacts)
 //! <dir>/journal.log ...         canonical merged outputs
 //! ```
@@ -48,12 +49,12 @@ pub use lock::{DirLock, LockError};
 pub use merge::{merge_campaign, MergeInputs, MergeReport};
 pub use plan::{CampaignPlan, PlanCase, PLAN_FILE_NAME};
 pub use procs::{
-    ignore_sigint, install_sigint_flag, pid_alive, proc_start_token, same_process, self_token,
-    send_signal, sigkill_self, SIGINT, SIGKILL,
+    ignore_sigint, install_sigint_flag, same_process, self_token, send_signal, sigkill_self,
+    SIGINT, SIGKILL,
 };
 pub use supervisor::{
-    adoptable_workers, supervise, sweep_dead_leases, CampaignOutcome, SupervisorConfig,
-    SupervisorEvent, SupervisorJournal, EXIT_PLAN_MISMATCH, INJECT_SUPERVISOR_CRASH_ENV,
+    supervise, sweep_dead_leases, CampaignOutcome, SupervisorConfig, EXIT_PLAN_MISMATCH,
+    INJECT_SUPERVISOR_CRASH_ENV,
 };
 pub use worker::{
     clear_drain_marker, drain_requested, load_crashes, load_poisoned, record_worker_crash,

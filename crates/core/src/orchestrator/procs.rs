@@ -1,14 +1,14 @@
 //! Minimal process-control shims for the campaign orchestrator.
 //!
 //! The workspace carries no `libc` crate, so the handful of raw calls
-//! the supervisor needs — liveness probes (`kill(pid, 0)`) for adopting
-//! a previous supervisor's workers, SIGINT capture and self-delivered
-//! signals for crash-injection tests — are declared directly against
-//! the C library `std` already links on Unix. Shard and directory
-//! ownership needs none of them: it is an `flock` (see `lock`).
-//! Everything is gated behind `cfg(unix)`; other platforms get
-//! conservative fallbacks (never treat a pid as dead, never install a
-//! handler), which weakens adoption but keeps the build green.
+//! the orchestrator needs — liveness probes (`kill(pid, 0)`) before the
+//! hang rule kills the process a lease record names, SIGINT capture
+//! and self-delivered signals for crash-injection tests — are declared
+//! directly against the C library `std` already links on Unix. Shard,
+//! slot and directory ownership needs none of them: it is an `flock`
+//! (see `lock`). Everything is gated behind `cfg(unix)`; other
+//! platforms get conservative fallbacks (never treat a pid as dead,
+//! never install a handler), which keeps the build green.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -31,7 +31,7 @@ mod sys {
 /// `kill(pid, 0)` probe: delivery of the null signal checks existence
 /// without touching the target. `EPERM` means "exists but not ours",
 /// which still counts as alive.
-pub fn pid_alive(pid: u32) -> bool {
+fn pid_alive(pid: u32) -> bool {
     #[cfg(unix)]
     {
         let Ok(pid) = i32::try_from(pid) else {
@@ -78,7 +78,7 @@ pub fn send_signal(pid: u32, sig: i32) -> bool {
 /// successor. `None` where no such marker is available (non-Linux, or
 /// the process vanished mid-read); callers must then fall back to
 /// `pid_alive` alone.
-pub fn proc_start_token(pid: u32) -> Option<u64> {
+fn proc_start_token(pid: u32) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;

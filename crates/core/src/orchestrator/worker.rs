@@ -38,7 +38,9 @@ use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 
 use super::kv;
-use super::lease::{shard_data_dir, try_claim, ClaimOutcome, LeaseConfig, LeaseHandle, LeaseInfo};
+use super::lease::{
+    shard_data_dir, try_claim, wait_unlocked, ClaimOutcome, LeaseConfig, LeaseHandle, LeaseInfo,
+};
 use super::plan::CampaignPlan;
 use super::procs::sigkill_self;
 use crate::fsio::{points, AppendLog, LineIssue};
@@ -323,8 +325,8 @@ pub struct WorkerConfig {
     pub campaign_dir: PathBuf,
     /// This worker's slot id under the supervisor.
     pub worker_id: usize,
-    /// Lease timing: a worker uses `heartbeat` as its idle re-scan
-    /// interval (`ttl` is the supervisor's).
+    /// Lease timing. A worker reads neither field: with nothing to
+    /// claim it blocks on a busy shard's lock instead of idling.
     pub lease: LeaseConfig,
     /// Crash count at which a case is quarantined.
     pub poison_threshold: usize,
@@ -490,6 +492,10 @@ where
     let outcome = 'scan: loop {
         let mut all_done = true;
         let mut progressed = false;
+        // What to block on if this scan claims nothing: the lock of the
+        // first shard another worker holds, or (`true`) of a shard
+        // journal someone else has open.
+        let mut blocker: Option<(usize, bool)> = None;
         for i in 0..shard_count {
             if drain_requested(&cfg.campaign_dir) {
                 break 'scan WorkerOutcome::Drained;
@@ -544,6 +550,7 @@ where
                 ClaimOutcome::Done => continue,
                 ClaimOutcome::Busy => {
                     all_done = false;
+                    blocker.get_or_insert((shard, false));
                     continue;
                 }
                 ClaimOutcome::Claimed(handle) => handle,
@@ -563,7 +570,7 @@ where
                 gate: make_gate(cfg, lease.clone(), poisoned),
             };
             let pipeline = build_pipeline(&setup);
-            let run = run.get_or_insert_with(|| pipeline.new_run(&graph, ctx.paths.len()));
+            let run = run.get_or_insert_with(|| pipeline.new_run(ctx.paths.len()));
             // The window's evidence (reports, artifact paths) is on
             // disk in the shard directory; only its tallies are kept.
             let window = pipeline.run_window(run, &graph, ctx.paths, &mut make_sut);
@@ -573,11 +580,13 @@ where
                 Err(conflict) => {
                     // Another open of the shard journal holds its lock.
                     // Release the shard (the lease drops with this
-                    // iteration) and come back to it.
+                    // iteration) and come back to it once that lock is
+                    // free.
                     eprintln!(
                         "[mocket-worker {}] shard {shard} journal busy, will retry: {conflict}",
                         cfg.worker_id
                     );
+                    blocker = Some((shard, true));
                     progressed = false;
                     continue;
                 }
@@ -595,10 +604,11 @@ where
         if all_done {
             break WorkerOutcome::Completed;
         }
-        if !progressed {
-            // Everything claimable is busy: idle one heartbeat before
-            // rescanning.
-            std::thread::sleep(cfg.lease.heartbeat);
+        if let (false, Some((shard, journal))) = (progressed, blocker) {
+            // Everything claimable is busy: sleep in the kernel until
+            // the blocking lock's holder retires or releases the shard,
+            // or dies, then rescan.
+            wait_unlocked(&cfg.campaign_dir, shard, journal)?;
         }
     };
     if let (Some(run), Some(pipeline)) = (run, last_pipeline) {
@@ -731,6 +741,93 @@ mod tests {
         assert_eq!(events.matches("\"event\":\"run.done\"").count(), 0);
         assert!(!worker_dir.join("run-summary.json").exists(), "stale summary");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two workers with a 60 s heartbeat share four shards, the last of
+    /// which this test holds until both have run out of claimable work.
+    /// An idle worker sleeps on that shard's lock rather than for a
+    /// heartbeat, so both finish as soon as the test lets go, and no
+    /// lock file outlives its retired shard.
+    #[test]
+    fn idle_workers_wake_when_the_busy_shard_is_released() {
+        use crate::orchestrator::lease::{done_path, lock_shard, shards_dir};
+        use crate::pipeline::tests::{registry, CounterSpec, CounterSut};
+        use crate::pipeline::PipelineConfig;
+        use std::time::Duration;
+
+        let dir = &tmp("idle");
+        let config = |obs: &mocket_obs::Obs, setup: Option<&ShardSetup>| {
+            let mut pc = PipelineConfig::default();
+            (pc.por, pc.stop_at_first_bug, pc.max_path_len) = (false, false, 3);
+            pc.obs = obs.clone();
+            if let Some(setup) = setup {
+                pc.case_range = Some(setup.range);
+                pc.case_gate = Some(setup.gate.clone());
+                pc.triage.campaign_dir = Some(setup.shard_dir.clone());
+            }
+            Pipeline::new(Arc::new(CounterSpec), registry(), pc).unwrap()
+        };
+        let base = config(&mocket_obs::Obs::disabled(), None);
+        let (graph, _) = base.check();
+        let (paths, ..) = base.generate_paths(&graph);
+        let paths: Vec<_> = paths.iter().cycle().take(4).cloned().collect();
+        let plan = CampaignPlan::pin("counter", None, 1_000_000, 3, 0, 1, &graph, &paths);
+        let last = plan.shard_count() - 1;
+        let run_cfg = RunConfig::default();
+        let ctx = &WorkerContext {
+            plan: &plan,
+            spec_name: "Counter",
+            spec_config: "test",
+            run: &run_cfg,
+            paths: &paths,
+            check_seconds: 0.0,
+        };
+        let held = lock_shard(dir, last).unwrap();
+        let (finished, finishes) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for worker_id in 0..2 {
+                let cfg = WorkerConfig {
+                    campaign_dir: dir.clone(),
+                    worker_id,
+                    lease: LeaseConfig {
+                        heartbeat: Duration::from_secs(60),
+                        ..LeaseConfig::default()
+                    },
+                    poison_threshold: 3,
+                    plan_hash: plan.stable_hash(),
+                    inject: InjectionConfig::default(),
+                };
+                let (graph, finished) = (graph.clone(), finished.clone());
+                scope.spawn(move || {
+                    let obs = mocket_obs::Obs::jsonl_in(&dir.join(format!("worker-{worker_id}")));
+                    let obs = obs.unwrap();
+                    let build = |setup: &ShardSetup| config(&obs, Some(setup));
+                    let sut = || -> Box<dyn SystemUnderTest> {
+                        Box::new(CounterSut { n: 0, buggy: false })
+                    };
+                    worker_loop(&cfg, ctx, graph, build, sut).unwrap();
+                    finished.send(()).unwrap();
+                });
+            }
+            for _ in 0..30_000 {
+                if (0..last).all(|s| done_path(dir, s).exists()) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Time for both workers to find the held shard busy.
+            std::thread::sleep(Duration::from_millis(100));
+            drop(held);
+            for _ in 0..2 {
+                let done = finishes.recv_timeout(Duration::from_secs(30));
+                done.expect("a worker idled through the release");
+            }
+        });
+        assert!(done_path(dir, last).exists());
+        let locks = fs::read_dir(shards_dir(dir)).unwrap().map(|e| e.unwrap().file_name());
+        let locks: Vec<_> = locks.filter(|n| n.to_string_lossy().ends_with(".lock")).collect();
+        assert!(locks.is_empty(), "{locks:?}");
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

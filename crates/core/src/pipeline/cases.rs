@@ -29,8 +29,9 @@ use super::outputs::BugTally;
 use super::{AttemptRecord, CaseGate, Pipeline, QuarantinedCase};
 
 /// The tallies of one run, over however many windows it drives:
-/// counts, a coverage map the size of the graph, and the persistence
-/// problems met. Nothing here grows with the number of cases driven.
+/// counts, a coverage map the size of the graph when the run writes its
+/// own outputs, and the persistence problems met. Nothing here grows
+/// with the number of cases driven.
 #[derive(Default)]
 pub(crate) struct Run {
     pub(super) cases_selected: usize,
@@ -48,8 +49,9 @@ pub(crate) struct Run {
     pub(super) issues: Vec<String>,
     /// Per-edge/per-action hit counts over every case the run disposed
     /// of (run, journal-skipped or quarantined) — the overlay and the
-    /// uncovered-edge listing come from this.
-    pub(super) coverage: CoverageMap,
+    /// uncovered-edge listing come from this. `None` for a campaign
+    /// worker's run, whose coverage the merge rebuilds from the plan.
+    pub(super) coverage: Option<CoverageMap>,
 }
 
 /// What a closed window hands back besides the tallies: the evidence
@@ -75,12 +77,15 @@ pub(super) struct Window<'r> {
 }
 
 impl Window<'_> {
-    /// Folds one disposed case into the run's coverage map.
+    /// Folds one disposed case into the run's coverage map, if it keeps
+    /// one.
     pub(super) fn cover(&mut self, path: &[EdgeId]) {
-        self.run.coverage.record_case(
-            path.iter().map(|e| e.0),
-            path.iter().map(|&e| self.graph.edge(e).action.name.as_str()),
-        );
+        if let Some(coverage) = self.run.coverage.as_mut() {
+            coverage.record_case(
+                path.iter().map(|e| e.0),
+                path.iter().map(|&e| self.graph.edge(e).action.name.as_str()),
+            );
+        }
     }
 
     /// Journals a verdict; a failed append is an issue, not an abort.
@@ -104,14 +109,14 @@ pub(super) struct Case<'a> {
 }
 
 impl Pipeline {
-    /// A run with nothing tallied yet, beginning now.
-    pub(crate) fn new_run(&self, graph: &StateGraph, cases_selected: usize) -> Run {
+    /// A run with nothing tallied yet, beginning now, that keeps no
+    /// coverage map.
+    pub(crate) fn new_run(&self, cases_selected: usize) -> Run {
         let now = self.config.clock.now();
         Run {
             cases_selected,
             run_start: now,
             test_start: now,
-            coverage: CoverageMap::new(graph.edge_count()),
             ..Run::default()
         }
     }

@@ -440,7 +440,8 @@ impl Pipeline {
 
         let mut run = Run {
             run_start,
-            ..self.new_run(&graph, paths.len())
+            coverage: Some(CoverageMap::new(graph.edge_count())),
+            ..self.new_run(paths.len())
         };
         let window = self.run_window(&mut run, &graph, &paths, &mut make_sut);
         self.finish(run, window, graph, check_seconds)

@@ -84,15 +84,15 @@ fn write_outputs(
     dir: &Path,
     graph: &StateGraph,
     summary: &RunSummary,
-    run: &mut Run,
+    coverage: &CoverageMap,
+    issues: &mut Vec<String>,
     reports: &[BugReport],
     frontier_edges: usize,
 ) {
-    let issues = &mut run.issues;
     if let Err(e) = summary.write_to(dir) {
         issues.push(format!("run summary write failed: {e}"));
     }
-    for (name, e) in write_insight(dir, graph, &run.coverage, points::INSIGHT_WRITE) {
+    for (name, e) in write_insight(dir, graph, coverage, points::INSIGHT_WRITE) {
         issues.push(format!("{name} write failed: {e}"));
     }
     let minimized = || reports.iter().filter(|r| r.minimized.is_some());
@@ -213,19 +213,31 @@ impl Pipeline {
             run.issues.push(message.clone());
         }
         let (effort, summary) = self.summarise(&run, &graph, check_seconds);
+        let coverage = run
+            .coverage
+            .take()
+            .expect("run_prepared, the only run that finishes, keeps a coverage map");
 
         // A locked directory gets not a byte (interleaved appends would
         // corrupt both campaigns); an aborted run claims no frontier.
         let mut frontier = Vec::new();
         if lock_conflict.is_none() {
-            frontier = uncovered_frontier(&graph, run.coverage.edge_hits());
+            frontier = uncovered_frontier(&graph, coverage.edge_hits());
             obs.metrics()
                 .set_gauge("coverage.frontier_edges", frontier.len() as f64);
             // The summary and the insight artifacts land next to
             // events.jsonl when obs streams to a directory, otherwise
             // next to the replay artifacts.
             if let Some(dir) = obs.dir().or(self.config.triage.campaign_dir.as_deref()) {
-                write_outputs(dir, &graph, &summary, &mut run, &window.reports, frontier.len());
+                write_outputs(
+                    dir,
+                    &graph,
+                    &summary,
+                    &coverage,
+                    &mut run.issues,
+                    &window.reports,
+                    frontier.len(),
+                );
             }
         }
         obs.flush();
@@ -241,7 +253,7 @@ impl Pipeline {
             artifacts: window.artifacts,
             journal_issues: run.issues,
             summary,
-            coverage: run.coverage,
+            coverage,
             frontier,
             lock_conflict,
             stopped_by_gate: window.stopped_by_gate,

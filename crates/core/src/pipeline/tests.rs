@@ -532,7 +532,7 @@ fn two_windows_leave_the_journal_of_one_run() {
 
     // The same cases as two windows of one run: nothing is generated,
     // nothing summarised, and the tallies carry over.
-    let mut run = pipeline((a, b), &split_dir).new_run(&graph, paths.len());
+    let mut run = pipeline((a, b), &split_dir).new_run(paths.len());
     let mut reports = 0;
     for range in [(a, m), (m, b)] {
         let window = pipeline(range, &split_dir)

@@ -69,8 +69,6 @@ pub mod points {
     pub const JOURNAL_APPEND: &str = "journal.append";
     /// Quarantine forensics appends (`crashes.log`, `poisoned.log`).
     pub const QUARANTINE_APPEND: &str = "quarantine.append";
-    /// Supervisor journal append (`supervisor.log`).
-    pub const SUPERVISOR_JOURNAL: &str = "supervisor.journal";
     /// Canonical merged outputs (temp + rename each).
     pub const MERGE_WRITE: &str = "merge.write";
     /// `run-summary.json` atomic write (pipeline and merge).
@@ -638,10 +636,10 @@ impl std::fmt::Display for LineIssue {
 
 /// One line-per-record, append-only campaign file: the path plus the
 /// fault point its appends run under. Every such file (`journal.log`,
-/// `supervisor.log`, the quarantine logs, `campaign-history.jsonl`,
-/// `trace.jsonl`) is a record type on top of this; appends are
-/// [`append_line`]/[`append_bytes`] under [`RetryPolicy::io`], loads
-/// follow the one salvage rule of [`AppendLog::salvage`].
+/// the quarantine logs, `campaign-history.jsonl`, `trace.jsonl`) is a
+/// record type on top of this; appends are [`append_line`]/
+/// [`append_bytes`] under [`RetryPolicy::io`], loads follow the one
+/// salvage rule of [`AppendLog::salvage`].
 #[derive(Debug, Clone)]
 pub struct AppendLog {
     path: PathBuf,

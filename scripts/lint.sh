@@ -54,6 +54,23 @@ if grep -nE 'SystemTime|thread::sleep|thread::spawn' \
     fail=1
 fi
 
+# Nothing in the orchestrator polls: an idle worker sleeps on a busy
+# shard's flock, a re-run worker on its slot's flock, and the
+# supervisor on its children's exits (unit-test modules aside).
+while read -r file; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -q 'thread::sleep'; then
+        echo "error: $file sleeps outside its tests; wait on a lock (DirLock::wait) or a channel" >&2
+        fail=1
+    fi
+done < <(git ls-files 'crates/core/src/orchestrator/*.rs')
+
+# The supervisor keeps no journal: a worker slot is an flock
+# (worker-<id>/worker.lock), so there is nothing to adopt or replay.
+if git grep -nE 'supervisor\.log|SupervisorJournal' -- crates src tests; then
+    echo "error: supervisor journal named; worker slots are flocks, not journal records" >&2
+    fail=1
+fi
+
 # A shard is a case window of the worker's one run, not a run: the
 # orchestrator drives `Pipeline::run_window` and never the whole-run
 # entry point (which generates and summarises on every call).

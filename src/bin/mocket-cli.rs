@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use mocket::checker::{to_dot, EdgeId, ModelChecker, StateGraph};
 use mocket::core::orchestrator::{
-    clear_drain_marker, done_path, ignore_sigint, lease_path, merge_campaign, pid_alive,
+    clear_drain_marker, done_path, ignore_sigint, lease_path, merge_campaign, same_process,
     shard_data_dir, supervise, sweep_dead_leases, CampaignPlan, DirLock, InjectionConfig,
     LeaseConfig, LeaseInfo, LockError, MergeInputs, ShardSetup, SupervisorConfig,
     WorkerConfig, WorkerContext, EXIT_PLAN_MISMATCH,
@@ -52,8 +52,8 @@ fn usage() -> ! {
          [--rtt-spread-ms S]\n  \
          mocket-cli campaign <target> --campaign-dir DIR [--bug NAME] [--workers N] \
          [--limit N] [--max-states N] [--max-path-len N] [--shard-size N] \
-         [--poison-threshold K] [--max-restarts N] [--heartbeat-ms N] [--lease-ttl-ms N] \
-         [--progress] [--trace] [--sim] [--sim-seed S] [--rtt-ms B] [--rtt-spread-ms S]\n  \
+         [--poison-threshold K] [--max-restarts N] [--lease-ttl-ms N] [--progress] \
+         [--trace] [--sim] [--sim-seed S] [--rtt-ms B] [--rtt-spread-ms S]\n  \
          mocket-cli campaign --status --campaign-dir DIR [--watch] [--interval-ms N]\n  \
          mocket-cli report --obs-dir DIR [--html] [--out FILE]\n  \
          mocket-cli report --trace-view [--trace-file FILE | --obs-dir DIR] [--out FILE]\n  \
@@ -69,9 +69,9 @@ fn usage() -> ! {
 /// hidden `campaign-worker` is spawned with the campaign's own flags
 /// plus `--worker-id`, all of them listed here.
 const KNOWN_FLAGS: &[&str] = &[
-    "bug", "campaign-dir", "dot", "heartbeat-ms", "html", "interval-ms",
-    "lease-ttl-ms", "limit", "max-path-len", "max-restarts", "max-states", "obs-dir", "out",
-    "poison-threshold", "por", "priority-edges", "progress", "rtt-ms", "rtt-spread-ms", "seed",
+    "bug", "campaign-dir", "dot", "html", "interval-ms", "lease-ttl-ms", "limit",
+    "max-path-len", "max-restarts", "max-states", "obs-dir", "out", "poison-threshold", "por",
+    "priority-edges", "progress", "rtt-ms", "rtt-spread-ms", "seed",
     "shard-size", "sim", "sim-seed", "status", "steps", "trace", "trace-file", "trace-view",
     "watch", "worker-id", "workers",
 ];
@@ -408,8 +408,8 @@ fn prepare_campaign(
 
 fn lease_config(args: &Args) -> LeaseConfig {
     LeaseConfig {
-        heartbeat: Duration::from_millis(args.flag_usize("heartbeat-ms", 300) as u64),
         ttl: Duration::from_millis(args.flag_usize("lease-ttl-ms", 30_000) as u64),
+        ..LeaseConfig::default()
     }
 }
 
@@ -511,7 +511,6 @@ fn cmd_campaign(args: &Args) {
             backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(5),
         },
-        plan_hash: plan.stable_hash(),
         progress,
     };
     let exe = std::env::current_exe().unwrap_or_else(|e| {
@@ -567,13 +566,12 @@ fn cmd_campaign(args: &Args) {
 
     println!(
         "campaign {name}{}: {}/{} shards done, {} worker restart(s), \
-         {} hung worker(s) killed, {} adopted",
+         {} hung worker(s) killed",
         bug.map(|b| format!(" (bug: {b})")).unwrap_or_default(),
         outcome.shards_done,
         outcome.shard_count,
         outcome.restarts,
         outcome.hung_killed,
-        outcome.adopted,
     );
     println!(
         "merged: {} case(s) with verdicts, {} passed, {} unique failure(s), \
@@ -674,7 +672,7 @@ fn print_campaign_status(campaign_dir: &std::path::Path, plan: &CampaignPlan) ->
             match std::fs::read_to_string(lease_path(campaign_dir, shard)) {
                 Ok(text) => match LeaseInfo::parse(&text) {
                     Some(lease) => {
-                        let owner = if pid_alive(lease.pid) {
+                        let owner = if same_process(lease.pid, lease.token) {
                             "live"
                         } else {
                             "DEAD"
@@ -746,8 +744,15 @@ fn cmd_campaign_worker(args: &Args) -> ! {
     );
 
     // Workers stream their own observability under worker-<id>/; the
-    // campaign top level belongs to the supervisor's merge.
+    // campaign top level belongs to the supervisor's merge. One process
+    // writes a slot's directory: a worker left running by a killed
+    // supervisor holds the slot lock until it exits, and its successor
+    // sleeps on that lock until then.
     let worker_dir = campaign_dir.join(format!("worker-{worker_id}"));
+    let _slot = DirLock::wait(&worker_dir, "worker.lock").unwrap_or_else(|e| {
+        eprintln!("worker {worker_id}: cannot lock its slot: {e}");
+        std::process::exit(1);
+    });
     let obs = mocket::obs::Obs::jsonl_in(&worker_dir).unwrap_or_else(|e| {
         eprintln!("worker {worker_id}: obs dir unavailable ({e}); events disabled");
         mocket::obs::Obs::disabled()

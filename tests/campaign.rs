@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use mocket::core::orchestrator::{
-    done_path, lease_path, load_crashes, load_poisoned, send_signal, shard_data_dir, CampaignPlan,
-    LeaseInfo, SIGKILL,
+    done_path, lease_path, load_crashes, load_poisoned, self_token, send_signal, shard_data_dir,
+    CampaignPlan, LeaseInfo, SIGKILL,
 };
 use mocket::core::{CampaignJournal, ReplayArtifact};
 
@@ -364,6 +364,85 @@ fn drained_campaign_resumes_to_byte_identical_outputs() {
     assert_canonical_identical(&reference, &drained, "drained-and-resumed vs clean");
 }
 
+/// A campaign whose supervisor is SIGKILLed mid-run is re-run at once,
+/// while the workers it left behind still run. Each re-run worker
+/// sleeps on its slot's `worker.lock` until the orphan in that slot
+/// exits, so every `worker-<k>/events.jsonl` has one writer (its `seq`
+/// strictly increases), and the merged outputs match a clean run's.
+#[test]
+fn rerun_after_a_supervisor_kill_waits_for_the_orphaned_workers() {
+    let flags = ["--limit", "96"];
+    let clean = CampaignRun::new("orphans-clean");
+    assert!(clean.command(2, &flags).status().unwrap().success());
+
+    let run = CampaignRun::new("orphans");
+    let killed = run
+        .command(2, &flags)
+        .env("MOCKET_CAMPAIGN_INJECT_SUPERVISOR_CRASH", "1")
+        .status()
+        .unwrap();
+    assert!(!killed.success(), "the injected supervisor SIGKILL must fire");
+    // Workers exit only once every shard is done, so shards left now
+    // mean the orphans are still running when the re-run starts.
+    let shards = CampaignPlan::load(&run.dir).unwrap().unwrap().shard_count();
+    let done = (0..shards).filter(|&s| done_path(&run.dir, s).exists()).count();
+    assert!(done < shards, "the orphans finished before the re-run");
+    assert!(
+        run.command(2, &flags).status().unwrap().success(),
+        "the re-run must complete the campaign"
+    );
+    assert_canonical_identical(&clean, &run, "supervisor-killed-and-rerun vs clean");
+
+    for worker in ["worker-0", "worker-1"] {
+        let events = String::from_utf8(run.read(&format!("{worker}/events.jsonl"))).unwrap();
+        let seqs: Vec<u64> = events
+            .lines()
+            .map(|line| {
+                let rest = line.strip_prefix("{\"seq\":").expect("an event line");
+                rest[..rest.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "{worker}: two writers interleaved: {seqs:?}"
+        );
+    }
+}
+
+/// `campaign --status` calls a lease owner live only when pid *and*
+/// start token match: a record naming a live pid under another token,
+/// as a recycled pid would, is reported DEAD.
+#[cfg(target_os = "linux")]
+#[test]
+fn status_reports_a_recycled_lease_owner_dead() {
+    let run = CampaignRun::new("status-recycled");
+    assert!(run
+        .run_with(2, &[("MOCKET_CAMPAIGN_INJECT_DRAIN", "6")])
+        .success());
+    let shards = CampaignPlan::load(&run.dir).unwrap().unwrap().shard_count();
+    let shard = (0..shards)
+        .find(|&s| !done_path(&run.dir, s).exists())
+        .expect("a drained campaign leaves a shard unfinished");
+    let pid = std::process::id();
+    let recycled = LeaseInfo {
+        pid,
+        token: self_token().map(|t| t + 1),
+        worker: 0,
+        plan: None,
+        case: None,
+    };
+    std::fs::write(lease_path(&run.dir, shard), recycled.render()).unwrap();
+
+    let out = Command::new(CLI)
+        .args(["campaign", "--status", "--campaign-dir"])
+        .arg(&run.dir)
+        .output()
+        .expect("spawn campaign --status");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("(pid {pid} DEAD)")), "{stdout}");
+}
+
 /// Two supervisors on one campaign directory must not interleave: the
 /// second fails fast with a lock-held diagnostic while the first is
 /// alive, and succeeds once the lock is released.
@@ -403,6 +482,7 @@ fn unknown_flag_exits_2_naming_it() {
     for (argv, flag) in [
         (&["test", "xraft", "--sim", "--sim-sed", "7"][..], "--sim-sed"),
         (&["campaign", "xraft", "--worker", "4"][..], "--worker"),
+        (&["campaign", "xraft", "--heartbeat-ms", "10"][..], "--heartbeat-ms"),
     ] {
         let out = Command::new(CLI).args(argv).output().expect("spawn cli");
         assert_eq!(out.status.code(), Some(2), "{argv:?}");

@@ -16,8 +16,7 @@ use std::path::{Path, PathBuf};
 
 use mocket::core::orchestrator::{
     load_crashes, load_poisoned, record_worker_crash, CrashRecord, LeaseInfo, PoisonRecord,
-    SupervisorEvent, SupervisorJournal, CRASH_LOG_FILE_NAME, POISON_LOG_FILE_NAME,
-    QUARANTINE_DIR_NAME,
+    CRASH_LOG_FILE_NAME, POISON_LOG_FILE_NAME, QUARANTINE_DIR_NAME,
 };
 use mocket::core::{CampaignJournal, CaseOutcome, JournalEntry};
 use mocket::obs::causal::{parse_trace, CausalEvent, CausalKind};
@@ -29,9 +28,6 @@ use mocket::obs::{
 const JOURNAL_PASSED: &str = "case: 0123456789abcdef attempts=1 outcome=passed\n";
 const JOURNAL_FAILED: &str =
     "case: fedcba9876543210 attempts=2 det=deterministic outcome=failed Inconsistent state\n";
-const SUPERVISOR_ELECT: &str = "elect pid=100 tok=123456 plan=0123456789abcdef\n";
-const SUPERVISOR_SPAWN: &str = "spawn worker=1 pid=101 tok=- plan=0123456789abcdef\n";
-const SUPERVISOR_REAP: &str = "reap worker=1 pid=101\n";
 const CRASH: &str = "crash: case=7 hash=ffeeddccbbaa9988 worker=2 pid=4242\n";
 const POISON: &str = "poison: case=7 hash=ffeeddccbbaa9988 crashes=2\n";
 const LEASE_IDLE: &str = "pid=4242 tok=- worker=2 plan=- case=- hash=-\n";
@@ -191,39 +187,6 @@ fn append_after_a_torn_line_isolates_the_debris_instead_of_completing_it() {
     // Clean records around the debris are byte-for-byte the fixtures.
     let bytes = std::fs::read_to_string(dir.join(CampaignJournal::FILE_NAME)).unwrap();
     assert!(bytes.starts_with(JOURNAL_PASSED) && bytes.ends_with(JOURNAL_FAILED));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn supervisor_lines_roundtrip_and_append_verbatim() {
-    let dir = tmp("supervisor");
-    let journal = SupervisorJournal::open(&dir);
-    for fixture in [SUPERVISOR_ELECT, SUPERVISOR_SPAWN, SUPERVISOR_REAP] {
-        let event = SupervisorEvent::parse_line(fixture.trim_end()).unwrap();
-        assert_eq!(format!("{}\n", event.render_line()), fixture);
-        journal.append(&event).unwrap();
-    }
-    assert_eq!(
-        SupervisorEvent::parse_line(SUPERVISOR_SPAWN.trim_end()),
-        Some(SupervisorEvent::Spawn {
-            worker: 1,
-            pid: 101,
-            token: None,
-            plan: "0123456789abcdef".into(),
-        })
-    );
-    let bytes = std::fs::read_to_string(dir.join(SupervisorJournal::FILE_NAME)).unwrap();
-    assert_eq!(bytes, [SUPERVISOR_ELECT, SUPERVISOR_SPAWN, SUPERVISOR_REAP].concat());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn supervisor_journal_salvages_prefix_and_distrusts_torn_line() {
-    let dir = tmp("supervisor-salvage");
-    write(&dir, SupervisorJournal::FILE_NAME, &dirty(SUPERVISOR_SPAWN));
-    let (events, issues) = SupervisorJournal::load(&dir).split();
-    assert_eq!(events.len(), 1, "the torn spawn must not be replayed");
-    assert_eq!(issues, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
