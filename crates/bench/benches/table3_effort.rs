@@ -65,7 +65,7 @@ fn measure(name: &'static str, target: Target) -> SystemRow {
         let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
         let mut sut = target.sut(Backend::Threads, None);
         let (outcome, _) = run_test_case(
-            &mut sut,
+            sut.as_mut(),
             &tc,
             &target.registry,
             &final_enabled,

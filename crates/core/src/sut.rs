@@ -216,6 +216,13 @@ pub trait SystemUnderTest {
     /// The default is a no-op: targets that cannot trace simply stay
     /// silent and the trace still carries the scheduler-level events.
     fn install_tracer(&mut self, _tracer: &mocket_obs::causal::Tracer) {}
+
+    /// A copy of the deployment as it stands, stepping independently
+    /// of this one (an installed tracer and a simulated clock stay
+    /// shared). `None` when the system cannot be copied.
+    fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -16,5 +16,5 @@ pub use faults::{
     FaultDecision, FaultParseError, FaultPlan, FaultPlanConfig, PartitionEdict, TraceEntry,
 };
 pub use net::{Envelope, Net, NetStats, NodeId};
-pub use storage::{ClusterStorage, Storage};
+pub use storage::Storage;
 pub use wire::{Wire, WireError};

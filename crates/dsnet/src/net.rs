@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use mocket_obs::causal::{MsgTag, Tracer};
 use mocket_sim::{Clock, RealClock};
-use parking_lot::Mutex;
 
 use crate::faults::{FaultDecision, FaultPlan, TraceEntry};
 use crate::wire::{Wire, WireError};
@@ -56,13 +55,17 @@ enum Hold {
 }
 
 /// A message held back by a delay fault.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Delayed<M> {
     hold: Hold,
     env: Envelope<M>,
 }
 
-struct Inner<M> {
+/// The simulated network of one deployment. The deployment owns it
+/// and lends it to one node step at a time, so it needs no lock, and
+/// copying the deployment copies it.
+#[derive(Clone)]
+pub struct Net<M> {
     inboxes: BTreeMap<NodeId, Vec<Envelope<M>>>,
     delayed: BTreeMap<NodeId, Vec<Delayed<M>>>,
     /// Scripted cuts: normalized node pairs that cannot talk.
@@ -70,7 +73,8 @@ struct Inner<M> {
     plan: Option<FaultPlan>,
     /// The time source delay deadlines and time-mode partitions run
     /// against: wall clock by default, the shared `SimClock` under
-    /// the virtual-time backend (see [`Net::set_clock`]).
+    /// the virtual-time backend (see [`Net::set_clock`]). A copy of
+    /// the network shares it.
     clock: Arc<dyn Clock>,
     /// Causal-trace recorder for message fates; inert by default.
     tracer: Tracer,
@@ -91,7 +95,7 @@ fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-impl<M> Inner<M> {
+impl<M> Net<M> {
     /// Current clock reading in nanoseconds.
     fn now_nanos(&self) -> u64 {
         u64::try_from(self.clock.now().as_nanos()).unwrap_or(u64::MAX)
@@ -168,19 +172,13 @@ impl<M> Inner<M> {
     }
 }
 
-/// A shared, thread-safe simulated network.
-pub struct Net<M> {
-    inner: Mutex<Inner<M>>,
-}
-
 impl<M> fmt::Debug for Net<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("Net")
-            .field("nodes", &inner.inboxes.len())
-            .field("in_flight", &inner.inboxes.values().map(Vec::len).sum::<usize>())
-            .field("delayed", &inner.delayed.values().map(Vec::len).sum::<usize>())
-            .field("sent", &inner.sent)
+            .field("nodes", &self.inboxes.len())
+            .field("in_flight", &self.inboxes.values().map(Vec::len).sum::<usize>())
+            .field("delayed", &self.delayed.values().map(Vec::len).sum::<usize>())
+            .field("sent", &self.sent)
             .finish_non_exhaustive()
     }
 }
@@ -206,39 +204,37 @@ pub struct NetStats {
 
 impl<M: Wire + Clone> Net<M> {
     /// Creates a network with inboxes for `nodes`.
-    pub fn new<I: IntoIterator<Item = NodeId>>(nodes: I) -> Arc<Self> {
-        Arc::new(Net {
-            inner: Mutex::new(Inner {
-                inboxes: nodes.into_iter().map(|n| (n, Vec::new())).collect(),
-                delayed: BTreeMap::new(),
-                partitions: BTreeSet::new(),
-                plan: None,
-                clock: Arc::new(RealClock::new()),
-                tracer: Tracer::disabled(),
-                sent: 0,
-                delivered: 0,
-                dropped: 0,
-                duplicated: 0,
-                delayed_count: 0,
-                reordered: 0,
-                partition_dropped: 0,
-            }),
-        })
+    pub fn new<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
+        Net {
+            inboxes: nodes.into_iter().map(|n| (n, Vec::new())).collect(),
+            delayed: BTreeMap::new(),
+            partitions: BTreeSet::new(),
+            plan: None,
+            clock: Arc::new(RealClock::new()),
+            tracer: Tracer::disabled(),
+            sent: 0,
+            delivered: 0,
+            dropped: 0,
+            duplicated: 0,
+            delayed_count: 0,
+            reordered: 0,
+            partition_dropped: 0,
+        }
     }
 
     /// Replaces the time source that delay deadlines and time-mode
     /// partition heals run against. The virtual-time backend installs
     /// its shared `SimClock` here so time-based faults mature in
     /// virtual time; the default is a private real clock.
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        self.inner.lock().clock = clock;
+    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
+        self.clock = clock;
     }
 
     /// Installs (or replaces) the causal tracer consulted on every
     /// send, receive and message fault. The default is the inert
     /// tracer, which records nothing and stamps all-zero tags.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.lock().tracer = tracer;
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// Sends `msg` from `from` to `to`, round-tripping it through its
@@ -248,34 +244,32 @@ impl<M: Wire + Clone> Net<M> {
     /// are consulted here; every path leaves the inbox in a state the
     /// scheduler can reason about (delayed messages are invisible
     /// until they mature).
-    pub fn send(&self, from: NodeId, to: NodeId, msg: &M) -> Result<(), WireError> {
+    pub fn send(&mut self, from: NodeId, to: NodeId, msg: &M) -> Result<(), WireError> {
         let msg = msg.wire_roundtrip()?;
-        let mut inner = self.inner.lock();
-        let now = inner.now_nanos();
-        inner.sent += 1;
+        let now = self.now_nanos();
+        self.sent += 1;
         // Age the destination's delayed queue by this send *first*:
         // messages delayed by earlier sends mature ahead of this one,
         // and a delay fault on this send cannot release itself. Then
         // surface any time-held messages whose deadline has passed.
-        inner.tick_delayed(to);
-        inner.release_due(to);
-        let tracer = inner.tracer.clone();
-        let vt = inner.vtime();
-        let tag = tracer.on_send(from, to, vt);
+        self.tick_delayed(to);
+        self.release_due(to);
+        let vt = self.vtime();
+        let tag = self.tracer.on_send(from, to, vt);
 
-        if inner.partitions.contains(&pair(from, to)) {
-            inner.partition_dropped += 1;
-            tracer.on_drop(to, from, tag, vt, "partition");
+        if self.partitions.contains(&pair(from, to)) {
+            self.partition_dropped += 1;
+            self.tracer.on_drop(to, from, tag, vt, "partition");
             return Ok(());
         }
 
-        let decision = match inner.plan.as_mut() {
+        let decision = match self.plan.as_mut() {
             Some(plan) => {
                 let (decision, edict) = plan.decide_at(from, to, now);
                 let partitioned = edict.is_some() || plan.is_partitioned_at(from, to, now);
                 if decision == FaultDecision::Drop && partitioned {
-                    inner.partition_dropped += 1;
-                    tracer.on_drop(to, from, tag, vt, "partition");
+                    self.partition_dropped += 1;
+                    self.tracer.on_drop(to, from, tag, vt, "partition");
                     return Ok(());
                 }
                 decision
@@ -286,157 +280,147 @@ impl<M: Wire + Clone> Net<M> {
         let env = Envelope { from, msg, tag };
         match decision {
             FaultDecision::Deliver => {
-                inner.inboxes.entry(to).or_default().push(env);
+                self.inboxes.entry(to).or_default().push(env);
             }
             FaultDecision::Drop => {
-                inner.dropped += 1;
-                tracer.on_drop(to, from, tag, vt, "fault");
+                self.dropped += 1;
+                self.tracer.on_drop(to, from, tag, vt, "fault");
             }
             FaultDecision::Duplicate => {
-                let inbox = inner.inboxes.entry(to).or_default();
+                let inbox = self.inboxes.entry(to).or_default();
                 inbox.push(env.clone());
                 inbox.push(env);
-                inner.duplicated += 1;
-                tracer.on_duplicate(to, from, tag, vt);
+                self.duplicated += 1;
+                self.tracer.on_duplicate(to, from, tag, vt);
             }
             FaultDecision::Delay { after_sends } => {
-                inner.delayed.entry(to).or_default().push(Delayed {
+                self.delayed.entry(to).or_default().push(Delayed {
                     hold: Hold::Sends(after_sends),
                     env,
                 });
-                inner.delayed_count += 1;
-                tracer.on_delay(to, from, tag, vt);
+                self.delayed_count += 1;
+                self.tracer.on_delay(to, from, tag, vt);
             }
             FaultDecision::DelayFor { nanos } => {
-                inner.delayed.entry(to).or_default().push(Delayed {
+                self.delayed.entry(to).or_default().push(Delayed {
                     hold: Hold::Until(now.saturating_add(nanos)),
                     env,
                 });
-                inner.delayed_count += 1;
-                tracer.on_delay(to, from, tag, vt);
+                self.delayed_count += 1;
+                self.tracer.on_delay(to, from, tag, vt);
             }
             FaultDecision::Reorder => {
-                inner.inboxes.entry(to).or_default().insert(0, env);
-                inner.reordered += 1;
+                self.inboxes.entry(to).or_default().insert(0, env);
+                self.reordered += 1;
             }
         }
         Ok(())
     }
 
-    /// A snapshot of `node`'s inbox (oldest first). Time-held delayed
-    /// messages whose deadline has passed surface first.
-    pub fn inbox(&self, node: NodeId) -> Vec<Envelope<M>> {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        inner.inboxes.get(&node).cloned().unwrap_or_default()
+    /// `node`'s inbox (oldest first). Time-held delayed messages whose
+    /// deadline has passed surface first.
+    pub fn inbox(&mut self, node: NodeId) -> &[Envelope<M>] {
+        self.release_due(node);
+        self.inboxes.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Number of messages waiting for `node`.
-    pub fn inbox_len(&self, node: NodeId) -> usize {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        inner.inboxes.get(&node).map(Vec::len).unwrap_or(0)
+    pub fn inbox_len(&mut self, node: NodeId) -> usize {
+        self.inbox(node).len()
     }
 
     /// Removes and returns the first inbox message of `node` matching
     /// `pred` (receive action).
-    pub fn take_matching<F>(&self, node: NodeId, pred: F) -> Option<Envelope<M>>
+    pub fn take_matching<F>(&mut self, node: NodeId, pred: F) -> Option<Envelope<M>>
     where
         F: Fn(&Envelope<M>) -> bool,
     {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        let inbox = inner.inboxes.get_mut(&node)?;
-        let idx = inbox.iter().position(pred)?;
-        let env = inbox.remove(idx);
-        inner.delivered += 1;
-        let vt = inner.vtime();
-        inner.tracer.on_recv(node, env.from, env.tag, vt);
+        let env = self.remove_matching(node, pred)?;
+        self.delivered += 1;
+        self.tracer.on_recv(node, env.from, env.tag, self.vtime());
         Some(env)
     }
 
     /// Removes the first matching message without counting it as a
     /// delivery (message-drop fault).
-    pub fn drop_matching<F>(&self, node: NodeId, pred: F) -> Option<Envelope<M>>
+    pub fn drop_matching<F>(&mut self, node: NodeId, pred: F) -> Option<Envelope<M>>
     where
         F: Fn(&Envelope<M>) -> bool,
     {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        let inbox = inner.inboxes.get_mut(&node)?;
-        let idx = inbox.iter().position(pred)?;
-        let env = inbox.remove(idx);
-        inner.dropped += 1;
-        let vt = inner.vtime();
-        inner.tracer.on_drop(node, env.from, env.tag, vt, "scheduled");
+        let env = self.remove_matching(node, pred)?;
+        self.dropped += 1;
+        self.tracer
+            .on_drop(node, env.from, env.tag, self.vtime(), "scheduled");
         Some(env)
+    }
+
+    fn remove_matching<F>(&mut self, node: NodeId, pred: F) -> Option<Envelope<M>>
+    where
+        F: Fn(&Envelope<M>) -> bool,
+    {
+        self.release_due(node);
+        let inbox = self.inboxes.get_mut(&node)?;
+        let idx = inbox.iter().position(pred)?;
+        Some(inbox.remove(idx))
     }
 
     /// Duplicates the first matching message in place
     /// (message-duplicate fault).
-    pub fn duplicate_matching<F>(&self, node: NodeId, pred: F) -> Option<Envelope<M>>
+    pub fn duplicate_matching<F>(&mut self, node: NodeId, pred: F) -> Option<Envelope<M>>
     where
         F: Fn(&Envelope<M>) -> bool,
     {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        let inbox = inner.inboxes.get_mut(&node)?;
+        self.release_due(node);
+        let inbox = self.inboxes.get_mut(&node)?;
         let idx = inbox.iter().position(pred)?;
         let copy = inbox[idx].clone();
         inbox.insert(idx + 1, copy.clone());
-        inner.duplicated += 1;
-        let vt = inner.vtime();
-        inner.tracer.on_duplicate(node, copy.from, copy.tag, vt);
+        self.duplicated += 1;
+        self.tracer
+            .on_duplicate(node, copy.from, copy.tag, self.vtime());
         Some(copy)
     }
 
     /// Cuts the link between `a` and `b` in both directions until
     /// [`Net::heal`] (scripted partition fault).
-    pub fn partition(&self, a: NodeId, b: NodeId) {
-        self.inner.lock().partitions.insert(pair(a, b));
+    pub fn partition(&mut self, a: NodeId, b: NodeId) {
+        self.partitions.insert(pair(a, b));
     }
 
     /// Restores the link between `a` and `b`.
-    pub fn heal(&self, a: NodeId, b: NodeId) {
-        self.inner.lock().partitions.remove(&pair(a, b));
+    pub fn heal(&mut self, a: NodeId, b: NodeId) {
+        self.partitions.remove(&pair(a, b));
     }
 
     /// Installs a seed-driven fault plan consulted on every
     /// subsequent send. Replaces any previous plan.
-    pub fn install_fault_plan(&self, plan: FaultPlan) {
-        self.inner.lock().plan = Some(plan);
+    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.plan = Some(plan);
     }
 
     /// The installed plan's decision trace so far (empty without a
     /// plan).
-    pub fn fault_trace(&self) -> Vec<TraceEntry> {
-        self.inner
-            .lock()
-            .plan
-            .as_ref()
-            .map(|p| p.trace().to_vec())
-            .unwrap_or_default()
+    pub fn fault_trace(&self) -> &[TraceEntry] {
+        self.plan.as_ref().map_or(&[], FaultPlan::trace)
     }
 
     /// Messages currently held back by delay faults for `node`
     /// (matured time-held messages surface to the inbox first).
-    pub fn delayed_len(&self, node: NodeId) -> usize {
-        let mut inner = self.inner.lock();
-        inner.release_due(node);
-        inner.delayed.get(&node).map(Vec::len).unwrap_or(0)
+    pub fn delayed_len(&mut self, node: NodeId) -> usize {
+        self.release_due(node);
+        self.delayed.get(&node).map(Vec::len).unwrap_or(0)
     }
 
     /// Activity counters.
     pub fn stats(&self) -> NetStats {
-        let inner = self.inner.lock();
         NetStats {
-            sent: inner.sent,
-            delivered: inner.delivered,
-            dropped: inner.dropped,
-            duplicated: inner.duplicated,
-            delayed: inner.delayed_count,
-            reordered: inner.reordered,
-            partition_dropped: inner.partition_dropped,
+            sent: self.sent,
+            delivered: self.delivered,
+            dropped: self.dropped,
+            duplicated: self.duplicated,
+            delayed: self.delayed_count,
+            reordered: self.reordered,
+            partition_dropped: self.partition_dropped,
         }
     }
 }
@@ -447,14 +431,13 @@ mod tests {
 
     /// Messages still in the network: deliverable or held back.
     fn in_flight<M: Wire + Clone>(net: &Net<M>) -> usize {
-        let inner = net.inner.lock();
-        inner.inboxes.values().map(Vec::len).sum::<usize>()
-            + inner.delayed.values().map(Vec::len).sum::<usize>()
+        net.inboxes.values().map(Vec::len).sum::<usize>()
+            + net.delayed.values().map(Vec::len).sum::<usize>()
     }
 
     #[test]
     fn send_and_take_roundtrip() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         net.send(1, 2, &"hello".to_string()).unwrap();
         assert_eq!(net.inbox_len(2), 1);
         assert_eq!(net.inbox_len(1), 0);
@@ -468,7 +451,7 @@ mod tests {
 
     #[test]
     fn take_matching_respects_predicate_and_order() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         for m in ["a", "b", "a"] {
             net.send(1, 2, &m.to_string()).unwrap();
         }
@@ -485,7 +468,7 @@ mod tests {
 
     #[test]
     fn duplicate_inserts_adjacent_copy() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         net.send(1, 2, &"x".to_string()).unwrap();
         net.duplicate_matching(2, |_| true).unwrap();
         assert_eq!(net.inbox_len(2), 2);
@@ -494,7 +477,7 @@ mod tests {
 
     #[test]
     fn drop_removes_without_delivery() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         net.send(1, 2, &"x".to_string()).unwrap();
         net.drop_matching(2, |_| true).unwrap();
         assert_eq!(net.inbox_len(2), 0);
@@ -506,14 +489,14 @@ mod tests {
     #[test]
     fn unknown_destination_gets_an_inbox() {
         // Late-joining nodes (restart with a fresh id) still receive.
-        let net: Arc<Net<String>> = Net::new([1]);
+        let mut net: Net<String> = Net::new([1]);
         net.send(1, 9, &"x".to_string()).unwrap();
         assert_eq!(net.inbox_len(9), 1);
     }
 
     #[test]
     fn scripted_partition_blocks_both_directions_until_healed() {
-        let net: Arc<Net<String>> = Net::new([1, 2, 3]);
+        let mut net: Net<String> = Net::new([1, 2, 3]);
         net.partition(1, 2);
         net.send(1, 2, &"a".to_string()).unwrap();
         net.send(2, 1, &"b".to_string()).unwrap();
@@ -530,7 +513,7 @@ mod tests {
     #[test]
     fn delay_fault_holds_message_until_matured() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         // A plan that always delays by exactly 1 send.
         let cfg = FaultPlanConfig {
             delay_per_mille: 1000,
@@ -556,7 +539,7 @@ mod tests {
     #[test]
     fn reorder_fault_jumps_the_queue() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         net.send(1, 2, &"old".to_string()).unwrap();
         let cfg = FaultPlanConfig {
             reorder_per_mille: 1000,
@@ -577,7 +560,7 @@ mod tests {
     fn fault_plan_runs_are_replayable_from_the_seed() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
         let run = |seed: u64| {
-            let net: Arc<Net<String>> = Net::new([1, 2, 3]);
+            let mut net: Net<String> = Net::new([1, 2, 3]);
             net.install_fault_plan(FaultPlan::with_config(
                 seed,
                 FaultPlanConfig::aggressive(),
@@ -587,8 +570,8 @@ mod tests {
                 let to = 1 + (i + 1) % 3;
                 net.send(from, to, &format!("m{i}")).unwrap();
             }
-            let inboxes: Vec<_> = (1..=3).map(|n| net.inbox(n)).collect();
-            (net.fault_trace(), inboxes, net.stats())
+            let inboxes: Vec<_> = (1..=3).map(|n| net.inbox(n).to_vec()).collect();
+            (net.fault_trace().to_vec(), inboxes, net.stats())
         };
         assert_eq!(run(42), run(42), "same seed, byte-identical outcome");
         assert_ne!(run(42).0, run(43).0, "different seeds diverge");
@@ -608,7 +591,7 @@ mod tests {
     #[test]
     fn fault_accounting_keeps_the_ledger_balanced() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
-        let net: Arc<Net<String>> = Net::new([1, 2, 3]);
+        let mut net: Net<String> = Net::new([1, 2, 3]);
         net.install_fault_plan(FaultPlan::with_config(
             99,
             FaultPlanConfig::aggressive(),
@@ -630,7 +613,7 @@ mod tests {
         use mocket_sim::SimClock;
         use std::time::Duration;
 
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         let clock = Arc::new(SimClock::new());
         net.set_clock(clock.clone());
         // Every send delayed by exactly delay_nanos (no spread, and
@@ -663,7 +646,7 @@ mod tests {
         use mocket_sim::SimClock;
         use std::time::Duration;
 
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         let clock = Arc::new(SimClock::new());
         net.set_clock(clock.clone());
         // Build the held queue by hand through the plan-free path:
@@ -671,9 +654,8 @@ mod tests {
         // via two separate sends under configs with different bases.
         // Simpler: hold three messages with explicit deadlines.
         {
-            let mut inner = net.inner.lock();
             for (at, name) in [(30u64, "c"), (10, "a"), (20, "b")] {
-                inner.delayed.entry(2).or_default().push(Delayed {
+                net.delayed.entry(2).or_default().push(Delayed {
                     hold: Hold::Until(at * 1_000_000),
                     env: Envelope {
                         from: 1,
@@ -681,17 +663,17 @@ mod tests {
                         tag: MsgTag::default(),
                     },
                 });
-                inner.delayed_count += 1;
+                net.delayed_count += 1;
             }
         }
         clock.advance(Duration::from_millis(40));
-        let order: Vec<String> = net.inbox(2).into_iter().map(|e| e.msg).collect();
+        let order: Vec<&str> = net.inbox(2).iter().map(|e| e.msg.as_str()).collect();
         assert_eq!(order, ["a", "b", "c"], "earliest deadline first");
     }
 
     #[test]
     fn untraced_messages_carry_the_zero_tag() {
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         net.send(1, 2, &"x".to_string()).unwrap();
         let env = net.take_matching(2, |_| true).unwrap();
         assert_eq!(env.tag, MsgTag::default());
@@ -701,7 +683,7 @@ mod tests {
     #[test]
     fn tracer_records_message_fates_with_shared_ids() {
         use mocket_obs::causal::CausalKind;
-        let net: Arc<Net<String>> = Net::new([1, 2]);
+        let mut net: Net<String> = Net::new([1, 2]);
         let tracer = Tracer::for_case(0);
         net.set_tracer(tracer.clone());
         net.send(1, 2, &"x".to_string()).unwrap();
@@ -741,7 +723,7 @@ mod tests {
         use std::time::Duration;
 
         let run = |seed: u64| {
-            let net: Arc<Net<String>> = Net::new([1, 2, 3]);
+            let mut net: Net<String> = Net::new([1, 2, 3]);
             let clock = Arc::new(SimClock::new());
             net.set_clock(clock.clone());
             net.install_fault_plan(FaultPlan::with_config(
@@ -758,8 +740,8 @@ mod tests {
                 clock.advance(Duration::from_micros(500));
             }
             clock.advance(Duration::from_millis(10));
-            let inboxes: Vec<_> = (1..=3).map(|n| net.inbox(n)).collect();
-            (net.fault_trace(), inboxes, net.stats())
+            let inboxes: Vec<_> = (1..=3).map(|n| net.inbox(n).to_vec()).collect();
+            (net.fault_trace().to_vec(), inboxes, net.stats())
         };
         assert_eq!(run(42), run(42), "same seed, byte-identical outcome");
         assert_ne!(run(42).0, run(43).0, "different seeds diverge");

@@ -9,15 +9,16 @@
 //! the mapping registry ties back to a specification action.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use mocket_core::sut::MsgEvent;
-use mocket_dsnet::{Net, NodeId, Storage};
-use mocket_runtime::{NodeApp, Shadow, VarRegistry};
+use mocket_dsnet::NodeId;
+use mocket_runtime::{NodeApp, NodeCx, Shadow};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::bugs::XraftBugs;
 use crate::msg::{Entry, RaftMsg};
+
+type Cx<'a> = NodeCx<'a, RaftMsg>;
 
 /// Implementation role constants (translated to the spec's
 /// `Follower`/`Candidate`/`Leader` through the constant map).
@@ -31,13 +32,11 @@ pub const STATE_LEADER: &str = "STATE_LEADER";
 pub const POOL: &str = "messages";
 
 /// An AsyncRaft node.
+#[derive(Clone)]
 pub struct AsyncRaftNode {
     id: NodeId,
     servers: Vec<NodeId>,
     bugs: XraftBugs,
-    net: Arc<Net<RaftMsg>>,
-    storage: Arc<Storage<Value>>,
-    registry: Arc<VarRegistry>,
 
     role: Shadow<String>,
     current_term: Shadow<i64>,
@@ -56,57 +55,6 @@ pub struct AsyncRaftNode {
 }
 
 impl AsyncRaftNode {
-    /// Creates (or restarts) a node, recovering durable state.
-    pub fn new(
-        id: NodeId,
-        servers: Vec<NodeId>,
-        bugs: XraftBugs,
-        net: Arc<Net<RaftMsg>>,
-        storage: Arc<Storage<Value>>,
-    ) -> Self {
-        let registry = VarRegistry::new();
-        let current_term = storage
-            .get("currentTerm")
-            .and_then(|v| v.as_int())
-            .unwrap_or(1);
-        let voted_for = storage.get("votedFor").unwrap_or(Value::Nil);
-        let log: Vec<Entry> = storage
-            .get("log")
-            .and_then(|v| {
-                v.as_seq().map(|entries| {
-                    entries
-                        .iter()
-                        .map(|e| Entry {
-                            term: e.expect_field("term").expect_int(),
-                            data: e.expect_field("value").as_int(),
-                        })
-                        .collect()
-                })
-            })
-            .unwrap_or_default();
-
-        let mut node = AsyncRaftNode {
-            id,
-            role: Shadow::new("state", STATE_FOLLOWER.to_string(), registry.clone()),
-            current_term: Shadow::new("currentTerm", current_term, registry.clone()),
-            voted_for: Shadow::new("votedFor", voted_for, registry.clone()),
-            votes_granted: Shadow::new("votesGranted", 0, registry.clone()),
-            voters: Default::default(),
-            commit_index: Shadow::new("commitIndex", 0, registry.clone()),
-            log,
-            next_index: servers.iter().map(|&j| (j, 1)).collect(),
-            match_index: servers.iter().map(|&j| (j, 0)).collect(),
-            servers,
-            bugs,
-            net,
-            storage,
-            registry,
-        };
-        node.mirror_log();
-        node.mirror_peer_indexes();
-        node
-    }
-
     fn quorum(&self) -> usize {
         self.servers.len() / 2 + 1
     }
@@ -135,12 +83,12 @@ impl AsyncRaftNode {
         last_log_term > my_term || (last_log_term == my_term && last_log_index >= my_index)
     }
 
-    fn mirror_log(&mut self) {
-        self.registry
+    fn mirror_log(&mut self, cx: &mut Cx<'_>) {
+        cx.vars
             .write("log", Value::seq(self.log.iter().map(Entry::to_value)));
     }
 
-    fn mirror_peer_indexes(&mut self) {
+    fn mirror_peer_indexes(&mut self, cx: &mut Cx<'_>) {
         let next = Value::Fun(
             self.next_index
                 .iter()
@@ -153,47 +101,45 @@ impl AsyncRaftNode {
                 .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v)))
                 .collect(),
         );
-        self.registry.write("nextIndex", next);
-        self.registry.write("matchIndex", matched);
+        cx.vars.write("nextIndex", next);
+        cx.vars.write("matchIndex", matched);
     }
 
-    fn persist_term(&self) {
-        self.storage
+    fn persist_term(&self, cx: &mut Cx<'_>) {
+        cx.disk
             .put("currentTerm", Value::Int(*self.current_term.get()));
     }
 
-    fn persist_vote(&self) {
+    fn persist_vote(&self, cx: &mut Cx<'_>) {
         // Xraft bug #2: votedFor is kept in memory only; a restart
         // forgets it and the node votes again in the same term.
         if !self.bugs.voted_for_not_persisted {
-            self.storage.put("votedFor", self.voted_for.get().clone());
+            cx.disk.put("votedFor", self.voted_for.get().clone());
         }
     }
 
-    fn persist_log(&self) {
-        self.storage
+    fn persist_log(&self, cx: &mut Cx<'_>) {
+        cx.disk
             .put("log", Value::seq(self.log.iter().map(Entry::to_value)));
     }
 
-    fn set_vote(&mut self, v: Value) {
-        self.voted_for.set(v);
-        self.persist_vote();
+    fn set_vote(&mut self, cx: &mut Cx<'_>, v: Value) {
+        self.voted_for.set(cx.vars, v);
+        self.persist_vote(cx);
     }
 
-    fn become_follower_at(&mut self, term: i64) {
-        self.current_term.set(term);
-        self.persist_term();
-        self.role.set(STATE_FOLLOWER.to_string());
-        self.set_vote(Value::Nil);
+    fn become_follower_at(&mut self, cx: &mut Cx<'_>, term: i64) {
+        self.current_term.set(cx.vars, term);
+        self.persist_term(cx);
+        self.role.set(cx.vars, STATE_FOLLOWER.to_string());
+        self.set_vote(cx, Value::Nil);
         // `votesGranted` is deliberately left stale, like the
         // specification's UpdateTerm: the next Timeout resets it.
     }
 
-    fn send(&self, msg: RaftMsg) -> MsgEvent {
+    fn send(&self, cx: &mut Cx<'_>, msg: RaftMsg) -> MsgEvent {
         let value = msg.to_value();
-        self.net
-            .send(self.id, msg.dest(), &msg)
-            .expect("wire encode");
+        cx.net.send(self.id, msg.dest(), &msg).expect("wire encode");
         MsgEvent::Send {
             pool: POOL.into(),
             msg: value,
@@ -205,14 +151,12 @@ impl AsyncRaftNode {
     /// separate branch the `Action.getMsg` annotation does not cover,
     /// so its reply escapes the message pool and later surfaces at the
     /// receiver as an unexpected action (Table 2, Xraft bug #3).
-    fn send_uninstrumented(&self, msg: RaftMsg) {
-        self.net
-            .send(self.id, msg.dest(), &msg)
-            .expect("wire encode");
+    fn send_uninstrumented(&self, cx: &mut Cx<'_>, msg: RaftMsg) {
+        cx.net.send(self.id, msg.dest(), &msg).expect("wire encode");
     }
 
-    fn take_from_inbox(&self, wanted: &Value) -> Option<RaftMsg> {
-        self.net
+    fn take_from_inbox(&self, cx: &mut Cx<'_>, wanted: &Value) -> Option<RaftMsg> {
+        cx.net
             .take_matching(self.id, |env| env.msg.to_value() == *wanted)
             .map(|env| env.msg)
     }
@@ -221,19 +165,19 @@ impl AsyncRaftNode {
     // Action handlers (the annotated methods).
     // ------------------------------------------------------------------
 
-    fn on_election_timeout(&mut self) -> Vec<MsgEvent> {
+    fn on_election_timeout(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         let term = *self.current_term.get() + 1;
-        self.current_term.set(term);
-        self.persist_term();
-        self.role.set(STATE_CANDIDATE.to_string());
-        self.set_vote(Value::Int(self.id as i64));
+        self.current_term.set(cx.vars, term);
+        self.persist_term(cx);
+        self.role.set(cx.vars, STATE_CANDIDATE.to_string());
+        self.set_vote(cx, Value::Int(self.id as i64));
         self.voters.clear();
         self.voters.insert(self.id);
-        self.votes_granted.set(1);
+        self.votes_granted.set(cx.vars, 1);
         Vec::new()
     }
 
-    fn do_request_vote(&mut self, peer: NodeId) -> Vec<MsgEvent> {
+    fn do_request_vote(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
         let msg = RaftMsg::VoteRequest {
             term: *self.current_term.get(),
             last_log_term: self.last_log_term(),
@@ -241,11 +185,11 @@ impl AsyncRaftNode {
             source: self.id,
             dest: peer,
         };
-        vec![self.send(msg)]
+        vec![self.send(cx, msg)]
     }
 
-    fn on_request_vote_rpc(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(msg) = self.take_from_inbox(wanted) else {
+    fn on_request_vote_rpc(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(msg) = self.take_from_inbox(cx, wanted) else {
             return Vec::new();
         };
         let mut events = vec![MsgEvent::Receive {
@@ -263,7 +207,7 @@ impl AsyncRaftNode {
             return events;
         };
         if term > *self.current_term.get() {
-            self.become_follower_at(term);
+            self.become_follower_at(cx, term);
         }
         if term < *self.current_term.get() {
             return events; // Stale request; no reply.
@@ -276,13 +220,16 @@ impl AsyncRaftNode {
             && self.bugs.noop_log_grant
             && self.candidate_log_ok_ignoring_noop(last_log_term, last_log_index);
         if normal_grant {
-            self.set_vote(Value::Int(source as i64));
-            events.push(self.send(RaftMsg::VoteResponse {
-                term: *self.current_term.get(),
-                granted: true,
-                source: self.id,
-                dest: source,
-            }));
+            self.set_vote(cx, Value::Int(source as i64));
+            events.push(self.send(
+                cx,
+                RaftMsg::VoteResponse {
+                    term: *self.current_term.get(),
+                    granted: true,
+                    source: self.id,
+                    dest: source,
+                },
+            ));
         } else if buggy_grant {
             // The buggy special-case branch: replies "granted" on the
             // filtered log comparison *without recording the vote*
@@ -290,18 +237,21 @@ impl AsyncRaftNode {
             // The reply also goes through an uninstrumented send, so
             // it escapes the message pool and surfaces at the
             // receiver as an unexpected action.
-            self.send_uninstrumented(RaftMsg::VoteResponse {
-                term: *self.current_term.get(),
-                granted: true,
-                source: self.id,
-                dest: source,
-            });
+            self.send_uninstrumented(
+                cx,
+                RaftMsg::VoteResponse {
+                    term: *self.current_term.get(),
+                    granted: true,
+                    source: self.id,
+                    dest: source,
+                },
+            );
         }
         events
     }
 
-    fn on_request_vote_result(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(msg) = self.take_from_inbox(wanted) else {
+    fn on_request_vote_result(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(msg) = self.take_from_inbox(cx, wanted) else {
             return Vec::new();
         };
         let events = vec![MsgEvent::Receive {
@@ -321,40 +271,40 @@ impl AsyncRaftNode {
             if self.bugs.duplicate_vote_counting {
                 // Xraft bug #1: a bare counter — a duplicated response
                 // counts twice.
-                self.votes_granted.update(|v| v + 1);
+                self.votes_granted.update(cx.vars, |v| v + 1);
             } else {
                 self.voters.insert(source);
-                self.votes_granted.set(self.voters.len() as i64);
+                self.votes_granted.set(cx.vars, self.voters.len() as i64);
             }
         }
         events
     }
 
-    fn become_leader(&mut self) -> Vec<MsgEvent> {
-        self.role.set(STATE_LEADER.to_string());
+    fn become_leader(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
+        self.role.set(cx.vars, STATE_LEADER.to_string());
         let next_val = self.last_log_index() + 1;
         // Xraft appends a NoOp entry on election.
         let term = *self.current_term.get();
         self.log.push(Entry::noop(term));
-        self.persist_log();
-        self.mirror_log();
+        self.persist_log(cx);
+        self.mirror_log(cx);
         for &j in &self.servers.clone() {
             self.next_index.insert(j, next_val);
             self.match_index.insert(j, 0);
         }
-        self.mirror_peer_indexes();
+        self.mirror_peer_indexes(cx);
         Vec::new()
     }
 
-    fn client_set(&mut self, datum: i64) -> Vec<MsgEvent> {
+    fn client_set(&mut self, cx: &mut Cx<'_>, datum: i64) -> Vec<MsgEvent> {
         let term = *self.current_term.get();
         self.log.push(Entry::data(term, datum));
-        self.persist_log();
-        self.mirror_log();
+        self.persist_log(cx);
+        self.mirror_log(cx);
         Vec::new()
     }
 
-    fn do_replicate_log(&mut self, peer: NodeId) -> Vec<MsgEvent> {
+    fn do_replicate_log(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
         let next = self.next_index[&peer];
         let prev_log_index = next - 1;
         let prev_log_term = if prev_log_index >= 1 {
@@ -381,11 +331,11 @@ impl AsyncRaftNode {
             source: self.id,
             dest: peer,
         };
-        vec![self.send(msg)]
+        vec![self.send(cx, msg)]
     }
 
-    fn on_append_entries_rpc(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(msg) = self.take_from_inbox(wanted) else {
+    fn on_append_entries_rpc(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(msg) = self.take_from_inbox(cx, wanted) else {
             return Vec::new();
         };
         let mut events = vec![MsgEvent::Receive {
@@ -405,24 +355,27 @@ impl AsyncRaftNode {
             return events;
         };
         if term > *self.current_term.get() {
-            self.become_follower_at(term);
+            self.become_follower_at(cx, term);
         }
         let my_term = *self.current_term.get();
         if term < my_term {
-            events.push(self.send(RaftMsg::AppendResponse {
-                term: my_term,
-                success: false,
-                match_index: 0,
-                source: self.id,
-                dest: source,
-            }));
+            events.push(self.send(
+                cx,
+                RaftMsg::AppendResponse {
+                    term: my_term,
+                    success: false,
+                    match_index: 0,
+                    source: self.id,
+                    dest: source,
+                },
+            ));
             return events;
         }
         if self.role.get() == STATE_CANDIDATE {
             // Same-term leader exists: return to follower. The vote is
             // kept (votedFor stays — resetting it here is the class of
             // bug Figure 8/9 discusses).
-            self.role.set(STATE_FOLLOWER.to_string());
+            self.role.set(cx.vars, STATE_FOLLOWER.to_string());
         }
         if self.role.get() == STATE_LEADER {
             // Two same-term leaders cannot happen when conformant.
@@ -433,13 +386,16 @@ impl AsyncRaftNode {
                 && self.log.get(prev_log_index as usize - 1).map(|e| e.term)
                     == Some(prev_log_term));
         if !log_ok {
-            events.push(self.send(RaftMsg::AppendResponse {
-                term: my_term,
-                success: false,
-                match_index: 0,
-                source: self.id,
-                dest: source,
-            }));
+            events.push(self.send(
+                cx,
+                RaftMsg::AppendResponse {
+                    term: my_term,
+                    success: false,
+                    match_index: 0,
+                    source: self.id,
+                    dest: source,
+                },
+            ));
             return events;
         }
         if !entries.is_empty() {
@@ -452,25 +408,28 @@ impl AsyncRaftNode {
             if !have_same {
                 self.log.truncate(at);
                 self.log.extend(entries.iter().cloned());
-                self.persist_log();
-                self.mirror_log();
+                self.persist_log(cx);
+                self.mirror_log(cx);
             }
         }
         let match_len = prev_log_index + entries.len() as i64;
         let new_commit = (*self.commit_index.get()).max(commit_index.min(self.last_log_index()));
-        self.commit_index.set(new_commit);
-        events.push(self.send(RaftMsg::AppendResponse {
-            term: my_term,
-            success: true,
-            match_index: match_len,
-            source: self.id,
-            dest: source,
-        }));
+        self.commit_index.set(cx.vars, new_commit);
+        events.push(self.send(
+            cx,
+            RaftMsg::AppendResponse {
+                term: my_term,
+                success: true,
+                match_index: match_len,
+                source: self.id,
+                dest: source,
+            },
+        ));
         events
     }
 
-    fn on_append_entries_result(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(msg) = self.take_from_inbox(wanted) else {
+    fn on_append_entries_result(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(msg) = self.take_from_inbox(cx, wanted) else {
             return Vec::new();
         };
         let events = vec![MsgEvent::Receive {
@@ -495,14 +454,14 @@ impl AsyncRaftNode {
                 let cur = self.next_index[&source];
                 self.next_index.insert(source, (cur - 1).max(1));
             }
-            self.mirror_peer_indexes();
+            self.mirror_peer_indexes(cx);
         }
         events
     }
 
-    fn advance_commit_index(&mut self) -> Vec<MsgEvent> {
+    fn advance_commit_index(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         if let Some(best) = self.computable_commit() {
-            self.commit_index.set(best);
+            self.commit_index.set(cx.vars, best);
         }
         Vec::new()
     }
@@ -529,7 +488,54 @@ impl AsyncRaftNode {
 }
 
 impl NodeApp for AsyncRaftNode {
-    fn enabled(&mut self) -> Vec<ActionInstance> {
+    type Msg = RaftMsg;
+    /// The membership and the seeded bug switches.
+    type Config = (Vec<NodeId>, XraftBugs);
+
+    /// Boots (or restarts) a node, recovering durable state.
+    fn boot(id: NodeId, (servers, bugs): &(Vec<NodeId>, XraftBugs), cx: &mut Cx<'_>) -> Self {
+        let current_term = cx
+            .disk
+            .get("currentTerm")
+            .and_then(|v| v.as_int())
+            .unwrap_or(1);
+        let voted_for = cx.disk.get("votedFor").cloned().unwrap_or(Value::Nil);
+        let log: Vec<Entry> = cx
+            .disk
+            .get("log")
+            .and_then(|v| {
+                v.as_seq().map(|entries| {
+                    entries
+                        .iter()
+                        .map(|e| Entry {
+                            term: e.expect_field("term").expect_int(),
+                            data: e.expect_field("value").as_int(),
+                        })
+                        .collect()
+                })
+            })
+            .unwrap_or_default();
+
+        let mut node = AsyncRaftNode {
+            id,
+            role: Shadow::new("state", STATE_FOLLOWER.to_string(), cx.vars),
+            current_term: Shadow::new("currentTerm", current_term, cx.vars),
+            voted_for: Shadow::new("votedFor", voted_for, cx.vars),
+            votes_granted: Shadow::new("votesGranted", 0, cx.vars),
+            voters: Default::default(),
+            commit_index: Shadow::new("commitIndex", 0, cx.vars),
+            log,
+            next_index: servers.iter().map(|&j| (j, 1)).collect(),
+            match_index: servers.iter().map(|&j| (j, 0)).collect(),
+            servers: servers.clone(),
+            bugs: bugs.clone(),
+        };
+        node.mirror_log(cx);
+        node.mirror_peer_indexes(cx);
+        node
+    }
+
+    fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
         let role = self.role.get().clone();
@@ -569,7 +575,7 @@ impl NodeApp for AsyncRaftNode {
         }
 
         // Message-driven actions: one offer per inbox message.
-        for env in self.net.inbox(self.id) {
+        for env in cx.net.inbox(self.id) {
             let hook = match env.msg {
                 RaftMsg::VoteRequest { .. } => "onRequestVoteRpc",
                 RaftMsg::VoteResponse { .. } => "onRequestVoteResult",
@@ -584,130 +590,144 @@ impl NodeApp for AsyncRaftNode {
         offers
     }
 
-    fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+    fn execute(&mut self, action: &ActionInstance, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         match action.name.as_str() {
-            "onElectionTimeout" => self.on_election_timeout(),
+            "onElectionTimeout" => self.on_election_timeout(cx),
             "doRequestVote" => {
                 let peer = action.params[1].expect_int() as NodeId;
-                self.do_request_vote(peer)
+                self.do_request_vote(cx, peer)
             }
-            "onRequestVoteRpc" => self.on_request_vote_rpc(&action.params[0]),
-            "onRequestVoteResult" => self.on_request_vote_result(&action.params[0]),
-            "becomeLeader" => self.become_leader(),
-            "clientSet" => self.client_set(action.params[0].expect_int()),
+            "onRequestVoteRpc" => self.on_request_vote_rpc(cx, &action.params[0]),
+            "onRequestVoteResult" => self.on_request_vote_result(cx, &action.params[0]),
+            "becomeLeader" => self.become_leader(cx),
+            "clientSet" => self.client_set(cx, action.params[0].expect_int()),
             "doReplicateLog" => {
                 let peer = action.params[1].expect_int() as NodeId;
-                self.do_replicate_log(peer)
+                self.do_replicate_log(cx, peer)
             }
-            "onAppendEntriesRpc" => self.on_append_entries_rpc(&action.params[0]),
-            "onAppendEntriesResult" => self.on_append_entries_result(&action.params[0]),
-            "advanceCommitIndex" => self.advance_commit_index(),
+            "onAppendEntriesRpc" => self.on_append_entries_rpc(cx, &action.params[0]),
+            "onAppendEntriesResult" => self.on_append_entries_result(cx, &action.params[0]),
+            "advanceCommitIndex" => self.advance_commit_index(cx),
             other => panic!("unknown action {other}"),
         }
-    }
-
-    fn registry(&self) -> Arc<VarRegistry> {
-        self.registry.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_dsnet::ClusterStorage;
+    use mocket_dsnet::{Net, Storage};
+    use mocket_runtime::VarRegistry;
 
-    fn make_cluster(
-        n: u64,
-        bugs: XraftBugs,
-    ) -> (
-        Vec<AsyncRaftNode>,
-        Arc<Net<RaftMsg>>,
-        Arc<ClusterStorage<Value>>,
-    ) {
-        let servers: Vec<NodeId> = (1..=n).collect();
-        let net = Net::new(servers.iter().copied());
-        let storage = ClusterStorage::new();
-        let nodes = servers
-            .iter()
-            .map(|&id| {
-                AsyncRaftNode::new(
-                    id,
-                    servers.clone(),
-                    bugs.clone(),
-                    net.clone(),
-                    storage.for_node(id),
-                )
-            })
-            .collect();
-        (nodes, net, storage)
+    /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
+    /// its disk and registry at the same index.
+    struct Bed {
+        config: (Vec<NodeId>, XraftBugs),
+        net: Net<RaftMsg>,
+        disks: Vec<Storage<Value>>,
+        vars: Vec<VarRegistry>,
+        nodes: Vec<AsyncRaftNode>,
     }
 
-    fn exec(node: &mut AsyncRaftNode, name: &str, params: Vec<Value>) -> Vec<MsgEvent> {
-        node.execute(&ActionInstance::new(name, params))
+    impl Bed {
+        fn new(n: u64, bugs: XraftBugs) -> Bed {
+            let servers: Vec<NodeId> = (1..=n).collect();
+            let mut bed = Bed {
+                net: Net::new(servers.iter().copied()),
+                disks: vec![Storage::default(); n as usize],
+                vars: vec![VarRegistry::default(); n as usize],
+                nodes: Vec::new(),
+                config: (servers, bugs),
+            };
+            bed.nodes = (1..=n).map(|id| bed.boot(id)).collect();
+            bed
+        }
+
+        fn cx(&mut self, id: NodeId) -> Cx<'_> {
+            let i = id as usize - 1;
+            NodeCx {
+                net: &mut self.net,
+                disk: &mut self.disks[i],
+                vars: &mut self.vars[i],
+            }
+        }
+
+        /// A fresh incarnation of `id` over its disk.
+        fn boot(&mut self, id: NodeId) -> AsyncRaftNode {
+            let config = self.config.clone();
+            AsyncRaftNode::boot(id, &config, &mut self.cx(id))
+        }
+
+        /// Runs `f` on node `id` with its context.
+        fn on<T>(&mut self, id: NodeId, f: impl FnOnce(&mut AsyncRaftNode, &mut Cx<'_>) -> T) -> T {
+            let mut node = self.nodes[id as usize - 1].clone();
+            let out = f(&mut node, &mut self.cx(id));
+            self.nodes[id as usize - 1] = node;
+            out
+        }
+
+        fn exec(&mut self, id: NodeId, name: &str, params: Vec<Value>) -> Vec<MsgEvent> {
+            self.on(id, |node, cx| {
+                node.execute(&ActionInstance::new(name, params), cx)
+            })
+        }
+
+        /// The oldest message waiting for `id`, in the spec domain.
+        fn head(&mut self, id: NodeId) -> Value {
+            self.net.inbox(id)[0].msg.to_value()
+        }
     }
 
     /// Drives a full election of node 1 in a 2-node cluster.
-    fn elect_node1(nodes: &mut [AsyncRaftNode]) {
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = nodes[1].net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
-        let resp = nodes[0].net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onRequestVoteResult", vec![resp]);
-        exec(&mut nodes[0], "becomeLeader", vec![Value::Int(1)]);
+    fn elect_node1(bed: &mut Bed) {
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
+        let resp = bed.head(1);
+        bed.exec(1, "onRequestVoteResult", vec![resp]);
+        bed.exec(1, "becomeLeader", vec![Value::Int(1)]);
     }
 
     #[test]
     fn election_produces_leader_with_noop() {
-        let (mut nodes, _net, _st) = make_cluster(2, XraftBugs::none());
-        elect_node1(&mut nodes);
-        assert_eq!(nodes[0].role.get(), STATE_LEADER);
-        assert_eq!(*nodes[0].current_term.get(), 2);
-        assert_eq!(nodes[0].log.len(), 1);
-        assert!(nodes[0].log[0].is_noop());
-        assert_eq!(nodes[1].voted_for.get(), &Value::Int(1));
+        let mut bed = Bed::new(2, XraftBugs::none());
+        elect_node1(&mut bed);
+        assert_eq!(bed.nodes[0].role.get(), STATE_LEADER);
+        assert_eq!(*bed.nodes[0].current_term.get(), 2);
+        assert_eq!(bed.nodes[0].log.len(), 1);
+        assert!(bed.nodes[0].log[0].is_noop());
+        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
     }
 
     #[test]
     fn replication_commits_on_quorum() {
-        let (mut nodes, net, _st) = make_cluster(2, XraftBugs::none());
-        elect_node1(&mut nodes);
-        exec(
-            &mut nodes[0],
-            "doReplicateLog",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onAppendEntriesRpc", vec![req]);
-        assert_eq!(nodes[1].log.len(), 1);
-        let resp = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onAppendEntriesResult", vec![resp]);
-        exec(&mut nodes[0], "advanceCommitIndex", vec![Value::Int(1)]);
-        assert_eq!(*nodes[0].commit_index.get(), 1);
+        let mut bed = Bed::new(2, XraftBugs::none());
+        elect_node1(&mut bed);
+        bed.exec(1, "doReplicateLog", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onAppendEntriesRpc", vec![req]);
+        assert_eq!(bed.nodes[1].log.len(), 1);
+        let resp = bed.head(1);
+        bed.exec(1, "onAppendEntriesResult", vec![resp]);
+        bed.exec(1, "advanceCommitIndex", vec![Value::Int(1)]);
+        assert_eq!(*bed.nodes[0].commit_index.get(), 1);
     }
 
     #[test]
     fn duplicate_response_is_deduplicated_when_conformant() {
-        let (mut nodes, net, _st) = make_cluster(2, XraftBugs::none());
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
+        let mut bed = Bed::new(2, XraftBugs::none());
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
         // Duplicate the response in flight.
-        net.duplicate_matching(1, |_| true).unwrap();
-        let resp = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onRequestVoteResult", vec![resp.clone()]);
-        exec(&mut nodes[0], "onRequestVoteResult", vec![resp]);
+        bed.net.duplicate_matching(1, |_| true).unwrap();
+        let resp = bed.head(1);
+        bed.exec(1, "onRequestVoteResult", vec![resp.clone()]);
+        bed.exec(1, "onRequestVoteResult", vec![resp]);
         assert_eq!(
-            *nodes[0].votes_granted.get(),
+            *bed.nodes[0].votes_granted.get(),
             2,
             "self + node 2, deduplicated"
         );
@@ -719,21 +739,17 @@ mod tests {
             duplicate_vote_counting: true,
             ..XraftBugs::none()
         };
-        let (mut nodes, net, _st) = make_cluster(2, bugs);
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
-        net.duplicate_matching(1, |_| true).unwrap();
-        let resp = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onRequestVoteResult", vec![resp.clone()]);
-        exec(&mut nodes[0], "onRequestVoteResult", vec![resp]);
+        let mut bed = Bed::new(2, bugs);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
+        bed.net.duplicate_matching(1, |_| true).unwrap();
+        let resp = bed.head(1);
+        bed.exec(1, "onRequestVoteResult", vec![resp.clone()]);
+        bed.exec(1, "onRequestVoteResult", vec![resp]);
         assert_eq!(
-            *nodes[0].votes_granted.get(),
+            *bed.nodes[0].votes_granted.get(),
             3,
             "the counter double-counts the duplicated grant"
         );
@@ -741,24 +757,14 @@ mod tests {
 
     #[test]
     fn voted_for_survives_restart_when_conformant() {
-        let (mut nodes, net, storage) = make_cluster(2, XraftBugs::none());
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
-        assert_eq!(nodes[1].voted_for.get(), &Value::Int(1));
+        let mut bed = Bed::new(2, XraftBugs::none());
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
+        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
         // Restart node 2.
-        let node2 = AsyncRaftNode::new(
-            2,
-            vec![1, 2],
-            XraftBugs::none(),
-            net.clone(),
-            storage.for_node(2),
-        );
+        let node2 = bed.boot(2);
         assert_eq!(node2.voted_for.get(), &Value::Int(1));
         assert_eq!(*node2.current_term.get(), 2);
     }
@@ -769,17 +775,13 @@ mod tests {
             voted_for_not_persisted: true,
             ..XraftBugs::none()
         };
-        let (mut nodes, net, storage) = make_cluster(2, bugs.clone());
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
-        assert_eq!(nodes[1].voted_for.get(), &Value::Int(1));
-        let node2 = AsyncRaftNode::new(2, vec![1, 2], bugs, net.clone(), storage.for_node(2));
+        let mut bed = Bed::new(2, bugs);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
+        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
+        let node2 = bed.boot(2);
         assert_eq!(
             node2.voted_for.get(),
             &Value::Nil,
@@ -795,67 +797,59 @@ mod tests {
             noop_log_grant: true,
             ..XraftBugs::none()
         };
-        let (mut nodes, net, _st) = make_cluster(2, bugs);
+        let mut bed = Bed::new(2, bugs);
         // Manually give node 2 a NoOp entry at term 2 and term 2.
-        nodes[1].become_follower_at(2);
-        nodes[1].log.push(Entry::noop(2));
-        nodes[1].persist_log();
-        nodes[1].mirror_log();
+        bed.on(2, |node, cx| {
+            node.become_follower_at(cx, 2);
+            node.log.push(Entry::noop(2));
+            node.persist_log(cx);
+            node.mirror_log(cx);
+        });
         // Node 1: two timeouts to reach term 3.
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        let events = exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        let events = bed.exec(2, "onRequestVoteRpc", vec![req]);
         // The buggy branch replied without recording the vote, through
         // the uninstrumented send: only the Receive event is reported.
-        assert_eq!(nodes[1].voted_for.get(), &Value::Nil);
+        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], MsgEvent::Receive { .. }));
-        assert_eq!(net.inbox_len(1), 1, "the rogue response is in flight");
+        assert_eq!(bed.net.inbox_len(1), 1, "the rogue response is in flight");
     }
 
     #[test]
     fn conformant_node_rejects_stale_candidate_log() {
-        let (mut nodes, net, _st) = make_cluster(2, XraftBugs::none());
-        nodes[1].become_follower_at(2);
-        nodes[1].log.push(Entry::noop(2));
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "doRequestVote",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onRequestVoteRpc", vec![req]);
-        assert_eq!(nodes[1].voted_for.get(), &Value::Nil);
-        assert_eq!(net.inbox_len(1), 0, "no reply on rejection");
+        let mut bed = Bed::new(2, XraftBugs::none());
+        bed.on(2, |node, cx| {
+            node.become_follower_at(cx, 2);
+            node.log.push(Entry::noop(2));
+        });
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onRequestVoteRpc", vec![req]);
+        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
+        assert_eq!(bed.net.inbox_len(1), 0, "no reply on rejection");
     }
 
     #[test]
     fn candidate_keeps_vote_on_same_term_append() {
-        let (mut nodes, net, _st) = make_cluster(2, XraftBugs::none());
+        let mut bed = Bed::new(2, XraftBugs::none());
         // Node 2 a candidate at term 2.
-        exec(&mut nodes[1], "onElectionTimeout", vec![Value::Int(2)]);
+        bed.exec(2, "onElectionTimeout", vec![Value::Int(2)]);
         // Node 1 a leader at term 2 (elected by itself in a bigger
         // cluster; simulate by direct append request).
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        nodes[0].become_leader();
-        exec(
-            &mut nodes[0],
-            "doReplicateLog",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let req = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onAppendEntriesRpc", vec![req]);
-        assert_eq!(nodes[1].role.get(), STATE_FOLLOWER);
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        bed.on(1, |node, cx| node.become_leader(cx));
+        bed.exec(1, "doReplicateLog", vec![Value::Int(1), Value::Int(2)]);
+        let req = bed.head(2);
+        bed.exec(2, "onAppendEntriesRpc", vec![req]);
+        assert_eq!(bed.nodes[1].role.get(), STATE_FOLLOWER);
         assert_eq!(
-            nodes[1].voted_for.get(),
+            bed.nodes[1].voted_for.get(),
             &Value::Int(2),
             "votedFor is preserved on return-to-follower"
         );
@@ -863,8 +857,8 @@ mod tests {
 
     #[test]
     fn enabled_offers_track_role_and_inbox() {
-        let (mut nodes, _net, _st) = make_cluster(2, XraftBugs::none());
-        let offers = nodes[0].enabled();
+        let mut bed = Bed::new(2, XraftBugs::none());
+        let offers = bed.on(1, |node, cx| node.enabled(cx));
         assert_eq!(
             offers,
             vec![ActionInstance::new(
@@ -872,8 +866,8 @@ mod tests {
                 vec![Value::Int(1)]
             )]
         );
-        exec(&mut nodes[0], "onElectionTimeout", vec![Value::Int(1)]);
-        let offers = nodes[0].enabled();
+        bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
+        let offers = bed.on(1, |node, cx| node.enabled(cx));
         let names: Vec<&str> = offers.iter().map(|a| a.name.as_str()).collect();
         assert!(names.contains(&"doRequestVote"));
         assert!(!names.contains(&"becomeLeader"), "no quorum yet");

@@ -7,11 +7,9 @@
 //! as testbed-side drivers (the paper's scripts and overriding
 //! switches).
 
-use std::sync::Arc;
-
 use mocket_core::mapping::{ActionBinding, MappingRegistry};
 use mocket_core::sut::{record_int_field, ExecReport, MsgEvent, SutError};
-use mocket_dsnet::{ClusterStorage, Net, NodeId};
+use mocket_dsnet::{Net, NodeId};
 use mocket_runtime::{Backend, Cluster, ClusterSut, ExternalDriver, ScriptDriver};
 use mocket_tla::{ActionClass, ActionInstance, Value};
 
@@ -127,50 +125,45 @@ pub fn mapping() -> MappingRegistry {
 
 /// Testbed-side driver for external faults and user requests: the
 /// shared scripts plus the drop/duplicate overriding switches.
+#[derive(Clone)]
 struct XraftDriver {
-    net: Arc<Net<RaftMsg>>,
     scripts: ScriptDriver,
 }
 
-impl ExternalDriver for XraftDriver {
+impl ExternalDriver<AsyncRaftNode> for XraftDriver {
     fn execute(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &mut Cluster<AsyncRaftNode>,
         action: &ActionInstance,
     ) -> Result<ExecReport, SutError> {
-        match action.name.as_str() {
-            "DropMessage" => {
-                let wanted = &action.params[0];
-                let dest = record_int_field(wanted, "mdest")? as NodeId;
-                self.net
-                    .drop_matching(dest, |env| env.msg.to_value() == *wanted)
-                    .ok_or_else(|| {
-                        SutError::External(format!("no such message to drop: {wanted}"))
-                    })?;
-                Ok(ExecReport {
-                    msg_events: vec![MsgEvent::Drop {
-                        pool: POOL.into(),
-                        msg: wanted.clone(),
-                    }],
-                })
-            }
-            "DuplicateMessage" => {
-                let wanted = &action.params[0];
-                let dest = record_int_field(wanted, "mdest")? as NodeId;
-                self.net
-                    .duplicate_matching(dest, |env| env.msg.to_value() == *wanted)
-                    .ok_or_else(|| {
-                        SutError::External(format!("no such message to duplicate: {wanted}"))
-                    })?;
-                Ok(ExecReport {
-                    msg_events: vec![MsgEvent::Duplicate {
-                        pool: POOL.into(),
-                        msg: wanted.clone(),
-                    }],
-                })
-            }
-            _ => self.scripts.execute(cluster, action),
-        }
+        let drop = match action.name.as_str() {
+            "DropMessage" => true,
+            "DuplicateMessage" => false,
+            _ => return self.scripts.execute(cluster, action),
+        };
+        let wanted = action.params.first().ok_or_else(|| {
+            SutError::External(format!(
+                "{}: missing parameter 0 (got 0 parameters)",
+                action.name
+            ))
+        })?;
+        let dest = record_int_field(wanted, "mdest")? as NodeId;
+        let net = cluster
+            .net_mut()
+            .ok_or_else(|| SutError::External("the deployment is gone".into()))?;
+        let matches = |env: &mocket_dsnet::Envelope<RaftMsg>| env.msg.to_value() == *wanted;
+        let (pool, msg) = (POOL.into(), wanted.clone());
+        let (found, event, verb) = if drop {
+            let found = net.drop_matching(dest, matches);
+            (found, MsgEvent::Drop { pool, msg }, "drop")
+        } else {
+            let found = net.duplicate_matching(dest, matches);
+            (found, MsgEvent::Duplicate { pool, msg }, "duplicate")
+        };
+        found.ok_or_else(|| SutError::External(format!("no such message to {verb}: {wanted}")))?;
+        Ok(ExecReport {
+            msg_events: vec![event],
+        })
     }
 }
 
@@ -180,57 +173,28 @@ impl ExternalDriver for XraftDriver {
 /// creates a fresh network and fresh durable storage (one cluster per
 /// test case, §4.3.2). Under [`Backend::Sim`] the network runs on the
 /// simulation's shared virtual clock, so time-based delay faults
-/// mature deterministically in virtual time.
+/// mature deterministically in virtual time. Disk-loss faults erase a
+/// node's storage, so the next restart recovers nothing (unlike a
+/// plain Restart, which reloads whatever the node persisted).
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: XraftBugs,
     backend: Backend,
     fault_plan: Option<mocket_dsnet::FaultPlan>,
-) -> ClusterSut {
-    let net = Net::new(servers.iter().copied());
-    if let Backend::Sim(handle) = &backend {
-        net.set_clock(handle.clock.clone());
-    }
+) -> ClusterSut<AsyncRaftNode, impl ExternalDriver<AsyncRaftNode>> {
+    let mut net = Net::new(servers.iter().copied());
     if let Some(plan) = fault_plan {
         net.install_fault_plan(plan);
     }
-    let storage: Arc<ClusterStorage<Value>> = ClusterStorage::new();
-    let factory_net = net.clone();
-    let factory_servers = servers.clone();
-    let factory_storage = storage.clone();
-    let cluster = Cluster::new(
-        Box::new(move |id| {
-            Box::new(AsyncRaftNode::new(
-                id,
-                factory_servers.clone(),
-                bugs.clone(),
-                factory_net.clone(),
-                factory_storage.for_node(id),
-            )) as Box<dyn mocket_runtime::NodeApp>
-        }),
-        backend,
-    )
-    // Disk-loss faults erase the node's durable storage; the next
-    // restart recovers nothing (unlike a plain Restart, which reloads
-    // whatever the node persisted).
-    .with_disk_wiper(Box::new(move |id| {
-        storage.for_node(id).wipe();
-    }));
-    let trace_net = net.clone();
-    ClusterSut::new(
-        cluster,
-        servers,
-        Box::new(XraftDriver {
-            net,
-            scripts: ScriptDriver::new("clientSet"),
-        }),
-    )
-    .with_tracer_hook(Box::new(move |t| trace_net.set_tracer(t.clone())))
+    let cluster = Cluster::new((servers.clone(), bugs), net, backend);
+    let scripts = ScriptDriver::new("clientSet");
+    ClusterSut::new(cluster, servers, XraftDriver { scripts })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mocket_core::SystemUnderTest;
     use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 
     #[test]
@@ -238,6 +202,19 @@ mod tests {
         let spec = RaftSpec::new(RaftSpecConfig::xraft(vec![1, 2]));
         let issues = mapping().validate(&spec);
         assert!(issues.is_empty(), "{issues:?}");
+    }
+
+    #[test]
+    fn parameterless_message_faults_are_typed_errors() {
+        let mut sut = make_sut_full(vec![1, 2], XraftBugs::none(), Backend::Threads, None);
+        sut.deploy().unwrap();
+        for name in ["DropMessage", "DuplicateMessage"] {
+            let err = sut
+                .execute_external(&ActionInstance::nullary(name))
+                .unwrap_err();
+            assert!(matches!(err, SutError::External(_)), "{name}: {err:?}");
+        }
+        sut.teardown();
     }
 
     #[test]

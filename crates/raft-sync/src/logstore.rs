@@ -5,8 +5,6 @@
 //! semantics — the home of the `log_truncation_bug` switch (Raft-java
 //! bug #2: the conflicting-suffix truncation is off by one).
 
-use std::sync::Arc;
-
 use mocket_dsnet::Storage;
 use mocket_tla::{vrec, Value};
 
@@ -26,17 +24,18 @@ impl LogEntry {
     }
 }
 
-/// A durable, in-order entry store.
+/// A durable, in-order entry store; every change is written through
+/// to the node's disk.
+#[derive(Debug, Clone)]
 pub struct LogStore {
     entries: Vec<LogEntry>,
-    storage: Arc<Storage<Value>>,
     buggy_truncation: bool,
 }
 
 impl LogStore {
     /// Opens the store, recovering persisted entries.
-    pub fn open(storage: Arc<Storage<Value>>, buggy_truncation: bool) -> Self {
-        let entries = storage
+    pub fn open(disk: &Storage<Value>, buggy_truncation: bool) -> Self {
+        let entries = disk
             .get("log")
             .and_then(|v| {
                 v.as_seq().map(|items| {
@@ -52,7 +51,6 @@ impl LogStore {
             .unwrap_or_default();
         LogStore {
             entries,
-            storage,
             buggy_truncation,
         }
     }
@@ -87,9 +85,9 @@ impl LogStore {
     }
 
     /// Appends one entry (leader path).
-    pub fn append(&mut self, entry: LogEntry) {
+    pub fn append(&mut self, disk: &mut Storage<Value>, entry: LogEntry) {
         self.entries.push(entry);
-        self.persist();
+        self.persist(disk);
     }
 
     /// Replaces everything after `prev_index` with `incoming`
@@ -97,7 +95,7 @@ impl LogStore {
     /// conflicting suffix starting at `prev_index + 1`; the buggy
     /// version keeps the first conflicting entry (off by one) and
     /// appends after it.
-    pub fn splice(&mut self, prev_index: i64, incoming: &[LogEntry]) {
+    pub fn splice(&mut self, disk: &mut Storage<Value>, prev_index: i64, incoming: &[LogEntry]) {
         if incoming.is_empty() {
             return;
         }
@@ -118,7 +116,7 @@ impl LogStore {
         };
         self.entries.truncate(cut);
         self.entries.extend(incoming.iter().cloned());
-        self.persist();
+        self.persist(disk);
     }
 
     /// The spec-sequence shape of the whole log.
@@ -126,8 +124,8 @@ impl LogStore {
         Value::seq(self.entries.iter().map(LogEntry::to_value))
     }
 
-    fn persist(&self) {
-        self.storage.put("log", self.to_value());
+    fn persist(&self, disk: &mut Storage<Value>) {
+        disk.put("log", self.to_value());
     }
 }
 
@@ -135,15 +133,16 @@ impl LogStore {
 mod tests {
     use super::*;
 
-    fn store(buggy: bool) -> LogStore {
-        LogStore::open(Storage::new(), buggy)
+    fn store(buggy: bool) -> (LogStore, Storage<Value>) {
+        let disk = Storage::default();
+        (LogStore::open(&disk, buggy), disk)
     }
 
     #[test]
     fn append_and_access() {
-        let mut s = store(false);
-        s.append(LogEntry { term: 2, data: 1 });
-        s.append(LogEntry { term: 3, data: 2 });
+        let (mut s, mut disk) = store(false);
+        s.append(&mut disk, LogEntry { term: 2, data: 1 });
+        s.append(&mut disk, LogEntry { term: 3, data: 2 });
         assert_eq!(s.len(), 2);
         assert_eq!(s.term_at(1), 2);
         assert_eq!(s.term_at(2), 3);
@@ -153,9 +152,9 @@ mod tests {
 
     #[test]
     fn splice_replaces_conflicting_suffix() {
-        let mut s = store(false);
-        s.append(LogEntry { term: 2, data: 1 });
-        s.splice(0, &[LogEntry { term: 3, data: 9 }]);
+        let (mut s, mut disk) = store(false);
+        s.append(&mut disk, LogEntry { term: 2, data: 1 });
+        s.splice(&mut disk, 0, &[LogEntry { term: 3, data: 9 }]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(1).unwrap().term, 3);
         assert_eq!(s.get(1).unwrap().data, 9);
@@ -163,17 +162,17 @@ mod tests {
 
     #[test]
     fn splice_is_idempotent_on_same_term() {
-        let mut s = store(false);
-        s.append(LogEntry { term: 2, data: 1 });
-        s.splice(0, &[LogEntry { term: 2, data: 1 }]);
+        let (mut s, mut disk) = store(false);
+        s.append(&mut disk, LogEntry { term: 2, data: 1 });
+        s.splice(&mut disk, 0, &[LogEntry { term: 2, data: 1 }]);
         assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn buggy_truncation_keeps_conflicting_entry() {
-        let mut s = store(true);
-        s.append(LogEntry { term: 2, data: 1 });
-        s.splice(0, &[LogEntry { term: 3, data: 9 }]);
+        let (mut s, mut disk) = store(true);
+        s.append(&mut disk, LogEntry { term: 2, data: 1 });
+        s.splice(&mut disk, 0, &[LogEntry { term: 3, data: 9 }]);
         // The conflicting term-2 entry survives; the new entry lands
         // after it.
         assert_eq!(s.len(), 2);
@@ -183,21 +182,18 @@ mod tests {
 
     #[test]
     fn log_survives_reopen() {
-        let storage = Storage::new();
-        {
-            let mut s = LogStore::open(storage.clone(), false);
-            s.append(LogEntry { term: 2, data: 7 });
-        }
-        let s = LogStore::open(storage, false);
+        let (mut s, mut disk) = store(false);
+        s.append(&mut disk, LogEntry { term: 2, data: 7 });
+        let s = LogStore::open(&disk, false);
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(1).unwrap().data, 7);
     }
 
     #[test]
     fn empty_splice_is_noop() {
-        let mut s = store(true);
-        s.append(LogEntry { term: 2, data: 1 });
-        s.splice(0, &[]);
+        let (mut s, mut disk) = store(true);
+        s.append(&mut disk, LogEntry { term: 2, data: 1 });
+        s.splice(&mut disk, 0, &[]);
         assert_eq!(s.len(), 1);
     }
 }

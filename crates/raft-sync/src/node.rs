@@ -7,16 +7,17 @@
 //! Raft-java. Hook names follow Raft-java's method names.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use mocket_core::sut::MsgEvent;
-use mocket_dsnet::{Net, NodeId, Storage};
-use mocket_runtime::{NodeApp, Shadow, VarRegistry};
+use mocket_dsnet::NodeId;
+use mocket_runtime::{NodeApp, NodeCx, Shadow};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::bugs::SyncRaftBugs;
 use crate::logstore::{LogEntry, LogStore};
 use crate::msg::Rpc;
+
+type Cx<'a> = NodeCx<'a, Rpc>;
 
 /// Raft-java role names (constant-mapped to the spec's).
 pub const ROLE_FOLLOWER: &str = "NODE_STATE_FOLLOWER";
@@ -29,6 +30,7 @@ pub const ROLE_LEADER: &str = "NODE_STATE_LEADER";
 pub const POOL: &str = "messages";
 
 /// A SyncRaft node.
+#[derive(Clone)]
 pub struct SyncRaftNode {
     id: NodeId,
     servers: Vec<NodeId>,
@@ -38,9 +40,6 @@ pub struct SyncRaftNode {
     /// region never notifies on its own, which is what makes the
     /// official spec's independent `UpdateTerm` a *missing action*.
     expose_update_term: bool,
-    net: Arc<Net<Rpc>>,
-    storage: Arc<Storage<Value>>,
-    registry: Arc<VarRegistry>,
 
     role: Shadow<String>,
     term: Shadow<i64>,
@@ -58,53 +57,16 @@ pub struct SyncRaftNode {
 }
 
 impl SyncRaftNode {
-    /// Creates (or restarts) a node, recovering durable state.
-    pub fn new(
-        id: NodeId,
-        servers: Vec<NodeId>,
-        bugs: SyncRaftBugs,
-        expose_update_term: bool,
-        net: Arc<Net<Rpc>>,
-        storage: Arc<Storage<Value>>,
-    ) -> Self {
-        let registry = VarRegistry::new();
-        let term = storage.get("term").and_then(|v| v.as_int()).unwrap_or(1);
-        let voted_for = storage.get("votedFor").unwrap_or(Value::Nil);
-        let log = LogStore::open(storage.clone(), bugs.log_truncation_bug);
-        let mut node = SyncRaftNode {
-            id,
-            role: Shadow::new("role", ROLE_FOLLOWER.to_string(), registry.clone()),
-            term: Shadow::new("term", term, registry.clone()),
-            voted_for: Shadow::new("votedFor", voted_for, registry.clone()),
-            votes: Shadow::new("votes", Value::empty_set(), registry.clone()),
-            voters: BTreeSet::new(),
-            commit: Shadow::new("commitIndex", 0, registry.clone()),
-            log,
-            next_index: servers.iter().map(|&j| (j, 1)).collect(),
-            match_index: servers.iter().map(|&j| (j, 0)).collect(),
-            vote_reply_seen: false,
-            servers,
-            bugs,
-            expose_update_term,
-            net,
-            storage,
-            registry,
-        };
-        node.mirror_log();
-        node.mirror_indexes();
-        node
-    }
-
     fn quorum(&self) -> usize {
         self.servers.len() / 2 + 1
     }
 
-    fn mirror_log(&mut self) {
-        self.registry.write("log", self.log.to_value());
+    fn mirror_log(&mut self, cx: &mut Cx<'_>) {
+        cx.vars.write("log", self.log.to_value());
     }
 
-    fn mirror_indexes(&mut self) {
-        self.registry.write(
+    fn mirror_indexes(&mut self, cx: &mut Cx<'_>) {
+        cx.vars.write(
             "nextIndex",
             Value::Fun(
                 self.next_index
@@ -113,7 +75,7 @@ impl SyncRaftNode {
                     .collect(),
             ),
         );
-        self.registry.write(
+        cx.vars.write(
             "matchIndex",
             Value::Fun(
                 self.match_index
@@ -124,43 +86,42 @@ impl SyncRaftNode {
         );
     }
 
-    fn set_votes(&mut self) {
-        self.votes.set(Value::set(
-            self.voters.iter().map(|&v| Value::Int(v as i64)),
-        ));
+    fn set_votes(&mut self, cx: &mut Cx<'_>) {
+        self.votes.set(
+            cx.vars,
+            Value::set(self.voters.iter().map(|&v| Value::Int(v as i64))),
+        );
     }
 
-    fn persist_term(&self) {
-        self.storage.put("term", Value::Int(*self.term.get()));
+    fn persist_term(&self, cx: &mut Cx<'_>) {
+        cx.disk.put("term", Value::Int(*self.term.get()));
     }
 
-    fn persist_vote(&self) {
-        self.storage.put("votedFor", self.voted_for.get().clone());
+    fn persist_vote(&self, cx: &mut Cx<'_>) {
+        cx.disk.put("votedFor", self.voted_for.get().clone());
     }
 
     /// Raft-java's `stepDown`: adopt a higher term as follower.
-    fn step_down(&mut self, term: i64) {
-        self.term.set(term);
-        self.persist_term();
-        self.role.set(ROLE_FOLLOWER.to_string());
-        self.voted_for.set(Value::Nil);
-        self.persist_vote();
+    fn step_down(&mut self, cx: &mut Cx<'_>, term: i64) {
+        self.term.set(cx.vars, term);
+        self.persist_term(cx);
+        self.role.set(cx.vars, ROLE_FOLLOWER.to_string());
+        self.voted_for.set(cx.vars, Value::Nil);
+        self.persist_vote(cx);
         self.vote_reply_seen = false;
     }
 
-    fn send(&self, rpc: Rpc) -> MsgEvent {
+    fn send(&self, cx: &mut Cx<'_>, rpc: Rpc) -> MsgEvent {
         let value = rpc.to_value();
-        self.net
-            .send(self.id, rpc.dest(), &rpc)
-            .expect("wire encode");
+        cx.net.send(self.id, rpc.dest(), &rpc).expect("wire encode");
         MsgEvent::Send {
             pool: POOL.into(),
             msg: value,
         }
     }
 
-    fn take(&self, wanted: &Value) -> Option<Rpc> {
-        self.net
+    fn take(&self, cx: &mut Cx<'_>, wanted: &Value) -> Option<Rpc> {
+        cx.net
             .take_matching(self.id, |env| env.msg.to_value() == *wanted)
             .map(|env| env.msg)
     }
@@ -174,32 +135,35 @@ impl SyncRaftNode {
     // Handlers (Raft-java method analogs).
     // ------------------------------------------------------------------
 
-    fn election_timer(&mut self) -> Vec<MsgEvent> {
+    fn election_timer(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         let term = *self.term.get() + 1;
-        self.term.set(term);
-        self.persist_term();
-        self.role.set(ROLE_CANDIDATE.to_string());
-        self.voted_for.set(Value::Int(self.id as i64));
-        self.persist_vote();
+        self.term.set(cx.vars, term);
+        self.persist_term(cx);
+        self.role.set(cx.vars, ROLE_CANDIDATE.to_string());
+        self.voted_for.set(cx.vars, Value::Int(self.id as i64));
+        self.persist_vote(cx);
         self.voters.clear();
         self.voters.insert(self.id);
-        self.set_votes();
+        self.set_votes(cx);
         self.vote_reply_seen = false;
         Vec::new()
     }
 
-    fn send_vote_request(&mut self, peer: NodeId) -> Vec<MsgEvent> {
-        vec![self.send(Rpc::VoteCall {
-            term: *self.term.get(),
-            last_log_term: self.log.last_term(),
-            last_log_index: self.log.len(),
-            from: self.id,
-            to: peer,
-        })]
+    fn send_vote_request(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
+        vec![self.send(
+            cx,
+            Rpc::VoteCall {
+                term: *self.term.get(),
+                last_log_term: self.log.last_term(),
+                last_log_index: self.log.len(),
+                from: self.id,
+                to: peer,
+            },
+        )]
     }
 
-    fn on_vote_request(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(rpc) = self.take(wanted) else {
+    fn on_vote_request(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(rpc) = self.take(cx, wanted) else {
             return Vec::new();
         };
         let mut events = vec![MsgEvent::Receive {
@@ -217,7 +181,7 @@ impl SyncRaftNode {
             return events;
         };
         if term > *self.term.get() {
-            self.step_down(term);
+            self.step_down(cx, term);
         }
         if term < *self.term.get() {
             return events;
@@ -225,20 +189,23 @@ impl SyncRaftNode {
         let free =
             self.voted_for.get() == &Value::Nil || self.voted_for.get() == &Value::Int(from as i64);
         if free && self.log_up_to_date(last_log_term, last_log_index) {
-            self.voted_for.set(Value::Int(from as i64));
-            self.persist_vote();
-            events.push(self.send(Rpc::VoteReply {
-                term: *self.term.get(),
-                granted: true,
-                from: self.id,
-                to: from,
-            }));
+            self.voted_for.set(cx.vars, Value::Int(from as i64));
+            self.persist_vote(cx);
+            events.push(self.send(
+                cx,
+                Rpc::VoteReply {
+                    term: *self.term.get(),
+                    granted: true,
+                    from: self.id,
+                    to: from,
+                },
+            ));
         }
         events
     }
 
-    fn on_vote_reply(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(rpc) = self.take(wanted) else {
+    fn on_vote_reply(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(rpc) = self.take(cx, wanted) else {
             return Vec::new();
         };
         let events = vec![MsgEvent::Receive {
@@ -256,49 +223,52 @@ impl SyncRaftNode {
         };
         if granted && self.role.get() == ROLE_CANDIDATE && term == *self.term.get() {
             self.voters.insert(from);
-            self.set_votes();
+            self.set_votes(cx);
             self.vote_reply_seen = true;
         }
         events
     }
 
-    fn elect_leader(&mut self) -> Vec<MsgEvent> {
-        self.role.set(ROLE_LEADER.to_string());
+    fn elect_leader(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
+        self.role.set(cx.vars, ROLE_LEADER.to_string());
         let next = self.log.len() + 1;
         for &j in &self.servers.clone() {
             self.next_index.insert(j, next);
             self.match_index.insert(j, 0);
         }
-        self.mirror_indexes();
+        self.mirror_indexes(cx);
         Vec::new()
     }
 
-    fn client_write(&mut self, datum: i64) -> Vec<MsgEvent> {
+    fn client_write(&mut self, cx: &mut Cx<'_>, datum: i64) -> Vec<MsgEvent> {
         let term = *self.term.get();
-        self.log.append(LogEntry { term, data: datum });
-        self.mirror_log();
+        self.log.append(cx.disk, LogEntry { term, data: datum });
+        self.mirror_log(cx);
         Vec::new()
     }
 
-    fn send_entries(&mut self, peer: NodeId) -> Vec<MsgEvent> {
+    fn send_entries(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
         let next = self.next_index[&peer];
         let prev_index = next - 1;
         let prev_term = self.log.term_at(prev_index);
         let entries: Vec<LogEntry> = self.log.get(next).cloned().into_iter().collect();
         let commit = (*self.commit.get()).min(prev_index + entries.len() as i64);
-        vec![self.send(Rpc::AppendCall {
-            term: *self.term.get(),
-            prev_index,
-            prev_term,
-            entries,
-            commit,
-            from: self.id,
-            to: peer,
-        })]
+        vec![self.send(
+            cx,
+            Rpc::AppendCall {
+                term: *self.term.get(),
+                prev_index,
+                prev_term,
+                entries,
+                commit,
+                from: self.id,
+                to: peer,
+            },
+        )]
     }
 
-    fn on_append_entries(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(rpc) = self.take(wanted) else {
+    fn on_append_entries(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(rpc) = self.take(cx, wanted) else {
             return Vec::new();
         };
         let mut events = vec![MsgEvent::Receive {
@@ -318,22 +288,25 @@ impl SyncRaftNode {
             return events;
         };
         if term > *self.term.get() {
-            self.step_down(term);
+            self.step_down(cx, term);
         }
         let my_term = *self.term.get();
         if term < my_term {
-            events.push(self.send(Rpc::AppendReply {
-                term: my_term,
-                ok: false,
-                match_index: 0,
-                from: self.id,
-                to: from,
-            }));
+            events.push(self.send(
+                cx,
+                Rpc::AppendReply {
+                    term: my_term,
+                    ok: false,
+                    match_index: 0,
+                    from: self.id,
+                    to: from,
+                },
+            ));
             return events;
         }
         if self.role.get() == ROLE_CANDIDATE {
             // Same-term leader exists: back to follower, keep the vote.
-            self.role.set(ROLE_FOLLOWER.to_string());
+            self.role.set(cx.vars, ROLE_FOLLOWER.to_string());
         }
         if self.role.get() == ROLE_LEADER {
             return events;
@@ -341,32 +314,38 @@ impl SyncRaftNode {
         let log_ok = prev_index == 0
             || (prev_index <= self.log.len() && self.log.term_at(prev_index) == prev_term);
         if !log_ok {
-            events.push(self.send(Rpc::AppendReply {
-                term: my_term,
-                ok: false,
-                match_index: 0,
-                from: self.id,
-                to: from,
-            }));
+            events.push(self.send(
+                cx,
+                Rpc::AppendReply {
+                    term: my_term,
+                    ok: false,
+                    match_index: 0,
+                    from: self.id,
+                    to: from,
+                },
+            ));
             return events;
         }
-        self.log.splice(prev_index, &entries);
-        self.mirror_log();
+        self.log.splice(cx.disk, prev_index, &entries);
+        self.mirror_log(cx);
         let match_len = prev_index + entries.len() as i64;
         let new_commit = (*self.commit.get()).max(commit.min(self.log.len()));
-        self.commit.set(new_commit);
-        events.push(self.send(Rpc::AppendReply {
-            term: my_term,
-            ok: true,
-            match_index: match_len,
-            from: self.id,
-            to: from,
-        }));
+        self.commit.set(cx.vars, new_commit);
+        events.push(self.send(
+            cx,
+            Rpc::AppendReply {
+                term: my_term,
+                ok: true,
+                match_index: match_len,
+                from: self.id,
+                to: from,
+            },
+        ));
         events
     }
 
-    fn on_append_reply(&mut self, wanted: &Value) -> Vec<MsgEvent> {
-        let Some(rpc) = self.take(wanted) else {
+    fn on_append_reply(&mut self, cx: &mut Cx<'_>, wanted: &Value) -> Vec<MsgEvent> {
+        let Some(rpc) = self.take(cx, wanted) else {
             return Vec::new();
         };
         let events = vec![MsgEvent::Receive {
@@ -391,14 +370,14 @@ impl SyncRaftNode {
                 let cur = self.next_index[&from];
                 self.next_index.insert(from, (cur - 1).max(1));
             }
-            self.mirror_indexes();
+            self.mirror_indexes(cx);
         }
         events
     }
 
-    fn advance_commit(&mut self) -> Vec<MsgEvent> {
+    fn advance_commit(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         if let Some(best) = self.computable_commit() {
-            self.commit.set(best);
+            self.commit.set(cx.vars, best);
         }
         Vec::new()
     }
@@ -425,7 +404,39 @@ impl SyncRaftNode {
 }
 
 impl NodeApp for SyncRaftNode {
-    fn enabled(&mut self) -> Vec<ActionInstance> {
+    type Msg = Rpc;
+    /// The membership, the seeded bug switches and whether `stepDown`
+    /// notifies standalone (see `sut::make_sut_full`).
+    type Config = (Vec<NodeId>, SyncRaftBugs, bool);
+
+    /// Boots (or restarts) a node, recovering durable state.
+    fn boot(id: NodeId, config: &Self::Config, cx: &mut Cx<'_>) -> Self {
+        let (servers, bugs, expose_update_term) = config.clone();
+        let term = cx.disk.get("term").and_then(Value::as_int).unwrap_or(1);
+        let voted_for = cx.disk.get("votedFor").cloned().unwrap_or(Value::Nil);
+        let log = LogStore::open(cx.disk, bugs.log_truncation_bug);
+        let mut node = SyncRaftNode {
+            id,
+            role: Shadow::new("role", ROLE_FOLLOWER.to_string(), cx.vars),
+            term: Shadow::new("term", term, cx.vars),
+            voted_for: Shadow::new("votedFor", voted_for, cx.vars),
+            votes: Shadow::new("votes", Value::empty_set(), cx.vars),
+            voters: BTreeSet::new(),
+            commit: Shadow::new("commitIndex", 0, cx.vars),
+            log,
+            next_index: servers.iter().map(|&j| (j, 1)).collect(),
+            match_index: servers.iter().map(|&j| (j, 0)).collect(),
+            vote_reply_seen: false,
+            servers,
+            bugs,
+            expose_update_term,
+        };
+        node.mirror_log(cx);
+        node.mirror_indexes(cx);
+        node
+    }
+
+    fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
         let role = self.role.get().clone();
@@ -463,7 +474,7 @@ impl NodeApp for SyncRaftNode {
             }
         }
 
-        for env in self.net.inbox(self.id) {
+        for env in cx.net.inbox(self.id) {
             let hook = match env.msg {
                 Rpc::VoteCall { .. } => "onVoteRequest",
                 Rpc::VoteReply { .. } => {
@@ -498,18 +509,20 @@ impl NodeApp for SyncRaftNode {
         offers
     }
 
-    fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+    fn execute(&mut self, action: &ActionInstance, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         match action.name.as_str() {
-            "electionTimer" => self.election_timer(),
-            "sendVoteRequest" => self.send_vote_request(action.params[1].expect_int() as NodeId),
-            "onVoteRequest" => self.on_vote_request(&action.params[0]),
-            "onVoteReply" => self.on_vote_reply(&action.params[0]),
-            "electLeader" => self.elect_leader(),
-            "clientWrite" => self.client_write(action.params[0].expect_int()),
-            "sendEntries" => self.send_entries(action.params[1].expect_int() as NodeId),
-            "onAppendEntries" => self.on_append_entries(&action.params[0]),
-            "onAppendReply" => self.on_append_reply(&action.params[0]),
-            "advanceCommit" => self.advance_commit(),
+            "electionTimer" => self.election_timer(cx),
+            "sendVoteRequest" => {
+                self.send_vote_request(cx, action.params[1].expect_int() as NodeId)
+            }
+            "onVoteRequest" => self.on_vote_request(cx, &action.params[0]),
+            "onVoteReply" => self.on_vote_reply(cx, &action.params[0]),
+            "electLeader" => self.elect_leader(cx),
+            "clientWrite" => self.client_write(cx, action.params[0].expect_int()),
+            "sendEntries" => self.send_entries(cx, action.params[1].expect_int() as NodeId),
+            "onAppendEntries" => self.on_append_entries(cx, &action.params[0]),
+            "onAppendReply" => self.on_append_reply(cx, &action.params[0]),
+            "advanceCommit" => self.advance_commit(cx),
             // Scheduling the stepDown region runs the *whole* handler
             // it lives in — the implementation cannot update the term
             // without also processing the message, which is exactly
@@ -517,85 +530,109 @@ impl NodeApp for SyncRaftNode {
             "stepDown" => {
                 let m = &action.params[0];
                 match m.expect_field("mtype").expect_str() {
-                    "RequestVoteRequest" => self.on_vote_request(m),
-                    "RequestVoteResponse" => self.on_vote_reply(m),
-                    "AppendEntriesRequest" => self.on_append_entries(m),
-                    _ => self.on_append_reply(m),
+                    "RequestVoteRequest" => self.on_vote_request(cx, m),
+                    "RequestVoteResponse" => self.on_vote_reply(cx, m),
+                    "AppendEntriesRequest" => self.on_append_entries(cx, m),
+                    _ => self.on_append_reply(cx, m),
                 }
             }
             other => panic!("unknown action {other}"),
         }
-    }
-
-    fn registry(&self) -> Arc<VarRegistry> {
-        self.registry.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_dsnet::ClusterStorage;
+    use mocket_dsnet::{Net, Storage};
+    use mocket_runtime::VarRegistry;
 
-    fn cluster(n: u64, bugs: SyncRaftBugs) -> (Vec<SyncRaftNode>, Arc<Net<Rpc>>) {
-        let servers: Vec<NodeId> = (1..=n).collect();
-        let net = Net::new(servers.iter().copied());
-        let storage = ClusterStorage::new();
-        let nodes = servers
-            .iter()
-            .map(|&id| {
-                SyncRaftNode::new(
-                    id,
-                    servers.clone(),
-                    bugs.clone(),
-                    false,
-                    net.clone(),
-                    storage.for_node(id),
-                )
-            })
-            .collect();
-        (nodes, net)
+    /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
+    /// its disk and registry at the same index.
+    struct Bed {
+        net: Net<Rpc>,
+        disks: Vec<Storage<Value>>,
+        vars: Vec<VarRegistry>,
+        nodes: Vec<SyncRaftNode>,
     }
 
-    fn exec(n: &mut SyncRaftNode, name: &str, params: Vec<Value>) -> Vec<MsgEvent> {
-        n.execute(&ActionInstance::new(name, params))
+    impl Bed {
+        fn new(n: u64, bugs: SyncRaftBugs) -> Bed {
+            let servers: Vec<NodeId> = (1..=n).collect();
+            let config = (servers.clone(), bugs, false);
+            let mut bed = Bed {
+                net: Net::new(servers.iter().copied()),
+                disks: vec![Storage::default(); n as usize],
+                vars: vec![VarRegistry::default(); n as usize],
+                nodes: Vec::new(),
+            };
+            for id in servers {
+                let node = SyncRaftNode::boot(id, &config, &mut bed.cx(id));
+                bed.nodes.push(node);
+            }
+            bed
+        }
+
+        fn cx(&mut self, id: NodeId) -> Cx<'_> {
+            let i = id as usize - 1;
+            NodeCx {
+                net: &mut self.net,
+                disk: &mut self.disks[i],
+                vars: &mut self.vars[i],
+            }
+        }
+
+        /// Runs `f` on node `id` with its context.
+        fn on<T>(&mut self, id: NodeId, f: impl FnOnce(&mut SyncRaftNode, &mut Cx<'_>) -> T) -> T {
+            let mut node = self.nodes[id as usize - 1].clone();
+            let out = f(&mut node, &mut self.cx(id));
+            self.nodes[id as usize - 1] = node;
+            out
+        }
+
+        fn exec(&mut self, id: NodeId, name: &str, params: Vec<Value>) -> Vec<MsgEvent> {
+            self.on(id, |node, cx| {
+                node.execute(&ActionInstance::new(name, params), cx)
+            })
+        }
+
+        /// The oldest message waiting for `id`, in the spec domain.
+        fn head(&mut self, id: NodeId) -> Value {
+            self.net.inbox(id)[0].msg.to_value()
+        }
     }
 
     #[test]
     fn election_without_noop() {
-        let (mut nodes, net) = cluster(3, SyncRaftBugs::none());
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        exec(
-            &mut nodes[0],
-            "sendVoteRequest",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let call = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onVoteRequest", vec![call]);
-        let reply = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onVoteReply", vec![reply]);
-        exec(&mut nodes[0], "electLeader", vec![Value::Int(1)]);
-        assert_eq!(nodes[0].role.get(), ROLE_LEADER);
-        assert!(nodes[0].log.is_empty(), "Raft-java appends no NoOp");
+        let mut bed = Bed::new(3, SyncRaftBugs::none());
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        bed.exec(1, "sendVoteRequest", vec![Value::Int(1), Value::Int(2)]);
+        let call = bed.head(2);
+        bed.exec(2, "onVoteRequest", vec![call]);
+        let reply = bed.head(1);
+        bed.exec(1, "onVoteReply", vec![reply]);
+        bed.exec(1, "electLeader", vec![Value::Int(1)]);
+        assert_eq!(bed.nodes[0].role.get(), ROLE_LEADER);
+        assert!(bed.nodes[0].log.is_empty(), "Raft-java appends no NoOp");
     }
 
     #[test]
     fn second_vote_reply_counts_when_conformant() {
-        let (mut nodes, net) = cluster(3, SyncRaftBugs::none());
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        for j in [2usize, 3] {
-            exec(
-                &mut nodes[0],
+        let mut bed = Bed::new(3, SyncRaftBugs::none());
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        for j in [2, 3] {
+            bed.exec(
+                1,
                 "sendVoteRequest",
                 vec![Value::Int(1), Value::Int(j as i64)],
             );
-            let call = net.inbox(j as u64)[0].msg.to_value();
-            exec(&mut nodes[j - 1], "onVoteRequest", vec![call]);
+            let call = bed.head(j);
+            bed.exec(j, "onVoteRequest", vec![call]);
         }
         // Two replies waiting; both must be offered.
-        let reply1 = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onVoteReply", vec![reply1]);
-        let offers = nodes[0].enabled();
+        let reply1 = bed.head(1);
+        bed.exec(1, "onVoteReply", vec![reply1]);
+        let offers = bed.on(1, |node, cx| node.enabled(cx));
         assert!(
             offers.iter().any(|a| a.name == "onVoteReply"),
             "second reply still offered: {offers:?}"
@@ -608,20 +645,20 @@ mod tests {
             ignore_extra_vote_response: true,
             ..SyncRaftBugs::none()
         };
-        let (mut nodes, net) = cluster(3, bugs);
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        for j in [2usize, 3] {
-            exec(
-                &mut nodes[0],
+        let mut bed = Bed::new(3, bugs);
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        for j in [2, 3] {
+            bed.exec(
+                1,
                 "sendVoteRequest",
                 vec![Value::Int(1), Value::Int(j as i64)],
             );
-            let call = net.inbox(j as u64)[0].msg.to_value();
-            exec(&mut nodes[j - 1], "onVoteRequest", vec![call]);
+            let call = bed.head(j);
+            bed.exec(j, "onVoteRequest", vec![call]);
         }
-        let reply1 = net.inbox(1)[0].msg.to_value();
-        exec(&mut nodes[0], "onVoteReply", vec![reply1]);
-        let offers = nodes[0].enabled();
+        let reply1 = bed.head(1);
+        bed.exec(1, "onVoteReply", vec![reply1]);
+        let offers = bed.on(1, |node, cx| node.enabled(cx));
         assert!(
             !offers.iter().any(|a| a.name == "onVoteReply"),
             "the deregistered callback never notifies: {offers:?}"
@@ -630,25 +667,25 @@ mod tests {
 
     #[test]
     fn conflicting_entry_is_replaced_when_conformant() {
-        let (mut nodes, net) = cluster(3, SyncRaftBugs::none());
+        let mut bed = Bed::new(3, SyncRaftBugs::none());
         // Node 2 has a stale entry from term 2.
-        nodes[1].step_down(2);
-        nodes[1].log.append(LogEntry { term: 2, data: 1 });
-        nodes[1].mirror_log();
+        bed.on(2, |node, cx| {
+            node.step_down(cx, 2);
+            node.log.append(cx.disk, LogEntry { term: 2, data: 1 });
+            node.mirror_log(cx);
+        });
         // Node 1 leads term 3 and ships a conflicting entry.
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        nodes[0].elect_leader();
-        nodes[0].client_write(9);
-        exec(
-            &mut nodes[0],
-            "sendEntries",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let call = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onAppendEntries", vec![call]);
-        assert_eq!(nodes[1].log.len(), 1);
-        assert_eq!(nodes[1].log.get(1).unwrap().term, 3);
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        bed.on(1, |node, cx| {
+            node.elect_leader(cx);
+            node.client_write(cx, 9);
+        });
+        bed.exec(1, "sendEntries", vec![Value::Int(1), Value::Int(2)]);
+        let call = bed.head(2);
+        bed.exec(2, "onAppendEntries", vec![call]);
+        assert_eq!(bed.nodes[1].log.len(), 1);
+        assert_eq!(bed.nodes[1].log.get(1).unwrap().term, 3);
     }
 
     #[test]
@@ -657,22 +694,22 @@ mod tests {
             log_truncation_bug: true,
             ..SyncRaftBugs::none()
         };
-        let (mut nodes, net) = cluster(3, bugs);
-        nodes[1].step_down(2);
-        nodes[1].log.append(LogEntry { term: 2, data: 1 });
-        nodes[1].mirror_log();
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        exec(&mut nodes[0], "electionTimer", vec![Value::Int(1)]);
-        nodes[0].elect_leader();
-        nodes[0].client_write(9);
-        exec(
-            &mut nodes[0],
-            "sendEntries",
-            vec![Value::Int(1), Value::Int(2)],
-        );
-        let call = net.inbox(2)[0].msg.to_value();
-        exec(&mut nodes[1], "onAppendEntries", vec![call]);
-        assert_eq!(nodes[1].log.len(), 2, "the stale entry survived");
-        assert_eq!(nodes[1].log.get(1).unwrap().term, 2);
+        let mut bed = Bed::new(3, bugs);
+        bed.on(2, |node, cx| {
+            node.step_down(cx, 2);
+            node.log.append(cx.disk, LogEntry { term: 2, data: 1 });
+            node.mirror_log(cx);
+        });
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        bed.exec(1, "electionTimer", vec![Value::Int(1)]);
+        bed.on(1, |node, cx| {
+            node.elect_leader(cx);
+            node.client_write(cx, 9);
+        });
+        bed.exec(1, "sendEntries", vec![Value::Int(1), Value::Int(2)]);
+        let call = bed.head(2);
+        bed.exec(2, "onAppendEntries", vec![call]);
+        assert_eq!(bed.nodes[1].log.len(), 2, "the stale entry survived");
+        assert_eq!(bed.nodes[1].log.get(1).unwrap().term, 2);
     }
 }

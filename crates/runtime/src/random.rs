@@ -1,14 +1,12 @@
 //! Uncontrolled (random-schedule) execution.
 //!
-//! Outside Mocket's controlled testing, a cluster can be driven by
+//! Outside Mocket's controlled testing, a deployment can be driven by
 //! picking a random enabled action each step. This is how the
 //! protocol crates test their own liveness (a leader is eventually
 //! elected under arbitrary schedules) and how the examples demonstrate
 //! the targets are real running systems, not test fixtures.
 
-use mocket_tla::ActionInstance;
-
-use crate::cluster::{Cluster, ClusterError, NodeId};
+use mocket_core::sut::{SutError, SystemUnderTest};
 
 /// A tiny deterministic xorshift generator so random runs are
 /// reproducible from a seed.
@@ -49,16 +47,16 @@ pub struct RandomRunStats {
 /// Runs up to `steps` random enabled actions; stops early after
 /// `max_quiescent` consecutive polls with nothing enabled.
 pub fn run_random(
-    cluster: &mut Cluster,
+    sut: &mut dyn SystemUnderTest,
     steps: usize,
     seed: u64,
     max_quiescent: usize,
-) -> Result<RandomRunStats, ClusterError> {
+) -> Result<RandomRunStats, SutError> {
     let mut rng = XorShift::new(seed);
     let mut stats = RandomRunStats::default();
     let mut quiescent = 0usize;
     for _ in 0..steps {
-        let offers: Vec<(NodeId, ActionInstance)> = cluster.offers()?;
+        let mut offers = sut.offers()?;
         if offers.is_empty() {
             stats.quiescent_polls += 1;
             quiescent += 1;
@@ -68,9 +66,9 @@ pub fn run_random(
             continue;
         }
         quiescent = 0;
-        let (node, action) = offers[rng.pick(offers.len())].clone();
-        cluster.execute(node, &action)?;
-        *stats.action_counts.entry(action.name).or_insert(0) += 1;
+        let offer = offers.swap_remove(rng.pick(offers.len()));
+        sut.execute(&offer)?;
+        *stats.action_counts.entry(offer.action.name).or_insert(0) += 1;
         stats.executed += 1;
     }
     Ok(stats)
@@ -79,48 +77,51 @@ pub fn run_random(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Backend, NodeApp, NodeFactory};
-    use crate::registry::{Shadow, VarRegistry};
+    use crate::cluster::{Backend, Cluster, NodeApp, NodeCx, NodeId};
+    use crate::registry::Shadow;
+    use crate::sutadapter::{ClusterSut, ScriptDriver};
     use mocket_core::sut::MsgEvent;
-    use std::sync::Arc;
+    use mocket_dsnet::Net;
+    use mocket_tla::ActionInstance;
 
+    #[derive(Clone)]
     struct StepApp {
-        registry: Arc<VarRegistry>,
         n: Shadow<i64>,
     }
 
     impl NodeApp for StepApp {
-        fn enabled(&mut self) -> Vec<ActionInstance> {
+        type Msg = u64;
+        type Config = ();
+
+        fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
+            StepApp {
+                n: Shadow::new("n", 0, cx.vars),
+            }
+        }
+        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
             if *self.n.get() < 5 {
                 vec![ActionInstance::nullary("a"), ActionInstance::nullary("b")]
             } else {
                 vec![]
             }
         }
-        fn execute(&mut self, _action: &ActionInstance) -> Vec<MsgEvent> {
-            self.n.update(|v| v + 1);
+        fn execute(&mut self, _action: &ActionInstance, cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
+            self.n.update(cx.vars, |v| v + 1);
             vec![]
-        }
-        fn registry(&self) -> Arc<VarRegistry> {
-            self.registry.clone()
         }
     }
 
     #[test]
     fn random_run_executes_until_quiescent() {
-        let factory: NodeFactory = Box::new(|_| {
-            let registry = VarRegistry::new();
-            let n = Shadow::new("n", 0i64, registry.clone());
-            Box::new(StepApp { registry, n }) as Box<dyn NodeApp>
-        });
-        let mut cluster = Cluster::new(factory, Backend::Threads);
-        cluster.start(&[1]);
-        let stats = run_random(&mut cluster, 100, 7, 2).unwrap();
+        let cluster = Cluster::<StepApp>::new((), Net::new([1]), Backend::Threads);
+        let mut sut = ClusterSut::new(cluster, vec![1], ScriptDriver::new("a"));
+        sut.deploy().unwrap();
+        let stats = run_random(&mut sut, 100, 7, 2).unwrap();
         assert_eq!(stats.executed, 5);
         assert!(stats.quiescent_polls >= 1);
         let total: usize = stats.action_counts.values().sum();
         assert_eq!(total, 5);
-        cluster.shutdown();
+        sut.teardown();
     }
 
     #[test]

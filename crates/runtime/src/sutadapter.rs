@@ -1,16 +1,17 @@
 //! Adapter from an instrumented [`Cluster`] to Mocket's
 //! [`SystemUnderTest`] interface.
 //!
-//! Protocol crates provide a node factory (the application) and an
+//! Protocol crates provide a node type (the application) and an
 //! [`ExternalDriver`] (the scripts of §4.1.2: crash, restart, user
 //! requests, and the drop/duplicate overriding switches); the adapter
-//! wires both to the testbed.
+//! wires both to the testbed. The adapter is a plain value: cloning it
+//! copies the deployment.
 
 use mocket_core::sut::{int_param, ExecReport, Offer, Snapshot, SutError, SystemUnderTest};
 use mocket_obs::causal::Tracer;
 use mocket_tla::{ActionInstance, Value};
 
-use crate::cluster::{Cluster, ClusterError, NodeId};
+use crate::cluster::{Cluster, ClusterError, NodeApp, NodeId};
 
 /// The external-action name the adapter handles itself: erase a
 /// node's durable storage and restart it. A plain `Restart` recovers
@@ -19,11 +20,11 @@ pub const DISK_LOSS_ACTION: &str = "DiskLoss";
 
 /// Handles external-fault and user-request actions that nodes cannot
 /// offer themselves.
-pub trait ExternalDriver: Send {
+pub trait ExternalDriver<N: NodeApp>: Clone + 'static {
     /// Executes `action` (spec domain) against the cluster.
     fn execute(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &mut Cluster<N>,
         action: &ActionInstance,
     ) -> Result<ExecReport, SutError>;
 }
@@ -31,6 +32,7 @@ pub trait ExternalDriver: Send {
 /// The scripts every protocol shares (§4.1.2): `ClientRequest(leader)`
 /// — the k-th user request writes datum k through the `client_hook`
 /// action of the leader — plus `Restart(n)` and `Crash(n)`.
+#[derive(Clone)]
 pub struct ScriptDriver {
     client_hook: &'static str,
     client_counter: i64,
@@ -46,10 +48,10 @@ impl ScriptDriver {
     }
 }
 
-impl ExternalDriver for ScriptDriver {
+impl<N: NodeApp> ExternalDriver<N> for ScriptDriver {
     fn execute(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &mut Cluster<N>,
         action: &ActionInstance,
     ) -> Result<ExecReport, SutError> {
         match action.name.as_str() {
@@ -79,41 +81,22 @@ impl ExternalDriver for ScriptDriver {
 }
 
 /// A cluster exposed as a system under test.
-pub struct ClusterSut {
-    cluster: Cluster,
+#[derive(Clone)]
+pub struct ClusterSut<N: NodeApp, D = ScriptDriver> {
+    cluster: Cluster<N>,
     ids: Vec<NodeId>,
-    external: Box<dyn ExternalDriver>,
-    /// Extra tracer plumbing beyond the cluster itself — protocol
-    /// factories register their wire network here so message-level
-    /// events reach the same trace.
-    tracer_hook: Option<Box<dyn Fn(&Tracer) + Send>>,
+    external: D,
 }
 
-impl ClusterSut {
+impl<N: NodeApp, D: ExternalDriver<N>> ClusterSut<N, D> {
     /// Wraps a cluster. `ids` is the full membership (used for
     /// snapshot aggregation even across crashes).
-    pub fn new(cluster: Cluster, ids: Vec<NodeId>, external: Box<dyn ExternalDriver>) -> Self {
+    pub fn new(cluster: Cluster<N>, ids: Vec<NodeId>, external: D) -> Self {
         ClusterSut {
             cluster,
             ids,
             external,
-            tracer_hook: None,
         }
-    }
-
-    /// Registers a hook run on every [`install_tracer`] call, after
-    /// the cluster itself is wired (builder form). Protocol factories
-    /// use it to hand the tracer to their `dsnet::Net`.
-    ///
-    /// [`install_tracer`]: SystemUnderTest::install_tracer
-    pub fn with_tracer_hook(mut self, hook: Box<dyn Fn(&Tracer) + Send>) -> Self {
-        self.tracer_hook = Some(hook);
-        self
-    }
-
-    /// Access to the underlying cluster (tests, drivers).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
     }
 }
 
@@ -131,10 +114,9 @@ fn convert(err: ClusterError) -> SutError {
     }
 }
 
-impl SystemUnderTest for ClusterSut {
+impl<N: NodeApp, D: ExternalDriver<N>> SystemUnderTest for ClusterSut<N, D> {
     fn deploy(&mut self) -> Result<(), SutError> {
-        let ids = self.ids.clone();
-        self.cluster.start(&ids);
+        self.cluster.start(&self.ids);
         Ok(())
     }
 
@@ -172,11 +154,7 @@ impl SystemUnderTest for ClusterSut {
             };
             let id = id as NodeId;
             self.cluster.crash(id);
-            if !self.cluster.wipe_disk(id) {
-                return Err(SutError::External(
-                    "DiskLoss: no disk wiper installed on this cluster".into(),
-                ));
-            }
+            self.cluster.wipe_disk(id);
             self.cluster.restart(id);
             return Ok(ExecReport::default());
         }
@@ -184,60 +162,75 @@ impl SystemUnderTest for ClusterSut {
     }
 
     fn snapshot(&mut self) -> Result<Snapshot, SutError> {
-        let vars = self
-            .cluster
-            .aggregate_snapshot(&self.ids)
-            .map_err(convert)?;
+        let vars = self.cluster.aggregate_snapshot(&self.ids);
         Ok(Snapshot { vars })
     }
 
     fn install_tracer(&mut self, tracer: &Tracer) {
         self.cluster.set_tracer(tracer.clone());
-        if let Some(hook) = &self.tracer_hook {
-            hook(tracer);
-        }
+    }
+
+    fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
+        Some(Box::new(self.clone()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Backend, NodeApp, NodeFactory};
-    use crate::registry::{Shadow, VarRegistry};
+    use crate::registry::Shadow;
+    use crate::{Backend, NodeCx};
     use mocket_core::sut::MsgEvent;
-    use mocket_tla::Value;
-    use std::sync::Arc;
+    use mocket_dsnet::Net;
 
+    /// Pings once; `count` is re-read from the node's disk at every
+    /// (re)start and written back on each ping.
+    #[derive(Clone)]
     struct PingApp {
-        registry: Arc<VarRegistry>,
         pinged: Shadow<bool>,
+        count: Shadow<i64>,
     }
 
     impl NodeApp for PingApp {
-        fn enabled(&mut self) -> Vec<ActionInstance> {
+        type Msg = u64;
+        type Config = ();
+
+        fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
+            let recovered = cx.disk.get("count").and_then(Value::as_int).unwrap_or(0);
+            PingApp {
+                pinged: Shadow::new("pinged", false, cx.vars),
+                count: Shadow::new("count", recovered, cx.vars),
+            }
+        }
+
+        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
             if *self.pinged.get() {
                 vec![]
             } else {
                 vec![ActionInstance::nullary("ping")]
             }
         }
-        fn execute(&mut self, _action: &ActionInstance) -> Vec<MsgEvent> {
-            self.pinged.set(true);
+
+        fn execute(&mut self, _action: &ActionInstance, cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
+            self.pinged.set(cx.vars, true);
+            self.count.update(cx.vars, |c| c + 1);
+            cx.disk.put("count", Value::Int(*self.count.get()));
             vec![]
-        }
-        fn registry(&self) -> Arc<VarRegistry> {
-            self.registry.clone()
         }
     }
 
-    fn sut() -> ClusterSut {
-        let factory: NodeFactory = Box::new(|_id| {
-            let registry = VarRegistry::new();
-            let pinged = Shadow::new("pinged", false, registry.clone());
-            Box::new(PingApp { registry, pinged }) as Box<dyn NodeApp>
-        });
-        let cluster = Cluster::new(factory, Backend::Threads);
-        ClusterSut::new(cluster, vec![1, 2], Box::new(ScriptDriver::new("ping")))
+    fn sut() -> ClusterSut<PingApp> {
+        let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads);
+        ClusterSut::new(cluster, vec![1, 2], ScriptDriver::new("ping"))
+    }
+
+    fn var_of(s: &mut ClusterSut<PingApp>, var: &str, node: i64) -> Value {
+        let snap = s.snapshot().unwrap();
+        snap.get(var).unwrap().expect_apply(&Value::Int(node)).clone()
+    }
+
+    fn external(name: &str, node: i64) -> ActionInstance {
+        ActionInstance::new(name, vec![Value::Int(node)])
     }
 
     #[test]
@@ -247,10 +240,8 @@ mod tests {
         let offers = s.offers().unwrap();
         assert_eq!(offers.len(), 2);
         s.execute(&offers[0]).unwrap();
-        let snap = s.snapshot().unwrap();
-        let pinged = snap.get("pinged").unwrap();
-        assert_eq!(pinged.expect_apply(&Value::Int(1)), &Value::Bool(true));
-        assert_eq!(pinged.expect_apply(&Value::Int(2)), &Value::Bool(false));
+        assert_eq!(var_of(&mut s, "pinged", 1), Value::Bool(true));
+        assert_eq!(var_of(&mut s, "pinged", 2), Value::Bool(false));
         s.teardown();
     }
 
@@ -261,22 +252,12 @@ mod tests {
         let offers = s.offers().unwrap();
         s.execute(offers.iter().find(|o| o.node == 1).unwrap())
             .unwrap();
-        s.execute_external(&ActionInstance::new("Crash", vec![Value::Int(1)]))
-            .unwrap();
-        // Crashed node's frozen value still aggregates.
-        let snap = s.snapshot().unwrap();
-        assert_eq!(
-            snap.get("pinged").unwrap().expect_apply(&Value::Int(1)),
-            &Value::Bool(true)
-        );
-        s.execute_external(&ActionInstance::new("Restart", vec![Value::Int(1)]))
-            .unwrap();
+        s.execute_external(&external("Crash", 1)).unwrap();
+        // Crashed node's last value still aggregates.
+        assert_eq!(var_of(&mut s, "pinged", 1), Value::Bool(true));
+        s.execute_external(&external("Restart", 1)).unwrap();
         // Restart loses volatile state: pinged is false again.
-        let snap = s.snapshot().unwrap();
-        assert_eq!(
-            snap.get("pinged").unwrap().expect_apply(&Value::Int(1)),
-            &Value::Bool(false)
-        );
+        assert_eq!(var_of(&mut s, "pinged", 1), Value::Bool(false));
         s.teardown();
     }
 
@@ -290,104 +271,32 @@ mod tests {
         s.teardown();
     }
 
-    /// A node app with durable state: `count` is re-read from a
-    /// shared "disk" at every (re)start, and written back on bump.
-    struct DurableApp {
-        id: NodeId,
-        disk: Arc<std::sync::Mutex<std::collections::BTreeMap<NodeId, i64>>>,
-        registry: Arc<VarRegistry>,
-        count: Shadow<i64>,
-    }
-
-    impl NodeApp for DurableApp {
-        fn enabled(&mut self) -> Vec<ActionInstance> {
-            vec![ActionInstance::nullary("bump")]
-        }
-        fn execute(&mut self, _action: &ActionInstance) -> Vec<MsgEvent> {
-            self.count.update(|c| c + 1);
-            self.disk.lock().unwrap().insert(self.id, *self.count.get());
-            vec![]
-        }
-        fn registry(&self) -> Arc<VarRegistry> {
-            self.registry.clone()
-        }
-    }
-
-    fn durable_sut() -> ClusterSut {
-        let disk = Arc::new(std::sync::Mutex::new(
-            std::collections::BTreeMap::<NodeId, i64>::new(),
-        ));
-        let factory_disk = disk.clone();
-        let factory: NodeFactory = Box::new(move |id| {
-            let registry = VarRegistry::new();
-            let recovered = factory_disk.lock().unwrap().get(&id).copied().unwrap_or(0);
-            let count = Shadow::new("count", recovered, registry.clone());
-            Box::new(DurableApp {
-                id,
-                disk: factory_disk.clone(),
-                registry,
-                count,
-            }) as Box<dyn NodeApp>
-        });
-        let cluster =
-            Cluster::new(factory, Backend::Threads).with_disk_wiper(Box::new(move |id| {
-                disk.lock().unwrap().remove(&id);
-            }));
-        ClusterSut::new(cluster, vec![1], Box::new(ScriptDriver::new("ping")))
-    }
-
-    fn count_of(s: &mut ClusterSut, node: i64) -> Value {
-        s.snapshot()
-            .unwrap()
-            .get("count")
-            .unwrap()
-            .expect_apply(&Value::Int(node))
-            .clone()
-    }
-
     #[test]
     fn restart_recovers_durable_state_but_disk_loss_does_not() {
-        let mut s = durable_sut();
+        let mut s = sut();
         s.deploy().unwrap();
         let offer = s.offers().unwrap().remove(0);
         s.execute(&offer).unwrap();
-        assert_eq!(count_of(&mut s, 1), Value::Int(1));
+        assert_eq!(var_of(&mut s, "count", 1), Value::Int(1));
 
         // A plain restart recovers what the node persisted.
-        s.execute_external(&ActionInstance::new("Restart", vec![Value::Int(1)]))
-            .unwrap();
-        assert_eq!(count_of(&mut s, 1), Value::Int(1), "restart keeps the disk");
+        s.execute_external(&external("Restart", 1)).unwrap();
+        assert_eq!(var_of(&mut s, "count", 1), Value::Int(1), "restart keeps the disk");
 
         // Disk loss erases durable state: the node comes back empty.
-        s.execute_external(&ActionInstance::new(
-            DISK_LOSS_ACTION,
-            vec![Value::Int(1)],
-        ))
-        .unwrap();
-        assert_eq!(count_of(&mut s, 1), Value::Int(0), "disk loss wipes it");
+        s.execute_external(&external(DISK_LOSS_ACTION, 1)).unwrap();
+        assert_eq!(var_of(&mut s, "count", 1), Value::Int(0), "disk loss wipes it");
         s.teardown();
     }
 
     #[test]
-    fn disk_loss_without_wiper_or_node_id_is_a_typed_error() {
-        let mut s = durable_sut();
+    fn disk_loss_without_node_id_is_a_typed_error() {
+        let mut s = sut();
         s.deploy().unwrap();
         assert!(matches!(
             s.execute_external(&ActionInstance::nullary(DISK_LOSS_ACTION)),
             Err(SutError::External(_))
         ));
-        // A cluster without a wiper reports the misconfiguration
-        // instead of silently degrading DiskLoss into Restart.
-        let mut plain = sut();
-        plain.deploy().unwrap();
-        assert!(matches!(
-            plain.execute_external(&ActionInstance::new(
-                DISK_LOSS_ACTION,
-                vec![Value::Int(1)]
-            )),
-            Err(SutError::External(_))
-        ));
         s.teardown();
-        plain.teardown();
     }
 }

@@ -6,12 +6,10 @@
 //! election entry points mapped as code snippets (Figure 5 maps
 //! `StartElection` and `HandleVote` with `Action.begin`/`end`).
 
-use std::sync::Arc;
-
 use mocket_core::mapping::{ActionBinding, MappingRegistry};
-use mocket_dsnet::{ClusterStorage, Net, NodeId};
+use mocket_dsnet::{Net, NodeId};
 use mocket_runtime::{Backend, Cluster, ClusterSut, ScriptDriver};
-use mocket_tla::{ActionClass, Value};
+use mocket_tla::ActionClass;
 
 use crate::bugs::ZabBugs;
 use crate::node::ZabNode;
@@ -156,35 +154,13 @@ pub fn make_sut_full(
     bugs: ZabBugs,
     backend: Backend,
     fault_plan: Option<mocket_dsnet::FaultPlan>,
-) -> ClusterSut {
-    let net = Net::new(servers.iter().copied());
-    if let Backend::Sim(handle) = &backend {
-        net.set_clock(handle.clock.clone());
-    }
+) -> ClusterSut<ZabNode> {
+    let mut net = Net::new(servers.iter().copied());
     if let Some(plan) = fault_plan {
         net.install_fault_plan(plan);
     }
-    let storage: Arc<ClusterStorage<Value>> = ClusterStorage::new();
-    let factory_net = net.clone();
-    let factory_servers = servers.clone();
-    let factory_storage = storage.clone();
-    let cluster = Cluster::new(
-        Box::new(move |id| {
-            Box::new(ZabNode::new(
-                id,
-                factory_servers.clone(),
-                bugs.clone(),
-                factory_net.clone(),
-                factory_storage.for_node(id),
-            )) as Box<dyn mocket_runtime::NodeApp>
-        }),
-        backend,
-    )
-    // Disk loss erases the node's durable storage (see `DISK_LOSS_ACTION`).
-    .with_disk_wiper(Box::new(move |id| storage.for_node(id).wipe()));
-    let trace_net = net.clone();
-    ClusterSut::new(cluster, servers, Box::new(ScriptDriver::new("createZNode")))
-        .with_tracer_hook(Box::new(move |t| trace_net.set_tracer(t.clone())))
+    let cluster = Cluster::new((servers.clone(), bugs), net, backend);
+    ClusterSut::new(cluster, servers, ScriptDriver::new("createZNode"))
 }
 
 #[cfg(test)]

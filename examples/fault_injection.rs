@@ -10,16 +10,13 @@
 //! cargo run --example fault_injection
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{run_test_case, RunConfig, RunCtx, TestCase, TestOutcome};
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
-use mocket::runtime::{
-    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeFactory, Shadow, VarRegistry,
-};
+use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, Shadow};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 fn main() {
@@ -32,7 +29,7 @@ fn main() {
 fn fault_plan_demo() {
     println!("=== FaultPlan: deterministic message faults ===");
     let run = |seed: u64| {
-        let net: Arc<Net<i64>> = Net::new([1, 2, 3]);
+        let mut net: Net<i64> = Net::new([1, 2, 3]);
         net.install_fault_plan(FaultPlan::with_config(
             seed,
             FaultPlanConfig::aggressive(),
@@ -40,7 +37,7 @@ fn fault_plan_demo() {
         for k in 0i64..120 {
             let _ = net.send(1 + (k as u64 % 2), 3, &k);
         }
-        (net.fault_trace(), net.stats())
+        (net.fault_trace().to_vec(), net.stats())
     };
 
     let (trace, stats) = run(42);
@@ -74,39 +71,47 @@ fn net_delivered(stats: &mocket::dsnet::NetStats) -> u64 {
 }
 
 /// One node's application code panics while the runner drives it; the
-/// harness reports a "Node crash" inconsistency and keeps going.
+/// harness reports a "Node crash" inconsistency and keeps going. A node
+/// is a handler over its own state: each step lends it a `NodeCx` with
+/// the deployment's network and its own disk and shadow registry.
 fn panic_survival_demo() {
     println!("=== Panic isolation: the campaign outlives a crashing node ===");
 
+    #[derive(Clone)]
     struct App {
-        registry: Arc<VarRegistry>,
         pinged: Shadow<bool>,
     }
     impl NodeApp for App {
-        fn enabled(&mut self) -> Vec<ActionInstance> {
+        type Msg = i64;
+        type Config = ();
+
+        fn boot(_id: u64, _config: &(), cx: &mut NodeCx<'_, i64>) -> Self {
+            App {
+                pinged: Shadow::new("pinged", false, cx.vars),
+            }
+        }
+        fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
             let mut v = vec![ActionInstance::nullary("boom")];
             if !*self.pinged.get() {
                 v.push(ActionInstance::nullary("ping"));
             }
             v
         }
-        fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+        fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
             match action.name.as_str() {
-                "ping" => self.pinged.set(true),
+                "ping" => self.pinged.set(cx.vars, true),
                 "boom" => panic!("simulated application bug"),
                 _ => {}
             }
             vec![]
         }
-        fn registry(&self) -> Arc<VarRegistry> {
-            self.registry.clone()
-        }
     }
+    #[derive(Clone)]
     struct NoExternal;
-    impl ExternalDriver for NoExternal {
+    impl ExternalDriver<App> for NoExternal {
         fn execute(
             &mut self,
-            _c: &mut Cluster,
+            _c: &mut Cluster<App>,
             a: &ActionInstance,
         ) -> Result<mocket::core::ExecReport, mocket::core::SutError> {
             Err(mocket::core::SutError::External(format!("unsupported {a}")))
@@ -114,14 +119,9 @@ fn panic_survival_demo() {
     }
 
     let sut = || {
-        let factory: NodeFactory = Box::new(|_id| {
-            let registry = VarRegistry::new();
-            let pinged = Shadow::new("pinged", false, registry.clone());
-            Box::new(App { registry, pinged }) as Box<dyn NodeApp>
-        });
-        let cluster = Cluster::new(factory, Backend::Threads)
+        let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads)
             .with_reply_timeout(Duration::from_millis(500));
-        ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal))
+        ClusterSut::new(cluster, vec![1, 2], NoExternal)
     };
     let mut registry = MappingRegistry::new();
     registry

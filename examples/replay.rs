@@ -79,7 +79,7 @@ fn main() {
 
     let mut fresh = target.sut(Backend::Threads, None);
     let (verdict, stats) =
-        replay(&artifact, &mut fresh, &target.registry).expect("replay run completes");
+        replay(&artifact, fresh.as_mut(), &target.registry).expect("replay run completes");
     println!(
         "replay verdict after {} actions: {}",
         stats.actions_executed,

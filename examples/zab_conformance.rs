@@ -1,8 +1,10 @@
 //! ZabKeeper (the ZooKeeper ZAB analog) running two ways:
 //!
 //! 1. *Uncontrolled*: a random scheduler drives the real cluster
-//!    (threads, wire-encoded messages, durable storage) until a
-//!    leader is elected, synchronized and a request is committed.
+//!    (wire-encoded messages, durable storage) until a leader is
+//!    elected, synchronized and a request is committed. The
+//!    deployment is one owned world of nodes, network, disks and
+//!    shadow registries; each step lends a node its context.
 //! 2. *Controlled*: Mocket replays spec-verified test cases against
 //!    it and confirms conformance.
 //!
@@ -17,9 +19,8 @@ fn main() {
     // --- Uncontrolled random-schedule run -----------------------------
     let conformant = targets::by_name("zab", None).expect("catalogue target");
     let mut sut = conformant.sut_on(vec![1, 2, 3], Backend::Threads, None);
-    use mocket::core::SystemUnderTest;
     sut.deploy().expect("deploy");
-    let stats = mocket::runtime::run_random(sut.cluster_mut(), 4000, 7, 3).expect("random run");
+    let stats = mocket::runtime::run_random(sut.as_mut(), 4000, 7, 3).expect("random run");
     println!("Uncontrolled run: {} actions executed", stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<22} x{count}");

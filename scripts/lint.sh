@@ -90,6 +90,19 @@ if git grep -nE 'make_sut_full\(' -- '*.rs' \
     fail=1
 fi
 
+# A deployment is one owned value (ROADMAP item 9): the world owns the
+# network, the disks and the shadow registries and lends them to one
+# node step at a time, so none of them takes a lock or hides behind a
+# shared handle.
+if grep -nw 'Mutex' crates/dsnet/src/net.rs crates/dsnet/src/storage.rs crates/runtime/src/registry.rs; then
+    echo "error: Mutex in the network, storage or shadow registry; the world owns them" >&2
+    fail=1
+fi
+if git grep -nE 'Arc<(Net|Storage|ClusterStorage|VarRegistry)\b' -- crates src tests examples; then
+    echo "error: shared handle to a deployment part; reach it through NodeCx or the Cluster" >&2
+    fail=1
+fi
+
 # Nothing ships that no product path reaches: every `pub fn` /
 # `pub(crate) fn` defined in the non-test part of the product crates
 # must be named, outside comments and other than by its own `fn`

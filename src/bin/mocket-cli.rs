@@ -195,7 +195,7 @@ fn deployer<'a>(
     faults: Option<FaultPlan>,
 ) -> impl FnMut() -> Box<dyn SystemUnderTest> + 'a {
     let backend = sim.map_or(Backend::Threads, |handle| Backend::Sim(handle.clone()));
-    move || Box::new(target.sut(backend.clone(), faults.clone()))
+    move || target.sut(backend.clone(), faults.clone())
 }
 
 fn cmd_check(args: &Args) {
@@ -910,7 +910,7 @@ fn cmd_simulate(args: &Args) {
     let steps = args.flag_usize("steps", 2000);
     let seed = args.flag_usize("seed", 42) as u64;
     sut.deploy().expect("deploy");
-    let stats = mocket::runtime::run_random(sut.cluster_mut(), steps, seed, 5);
+    let stats = mocket::runtime::run_random(sut.as_mut(), steps, seed, 5);
     sut.teardown();
     let stats = stats.expect("random run");
     println!("{}: {} actions under a random schedule", target.name, stats.executed);

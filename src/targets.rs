@@ -15,11 +15,12 @@ use std::sync::Arc;
 
 use mocket_core::{
     MappingIssue, MappingRegistry, Pipeline, PipelineConfig, PipelineResult, RunConfig,
+    SystemUnderTest,
 };
 use mocket_dsnet::{FaultPlan, NodeId};
 use mocket_raft_async::XraftBugs;
 use mocket_raft_sync::SyncRaftBugs;
-use mocket_runtime::{Backend, ClusterSut};
+use mocket_runtime::Backend;
 use mocket_specs::cachemax::CacheMax;
 use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
 use mocket_specs::zab::{ZabSpec, ZabSpecConfig};
@@ -37,7 +38,7 @@ pub struct Target {
     /// Developer-guided scoping (§4.2.1) a hunt on this target applies.
     pub case_filter: Option<fn(&[&str]) -> bool>,
     servers: Vec<NodeId>,
-    build: Box<dyn Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> ClusterSut>,
+    build: Box<dyn Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> Box<dyn SystemUnderTest>>,
 }
 
 impl Target {
@@ -46,7 +47,7 @@ impl Target {
         servers: &[i64],
         spec: impl Spec + 'static,
         registry: MappingRegistry,
-        build: impl Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> ClusterSut + 'static,
+        build: impl Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> Box<dyn SystemUnderTest> + 'static,
     ) -> Target {
         Target {
             name,
@@ -59,7 +60,7 @@ impl Target {
     }
 
     /// A fresh deployment of the model's servers (one per test case).
-    pub fn sut(&self, backend: Backend, faults: Option<FaultPlan>) -> ClusterSut {
+    pub fn sut(&self, backend: Backend, faults: Option<FaultPlan>) -> Box<dyn SystemUnderTest> {
         self.sut_on(self.servers.clone(), backend, faults)
     }
 
@@ -70,7 +71,7 @@ impl Target {
         servers: Vec<NodeId>,
         backend: Backend,
         faults: Option<FaultPlan>,
-    ) -> ClusterSut {
+    ) -> Box<dyn SystemUnderTest> {
         (self.build)(servers, backend, faults)
     }
 
@@ -99,7 +100,7 @@ impl Target {
             pc.clock = handle.clock.clone();
         }
         let pipeline = self.pipeline(pc).expect("catalogue mappings validate");
-        pipeline.run(|| Box::new(self.sut(backend.clone(), None)))
+        pipeline.run(|| self.sut(backend.clone(), None))
     }
 }
 
@@ -107,7 +108,7 @@ impl Target {
 pub fn xraft(cfg: RaftSpecConfig, bugs: XraftBugs) -> Target {
     let registry = mocket_raft_async::mapping();
     Target::new("xraft", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b, f| {
-        mocket_raft_async::make_sut_full(s, bugs.clone(), b, f)
+        Box::new(mocket_raft_async::make_sut_full(s, bugs.clone(), b, f))
     })
 }
 
@@ -117,7 +118,7 @@ pub fn xraft(cfg: RaftSpecConfig, bugs: XraftBugs) -> Target {
 pub fn raft_java(cfg: RaftSpecConfig, bugs: SyncRaftBugs, expose_update_term: bool) -> Target {
     let registry = mocket_raft_sync::mapping(cfg.bug_update_term_independent);
     Target::new("raft-java", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b, f| {
-        mocket_raft_sync::make_sut_full(s, bugs.clone(), expose_update_term, b, f)
+        Box::new(mocket_raft_sync::make_sut_full(s, bugs.clone(), expose_update_term, b, f))
     })
 }
 
@@ -125,7 +126,7 @@ pub fn raft_java(cfg: RaftSpecConfig, bugs: SyncRaftBugs, expose_update_term: bo
 pub fn zab(cfg: ZabSpecConfig, bugs: ZabBugs) -> Target {
     let registry = mocket_zab::mapping();
     Target::new("zab", &cfg.servers.clone(), ZabSpec::new(cfg), registry, move |s, b, f| {
-        mocket_zab::make_sut_full(s, bugs.clone(), b, f)
+        Box::new(mocket_zab::make_sut_full(s, bugs.clone(), b, f))
     })
 }
 

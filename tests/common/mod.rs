@@ -1,8 +1,7 @@
 //! Shared by the root suites.
 
 use mocket::core::{
-    pools_from_registry, translate_offers, MappingRegistry, MessagePools, MsgEvent, Offer,
-    Snapshot, SystemUnderTest,
+    pools_from_registry, translate_offers, MappingRegistry, MessagePools, MsgEvent, Offer, Snapshot,
 };
 use mocket::raft_async::XraftBugs;
 use mocket::runtime::Backend;

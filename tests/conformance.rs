@@ -108,22 +108,22 @@ fn node1(sut: &mut dyn SystemUnderTest) -> Vec<(String, Value)> {
 #[test]
 fn disk_loss_restarts_empty_and_plain_restart_keeps_the_disk_on_every_target() {
     for name in targets::TARGETS {
-        let mut sut = targets::by_name(name, None)
-            .unwrap()
-            .sut_on(vec![1, 2, 3], Backend::Threads, None);
+        let target = targets::by_name(name, None).unwrap();
+        let mut deployment = target.sut_on(vec![1, 2, 3], Backend::Threads, None);
+        let sut = deployment.as_mut();
         sut.deploy().expect("deploy");
-        let fresh = node1(&mut sut);
+        let fresh = node1(sut);
         // Long enough for node 1 to persist terms, votes or epochs.
-        mocket::runtime::run_random(sut.cluster_mut(), 400, 11, 5).expect("random run");
+        mocket::runtime::run_random(sut, 400, 11, 5).expect("random run");
 
         let restart = |sut: &mut dyn SystemUnderTest, action: &str| {
             sut.execute_external(&ActionInstance::new(action, vec![Value::Int(1)]))
                 .unwrap_or_else(|e| panic!("{name}: {action}: {e}"));
         };
-        restart(&mut sut, "Restart");
-        assert_ne!(node1(&mut sut), fresh, "{name}: Restart recovers the disk");
-        restart(&mut sut, "DiskLoss");
-        assert_eq!(node1(&mut sut), fresh, "{name}: DiskLoss comes back empty");
+        restart(sut, "Restart");
+        assert_ne!(node1(sut), fresh, "{name}: Restart recovers the disk");
+        restart(sut, "DiskLoss");
+        assert_eq!(node1(sut), fresh, "{name}: DiskLoss comes back empty");
         sut.teardown();
     }
 }

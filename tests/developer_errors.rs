@@ -89,7 +89,7 @@ fn wrong_hook_binding_surfaces_as_missing_action_then_fixed_mapping_passes() {
     let target = small_target();
     let pipeline =
         Pipeline::new(target.spec.clone(), wrong, pc).expect("spec names are all valid");
-    let result = pipeline.run(|| Box::new(target.sut(Backend::Threads, None)));
+    let result = pipeline.run(|| target.sut(Backend::Threads, None));
     let report = result
         .reports
         .first()

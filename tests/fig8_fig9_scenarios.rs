@@ -10,12 +10,12 @@
 
 use mocket::core::sut::SystemUnderTest;
 use mocket::core::Offer;
-use mocket::runtime::{Backend, ClusterSut};
+use mocket::runtime::Backend;
 use mocket::targets::by_name;
 use mocket::tla::{ActionInstance, Value};
 
 /// A free-running AsyncRaft cluster with the catalogue's `bug` switch.
-fn xraft_cluster(bug: Option<&str>, servers: Vec<u64>) -> ClusterSut {
+fn xraft_cluster(bug: Option<&str>, servers: Vec<u64>) -> Box<dyn SystemUnderTest> {
     by_name("xraft", bug)
         .unwrap()
         .sut_on(servers, Backend::Threads, None)
@@ -66,38 +66,38 @@ fn figure8_restart_cancels_a_vote() {
     sut.deploy().expect("deploy");
 
     // Node 1 and node 3 become rival candidates of the same term.
-    step(&mut sut, 1, "onElectionTimeout", vec![Value::Int(1)]);
-    step(&mut sut, 3, "onElectionTimeout", vec![Value::Int(3)]);
+    step(sut.as_mut(), 1, "onElectionTimeout", vec![Value::Int(1)]);
+    step(sut.as_mut(), 3, "onElectionTimeout", vec![Value::Int(3)]);
 
     // Node 2 grants node 1.
     step(
-        &mut sut,
+        sut.as_mut(),
         1,
         "doRequestVote",
         vec![Value::Int(1), Value::Int(2)],
     );
-    handle_first(&mut sut, 2, "onRequestVoteRpc");
-    assert_eq!(var_of(&mut sut, "votedFor", 2), Value::Int(1));
+    handle_first(sut.as_mut(), 2, "onRequestVoteRpc");
+    assert_eq!(var_of(sut.as_mut(), "votedFor", 2), Value::Int(1));
 
     // Node 2 restarts — its vote evaporates (the bug).
     sut.execute_external(&ActionInstance::new("Restart", vec![Value::Int(2)]))
         .expect("restart");
     assert_eq!(
-        var_of(&mut sut, "votedFor", 2),
+        var_of(sut.as_mut(), "votedFor", 2),
         Value::Nil,
         "the vote was forgotten"
     );
 
     // Node 3 now collects the same voter in the same term.
     step(
-        &mut sut,
+        sut.as_mut(),
         3,
         "doRequestVote",
         vec![Value::Int(3), Value::Int(2)],
     );
-    handle_first(&mut sut, 2, "onRequestVoteRpc");
+    handle_first(sut.as_mut(), 2, "onRequestVoteRpc");
     assert_eq!(
-        var_of(&mut sut, "votedFor", 2),
+        var_of(sut.as_mut(), "votedFor", 2),
         Value::Int(3),
         "node 2 voted twice in one term — the Figure 8 violation"
     );
@@ -114,43 +114,43 @@ fn figure9_noop_discounting_elects_stale_candidate() {
     sut.deploy().expect("deploy");
 
     // Elect node 1 at term 2; it appends its NoOp, never replicated.
-    step(&mut sut, 1, "onElectionTimeout", vec![Value::Int(1)]);
+    step(sut.as_mut(), 1, "onElectionTimeout", vec![Value::Int(1)]);
     step(
-        &mut sut,
+        sut.as_mut(),
         1,
         "doRequestVote",
         vec![Value::Int(1), Value::Int(2)],
     );
-    handle_first(&mut sut, 2, "onRequestVoteRpc");
-    handle_first(&mut sut, 1, "onRequestVoteResult");
-    step(&mut sut, 1, "becomeLeader", vec![Value::Int(1)]);
+    handle_first(sut.as_mut(), 2, "onRequestVoteRpc");
+    handle_first(sut.as_mut(), 1, "onRequestVoteResult");
+    step(sut.as_mut(), 1, "becomeLeader", vec![Value::Int(1)]);
     assert_eq!(
-        var_of(&mut sut, "log", 1).len(),
+        var_of(sut.as_mut(), "log", 1).len(),
         1,
         "the NoOp is in node 1's log"
     );
-    assert!(var_of(&mut sut, "log", 2).is_empty());
+    assert!(var_of(sut.as_mut(), "log", 2).is_empty());
 
     // Node 2 runs for term 3 with an empty log.
-    step(&mut sut, 2, "onElectionTimeout", vec![Value::Int(2)]);
+    step(sut.as_mut(), 2, "onElectionTimeout", vec![Value::Int(2)]);
     step(
-        &mut sut,
+        sut.as_mut(),
         2,
         "doRequestVote",
         vec![Value::Int(2), Value::Int(1)],
     );
     // Node 1 must refuse (its log is longer) — the buggy check
     // discounts the NoOp and grants.
-    handle_first(&mut sut, 1, "onRequestVoteRpc");
-    handle_first(&mut sut, 2, "onRequestVoteResult");
+    handle_first(sut.as_mut(), 1, "onRequestVoteRpc");
+    handle_first(sut.as_mut(), 2, "onRequestVoteResult");
     let offers = sut.offers().expect("offers");
     assert!(
         offers.contains(&offer(2, "becomeLeader", vec![Value::Int(2)])),
         "the stale candidate reached quorum — the Figure 9 violation"
     );
-    step(&mut sut, 2, "becomeLeader", vec![Value::Int(2)]);
+    step(sut.as_mut(), 2, "becomeLeader", vec![Value::Int(2)]);
     assert_eq!(
-        var_of(&mut sut, "state", 2),
+        var_of(sut.as_mut(), "state", 2),
         Value::str("STATE_LEADER"),
         "node 2 leads despite the stale log"
     );
@@ -162,24 +162,24 @@ fn conformant_voter_refuses_the_figure9_vote() {
     // The same schedule with the bug off: node 1 keeps its vote.
     let mut sut = xraft_cluster(None, vec![1, 2]);
     sut.deploy().expect("deploy");
-    step(&mut sut, 1, "onElectionTimeout", vec![Value::Int(1)]);
+    step(sut.as_mut(), 1, "onElectionTimeout", vec![Value::Int(1)]);
     step(
-        &mut sut,
+        sut.as_mut(),
         1,
         "doRequestVote",
         vec![Value::Int(1), Value::Int(2)],
     );
-    handle_first(&mut sut, 2, "onRequestVoteRpc");
-    handle_first(&mut sut, 1, "onRequestVoteResult");
-    step(&mut sut, 1, "becomeLeader", vec![Value::Int(1)]);
-    step(&mut sut, 2, "onElectionTimeout", vec![Value::Int(2)]);
+    handle_first(sut.as_mut(), 2, "onRequestVoteRpc");
+    handle_first(sut.as_mut(), 1, "onRequestVoteResult");
+    step(sut.as_mut(), 1, "becomeLeader", vec![Value::Int(1)]);
+    step(sut.as_mut(), 2, "onElectionTimeout", vec![Value::Int(2)]);
     step(
-        &mut sut,
+        sut.as_mut(),
         2,
         "doRequestVote",
         vec![Value::Int(2), Value::Int(1)],
     );
-    handle_first(&mut sut, 1, "onRequestVoteRpc");
+    handle_first(sut.as_mut(), 1, "onRequestVoteRpc");
     // No grant was sent: node 2 never reaches quorum.
     let offers = sut.offers().expect("offers");
     assert!(

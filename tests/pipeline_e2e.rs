@@ -54,7 +54,7 @@ fn dot_boundary_then_controlled_testing() {
         // ④ controlled testing on a real cluster, wall clock.
         let mut sut = target.sut(Backend::Threads, None);
         let (outcome, stats) = run_test_case(
-            &mut sut,
+            sut.as_mut(),
             &tc,
             &target.registry,
             &final_enabled,

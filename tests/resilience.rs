@@ -4,7 +4,6 @@
 //! partitions heal on schedule — in every case the testbed process
 //! stays alive and can run the next case.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
@@ -13,28 +12,27 @@ use mocket::core::{
     run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
 };
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
-use mocket::runtime::{
-    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, Shadow, VarRegistry,
-};
+use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, Shadow};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 /// Offers `ping` (until pinged) and `boom`; executing `boom` panics
 /// the node thread, `hang` sleeps far past any reply timeout.
+#[derive(Clone)]
 struct VolatileApp {
-    registry: Arc<VarRegistry>,
     pinged: Shadow<bool>,
 }
 
-impl VolatileApp {
-    fn boxed(_id: u64) -> Box<dyn NodeApp> {
-        let registry = VarRegistry::new();
-        let pinged = Shadow::new("pinged", false, registry.clone());
-        Box::new(VolatileApp { registry, pinged })
-    }
-}
-
 impl NodeApp for VolatileApp {
-    fn enabled(&mut self) -> Vec<ActionInstance> {
+    type Msg = i64;
+    type Config = ();
+
+    fn boot(_id: u64, _config: &(), cx: &mut NodeCx<'_, i64>) -> Self {
+        VolatileApp {
+            pinged: Shadow::new("pinged", false, cx.vars),
+        }
+    }
+
+    fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
         let mut offers = vec![
             ActionInstance::nullary("boom"),
             ActionInstance::nullary("hang"),
@@ -45,27 +43,24 @@ impl NodeApp for VolatileApp {
         offers
     }
 
-    fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+    fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
         match action.name.as_str() {
-            "ping" => self.pinged.set(true),
+            "ping" => self.pinged.set(cx.vars, true),
             "boom" => panic!("application invariant violated"),
             "hang" => std::thread::sleep(Duration::from_secs(3600)),
             _ => {}
         }
         vec![]
     }
-
-    fn registry(&self) -> Arc<VarRegistry> {
-        self.registry.clone()
-    }
 }
 
+#[derive(Clone)]
 struct NoExternal;
 
-impl ExternalDriver for NoExternal {
+impl ExternalDriver<VolatileApp> for NoExternal {
     fn execute(
         &mut self,
-        _cluster: &mut Cluster,
+        _cluster: &mut Cluster<VolatileApp>,
         action: &ActionInstance,
     ) -> Result<mocket::core::ExecReport, SutError> {
         Err(SutError::External(format!("unsupported: {action}")))
@@ -82,10 +77,10 @@ fn registry() -> MappingRegistry {
     r
 }
 
-fn sut() -> ClusterSut {
-    let cluster = Cluster::new(Box::new(VolatileApp::boxed), Backend::Threads)
+fn sut() -> ClusterSut<VolatileApp, NoExternal> {
+    let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads)
         .with_reply_timeout(Duration::from_millis(200));
-    ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal))
+    ClusterSut::new(cluster, vec![1, 2], NoExternal)
 }
 
 fn one_step_case(spec_action: &str) -> TestCase {
@@ -196,7 +191,7 @@ fn fault_plan_partitions_heal_and_traffic_resumes_end_to_end() {
         partition_heal_after: 5,
         ..FaultPlanConfig::quiescent()
     };
-    let net: Arc<Net<i64>> = Net::new([1, 2]);
+    let mut net: Net<i64> = Net::new([1, 2]);
     net.install_fault_plan(FaultPlan::with_config(7, cfg));
 
     for k in 0i64..200 {
@@ -215,7 +210,7 @@ fn fault_plan_partitions_heal_and_traffic_resumes_end_to_end() {
         "expected partial delivery, got {delivered}/200"
     );
     // Deterministic replay: the same seed reproduces the same trace.
-    let net2: Arc<Net<i64>> = Net::new([1, 2]);
+    let mut net2: Net<i64> = Net::new([1, 2]);
     net2.install_fault_plan(FaultPlan::with_config(7, cfg));
     for k in 0i64..200 {
         let _ = net2.send(1, 2, &k);

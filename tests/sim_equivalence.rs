@@ -28,9 +28,9 @@ use mocket::core::sut::MsgEvent;
 use mocket::core::{
     run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
 };
-use mocket::dsnet::{FaultPlan, FaultPlanConfig};
+use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
 use mocket::obs::{strip_wall_clock, Obs};
-use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, VarRegistry};
+use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx};
 use mocket::sim::{Clock, RealClock, SimHandle};
 use mocket::targets::{by_name, Target};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
@@ -73,7 +73,7 @@ fn run_workload(
     };
     let pipeline = target.pipeline(pc).expect("mapping validates");
     let start = Instant::now();
-    let result = pipeline.run(|| Box::new(target.sut(backend.clone(), faults())));
+    let result = pipeline.run(|| target.sut(backend.clone(), faults()));
     let wall_seconds = start.elapsed().as_secs_f64();
     let trace = trace_dir
         .map(|d| std::fs::read_to_string(d.join(mocket::obs::TRACE_FILE_NAME)).unwrap_or_default())
@@ -164,41 +164,36 @@ fn run_raft_timed_delays(sim: Option<&SimHandle>) -> RunOutput {
 /// Offers only `hang`; executing it blocks the node forever. The
 /// threaded backend detaches such a node via its reply-timeout
 /// watchdog; before PR-9 the sim backend simply deadlocked on it.
-struct HangApp {
-    registry: Arc<VarRegistry>,
-}
-
-impl HangApp {
-    fn boxed(_id: u64) -> Box<dyn NodeApp> {
-        Box::new(HangApp {
-            registry: VarRegistry::new(),
-        })
-    }
-}
+#[derive(Clone)]
+struct HangApp;
 
 impl NodeApp for HangApp {
-    fn enabled(&mut self) -> Vec<ActionInstance> {
+    type Msg = u64;
+    type Config = ();
+
+    fn boot(_id: u64, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
+        HangApp
+    }
+
+    fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
         vec![ActionInstance::nullary("hang")]
     }
 
-    fn execute(&mut self, action: &ActionInstance) -> Vec<MsgEvent> {
+    fn execute(&mut self, action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
         if action.name == "hang" {
             std::thread::sleep(Duration::from_secs(3600));
         }
         vec![]
     }
-
-    fn registry(&self) -> Arc<VarRegistry> {
-        self.registry.clone()
-    }
 }
 
+#[derive(Clone)]
 struct NoExternal;
 
-impl ExternalDriver for NoExternal {
+impl ExternalDriver<HangApp> for NoExternal {
     fn execute(
         &mut self,
-        _cluster: &mut Cluster,
+        _cluster: &mut Cluster<HangApp>,
         action: &ActionInstance,
     ) -> Result<mocket::core::ExecReport, SutError> {
         Err(SutError::External(format!("unsupported: {action}")))
@@ -220,9 +215,9 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
         Some(handle) => Backend::Sim(handle.clone()),
         None => Backend::Threads,
     };
-    let cluster = Cluster::new(Box::new(HangApp::boxed), backend)
-        .with_reply_timeout(Duration::from_millis(200));
-    let mut sut = ClusterSut::new(cluster, vec![1, 2], Box::new(NoExternal));
+    let cluster =
+        Cluster::new((), Net::new([1, 2]), backend).with_reply_timeout(Duration::from_millis(200));
+    let mut sut = ClusterSut::new(cluster, vec![1, 2], NoExternal);
     let clock: Arc<dyn Clock> = match sim {
         Some(handle) => handle.clock.clone(),
         None => Arc::new(RealClock::new()),

@@ -186,13 +186,13 @@ fn minimized_raft_failure_validates_and_replays_to_the_same_kind() {
         "artifact records the pre-shrink length"
     );
     let mut fresh = target.sut(Backend::Threads, None);
-    let (verdict, _) = replay(&artifact, &mut fresh, &target.registry).unwrap();
+    let (verdict, _) = replay(&artifact, fresh.as_mut(), &target.registry).unwrap();
     assert!(verdict.reproduced(), "{verdict:?}");
 
     // A fixed build does NOT reproduce: replay distinguishes "still
     // broken" from "fixed" for free.
     let mut fixed = by_name("xraft", None).unwrap().sut(Backend::Threads, None);
-    let (verdict, _) = replay(&artifact, &mut fixed, &target.registry).unwrap();
+    let (verdict, _) = replay(&artifact, fixed.as_mut(), &target.registry).unwrap();
     assert!(
         !verdict.reproduced(),
         "fixed build must not reproduce: {verdict:?}"
