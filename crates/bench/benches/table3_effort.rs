@@ -9,6 +9,7 @@
 //! for days; the shape to check is the POR reduction ratio and the
 //! ordering between systems).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use mocket::runtime::Backend;
@@ -55,6 +56,7 @@ fn measure(name: &'static str, target: Target) -> SystemRow {
 
     // Execute a sample of the reduced cases to estimate per-case cost.
     let run_cfg = RunConfig::fast();
+    let registry = Arc::new(target.registry.clone());
     let sample_start = Instant::now();
     let mut sample_run = 0usize;
     let mut sample_passed = 0usize;
@@ -63,11 +65,10 @@ fn measure(name: &'static str, target: Target) -> SystemRow {
         let tc = TestCase::from_edge_path(&graph, path).expect("traversal paths are non-empty");
         let final_node = graph.edge(*path.last().unwrap()).to;
         let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
-        let mut sut = target.sut(Backend::Threads, None);
         let (outcome, _) = run_test_case(
-            sut.as_mut(),
+            target.sut(Backend::Threads, None),
             &tc,
-            &target.registry,
+            &registry,
             &final_enabled,
             &run_cfg,
             &RunCtx::default(),

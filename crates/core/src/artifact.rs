@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mocket_obs::DivergenceExplanation;
@@ -482,13 +483,13 @@ impl ReplayVerdict {
 /// from the artifact.
 pub fn replay(
     artifact: &ReplayArtifact,
-    sut: &mut dyn SystemUnderTest,
+    sut: Box<dyn SystemUnderTest>,
     registry: &MappingRegistry,
 ) -> Result<(ReplayVerdict, RunStats), SutError> {
     let (outcome, stats) = run_test_case(
         sut,
         &artifact.test_case,
-        registry,
+        &Arc::new(registry.clone()),
         &artifact.final_enabled,
         &artifact.run,
         &RunCtx::default(),

@@ -11,7 +11,8 @@
 //!    scheduler ([`scheduler`]) releases blocked actions in test-case
 //!    order, message pools ([`msgpool`]) track message-related
 //!    variables, and the state checker ([`statecheck`]) compares every
-//!    runtime state with its verified counterpart;
+//!    runtime state with its verified counterpart; each case runs on
+//!    its own thread under the [`watchdog`];
 //! 3. reports inconsistencies ([`report`]): inconsistent states,
 //!    missing actions and unexpected actions.
 //!
@@ -33,6 +34,7 @@ pub mod statecheck;
 pub mod sut;
 pub mod testcase;
 pub mod traversal;
+pub mod watchdog;
 
 pub use artifact::{
     replay, ArtifactError, CampaignJournal, CaseOutcome, JournalEntry, JournalOpenError,

@@ -374,7 +374,7 @@ impl Pipeline {
         } else {
             Tracer::disabled()
         };
-        let mut sut = make_sut();
+        let sut = make_sut();
         let ctx = RunCtx {
             clock: self.config.clock.clone(),
             obs: obs.clone(),
@@ -386,7 +386,7 @@ impl Pipeline {
         // including this case's `case.start` — reaches events.jsonl.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_test_case(
-                sut.as_mut(),
+                sut,
                 &case.tc,
                 &self.registry,
                 &case.final_enabled,

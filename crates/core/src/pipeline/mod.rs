@@ -308,7 +308,7 @@ pub struct PipelineResult {
 /// The Mocket pipeline for one specification + mapping + target.
 pub struct Pipeline {
     spec: Arc<dyn Spec>,
-    registry: MappingRegistry,
+    registry: Arc<MappingRegistry>,
     config: PipelineConfig,
 }
 
@@ -324,7 +324,7 @@ impl Pipeline {
         if issues.is_empty() {
             Ok(Pipeline {
                 spec,
-                registry,
+                registry: Arc::new(registry),
                 config,
             })
         } else {

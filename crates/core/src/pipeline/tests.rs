@@ -317,8 +317,8 @@ fn confirmed_failures_emit_replay_artifacts() {
     assert!(artifact.test_case.len() <= report.test_case.len());
     // The stored reproducer replays to the same verdict in a
     // fresh SUT.
-    let mut sut = CounterSut { n: 0, buggy: true };
-    let (verdict, _) = crate::artifact::replay(&artifact, &mut sut, &registry()).unwrap();
+    let sut = Box::new(CounterSut { n: 0, buggy: true });
+    let (verdict, _) = crate::artifact::replay(&artifact, sut, &registry()).unwrap();
     assert!(verdict.reproduced(), "{verdict:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -163,10 +163,9 @@ impl Pipeline {
         };
         let mut rerun = |case: &TestCase, enabled: &[ActionInstance]| -> bool {
             obs.metrics().add("pipeline.triage_reruns", 1);
-            let mut sut = make_sut();
             matches!(
                 run_test_case(
-                    sut.as_mut(),
+                    make_sut(),
                     case,
                     &self.registry,
                     enabled,

@@ -32,6 +32,7 @@ use crate::scheduler::{find_match, offered_actions, translate_offers, unexpected
 use crate::statecheck::check_state;
 use crate::sut::{ExecReport, MsgEvent, Offer, Snapshot, SutError, SystemUnderTest};
 use crate::testcase::TestCase;
+use crate::watchdog::{self, on_case_thread};
 
 /// Runner configuration.
 ///
@@ -52,8 +53,10 @@ pub struct RunConfig {
     /// missing action (the paper's scheduler timeout). At least one
     /// poll always happens, even with a zero deadline.
     pub offer_deadline: Duration,
-    /// Wall-clock budget for one step end-to-end (offer matching,
-    /// execution, state check). Exceeding it fails the test case with
+    /// Budget for one step end-to-end (offer matching, execution,
+    /// state check) on the run's clock, and the real time one call
+    /// into the system under test may take before the case is
+    /// abandoned. Exceeding either fails the test case with
     /// [`Inconsistency::WatchdogTimeout`].
     pub per_action_budget: Duration,
     /// Sleep between the first and second offer poll; doubled after
@@ -181,30 +184,67 @@ impl Default for RunCtx {
 /// `final_enabled` lists the action instances the specification
 /// enables in the test case's final state (read from the state-space
 /// graph); leftover offers outside this set are unexpected actions.
+///
+/// Deploy, drive and teardown run on one case thread that owns `sut`
+/// ([`watchdog`]). A call into the system that outlives
+/// [`RunConfig::per_action_budget`] of real time abandons the thread
+/// with the system and fails the case with
+/// [`Inconsistency::WatchdogTimeout`].
 pub fn run_test_case(
-    sut: &mut dyn SystemUnderTest,
+    sut: Box<dyn SystemUnderTest>,
     test_case: &TestCase,
-    registry: &MappingRegistry,
+    registry: &Arc<MappingRegistry>,
     final_enabled: &[ActionInstance],
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<(TestOutcome, RunStats), SutError> {
     let start = ctx.clock.now();
-    let mut stats = RunStats::default();
-    sut.install_tracer(&ctx.tracer);
-    sut.deploy()?;
-    let result = drive(
-        sut,
-        test_case,
-        registry,
-        final_enabled,
-        config,
-        &mut stats,
-        ctx,
-    );
-    sut.teardown();
-    stats.seconds = ctx.clock.now().saturating_sub(start).as_secs_f64();
-    result.map(|outcome| (outcome, stats))
+    let (tc, reg, enabled) = (test_case.clone(), Arc::clone(registry), final_enabled.to_vec());
+    let (cfg, run_ctx) = (config.clone(), ctx.clone());
+    let ran = on_case_thread(sut, config.per_action_budget, move |sut| {
+        let mut stats = RunStats::default();
+        watchdog::at(None, start);
+        sut.install_tracer(&run_ctx.tracer);
+        watchdog::guard(None, || sut.deploy())?;
+        let result = drive(sut, &tc, &reg, &enabled, &cfg, &mut stats, &run_ctx);
+        watchdog::guard(None, || sut.teardown());
+        stats.seconds = run_ctx.clock.now().saturating_sub(start).as_secs_f64();
+        result.map(|outcome| (outcome, stats))
+    });
+    let hung = match ran {
+        Ok((result, _)) => return result,
+        Err(hung) => hung,
+    };
+    // The abandoned call burned its budget in real time while a virtual
+    // clock stood still: advancing it by exactly the budget lands the
+    // verdict at a deterministic virtual deadline.
+    let clock = ctx.clock.as_ref();
+    let mut vt = 0;
+    if clock.is_virtual() {
+        clock.sleep(config.per_action_budget);
+        vt = clock.now().as_nanos() as u64;
+    }
+    ctx.tracer.close_step(vt);
+    let action = match hung.step {
+        None => ActionInstance::nullary("<Init>"),
+        Some(i) => match test_case.steps.get(i) {
+            Some(step) => step.action.clone(),
+            None => ActionInstance::nullary("<Final>"),
+        },
+    };
+    let inc = Inconsistency::WatchdogTimeout {
+        step: hung.step.unwrap_or(0),
+        action,
+        waited: clock.now().saturating_sub(hung.step_start),
+        reason: hung.node.map_or("unresponsive".into(), |n| format!("node {n}: unresponsive")),
+    };
+    let stats = RunStats {
+        // Every step before the hung one executed its action.
+        actions_executed: hung.step.map_or(0, |i| i.min(test_case.steps.len())),
+        seconds: clock.now().saturating_sub(start).as_secs_f64(),
+        ..RunStats::default()
+    };
+    Ok((TestOutcome::Failed(inc), stats))
 }
 
 /// How a SUT error during a driven step is handled.
@@ -281,12 +321,13 @@ fn drive(
         divergences
     };
 
-    // Classifies a failed SUT call: crash-style errors become a
-    // failed outcome, harness errors propagate to the caller.
-    // `$start` is a `Duration` read from the run's clock.
+    // Makes one guarded SUT call on behalf of `$node` (when known) and
+    // classifies a failure: crash-style errors become a failed
+    // outcome, harness errors propagate to the caller. `$start` is a
+    // `Duration` read from the run's clock.
     macro_rules! try_sut {
-        ($call:expr, $step:expr, $action:expr, $start:expr) => {
-            match $call {
+        ($node:expr, $call:expr, $step:expr, $action:expr, $start:expr) => {
+            match watchdog::guard($node, || $call) {
                 Ok(v) => v,
                 Err(e) => {
                     let waited = clock.now().saturating_sub($start);
@@ -302,7 +343,7 @@ fn drive(
     if config.check_initial {
         let init_start = clock.now();
         let init_action = ActionInstance::nullary("<Init>");
-        let snapshot = try_sut!(sut.snapshot(), 0, &init_action, init_start);
+        let snapshot = try_sut!(None, sut.snapshot(), 0, &init_action, init_start);
         stats.checks += 1;
         let divergences = check(&test_case.initial, &snapshot, &pools);
         if !divergences.is_empty() {
@@ -316,6 +357,7 @@ fn drive(
 
     for (i, step) in test_case.steps.iter().enumerate() {
         let step_start = clock.now();
+        watchdog::at(Some(i), step_start);
         let class = registry
             .action_by_spec_name(&step.action.name)
             .map(|m| m.class)
@@ -328,7 +370,7 @@ fn drive(
                 // for drop/duplicate.
                 obs.metrics().add("runner.external_triggers", 1);
                 tracer.external(i as u64, &step.action.name, 0);
-                try_sut!(sut.execute_external(&step.action), i, &step.action, step_start)
+                try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start)
             }
             _ => {
                 // Deadline-based offer matching with exponential
@@ -341,7 +383,7 @@ fn drive(
                 let mut backoff = backoff_schedule(config);
                 loop {
                     obs.metrics().add("timing.runner.offer_polls", 1);
-                    let mut offers = try_sut!(sut.offers(), i, &step.action, step_start);
+                    let mut offers = try_sut!(None, sut.offers(), i, &step.action, step_start);
                     count_offers(&offers);
                     if let Some(hit) = find_match(registry, &step.action, &offers) {
                         matched = Some(offers.swap_remove(hit));
@@ -365,7 +407,7 @@ fn drive(
                             .observe("timing.profile.scheduler_release_seconds", waited.as_secs_f64());
                         obs.metrics().add("runner.actions_released", 1);
                         tracer.release(i as u64, offer.node, &step.action.name, 0);
-                        try_sut!(sut.execute(&offer), i, &step.action, step_start)
+                        try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
                     }
                     None => {
                         obs.metrics().add("runner.missing_actions", 1);
@@ -391,7 +433,7 @@ fn drive(
         }
 
         // Check the verified post-state.
-        let snapshot = try_sut!(sut.snapshot(), i, &step.action, step_start);
+        let snapshot = try_sut!(None, sut.snapshot(), i, &step.action, step_start);
         stats.checks += 1;
         let divergences = check(&step.expected, &snapshot, &pools);
         if !divergences.is_empty() {
@@ -422,8 +464,10 @@ fn drive(
     // End of test case: leftover notifications the spec does not
     // enable in the final state are unexpected actions.
     let final_start = clock.now();
+    watchdog::at(Some(test_case.steps.len()), final_start);
     let final_action = ActionInstance::nullary("<Final>");
     let offers = try_sut!(
+        None,
         sut.offers(),
         test_case.steps.len(),
         &final_action,
@@ -493,6 +537,7 @@ mod tests {
     use crate::mapping::ActionBinding;
     use crate::sut::{MsgEvent, Offer, Snapshot};
     use mocket_tla::Value;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A scripted fake SUT: a counter machine with one variable `n`.
     /// The script controls which offers appear and what executing
@@ -511,7 +556,8 @@ mod tests {
         /// Extra `recv` offer emitted always: a message receive the
         /// spec never enables (unexpected at end).
         stray_recv: bool,
-        deployed: bool,
+        /// Set by deploy, cleared by teardown; shared with the test.
+        deployed: Arc<AtomicBool>,
     }
 
     impl FakeSut {
@@ -523,7 +569,7 @@ mod tests {
                 mute: false,
                 rogue_offer: false,
                 stray_recv: false,
-                deployed: false,
+                deployed: Arc::default(),
             }
         }
     }
@@ -531,16 +577,16 @@ mod tests {
     impl SystemUnderTest for FakeSut {
         fn deploy(&mut self) -> Result<(), SutError> {
             self.n = 0;
-            self.deployed = true;
+            self.deployed.store(true, Ordering::SeqCst);
             Ok(())
         }
 
         fn teardown(&mut self) {
-            self.deployed = false;
+            self.deployed.store(false, Ordering::SeqCst);
         }
 
         fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
-            assert!(self.deployed);
+            assert!(self.deployed.load(Ordering::SeqCst));
             let mut out = Vec::new();
             if !self.mute && self.n < self.limit {
                 out.push(Offer {
@@ -619,11 +665,12 @@ mod tests {
 
     #[test]
     fn conformant_run_passes() {
-        let mut sut = FakeSut::new(10);
+        let sut = FakeSut::new(10);
+        let deployed = sut.deployed.clone();
         let (outcome, stats) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(3),
-            &registry(),
+            &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -632,17 +679,17 @@ mod tests {
         assert!(outcome.passed(), "{outcome:?}");
         assert_eq!(stats.actions_executed, 3);
         assert_eq!(stats.checks, 4, "initial + one per action");
-        assert!(!sut.deployed, "teardown must run");
+        assert!(!deployed.load(Ordering::SeqCst), "teardown must run");
     }
 
     #[test]
     fn observed_run_records_scheduler_and_statecheck_metrics() {
-        let mut sut = FakeSut::new(10);
+        let sut = FakeSut::new(10);
         let obs = Obs::disabled();
         let (outcome, stats) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(3),
-            &registry(),
+            &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx {
@@ -678,9 +725,9 @@ mod tests {
         );
         let obs = Obs::disabled();
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(0),
-            &registry,
+            &Arc::new(registry),
             &[],
             &RunConfig::fast(),
             &RunCtx {
@@ -706,9 +753,9 @@ mod tests {
         let mut sut = FakeSut::new(10);
         sut.broken_inc = true;
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(2),
-            &registry(),
+            &Arc::new(registry()),
             &[],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -732,9 +779,9 @@ mod tests {
         let mut sut = FakeSut::new(10);
         sut.mute = true;
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(1),
-            &registry(),
+            &Arc::new(registry()),
             &[],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -753,9 +800,9 @@ mod tests {
         let mut sut = FakeSut::new(10);
         sut.rogue_offer = true;
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(1),
-            &registry(),
+            &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -773,11 +820,11 @@ mod tests {
     fn benign_leftover_offers_pass() {
         // After 1 of 3 possible Incs, `inc` is still offered — but the
         // spec enables Inc at the final state, so it is benign.
-        let mut sut = FakeSut::new(10);
+        let sut = FakeSut::new(10);
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(1),
-            &registry(),
+            &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -788,7 +835,7 @@ mod tests {
 
     #[test]
     fn user_requests_are_triggered_externally() {
-        let mut sut = FakeSut::new(10);
+        let sut = FakeSut::new(10);
         let tc = TestCase::new(
             st(0),
             vec![
@@ -797,9 +844,9 @@ mod tests {
             ],
         );
         let (outcome, stats) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &tc,
-            &registry(),
+            &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
@@ -811,13 +858,13 @@ mod tests {
 
     #[test]
     fn wrong_initial_state_detected() {
-        let mut sut = FakeSut::new(10);
+        let sut = FakeSut::new(10);
         let tc = TestCase::new(st(7), vec![]);
         let (outcome, _) =
             run_test_case(
-                &mut sut,
+                Box::new(sut),
                 &tc,
-                &registry(),
+                &Arc::new(registry()),
                 &[],
                 &RunConfig::fast(),
                 &RunCtx::default(),
@@ -879,11 +926,11 @@ mod tests {
                 State::from_pairs([("messages", Value::fun([]))]),
             )],
         );
-        let mut sut = GhostSut;
+        let sut = GhostSut;
         let (outcome, _) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &tc,
-            &registry,
+            &Arc::new(registry),
             &[],
             &RunConfig {
                 check_initial: false,
@@ -956,9 +1003,9 @@ mod tests {
             sut.mute = true;
             let clock = Arc::new(RecordingClock::new());
             let (outcome, _) = run_test_case(
-                &mut sut,
+                Box::new(sut),
                 &inc_case(1),
-                &registry(),
+                &Arc::new(registry()),
                 &[],
                 &RunConfig::fast(),
                 &RunCtx {
@@ -993,9 +1040,9 @@ mod tests {
         sut.mute = true;
         let wall = std::time::Instant::now();
         let (_, stats) = run_test_case(
-            &mut sut,
+            Box::new(sut),
             &inc_case(1),
-            &registry(),
+            &Arc::new(registry()),
             &[],
             &RunConfig::default(), // 2s offer deadline — instant virtually
             &RunCtx {

@@ -187,8 +187,9 @@ pub fn record_int_field(value: &Value, field: &str) -> Result<i64, SutError> {
 ///
 /// Mocket deploys a fresh cluster per test case (§4.3.2), so a typical
 /// implementation spawns its nodes in [`deploy`](Self::deploy) and
-/// kills them in [`teardown`](Self::teardown).
-pub trait SystemUnderTest {
+/// kills them in [`teardown`](Self::teardown). A case moves its
+/// system to the thread that runs it, hence `Send`.
+pub trait SystemUnderTest: Send {
     /// Deploys a fresh cluster.
     fn deploy(&mut self) -> Result<(), SutError>;
 

@@ -288,6 +288,8 @@ struct TracerState {
     /// so releases can stamp the `(action, spec-edge)` mapping.
     edge_path: Vec<u64>,
     ctx: StepContext,
+    /// The node whose step span is open.
+    open_step: Option<u64>,
     events: Vec<CausalEvent>,
 }
 
@@ -319,8 +321,8 @@ impl TracerState {
 /// single branch and the handle clones as a `None`. A live tracer
 /// ([`Tracer::for_case`]) shares one state behind a mutex; the
 /// sequential harness only ever records from one thread at a time
-/// (the sandbox thread currently executing a step, or the runner
-/// thread), so recording order is deterministic.
+/// (the case thread while it runs, its caller before and after), so
+/// recording order is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<TracerState>>>,
@@ -403,6 +405,7 @@ impl Tracer {
     /// Records the start of one node step (cluster execution span).
     pub fn step_begin(&self, node: u64, vt: u64) {
         self.with(|s| {
+            s.open_step = Some(node);
             s.record(CausalKind::StepBegin, vt).node = Some(node);
         });
     }
@@ -410,8 +413,17 @@ impl Tracer {
     /// Records the end of the node step started last.
     pub fn step_end(&self, node: u64, vt: u64) {
         self.with(|s| {
+            s.open_step = None;
             s.record(CausalKind::StepEnd, vt).node = Some(node);
         });
+    }
+
+    /// Ends the open node step span, if any: the step the watchdog
+    /// abandoned never ends it itself.
+    pub fn close_step(&self, vt: u64) {
+        if let Some(Some(node)) = self.with(|s| s.open_step) {
+            self.step_end(node, vt);
+        }
     }
 
     /// Records a send from `from` to `to` and returns the tag to

@@ -148,9 +148,7 @@ impl ExternalDriver<AsyncRaftNode> for XraftDriver {
             ))
         })?;
         let dest = record_int_field(wanted, "mdest")? as NodeId;
-        let net = cluster
-            .net_mut()
-            .ok_or_else(|| SutError::External("the deployment is gone".into()))?;
+        let net = cluster.net_mut();
         let matches = |env: &mocket_dsnet::Envelope<RaftMsg>| env.msg.to_value() == *wanted;
         let (pool, msg) = (POOL.into(), wanted.clone());
         let (found, event, verb) = if drop {

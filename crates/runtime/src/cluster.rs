@@ -13,38 +13,32 @@
 //! whatever the application persisted in its storage survives,
 //! nothing else does. Copying the cluster copies the deployment.
 //!
-//! **One step, one dispatch.** Every node step runs under
-//! `catch_unwind` in `World::step`. Observation steps (offer
-//! collection) run inline on the harness thread: they are the
-//! step-dense hot path, one per node per offer poll. A snapshot reads
-//! the registries straight into the aggregate, one clone per shadow
-//! value. *Execution* steps, the only place the harness runs
-//! open-ended application code, run on a single lazily spawned
-//! *sandbox* thread (one per cluster, reused across steps): the world
-//! moves there in its `Box` and comes back with the outcome, so the
-//! harness can bound the step with the reply timeout.
+//! **One step, one dispatch.** Every node step — an offer poll or an
+//! execution — runs inline on the calling thread, under
+//! `catch_unwind` in `World::step`. A snapshot reads the registries
+//! straight into the aggregate, one clone per shadow value. The
+//! cluster spawns no thread and keeps no timeout.
 //!
 //! **Panic isolation.** A node panicking inside application code must
 //! not tear the harness down: the unwind is caught and reported as a
-//! structured [`ClusterError::Died`], the node leaves the world, its
+//! structured [`SutError::NodeDeath`], the node leaves the world, its
 //! shadow values stay readable in its registry until a restart resets
 //! them, and the rest of the cluster keeps answering.
 //!
-//! **Watchdog.** An execution step that outlives the reply timeout is
-//! abandoned together with the sandbox thread it is stuck on and the
-//! world that thread holds — never joined, its channels dropped →
-//! [`ClusterError::Unresponsive`]. The runner reports that as its
-//! verdict and touches the cluster no further: from then on every
-//! node is [`ClusterError::NotRunning`], and shutdown and drop return
-//! at once.
+//! **Watchdog.** A hang costs the case, not the step. The runner
+//! drives a case on its own case thread that owns the deployment
+//! ([`mocket_core::watchdog`]); each node step is a guarded call
+//! naming its node. If one outlives `RunConfig::per_action_budget`,
+//! the runner abandons the case thread with the world it owns and
+//! reports the watchdog verdict; the thread never writes again.
 //!
 //! **Backends.** A [`Backend`] only chooses the clock the steps are
 //! accounted on. [`Backend::Threads`] is the wall clock: steps cost
 //! what they cost, and trace timestamps stay 0 so wall time never
 //! leaks into a trace. [`Backend::Sim`] charges the same steps to the
 //! run's shared [`mocket_sim::SimClock`]: each costs a seeded slice of
-//! virtual time, and a hung step advances the virtual clock by exactly
-//! the reply timeout, so timings, traces and watchdog verdicts are
+//! virtual time (a hung step costs exactly the budget on top, charged
+//! by the runner), so timings, traces and watchdog verdicts are
 //! byte-reproducible per seed. Verdict parity between the two holds
 //! by construction — they share every line below except those clock
 //! reads. (The variant names are pinned by the benchmark adapter in
@@ -56,9 +50,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-
-use mocket_core::sut::MsgEvent;
+use mocket_core::sut::{MsgEvent, SutError};
+use mocket_core::watchdog;
 use mocket_dsnet::{Net, Storage, Wire};
 use mocket_obs::causal::Tracer;
 use mocket_sim::{SimClock, SimHandle, SimRng};
@@ -106,39 +99,6 @@ pub trait NodeApp: Clone + Send + 'static {
         -> Vec<MsgEvent>;
 }
 
-/// Errors from cluster control.
-#[derive(Debug, Clone)]
-pub enum ClusterError {
-    /// The node is not running.
-    NotRunning(NodeId),
-    /// The node did not answer within the timeout. The step's thread
-    /// is detached with the world it holds: a late reply must never
-    /// desynchronise the request/reply protocol.
-    Unresponsive(NodeId),
-    /// The node's application code panicked (or its channels closed
-    /// unexpectedly). The harness survives; the node is gone.
-    Died {
-        /// The dead node.
-        node: NodeId,
-        /// Panic message or channel diagnosis.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::NotRunning(n) => write!(f, "node {n} is not running"),
-            ClusterError::Unresponsive(n) => write!(f, "node {n} is unresponsive"),
-            ClusterError::Died { node, reason } => {
-                write!(f, "node {node} died: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClusterError {}
-
 thread_local! {
     /// True while this thread is executing application code on behalf
     /// of a node, so the panic hook can tell a caught node fault from
@@ -147,7 +107,7 @@ thread_local! {
 }
 
 /// Suppresses default panic output from node code: node panics are
-/// caught, reported as [`ClusterError::Died`] and classified by the
+/// caught, reported as [`SutError::NodeDeath`] and classified by the
 /// test runner, so the default stderr backtrace is just noise. Node
 /// code is recognised by the [`IN_NODE_STEP`] marker [`dispatch`]
 /// sets. Panics anywhere else keep the previous hook's behaviour.
@@ -209,14 +169,13 @@ impl<N: NodeApp> World<N> {
         self.hosts.get(&id).is_some_and(|h| h.app.is_some())
     }
 
-    /// Boots a fresh incarnation of `id` over its surviving storage;
-    /// the previous incarnation's shadow values are dropped first.
-    fn boot(&mut self, id: NodeId) {
-        let host = self.hosts.entry(id).or_insert_with(|| Host {
-            app: None,
-            disk: Storage::default(),
-            vars: VarRegistry::default(),
-        });
+    /// Boots a fresh incarnation of deployed node `id` over its
+    /// surviving storage; the previous incarnation's shadow values are
+    /// dropped first. An id that was never deployed boots nothing.
+    fn boot(&mut self, id: NodeId) -> bool {
+        let Some(host) = self.hosts.get_mut(&id) else {
+            return false;
+        };
         host.vars = VarRegistry::default();
         let mut cx = NodeCx {
             net: &mut self.net,
@@ -224,33 +183,29 @@ impl<N: NodeApp> World<N> {
             vars: &mut host.vars,
         };
         host.app = Some(N::boot(id, &self.config, &mut cx));
+        true
     }
 
-    /// One step of running node `id` under `catch_unwind`. A node that
-    /// panics leaves the world; its shadow values stay.
+    /// One step of running node `id` under `catch_unwind`, guarded by
+    /// the case watchdog. A node that panics leaves the world; its
+    /// shadow values stay.
     fn step<T>(
         &mut self,
         id: NodeId,
         hook: impl FnOnce(&mut N, &mut NodeCx<'_, N::Msg>) -> T,
-    ) -> Result<T, ClusterError> {
-        let Some(host) = self.hosts.get_mut(&id) else {
-            return Err(ClusterError::NotRunning(id));
+    ) -> Result<T, SutError> {
+        let Some(Host { app: Some(app), disk, vars }) = self.hosts.get_mut(&id) else {
+            return Err(SutError::NodeFailure { node: id, message: "not running".into() });
         };
-        let Some(app) = host.app.as_mut() else {
-            return Err(ClusterError::NotRunning(id));
+        let mut cx = NodeCx { net: &mut self.net, disk, vars };
+        let reason = match watchdog::guard(Some(id), || dispatch(|| hook(app, &mut cx))) {
+            Ok(out) => return Ok(out),
+            Err(reason) => reason,
         };
-        let mut cx = NodeCx {
-            net: &mut self.net,
-            disk: &mut host.disk,
-            vars: &mut host.vars,
-        };
-        match dispatch(|| hook(app, &mut cx)) {
-            Ok(out) => Ok(out),
-            Err(reason) => {
-                host.app = None;
-                Err(ClusterError::Died { node: id, reason })
-            }
+        if let Some(host) = self.hosts.get_mut(&id) {
+            host.app = None;
         }
+        Err(SutError::NodeDeath { node: id, reason })
     }
 }
 
@@ -289,93 +244,16 @@ fn charge(sim: &mut SimState) {
     }
 }
 
-/// One execution step in flight: the world travels to the sandbox
-/// with the node and action to release and comes back with the
-/// outcome.
-type SandboxStep<N> = (Box<World<N>>, NodeId, ActionInstance);
-type SandboxReply<N> = (Box<World<N>>, Result<Vec<MsgEvent>, ClusterError>);
-
-/// A single reusable worker thread that runs execution steps so the
-/// harness thread can bound each one with the reply timeout.
-/// Abandoned wholesale — channels dropped, thread never joined — when
-/// a step hangs.
-struct Sandbox<N: NodeApp> {
-    step_tx: Sender<SandboxStep<N>>,
-    reply_rx: Receiver<SandboxReply<N>>,
-}
-
-/// Yield-loop iterations before parking on the OS. An execution step
-/// is typically a few microseconds of application code, so a short
-/// `yield_now` loop on both sides of the sandbox channels hands the
-/// CPU straight to the peer thread instead of paying a futex
-/// park/unpark round-trip per step, and (unlike a busy spin) is safe
-/// on a single-CPU host, where spinning would stall the peer for a
-/// full scheduler timeslice. A hung step still parks: the loop gives
-/// up long before the watchdog grace and falls back to a blocking
-/// wait.
-const SANDBOX_SPIN: u32 = 64;
-
-/// Spin-then-park receive: `try_recv` with a `yield_now` between
-/// attempts, then a blocking wait bounded by `grace` (if any).
-fn spin_recv<T>(rx: &Receiver<T>, grace: Option<Duration>) -> Result<T, RecvTimeoutError> {
-    for _ in 0..SANDBOX_SPIN {
-        match rx.try_recv() {
-            Ok(msg) => return Ok(msg),
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-        }
-    }
-    match grace {
-        Some(grace) => rx.recv_timeout(grace),
-        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-    }
-}
-
-impl<N: NodeApp> Sandbox<N> {
-    fn spawn() -> Sandbox<N> {
-        let (step_tx, step_rx) = bounded::<SandboxStep<N>>(1);
-        let (reply_tx, reply_rx) = bounded::<SandboxReply<N>>(1);
-        std::thread::Builder::new()
-            .name("node-sandbox".to_string())
-            .spawn(move || {
-                while let Ok((mut world, id, action)) = spin_recv(&step_rx, None) {
-                    let result = world.step(id, |app, cx| app.execute(&action, cx));
-                    if reply_tx.send((world, result)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn sandbox thread");
-        Sandbox { step_tx, reply_rx }
-    }
-}
-
-/// A running instrumented cluster.
+/// A running instrumented cluster. Cloning it copies the deployment as
+/// it stands: stepping one leaves the other unchanged; the tracer and
+/// a simulated clock stay shared.
+#[derive(Clone)]
 pub struct Cluster<N: NodeApp> {
-    /// The deployment; `None` once a hung step took it away.
-    world: Option<Box<World<N>>>,
-    reply_timeout: Duration,
+    world: World<N>,
     /// Causal tracer (disabled by default — every hook is one branch).
     tracer: Tracer,
     /// Present iff the backend is [`Backend::Sim`].
     sim: SimState,
-    /// Lazily spawned, abandoned on a hung step.
-    sandbox: Option<Sandbox<N>>,
-}
-
-/// A copy of the deployment as it stands: stepping one leaves the
-/// other unchanged. The copy spawns its own sandbox on its first
-/// execution step; the tracer and a simulated clock stay shared.
-impl<N: NodeApp> Clone for Cluster<N> {
-    fn clone(&self) -> Self {
-        Cluster {
-            world: self.world.clone(),
-            reply_timeout: self.reply_timeout,
-            tracer: self.tracer.clone(),
-            sim: self.sim.clone(),
-            sandbox: None,
-        }
-    }
 }
 
 impl<N: NodeApp> Cluster<N> {
@@ -393,15 +271,13 @@ impl<N: NodeApp> Cluster<N> {
             }
         };
         Cluster {
-            world: Some(Box::new(World {
+            world: World {
                 config,
                 net,
                 hosts: BTreeMap::new(),
-            })),
-            reply_timeout: Duration::from_secs(5),
+            },
             tracer: Tracer::disabled(),
             sim,
-            sandbox: None,
         }
     }
 
@@ -415,9 +291,7 @@ impl<N: NodeApp> Cluster<N> {
     /// zero (the event *order* is still deterministic for a given
     /// schedule).
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        if let Some(world) = &mut self.world {
-            world.net.set_tracer(tracer.clone());
-        }
+        self.world.net.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
@@ -430,19 +304,9 @@ impl<N: NodeApp> Cluster<N> {
         }
     }
 
-    /// Sets the per-request reply timeout: the real-time grace an
-    /// execution step gets before the watchdog abandons it. Under the
-    /// simulation backend it is also exactly how far the virtual clock
-    /// jumps when a step times out.
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = timeout;
-        self
-    }
-
-    /// The deployment's network (`None` once a hung step took the
-    /// world away).
-    pub fn net_mut(&mut self) -> Option<&mut Net<N::Msg>> {
-        self.world.as_mut().map(|world| &mut world.net)
+    /// The deployment's network.
+    pub fn net_mut(&mut self) -> &mut Net<N::Msg> {
+        &mut self.world.net
     }
 
     /// Erases `id`'s durable storage (disk-loss fault). Unlike
@@ -450,42 +314,46 @@ impl<N: NodeApp> Cluster<N> {
     /// wiped node must come back empty after
     /// [`restart`](Self::restart).
     pub fn wipe_disk(&mut self, id: NodeId) {
-        if let Some(host) = self.world.as_mut().and_then(|w| w.hosts.get_mut(&id)) {
+        if let Some(host) = self.world.hosts.get_mut(&id) {
             host.disk.wipe();
         }
     }
 
-    /// Starts (or restarts after shutdown) the given nodes.
+    /// Deploys (or restarts after shutdown) the given nodes.
     pub fn start(&mut self, ids: &[NodeId]) {
-        if let Some(world) = &mut self.world {
-            for &id in ids {
-                world.boot(id);
-            }
+        for &id in ids {
+            self.world.hosts.entry(id).or_insert_with(|| Host {
+                app: None,
+                disk: Storage::default(),
+                vars: VarRegistry::default(),
+            });
+            self.world.boot(id);
         }
+    }
+
+    /// Whether `id` was ever deployed.
+    pub fn is_member(&self, id: NodeId) -> bool {
+        self.world.hosts.contains_key(&id)
     }
 
     /// The ids of running nodes.
     pub fn running(&self) -> Vec<NodeId> {
-        let Some(world) = &self.world else {
-            return Vec::new();
-        };
-        let running = world.hosts.iter().filter(|(_, h)| h.app.is_some());
+        let running = self.world.hosts.iter().filter(|(_, h)| h.app.is_some());
         running.map(|(&id, _)| id).collect()
     }
 
     /// Whether `id` is running.
     pub fn is_running(&self, id: NodeId) -> bool {
-        self.world.as_ref().is_some_and(|w| w.is_running(id))
+        self.world.is_running(id)
     }
 
     /// All blocked-action notifications, across all running nodes.
-    /// Each node's poll is one inline step.
-    pub fn offers(&mut self) -> Result<Vec<(NodeId, ActionInstance)>, ClusterError> {
+    /// Each node's poll is one step.
+    pub fn offers(&mut self) -> Result<Vec<(NodeId, ActionInstance)>, SutError> {
         let mut out = Vec::new();
         for id in self.running() {
-            let Some(world) = &mut self.world else { break };
             charge(&mut self.sim);
-            let actions = world.step(id, |app, cx| app.enabled(cx))?;
+            let actions = self.world.step(id, |app, cx| app.enabled(cx))?;
             out.extend(actions.into_iter().map(|a| (id, a)));
         }
         Ok(out)
@@ -496,60 +364,14 @@ impl<N: NodeApp> Cluster<N> {
         &mut self,
         id: NodeId,
         action: &ActionInstance,
-    ) -> Result<Vec<MsgEvent>, ClusterError> {
+    ) -> Result<Vec<MsgEvent>, SutError> {
         self.tracer.step_begin(id, self.vtime());
-        let result = self.execute_on_sandbox(id, action.clone());
+        if self.is_running(id) {
+            charge(&mut self.sim);
+        }
+        let result = self.world.step(id, |app, cx| app.execute(action, cx));
         self.tracer.step_end(id, self.vtime());
         result
-    }
-
-    /// Runs an execution step on the sandbox thread, waiting at most
-    /// the reply timeout for it.
-    fn execute_on_sandbox(
-        &mut self,
-        id: NodeId,
-        action: ActionInstance,
-    ) -> Result<Vec<MsgEvent>, ClusterError> {
-        if !self.is_running(id) {
-            return Err(ClusterError::NotRunning(id));
-        }
-        let world = self.world.take().expect("a running node has a world");
-        charge(&mut self.sim);
-        let grace = self.reply_timeout;
-        let sandbox = self.sandbox.get_or_insert_with(Sandbox::spawn);
-        let reply = match sandbox.step_tx.send((world, id, action)) {
-            Ok(()) => spin_recv(&sandbox.reply_rx, Some(grace)),
-            Err(_) => Err(RecvTimeoutError::Disconnected),
-        };
-        match reply {
-            Ok((world, result)) => {
-                self.world = Some(world);
-                result
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // The watchdog fired. Abandon the sandbox and the world
-                // stuck inside it — a late reply on the dropped channel
-                // can never answer a future step. Virtual time stood
-                // still while the step burned its real-time grace;
-                // advancing it by exactly the grace lands the timeout
-                // at a deterministic virtual deadline.
-                self.sandbox = None;
-                if let Some((clock, _)) = &self.sim {
-                    clock.advance(grace);
-                }
-                Err(ClusterError::Unresponsive(id))
-            }
-            // The sandbox thread only exits when its channels drop, so
-            // this is a cannot-happen diagnostic rather than a real
-            // path.
-            Err(RecvTimeoutError::Disconnected) => {
-                self.sandbox = None;
-                Err(ClusterError::Died {
-                    node: id,
-                    reason: "sandbox channel closed".to_string(),
-                })
-            }
-        }
     }
 
     /// Aggregates every node's shadow variables into per-variable
@@ -559,11 +381,8 @@ impl<N: NodeApp> Cluster<N> {
     /// specification keeps modeling a crashed node's state.
     pub fn aggregate_snapshot(&mut self, all_ids: &[NodeId]) -> Vec<(String, Value)> {
         let mut vars = Vec::new();
-        let Some(world) = &self.world else {
-            return vars;
-        };
         for &id in all_ids {
-            let Some(host) = world.hosts.get(&id) else {
+            let Some(host) = self.world.hosts.get(&id) else {
                 continue;
             };
             if host.app.is_some() {
@@ -587,18 +406,18 @@ impl<N: NodeApp> Cluster<N> {
     /// *is* the crash — in-memory state gone, storage survives, and
     /// its shadow values stay readable until it restarts.
     pub fn crash(&mut self, id: NodeId) {
-        let host = self.world.as_mut().and_then(|w| w.hosts.get_mut(&id));
+        let host = self.world.hosts.get_mut(&id);
         if host.and_then(|h| h.app.take()).is_some() {
             self.tracer.crash(id, self.vtime());
         }
     }
 
-    /// Restarts `id`: kill plus a fresh incarnation.
+    /// Restarts deployed node `id`: kill plus a fresh incarnation.
     pub fn restart(&mut self, id: NodeId) {
         self.crash(id);
-        let Some(world) = &mut self.world else { return };
-        world.boot(id);
-        self.tracer.restart(id, self.vtime());
+        if self.world.boot(id) {
+            self.tracer.restart(id, self.vtime());
+        }
     }
 
     /// Stops every node.
@@ -619,6 +438,10 @@ impl<N: NodeApp> Drop for Cluster<N> {
 mod tests {
     use super::*;
     use crate::registry::Shadow;
+    use crate::sutadapter::{ClusterSut, ScriptDriver};
+    use mocket_core::mapping::{ActionBinding, MappingRegistry};
+    use mocket_core::{run_test_case, Inconsistency, RunConfig, RunCtx, TestCase, TestOutcome};
+    use mocket_tla::{ActionClass, State};
 
     /// Both backends, the simulated one with a handle to read its
     /// virtual clock through.
@@ -632,7 +455,7 @@ mod tests {
 
     /// A cluster of toy nodes that use no network.
     fn toy<N: NodeApp<Msg = u64, Config = ()>>(backend: Backend) -> Cluster<N> {
-        Cluster::new((), Net::new([]), backend).with_reply_timeout(Duration::from_secs(2))
+        Cluster::new((), Net::new([]), backend)
     }
 
     /// A toy app: a counter that can `bump` until 3, and panics when
@@ -758,7 +581,7 @@ mod tests {
         c.crash(1);
         assert!(matches!(
             c.execute(1, &bump()),
-            Err(ClusterError::NotRunning(1))
+            Err(SutError::NodeFailure { node: 1, .. })
         ));
     }
 
@@ -781,11 +604,11 @@ mod tests {
 
             let err = c.execute(1, &ActionInstance::nullary("boom")).unwrap_err();
             match &err {
-                ClusterError::Died { node, reason } => {
+                SutError::NodeDeath { node, reason } => {
                     assert_eq!(*node, 1);
                     assert!(reason.contains("boom"), "reason: {reason}");
                 }
-                other => panic!("expected Died, got {other:?}"),
+                other => panic!("expected NodeDeath, got {other:?}"),
             }
             assert!(!c.is_running(1), "dead node is deregistered");
 
@@ -809,7 +632,53 @@ mod tests {
         c.execute(1, &bump()).unwrap();
     }
 
-    /// Hangs forever when told to `stall`; `tick` returns at once.
+    /// Records the thread every execution step runs on.
+    #[derive(Clone)]
+    struct ThreadApp {
+        ran_on: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl NodeApp for ThreadApp {
+        type Msg = u64;
+        type Config = Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>;
+
+        fn boot(_id: NodeId, config: &Self::Config, _cx: &mut NodeCx<'_, u64>) -> Self {
+            ThreadApp {
+                ran_on: config.clone(),
+            }
+        }
+
+        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+            vec![bump()]
+        }
+
+        fn execute(&mut self, _action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
+            self.ran_on.lock().unwrap().push(std::thread::current().id());
+            vec![]
+        }
+    }
+
+    /// Node code runs on the caller's thread: no step of an original
+    /// or of any of its forks is handed to another thread.
+    #[test]
+    fn node_code_runs_on_the_calling_thread() {
+        let ran_on = Arc::default();
+        let mut original =
+            Cluster::<ThreadApp>::new(Arc::clone(&ran_on), Net::new([]), Backend::Threads);
+        original.start(&[1]);
+        let mut forks = vec![original.clone(); 1000];
+        original.execute(1, &bump()).unwrap();
+        for fork in &mut forks {
+            fork.execute(1, &bump()).unwrap();
+        }
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 1001);
+        let here = std::thread::current().id();
+        assert!(ran_on.iter().all(|&id| id == here), "a step left the calling thread");
+    }
+
+    /// Hangs forever when told to `stall` and dozes through twice the
+    /// budget when told to `doze`; `tick` returns at once.
     #[derive(Clone)]
     struct HangApp;
 
@@ -823,59 +692,123 @@ mod tests {
         }
 
         fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
-            vec![ActionInstance::nullary("stall")]
+            vec![ActionInstance::nullary("stall"), ActionInstance::nullary("doze")]
         }
 
         fn execute(&mut self, action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
-            if action.name == "tick" {
-                return vec![];
-            }
-            // Hang forever without burning CPU or wall-clock timers;
-            // park() can wake spuriously, hence the loop.
-            loop {
-                std::thread::park();
+            match action.name.as_str() {
+                "tick" => vec![],
+                "doze" => {
+                    std::thread::sleep(2 * BUDGET);
+                    vec![]
+                }
+                // Hang forever without burning CPU or wall-clock
+                // timers; park() can wake spuriously, hence the loop.
+                _ => loop {
+                    std::thread::park();
+                },
             }
         }
     }
 
-    /// A forever-blocking execution step is abandoned at the reply
-    /// timeout instead of hanging the harness. The world went with the
-    /// stuck thread: every node is gone, and shutdown and drop return
-    /// at once.
+    /// The per-action budget of the hang tests.
+    const BUDGET: Duration = Duration::from_millis(100);
+
+    /// Runs the one-step case `action` (`Stall` or `Doze`) on a
+    /// two-node [`HangApp`] deployment under `budget`: the verdict and
+    /// the wall time it took. Under `sim` the run counts on the
+    /// simulation's clock.
+    fn run_hang(
+        action: &str,
+        sim: Option<&SimHandle>,
+        budget: Duration,
+        mut ctx: RunCtx,
+    ) -> (Inconsistency, Duration) {
+        let backend = match sim {
+            Some(handle) => {
+                ctx.clock = handle.clock.clone();
+                Backend::Sim(handle.clone())
+            }
+            None => Backend::Threads,
+        };
+        let mut registry = MappingRegistry::new();
+        for (spec, hook) in [("Stall", "stall"), ("Doze", "doze")] {
+            registry.map_action(spec, hook, ActionClass::SingleNode, ActionBinding::Method);
+        }
+        let s = State::from_pairs([("x", Value::Int(0))]);
+        let case = TestCase::new(s.clone(), vec![(ActionInstance::nullary(action), s)]);
+        let config = RunConfig {
+            check_initial: false,
+            per_action_budget: budget,
+            ..RunConfig::fast()
+        };
+        let sut = ClusterSut::new(toy::<HangApp>(backend), vec![1, 2], ScriptDriver::new("tick"));
+        let start = std::time::Instant::now();
+        let ran = run_test_case(Box::new(sut), &case, &Arc::new(registry), &[], &config, &ctx);
+        match ran.expect("a hang is a verdict, not a harness error") {
+            (TestOutcome::Failed(inc), _) => (inc, start.elapsed()),
+            other => panic!("expected a watchdog verdict, got {other:?}"),
+        }
+    }
+
+    /// A forever-blocking execution step is abandoned at the budget,
+    /// together with its case thread and the deployment that thread
+    /// owns, instead of hanging the harness.
     #[test]
     fn hung_node_is_detached_not_joined() {
-        let grace = Duration::from_millis(100);
-        for (backend, sim) in backends() {
-            let mut c = toy::<HangApp>(backend).with_reply_timeout(grace);
-            c.start(&[1, 2]);
-            let start = std::time::Instant::now();
-            let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-            assert!(matches!(err, ClusterError::Unresponsive(1)));
-            if let Some(handle) = &sim {
-                // The virtual clock advanced by exactly the grace once
-                // the step's own cost was charged: deterministic, so
-                // verdicts line up per seed.
-                let before_grace = handle.clock.now_nanos() - grace.as_nanos() as u64;
-                let mut replay = SimRng::new(7);
-                let cost = SIM_STEP_COST.as_nanos() as u64
-                    + replay.below(SIM_STEP_JITTER.as_nanos() as u64);
-                assert_eq!(before_grace, cost, "one step cost, then exactly the grace");
+        for (_, sim) in backends() {
+            let (inc, wall) = run_hang("Stall", sim.as_ref(), BUDGET, RunCtx::default());
+            match inc {
+                Inconsistency::WatchdogTimeout { step, reason, .. } => {
+                    assert_eq!((step, reason.as_str()), (0, "node 1: unresponsive"));
+                }
+                other => panic!("expected a watchdog verdict, got {other:?}"),
             }
-            for id in [1, 2] {
-                assert!(matches!(
-                    c.execute(id, &ActionInstance::nullary("tick")),
-                    Err(ClusterError::NotRunning(n)) if n == id
-                ));
-            }
-            assert!(c.running().is_empty() && c.offers().unwrap().is_empty());
-            assert!(c.aggregate_snapshot(&[1, 2]).is_empty());
-            c.shutdown();
-            drop(c);
-            assert!(
-                start.elapsed() < Duration::from_secs(30),
-                "harness never waits out a hung node"
-            );
+            assert!(wall < Duration::from_secs(30), "harness never waits out a hung node");
         }
+    }
+
+    /// Under the simulation a hung step costs one step, then exactly
+    /// the budget: the seed-7 timeline's first execution reading (two
+    /// offer polls, one execution) plus 100 ms.
+    #[test]
+    fn sim_hang_reading_is_one_step_cost_then_the_budget() {
+        let handle = SimHandle::new(7);
+        run_hang("Stall", Some(&handle), BUDGET, RunCtx::default());
+        assert_eq!(handle.clock.now_nanos(), 189_637 + BUDGET.as_nanos() as u64);
+    }
+
+    #[test]
+    fn sim_hang_timeline_is_seed_deterministic() {
+        let run = |seed: u64| -> (u64, String) {
+            let handle = SimHandle::new(seed);
+            let budget = Duration::from_millis(50);
+            let (inc, _) = run_hang("Stall", Some(&handle), budget, RunCtx::default());
+            (handle.clock.now_nanos(), format!("{inc:?}"))
+        };
+        assert_eq!(run(42), run(42), "same seed, same virtual deadline");
+    }
+
+    /// A step that returns after its verdict writes nothing: no
+    /// metric, trace event or virtual-clock reading moves once the
+    /// runner has reported the hang.
+    #[test]
+    fn an_abandoned_case_writes_nothing_after_its_verdict() {
+        let handle = SimHandle::new(7);
+        let ctx = RunCtx {
+            tracer: Tracer::for_case(0),
+            ..RunCtx::default()
+        };
+        let (inc, _) = run_hang("Doze", Some(&handle), BUDGET, ctx.clone());
+        assert_eq!(inc.kind(), "Watchdog timeout", "{inc:?}");
+        let kinds: Vec<_> = ctx.tracer.take_events().iter().map(|e| e.kind.label()).collect();
+        assert_eq!(kinds, ["release", "step", "step.end"]);
+        let metrics = ctx.obs.metrics().snapshot();
+        let now = handle.clock.now_nanos();
+        std::thread::sleep(4 * BUDGET);
+        assert!(ctx.tracer.take_events().is_empty(), "trace written after the verdict");
+        assert_eq!(ctx.obs.metrics().snapshot(), metrics, "metric written after the verdict");
+        assert_eq!(handle.clock.now_nanos(), now, "clock moved after the verdict");
     }
 
     #[test]
@@ -912,17 +845,17 @@ mod tests {
 
     /// The seed-7 virtual timeline, pinned to the nanosecond: every
     /// step costs `SIM_STEP_COST` plus the next draw of the seed's
-    /// jitter stream, and a hung step adds exactly the reply timeout.
-    /// `wall_*` summary keys and trace `vt` stamps under `--sim` are
-    /// sums of these readings, so a moved literal is a moved byte.
+    /// jitter stream (a hung step's budget is the runner's, pinned in
+    /// `sim_hang_reading_is_one_step_cost_then_the_budget`). `wall_*`
+    /// summary keys and trace `vt` stamps under `--sim` are sums of
+    /// these readings, so a moved literal is a moved byte.
     #[test]
     fn sim_timeline_is_pinned_for_seed_7() {
         let handle = SimHandle::new(7);
-        let mut c = toy::<HangApp>(Backend::Sim(handle.clone()))
-            .with_reply_timeout(Duration::from_millis(100));
+        let mut c = toy::<HangApp>(Backend::Sim(handle.clone()));
         c.start(&[1, 2]);
         let mut readings = Vec::new();
-        assert_eq!(c.offers().unwrap().len(), 2);
+        assert_eq!(c.offers().unwrap().len(), 4);
         readings.push(handle.clock.now_nanos());
         for id in [1, 2, 1] {
             c.execute(id, &ActionInstance::nullary("tick")).unwrap();
@@ -930,25 +863,6 @@ mod tests {
         }
         vars_of(&mut c, 2);
         readings.push(handle.clock.now_nanos());
-        let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-        assert!(matches!(err, ClusterError::Unresponsive(1)));
-        readings.push(handle.clock.now_nanos());
-        assert_eq!(
-            readings,
-            [130_291, 189_637, 251_840, 305_514, 363_819, 100_425_617]
-        );
-    }
-
-    #[test]
-    fn sim_hang_timeline_is_seed_deterministic() {
-        let run = |seed: u64| -> (u64, String) {
-            let handle = SimHandle::new(seed);
-            let mut c = toy::<HangApp>(Backend::Sim(handle.clone()))
-                .with_reply_timeout(Duration::from_millis(50));
-            c.start(&[1]);
-            let err = c.execute(1, &ActionInstance::nullary("stall")).unwrap_err();
-            (handle.clock.now_nanos(), err.to_string())
-        };
-        assert_eq!(run(42), run(42), "same seed, same virtual deadline");
+        assert_eq!(readings, [130_291, 189_637, 251_840, 305_514, 363_819]);
     }
 }

@@ -16,7 +16,7 @@ pub mod random;
 pub mod registry;
 pub mod sutadapter;
 
-pub use cluster::{Backend, Cluster, ClusterError, NodeApp, NodeCx, NodeId};
+pub use cluster::{Backend, Cluster, NodeApp, NodeCx, NodeId};
 pub use random::{run_random, RandomRunStats, XorShift};
 pub use registry::{Shadow, VarRegistry};
 pub use sutadapter::{ClusterSut, ExternalDriver, ScriptDriver, DISK_LOSS_ACTION};

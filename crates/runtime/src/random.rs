@@ -7,6 +7,8 @@
 //! the targets are real running systems, not test fixtures.
 
 use mocket_core::sut::{SutError, SystemUnderTest};
+use mocket_core::watchdog::{guard, on_case_thread};
+use mocket_core::RunConfig;
 
 /// A tiny deterministic xorshift generator so random runs are
 /// reproducible from a seed.
@@ -44,34 +46,48 @@ pub struct RandomRunStats {
     pub action_counts: std::collections::BTreeMap<String, usize>,
 }
 
-/// Runs up to `steps` random enabled actions; stops early after
-/// `max_quiescent` consecutive polls with nothing enabled.
+/// Runs up to `steps` random enabled actions on a case thread that
+/// owns `sut`, and hands the deployment back; stops early after
+/// `max_quiescent` consecutive polls with nothing enabled. A call that
+/// outlives [`RunConfig::fast`]'s per-action budget abandons the
+/// deployment with its thread and fails with
+/// [`SutError::NodeFailure`].
 pub fn run_random(
-    sut: &mut dyn SystemUnderTest,
+    sut: Box<dyn SystemUnderTest>,
     steps: usize,
     seed: u64,
     max_quiescent: usize,
-) -> Result<RandomRunStats, SutError> {
-    let mut rng = XorShift::new(seed);
-    let mut stats = RandomRunStats::default();
-    let mut quiescent = 0usize;
-    for _ in 0..steps {
-        let mut offers = sut.offers()?;
-        if offers.is_empty() {
-            stats.quiescent_polls += 1;
-            quiescent += 1;
-            if quiescent >= max_quiescent {
-                break;
+) -> Result<(RandomRunStats, Box<dyn SystemUnderTest>), SutError> {
+    let budget = RunConfig::fast().per_action_budget;
+    let ran = on_case_thread(sut, budget, move |sut| {
+        let mut rng = XorShift::new(seed);
+        let mut stats = RandomRunStats::default();
+        let mut quiescent = 0usize;
+        for _ in 0..steps {
+            let mut offers = guard(None, || sut.offers())?;
+            if offers.is_empty() {
+                stats.quiescent_polls += 1;
+                quiescent += 1;
+                if quiescent >= max_quiescent {
+                    break;
+                }
+                continue;
             }
-            continue;
+            quiescent = 0;
+            let offer = offers.swap_remove(rng.pick(offers.len()));
+            guard(Some(offer.node), || sut.execute(&offer))?;
+            *stats.action_counts.entry(offer.action.name).or_insert(0) += 1;
+            stats.executed += 1;
         }
-        quiescent = 0;
-        let offer = offers.swap_remove(rng.pick(offers.len()));
-        sut.execute(&offer)?;
-        *stats.action_counts.entry(offer.action.name).or_insert(0) += 1;
-        stats.executed += 1;
+        Ok(stats)
+    });
+    match ran {
+        Ok((stats, sut)) => stats.map(|stats| (stats, sut)),
+        Err(hung) => Err(SutError::NodeFailure {
+            node: hung.node.unwrap_or_default(),
+            message: "unresponsive".into(),
+        }),
     }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -114,9 +130,10 @@ mod tests {
     #[test]
     fn random_run_executes_until_quiescent() {
         let cluster = Cluster::<StepApp>::new((), Net::new([1]), Backend::Threads);
-        let mut sut = ClusterSut::new(cluster, vec![1], ScriptDriver::new("a"));
+        let mut sut: Box<dyn SystemUnderTest> =
+            Box::new(ClusterSut::new(cluster, vec![1], ScriptDriver::new("a")));
         sut.deploy().unwrap();
-        let stats = run_random(&mut sut, 100, 7, 2).unwrap();
+        let (stats, mut sut) = run_random(sut, 100, 7, 2).unwrap();
         assert_eq!(stats.executed, 5);
         assert!(stats.quiescent_polls >= 1);
         let total: usize = stats.action_counts.values().sum();

@@ -11,7 +11,7 @@ use mocket_core::sut::{int_param, ExecReport, Offer, Snapshot, SutError, SystemU
 use mocket_obs::causal::Tracer;
 use mocket_tla::{ActionInstance, Value};
 
-use crate::cluster::{Cluster, ClusterError, NodeApp, NodeId};
+use crate::cluster::{Cluster, NodeApp, NodeId};
 
 /// The external-action name the adapter handles itself: erase a
 /// node's durable storage and restart it. A plain `Restart` recovers
@@ -20,7 +20,7 @@ pub const DISK_LOSS_ACTION: &str = "DiskLoss";
 
 /// Handles external-fault and user-request actions that nodes cannot
 /// offer themselves.
-pub trait ExternalDriver<N: NodeApp>: Clone + 'static {
+pub trait ExternalDriver<N: NodeApp>: Clone + Send + 'static {
     /// Executes `action` (spec domain) against the cluster.
     fn execute(
         &mut self,
@@ -60,17 +60,15 @@ impl<N: NodeApp> ExternalDriver<N> for ScriptDriver {
                 self.client_counter += 1;
                 let write =
                     ActionInstance::new(self.client_hook, vec![Value::Int(self.client_counter)]);
-                let events = cluster
-                    .execute(leader, &write)
-                    .map_err(|e| SutError::External(e.to_string()))?;
+                let events = cluster.execute(leader, &write)?;
                 Ok(ExecReport { msg_events: events })
             }
             "Restart" => {
-                cluster.restart(int_param(action, 0)? as NodeId);
+                cluster.restart(member(cluster, action)?);
                 Ok(ExecReport::default())
             }
             "Crash" => {
-                cluster.crash(int_param(action, 0)? as NodeId);
+                cluster.crash(member(cluster, action)?);
                 Ok(ExecReport::default())
             }
             other => Err(SutError::External(format!(
@@ -100,17 +98,16 @@ impl<N: NodeApp, D: ExternalDriver<N>> ClusterSut<N, D> {
     }
 }
 
-fn convert(err: ClusterError) -> SutError {
-    match err {
-        ClusterError::NotRunning(n) => SutError::NodeFailure {
-            node: n,
-            message: "not running".into(),
-        },
-        ClusterError::Unresponsive(n) => SutError::NodeFailure {
-            node: n,
-            message: "unresponsive".into(),
-        },
-        ClusterError::Died { node, reason } => SutError::NodeDeath { node, reason },
+/// The node an external fault targets: parameter 0, which must name a
+/// deployed node — a fault on any other id would boot a phantom.
+fn member<N: NodeApp>(cluster: &Cluster<N>, action: &ActionInstance) -> Result<NodeId, SutError> {
+    let id = int_param(action, 0)?;
+    match NodeId::try_from(id) {
+        Ok(node) if cluster.is_member(node) => Ok(node),
+        _ => Err(SutError::External(format!(
+            "{}: node {id} was never deployed",
+            action.name
+        ))),
     }
 }
 
@@ -127,18 +124,14 @@ impl<N: NodeApp, D: ExternalDriver<N>> SystemUnderTest for ClusterSut<N, D> {
     fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
         Ok(self
             .cluster
-            .offers()
-            .map_err(convert)?
+            .offers()?
             .into_iter()
             .map(|(node, action)| Offer { node, action })
             .collect())
     }
 
     fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
-        let events = self
-            .cluster
-            .execute(offer.node, &offer.action)
-            .map_err(convert)?;
+        let events = self.cluster.execute(offer.node, &offer.action)?;
         Ok(ExecReport { msg_events: events })
     }
 
@@ -147,12 +140,7 @@ impl<N: NodeApp, D: ExternalDriver<N>> SystemUnderTest for ClusterSut<N, D> {
         // storage + restart), so the adapter handles it here instead
         // of every driver reimplementing it.
         if action.name == DISK_LOSS_ACTION {
-            let Some(&Value::Int(id)) = action.params.first() else {
-                return Err(SutError::External(
-                    "DiskLoss requires a node-id parameter".into(),
-                ));
-            };
-            let id = id as NodeId;
+            let id = member(&self.cluster, action)?;
             self.cluster.crash(id);
             self.cluster.wipe_disk(id);
             self.cluster.restart(id);
@@ -286,6 +274,24 @@ mod tests {
         // Disk loss erases durable state: the node comes back empty.
         s.execute_external(&external(DISK_LOSS_ACTION, 1)).unwrap();
         assert_eq!(var_of(&mut s, "count", 1), Value::Int(0), "disk loss wipes it");
+        s.teardown();
+    }
+
+    /// A fault on a node outside the membership is a typed error, and
+    /// boots no phantom node.
+    #[test]
+    fn faults_on_undeployed_nodes_are_typed_errors() {
+        let mut s = sut();
+        s.deploy().unwrap();
+        for (name, node) in [("Restart", 9), ("Crash", 9), (DISK_LOSS_ACTION, -1)] {
+            assert!(
+                matches!(s.execute_external(&external(name, node)), Err(SutError::External(_))),
+                "{name}({node})"
+            );
+        }
+        let mut offering: Vec<u64> = s.offers().unwrap().iter().map(|o| o.node).collect();
+        offering.dedup();
+        assert_eq!(offering, [1, 2], "only deployed nodes offer actions");
         s.teardown();
     }
 

@@ -10,6 +10,7 @@
 //! cargo run --example fault_injection
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
@@ -119,9 +120,8 @@ fn panic_survival_demo() {
     }
 
     let sut = || {
-        let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads)
-            .with_reply_timeout(Duration::from_millis(500));
-        ClusterSut::new(cluster, vec![1, 2], NoExternal)
+        let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads);
+        Box::new(ClusterSut::new(cluster, vec![1, 2], NoExternal))
     };
     let mut registry = MappingRegistry::new();
     registry
@@ -131,13 +131,15 @@ fn panic_survival_demo() {
         let s = State::from_pairs([("x", Value::Int(0))]);
         TestCase::new(s.clone(), vec![(ActionInstance::nullary(action), s)])
     };
+    let registry = Arc::new(registry);
     let cfg = RunConfig {
         check_initial: false,
+        per_action_budget: Duration::from_millis(500),
         ..RunConfig::fast()
     };
 
     let ctx = RunCtx::default();
-    let (outcome, _) = run_test_case(&mut sut(), &case("Boom"), &registry, &[], &cfg, &ctx)
+    let (outcome, _) = run_test_case(sut(), &case("Boom"), &registry, &[], &cfg, &ctx)
         .expect("a panic is a verdict, not a harness error");
     match outcome {
         TestOutcome::Failed(inc) => {
@@ -147,7 +149,7 @@ fn panic_survival_demo() {
     }
 
     let boom = ActionInstance::nullary("Boom");
-    let (outcome, stats) = run_test_case(&mut sut(), &case("Ping"), &registry, &[boom], &cfg, &ctx)
+    let (outcome, stats) = run_test_case(sut(), &case("Ping"), &registry, &[boom], &cfg, &ctx)
         .expect("healthy case");
     println!(
         "case 2 after the crash: {:?} ({} action(s) executed) — harness survived",

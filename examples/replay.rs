@@ -77,9 +77,9 @@ fn main() {
         "stored reproducer is never longer than the revealing case"
     );
 
-    let mut fresh = target.sut(Backend::Threads, None);
+    let fresh = target.sut(Backend::Threads, None);
     let (verdict, stats) =
-        replay(&artifact, fresh.as_mut(), &target.registry).expect("replay run completes");
+        replay(&artifact, fresh, &target.registry).expect("replay run completes");
     println!(
         "replay verdict after {} actions: {}",
         stats.actions_executed,

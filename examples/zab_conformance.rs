@@ -20,7 +20,7 @@ fn main() {
     let conformant = targets::by_name("zab", None).expect("catalogue target");
     let mut sut = conformant.sut_on(vec![1, 2, 3], Backend::Threads, None);
     sut.deploy().expect("deploy");
-    let stats = mocket::runtime::run_random(sut.as_mut(), 4000, 7, 3).expect("random run");
+    let (stats, mut sut) = mocket::runtime::run_random(sut, 4000, 7, 3).expect("random run");
     println!("Uncontrolled run: {} actions executed", stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<22} x{count}");

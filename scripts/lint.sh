@@ -103,6 +103,18 @@ if git grep -nE 'Arc<(Net|Storage|ClusterStorage|VarRegistry)\b' -- crates src t
     fail=1
 fi
 
+# A hang costs the case, not the step (ROADMAP item 9): node code runs
+# inline on the case thread that mocket_core::watchdog starts and
+# guards, so the runtime starts, hands off to and waits on no thread
+# of its own (unit-test modules aside).
+while read -r file; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$file" \
+        | grep -nE 'std::thread|crossbeam|recv_timeout|yield_now'; then
+        echo "error: $file starts or waits on a thread; node code runs inline under mocket_core::watchdog" >&2
+        fail=1
+    fi
+done < <(git ls-files 'crates/runtime/src/*.rs')
+
 # Nothing ships that no product path reaches: every `pub fn` /
 # `pub(crate) fn` defined in the non-test part of the product crates
 # must be named, outside comments and other than by its own `fn`

@@ -910,9 +910,8 @@ fn cmd_simulate(args: &Args) {
     let steps = args.flag_usize("steps", 2000);
     let seed = args.flag_usize("seed", 42) as u64;
     sut.deploy().expect("deploy");
-    let stats = mocket::runtime::run_random(sut.as_mut(), steps, seed, 5);
+    let (stats, mut sut) = mocket::runtime::run_random(sut, steps, seed, 5).expect("random run");
     sut.teardown();
-    let stats = stats.expect("random run");
     println!("{}: {} actions under a random schedule", target.name, stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<24} x{count}");

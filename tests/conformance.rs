@@ -110,11 +110,12 @@ fn disk_loss_restarts_empty_and_plain_restart_keeps_the_disk_on_every_target() {
     for name in targets::TARGETS {
         let target = targets::by_name(name, None).unwrap();
         let mut deployment = target.sut_on(vec![1, 2, 3], Backend::Threads, None);
-        let sut = deployment.as_mut();
-        sut.deploy().expect("deploy");
-        let fresh = node1(sut);
+        deployment.deploy().expect("deploy");
+        let fresh = node1(deployment.as_mut());
         // Long enough for node 1 to persist terms, votes or epochs.
-        mocket::runtime::run_random(sut, 400, 11, 5).expect("random run");
+        let (_, mut deployment) =
+            mocket::runtime::run_random(deployment, 400, 11, 5).expect("random run");
+        let sut = deployment.as_mut();
 
         let restart = |sut: &mut dyn SystemUnderTest, action: &str| {
             sut.execute_external(&ActionInstance::new(action, vec![Value::Int(1)]))

@@ -39,6 +39,7 @@ fn dot_boundary_then_controlled_testing() {
     // Test-case serialization boundary: serialize, parse back, verify
     // the parsed case still validates against the graph.
     let run_cfg = RunConfig::fast();
+    let registry = Arc::new(target.registry.clone());
     let mut ran = 0;
     for path in traversal.paths.iter().take(40) {
         let tc = TestCase::from_edge_path(&graph, path).expect("traversal paths are non-empty");
@@ -52,11 +53,10 @@ fn dot_boundary_then_controlled_testing() {
             .collect();
 
         // ④ controlled testing on a real cluster, wall clock.
-        let mut sut = target.sut(Backend::Threads, None);
         let (outcome, stats) = run_test_case(
-            sut.as_mut(),
+            target.sut(Backend::Threads, None),
             &tc,
-            &target.registry,
+            &registry,
             &final_enabled,
             &run_cfg,
             &RunCtx::default(),

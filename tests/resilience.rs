@@ -4,6 +4,7 @@
 //! partitions heal on schedule — in every case the testbed process
 //! stays alive and can run the next case.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
@@ -12,11 +13,13 @@ use mocket::core::{
     run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
 };
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
-use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, Shadow};
+use mocket::runtime::{
+    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver, Shadow,
+};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 /// Offers `ping` (until pinged) and `boom`; executing `boom` panics
-/// the node thread, `hang` sleeps far past any reply timeout.
+/// the node, `hang` sleeps far past any per-action budget.
 #[derive(Clone)]
 struct VolatileApp {
     pinged: Shadow<bool>,
@@ -69,18 +72,18 @@ impl ExternalDriver<VolatileApp> for NoExternal {
 
 /// Action-only mapping: no variable mappings, so state checks are
 /// vacuous and the tests isolate crash/hang handling.
-fn registry() -> MappingRegistry {
+fn registry() -> Arc<MappingRegistry> {
     let mut r = MappingRegistry::new();
     r.map_action("Ping", "ping", ActionClass::SingleNode, ActionBinding::Method)
         .map_action("Boom", "boom", ActionClass::SingleNode, ActionBinding::Method)
-        .map_action("Hang", "hang", ActionClass::SingleNode, ActionBinding::Method);
-    r
+        .map_action("Hang", "hang", ActionClass::SingleNode, ActionBinding::Method)
+        .map_action("ClientRequest", "client.sh", ActionClass::UserRequest, ActionBinding::Script);
+    Arc::new(r)
 }
 
-fn sut() -> ClusterSut<VolatileApp, NoExternal> {
-    let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads)
-        .with_reply_timeout(Duration::from_millis(200));
-    ClusterSut::new(cluster, vec![1, 2], NoExternal)
+fn sut() -> Box<ClusterSut<VolatileApp, NoExternal>> {
+    let cluster = Cluster::new((), Net::new([1, 2]), Backend::Threads);
+    Box::new(ClusterSut::new(cluster, vec![1, 2], NoExternal))
 }
 
 fn one_step_case(spec_action: &str) -> TestCase {
@@ -88,18 +91,20 @@ fn one_step_case(spec_action: &str) -> TestCase {
     TestCase::new(s.clone(), vec![(ActionInstance::nullary(spec_action), s)])
 }
 
+/// No initial check, and a 200 ms grace before a hung call is
+/// abandoned.
 fn config() -> RunConfig {
     RunConfig {
         check_initial: false,
+        per_action_budget: Duration::from_millis(200),
         ..RunConfig::fast()
     }
 }
 
 #[test]
 fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
-    let mut s = sut();
     let (outcome, stats) = run_test_case(
-        &mut s,
+        sut(),
         &one_step_case("Boom"),
         &registry(),
         &[],
@@ -126,9 +131,8 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
 
     // The harness survives: the very next case on a fresh cluster
     // runs to a passing verdict.
-    let mut s = sut();
     let (outcome, stats) = run_test_case(
-        &mut s,
+        sut(),
         &one_step_case("Ping"),
         &registry(),
         &[
@@ -145,11 +149,18 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
 
 #[test]
 fn hung_node_trips_the_watchdog_instead_of_blocking_forever() {
-    let mut s = sut();
+    let s = State::from_pairs([("x", Value::Int(0))]);
+    let ping_then_hang = TestCase::new(
+        s.clone(),
+        vec![
+            (ActionInstance::nullary("Ping"), s.clone()),
+            (ActionInstance::nullary("Hang"), s),
+        ],
+    );
     let start = std::time::Instant::now();
-    let (outcome, _) = run_test_case(
-        &mut s,
-        &one_step_case("Hang"),
+    let (outcome, stats) = run_test_case(
+        sut(),
+        &ping_then_hang,
         &registry(),
         &[],
         &config(),
@@ -161,21 +172,43 @@ fn hung_node_trips_the_watchdog_instead_of_blocking_forever() {
         TestOutcome::Failed(inc) => {
             assert_eq!(inc.kind(), "Watchdog timeout", "{inc:?}");
             match inc {
-                Inconsistency::WatchdogTimeout { reason, .. } => {
+                Inconsistency::WatchdogTimeout { step, reason, .. } => {
                     assert!(reason.contains("unresponsive"), "{reason}");
+                    assert_eq!(step, 1, "the hang is the second step");
                 }
                 other => panic!("expected WatchdogTimeout, got {other:?}"),
             }
         }
         other => panic!("expected a failed outcome, got {other:?}"),
     }
+    assert_eq!(stats.actions_executed, 1, "the ping ran before the hang");
     // Detached, not joined: the 3600 s sleeper must not delay the
-    // harness by more than a few reply timeouts.
+    // harness by more than a few budgets.
     assert!(
         start.elapsed() < Duration::from_secs(30),
         "harness blocked on a hung node for {:?}",
         start.elapsed()
     );
+}
+
+/// A node that panics while serving a user request is a crash in the
+/// system under test, not harness trouble to retry and quarantine.
+#[test]
+fn node_panic_serving_a_client_request_is_a_crash_inconsistency() {
+    let cluster = Cluster::<VolatileApp>::new((), Net::new([1, 2]), Backend::Threads);
+    let sut = ClusterSut::new(cluster, vec![1, 2], ScriptDriver::new("boom"));
+    let request = ActionInstance::new("ClientRequest", vec![Value::Int(1)]);
+    let s = State::from_pairs([("x", Value::Int(0))]);
+    let case = TestCase::new(s.clone(), vec![(request, s)]);
+    let (outcome, _) = run_test_case(Box::new(sut), &case, &registry(), &[], &config(), &RunCtx::default())
+        .expect("a node panic must not surface as a harness error");
+    match outcome {
+        TestOutcome::Failed(Inconsistency::NodeDeath { node, reason, .. }) => {
+            assert_eq!(node, 1);
+            assert!(reason.contains("application invariant violated"), "{reason}");
+        }
+        other => panic!("expected NodeDeath, got {other:?}"),
+    }
 }
 
 #[test]

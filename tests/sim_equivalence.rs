@@ -14,8 +14,8 @@
 //!   a workload full of 50ms offer deadlines finishes in a fraction
 //!   of the real run's wall clock;
 //! - a forever-blocking `NodeApp` terminates under `--sim` via the
-//!   virtual-deadline watchdog, with the same verdict as the threaded
-//!   watchdog (PR-9 defect #1);
+//!   case watchdog, with the same verdict as on the wall clock (PR-9
+//!   defect #1), and so does a forever-blocking offer poll;
 //! - a campaign under seeded time-based delay faults produces
 //!   identical verdicts and minimized schedules on both backends
 //!   (PR-9 defect #2).
@@ -26,11 +26,12 @@ use std::time::{Duration, Instant};
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{
-    run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
+    run_test_case, ExecReport, Inconsistency, Offer, RunConfig, RunCtx, Snapshot, SutError,
+    SystemUnderTest, TestCase, TestOutcome,
 };
 use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
 use mocket::obs::{strip_wall_clock, Obs};
-use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx};
+use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver};
 use mocket::sim::{Clock, RealClock, SimHandle};
 use mocket::targets::{by_name, Target};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
@@ -161,9 +162,9 @@ fn run_raft_timed_delays(sim: Option<&SimHandle>) -> RunOutput {
     run_workload(buggy_raft(), plan, sim, None)
 }
 
-/// Offers only `hang`; executing it blocks the node forever. The
-/// threaded backend detaches such a node via its reply-timeout
-/// watchdog; before PR-9 the sim backend simply deadlocked on it.
+/// Offers only `hang`; executing it blocks the node forever. The case
+/// watchdog abandons such a case on either backend; before PR-9 the
+/// sim backend simply deadlocked on it.
 #[derive(Clone)]
 struct HangApp;
 
@@ -215,9 +216,8 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
         Some(handle) => Backend::Sim(handle.clone()),
         None => Backend::Threads,
     };
-    let cluster =
-        Cluster::new((), Net::new([1, 2]), backend).with_reply_timeout(Duration::from_millis(200));
-    let mut sut = ClusterSut::new(cluster, vec![1, 2], NoExternal);
+    let cluster = Cluster::new((), Net::new([1, 2]), backend);
+    let sut = ClusterSut::new(cluster, vec![1, 2], NoExternal);
     let clock: Arc<dyn Clock> = match sim {
         Some(handle) => handle.clock.clone(),
         None => Arc::new(RealClock::new()),
@@ -228,13 +228,14 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
     let case = TestCase::new(s.clone(), vec![(ActionInstance::nullary("Hang"), s)]);
     let cfg = RunConfig {
         check_initial: false,
+        per_action_budget: Duration::from_millis(200),
         ..RunConfig::fast()
     };
     let start = Instant::now();
     let (outcome, _) = run_test_case(
-        &mut sut,
+        Box::new(sut),
         &case,
-        &registry,
+        &Arc::new(registry),
         &[],
         &cfg,
         &RunCtx {
@@ -300,6 +301,90 @@ fn hung_node_sim_verdict_is_byte_identical_to_threaded_mode() {
     let (sim2, sim2_waited, _) = run_hang(Some(&SimHandle::new(42)));
     assert_eq!(sim, sim2);
     assert_eq!(sim_waited, sim2_waited);
+}
+
+/// Polling it for offers blocks forever.
+#[derive(Clone)]
+struct MuteApp;
+
+impl NodeApp for MuteApp {
+    type Msg = u64;
+    type Config = ();
+
+    fn boot(_id: u64, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
+        MuteApp
+    }
+
+    fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        loop {
+            std::thread::park();
+        }
+    }
+
+    fn execute(&mut self, _action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
+        vec![]
+    }
+}
+
+/// A system whose offer poll blocks forever.
+struct MuteSut;
+
+impl SystemUnderTest for MuteSut {
+    fn deploy(&mut self) -> Result<(), SutError> {
+        Ok(())
+    }
+    fn teardown(&mut self) {}
+    fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
+        loop {
+            std::thread::park();
+        }
+    }
+    fn execute(&mut self, _offer: &Offer) -> Result<ExecReport, SutError> {
+        unreachable!("nothing is ever offered")
+    }
+    fn execute_external(&mut self, _action: &ActionInstance) -> Result<ExecReport, SutError> {
+        unreachable!("the case has no external step")
+    }
+    fn snapshot(&mut self) -> Result<Snapshot, SutError> {
+        Ok(Snapshot::default())
+    }
+}
+
+/// An offer poll that never answers — a node's `enabled()` or a whole
+/// system's `offers()` — is a watchdog verdict within a bounded wall
+/// time, on both backends, not a harness blocked forever.
+#[test]
+fn offer_poll_hang_is_a_watchdog_verdict() {
+    let mut registry = MappingRegistry::new();
+    registry.map_action("Hang", "hang", ActionClass::SingleNode, ActionBinding::Method);
+    let registry = Arc::new(registry);
+    let s = State::from_pairs([("x", Value::Int(0))]);
+    let case = TestCase::new(s.clone(), vec![(ActionInstance::nullary("Hang"), s)]);
+    let cfg = RunConfig {
+        check_initial: false,
+        per_action_budget: Duration::from_millis(200),
+        ..RunConfig::fast()
+    };
+    let sim = SimHandle::new(42);
+    let node_sut = |backend| Box::new(ClusterSut::new(Cluster::<MuteApp>::new((), Net::new([1, 2]), backend), vec![1, 2], ScriptDriver::new("hang")));
+    let runs: [(Box<dyn SystemUnderTest>, Arc<dyn Clock>, &str); 3] = [
+        (node_sut(Backend::Threads), Arc::new(RealClock::new()), "node 1: unresponsive"),
+        (node_sut(Backend::Sim(sim.clone())), sim.clock.clone(), "node 1: unresponsive"),
+        (Box::new(MuteSut), Arc::new(RealClock::new()), "unresponsive"),
+    ];
+    for (sut, clock, expected) in runs {
+        let wall = RealClock::new();
+        let ctx = RunCtx { clock, ..RunCtx::default() };
+        let (outcome, _) = run_test_case(sut, &case, &registry, &[], &cfg, &ctx)
+            .expect("a hung poll is a verdict, not a harness error");
+        match outcome {
+            TestOutcome::Failed(Inconsistency::WatchdogTimeout { step, reason, .. }) => {
+                assert_eq!((step, reason.as_str()), (0, expected));
+            }
+            other => panic!("expected a watchdog verdict, got {other:?}"),
+        }
+        assert!(wall.now() < Duration::from_secs(30), "poll hang blocked the harness");
+    }
 }
 
 #[test]
