@@ -1,6 +1,6 @@
 //! Microbenchmarks for the pipeline's hot paths: fingerprinting,
 //! successor generation, model checking, DOT round-trips and
-//! vote-message wire codecs.
+//! message-to-spec-record conversion.
 //!
 //! Criterion is unavailable offline, so this is a plain
 //! `harness = false` timing loop: each benchmark is warmed up, then
@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mocket_checker::{from_dot, to_dot, ModelChecker};
-use mocket_dsnet::Wire;
 use mocket_raft_async::{Entry, RaftMsg};
 use mocket_specs::cachemax::CacheMax;
 use mocket_specs::raft::{RaftSpec, RaftSpecConfig};
@@ -81,9 +80,6 @@ fn main() {
         source: 1,
         dest: 2,
     };
-    bench("wire_roundtrip_append_entries", || {
-        std::hint::black_box(msg.wire_roundtrip().unwrap());
-    });
     bench("msg_to_spec_record", || {
         std::hint::black_box(msg.to_value());
     });

@@ -15,11 +15,11 @@
 //!   this graph, of its DOT re-import, of test cases cut from either —
 //!   bind it (see `mocket_tla::state`). Node equality during dedup is
 //!   a pointer comparison per variable until the first difference.
-//! * The fingerprint dedup index is sharded by `fp % N_SHARDS` under
-//!   striped `parking_lot::RwLock`s. Single-threaded insertion goes
-//!   through `get_mut` (no locking); the parallel explorer's workers
-//!   probe shards with read locks while the merge thread is the only
-//!   writer between waves.
+//! * The fingerprint dedup index is one plain map. Insertion takes
+//!   `&mut StateGraph` and a probe takes `&StateGraph`, so the parallel
+//!   explorer's workers, which share the graph during a wave, probe it
+//!   freely, and the borrow checker keeps the merge — the only writer —
+//!   out until the wave is over.
 //! * Out-adjacency starts as per-node vectors while the graph is being
 //!   built and is compacted into CSR form (offsets + one flat edge
 //!   array) by [`StateGraph::finish`] — traversal and partial-order
@@ -28,12 +28,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::RwLock;
-
 use mocket_tla::{ActionInstance, State};
-
-/// Number of fingerprint shards (power of two so `fp & (N-1)` works).
-const N_SHARDS: usize = 64;
 
 /// Index of a state in the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,75 +74,6 @@ impl Bucket {
     }
 }
 
-/// The fingerprint → state-ids dedup index, sharded for concurrency.
-#[derive(Debug)]
-struct FingerprintIndex {
-    shards: Vec<RwLock<HashMap<u64, Bucket>>>,
-}
-
-impl FingerprintIndex {
-    fn new() -> Self {
-        FingerprintIndex {
-            shards: (0..N_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(fp: u64) -> usize {
-        (fp as usize) & (N_SHARDS - 1)
-    }
-
-    /// Lock-free insert for the exclusive owner.
-    fn insert(&mut self, fp: u64, id: u32) {
-        use std::collections::hash_map::Entry;
-        match self.shards[Self::shard_of(fp)].get_mut().entry(fp) {
-            Entry::Occupied(mut e) => e.get_mut().push(id),
-            Entry::Vacant(v) => {
-                v.insert(Bucket::One(id));
-            }
-        }
-    }
-
-    /// Candidate ids for `fp`, visible to the exclusive owner.
-    fn candidates(&mut self, fp: u64) -> &[u32] {
-        self.shards[Self::shard_of(fp)]
-            .get_mut()
-            .get(&fp)
-            .map(|b| b.ids())
-            .unwrap_or(&[])
-    }
-
-    fn shrink(&mut self) {
-        for shard in &mut self.shards {
-            let map = shard.get_mut();
-            for bucket in map.values_mut() {
-                if let Bucket::Many(ids) = bucket {
-                    ids.shrink_to_fit();
-                }
-            }
-            map.shrink_to_fit();
-        }
-    }
-}
-
-impl Clone for FingerprintIndex {
-    fn clone(&self) -> Self {
-        FingerprintIndex {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(s.read().clone()))
-                .collect(),
-        }
-    }
-}
-
-impl Default for FingerprintIndex {
-    fn default() -> Self {
-        FingerprintIndex::new()
-    }
-}
-
 /// Out-adjacency: growable while the graph is under construction,
 /// compacted to CSR by [`StateGraph::finish`].
 #[derive(Debug, Clone)]
@@ -167,32 +93,12 @@ impl OutAdjacency {
     }
 }
 
-/// A read-locked view of the fingerprint index and state table; see
-/// [`StateGraph::read_index`].
-pub(crate) struct IndexReader<'g> {
-    states: &'g [State],
-    shards: Vec<parking_lot::RwLockReadGuard<'g, HashMap<u64, Bucket>>>,
-}
-
-impl IndexReader<'_> {
-    /// Resolves `state` (with fingerprint `fp`) to its node id, if the
-    /// graph already holds it.
-    pub(crate) fn resolve(&self, fp: u64, state: &State) -> Option<NodeId> {
-        self.shards[FingerprintIndex::shard_of(fp)]
-            .get(&fp)?
-            .ids()
-            .iter()
-            .copied()
-            .find(|&i| &self.states[i as usize] == state)
-            .map(|i| NodeId(i as usize))
-    }
-}
-
 /// A state-space graph with fingerprint-deduplicated states.
 #[derive(Debug, Clone, Default)]
 pub struct StateGraph {
     states: Vec<State>,
-    index: FingerprintIndex,
+    /// Fingerprint → ids of the states that hash to it.
+    index: HashMap<u64, Bucket>,
     edges: Vec<Edge>,
     out: OutAdjacency,
     initial: Vec<NodeId>,
@@ -267,17 +173,15 @@ impl StateGraph {
     /// [`StateGraph::insert_state`] with a caller-supplied fingerprint
     /// (the parallel explorer's workers hash successors off-thread).
     pub(crate) fn insert_with_fingerprint(&mut self, state: State, fp: u64) -> (NodeId, bool) {
-        // Fingerprints collide with vanishing probability, but when
-        // they do the colliding states are distinct: compare each
-        // candidate by full state equality.
-        for &i in self.index.candidates(fp) {
-            if self.states[i as usize] == state {
-                return (NodeId(i as usize), false);
-            }
+        if let Some(id) = self.resolve(fp, &state) {
+            return (id, false);
         }
         let id = self.states.len();
         assert!(id <= u32::MAX as usize, "state space exceeds u32 ids");
-        self.index.insert(fp, id as u32);
+        self.index
+            .entry(fp)
+            .and_modify(|bucket| bucket.push(id as u32))
+            .or_insert(Bucket::One(id as u32));
         self.states.push(state);
         if let OutAdjacency::Building(per_node) = &mut self.out {
             per_node.push(Vec::new());
@@ -291,12 +195,12 @@ impl StateGraph {
         (NodeId(id), true)
     }
 
-    /// Resolves `state` against the graph under a shard read lock
-    /// without inserting — safe for concurrent use by exploration
-    /// workers while no writer is active.
-    pub(crate) fn resolve_shared(&self, fp: u64, state: &State) -> Option<NodeId> {
-        let shard = self.index.shards[FingerprintIndex::shard_of(fp)].read();
-        shard
+    /// Resolves `state` (with fingerprint `fp`) to its node id, if the
+    /// graph already holds it. Fingerprints collide with vanishing
+    /// probability, but when they do the colliding states are
+    /// distinct: each candidate is compared by full state equality.
+    pub(crate) fn resolve(&self, fp: u64, state: &State) -> Option<NodeId> {
+        self.index
             .get(&fp)?
             .ids()
             .iter()
@@ -305,21 +209,9 @@ impl StateGraph {
             .map(|i| NodeId(i as usize))
     }
 
-    /// Takes read locks on every index shard at once, returning a view
-    /// that resolves states without further locking. The parallel
-    /// explorer's workers share one view per wave — one round of lock
-    /// acquisitions instead of one per successor probe. Holding the
-    /// view blocks writers, so it must be dropped before the merge.
-    pub(crate) fn read_index(&self) -> IndexReader<'_> {
-        IndexReader {
-            states: &self.states,
-            shards: self.index.shards.iter().map(|s| s.read()).collect(),
-        }
-    }
-
     /// Looks up a state without inserting it.
     pub fn find_state(&self, state: &State) -> Option<NodeId> {
-        self.resolve_shared(state.fingerprint(), state)
+        self.resolve(state.fingerprint(), state)
     }
 
     /// Marks `id` as an initial state.
@@ -368,7 +260,12 @@ impl StateGraph {
         self.states.shrink_to_fit();
         self.edges.shrink_to_fit();
         self.initial.shrink_to_fit();
-        self.index.shrink();
+        for bucket in self.index.values_mut() {
+            if let Bucket::Many(ids) = bucket {
+                ids.shrink_to_fit();
+            }
+        }
+        self.index.shrink_to_fit();
     }
 
     /// Rebuilds the growable adjacency from CSR form.
@@ -447,9 +344,9 @@ mod tests {
         assert_eq!(g.state_count(), 3);
         assert_ne!(c, a);
         assert_ne!(c, b);
-        // Shared-probe resolution sees all collision candidates.
-        assert_eq!(g.resolve_shared(0xdead_beef, &st(2)), Some(b));
-        assert_eq!(g.resolve_shared(0xdead_beef, &st(9)), None);
+        // Resolution sees all collision candidates.
+        assert_eq!(g.resolve(0xdead_beef, &st(2)), Some(b));
+        assert_eq!(g.resolve(0xdead_beef, &st(9)), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parallel deterministic state-space exploration.
 //!
-//! TLC explores in parallel with a fingerprint-sharded dedup table;
+//! TLC explores in parallel over a shared fingerprint dedup table;
 //! this module does the same while keeping one guarantee TLC does not
 //! give: the resulting [`StateGraph`] — node numbering, edge order,
 //! DOT export, statistics, even the counterexample on an invariant
@@ -14,12 +14,11 @@
 //!    a shared work queue (an atomic cursor over the canonical
 //!    frontier order) and compute every successor with the spec's
 //!    action closures — the expensive part. Each successor is hashed
-//!    once and probed against the graph's fingerprint index (sharded
-//!    by `fp % N_SHARDS`, striped read locks): states known from
-//!    earlier waves resolve to their canonical id on the worker;
-//!    unknown ones travel to the merge as `(state, fp)` payloads.
-//!    The graph is immutably shared during a wave, so probes never
-//!    contend with a writer.
+//!    once and probed against the graph's fingerprint index: states
+//!    known from earlier waves resolve to their canonical id on the
+//!    worker; unknown ones travel to the merge as `(state, fp)`
+//!    payloads. The graph is immutably shared during a wave, so
+//!    probes need no lock and never contend with a writer.
 //! 2. **Merge** — the coordinator replays chunk results in canonical
 //!    frontier order, replicating the sequential checker's exact
 //!    decision sequence: the `max_states` bound is consulted before
@@ -42,9 +41,9 @@
 //! fast as the purely sequential path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use mocket_tla::{successors_with, ActionDef, ActionInstance, State};
-use parking_lot::Mutex;
 
 use crate::explore::{finish_obs, wave_event, CheckResult, CheckStats, ModelChecker, WorkerStats};
 use crate::graph::{EdgeId, NodeId, StateGraph};
@@ -200,11 +199,6 @@ fn expand_wave(
     workers: usize,
     per_worker: &mut [WorkerStats],
 ) -> Vec<NodeOut> {
-    // One read acquisition of every index shard for the whole wave;
-    // workers resolve successors through the view without touching a
-    // lock again. Dropped (releasing the locks) before this function
-    // returns, so the merge is free to write.
-    let reader = graph.read_index();
     let expand_one = |node: NodeId, tally: &mut WorkerStats| -> NodeOut {
         if depth[node.0] >= checker.max_depth {
             return NodeOut::DepthCut;
@@ -221,7 +215,7 @@ fn expand_wave(
             succ.into_iter()
                 .map(|(action, next)| {
                     let fp = next.fingerprint();
-                    match reader.resolve(fp, &next) {
+                    match graph.resolve(fp, &next) {
                         Some(id) => (action, SuccOut::Known(id)),
                         None => (action, SuccOut::Fresh(next, fp)),
                     }
@@ -241,7 +235,9 @@ fn expand_wave(
     let chunk = (frontier.len() / (workers * SEQ_WAVE_FACTOR))
         .clamp(1, MAX_CHUNK);
     let n_chunks = frontier.len().div_ceil(chunk);
-    let slots: Vec<Mutex<Vec<NodeOut>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
+    // Each chunk is expanded by exactly one worker, so each slot is
+    // set exactly once.
+    let slots: Vec<OnceLock<Vec<NodeOut>>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     let slots_ref = &slots;
     let cursor_ref = &cursor;
@@ -261,7 +257,7 @@ fn expand_wave(
                     .iter()
                     .map(|&n| expand_ref(n, tally))
                     .collect();
-                *slots_ref[ci].lock() = outs;
+                assert!(slots_ref[ci].set(outs).is_ok(), "chunk {ci} expanded twice");
             });
         }
     });
@@ -272,7 +268,7 @@ fn expand_wave(
 
     slots
         .into_iter()
-        .flat_map(|slot| slot.into_inner())
+        .flat_map(|slot| slot.into_inner().expect("every chunk is expanded"))
         .collect()
 }
 

@@ -212,8 +212,8 @@ pub trait SystemUnderTest: Send {
     /// Collects the runtime values of every mapped variable.
     fn snapshot(&mut self) -> Result<Snapshot, SutError>;
 
-    /// Installs a causal tracer so the SUT's internals (cluster, wire
-    /// network) emit message-level trace events for the current case.
+    /// Installs a causal tracer so the SUT's internals (cluster,
+    /// simulated network) emit message-level trace events for the current case.
     /// The default is a no-op: targets that cannot trace simply stay
     /// silent and the trace still carries the scheduler-level events.
     fn install_tracer(&mut self, _tracer: &mocket_obs::causal::Tracer) {}

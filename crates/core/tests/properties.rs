@@ -1,10 +1,6 @@
 //! Randomized (seed-driven) tests for traversal, partial-order
 //! reduction and test-case handling over randomly generated state
-//! graphs.
-//!
-//! Formerly written against `proptest`; now driven by a local
-//! deterministic xorshift generator so the suite builds without
-//! third-party dependencies.
+//! graphs, driven by a local deterministic xorshift generator.
 
 use mocket_checker::StateGraph;
 use mocket_core::{

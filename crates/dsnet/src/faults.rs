@@ -455,7 +455,7 @@ impl FaultPlan {
     }
 
     /// Decides the fate of one send at clock time `now_nanos`. Called
-    /// by the network under its lock, once per [`crate::net::Net::send`].
+    /// by the network once per [`crate::net::Net::send`].
     /// Plans without virtual-time fields never read the clock.
     ///
     /// The decision itself is still a pure function of `(seed, send

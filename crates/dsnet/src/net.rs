@@ -1,24 +1,19 @@
 //! The simulated network.
 //!
-//! Messages sent between nodes land in the destination's inbox after
-//! a wire-encoding round trip. Delivery is *not* automatic: a message
-//! sits in the inbox until the destination node executes a receive
-//! action for it — which is exactly what lets Mocket's scheduler
-//! decide delivery order. Drop and duplicate faults manipulate inbox
-//! contents directly (§4.1.2).
+//! A message sent between nodes lands in the destination's inbox as
+//! an owned value: the sender gives it up, so the receiver shares no
+//! memory with it. Delivery is *not* automatic: a message sits in the
+//! inbox until the destination node executes a receive action for it
+//! — which is exactly what lets Mocket's scheduler decide delivery
+//! order. Drop and duplicate faults manipulate inbox contents directly
+//! (§4.1.2).
 //!
-//! Two fault sources compose on top of that base behaviour, both of
-//! them applied inside [`Net::send`] so the scheduler's view of
-//! "inbox = deliverable messages" stays intact:
-//!
-//! * **Scripted partitions** ([`Net::partition`] / [`Net::heal`])
-//!   silently discard traffic between a node pair, in both
-//!   directions, until healed.
-//! * **A [`FaultPlan`]** (see [`crate::faults`]) makes a
-//!   deterministic, seed-driven drop / duplicate / delay / reorder /
-//!   partition decision for every send.
+//! An installed [`FaultPlan`] (see [`crate::faults`]) makes a
+//! deterministic, seed-driven drop / duplicate / delay / reorder /
+//! partition decision for every send, inside [`Net::send`], so the
+//! scheduler's view of "inbox = deliverable messages" stays intact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -26,7 +21,6 @@ use mocket_obs::causal::{MsgTag, Tracer};
 use mocket_sim::{Clock, RealClock};
 
 use crate::faults::{FaultDecision, FaultPlan, TraceEntry};
-use crate::wire::{Wire, WireError};
 
 /// A node identifier.
 pub type NodeId = u64;
@@ -39,7 +33,7 @@ pub struct Envelope<M> {
     /// The payload.
     pub msg: M,
     /// Causal-trace tag stamped at send time (all-zero when tracing
-    /// is off — the default). Not part of the wire encoding.
+    /// is off — the default). Not part of the message value.
     pub tag: MsgTag,
 }
 
@@ -68,8 +62,6 @@ struct Delayed<M> {
 pub struct Net<M> {
     inboxes: BTreeMap<NodeId, Vec<Envelope<M>>>,
     delayed: BTreeMap<NodeId, Vec<Delayed<M>>>,
-    /// Scripted cuts: normalized node pairs that cannot talk.
-    partitions: BTreeSet<(NodeId, NodeId)>,
     plan: Option<FaultPlan>,
     /// The time source delay deadlines and time-mode partitions run
     /// against: wall clock by default, the shared `SimClock` under
@@ -85,14 +77,6 @@ pub struct Net<M> {
     delayed_count: u64,
     reordered: u64,
     partition_dropped: u64,
-}
-
-fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 impl<M> Net<M> {
@@ -198,17 +182,16 @@ pub struct NetStats {
     pub delayed: u64,
     /// Messages that jumped the queue (reorder faults).
     pub reordered: u64,
-    /// Messages discarded by a partition (scripted or planned).
+    /// Messages discarded by a fault-plan partition.
     pub partition_dropped: u64,
 }
 
-impl<M: Wire + Clone> Net<M> {
+impl<M: Clone> Net<M> {
     /// Creates a network with inboxes for `nodes`.
     pub fn new<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
         Net {
             inboxes: nodes.into_iter().map(|n| (n, Vec::new())).collect(),
             delayed: BTreeMap::new(),
-            partitions: BTreeSet::new(),
             plan: None,
             clock: Arc::new(RealClock::new()),
             tracer: Tracer::disabled(),
@@ -237,15 +220,12 @@ impl<M: Wire + Clone> Net<M> {
         self.tracer = tracer;
     }
 
-    /// Sends `msg` from `from` to `to`, round-tripping it through its
-    /// wire encoding so no memory is shared across the boundary.
+    /// Sends `msg` from `from` to `to`.
     ///
-    /// Scripted partitions and the installed [`FaultPlan`] (if any)
-    /// are consulted here; every path leaves the inbox in a state the
-    /// scheduler can reason about (delayed messages are invisible
-    /// until they mature).
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: &M) -> Result<(), WireError> {
-        let msg = msg.wire_roundtrip()?;
+    /// The installed [`FaultPlan`] (if any) is consulted here; every
+    /// path leaves the inbox in a state the scheduler can reason about
+    /// (delayed messages are invisible until they mature).
+    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
         let now = self.now_nanos();
         self.sent += 1;
         // Age the destination's delayed queue by this send *first*:
@@ -257,12 +237,6 @@ impl<M: Wire + Clone> Net<M> {
         let vt = self.vtime();
         let tag = self.tracer.on_send(from, to, vt);
 
-        if self.partitions.contains(&pair(from, to)) {
-            self.partition_dropped += 1;
-            self.tracer.on_drop(to, from, tag, vt, "partition");
-            return Ok(());
-        }
-
         let decision = match self.plan.as_mut() {
             Some(plan) => {
                 let (decision, edict) = plan.decide_at(from, to, now);
@@ -270,7 +244,7 @@ impl<M: Wire + Clone> Net<M> {
                 if decision == FaultDecision::Drop && partitioned {
                     self.partition_dropped += 1;
                     self.tracer.on_drop(to, from, tag, vt, "partition");
-                    return Ok(());
+                    return;
                 }
                 decision
             }
@@ -314,7 +288,6 @@ impl<M: Wire + Clone> Net<M> {
                 self.reordered += 1;
             }
         }
-        Ok(())
     }
 
     /// `node`'s inbox (oldest first). Time-held delayed messages whose
@@ -381,17 +354,6 @@ impl<M: Wire + Clone> Net<M> {
         Some(copy)
     }
 
-    /// Cuts the link between `a` and `b` in both directions until
-    /// [`Net::heal`] (scripted partition fault).
-    pub fn partition(&mut self, a: NodeId, b: NodeId) {
-        self.partitions.insert(pair(a, b));
-    }
-
-    /// Restores the link between `a` and `b`.
-    pub fn heal(&mut self, a: NodeId, b: NodeId) {
-        self.partitions.remove(&pair(a, b));
-    }
-
     /// Installs a seed-driven fault plan consulted on every
     /// subsequent send. Replaces any previous plan.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
@@ -430,7 +392,7 @@ mod tests {
     use super::*;
 
     /// Messages still in the network: deliverable or held back.
-    fn in_flight<M: Wire + Clone>(net: &Net<M>) -> usize {
+    fn in_flight<M>(net: &Net<M>) -> usize {
         net.inboxes.values().map(Vec::len).sum::<usize>()
             + net.delayed.values().map(Vec::len).sum::<usize>()
     }
@@ -438,7 +400,7 @@ mod tests {
     #[test]
     fn send_and_take_roundtrip() {
         let mut net: Net<String> = Net::new([1, 2]);
-        net.send(1, 2, &"hello".to_string()).unwrap();
+        net.send(1, 2, "hello".to_string());
         assert_eq!(net.inbox_len(2), 1);
         assert_eq!(net.inbox_len(1), 0);
         let env = net.take_matching(2, |_| true).unwrap();
@@ -453,7 +415,7 @@ mod tests {
     fn take_matching_respects_predicate_and_order() {
         let mut net: Net<String> = Net::new([1, 2]);
         for m in ["a", "b", "a"] {
-            net.send(1, 2, &m.to_string()).unwrap();
+            net.send(1, 2, m.to_string());
         }
         let env = net.take_matching(2, |e| e.msg == "a").unwrap();
         assert_eq!(env.msg, "a");
@@ -469,7 +431,7 @@ mod tests {
     #[test]
     fn duplicate_inserts_adjacent_copy() {
         let mut net: Net<String> = Net::new([1, 2]);
-        net.send(1, 2, &"x".to_string()).unwrap();
+        net.send(1, 2, "x".to_string());
         net.duplicate_matching(2, |_| true).unwrap();
         assert_eq!(net.inbox_len(2), 2);
         assert_eq!(net.stats().duplicated, 1);
@@ -478,7 +440,7 @@ mod tests {
     #[test]
     fn drop_removes_without_delivery() {
         let mut net: Net<String> = Net::new([1, 2]);
-        net.send(1, 2, &"x".to_string()).unwrap();
+        net.send(1, 2, "x".to_string());
         net.drop_matching(2, |_| true).unwrap();
         assert_eq!(net.inbox_len(2), 0);
         let stats = net.stats();
@@ -490,24 +452,8 @@ mod tests {
     fn unknown_destination_gets_an_inbox() {
         // Late-joining nodes (restart with a fresh id) still receive.
         let mut net: Net<String> = Net::new([1]);
-        net.send(1, 9, &"x".to_string()).unwrap();
+        net.send(1, 9, "x".to_string());
         assert_eq!(net.inbox_len(9), 1);
-    }
-
-    #[test]
-    fn scripted_partition_blocks_both_directions_until_healed() {
-        let mut net: Net<String> = Net::new([1, 2, 3]);
-        net.partition(1, 2);
-        net.send(1, 2, &"a".to_string()).unwrap();
-        net.send(2, 1, &"b".to_string()).unwrap();
-        // Unrelated links are unaffected.
-        net.send(1, 3, &"c".to_string()).unwrap();
-        assert_eq!(net.inbox_len(1) + net.inbox_len(2), 0);
-        assert_eq!(net.inbox_len(3), 1);
-        assert_eq!(net.stats().partition_dropped, 2);
-        net.heal(1, 2);
-        net.send(1, 2, &"d".to_string()).unwrap();
-        assert_eq!(net.inbox_len(2), 1);
     }
 
     #[test]
@@ -521,12 +467,12 @@ mod tests {
             ..FaultPlanConfig::quiescent()
         };
         net.install_fault_plan(FaultPlan::with_config(5, cfg));
-        net.send(1, 2, &"first".to_string()).unwrap();
+        net.send(1, 2, "first".to_string());
         assert_eq!(net.inbox_len(2), 0, "held back");
         assert_eq!(net.delayed_len(2), 1);
         assert_eq!(in_flight(&net), 1, "delayed messages stay in flight");
         // The next send matures it (and is itself delayed).
-        net.send(1, 2, &"second".to_string()).unwrap();
+        net.send(1, 2, "second".to_string());
         let inbox = net.inbox(2);
         assert_eq!(
             inbox.iter().map(|e| e.msg.as_str()).collect::<Vec<_>>(),
@@ -540,14 +486,14 @@ mod tests {
     fn reorder_fault_jumps_the_queue() {
         use crate::faults::{FaultPlan, FaultPlanConfig};
         let mut net: Net<String> = Net::new([1, 2]);
-        net.send(1, 2, &"old".to_string()).unwrap();
+        net.send(1, 2, "old".to_string());
         let cfg = FaultPlanConfig {
             reorder_per_mille: 1000,
             delay_per_mille: 0,
             ..FaultPlanConfig::quiescent()
         };
         net.install_fault_plan(FaultPlan::with_config(5, cfg));
-        net.send(1, 2, &"new".to_string()).unwrap();
+        net.send(1, 2, "new".to_string());
         let inbox = net.inbox(2);
         assert_eq!(
             inbox.iter().map(|e| e.msg.as_str()).collect::<Vec<_>>(),
@@ -568,7 +514,7 @@ mod tests {
             for i in 0..400u64 {
                 let from = 1 + i % 3;
                 let to = 1 + (i + 1) % 3;
-                net.send(from, to, &format!("m{i}")).unwrap();
+                net.send(from, to, format!("m{i}"));
             }
             let inboxes: Vec<_> = (1..=3).map(|n| net.inbox(n).to_vec()).collect();
             (net.fault_trace().to_vec(), inboxes, net.stats())
@@ -579,7 +525,7 @@ mod tests {
 
     /// Conservation law: every sent copy (plus duplicates) ends up
     /// delivered, dropped, partition-dropped, or still in flight.
-    fn assert_conserved<Msg: Wire + Clone>(net: &Net<Msg>) {
+    fn assert_conserved<Msg: Clone>(net: &Net<Msg>) {
         let s = net.stats();
         assert_eq!(
             s.sent + s.duplicated,
@@ -599,7 +545,7 @@ mod tests {
         for i in 0..300u64 {
             let from = 1 + i % 3;
             let to = 1 + (i + 1) % 3;
-            net.send(from, to, &format!("m{i}")).unwrap();
+            net.send(from, to, format!("m{i}"));
             if i % 11 == 0 {
                 net.take_matching(to, |_| true);
             }
@@ -624,7 +570,7 @@ mod tests {
             ..FaultPlanConfig::quiescent()
         };
         net.install_fault_plan(FaultPlan::with_config(5, cfg));
-        net.send(1, 2, &"held".to_string()).unwrap();
+        net.send(1, 2, "held".to_string());
         assert_eq!(net.inbox_len(2), 0, "held back at virtual t=0");
         assert_eq!(net.delayed_len(2), 1);
         assert_eq!(in_flight(&net), 1, "delayed messages stay in flight");
@@ -674,7 +620,7 @@ mod tests {
     #[test]
     fn untraced_messages_carry_the_zero_tag() {
         let mut net: Net<String> = Net::new([1, 2]);
-        net.send(1, 2, &"x".to_string()).unwrap();
+        net.send(1, 2, "x".to_string());
         let env = net.take_matching(2, |_| true).unwrap();
         assert_eq!(env.tag, MsgTag::default());
         assert!(!env.tag.is_live());
@@ -682,17 +628,24 @@ mod tests {
 
     #[test]
     fn tracer_records_message_fates_with_shared_ids() {
+        use crate::faults::{FaultPlan, FaultPlanConfig};
         use mocket_obs::causal::CausalKind;
         let mut net: Net<String> = Net::new([1, 2]);
         let tracer = Tracer::for_case(0);
         net.set_tracer(tracer.clone());
-        net.send(1, 2, &"x".to_string()).unwrap();
+        net.send(1, 2, "x".to_string());
         net.duplicate_matching(2, |_| true).unwrap();
         let env = net.take_matching(2, |_| true).unwrap();
         assert!(env.tag.is_live());
         net.take_matching(2, |_| true).unwrap();
-        net.partition(1, 2);
-        net.send(1, 2, &"y".to_string()).unwrap();
+        // A plan that cuts the link on its first send, swallowing it.
+        let cfg = FaultPlanConfig {
+            partition_per_mille: 1000,
+            partition_heal_after: 10,
+            ..FaultPlanConfig::quiescent()
+        };
+        net.install_fault_plan(FaultPlan::with_config(5, cfg));
+        net.send(1, 2, "y".to_string());
         let events = tracer.take_events();
         let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -736,7 +689,7 @@ mod tests {
             for i in 0..200u64 {
                 let from = 1 + i % 3;
                 let to = 1 + (i + 1) % 3;
-                net.send(from, to, &format!("m{i}")).unwrap();
+                net.send(from, to, format!("m{i}"));
                 clock.advance(Duration::from_micros(500));
             }
             clock.advance(Duration::from_millis(10));

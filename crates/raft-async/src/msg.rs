@@ -1,13 +1,10 @@
-//! AsyncRaft's wire messages.
+//! AsyncRaft's messages.
 //!
-//! Every message crosses `dsnet`'s wire-codec boundary, and every
-//! message converts to the exact record shape the Raft specification
-//! uses (`Action.getMsg` must list fields "in the same order as that
-//! in the TLA+ specification", §4.1.2).
+//! A message crosses `dsnet`'s simulated network as an owned value,
+//! and every message converts to the exact record shape the Raft
+//! specification uses (`Action.getMsg` must list fields "in the same
+//! order as that in the TLA+ specification", §4.1.2).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use mocket_dsnet::{Wire, WireError};
 use mocket_tla::{vrec, Value};
 
 /// One log entry: a term and either client data or the NoOp marker.
@@ -47,20 +44,6 @@ impl Entry {
                 None => Value::str("NoOp"),
             },
         }
-    }
-}
-
-impl Wire for Entry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.term.encode(buf);
-        self.data.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Entry {
-            term: i64::decode(buf)?,
-            data: Option::<i64>::decode(buf)?,
-        })
     }
 }
 
@@ -201,147 +184,9 @@ impl RaftMsg {
     }
 }
 
-impl Wire for RaftMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            RaftMsg::VoteRequest {
-                term,
-                last_log_term,
-                last_log_index,
-                source,
-                dest,
-            } => {
-                buf.put_u8(0);
-                term.encode(buf);
-                last_log_term.encode(buf);
-                last_log_index.encode(buf);
-                source.encode(buf);
-                dest.encode(buf);
-            }
-            RaftMsg::VoteResponse {
-                term,
-                granted,
-                source,
-                dest,
-            } => {
-                buf.put_u8(1);
-                term.encode(buf);
-                granted.encode(buf);
-                source.encode(buf);
-                dest.encode(buf);
-            }
-            RaftMsg::AppendRequest {
-                term,
-                prev_log_index,
-                prev_log_term,
-                entries,
-                commit_index,
-                source,
-                dest,
-            } => {
-                buf.put_u8(2);
-                term.encode(buf);
-                prev_log_index.encode(buf);
-                prev_log_term.encode(buf);
-                entries.encode(buf);
-                commit_index.encode(buf);
-                source.encode(buf);
-                dest.encode(buf);
-            }
-            RaftMsg::AppendResponse {
-                term,
-                success,
-                match_index,
-                source,
-                dest,
-            } => {
-                buf.put_u8(3);
-                term.encode(buf);
-                success.encode(buf);
-                match_index.encode(buf);
-                source.encode(buf);
-                dest.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        WireError::need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(RaftMsg::VoteRequest {
-                term: i64::decode(buf)?,
-                last_log_term: i64::decode(buf)?,
-                last_log_index: i64::decode(buf)?,
-                source: u64::decode(buf)?,
-                dest: u64::decode(buf)?,
-            }),
-            1 => Ok(RaftMsg::VoteResponse {
-                term: i64::decode(buf)?,
-                granted: bool::decode(buf)?,
-                source: u64::decode(buf)?,
-                dest: u64::decode(buf)?,
-            }),
-            2 => Ok(RaftMsg::AppendRequest {
-                term: i64::decode(buf)?,
-                prev_log_index: i64::decode(buf)?,
-                prev_log_term: i64::decode(buf)?,
-                entries: Vec::<Entry>::decode(buf)?,
-                commit_index: i64::decode(buf)?,
-                source: u64::decode(buf)?,
-                dest: u64::decode(buf)?,
-            }),
-            3 => Ok(RaftMsg::AppendResponse {
-                term: i64::decode(buf)?,
-                success: bool::decode(buf)?,
-                match_index: i64::decode(buf)?,
-                source: u64::decode(buf)?,
-                dest: u64::decode(buf)?,
-            }),
-            other => Err(WireError::new(format!("bad RaftMsg tag {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(m: RaftMsg) {
-        assert_eq!(m.wire_roundtrip().unwrap(), m);
-    }
-
-    #[test]
-    fn all_messages_roundtrip() {
-        roundtrip(RaftMsg::VoteRequest {
-            term: 2,
-            last_log_term: 1,
-            last_log_index: 3,
-            source: 1,
-            dest: 2,
-        });
-        roundtrip(RaftMsg::VoteResponse {
-            term: 2,
-            granted: true,
-            source: 2,
-            dest: 1,
-        });
-        roundtrip(RaftMsg::AppendRequest {
-            term: 2,
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![Entry::noop(2), Entry::data(2, 7)],
-            commit_index: 0,
-            source: 1,
-            dest: 2,
-        });
-        roundtrip(RaftMsg::AppendResponse {
-            term: 2,
-            success: false,
-            match_index: 0,
-            source: 2,
-            dest: 1,
-        });
-    }
 
     #[test]
     fn to_value_matches_spec_record_shape() {

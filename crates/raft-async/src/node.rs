@@ -139,7 +139,7 @@ impl AsyncRaftNode {
 
     fn send(&self, cx: &mut Cx<'_>, msg: RaftMsg) -> MsgEvent {
         let value = msg.to_value();
-        cx.net.send(self.id, msg.dest(), &msg).expect("wire encode");
+        cx.net.send(self.id, msg.dest(), msg);
         MsgEvent::Send {
             pool: POOL.into(),
             msg: value,
@@ -152,7 +152,7 @@ impl AsyncRaftNode {
     /// so its reply escapes the message pool and later surfaces at the
     /// receiver as an unexpected action (Table 2, Xraft bug #3).
     fn send_uninstrumented(&self, cx: &mut Cx<'_>, msg: RaftMsg) {
-        cx.net.send(self.id, msg.dest(), &msg).expect("wire encode");
+        cx.net.send(self.id, msg.dest(), msg);
     }
 
     fn take_from_inbox(&self, cx: &mut Cx<'_>, wanted: &Value) -> Option<RaftMsg> {

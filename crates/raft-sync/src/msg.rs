@@ -5,26 +5,9 @@
 //! envelope. The record shapes reported to Mocket are identical to
 //! the specification's (the `Action.getMsg` field-order rule).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use mocket_dsnet::{Wire, WireError};
 use mocket_tla::{vrec, Value};
 
 use crate::logstore::LogEntry;
-
-impl Wire for LogEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.term.encode(buf);
-        self.data.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(LogEntry {
-            term: i64::decode(buf)?,
-            data: i64::decode(buf)?,
-        })
-    }
-}
 
 /// A synchronous-RPC payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,147 +144,9 @@ impl Rpc {
     }
 }
 
-impl Wire for Rpc {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Rpc::VoteCall {
-                term,
-                last_log_term,
-                last_log_index,
-                from,
-                to,
-            } => {
-                buf.put_u8(0);
-                term.encode(buf);
-                last_log_term.encode(buf);
-                last_log_index.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            Rpc::VoteReply {
-                term,
-                granted,
-                from,
-                to,
-            } => {
-                buf.put_u8(1);
-                term.encode(buf);
-                granted.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            Rpc::AppendCall {
-                term,
-                prev_index,
-                prev_term,
-                entries,
-                commit,
-                from,
-                to,
-            } => {
-                buf.put_u8(2);
-                term.encode(buf);
-                prev_index.encode(buf);
-                prev_term.encode(buf);
-                entries.encode(buf);
-                commit.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            Rpc::AppendReply {
-                term,
-                ok,
-                match_index,
-                from,
-                to,
-            } => {
-                buf.put_u8(3);
-                term.encode(buf);
-                ok.encode(buf);
-                match_index.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        WireError::need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(Rpc::VoteCall {
-                term: i64::decode(buf)?,
-                last_log_term: i64::decode(buf)?,
-                last_log_index: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            1 => Ok(Rpc::VoteReply {
-                term: i64::decode(buf)?,
-                granted: bool::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            2 => Ok(Rpc::AppendCall {
-                term: i64::decode(buf)?,
-                prev_index: i64::decode(buf)?,
-                prev_term: i64::decode(buf)?,
-                entries: Vec::<LogEntry>::decode(buf)?,
-                commit: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            3 => Ok(Rpc::AppendReply {
-                term: i64::decode(buf)?,
-                ok: bool::decode(buf)?,
-                match_index: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            other => Err(WireError::new(format!("bad Rpc tag {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rpcs_roundtrip() {
-        for rpc in [
-            Rpc::VoteCall {
-                term: 2,
-                last_log_term: 0,
-                last_log_index: 0,
-                from: 1,
-                to: 2,
-            },
-            Rpc::VoteReply {
-                term: 2,
-                granted: true,
-                from: 2,
-                to: 1,
-            },
-            Rpc::AppendCall {
-                term: 3,
-                prev_index: 0,
-                prev_term: 0,
-                entries: vec![LogEntry { term: 3, data: 9 }],
-                commit: 0,
-                from: 1,
-                to: 2,
-            },
-            Rpc::AppendReply {
-                term: 3,
-                ok: true,
-                match_index: 1,
-                from: 2,
-                to: 1,
-            },
-        ] {
-            assert_eq!(rpc.wire_roundtrip().unwrap(), rpc);
-        }
-    }
 
     #[test]
     fn record_shape_matches_spec() {

@@ -113,7 +113,7 @@ impl SyncRaftNode {
 
     fn send(&self, cx: &mut Cx<'_>, rpc: Rpc) -> MsgEvent {
         let value = rpc.to_value();
-        cx.net.send(self.id, rpc.dest(), &rpc).expect("wire encode");
+        cx.net.send(self.id, rpc.dest(), rpc);
         MsgEvent::Send {
             pool: POOL.into(),
             msg: value,

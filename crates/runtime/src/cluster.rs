@@ -52,7 +52,7 @@ use std::time::Duration;
 
 use mocket_core::sut::{MsgEvent, SutError};
 use mocket_core::watchdog;
-use mocket_dsnet::{Net, Storage, Wire};
+use mocket_dsnet::{Net, Storage};
 use mocket_obs::causal::Tracer;
 use mocket_sim::{SimClock, SimHandle, SimRng};
 use mocket_tla::{ActionInstance, Value};
@@ -81,7 +81,7 @@ pub struct NodeCx<'a, M> {
 /// `execute` runs one of them to completion.
 pub trait NodeApp: Clone + Send + 'static {
     /// The message type of the deployment's network.
-    type Msg: Wire + Clone + Send + 'static;
+    type Msg: Clone + Send + 'static;
     /// What every incarnation is booted from (membership, bug
     /// switches).
     type Config: Clone + Send + 'static;

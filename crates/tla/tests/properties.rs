@@ -1,10 +1,7 @@
 //! Randomized (seed-driven) tests for the value algebra,
-//! fingerprinting and the parser.
-//!
-//! Formerly written against `proptest`; now driven by a local
-//! deterministic xorshift generator so the suite builds without
-//! third-party dependencies. Each case runs over many random seeds
-//! and any failure reports the seed that produced it.
+//! fingerprinting and the parser, driven by a local deterministic
+//! xorshift generator. Each case runs over many random seeds and any
+//! failure reports the seed that produced it.
 
 use mocket_tla::{parse_state, parse_value, State, Value};
 

@@ -1,12 +1,9 @@
-//! ZabKeeper's wire messages.
+//! ZabKeeper's messages.
 //!
 //! Two channels, matching the specification's two message-related
 //! variables: election notifications (`le_msgs`) and the
 //! synchronization/broadcast channel (`bc_msgs`).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use mocket_dsnet::{Wire, WireError};
 use mocket_tla::{vrec, Value};
 
 /// An election vote `(leader, zxid)`.
@@ -30,20 +27,6 @@ impl ZVote {
     }
 }
 
-impl Wire for ZVote {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.leader.encode(buf);
-        self.zxid.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ZVote {
-            leader: i64::decode(buf)?,
-            zxid: i64::decode(buf)?,
-        })
-    }
-}
-
 /// A history entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZEntry {
@@ -57,20 +40,6 @@ impl ZEntry {
     /// The spec-record shape.
     pub fn to_value(&self) -> Value {
         vrec! { zxid => self.zxid, value => self.value }
-    }
-}
-
-impl Wire for ZEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.zxid.encode(buf);
-        self.value.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ZEntry {
-            zxid: i64::decode(buf)?,
-            value: i64::decode(buf)?,
-        })
     }
 }
 
@@ -246,181 +215,9 @@ impl ZabMsg {
     }
 }
 
-impl Wire for ZabMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ZabMsg::Vote { vote, from, to } => {
-                buf.put_u8(0);
-                vote.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::NewEpoch { epoch, from, to } => {
-                buf.put_u8(1);
-                epoch.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::EpochAck {
-                epoch,
-                zxid,
-                from,
-                to,
-            } => {
-                buf.put_u8(2);
-                epoch.encode(buf);
-                zxid.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::NewLeader {
-                epoch,
-                history,
-                from,
-                to,
-            } => {
-                buf.put_u8(3);
-                epoch.encode(buf);
-                history.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::AckLd { epoch, from, to } => {
-                buf.put_u8(4);
-                epoch.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::Propose { entry, from, to } => {
-                buf.put_u8(5);
-                entry.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::Ack { zxid, from, to } => {
-                buf.put_u8(6);
-                zxid.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            ZabMsg::Commit { zxid, from, to } => {
-                buf.put_u8(7);
-                zxid.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        WireError::need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(ZabMsg::Vote {
-                vote: ZVote::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            1 => Ok(ZabMsg::NewEpoch {
-                epoch: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            2 => Ok(ZabMsg::EpochAck {
-                epoch: i64::decode(buf)?,
-                zxid: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            3 => Ok(ZabMsg::NewLeader {
-                epoch: i64::decode(buf)?,
-                history: Vec::<ZEntry>::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            4 => Ok(ZabMsg::AckLd {
-                epoch: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            5 => Ok(ZabMsg::Propose {
-                entry: ZEntry::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            6 => Ok(ZabMsg::Ack {
-                zxid: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            7 => Ok(ZabMsg::Commit {
-                zxid: i64::decode(buf)?,
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-            }),
-            other => Err(WireError::new(format!("bad ZabMsg tag {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_messages_roundtrip() {
-        for m in [
-            ZabMsg::Vote {
-                vote: ZVote { leader: 2, zxid: 0 },
-                from: 1,
-                to: 2,
-            },
-            ZabMsg::NewEpoch {
-                epoch: 1,
-                from: 2,
-                to: 1,
-            },
-            ZabMsg::EpochAck {
-                epoch: 1,
-                zxid: 0,
-                from: 1,
-                to: 2,
-            },
-            ZabMsg::NewLeader {
-                epoch: 1,
-                history: vec![ZEntry {
-                    zxid: 101,
-                    value: 1,
-                }],
-                from: 2,
-                to: 1,
-            },
-            ZabMsg::AckLd {
-                epoch: 1,
-                from: 1,
-                to: 2,
-            },
-            ZabMsg::Propose {
-                entry: ZEntry {
-                    zxid: 101,
-                    value: 1,
-                },
-                from: 2,
-                to: 1,
-            },
-            ZabMsg::Ack {
-                zxid: 101,
-                from: 1,
-                to: 2,
-            },
-            ZabMsg::Commit {
-                zxid: 101,
-                from: 2,
-                to: 1,
-            },
-        ] {
-            assert_eq!(m.wire_roundtrip().unwrap(), m);
-        }
-    }
 
     #[test]
     fn pools_split_by_channel() {

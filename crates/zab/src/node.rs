@@ -93,7 +93,7 @@ impl ZabNode {
     fn send(&self, cx: &mut Cx<'_>, msg: ZabMsg) -> MsgEvent {
         let value = msg.to_value();
         let pool = msg.pool().to_string();
-        cx.net.send(self.id, msg.dest(), &msg).expect("wire encode");
+        cx.net.send(self.id, msg.dest(), msg);
         MsgEvent::Send { pool, msg: value }
     }
 
@@ -220,7 +220,7 @@ impl ZabNode {
                 };
                 let already = cx.net.inbox(from).iter().any(|env| env.msg == echo);
                 if !already {
-                    cx.net.send(self.id, from, &echo).expect("wire encode");
+                    cx.net.send(self.id, from, echo);
                 }
             }
         }

@@ -36,7 +36,7 @@ fn fault_plan_demo() {
             FaultPlanConfig::aggressive(),
         ));
         for k in 0i64..120 {
-            let _ = net.send(1 + (k as u64 % 2), 3, &k);
+            net.send(1 + (k as u64 % 2), 3, k);
         }
         (net.fault_trace().to_vec(), net.stats())
     };

@@ -1,8 +1,9 @@
 //! ZabKeeper (the ZooKeeper ZAB analog) running two ways:
 //!
 //! 1. *Uncontrolled*: a random scheduler drives the real cluster
-//!    (wire-encoded messages, durable storage) until a leader is
-//!    elected, synchronized and a request is committed. The
+//!    (messages as values in simulated inboxes, durable storage)
+//!    until a leader is elected, synchronized and a request is
+//!    committed. The
 //!    deployment is one owned world of nodes, network, disks and
 //!    shadow registries; each step lends a node its context.
 //! 2. *Controlled*: Mocket replays spec-verified test cases against

@@ -115,6 +115,23 @@ while read -r file; do
     fi
 done < <(git ls-files 'crates/runtime/src/*.rs')
 
+# A message crosses the simulated network as an owned value, with no
+# codec in between: the receiver shares no memory with the sender only
+# because no message type can hold a shared handle or a lock.
+if grep -nwE 'Arc|Rc|Weak|Cell|RefCell|Mutex|RwLock' \
+    crates/raft-async/src/msg.rs crates/raft-sync/src/msg.rs crates/zab/src/msg.rs; then
+    echo "error: shared handle or lock in a message type; a message is a plain owned value" >&2
+    fail=1
+fi
+
+# The workspace is std only: every workspace dependency is one of its
+# own crates under crates/.
+if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]") } deps && /^[A-Za-z0-9_-]+ *=/' Cargo.toml \
+    | grep -vE '^[A-Za-z0-9_-]+ *= *\{ *path *= *"crates/[^".]+"'; then
+    echo "error: workspace dependency outside crates/; the workspace uses std and its own crates only" >&2
+    fail=1
+fi
+
 # Nothing ships that no product path reaches: every `pub fn` /
 # `pub(crate) fn` defined in the non-test part of the product crates
 # must be named, outside comments and other than by its own `fn`

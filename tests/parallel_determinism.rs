@@ -9,12 +9,19 @@
 
 use std::sync::Arc;
 
-use mocket::targets::spec_named;
+use mocket::targets::{by_name, spec_named};
 use mocket_checker::{to_dot, CheckResult, ModelChecker};
+use mocket_core::pipeline::PipelineConfig;
 use mocket_tla::Spec;
 
 fn raft_spec() -> Arc<dyn Spec> {
     spec_named("xraft").unwrap()
+}
+
+/// The deep Raft-java model of the log-truncation row, which is also
+/// the benchmarks' Raft-java model.
+fn raft_java_spec() -> Arc<dyn Spec> {
+    by_name("raft-java", Some("log-truncation")).unwrap().spec
 }
 
 fn zab_spec() -> Arc<dyn Spec> {
@@ -98,4 +105,22 @@ fn zab_depth_bounded_run_matches_sequential() {
     let par = ModelChecker::new(zab_spec()).workers(4).max_depth(8).run();
     assert!(seq.stats.truncated && par.stats.truncated);
     assert_identical(&seq, &par, "ZAB depth-bounded");
+}
+
+#[test]
+fn raft_java_pipeline_bound_run_matches_sequential() {
+    // The 37,249-state Raft-java model under the pipeline's own
+    // `max_states` bound: what the pipeline's check stage explores.
+    let bound = PipelineConfig::default().max_states;
+    let seq = ModelChecker::new(raft_java_spec())
+        .workers(1)
+        .max_states(bound)
+        .run();
+    let par = ModelChecker::new(raft_java_spec())
+        .workers(4)
+        .max_states(bound)
+        .run();
+    assert!(seq.ok() && par.ok());
+    assert_eq!(seq.stats.distinct_states, 37_249);
+    assert_identical(&seq, &par, "Raft-java");
 }

@@ -228,7 +228,7 @@ fn fault_plan_partitions_heal_and_traffic_resumes_end_to_end() {
     net.install_fault_plan(FaultPlan::with_config(7, cfg));
 
     for k in 0i64..200 {
-        let _ = net.send(1, 2, &k);
+        net.send(1, 2, k);
     }
     let delivered = net.inbox_len(2) + net.delayed_len(2);
     let stats = net.stats();
@@ -246,7 +246,7 @@ fn fault_plan_partitions_heal_and_traffic_resumes_end_to_end() {
     let mut net2: Net<i64> = Net::new([1, 2]);
     net2.install_fault_plan(FaultPlan::with_config(7, cfg));
     for k in 0i64..200 {
-        let _ = net2.send(1, 2, &k);
+        net2.send(1, 2, k);
     }
     assert_eq!(net.fault_trace(), net2.fault_trace());
 }
