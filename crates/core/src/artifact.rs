@@ -104,9 +104,9 @@ pub struct ReplayArtifact {
     pub summary: String,
     /// Repro-rate classification from confirm & classify.
     pub determinism: Determinism,
-    /// Serialized fault-plan identity (`dsnet` `FaultPlan::serialize`:
-    /// seed + intensities), opaque to this crate. `None` when the
-    /// campaign injected no planned faults.
+    /// The optional `fault-plan:` line, kept verbatim so artifacts
+    /// that recorded a message-fault plan still parse and re-serialize
+    /// byte-identically. An artifact the harness writes has none.
     pub fault_plan: Option<String>,
     /// The runner configuration the failure was observed under.
     pub run: RunConfig,
@@ -253,7 +253,6 @@ impl ReplayArtifact {
         spec_config: impl Into<String>,
         inconsistency: &Inconsistency,
         determinism: Determinism,
-        fault_plan: Option<String>,
         run: &RunConfig,
         original_len: usize,
         final_enabled: Vec<ActionInstance>,
@@ -267,7 +266,7 @@ impl ReplayArtifact {
             subject: inconsistency.subject(),
             summary: one_line(&inconsistency.to_string()),
             determinism,
-            fault_plan,
+            fault_plan: None,
             run: run.clone(),
             original_len,
             final_enabled,
@@ -476,11 +475,8 @@ impl ReplayVerdict {
 
 /// Re-drives a fresh SUT from an artifact: the replay entry point.
 ///
-/// The caller builds the SUT (re-installing the artifact's
-/// [`fault_plan`](ReplayArtifact::fault_plan) if one is recorded —
-/// `dsnet`'s `FaultPlan::deserialize` reconstructs it) and supplies
-/// the same mapping registry the campaign used; everything else comes
-/// from the artifact.
+/// The caller builds the SUT and supplies the same mapping registry
+/// the campaign used; everything else comes from the artifact.
 pub fn replay(
     artifact: &ReplayArtifact,
     sut: Box<dyn SystemUnderTest>,
@@ -770,18 +766,20 @@ mod tests {
                 alt_path: vec!["Inc".into()],
             },
         };
-        ReplayArtifact::from_failure(
+        let mut a = ReplayArtifact::from_failure(
             "Counter",
             "limit=2 buggy=true",
             &inc,
             Determinism::Deterministic { reruns: 2 },
-            Some("seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20".into()),
             &RunConfig::fast(),
             5,
             vec![ActionInstance::nullary("Inc")],
             Some(explanation),
             case(),
-        )
+        );
+        a.fault_plan =
+            Some("seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20".into());
+        a
     }
 
     #[test]
@@ -792,13 +790,11 @@ mod tests {
         assert_eq!(back, a);
     }
 
-    /// A verbatim artifact as written before the time-based fault
-    /// fields existed (PR-9). Campaign directories in the wild hold
+    /// A verbatim artifact as written by builds that recorded a
+    /// message-fault plan. Campaign directories in the wild hold
     /// documents exactly like this one; they must keep parsing, their
-    /// legacy `fault-plan` line must survive untouched, and
-    /// re-serialization must reproduce the document byte-for-byte —
-    /// the new plan keys (`delay_ns`/`link_ns`/`heal_ns`) are only
-    /// ever emitted for plans that actually use them.
+    /// `fault-plan` line must survive untouched, and re-serialization
+    /// must reproduce the document byte-for-byte.
     const PRE_PR9_GOLDEN: &str = "mocket-artifact: v1\n\
 spec: Counter\n\
 spec-config: limit=2 buggy=true\n\

@@ -458,7 +458,6 @@ fn poison_artifact(
         ctx.spec_config,
         &inconsistency,
         Determinism::Unconfirmed,
-        None,
         ctx.run,
         tc.len(),
         final_enabled,

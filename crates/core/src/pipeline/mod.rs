@@ -92,10 +92,6 @@ pub struct TriageConfig {
     /// Free-form spec/model identity recorded in artifacts (servers,
     /// bug flags, bounds).
     pub spec_config: String,
-    /// Serialized fault-plan identity (`dsnet` `FaultPlan::serialize`)
-    /// recorded in artifacts, opaque to this crate. The campaign's
-    /// `make_sut` is responsible for actually installing it.
-    pub fault_plan: Option<String>,
 }
 
 impl Default for TriageConfig {
@@ -106,7 +102,6 @@ impl Default for TriageConfig {
             minimize: MinimizeConfig::default(),
             campaign_dir: None,
             spec_config: String::new(),
-            fault_plan: None,
         }
     }
 }

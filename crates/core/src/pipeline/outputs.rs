@@ -161,7 +161,7 @@ impl Pipeline {
 
         let summary = RunSummary {
             spec: self.spec.name().to_string(),
-            fault_plan: self.config.triage.fault_plan.clone(),
+            fault_plan: None,
             states: graph.state_count() as u64,
             edges: graph.edge_count() as u64,
             coverage_edges_visited: gauge("coverage.edges_visited") as u64,

@@ -88,7 +88,6 @@ impl Pipeline {
                 self.config.triage.spec_config.clone(),
                 &inconsistency,
                 determinism,
-                self.config.triage.fault_plan.clone(),
                 &self.config.run,
                 case.tc.len(),
                 repro_enabled,

@@ -4,15 +4,14 @@
 //! on this crate: a simulated [`net::Net`] that carries each message
 //! as an owned value and whose delivery order is externally
 //! controllable (which is what lets Mocket's scheduler decide
-//! interleavings), and per-node [`storage::Storage`] that survives
-//! restarts.
+//! interleavings), an optional seeded link delay
+//! ([`faults::FaultPlan`]) under it, and per-node
+//! [`storage::Storage`] that survives restarts.
 
 pub mod faults;
 pub mod net;
 pub mod storage;
 
-pub use faults::{
-    FaultDecision, FaultParseError, FaultPlan, FaultPlanConfig, PartitionEdict, TraceEntry,
-};
-pub use net::{Envelope, Net, NetStats, NodeId};
+pub use faults::FaultPlan;
+pub use net::{Envelope, Net, NodeId};
 pub use storage::Storage;

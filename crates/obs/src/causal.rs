@@ -86,7 +86,7 @@ pub enum CausalKind {
     Send,
     /// A receive action consumed a message.
     Recv,
-    /// A fault (or partition) discarded a message.
+    /// A scheduled drop fault discarded a message.
     Drop,
     /// A fault added another copy of a message.
     Duplicate,

@@ -18,11 +18,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Instant;
 
 use crate::fsio::{points, AppendLog};
 use crate::json::{push_escaped, push_f64};
-use crate::metrics::{MetricsRegistry, TIMING_PREFIX};
+use crate::metrics::MetricsRegistry;
 
 /// File name of the event sink inside a campaign directory.
 pub const EVENTS_FILE_NAME: &str = "events.jsonl";
@@ -38,7 +37,7 @@ pub enum FieldValue {
     /// Signed value.
     I64(i64),
     /// Fraction or rate. Must not carry wall-clock time — that belongs
-    /// in [`TIMING_PREFIX`] metrics.
+    /// in [`TIMING_PREFIX`](crate::metrics::TIMING_PREFIX) metrics.
     F64(f64),
     /// Flag.
     Bool(bool),
@@ -431,57 +430,6 @@ impl Obs {
         }
         self.recorder.flush();
     }
-
-    /// Opens a span: records `<name>.begin` now and `<name>.end` when
-    /// [`Span::end`] is called (or the span is dropped). The span's
-    /// wall-clock duration goes to the `timing.span.<name>_seconds`
-    /// histogram — never into the event stream.
-    pub fn span(&self, name: &'static str, ts: u64) -> Span {
-        self.event(name, ts, vec![("phase", "begin".into())]);
-        Span {
-            obs: self.clone(),
-            name,
-            ts,
-            started: Instant::now(),
-            done: false,
-        }
-    }
-}
-
-/// RAII stage marker produced by [`Obs::span`].
-pub struct Span {
-    obs: Obs,
-    name: &'static str,
-    ts: u64,
-    started: Instant,
-    done: bool,
-}
-
-impl Span {
-    /// Closes the span with extra fields on the `end` event.
-    pub fn end(mut self, mut fields: Vec<(&'static str, FieldValue)>) {
-        self.done = true;
-        let mut all = vec![("phase", FieldValue::Str("end".into()))];
-        all.append(&mut fields);
-        self.finish(all);
-    }
-
-    fn finish(&mut self, fields: Vec<(&'static str, FieldValue)>) {
-        self.obs.event(self.name, self.ts, fields);
-        self.obs.metrics().observe(
-            &format!("{TIMING_PREFIX}span.{}_seconds", self.name),
-            self.started.elapsed().as_secs_f64(),
-        );
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.done {
-            self.done = true;
-            self.finish(vec![("phase", FieldValue::Str("end".into()))]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -554,21 +502,6 @@ mod tests {
         assert_eq!(rec_a.events()[0].name, "a");
         assert_eq!(rec_b.events().len(), 1);
         assert_eq!(rec_b.events()[0].name, "b");
-    }
-
-    #[test]
-    fn span_emits_begin_and_end_and_times_itself() {
-        let (obs, rec) = Obs::in_memory();
-        let span = obs.span("stage.check", 1);
-        span.end(vec![("states", 42u64.into())]);
-        obs.flush();
-        let events = rec.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].fields[0].1, FieldValue::Str("begin".into()));
-        assert_eq!(events[1].fields[0].1, FieldValue::Str("end".into()));
-        assert_eq!(events[1].fields[1], ("states", FieldValue::U64(42)));
-        let h = obs.metrics().snapshot().histograms["timing.span.stage.check_seconds"];
-        assert_eq!(h.count, 1, "span duration recorded");
     }
 
     #[test]

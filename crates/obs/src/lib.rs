@@ -65,7 +65,7 @@ pub use coverage::{
 };
 pub use event::{
     Event, FieldValue, JsonlRecorder, MemoryRecorder, NullRecorder, Obs, ObsDirError, Recorder,
-    Span, EVENTS_FILE_NAME,
+    EVENTS_FILE_NAME,
 };
 pub use fsio::{
     AppendLog, FaultInjector, FaultKind, LineIssue, RetryPolicy, MOCKET_FSIO_FAULTS_ENV,

@@ -21,7 +21,8 @@ pub const RUN_SUMMARY_FILE_NAME: &str = "run-summary.json";
 pub struct RunSummary {
     /// Spec name (module name of the checked spec).
     pub spec: String,
-    /// Serialized fault plan (seed and knobs), when faults were on.
+    /// A recorded fault plan; every run writes `null` here, a slot kept
+    /// so the document keeps its shape.
     pub fault_plan: Option<String>,
     /// Distinct states in the state-space graph.
     pub states: u64,

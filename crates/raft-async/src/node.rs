@@ -816,7 +816,7 @@ mod tests {
         assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], MsgEvent::Receive { .. }));
-        assert_eq!(bed.net.inbox_len(1), 1, "the rogue response is in flight");
+        assert_eq!(bed.net.inbox(1).len(), 1, "the rogue response is in flight");
     }
 
     #[test]
@@ -832,7 +832,7 @@ mod tests {
         let req = bed.head(2);
         bed.exec(2, "onRequestVoteRpc", vec![req]);
         assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
-        assert_eq!(bed.net.inbox_len(1), 0, "no reply on rejection");
+        assert_eq!(bed.net.inbox(1).len(), 0, "no reply on rejection");
     }
 
     #[test]

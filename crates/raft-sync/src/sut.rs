@@ -127,11 +127,10 @@ pub fn mapping(with_update_term: bool) -> MappingRegistry {
 /// (*inconsistent state* `messages`) — the two spec-bug rows of
 /// Table 2.
 ///
-/// `fault_plan`: an optional seed-driven fault plan installed on the
+/// `fault_plan`: an optional seeded link delay installed on the
 /// network before deployment. Under [`Backend::Sim`] the network
 /// additionally runs on the simulation's shared virtual clock, so
-/// time-based delay faults and time-mode partition heals mature in
-/// virtual time.
+/// held messages mature in virtual time.
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: SyncRaftBugs,

@@ -812,6 +812,6 @@ mod tests {
         bed.exec(1, "sendNotification", vec![Value::Int(1), Value::Int(2)]);
         let m = bed.head(2);
         bed.exec(2, "handleNotification", vec![m]);
-        assert_eq!(bed.net.inbox_len(1), 0);
+        assert_eq!(bed.net.inbox(1).len(), 0);
     }
 }

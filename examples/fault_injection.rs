@@ -1,10 +1,6 @@
-//! Demonstrates the resilience layer end to end:
-//!
-//! 1. a seed-driven [`FaultPlan`] injecting delays, reorders and
-//!    healing partitions underneath a [`Net`], with byte-identical
-//!    replay from the same seed;
-//! 2. a node that panics mid-case surfacing as a crash-classified
-//!    inconsistency while the harness survives and runs the next case.
+//! Demonstrates the resilience layer end to end: a node that panics
+//! mid-case surfaces as a crash-classified inconsistency while the
+//! harness survives and runs the next case.
 //!
 //! ```text
 //! cargo run --example fault_injection
@@ -16,66 +12,15 @@ use std::time::Duration;
 use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{run_test_case, RunConfig, RunCtx, TestCase, TestOutcome};
-use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
+use mocket::dsnet::Net;
 use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, Shadow};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
-
-fn main() {
-    fault_plan_demo();
-    panic_survival_demo();
-}
-
-/// Messages sent through a fault plan: some are delayed, reordered or
-/// swallowed by a partition, and the same seed replays the same trace.
-fn fault_plan_demo() {
-    println!("=== FaultPlan: deterministic message faults ===");
-    let run = |seed: u64| {
-        let mut net: Net<i64> = Net::new([1, 2, 3]);
-        net.install_fault_plan(FaultPlan::with_config(
-            seed,
-            FaultPlanConfig::aggressive(),
-        ));
-        for k in 0i64..120 {
-            net.send(1 + (k as u64 % 2), 3, k);
-        }
-        (net.fault_trace().to_vec(), net.stats())
-    };
-
-    let (trace, stats) = run(42);
-    println!(
-        "seed 42: {} sends -> {} delivered now, {} dropped, {} duplicated, \
-         {} delayed, {} reordered, {} partition-dropped",
-        stats.sent,
-        net_delivered(&stats),
-        stats.dropped,
-        stats.duplicated,
-        stats.delayed,
-        stats.reordered,
-        stats.partition_dropped,
-    );
-    for entry in trace.iter().take(5) {
-        println!("  {entry:?}");
-    }
-
-    let (replay, _) = run(42);
-    assert_eq!(trace, replay, "same seed must replay byte-identically");
-    println!("replay with seed 42: identical trace ({} entries)", trace.len());
-    let (other, _) = run(43);
-    assert_ne!(trace, other, "a different seed must diverge");
-    println!("seed 43 diverges, as expected\n");
-}
-
-fn net_delivered(stats: &mocket::dsnet::NetStats) -> u64 {
-    stats
-        .sent
-        .saturating_sub(stats.dropped + stats.partition_dropped + stats.delayed)
-}
 
 /// One node's application code panics while the runner drives it; the
 /// harness reports a "Node crash" inconsistency and keeps going. A node
 /// is a handler over its own state: each step lends it a `NodeCx` with
 /// the deployment's network and its own disk and shadow registry.
-fn panic_survival_demo() {
+fn main() {
     println!("=== Panic isolation: the campaign outlives a crashing node ===");
 
     #[derive(Clone)]

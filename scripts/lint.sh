@@ -124,6 +124,17 @@ if grep -nwE 'Arc|Rc|Weak|Cell|RefCell|Mutex|RwLock' \
     fail=1
 fi
 
+# The network under the scheduler only delays: a fault plan decides how
+# long to hold a send and nothing else. Dropping and duplicating a
+# message are scheduled actions (Net::drop_matching/duplicate_matching),
+# and reordering or partitioning is the scheduler's choice of delivery
+# (unit-test module aside).
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/dsnet/src/faults.rs \
+    | grep -iwE 'drop|duplicate|reorder|partition'; then
+    echo "error: crates/dsnet/src/faults.rs names a message fault; a plan decides only a hold" >&2
+    fail=1
+fi
+
 # The workspace is std only: every workspace dependency is one of its
 # own crates under crates/.
 if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]") } deps && /^[A-Za-z0-9_-]+ *=/' Cargo.toml \

@@ -38,7 +38,7 @@ use mocket::core::orchestrator::{
 };
 use mocket::core::{CampaignJournal, CaseOutcome};
 use mocket::core::{PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest};
-use mocket::dsnet::{FaultPlan, FaultPlanConfig};
+use mocket::dsnet::FaultPlan;
 use mocket::runtime::Backend;
 use mocket::sim::SimHandle;
 use mocket::targets::{self, Target};
@@ -167,12 +167,10 @@ impl Args {
     fn fault_plan(&self) -> Option<FaultPlan> {
         let base_ms = self.flag_usize("rtt-ms", 0);
         (base_ms > 0).then(|| {
-            FaultPlan::with_config(
+            FaultPlan::new(
                 self.flag_usize("sim-seed", 42) as u64,
-                FaultPlanConfig::timed_delays(
-                    Duration::from_millis(base_ms as u64),
-                    Duration::from_millis(self.flag_usize("rtt-spread-ms", 0) as u64),
-                ),
+                Duration::from_millis(base_ms as u64),
+                Duration::from_millis(self.flag_usize("rtt-spread-ms", 0) as u64),
             )
         })
     }

@@ -1,8 +1,7 @@
 //! End-to-end resilience: the harness must survive misbehaving
 //! applications. A node panic becomes a crash-classified
-//! inconsistency, a hung node trips the watchdog, and fault-plan
-//! partitions heal on schedule — in every case the testbed process
-//! stays alive and can run the next case.
+//! inconsistency and a hung node trips the watchdog — in every case
+//! the testbed process stays alive and can run the next case.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +11,7 @@ use mocket::core::sut::MsgEvent;
 use mocket::core::{
     run_test_case, Inconsistency, RunConfig, RunCtx, SutError, TestCase, TestOutcome,
 };
-use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
+use mocket::dsnet::Net;
 use mocket::runtime::{
     Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver, Shadow,
 };
@@ -209,44 +208,4 @@ fn node_panic_serving_a_client_request_is_a_crash_inconsistency() {
         }
         other => panic!("expected NodeDeath, got {other:?}"),
     }
-}
-
-#[test]
-fn fault_plan_partitions_heal_and_traffic_resumes_end_to_end() {
-    // A plan that raises partitions eagerly but heals them quickly.
-    let cfg = FaultPlanConfig {
-        drop_per_mille: 0,
-        duplicate_per_mille: 0,
-        delay_per_mille: 0,
-        max_delay: 1,
-        reorder_per_mille: 0,
-        partition_per_mille: 300,
-        partition_heal_after: 5,
-        ..FaultPlanConfig::quiescent()
-    };
-    let mut net: Net<i64> = Net::new([1, 2]);
-    net.install_fault_plan(FaultPlan::with_config(7, cfg));
-
-    for k in 0i64..200 {
-        net.send(1, 2, k);
-    }
-    let delivered = net.inbox_len(2) + net.delayed_len(2);
-    let stats = net.stats();
-    assert!(
-        stats.partition_dropped > 0,
-        "the plan never raised a partition: {stats:?}"
-    );
-    // Partitions heal after 5 sends, so traffic must keep flowing;
-    // with a permanent partition nothing would get through.
-    assert!(
-        delivered > 0 && delivered < 200,
-        "expected partial delivery, got {delivered}/200"
-    );
-    // Deterministic replay: the same seed reproduces the same trace.
-    let mut net2: Net<i64> = Net::new([1, 2]);
-    net2.install_fault_plan(FaultPlan::with_config(7, cfg));
-    for k in 0i64..200 {
-        net2.send(1, 2, k);
-    }
-    assert_eq!(net.fault_trace(), net2.fault_trace());
 }

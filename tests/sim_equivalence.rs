@@ -29,7 +29,7 @@ use mocket::core::{
     run_test_case, ExecReport, Inconsistency, Offer, RunConfig, RunCtx, Snapshot, SutError,
     SystemUnderTest, TestCase, TestOutcome,
 };
-use mocket::dsnet::{FaultPlan, FaultPlanConfig, Net};
+use mocket::dsnet::{FaultPlan, Net};
 use mocket::obs::{strip_wall_clock, Obs};
 use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver};
 use mocket::sim::{Clock, RealClock, SimHandle};
@@ -154,9 +154,10 @@ fn run_raft_timed_delays(sim: Option<&SimHandle>) -> RunOutput {
     // Plans carry mutable replay state, so each deployment gets a
     // fresh one; the fixed seed keeps them identical.
     let plan = || {
-        Some(FaultPlan::with_config(
+        Some(FaultPlan::new(
             99,
-            FaultPlanConfig::timed_delays(Duration::from_millis(5), Duration::from_millis(2)),
+            Duration::from_millis(5),
+            Duration::from_millis(2),
         ))
     };
     run_workload(buggy_raft(), plan, sim, None)
