@@ -278,25 +278,6 @@ impl StateGraph {
             self.out = OutAdjacency::Building(per_node);
         }
     }
-
-    /// Nodes reachable from the initial states.
-    pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack: Vec<usize> = self.initial.iter().map(|n| n.0).collect();
-        for &s in &stack {
-            seen[s] = true;
-        }
-        while let Some(n) = stack.pop() {
-            for &eid in self.out.out_edges(n) {
-                let t = self.edges[eid.0].to.0;
-                if !seen[t] {
-                    seen[t] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +356,6 @@ mod tests {
         g.finish();
         let after: Vec<Vec<EdgeId>> = ids.iter().map(|&i| g.out_edges(i).to_vec()).collect();
         assert_eq!(before, after);
-        assert!(g.reachable().iter().all(|&r| r), "traversal works on the CSR form");
         // Finishing twice is a no-op.
         g.finish();
         assert_eq!(g.out_edges(ids[0]).len(), 2);
@@ -395,18 +375,6 @@ mod tests {
         g.add_edge(b, act("On"), c);
         assert_eq!(g.out_edges(b), [EdgeId(1)]);
         assert_eq!(g.out_edges(a), [EdgeId(0)]);
-    }
-
-    #[test]
-    fn reachability_follows_edges_from_initial_states() {
-        let mut g = StateGraph::new();
-        let (a, _) = g.insert_state(st(1));
-        let (b, _) = g.insert_state(st(2));
-        let (c, _) = g.insert_state(st(3));
-        g.mark_initial(a);
-        g.add_edge(a, act("Go"), b);
-        let r = g.reachable();
-        assert!(r[a.0] && r[b.0] && !r[c.0]);
     }
 
     #[test]

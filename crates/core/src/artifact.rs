@@ -520,7 +520,8 @@ pub enum CaseOutcome {
 pub struct JournalEntry {
     /// `TestCase::stable_hash` of the case.
     pub hash: String,
-    /// Attempts spent reaching the verdict.
+    /// Attempts spent reaching the verdict. Always 1, since a case runs
+    /// once; the slot stays so journals of older builds still parse.
     pub attempts: usize,
     /// Determinism classification label for failed cases
     /// (`deterministic` / `flaky` / `unconfirmed`), recorded so a

@@ -48,11 +48,11 @@ pub use mapping::{
 pub use minimize::{minimize_case, MinimizeConfig, Minimized};
 pub use msgpool::{MessagePools, PoolError};
 pub use pipeline::{
-    AttemptRecord, CaseGate, Pipeline, PipelineConfig, PipelineResult, QuarantinedCase,
-    RetryPolicy, TestingEffort, TriageConfig,
+    CaseGate, Pipeline, PipelineConfig, PipelineResult, QuarantinedCase, RetryPolicy,
+    TestingEffort, TriageConfig,
 };
 pub use por::{partial_order_reduction, Diamond, PorResult};
-pub use report::{BugClass, BugReport, Determinism, Inconsistency, VariableDivergence};
+pub use report::{BugReport, Determinism, Inconsistency, VariableDivergence};
 pub use runner::{pools_from_registry, run_test_case, RunConfig, RunCtx, RunStats, TestOutcome};
 pub use scheduler::{find_match, translate_offers, unexpected_offers, SpecOffer};
 pub use statecheck::{check_state, value_diff, values_match};

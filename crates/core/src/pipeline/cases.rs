@@ -6,8 +6,8 @@
 //! single-process run is one window over every case; a campaign worker
 //! drives one window per claimed shard into the same `Run`.
 //! [`Pipeline::drive_case`] materializes one case, consults the gate
-//! and the journal, and runs it under the retry policy until it passes,
-//! fails (handed to [`triage`](super::triage)) or is quarantined.
+//! and the journal, and runs it once: it passes, fails (handed to
+//! [`triage`](super::triage)) or, on a harness error, is quarantined.
 
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -20,13 +20,13 @@ use mocket_obs::{CoverageMap, FieldValue};
 use mocket_tla::ActionInstance;
 
 use crate::artifact::{CampaignJournal, CaseOutcome, JournalEntry, JournalOpenError};
-use crate::report::{BugReport, Inconsistency};
+use crate::report::BugReport;
 use crate::runner::{run_test_case, RunCtx, RunStats, TestOutcome};
 use crate::sut::{SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
 use super::outputs::BugTally;
-use super::{AttemptRecord, CaseGate, Pipeline, QuarantinedCase};
+use super::{CaseGate, Pipeline, QuarantinedCase};
 
 /// The tallies of one run, over however many windows it drives:
 /// counts, a coverage map the size of the graph when the run writes its
@@ -155,7 +155,7 @@ impl Pipeline {
             None => None,
         };
 
-        // Causal tracing (`--trace`): one batch of events per attempt
+        // Causal tracing (`--trace`): one batch of events per case
         // appended to `trace.jsonl` next to the replay artifacts
         // (campaign dir first, obs dir otherwise). The file is
         // truncated when the window opens so it always describes the
@@ -269,90 +269,53 @@ impl Pipeline {
             vec![("case", idx.into()), ("len", case.tc.len().into())],
         );
 
-        let max_attempts = self.config.retry.attempts.max(1);
-        let mut attempts: Vec<AttemptRecord> = Vec::new();
-        for attempt in 1..=max_attempts {
-            if attempt > 1 {
-                // Exponential backoff: transient conditions (a
-                // slow teardown, an exhausted port) need time.
-                self.config
-                    .clock
-                    .sleep(self.config.retry.delay(attempt - 2, false));
+        // A case runs once; the `attempt` field of its verdict event
+        // and the journal's `attempts=` stay at 1 as format slots.
+        let (outcome, trace) = self.attempt_case(w, &case, make_sut);
+        let (outcome, stats) = match outcome {
+            Ok(verdict) => verdict,
+            Err(err) => {
+                // A harness-side failure (an external action that could
+                // not be triggered, a node lost outside the schedule):
+                // no verdict about the implementation.
+                w.cover(path);
+                self.verdict(idx, "quarantined", vec![("attempt", 1usize.into())]);
+                obs.metrics().add("pipeline.cases_quarantined", 1);
+                self.progress(format_args!(
+                    "case {}/{}: quarantined: {err}",
+                    idx + 1,
+                    w.run.cases_selected
+                ));
+                w.run.quarantined += 1;
+                w.result.quarantined.push(QuarantinedCase {
+                    test_case: case.tc,
+                    error: err.to_string(),
+                });
+                return Continue(());
             }
-            let (outcome, trace) = self.attempt_case(w, &case, make_sut);
-            let (outcome, stats) = match outcome {
-                Ok(verdict) => verdict,
-                Err(err) => {
-                    // Harness-side failure (deploy, external script,
-                    // control channel): retry, then quarantine.
-                    attempts.push(AttemptRecord {
-                        error: err.to_string(),
-                        seconds: 0.0,
-                    });
-                    continue;
-                }
-            };
-            obs.metrics().add("pipeline.cases_run", 1);
-            obs.metrics()
-                .observe("timing.profile.case_seconds", stats.seconds);
-            // A node death before any action ran is a deploy-time
-            // accident, not a verdict about this schedule: retry it
-            // like a harness failure.
-            if let TestOutcome::Failed(inc @ Inconsistency::NodeDeath { .. }) = &outcome {
-                if stats.actions_executed == 0 && attempt < max_attempts {
-                    obs.metrics().add("pipeline.premature_deaths", 1);
-                    attempts.push(AttemptRecord {
-                        error: inc.to_string().trim_end().to_string(),
-                        seconds: stats.seconds,
-                    });
-                    continue;
-                }
+        };
+        obs.metrics().add("pipeline.cases_run", 1);
+        obs.metrics()
+            .observe("timing.profile.case_seconds", stats.seconds);
+        w.run.cases_run += 1;
+        match outcome {
+            TestOutcome::Passed => {
+                self.record_pass(w, &case);
+                Continue(())
             }
-            w.run.cases_run += 1;
-            return match outcome {
-                TestOutcome::Passed => {
-                    self.record_pass(w, &case, attempt);
+            TestOutcome::Failed(inconsistency) => {
+                self.dispose_failure(w, &case, inconsistency, &stats, &trace, make_sut);
+                if self.config.stop_at_first_bug {
+                    Break(())
+                } else {
                     Continue(())
                 }
-                TestOutcome::Failed(inconsistency) => {
-                    self.dispose_failure(
-                        w,
-                        &case,
-                        attempt,
-                        inconsistency,
-                        &stats,
-                        &trace,
-                        make_sut,
-                    );
-                    if self.config.stop_at_first_bug {
-                        Break(())
-                    } else {
-                        Continue(())
-                    }
-                }
-            };
+            }
         }
-
-        // No attempt reached a verdict.
-        w.cover(path);
-        self.verdict(idx, "quarantined", vec![("attempt", attempts.len().into())]);
-        obs.metrics().add("pipeline.cases_quarantined", 1);
-        self.progress(format_args!(
-            "case {}/{}: quarantined after {} attempts",
-            idx + 1,
-            w.run.cases_selected,
-            attempts.len()
-        ));
-        w.run.quarantined += 1;
-        w.result.quarantined.push(QuarantinedCase {
-            test_case: case.tc,
-            attempts,
-        });
-        Continue(())
     }
 
-    /// One attempt at `case` on a fresh SUT: the runner's verdict (or
-    /// the harness error) plus the attempt's causal trace, which has
+    /// The one run of `case` on a fresh SUT: the runner's verdict (or
+    /// the harness error) plus the run's causal trace, which has
     /// already been appended to the window's trace log.
     fn attempt_case<F>(
         &self,
@@ -364,8 +327,6 @@ impl Pipeline {
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
         let obs = &self.config.obs;
-        // Fresh tracer per attempt: a retried case must not leak the
-        // aborted attempt's events into its trace.
         let tracer = if self.config.trace {
             let t = Tracer::for_case(case.idx as u64);
             t.set_edge_path(case.path.iter().map(|e| e.0 as u64).collect());
@@ -380,9 +341,9 @@ impl Pipeline {
             obs: obs.clone(),
             tracer: tracer.clone(),
         };
-        // A panicking SUT (or checker) must not take the buffered
-        // observability events down with it: drain the recorder before
-        // letting the unwind continue, so the triage evidence —
+        // A panicking SUT (or checker) must not take the staged
+        // observability events down with it: flush the event log
+        // before letting the unwind continue, so the triage evidence —
         // including this case's `case.start` — reaches events.jsonl.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_test_case(
@@ -432,11 +393,11 @@ impl Pipeline {
         self.config.obs.event("case.verdict", idx as u64, fields);
     }
 
-    fn record_pass(&self, w: &mut Window<'_>, case: &Case<'_>, attempt: usize) {
+    fn record_pass(&self, w: &mut Window<'_>, case: &Case<'_>) {
         let obs = &self.config.obs;
         w.run.passed += 1;
         w.cover(case.path);
-        self.verdict(case.idx, "passed", vec![("attempt", attempt.into())]);
+        self.verdict(case.idx, "passed", vec![("attempt", 1usize.into())]);
         obs.metrics().add("pipeline.cases_passed", 1);
         self.progress(format_args!(
             "case {}/{}: passed",
@@ -445,7 +406,7 @@ impl Pipeline {
         ));
         w.journal_verdict(JournalEntry {
             hash: case.hash.clone(),
-            attempts: attempt,
+            attempts: 1,
             determinism: None,
             outcome: CaseOutcome::Passed,
         });

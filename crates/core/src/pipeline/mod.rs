@@ -26,7 +26,6 @@ use mocket_tla::{Spec, State};
 
 use mocket_checker::{EdgeId, ModelChecker, StateGraph};
 
-use crate::explain::ExplainConfig;
 use crate::mapping::{MappingIssue, MappingRegistry};
 use crate::minimize::MinimizeConfig;
 use crate::report::BugReport;
@@ -40,24 +39,12 @@ use cases::Run;
 /// directory.
 pub const COVERAGE_DOT_FILE_NAME: &str = "coverage.dot";
 
-/// The unified retry policy (re-exported from [`crate::fsio`]).
-///
-/// One shape covers every transient-failure loop in the harness:
-/// per-case SUT retries here in the pipeline (a deploy that loses the
-/// race with teardown, a dropped control channel — not findings about
-/// the system under test), supervisor worker restarts, lease steals,
-/// and fault-injectable filesystem writes. Only cases that fail
-/// *persistently* for harness-side reasons are quarantined.
+/// The retry policy shape (re-exported from [`crate::fsio`]): the
+/// supervisor's worker restarts and every fault-injectable filesystem
+/// write retry under it. A test case is never retried: it runs once on
+/// a fresh deployment, and triage's confirmation re-runs judge whether
+/// its failure reproduces.
 pub use crate::fsio::RetryPolicy;
-
-/// One failed attempt at running a test case.
-#[derive(Debug, Clone)]
-pub struct AttemptRecord {
-    /// What went wrong, rendered for the report.
-    pub error: String,
-    /// Wall-clock duration of the attempt in seconds.
-    pub seconds: f64,
-}
 
 /// A test case the pipeline gave up on for harness-side reasons: it
 /// neither passed nor produced a verdict about the implementation.
@@ -67,8 +54,8 @@ pub struct AttemptRecord {
 pub struct QuarantinedCase {
     /// The case that could not be driven to a verdict.
     pub test_case: TestCase,
-    /// Every attempt, in order.
-    pub attempts: Vec<AttemptRecord>,
+    /// The harness error that stopped it, rendered for the report.
+    pub error: String,
 }
 
 /// Failure-triage configuration: confirm & classify, shrink,
@@ -78,9 +65,6 @@ pub struct TriageConfig {
     /// Re-run every failure once with the identical seed/config to
     /// confirm it, classifying it deterministic or flaky.
     pub confirm: bool,
-    /// Total re-runs used to measure the repro rate of a failure whose
-    /// first confirmation re-run diverged (>= 1).
-    pub flaky_reruns: usize,
     /// Delta-debugging budget for shrinking confirmed-deterministic
     /// failures (`max_oracle_runs: 0` disables shrinking).
     pub minimize: MinimizeConfig,
@@ -98,7 +82,6 @@ impl Default for TriageConfig {
     fn default() -> Self {
         TriageConfig {
             confirm: true,
-            flaky_reruns: 3,
             minimize: MinimizeConfig::default(),
             campaign_dir: None,
             spec_config: String::new(),
@@ -169,14 +152,8 @@ pub struct PipelineConfig {
     pub stop_at_first_bug: bool,
     /// Controlled-run configuration.
     pub run: RunConfig,
-    /// Retry policy for transient harness failures.
-    pub retry: RetryPolicy,
     /// Failure triage: confirm, shrink, persist, resume.
     pub triage: TriageConfig,
-    /// Divergence-explainer bounds: every inconsistent-state and
-    /// unexpected-action report carries a per-variable diff and a
-    /// nearest-verified-state verdict computed within these bounds.
-    pub explain: ExplainConfig,
     /// Edge indices the traversal should cover first — typically fed
     /// from the previous run's uncovered-edge listing
     /// (`uncovered-edges.txt`, parsed by
@@ -219,9 +196,7 @@ impl Default for PipelineConfig {
             max_path_len: 0,
             stop_at_first_bug: true,
             run: RunConfig::default(),
-            retry: RetryPolicy::default(),
             triage: TriageConfig::default(),
-            explain: ExplainConfig::default(),
             priority_edges: Vec::new(),
             obs: Obs::disabled(),
             trace: false,
@@ -262,8 +237,8 @@ pub struct PipelineResult {
     pub cases_selected: usize,
     /// Bug reports from controlled testing.
     pub reports: Vec<BugReport>,
-    /// Cases abandoned for harness-side reasons after exhausting
-    /// their attempt budget (neither passed nor failed).
+    /// Cases abandoned for harness-side reasons (neither passed nor
+    /// failed).
     pub quarantined: Vec<QuarantinedCase>,
     /// Effort statistics.
     pub effort: TestingEffort,
@@ -360,9 +335,8 @@ impl Pipeline {
     ///
     /// The campaign always runs to completion (or to
     /// `stop_at_first_bug`): a single misbehaving case can no longer
-    /// abort the whole run. Transient harness failures are retried
-    /// per [`RetryPolicy`]; cases that stay undrivable are
-    /// quarantined with their attempt history.
+    /// abort the whole run. A case the harness cannot drive is
+    /// quarantined with its error.
     pub fn run<F>(&self, make_sut: F) -> PipelineResult
     where
         F: FnMut() -> Box<dyn SystemUnderTest>,

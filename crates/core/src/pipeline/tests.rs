@@ -1,11 +1,10 @@
 use super::*;
 use crate::mapping::ActionBinding;
-use crate::report::Determinism;
+use crate::report::{Determinism, Inconsistency};
 use crate::sut::{ExecReport, Offer, Snapshot, SutError};
 use mocket_obs::{COVERAGE_FILE_NAME, UNCOVERED_FILE_NAME};
 use mocket_tla::{ActionClass, ActionDef, ActionInstance, Value, VarClass, VarDef};
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
 /// Counter spec: Inc up to 2, Dec down to 0.
 pub(crate) struct CounterSpec;
@@ -156,19 +155,15 @@ fn max_test_cases_truncates() {
     assert_eq!(result.effort.cases_run, 1);
 }
 
-/// Delegates to a [`CounterSut`] but fails deployment on demand —
-/// stands in for a flaky testbed (port exhaustion, slow teardown).
+/// Delegates to a [`CounterSut`] but fails deployment with a harness
+/// error — stands in for a testbed that cannot trigger its actions.
 struct FlakySut {
     inner: CounterSut,
-    fail_deploy: bool,
 }
 
 impl SystemUnderTest for FlakySut {
     fn deploy(&mut self) -> Result<(), SutError> {
-        if self.fail_deploy {
-            return Err(SutError::Deploy("testbed hiccup".into()));
-        }
-        self.inner.deploy()
+        Err(SutError::External("testbed hiccup".into()))
     }
     fn teardown(&mut self) {
         self.inner.teardown()
@@ -188,66 +183,81 @@ impl SystemUnderTest for FlakySut {
 }
 
 #[test]
-fn transient_deploy_failure_is_retried_not_fatal() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let mut cfg = PipelineConfig::default();
-    cfg.retry = RetryPolicy {
-        attempts: 2,
-        backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-    };
-    let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
-    let made = AtomicUsize::new(0);
-    // Only the very first deployed cluster fails; the retry and
-    // every later case succeed.
-    let result = p.run(|| {
-        let k = made.fetch_add(1, Ordering::SeqCst);
-        Box::new(FlakySut {
-            inner: CounterSut { n: 0, buggy: false },
-            fail_deploy: k == 0,
-        })
-    });
-    assert!(result.quarantined.is_empty(), "{:?}", result.quarantined);
-    assert!(result.reports.is_empty());
-    assert_eq!(result.passed, result.effort.cases_run);
-    assert!(result.passed > 0);
-}
-
-#[test]
-fn persistent_failure_is_quarantined_with_attempt_history() {
-    let mut cfg = PipelineConfig::default();
-    cfg.retry = RetryPolicy {
-        attempts: 3,
-        backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-    };
-    let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
+fn harness_failure_is_quarantined_with_its_error() {
+    let p = Pipeline::new(Arc::new(CounterSpec), registry(), PipelineConfig::default()).unwrap();
     let result = p.run(|| {
         Box::new(FlakySut {
             inner: CounterSut { n: 0, buggy: false },
-            fail_deploy: true,
         })
     });
-    // Every case exhausted its budget; none reached a verdict,
-    // none aborted the campaign.
+    // Every case is quarantined once; none reached a verdict, none
+    // aborted the campaign.
     assert_eq!(result.quarantined.len(), result.cases_selected);
     assert_eq!(result.effort.cases_run, 0);
     assert!(result.reports.is_empty());
     for q in &result.quarantined {
-        assert_eq!(q.attempts.len(), 3);
-        assert!(q.attempts[0].error.contains("testbed hiccup"));
+        assert!(q.error.contains("testbed hiccup"), "{}", q.error);
+    }
+}
+
+/// A conformant counter whose node dies on the first offer poll of the
+/// first deployment only — an early death that a fresh deployment does
+/// not repeat.
+struct DiesOnceSut {
+    inner: CounterSut,
+    die: bool,
+}
+
+impl SystemUnderTest for DiesOnceSut {
+    fn deploy(&mut self) -> Result<(), SutError> {
+        self.inner.deploy()
+    }
+    fn teardown(&mut self) {}
+    fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
+        if std::mem::take(&mut self.die) {
+            return Err(SutError::NodeDeath {
+                node: 1,
+                reason: "died while booting".into(),
+            });
+        }
+        self.inner.offers()
+    }
+    fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
+        self.inner.execute(offer)
+    }
+    fn execute_external(&mut self, a: &ActionInstance) -> Result<ExecReport, SutError> {
+        self.inner.execute_external(a)
+    }
+    fn snapshot(&mut self) -> Result<Snapshot, SutError> {
+        self.inner.snapshot()
     }
 }
 
 #[test]
-fn bug_reports_record_the_revealing_attempt() {
-    let mut cfg = PipelineConfig::default();
-    cfg.por = false;
-    cfg.retry = RetryPolicy::none();
-    let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
-    let result = p.run(|| Box::new(CounterSut { n: 0, buggy: true }));
-    assert_eq!(result.reports.len(), 1);
-    assert_eq!(result.reports[0].attempt, 1);
+fn a_death_before_the_first_action_is_reported_and_classified() {
+    let p = Pipeline::new(Arc::new(CounterSpec), registry(), PipelineConfig::default()).unwrap();
+    let mut first = true;
+    let result = p.run(|| {
+        Box::new(DiesOnceSut {
+            inner: CounterSut { n: 0, buggy: false },
+            die: std::mem::take(&mut first),
+        })
+    });
+    // The death is a verdict, and triage's confirmation re-runs (on
+    // fresh deployments that do not die) classify it as flaky.
+    assert_eq!(result.reports.len(), 1, "{:?}", result.reports);
+    let report = &result.reports[0];
+    assert!(
+        matches!(report.inconsistency, Inconsistency::NodeDeath { step: 0, .. }),
+        "{:?}",
+        report.inconsistency
+    );
+    assert!(
+        matches!(report.determinism, Determinism::Flaky { reproduced: 0, .. }),
+        "{:?}",
+        report.determinism
+    );
+    assert!(result.quarantined.is_empty());
 }
 
 fn temp_campaign_dir(tag: &str) -> std::path::PathBuf {

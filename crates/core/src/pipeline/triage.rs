@@ -11,9 +11,9 @@ use mocket_obs::causal::{CausalEvent, Tracer};
 use mocket_tla::ActionInstance;
 
 use crate::artifact::{CaseOutcome, JournalEntry, ReplayArtifact};
-use crate::explain::explain_failure;
+use crate::explain::{explain_failure, ExplainConfig};
 use crate::minimize::minimize_case;
-use crate::report::{BugClass, BugReport, Determinism, Inconsistency};
+use crate::report::{BugReport, Determinism, Inconsistency};
 use crate::runner::{run_test_case, RunCtx, RunStats, TestOutcome};
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
@@ -22,15 +22,17 @@ use super::cases::{Case, Window};
 use super::outputs::count_bug;
 use super::Pipeline;
 
+/// Total re-runs used to measure the repro rate of a failure whose
+/// first confirmation re-run diverged.
+const FLAKY_RERUNS: usize = 3;
+
 impl Pipeline {
     /// Everything that follows a failed verdict on `case`, in the
     /// order the events and files have always been produced.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn dispose_failure<F>(
         &self,
         w: &mut Window<'_>,
         case: &Case<'_>,
-        attempt: usize,
         inconsistency: Inconsistency,
         stats: &RunStats,
         trace: &[CausalEvent],
@@ -44,7 +46,7 @@ impl Pipeline {
             case.idx,
             "failed",
             vec![
-                ("attempt", attempt.into()),
+                ("attempt", 1usize.into()),
                 ("kind", inconsistency.kind().into()),
                 ("step", stats.actions_executed.into()),
             ],
@@ -64,7 +66,7 @@ impl Pipeline {
             &case.tc,
             &inconsistency,
             stats.actions_executed,
-            &self.config.explain,
+            &ExplainConfig::default(),
         );
         // Confirm & classify, then shrink deterministic failures.
         let (determinism, minimized) = self.triage_failure(
@@ -105,7 +107,7 @@ impl Pipeline {
         }
         w.journal_verdict(JournalEntry {
             hash: case.hash.clone(),
-            attempts: attempt,
+            attempts: 1,
             determinism: Some(determinism.label().to_string()),
             outcome: CaseOutcome::Failed {
                 kind: inconsistency.kind().to_string(),
@@ -117,11 +119,9 @@ impl Pipeline {
             test_case: case.tc.clone(),
             actions_executed: stats.actions_executed,
             elapsed: self.config.clock.now().saturating_sub(w.run.test_start),
-            attempt,
             determinism,
             minimized,
             explanation,
-            class: BugClass::Unclassified,
         });
     }
 
@@ -178,14 +178,11 @@ impl Pipeline {
         let determinism = if rerun(tc, final_enabled) {
             Determinism::Deterministic { reruns: 1 }
         } else {
-            let reruns = triage.flaky_reruns.max(1);
-            let mut reproduced = 0usize;
-            for _ in 1..reruns {
-                if rerun(tc, final_enabled) {
-                    reproduced += 1;
-                }
+            let reproduced = (1..FLAKY_RERUNS).filter(|_| rerun(tc, final_enabled)).count();
+            Determinism::Flaky {
+                reproduced,
+                reruns: FLAKY_RERUNS,
             }
-            Determinism::Flaky { reproduced, reruns }
         };
 
         let minimized = if determinism.is_deterministic() && triage.minimize.max_oracle_runs > 0 {

@@ -265,18 +265,6 @@ impl fmt::Display for Determinism {
     }
 }
 
-/// Human classification of a confirmed inconsistency (§4.3.3): Mocket
-/// itself cannot distinguish these; investigation does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BugClass {
-    /// The implementation violates a correct specification.
-    Implementation,
-    /// The specification is wrong; the implementation is correct.
-    Specification,
-    /// Not yet classified.
-    Unclassified,
-}
-
 /// A full bug report: the inconsistency plus its revealing test case.
 #[derive(Debug, Clone)]
 pub struct BugReport {
@@ -289,16 +277,11 @@ pub struct BugReport {
     pub actions_executed: usize,
     /// Wall-clock testing time elapsed when the report was produced.
     pub elapsed: Duration,
-    /// 1-based attempt on which the revealing run happened (retried
-    /// test cases can reveal a bug on a later attempt).
-    pub attempt: usize,
     /// How reliably the failure reproduced on confirmation re-runs.
     pub determinism: Determinism,
     /// The delta-debugged reproducer, when triage minimized the
     /// revealing case (never longer than `test_case`).
     pub minimized: Option<TestCase>,
-    /// Human classification.
-    pub class: BugClass,
     /// The insight layer's divergence explanation: executed prefix,
     /// per-variable structured diff, and the nearest-verified-state
     /// verdict (see [`crate::explain`]). Present for inconsistent
@@ -404,10 +387,8 @@ mod tests {
             test_case: tc,
             actions_executed: 1,
             elapsed: Duration::from_millis(5),
-            attempt: 1,
             determinism: Determinism::Deterministic { reruns: 2 },
             minimized: None,
-            class: BugClass::Unclassified,
             explanation: Some(DivergenceExplanation {
                 step: 1,
                 action: "unexpected Inc".into(),

@@ -251,7 +251,8 @@ pub fn run_test_case(
 enum Classified {
     /// The system under test is at fault: report as an inconsistency.
     Fail(Inconsistency),
-    /// Harness-side trouble: propagate (the pipeline may retry).
+    /// Harness-side trouble: propagate (the pipeline quarantines the
+    /// case).
     Harness(SutError),
 }
 

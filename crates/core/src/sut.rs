@@ -107,8 +107,6 @@ pub struct ExecReport {
 /// Errors from driving the system under test.
 #[derive(Debug, Clone)]
 pub enum SutError {
-    /// Deployment failed.
-    Deploy(String),
     /// A node died or stopped responding outside a scheduled crash.
     NodeFailure {
         /// The failed node.
@@ -134,7 +132,6 @@ pub enum SutError {
 impl fmt::Display for SutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SutError::Deploy(m) => write!(f, "deployment failed: {m}"),
             SutError::NodeFailure { node, message } => {
                 write!(f, "node {node} failed: {message}")
             }

@@ -51,9 +51,22 @@ fn arb_graph(rng: &mut Rng) -> StateGraph {
     g
 }
 
-/// Edges reachable from the initial states (the coverage upper bound).
+/// Edges reachable from the initial states (the coverage upper bound),
+/// by a depth-first search of the graph's own adjacency.
 fn reachable_edges(g: &StateGraph) -> usize {
-    let reach = g.reachable();
+    let mut reach = vec![false; g.state_count()];
+    let mut stack = g.initial_states().to_vec();
+    for n in &stack {
+        reach[n.0] = true;
+    }
+    while let Some(n) = stack.pop() {
+        for &e in g.out_edges(n) {
+            let to = g.edge(e).to;
+            if !std::mem::replace(&mut reach[to.0], true) {
+                stack.push(to);
+            }
+        }
+    }
     g.edges().iter().filter(|e| reach[e.from.0]).count()
 }
 

@@ -1,23 +1,21 @@
-//! Structured events and the recording pipeline.
+//! Structured events and the log they are written to.
 //!
 //! An [`Event`] is a name, a *logical* timestamp and a flat list of
-//! typed fields. Events flow through a per-thread buffer into a
-//! [`Recorder`] sink; the hot path (buffer push) takes no lock, the
-//! sink lock is taken once per batch.
+//! typed fields. [`Obs::event`] renders it straight into the handle's
+//! one [`EventLog`], which numbers lines in arrival order under one
+//! lock.
 //!
-//! Determinism: the sink assigns sequence numbers in arrival order, so
-//! an event stream is reproducible exactly when events are recorded
-//! from a single control thread (the pipeline loop, the checker's
-//! merge loop). All Mocket instrumentation follows that rule; worker
-//! threads update metrics only.
+//! Determinism: sequence numbers follow arrival order, so an event
+//! stream is reproducible exactly when events are recorded from a
+//! single control thread (the pipeline loop, the checker's merge loop).
+//! All Mocket instrumentation follows that rule; worker threads update
+//! metrics only.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::fsio::{points, AppendLog};
 use crate::json::{push_escaped, push_f64};
@@ -25,9 +23,6 @@ use crate::metrics::MetricsRegistry;
 
 /// File name of the event sink inside a campaign directory.
 pub const EVENTS_FILE_NAME: &str = "events.jsonl";
-
-/// Events are flushed to the sink in batches of this size.
-const BATCH: usize = 64;
 
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,78 +101,45 @@ impl Event {
     }
 }
 
-/// An event sink. Batches arrive in recording order per thread; the
-/// sink assigns global sequence numbers in arrival order.
-pub trait Recorder: Send + Sync {
-    /// Consumes a batch of events.
-    fn record_batch(&self, events: Vec<Event>);
-    /// Forces buffered output to its backing store.
-    fn flush(&self) {}
-}
-
-/// Discards everything.
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record_batch(&self, _events: Vec<Event>) {}
-}
-
-/// Keeps events in memory — the test sink.
-#[derive(Default)]
-pub struct MemoryRecorder {
-    events: Mutex<Vec<Event>>,
-}
-
-impl MemoryRecorder {
-    /// Snapshot of everything recorded so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap().clone()
-    }
-
-    /// Renders the recorded stream exactly as `events.jsonl` would.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, e) in self.events.lock().unwrap().iter().enumerate() {
-            out.push_str(&e.to_json_line(seq as u64));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    fn record_batch(&self, events: Vec<Event>) {
-        self.events.lock().unwrap().extend(events);
-    }
-}
-
-/// Appends one JSON object per line to `events.jsonl`.
+/// One run's event log: every line rendered once, numbered in arrival
+/// order under one lock, and staged for the file behind it (none for an
+/// in-memory log, which keeps every line).
 ///
-/// Lines are staged in memory and pushed to disk in whole-line
+/// A file-backed log pushes its staged lines to disk in whole-line
 /// batches through the fault-injectable [`crate::fsio`] append path
 /// (fault point `obs.flush`), so a torn batch is rolled back or
 /// isolated rather than corrupting the stream mid-line.
-pub struct JsonlRecorder {
-    inner: Mutex<JsonlInner>,
-    log: AppendLog,
+pub struct EventLog {
+    staged: Mutex<Staged>,
+    file: Option<AppendLog>,
 }
 
-struct JsonlInner {
-    staged: String,
+struct Staged {
+    lines: String,
     seq: u64,
 }
 
-/// Flush the staged buffer once it crosses this size even without an
+/// Append the staged lines once they cross this size even without an
 /// explicit `flush()` call.
-const JSONL_STAGE_LIMIT: usize = 64 * 1024;
+const STAGE_LIMIT: usize = 64 * 1024;
 
-impl JsonlRecorder {
+impl EventLog {
+    fn new(file: Option<AppendLog>) -> Self {
+        EventLog {
+            staged: Mutex::new(Staged {
+                lines: String::new(),
+                seq: 0,
+            }),
+            file,
+        }
+    }
+
     /// Creates (truncating) `events.jsonl` under `dir`, and removes a
     /// `run-summary.json` beside it: the two files describe one run, and
     /// a run that ends without a summary (a campaign worker that finds
     /// every shard done) must not leave an earlier run's beside its own
     /// events.
-    pub fn create(dir: &Path) -> io::Result<Self> {
+    fn create(dir: &Path) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = dir.join(EVENTS_FILE_NAME);
         fs::File::create(&path)?;
@@ -185,36 +147,59 @@ impl JsonlRecorder {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
-        Ok(JsonlRecorder {
-            inner: Mutex::new(JsonlInner {
-                staged: String::new(),
-                seq: 0,
-            }),
-            log: AppendLog::new(path, points::OBS_FLUSH),
-        })
+        Ok(EventLog::new(Some(AppendLog::new(path, points::OBS_FLUSH))))
     }
 
-    /// The path of the sink file.
-    pub fn path(&self) -> &Path {
-        self.log.path()
+    /// Everything an in-memory log recorded, exactly as `events.jsonl`
+    /// would hold it.
+    pub fn to_jsonl(&self) -> String {
+        self.lock().lines.clone()
     }
 
-    fn flush_staged(&self, inner: &mut JsonlInner) {
-        if inner.staged.is_empty() {
-            return;
+    fn lock(&self) -> MutexGuard<'_, Staged> {
+        self.staged.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn record(&self, event: &Event) {
+        let mut staged = self.lock();
+        let line = event.to_json_line(staged.seq);
+        staged.seq += 1;
+        staged.lines.push_str(&line);
+        staged.lines.push('\n');
+        if let Some(file) = &self.file {
+            if staged.lines.len() >= STAGE_LIMIT {
+                staged.append_to(file);
+            }
         }
-        // Sink errors must never fail a campaign: retry via the
-        // unified policy (which absorbs injected faults and transient
-        // ENOSPC), then drop the batch rather than grow unboundedly.
-        let _ = self.log.append_batch(inner.staged.as_bytes());
-        inner.staged.clear();
+    }
+
+    fn flush(&self) {
+        if let Some(file) = &self.file {
+            self.lock().append_to(file);
+        }
     }
 }
 
-impl Drop for JsonlRecorder {
+impl Staged {
+    fn append_to(&mut self, file: &AppendLog) {
+        if self.lines.is_empty() {
+            return;
+        }
+        // Sink errors must never fail a campaign: `AppendLog` retries
+        // under the io policy (which absorbs injected faults and
+        // transient ENOSPC), then the batch is dropped rather than
+        // grown unboundedly.
+        let _ = file.append_batch(self.lines.as_bytes());
+        self.lines.clear();
+    }
+}
+
+impl Drop for EventLog {
     fn drop(&mut self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        self.flush_staged(&mut inner);
+        if let Some(file) = &self.file {
+            let staged = self.staged.get_mut().unwrap_or_else(|e| e.into_inner());
+            staged.append_to(file);
+        }
     }
 }
 
@@ -245,103 +230,38 @@ impl std::error::Error for ObsDirError {
     }
 }
 
-impl Recorder for JsonlRecorder {
-    fn record_batch(&self, events: Vec<Event>) {
-        let mut inner = self.inner.lock().unwrap();
-        for e in events {
-            let line = e.to_json_line(inner.seq);
-            inner.seq += 1;
-            inner.staged.push_str(&line);
-            inner.staged.push('\n');
-        }
-        if inner.staged.len() >= JSONL_STAGE_LIMIT {
-            self.flush_staged(&mut inner);
-        }
-    }
-
-    fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        self.flush_staged(&mut inner);
-    }
-}
-
-// Per-thread event buffers, keyed by the owning `Obs` id so two live
-// handles never interleave buffers. Each buffer holds a weak link to
-// its sink so the thread-exit destructor can drain what is left: a
-// worker that dies (or a pipeline thread unwinding past its explicit
-// `flush()`) must not silently drop up to `BATCH - 1` events.
-struct LocalBuf {
-    id: u64,
-    recorder: Weak<dyn Recorder>,
-    events: Vec<Event>,
-}
-
-#[derive(Default)]
-struct LocalBuffers {
-    bufs: Vec<LocalBuf>,
-}
-
-impl Drop for LocalBuffers {
-    fn drop(&mut self) {
-        for buf in self.bufs.drain(..) {
-            if buf.events.is_empty() {
-                continue;
-            }
-            // A dead sink (all `Obs` handles gone) has no readers left;
-            // only then is dropping the tail acceptable.
-            if let Some(rec) = buf.recorder.upgrade() {
-                rec.record_batch(buf.events);
-                rec.flush();
-            }
-        }
-    }
-}
-
-thread_local! {
-    static LOCAL_BUFFERS: RefCell<LocalBuffers> = RefCell::new(LocalBuffers::default());
-}
-
-static NEXT_OBS_ID: AtomicU64 = AtomicU64::new(1);
-
 /// The observability handle threaded through the pipeline. Cheap to
-/// clone; cloning shares the recorder and the metrics registry.
+/// clone; cloning shares the event log and the metrics registry.
 ///
-/// A disabled handle ([`Obs::disabled`]) never allocates on the event
-/// path and is the default everywhere, so instrumented code costs
-/// nothing when observability is off.
+/// A disabled handle ([`Obs::disabled`]) has no log, never allocates on
+/// the event path and is the default everywhere, so instrumented code
+/// costs nothing when observability is off.
 #[derive(Clone)]
 pub struct Obs {
-    id: u64,
-    enabled: bool,
-    recorder: Arc<dyn Recorder>,
+    log: Option<Arc<EventLog>>,
     metrics: Arc<MetricsRegistry>,
     dir: Option<Arc<PathBuf>>,
 }
 
 impl Obs {
-    /// A no-op handle: events are dropped before buffering, metrics
-    /// still accumulate (they are cheap and useful for tests).
-    pub fn disabled() -> Self {
+    fn with_log(log: Option<Arc<EventLog>>, dir: Option<&Path>) -> Self {
         Obs {
-            id: NEXT_OBS_ID.fetch_add(1, Ordering::Relaxed),
-            enabled: false,
-            recorder: Arc::new(NullRecorder),
+            log,
             metrics: Arc::new(MetricsRegistry::default()),
-            dir: None,
+            dir: dir.map(|d| Arc::new(d.to_path_buf())),
         }
     }
 
-    /// An enabled handle with an in-memory sink, for tests.
-    pub fn in_memory() -> (Self, Arc<MemoryRecorder>) {
-        let rec = Arc::new(MemoryRecorder::default());
-        let obs = Obs {
-            id: NEXT_OBS_ID.fetch_add(1, Ordering::Relaxed),
-            enabled: true,
-            recorder: rec.clone(),
-            metrics: Arc::new(MetricsRegistry::default()),
-            dir: None,
-        };
-        (obs, rec)
+    /// A no-op handle: events are dropped, metrics still accumulate
+    /// (they are cheap and useful for tests).
+    pub fn disabled() -> Self {
+        Obs::with_log(None, None)
+    }
+
+    /// An enabled handle with an in-memory log, for tests.
+    pub fn in_memory() -> (Self, Arc<EventLog>) {
+        let log = Arc::new(EventLog::new(None));
+        (Obs::with_log(Some(log.clone()), None), log)
     }
 
     /// An enabled handle writing `events.jsonl` under `dir`; the
@@ -349,22 +269,16 @@ impl Obs {
     /// The directory (and any missing parents) is created; failure is
     /// reported as a typed, pathful [`ObsDirError`].
     pub fn jsonl_in(dir: &Path) -> Result<Self, ObsDirError> {
-        let rec = JsonlRecorder::create(dir).map_err(|source| ObsDirError {
+        let log = EventLog::create(dir).map_err(|source| ObsDirError {
             path: dir.to_path_buf(),
             source,
         })?;
-        Ok(Obs {
-            id: NEXT_OBS_ID.fetch_add(1, Ordering::Relaxed),
-            enabled: true,
-            recorder: Arc::new(rec),
-            metrics: Arc::new(MetricsRegistry::default()),
-            dir: Some(Arc::new(dir.to_path_buf())),
-        })
+        Ok(Obs::with_log(Some(Arc::new(log)), Some(dir)))
     }
 
     /// Whether event recording is live.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.log.is_some()
     }
 
     /// The campaign directory this handle writes into, if any.
@@ -377,58 +291,21 @@ impl Obs {
         &self.metrics
     }
 
-    /// Records one event. Buffered per thread; see the module docs for
-    /// the single-control-thread determinism rule.
+    /// Records one event; see the module docs for the
+    /// single-control-thread determinism rule.
     pub fn event(&self, name: &'static str, ts: u64, fields: Vec<(&'static str, FieldValue)>) {
-        if !self.enabled {
-            return;
-        }
-        let full = LOCAL_BUFFERS.with(|buffers| {
-            let mut buffers = buffers.borrow_mut();
-            let buf = match buffers.bufs.iter_mut().position(|b| b.id == self.id) {
-                Some(i) => &mut buffers.bufs[i],
-                None => {
-                    buffers.bufs.push(LocalBuf {
-                        id: self.id,
-                        recorder: Arc::downgrade(&self.recorder),
-                        events: Vec::with_capacity(BATCH),
-                    });
-                    buffers.bufs.last_mut().unwrap()
-                }
-            };
-            buf.events.push(Event { name, ts, fields });
-            if buf.events.len() >= BATCH {
-                Some(std::mem::take(&mut buf.events))
-            } else {
-                None
-            }
-        });
-        if let Some(batch) = full {
-            self.recorder.record_batch(batch);
+        if let Some(log) = &self.log {
+            log.record(&Event { name, ts, fields });
         }
     }
 
-    /// Drains this thread's buffer into the sink and flushes the sink.
-    /// Call at sequential control points (end of a wave, end of a
-    /// stage, end of the run).
+    /// Appends the staged lines to the log's file. Call at sequential
+    /// control points (end of a stage, end of the run, before an
+    /// unwind continues).
     pub fn flush(&self) {
-        if !self.enabled {
-            return;
+        if let Some(log) = &self.log {
+            log.flush();
         }
-        let batch = LOCAL_BUFFERS.with(|buffers| {
-            let mut buffers = buffers.borrow_mut();
-            buffers
-                .bufs
-                .iter_mut()
-                .find(|b| b.id == self.id)
-                .map(|b| std::mem::take(&mut b.events))
-        });
-        if let Some(batch) = batch {
-            if !batch.is_empty() {
-                self.recorder.record_batch(batch);
-            }
-        }
-        self.recorder.flush();
     }
 }
 
@@ -466,61 +343,33 @@ mod tests {
     }
 
     #[test]
-    fn buffered_events_reach_sink_in_order() {
-        let (obs, rec) = Obs::in_memory();
-        for i in 0..10 {
-            obs.event("tick", i, vec![("i", i.into())]);
-        }
-        // Not yet flushed and below batch size: sink still empty.
-        assert!(rec.events().is_empty());
-        obs.flush();
-        let events = rec.events();
-        assert_eq!(events.len(), 10);
-        assert!(events.iter().enumerate().all(|(i, e)| e.ts == i as u64));
+    fn events_land_in_arrival_order_from_any_thread() {
+        let (obs, log) = Obs::in_memory();
+        obs.event("tick", 0, vec![("i", 0u64.into())]);
+        let worker = obs.clone();
+        std::thread::spawn(move || worker.event("worker.tick", 1, vec![]))
+            .join()
+            .unwrap();
+        obs.event("tick", 2, vec![]);
+        // No flush: every event is in the log the moment it is recorded.
+        assert_eq!(
+            log.to_jsonl(),
+            "{\"seq\":0,\"ts\":0,\"event\":\"tick\",\"i\":0}\n\
+             {\"seq\":1,\"ts\":1,\"event\":\"worker.tick\"}\n\
+             {\"seq\":2,\"ts\":2,\"event\":\"tick\"}\n"
+        );
     }
 
     #[test]
-    fn batch_overflow_flushes_automatically() {
-        let (obs, rec) = Obs::in_memory();
-        for i in 0..(BATCH as u64 + 3) {
-            obs.event("tick", i, vec![]);
-        }
-        assert_eq!(rec.events().len(), BATCH);
-        obs.flush();
-        assert_eq!(rec.events().len(), BATCH + 3);
-    }
-
-    #[test]
-    fn two_handles_do_not_share_buffers() {
-        let (a, rec_a) = Obs::in_memory();
-        let (b, rec_b) = Obs::in_memory();
+    fn two_handles_keep_separate_logs() {
+        let (a, log_a) = Obs::in_memory();
+        let (b, log_b) = Obs::in_memory();
         a.event("a", 0, vec![]);
         b.event("b", 0, vec![]);
-        a.flush();
-        b.flush();
-        assert_eq!(rec_a.events().len(), 1);
-        assert_eq!(rec_a.events()[0].name, "a");
-        assert_eq!(rec_b.events().len(), 1);
-        assert_eq!(rec_b.events()[0].name, "b");
-    }
-
-    #[test]
-    fn thread_exit_drains_buffered_events() {
-        let (obs, rec) = Obs::in_memory();
-        let handle = {
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                // Fewer than BATCH events and no flush(): before the
-                // Drop-drain fix these were lost with the thread.
-                for i in 0..5u64 {
-                    obs.event("worker.tick", i, vec![]);
-                }
-            })
-        };
-        handle.join().unwrap();
-        let events = rec.events();
-        assert_eq!(events.len(), 5, "thread exit must drain its buffer");
-        assert!(events.iter().enumerate().all(|(i, e)| e.ts == i as u64));
+        b.event("b", 1, vec![]);
+        assert_eq!(log_a.to_jsonl(), "{\"seq\":0,\"ts\":0,\"event\":\"a\"}\n");
+        assert_eq!(log_b.to_jsonl().lines().count(), 2);
+        assert!(log_b.to_jsonl().lines().all(|l| l.contains("\"event\":\"b\"")));
     }
 
     #[test]
@@ -556,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_recorder_writes_one_object_per_line() {
+    fn jsonl_in_writes_one_object_per_line() {
         let dir = std::env::temp_dir().join(format!("mocket-obs-test-{}", std::process::id()));
         let obs = Obs::jsonl_in(&dir).unwrap();
         obs.event("run.done", 5, vec![("ok", true.into())]);

@@ -388,9 +388,9 @@ fn injected_errno(kind: FaultKind) -> io::Error {
     }
 }
 
-/// The unified retry policy for transient failures: per-case SUT
-/// retries (pipeline), supervisor worker restarts, lease steals, and
-/// every fault-injectable filesystem operation share this shape.
+/// The unified retry policy for transient failures: supervisor worker
+/// restarts and every fault-injectable filesystem operation share this
+/// shape.
 ///
 /// `attempts` is the *total* number of tries; retry `n` sleeps
 /// `backoff * 2^n`, capped at `max_backoff`. ENOSPC failures sleep
@@ -407,26 +407,7 @@ pub struct RetryPolicy {
     pub max_backoff: Duration,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 2,
-            backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-        }
-    }
-}
-
 impl RetryPolicy {
-    /// Single attempt, no backoff.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
     /// The standard policy for local filesystem operations: enough
     /// attempts to ride out an injected fault burst or a transient
     /// kernel error, short enough not to mask a dead disk.
@@ -825,7 +806,7 @@ mod tests {
     fn write_atomic_clean_path_writes_bytes() {
         let dir = tmp_dir("clean");
         let path =
-            write_atomic(&dir, "f.json", b"{}\n", "test.point", &RetryPolicy::none()).unwrap();
+            write_atomic(&dir, "f.json", b"{}\n", "test.point", &RetryPolicy::io()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{}\n");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -2,11 +2,11 @@
 //!
 //! Three layers, all dependency-free:
 //!
-//! - **Events** ([`Event`], [`Recorder`], [`Obs`]): structured,
+//! - **Events** ([`Event`], [`EventLog`], [`Obs`]): structured,
 //!   append-only trace of what a campaign did — model-checking waves,
-//!   pipeline stages, per-case verdicts. Sinks are pluggable; the
-//!   standard one writes one JSON object per line to `events.jsonl`
-//!   inside the campaign directory.
+//!   pipeline stages, per-case verdicts. A handle writes one JSON
+//!   object per line to `events.jsonl` inside the campaign directory,
+//!   or keeps the lines in memory for a test.
 //! - **Metrics** ([`MetricsRegistry`]): named counters, gauges and
 //!   histograms updated from anywhere (worker threads included —
 //!   updates are commutative, so thread interleaving cannot change the
@@ -63,10 +63,7 @@ pub use causal::{CausalEvent, CausalKind, MsgTag, Tracer, TRACE_FILE_NAME};
 pub use coverage::{
     parse_uncovered_listing, CoverageMap, COVERAGE_FILE_NAME, UNCOVERED_FILE_NAME,
 };
-pub use event::{
-    Event, FieldValue, JsonlRecorder, MemoryRecorder, NullRecorder, Obs, ObsDirError, Recorder,
-    EVENTS_FILE_NAME,
-};
+pub use event::{Event, EventLog, FieldValue, Obs, ObsDirError, EVENTS_FILE_NAME};
 pub use fsio::{
     AppendLog, FaultInjector, FaultKind, LineIssue, RetryPolicy, MOCKET_FSIO_FAULTS_ENV,
     MOCKET_FSIO_FAULT_LOG_ENV,

@@ -100,7 +100,7 @@ pub fn cache_bounded_invariant(data_size: usize) -> mocket_checker::Invariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_tla::{enabled_actions, successors};
+    use mocket_tla::successors;
 
     #[test]
     fn init_matches_figure1() {
@@ -116,16 +116,16 @@ mod tests {
     fn request_and_respond_alternate() {
         let spec = CacheMax::paper_model();
         let init = &spec.init_states()[0];
-        let names: Vec<_> = enabled_actions(&spec, init)
+        let names: Vec<_> = successors(&spec, init)
             .into_iter()
-            .map(|a| a.to_string())
+            .map(|(a, _)| a.to_string())
             .collect();
         assert_eq!(names, ["Request(1)", "Request(2)"]);
 
         let (_, after_request) = successors(&spec, init).remove(0);
-        let names: Vec<_> = enabled_actions(&spec, &after_request)
+        let names: Vec<_> = successors(&spec, &after_request)
             .into_iter()
-            .map(|a| a.to_string())
+            .map(|(a, _)| a.to_string())
             .collect();
         assert_eq!(names, ["Respond"]);
     }

@@ -1021,7 +1021,7 @@ pub fn log_matching() -> mocket_checker::Invariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_tla::{enabled_actions, successors};
+    use mocket_tla::successors;
 
     fn spec2() -> RaftSpec {
         RaftSpec::new(RaftSpecConfig {
@@ -1228,8 +1228,9 @@ mod tests {
             .1
             .clone();
         assert_eq!(per_node(&s, "alive", 1), Value::Bool(false));
-        let names: Vec<String> = enabled_actions(&spec, &s)
+        let names: Vec<String> = successors(&spec, &s)
             .into_iter()
+            .map(|(a, _)| a)
             .filter(|a| !a.params.is_empty() && a.params[0] == Value::Int(1))
             .map(|a| a.name)
             .collect();

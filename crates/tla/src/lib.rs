@@ -18,7 +18,7 @@ pub use parse::{
     parse_action_instance, parse_state, parse_state_memo, parse_value, ParseError,
 };
 pub use spec::{
-    enabled_actions, successors, successors_with, ActionClass, ActionDef, ActionInstance, Spec,
+    successors, successors_with, ActionClass, ActionDef, ActionInstance, Spec,
     VarClass, VarDef,
 };
 pub use state::State;

@@ -219,15 +219,6 @@ pub fn successors_with(actions: &[ActionDef], state: &State) -> Vec<(ActionInsta
     out
 }
 
-/// The action instances enabled in `state` (successors without the
-/// target states).
-pub fn enabled_actions(spec: &dyn Spec, state: &State) -> Vec<ActionInstance> {
-    successors(spec, state)
-        .into_iter()
-        .map(|(a, _)| a)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,9 +274,9 @@ mod tests {
     fn guards_disable_actions() {
         let spec = Counter;
         let s = State::from_pairs([("n", Value::Int(2)), ("b", Value::Bool(false))]);
-        let names: Vec<_> = enabled_actions(&spec, &s)
+        let names: Vec<_> = successors(&spec, &s)
             .into_iter()
-            .map(|a| a.name)
+            .map(|(a, _)| a.name)
             .collect();
         assert_eq!(names, ["Flip"], "Inc must be disabled at n = 2");
     }

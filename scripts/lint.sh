@@ -115,6 +115,18 @@ while read -r file; do
     fi
 done < <(git ls-files 'crates/runtime/src/*.rs')
 
+# An event is written once (ROADMAP item 8): every event comes from
+# one control thread and goes straight into its handle's one log, so
+# the observability crate keeps no per-thread state (unit-test modules
+# aside).
+while read -r file; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$file" \
+        | grep 'thread_local!'; then
+        echo "error: $file keeps per-thread state; record into the handle's EventLog" >&2
+        fail=1
+    fi
+done < <(git ls-files 'crates/obs/src/*.rs')
+
 # A message crosses the simulated network as an owned value, with no
 # codec in between: the receiver shares no memory with the sender only
 # because no message type can hold a shared handle or a lock.
@@ -154,8 +166,12 @@ fi
 nontest() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }' "$@"; }
 mapfile -t product < <(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -v '/tests\.rs$')
 mapfile -t callers < <(git ls-files 'crates/bench/*.rs' 'examples/*.rs' 'perfbench/src/*.rs')
+# A `pub use` re-export block and a string literal name nothing a
+# product path runs, so neither counts as a use.
 used=$({ nontest "${product[@]}" "${callers[@]}" | cut -d: -f3-; git ls-files -z 'tests/*.rs' | xargs -0 cat; } \
-    | sed -E 's://.*$::; s/\bfn +[A-Za-z_0-9]+//g' | grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u)
+    | awk '/^[[:space:]]*pub(\(crate\))? use / { reexport = 1 } reexport { reexport = !/;/; next } { print }' \
+    | sed -E 's/"([^"\\]|\\.)*"//g; s://.*$::; s/\bfn +[A-Za-z_0-9]+//g' \
+    | grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u)
 while IFS=: read -r file line name; do
     if ! grep -qxF "$name" <<<"$used" && ! grep -qE "^$name " scripts/reach-allowlist.txt; then
         echo "error: $file:$line: \`$name\` is reached by no product path (only its definition and tests name it)" >&2

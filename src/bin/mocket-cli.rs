@@ -309,14 +309,7 @@ fn cmd_test(args: &Args) {
         result.quarantined.len(),
     );
     for q in &result.quarantined {
-        println!(
-            "  quarantined after {} attempt(s): {}",
-            q.attempts.len(),
-            q.attempts
-                .last()
-                .map(|a| a.error.as_str())
-                .unwrap_or("<no record>")
-        );
+        println!("  quarantined: {}", q.error);
     }
     match result.reports.first() {
         Some(report) => println!(
