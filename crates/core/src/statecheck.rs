@@ -1,10 +1,10 @@
 //! The state checker (§4.3.2).
 //!
 //! After every executed action the checker compares the collected
-//! runtime values — shadow-variable snapshots plus the testbed's
-//! message pools — against the verified state of the test case,
-//! translating implementation constants into the spec domain through
-//! the constant map. Counters and auxiliary variables are skipped:
+//! runtime values — the nodes' mapped fields, as the system under
+//! test snapshots them, plus the testbed's message pools — against the
+//! verified state of the test case, translating implementation
+//! constants into the spec domain through the constant map. Counters and auxiliary variables are skipped:
 //! they have no mapping by design.
 //!
 //! Translation is lazy: a value is compared through

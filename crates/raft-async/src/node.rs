@@ -2,8 +2,7 @@
 //!
 //! A full Raft node with asynchronous messaging (the Xraft analog):
 //! leader election, NoOp-on-election, log replication and commit
-//! advancement, with durable term/vote/log and instrumented shadow
-//! variables. The node exposes its blocked actions through
+//! advancement, with durable term/vote/log. The node exposes its blocked actions through
 //! [`NodeApp`]: every hook name below (`onElectionTimeout`,
 //! `onRequestVoteRpc`, ...) is an implementation-side method name that
 //! the mapping registry ties back to a specification action.
@@ -12,7 +11,7 @@ use std::collections::BTreeMap;
 
 use mocket_core::sut::MsgEvent;
 use mocket_dsnet::NodeId;
-use mocket_runtime::{NodeApp, NodeCx, Shadow};
+use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::bugs::XraftBugs;
@@ -38,17 +37,17 @@ pub struct AsyncRaftNode {
     servers: Vec<NodeId>,
     bugs: XraftBugs,
 
-    role: Shadow<String>,
-    current_term: Shadow<i64>,
-    voted_for: Shadow<Value>,
+    role: &'static str,
+    current_term: i64,
+    voted_for: Value,
     /// Xraft keeps votes as a plain integer (mapped to the spec set by
     /// cardinality). The conformant implementation additionally
     /// remembers *who* voted to deduplicate; the
     /// `duplicate_vote_counting` bug is exactly the absence of that
     /// memory.
-    votes_granted: Shadow<i64>,
+    votes_granted: i64,
     voters: std::collections::BTreeSet<NodeId>,
-    commit_index: Shadow<i64>,
+    commit_index: i64,
     log: Vec<Entry>,
     next_index: BTreeMap<NodeId, i64>,
     match_index: BTreeMap<NodeId, i64>,
@@ -83,38 +82,15 @@ impl AsyncRaftNode {
         last_log_term > my_term || (last_log_term == my_term && last_log_index >= my_index)
     }
 
-    fn mirror_log(&mut self, cx: &mut Cx<'_>) {
-        cx.vars
-            .write("log", Value::seq(self.log.iter().map(Entry::to_value)));
-    }
-
-    fn mirror_peer_indexes(&mut self, cx: &mut Cx<'_>) {
-        let next = Value::Fun(
-            self.next_index
-                .iter()
-                .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v)))
-                .collect(),
-        );
-        let matched = Value::Fun(
-            self.match_index
-                .iter()
-                .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v)))
-                .collect(),
-        );
-        cx.vars.write("nextIndex", next);
-        cx.vars.write("matchIndex", matched);
-    }
-
     fn persist_term(&self, cx: &mut Cx<'_>) {
-        cx.disk
-            .put("currentTerm", Value::Int(*self.current_term.get()));
+        cx.disk.put("currentTerm", Value::Int(self.current_term));
     }
 
     fn persist_vote(&self, cx: &mut Cx<'_>) {
         // Xraft bug #2: votedFor is kept in memory only; a restart
         // forgets it and the node votes again in the same term.
         if !self.bugs.voted_for_not_persisted {
-            cx.disk.put("votedFor", self.voted_for.get().clone());
+            cx.disk.put("votedFor", self.voted_for.clone());
         }
     }
 
@@ -124,14 +100,14 @@ impl AsyncRaftNode {
     }
 
     fn set_vote(&mut self, cx: &mut Cx<'_>, v: Value) {
-        self.voted_for.set(cx.vars, v);
+        self.voted_for = v;
         self.persist_vote(cx);
     }
 
     fn become_follower_at(&mut self, cx: &mut Cx<'_>, term: i64) {
-        self.current_term.set(cx.vars, term);
+        self.current_term = term;
         self.persist_term(cx);
-        self.role.set(cx.vars, STATE_FOLLOWER.to_string());
+        self.role = STATE_FOLLOWER;
         self.set_vote(cx, Value::Nil);
         // `votesGranted` is deliberately left stale, like the
         // specification's UpdateTerm: the next Timeout resets it.
@@ -166,20 +142,19 @@ impl AsyncRaftNode {
     // ------------------------------------------------------------------
 
     fn on_election_timeout(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
-        let term = *self.current_term.get() + 1;
-        self.current_term.set(cx.vars, term);
+        self.current_term += 1;
         self.persist_term(cx);
-        self.role.set(cx.vars, STATE_CANDIDATE.to_string());
+        self.role = STATE_CANDIDATE;
         self.set_vote(cx, Value::Int(self.id as i64));
         self.voters.clear();
         self.voters.insert(self.id);
-        self.votes_granted.set(cx.vars, 1);
+        self.votes_granted = 1;
         Vec::new()
     }
 
     fn do_request_vote(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
         let msg = RaftMsg::VoteRequest {
-            term: *self.current_term.get(),
+            term: self.current_term,
             last_log_term: self.last_log_term(),
             last_log_index: self.last_log_index(),
             source: self.id,
@@ -206,14 +181,13 @@ impl AsyncRaftNode {
         else {
             return events;
         };
-        if term > *self.current_term.get() {
+        if term > self.current_term {
             self.become_follower_at(cx, term);
         }
-        if term < *self.current_term.get() {
+        if term < self.current_term {
             return events; // Stale request; no reply.
         }
-        let vote_free = self.voted_for.get() == &Value::Nil
-            || self.voted_for.get() == &Value::Int(source as i64);
+        let vote_free = self.voted_for == Value::Nil || self.voted_for == Value::Int(source as i64);
         let normal_grant = vote_free && self.candidate_log_ok(last_log_term, last_log_index);
         let buggy_grant = vote_free
             && !normal_grant
@@ -224,7 +198,7 @@ impl AsyncRaftNode {
             events.push(self.send(
                 cx,
                 RaftMsg::VoteResponse {
-                    term: *self.current_term.get(),
+                    term: self.current_term,
                     granted: true,
                     source: self.id,
                     dest: source,
@@ -240,7 +214,7 @@ impl AsyncRaftNode {
             self.send_uninstrumented(
                 cx,
                 RaftMsg::VoteResponse {
-                    term: *self.current_term.get(),
+                    term: self.current_term,
                     granted: true,
                     source: self.id,
                     dest: source,
@@ -267,40 +241,37 @@ impl AsyncRaftNode {
         else {
             return events;
         };
-        if granted && self.role.get() == STATE_CANDIDATE && term == *self.current_term.get() {
+        if granted && self.role == STATE_CANDIDATE && term == self.current_term {
             if self.bugs.duplicate_vote_counting {
                 // Xraft bug #1: a bare counter — a duplicated response
                 // counts twice.
-                self.votes_granted.update(cx.vars, |v| v + 1);
+                self.votes_granted += 1;
             } else {
                 self.voters.insert(source);
-                self.votes_granted.set(cx.vars, self.voters.len() as i64);
+                self.votes_granted = self.voters.len() as i64;
             }
         }
         events
     }
 
     fn become_leader(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
-        self.role.set(cx.vars, STATE_LEADER.to_string());
+        self.role = STATE_LEADER;
         let next_val = self.last_log_index() + 1;
         // Xraft appends a NoOp entry on election.
-        let term = *self.current_term.get();
+        let term = self.current_term;
         self.log.push(Entry::noop(term));
         self.persist_log(cx);
-        self.mirror_log(cx);
         for &j in &self.servers.clone() {
             self.next_index.insert(j, next_val);
             self.match_index.insert(j, 0);
         }
-        self.mirror_peer_indexes(cx);
         Vec::new()
     }
 
     fn client_set(&mut self, cx: &mut Cx<'_>, datum: i64) -> Vec<MsgEvent> {
-        let term = *self.current_term.get();
+        let term = self.current_term;
         self.log.push(Entry::data(term, datum));
         self.persist_log(cx);
-        self.mirror_log(cx);
         Vec::new()
     }
 
@@ -321,9 +292,9 @@ impl AsyncRaftNode {
             .cloned()
             .into_iter()
             .collect();
-        let commit = (*self.commit_index.get()).min(prev_log_index + entries.len() as i64);
+        let commit = self.commit_index.min(prev_log_index + entries.len() as i64);
         let msg = RaftMsg::AppendRequest {
-            term: *self.current_term.get(),
+            term: self.current_term,
             prev_log_index,
             prev_log_term,
             entries,
@@ -354,10 +325,10 @@ impl AsyncRaftNode {
         else {
             return events;
         };
-        if term > *self.current_term.get() {
+        if term > self.current_term {
             self.become_follower_at(cx, term);
         }
-        let my_term = *self.current_term.get();
+        let my_term = self.current_term;
         if term < my_term {
             events.push(self.send(
                 cx,
@@ -371,13 +342,13 @@ impl AsyncRaftNode {
             ));
             return events;
         }
-        if self.role.get() == STATE_CANDIDATE {
+        if self.role == STATE_CANDIDATE {
             // Same-term leader exists: return to follower. The vote is
             // kept (votedFor stays — resetting it here is the class of
             // bug Figure 8/9 discusses).
-            self.role.set(cx.vars, STATE_FOLLOWER.to_string());
+            self.role = STATE_FOLLOWER;
         }
-        if self.role.get() == STATE_LEADER {
+        if self.role == STATE_LEADER {
             // Two same-term leaders cannot happen when conformant.
             return events;
         }
@@ -409,12 +380,12 @@ impl AsyncRaftNode {
                 self.log.truncate(at);
                 self.log.extend(entries.iter().cloned());
                 self.persist_log(cx);
-                self.mirror_log(cx);
             }
         }
         let match_len = prev_log_index + entries.len() as i64;
-        let new_commit = (*self.commit_index.get()).max(commit_index.min(self.last_log_index()));
-        self.commit_index.set(cx.vars, new_commit);
+        self.commit_index = self
+            .commit_index
+            .max(commit_index.min(self.last_log_index()));
         events.push(self.send(
             cx,
             RaftMsg::AppendResponse {
@@ -446,7 +417,7 @@ impl AsyncRaftNode {
         else {
             return events;
         };
-        if self.role.get() == STATE_LEADER && term == *self.current_term.get() {
+        if self.role == STATE_LEADER && term == self.current_term {
             if success {
                 self.next_index.insert(source, match_index + 1);
                 self.match_index.insert(source, match_index);
@@ -454,21 +425,20 @@ impl AsyncRaftNode {
                 let cur = self.next_index[&source];
                 self.next_index.insert(source, (cur - 1).max(1));
             }
-            self.mirror_peer_indexes(cx);
         }
         events
     }
 
-    fn advance_commit_index(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
+    fn advance_commit_index(&mut self) -> Vec<MsgEvent> {
         if let Some(best) = self.computable_commit() {
-            self.commit_index.set(cx.vars, best);
+            self.commit_index = best;
         }
         Vec::new()
     }
 
     fn computable_commit(&self) -> Option<i64> {
-        let commit = *self.commit_index.get();
-        let my_term = *self.current_term.get();
+        let commit = self.commit_index;
+        let my_term = self.current_term;
         let mut best = commit;
         for n in (commit + 1)..=self.last_log_index() {
             if self.log[n as usize - 1].term != my_term {
@@ -516,29 +486,26 @@ impl NodeApp for AsyncRaftNode {
             })
             .unwrap_or_default();
 
-        let mut node = AsyncRaftNode {
+        AsyncRaftNode {
             id,
-            role: Shadow::new("state", STATE_FOLLOWER.to_string(), cx.vars),
-            current_term: Shadow::new("currentTerm", current_term, cx.vars),
-            voted_for: Shadow::new("votedFor", voted_for, cx.vars),
-            votes_granted: Shadow::new("votesGranted", 0, cx.vars),
+            role: STATE_FOLLOWER,
+            current_term,
+            voted_for,
+            votes_granted: 0,
             voters: Default::default(),
-            commit_index: Shadow::new("commitIndex", 0, cx.vars),
+            commit_index: 0,
             log,
             next_index: servers.iter().map(|&j| (j, 1)).collect(),
             match_index: servers.iter().map(|&j| (j, 0)).collect(),
             servers: servers.clone(),
             bugs: bugs.clone(),
-        };
-        node.mirror_log(cx);
-        node.mirror_peer_indexes(cx);
-        node
+        }
     }
 
     fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
-        let role = self.role.get().clone();
+        let role = self.role;
 
         // Timer-driven actions.
         if role != STATE_LEADER {
@@ -553,7 +520,7 @@ impl NodeApp for AsyncRaftNode {
                     ));
                 }
             }
-            if *self.votes_granted.get() >= self.quorum() as i64 {
+            if self.votes_granted >= self.quorum() as i64 {
                 offers.push(ActionInstance::new("becomeLeader", vec![me.clone()]));
             }
         }
@@ -561,7 +528,7 @@ impl NodeApp for AsyncRaftNode {
             for &j in &self.servers {
                 if j != self.id
                     && (self.last_log_index() >= self.next_index[&j]
-                        || *self.commit_index.get() > self.match_index[&j])
+                        || self.commit_index > self.match_index[&j])
                 {
                     offers.push(ActionInstance::new(
                         "doReplicateLog",
@@ -607,25 +574,42 @@ impl NodeApp for AsyncRaftNode {
             }
             "onAppendEntriesRpc" => self.on_append_entries_rpc(cx, &action.params[0]),
             "onAppendEntriesResult" => self.on_append_entries_result(cx, &action.params[0]),
-            "advanceCommitIndex" => self.advance_commit_index(cx),
+            "advanceCommitIndex" => self.advance_commit_index(),
             other => panic!("unknown action {other}"),
         }
     }
+
+    fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+        visit("state", Value::str(self.role));
+        visit("currentTerm", Value::Int(self.current_term));
+        visit("votedFor", self.voted_for.clone());
+        visit("votesGranted", Value::Int(self.votes_granted));
+        visit("log", Value::seq(self.log.iter().map(Entry::to_value)));
+        visit("commitIndex", Value::Int(self.commit_index));
+        visit("nextIndex", peer_fun(&self.next_index));
+        visit("matchIndex", peer_fun(&self.match_index));
+    }
+}
+
+/// A per-peer index map as the specification's function `[j |-> v]`.
+fn peer_fun(map: &BTreeMap<NodeId, i64>) -> Value {
+    Value::fun(
+        map.iter()
+            .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v))),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mocket_dsnet::{Net, Storage};
-    use mocket_runtime::VarRegistry;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
-    /// its disk and registry at the same index.
+    /// its disk at the same index.
     struct Bed {
         config: (Vec<NodeId>, XraftBugs),
         net: Net<RaftMsg>,
         disks: Vec<Storage<Value>>,
-        vars: Vec<VarRegistry>,
         nodes: Vec<AsyncRaftNode>,
     }
 
@@ -635,7 +619,6 @@ mod tests {
             let mut bed = Bed {
                 net: Net::new(servers.iter().copied()),
                 disks: vec![Storage::default(); n as usize],
-                vars: vec![VarRegistry::default(); n as usize],
                 nodes: Vec::new(),
                 config: (servers, bugs),
             };
@@ -648,7 +631,6 @@ mod tests {
             NodeCx {
                 net: &mut self.net,
                 disk: &mut self.disks[i],
-                vars: &mut self.vars[i],
             }
         }
 
@@ -693,11 +675,11 @@ mod tests {
     fn election_produces_leader_with_noop() {
         let mut bed = Bed::new(2, XraftBugs::none());
         elect_node1(&mut bed);
-        assert_eq!(bed.nodes[0].role.get(), STATE_LEADER);
-        assert_eq!(*bed.nodes[0].current_term.get(), 2);
+        assert_eq!(bed.nodes[0].role, STATE_LEADER);
+        assert_eq!(bed.nodes[0].current_term, 2);
         assert_eq!(bed.nodes[0].log.len(), 1);
         assert!(bed.nodes[0].log[0].is_noop());
-        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
+        assert_eq!(bed.nodes[1].voted_for, Value::Int(1));
     }
 
     #[test]
@@ -711,7 +693,7 @@ mod tests {
         let resp = bed.head(1);
         bed.exec(1, "onAppendEntriesResult", vec![resp]);
         bed.exec(1, "advanceCommitIndex", vec![Value::Int(1)]);
-        assert_eq!(*bed.nodes[0].commit_index.get(), 1);
+        assert_eq!(bed.nodes[0].commit_index, 1);
     }
 
     #[test]
@@ -726,11 +708,7 @@ mod tests {
         let resp = bed.head(1);
         bed.exec(1, "onRequestVoteResult", vec![resp.clone()]);
         bed.exec(1, "onRequestVoteResult", vec![resp]);
-        assert_eq!(
-            *bed.nodes[0].votes_granted.get(),
-            2,
-            "self + node 2, deduplicated"
-        );
+        assert_eq!(bed.nodes[0].votes_granted, 2, "self + node 2, deduplicated");
     }
 
     #[test]
@@ -749,8 +727,7 @@ mod tests {
         bed.exec(1, "onRequestVoteResult", vec![resp.clone()]);
         bed.exec(1, "onRequestVoteResult", vec![resp]);
         assert_eq!(
-            *bed.nodes[0].votes_granted.get(),
-            3,
+            bed.nodes[0].votes_granted, 3,
             "the counter double-counts the duplicated grant"
         );
     }
@@ -762,11 +739,11 @@ mod tests {
         bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
         let req = bed.head(2);
         bed.exec(2, "onRequestVoteRpc", vec![req]);
-        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
+        assert_eq!(bed.nodes[1].voted_for, Value::Int(1));
         // Restart node 2.
         let node2 = bed.boot(2);
-        assert_eq!(node2.voted_for.get(), &Value::Int(1));
-        assert_eq!(*node2.current_term.get(), 2);
+        assert_eq!(node2.voted_for, Value::Int(1));
+        assert_eq!(node2.current_term, 2);
     }
 
     #[test]
@@ -780,11 +757,11 @@ mod tests {
         bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
         let req = bed.head(2);
         bed.exec(2, "onRequestVoteRpc", vec![req]);
-        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Int(1));
+        assert_eq!(bed.nodes[1].voted_for, Value::Int(1));
         let node2 = bed.boot(2);
         assert_eq!(
-            node2.voted_for.get(),
-            &Value::Nil,
+            node2.voted_for,
+            Value::Nil,
             "the vote was never made durable"
         );
     }
@@ -803,7 +780,6 @@ mod tests {
             node.become_follower_at(cx, 2);
             node.log.push(Entry::noop(2));
             node.persist_log(cx);
-            node.mirror_log(cx);
         });
         // Node 1: two timeouts to reach term 3.
         bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
@@ -813,7 +789,7 @@ mod tests {
         let events = bed.exec(2, "onRequestVoteRpc", vec![req]);
         // The buggy branch replied without recording the vote, through
         // the uninstrumented send: only the Receive event is reported.
-        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
+        assert_eq!(bed.nodes[1].voted_for, Value::Nil);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], MsgEvent::Receive { .. }));
         assert_eq!(bed.net.inbox(1).len(), 1, "the rogue response is in flight");
@@ -831,7 +807,7 @@ mod tests {
         bed.exec(1, "doRequestVote", vec![Value::Int(1), Value::Int(2)]);
         let req = bed.head(2);
         bed.exec(2, "onRequestVoteRpc", vec![req]);
-        assert_eq!(bed.nodes[1].voted_for.get(), &Value::Nil);
+        assert_eq!(bed.nodes[1].voted_for, Value::Nil);
         assert_eq!(bed.net.inbox(1).len(), 0, "no reply on rejection");
     }
 
@@ -847,10 +823,10 @@ mod tests {
         bed.exec(1, "doReplicateLog", vec![Value::Int(1), Value::Int(2)]);
         let req = bed.head(2);
         bed.exec(2, "onAppendEntriesRpc", vec![req]);
-        assert_eq!(bed.nodes[1].role.get(), STATE_FOLLOWER);
+        assert_eq!(bed.nodes[1].role, STATE_FOLLOWER);
         assert_eq!(
-            bed.nodes[1].voted_for.get(),
-            &Value::Int(2),
+            bed.nodes[1].voted_for,
+            Value::Int(2),
             "votedFor is preserved on return-to-follower"
         );
     }

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mocket_core::sut::MsgEvent;
 use mocket_dsnet::NodeId;
-use mocket_runtime::{NodeApp, NodeCx, Shadow};
+use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::bugs::SyncRaftBugs;
@@ -41,12 +41,12 @@ pub struct SyncRaftNode {
     /// official spec's independent `UpdateTerm` a *missing action*.
     expose_update_term: bool,
 
-    role: Shadow<String>,
-    term: Shadow<i64>,
-    voted_for: Shadow<Value>,
-    votes: Shadow<Value>,
+    role: &'static str,
+    term: i64,
+    voted_for: Value,
+    /// Who granted this candidate a vote; the mapped `votes` field.
     voters: BTreeSet<NodeId>,
-    commit: Shadow<i64>,
+    commit: i64,
     log: LogStore,
     next_index: BTreeMap<NodeId, i64>,
     match_index: BTreeMap<NodeId, i64>,
@@ -61,52 +61,20 @@ impl SyncRaftNode {
         self.servers.len() / 2 + 1
     }
 
-    fn mirror_log(&mut self, cx: &mut Cx<'_>) {
-        cx.vars.write("log", self.log.to_value());
-    }
-
-    fn mirror_indexes(&mut self, cx: &mut Cx<'_>) {
-        cx.vars.write(
-            "nextIndex",
-            Value::Fun(
-                self.next_index
-                    .iter()
-                    .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v)))
-                    .collect(),
-            ),
-        );
-        cx.vars.write(
-            "matchIndex",
-            Value::Fun(
-                self.match_index
-                    .iter()
-                    .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v)))
-                    .collect(),
-            ),
-        );
-    }
-
-    fn set_votes(&mut self, cx: &mut Cx<'_>) {
-        self.votes.set(
-            cx.vars,
-            Value::set(self.voters.iter().map(|&v| Value::Int(v as i64))),
-        );
-    }
-
     fn persist_term(&self, cx: &mut Cx<'_>) {
-        cx.disk.put("term", Value::Int(*self.term.get()));
+        cx.disk.put("term", Value::Int(self.term));
     }
 
     fn persist_vote(&self, cx: &mut Cx<'_>) {
-        cx.disk.put("votedFor", self.voted_for.get().clone());
+        cx.disk.put("votedFor", self.voted_for.clone());
     }
 
     /// Raft-java's `stepDown`: adopt a higher term as follower.
     fn step_down(&mut self, cx: &mut Cx<'_>, term: i64) {
-        self.term.set(cx.vars, term);
+        self.term = term;
         self.persist_term(cx);
-        self.role.set(cx.vars, ROLE_FOLLOWER.to_string());
-        self.voted_for.set(cx.vars, Value::Nil);
+        self.role = ROLE_FOLLOWER;
+        self.voted_for = Value::Nil;
         self.persist_vote(cx);
         self.vote_reply_seen = false;
     }
@@ -136,15 +104,13 @@ impl SyncRaftNode {
     // ------------------------------------------------------------------
 
     fn election_timer(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
-        let term = *self.term.get() + 1;
-        self.term.set(cx.vars, term);
+        self.term += 1;
         self.persist_term(cx);
-        self.role.set(cx.vars, ROLE_CANDIDATE.to_string());
-        self.voted_for.set(cx.vars, Value::Int(self.id as i64));
+        self.role = ROLE_CANDIDATE;
+        self.voted_for = Value::Int(self.id as i64);
         self.persist_vote(cx);
         self.voters.clear();
         self.voters.insert(self.id);
-        self.set_votes(cx);
         self.vote_reply_seen = false;
         Vec::new()
     }
@@ -153,7 +119,7 @@ impl SyncRaftNode {
         vec![self.send(
             cx,
             Rpc::VoteCall {
-                term: *self.term.get(),
+                term: self.term,
                 last_log_term: self.log.last_term(),
                 last_log_index: self.log.len(),
                 from: self.id,
@@ -180,21 +146,20 @@ impl SyncRaftNode {
         else {
             return events;
         };
-        if term > *self.term.get() {
+        if term > self.term {
             self.step_down(cx, term);
         }
-        if term < *self.term.get() {
+        if term < self.term {
             return events;
         }
-        let free =
-            self.voted_for.get() == &Value::Nil || self.voted_for.get() == &Value::Int(from as i64);
+        let free = self.voted_for == Value::Nil || self.voted_for == Value::Int(from as i64);
         if free && self.log_up_to_date(last_log_term, last_log_index) {
-            self.voted_for.set(cx.vars, Value::Int(from as i64));
+            self.voted_for = Value::Int(from as i64);
             self.persist_vote(cx);
             events.push(self.send(
                 cx,
                 Rpc::VoteReply {
-                    term: *self.term.get(),
+                    term: self.term,
                     granted: true,
                     from: self.id,
                     to: from,
@@ -221,29 +186,26 @@ impl SyncRaftNode {
         else {
             return events;
         };
-        if granted && self.role.get() == ROLE_CANDIDATE && term == *self.term.get() {
+        if granted && self.role == ROLE_CANDIDATE && term == self.term {
             self.voters.insert(from);
-            self.set_votes(cx);
             self.vote_reply_seen = true;
         }
         events
     }
 
-    fn elect_leader(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
-        self.role.set(cx.vars, ROLE_LEADER.to_string());
+    fn elect_leader(&mut self) -> Vec<MsgEvent> {
+        self.role = ROLE_LEADER;
         let next = self.log.len() + 1;
         for &j in &self.servers.clone() {
             self.next_index.insert(j, next);
             self.match_index.insert(j, 0);
         }
-        self.mirror_indexes(cx);
         Vec::new()
     }
 
     fn client_write(&mut self, cx: &mut Cx<'_>, datum: i64) -> Vec<MsgEvent> {
-        let term = *self.term.get();
+        let term = self.term;
         self.log.append(cx.disk, LogEntry { term, data: datum });
-        self.mirror_log(cx);
         Vec::new()
     }
 
@@ -252,11 +214,11 @@ impl SyncRaftNode {
         let prev_index = next - 1;
         let prev_term = self.log.term_at(prev_index);
         let entries: Vec<LogEntry> = self.log.get(next).cloned().into_iter().collect();
-        let commit = (*self.commit.get()).min(prev_index + entries.len() as i64);
+        let commit = self.commit.min(prev_index + entries.len() as i64);
         vec![self.send(
             cx,
             Rpc::AppendCall {
-                term: *self.term.get(),
+                term: self.term,
                 prev_index,
                 prev_term,
                 entries,
@@ -287,10 +249,10 @@ impl SyncRaftNode {
         else {
             return events;
         };
-        if term > *self.term.get() {
+        if term > self.term {
             self.step_down(cx, term);
         }
-        let my_term = *self.term.get();
+        let my_term = self.term;
         if term < my_term {
             events.push(self.send(
                 cx,
@@ -304,11 +266,11 @@ impl SyncRaftNode {
             ));
             return events;
         }
-        if self.role.get() == ROLE_CANDIDATE {
+        if self.role == ROLE_CANDIDATE {
             // Same-term leader exists: back to follower, keep the vote.
-            self.role.set(cx.vars, ROLE_FOLLOWER.to_string());
+            self.role = ROLE_FOLLOWER;
         }
-        if self.role.get() == ROLE_LEADER {
+        if self.role == ROLE_LEADER {
             return events;
         }
         let log_ok = prev_index == 0
@@ -327,10 +289,8 @@ impl SyncRaftNode {
             return events;
         }
         self.log.splice(cx.disk, prev_index, &entries);
-        self.mirror_log(cx);
         let match_len = prev_index + entries.len() as i64;
-        let new_commit = (*self.commit.get()).max(commit.min(self.log.len()));
-        self.commit.set(cx.vars, new_commit);
+        self.commit = self.commit.max(commit.min(self.log.len()));
         events.push(self.send(
             cx,
             Rpc::AppendReply {
@@ -362,7 +322,7 @@ impl SyncRaftNode {
         else {
             return events;
         };
-        if self.role.get() == ROLE_LEADER && term == *self.term.get() {
+        if self.role == ROLE_LEADER && term == self.term {
             if ok {
                 self.next_index.insert(from, match_index + 1);
                 self.match_index.insert(from, match_index);
@@ -370,21 +330,20 @@ impl SyncRaftNode {
                 let cur = self.next_index[&from];
                 self.next_index.insert(from, (cur - 1).max(1));
             }
-            self.mirror_indexes(cx);
         }
         events
     }
 
-    fn advance_commit(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
+    fn advance_commit(&mut self) -> Vec<MsgEvent> {
         if let Some(best) = self.computable_commit() {
-            self.commit.set(cx.vars, best);
+            self.commit = best;
         }
         Vec::new()
     }
 
     fn computable_commit(&self) -> Option<i64> {
-        let commit = *self.commit.get();
-        let my_term = *self.term.get();
+        let commit = self.commit;
+        let my_term = self.term;
         let mut best = commit;
         for n in (commit + 1)..=self.log.len() {
             if self.log.term_at(n) != my_term {
@@ -415,14 +374,13 @@ impl NodeApp for SyncRaftNode {
         let term = cx.disk.get("term").and_then(Value::as_int).unwrap_or(1);
         let voted_for = cx.disk.get("votedFor").cloned().unwrap_or(Value::Nil);
         let log = LogStore::open(cx.disk, bugs.log_truncation_bug);
-        let mut node = SyncRaftNode {
+        SyncRaftNode {
             id,
-            role: Shadow::new("role", ROLE_FOLLOWER.to_string(), cx.vars),
-            term: Shadow::new("term", term, cx.vars),
-            voted_for: Shadow::new("votedFor", voted_for, cx.vars),
-            votes: Shadow::new("votes", Value::empty_set(), cx.vars),
+            role: ROLE_FOLLOWER,
+            term,
+            voted_for,
             voters: BTreeSet::new(),
-            commit: Shadow::new("commitIndex", 0, cx.vars),
+            commit: 0,
             log,
             next_index: servers.iter().map(|&j| (j, 1)).collect(),
             match_index: servers.iter().map(|&j| (j, 0)).collect(),
@@ -430,16 +388,13 @@ impl NodeApp for SyncRaftNode {
             servers,
             bugs,
             expose_update_term,
-        };
-        node.mirror_log(cx);
-        node.mirror_indexes(cx);
-        node
+        }
     }
 
     fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
-        let role = self.role.get().clone();
+        let role = self.role;
 
         if role != ROLE_LEADER {
             offers.push(ActionInstance::new("electionTimer", vec![me.clone()]));
@@ -460,8 +415,7 @@ impl NodeApp for SyncRaftNode {
         if role == ROLE_LEADER {
             for &j in &self.servers {
                 if j != self.id
-                    && (self.log.len() >= self.next_index[&j]
-                        || *self.commit.get() > self.match_index[&j])
+                    && (self.log.len() >= self.next_index[&j] || self.commit > self.match_index[&j])
                 {
                     offers.push(ActionInstance::new(
                         "sendEntries",
@@ -498,7 +452,7 @@ impl NodeApp for SyncRaftNode {
             // adapter exposes it.
             if self.expose_update_term {
                 let mterm = env.msg.to_value().expect_field("mterm").expect_int();
-                if mterm > *self.term.get() {
+                if mterm > self.term {
                     let offer = ActionInstance::new("stepDown", vec![env.msg.to_value()]);
                     if !offers.contains(&offer) {
                         offers.push(offer);
@@ -517,12 +471,12 @@ impl NodeApp for SyncRaftNode {
             }
             "onVoteRequest" => self.on_vote_request(cx, &action.params[0]),
             "onVoteReply" => self.on_vote_reply(cx, &action.params[0]),
-            "electLeader" => self.elect_leader(cx),
+            "electLeader" => self.elect_leader(),
             "clientWrite" => self.client_write(cx, action.params[0].expect_int()),
             "sendEntries" => self.send_entries(cx, action.params[1].expect_int() as NodeId),
             "onAppendEntries" => self.on_append_entries(cx, &action.params[0]),
             "onAppendReply" => self.on_append_reply(cx, &action.params[0]),
-            "advanceCommit" => self.advance_commit(cx),
+            "advanceCommit" => self.advance_commit(),
             // Scheduling the stepDown region runs the *whole* handler
             // it lives in — the implementation cannot update the term
             // without also processing the message, which is exactly
@@ -539,20 +493,40 @@ impl NodeApp for SyncRaftNode {
             other => panic!("unknown action {other}"),
         }
     }
+
+    fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+        visit("role", Value::str(self.role));
+        visit("term", Value::Int(self.term));
+        visit("votedFor", self.voted_for.clone());
+        visit(
+            "votes",
+            Value::set(self.voters.iter().map(|&v| Value::Int(v as i64))),
+        );
+        visit("log", self.log.to_value());
+        visit("commitIndex", Value::Int(self.commit));
+        visit("nextIndex", peer_fun(&self.next_index));
+        visit("matchIndex", peer_fun(&self.match_index));
+    }
+}
+
+/// A per-peer index map as the specification's function `[j |-> v]`.
+fn peer_fun(map: &BTreeMap<NodeId, i64>) -> Value {
+    Value::fun(
+        map.iter()
+            .map(|(&j, &v)| (Value::Int(j as i64), Value::Int(v))),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mocket_dsnet::{Net, Storage};
-    use mocket_runtime::VarRegistry;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
-    /// its disk and registry at the same index.
+    /// its disk at the same index.
     struct Bed {
         net: Net<Rpc>,
         disks: Vec<Storage<Value>>,
-        vars: Vec<VarRegistry>,
         nodes: Vec<SyncRaftNode>,
     }
 
@@ -563,7 +537,6 @@ mod tests {
             let mut bed = Bed {
                 net: Net::new(servers.iter().copied()),
                 disks: vec![Storage::default(); n as usize],
-                vars: vec![VarRegistry::default(); n as usize],
                 nodes: Vec::new(),
             };
             for id in servers {
@@ -578,7 +551,6 @@ mod tests {
             NodeCx {
                 net: &mut self.net,
                 disk: &mut self.disks[i],
-                vars: &mut self.vars[i],
             }
         }
 
@@ -612,7 +584,7 @@ mod tests {
         let reply = bed.head(1);
         bed.exec(1, "onVoteReply", vec![reply]);
         bed.exec(1, "electLeader", vec![Value::Int(1)]);
-        assert_eq!(bed.nodes[0].role.get(), ROLE_LEADER);
+        assert_eq!(bed.nodes[0].role, ROLE_LEADER);
         assert!(bed.nodes[0].log.is_empty(), "Raft-java appends no NoOp");
     }
 
@@ -672,13 +644,12 @@ mod tests {
         bed.on(2, |node, cx| {
             node.step_down(cx, 2);
             node.log.append(cx.disk, LogEntry { term: 2, data: 1 });
-            node.mirror_log(cx);
         });
         // Node 1 leads term 3 and ships a conflicting entry.
         bed.exec(1, "electionTimer", vec![Value::Int(1)]);
         bed.exec(1, "electionTimer", vec![Value::Int(1)]);
         bed.on(1, |node, cx| {
-            node.elect_leader(cx);
+            node.elect_leader();
             node.client_write(cx, 9);
         });
         bed.exec(1, "sendEntries", vec![Value::Int(1), Value::Int(2)]);
@@ -698,12 +669,11 @@ mod tests {
         bed.on(2, |node, cx| {
             node.step_down(cx, 2);
             node.log.append(cx.disk, LogEntry { term: 2, data: 1 });
-            node.mirror_log(cx);
         });
         bed.exec(1, "electionTimer", vec![Value::Int(1)]);
         bed.exec(1, "electionTimer", vec![Value::Int(1)]);
         bed.on(1, |node, cx| {
-            node.elect_leader(cx);
+            node.elect_leader();
             node.client_write(cx, 9);
         });
         bed.exec(1, "sendEntries", vec![Value::Int(1), Value::Int(2)]);

@@ -2,28 +2,29 @@
 //!
 //! The paper's testbed (§4.3, §6.2) drives a deployed cluster one
 //! action at a time: ask every node for the actions it is blocked on
-//! (`notifyAndBlock`), release one (`Execute`), read its shadow
+//! (`notifyAndBlock`), release one (`Execute`), read its mapped
 //! variables (`checkAllStates`). Nothing in that protocol runs two
 //! nodes at once, so a deployment is one owned value, the *world*:
-//! the nodes, the network, and each node's durable storage and shadow
-//! registry. A node is a handler over its own state ([`NodeApp`]);
-//! each step lends it a [`NodeCx`] through which it sends, reads its
-//! inbox, persists and writes its shadow cells. Crash drops the node;
-//! restart boots a fresh incarnation from the world's config —
-//! whatever the application persisted in its storage survives,
-//! nothing else does. Copying the cluster copies the deployment.
+//! the nodes, the network and each node's durable storage. A node is a
+//! handler over its own state ([`NodeApp`]); each step lends it a
+//! [`NodeCx`] through which it sends, reads its inbox and persists.
+//! Crash marks the node down; restart boots a fresh incarnation from
+//! the world's config — whatever the application persisted in its
+//! storage survives, nothing else does. Copying the cluster copies the
+//! deployment.
 //!
 //! **One step, one dispatch.** Every node step — an offer poll or an
 //! execution — runs inline on the calling thread, under
-//! `catch_unwind` in `World::step`. A snapshot reads the registries
-//! straight into the aggregate, one clone per shadow value. The
-//! cluster spawns no thread and keeps no timeout.
+//! `catch_unwind` in `World::step`. A snapshot reads every node's
+//! fields between steps through [`NodeApp::project`]: nothing runs
+//! while it reads, so the paper's per-write shadow copies are not
+//! needed. The cluster spawns no thread and keeps no timeout.
 //!
 //! **Panic isolation.** A node panicking inside application code must
 //! not tear the harness down: the unwind is caught and reported as a
-//! structured [`SutError::NodeDeath`], the node leaves the world, its
-//! shadow values stay readable in its registry until a restart resets
-//! them, and the rest of the cluster keeps answering.
+//! structured [`SutError::NodeDeath`], the node is marked down with
+//! its last values still readable until a restart replaces it, and the
+//! rest of the cluster keeps answering.
 //!
 //! **Watchdog.** A hang costs the case, not the step. The runner
 //! drives a case on its own case thread that owns the deployment
@@ -57,28 +58,24 @@ use mocket_obs::causal::Tracer;
 use mocket_sim::{SimClock, SimHandle, SimRng};
 use mocket_tla::{ActionInstance, Value};
 
-use crate::registry::VarRegistry;
-
 /// A node identifier (matches `dsnet::NodeId`).
 pub type NodeId = u64;
 
 /// What one node step reaches beyond the node's own state: the
-/// deployment's network, the node's durable storage and its shadow
-/// registry.
+/// deployment's network and the node's durable storage.
 pub struct NodeCx<'a, M> {
     /// The network every node of the deployment sends over.
     pub net: &'a mut Net<M>,
     /// This node's storage; it survives crashes and restarts.
     pub disk: &'a mut Storage<Value>,
-    /// This node's shadow registry (write it through `Shadow` cells).
-    pub vars: &'a mut VarRegistry,
 }
 
 /// The application logic of one node.
 ///
 /// Implementations are the real protocol code (Raft, ZAB): `enabled`
 /// is the set of actions the node's threads are currently blocked on;
-/// `execute` runs one of them to completion.
+/// `execute` runs one of them to completion; `project` shows the
+/// checker the node's mapped fields.
 pub trait NodeApp: Clone + Send + 'static {
     /// The message type of the deployment's network.
     type Msg: Clone + Send + 'static;
@@ -86,8 +83,7 @@ pub trait NodeApp: Clone + Send + 'static {
     /// switches).
     type Config: Clone + Send + 'static;
 
-    /// Boots an incarnation of `id`, recovering from `cx.disk` and
-    /// mirroring its initial shadow values into `cx.vars`.
+    /// Boots an incarnation of `id`, recovering from `cx.disk`.
     fn boot(id: NodeId, config: &Self::Config, cx: &mut NodeCx<'_, Self::Msg>) -> Self;
 
     /// The actions this node is currently blocked on (implementation
@@ -97,6 +93,11 @@ pub trait NodeApp: Clone + Send + 'static {
     /// Executes one action, returning the reported message events.
     fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, Self::Msg>)
         -> Vec<MsgEvent>;
+
+    /// Visits every mapped field as `(impl name, value)`: exactly the
+    /// class-field names the protocol's mapping maps, in any order.
+    /// The checker reads a node only through this, between steps.
+    fn project(&self, visit: impl FnMut(&'static str, Value));
 }
 
 thread_local! {
@@ -147,13 +148,15 @@ fn dispatch<T>(step: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// One node's slot in the world: the running incarnation, if any, and
-/// the storage and shadow registry that outlive it.
+/// One node's slot in the world: its latest incarnation, whether that
+/// incarnation is up, and the storage that outlives it. A crashed or
+/// panicked incarnation stays, down, so a snapshot still reads its
+/// last values until a restart replaces it.
 #[derive(Clone)]
 struct Host<N> {
-    app: Option<N>,
+    app: N,
+    up: bool,
     disk: Storage<Value>,
-    vars: VarRegistry,
 }
 
 /// Everything a deployment mutates, owned in one place.
@@ -166,44 +169,45 @@ struct World<N: NodeApp> {
 
 impl<N: NodeApp> World<N> {
     fn is_running(&self, id: NodeId) -> bool {
-        self.hosts.get(&id).is_some_and(|h| h.app.is_some())
+        self.hosts.get(&id).is_some_and(|h| h.up)
     }
 
-    /// Boots a fresh incarnation of deployed node `id` over its
-    /// surviving storage; the previous incarnation's shadow values are
-    /// dropped first. An id that was never deployed boots nothing.
-    fn boot(&mut self, id: NodeId) -> bool {
-        let Some(host) = self.hosts.get_mut(&id) else {
-            return false;
-        };
-        host.vars = VarRegistry::default();
+    /// Boots a fresh incarnation of `id` over its surviving storage, or
+    /// over an empty one if `id` is new; the previous incarnation, if
+    /// any, is dropped.
+    fn boot(&mut self, id: NodeId) {
+        let mut disk = self.hosts.remove(&id).map(|h| h.disk).unwrap_or_default();
         let mut cx = NodeCx {
             net: &mut self.net,
-            disk: &mut host.disk,
-            vars: &mut host.vars,
+            disk: &mut disk,
         };
-        host.app = Some(N::boot(id, &self.config, &mut cx));
-        true
+        let app = N::boot(id, &self.config, &mut cx);
+        let host = Host {
+            app,
+            up: true,
+            disk,
+        };
+        self.hosts.insert(id, host);
     }
 
     /// One step of running node `id` under `catch_unwind`, guarded by
-    /// the case watchdog. A node that panics leaves the world; its
-    /// shadow values stay.
+    /// the case watchdog. A node that panics goes down; its fields keep
+    /// whatever it wrote before the panic.
     fn step<T>(
         &mut self,
         id: NodeId,
         hook: impl FnOnce(&mut N, &mut NodeCx<'_, N::Msg>) -> T,
     ) -> Result<T, SutError> {
-        let Some(Host { app: Some(app), disk, vars }) = self.hosts.get_mut(&id) else {
+        let Some(Host { app, up: true, disk }) = self.hosts.get_mut(&id) else {
             return Err(SutError::NodeFailure { node: id, message: "not running".into() });
         };
-        let mut cx = NodeCx { net: &mut self.net, disk, vars };
+        let mut cx = NodeCx { net: &mut self.net, disk };
         let reason = match watchdog::guard(Some(id), || dispatch(|| hook(app, &mut cx))) {
             Ok(out) => return Ok(out),
             Err(reason) => reason,
         };
         if let Some(host) = self.hosts.get_mut(&id) {
-            host.app = None;
+            host.up = false;
         }
         Err(SutError::NodeDeath { node: id, reason })
     }
@@ -322,11 +326,6 @@ impl<N: NodeApp> Cluster<N> {
     /// Deploys (or restarts after shutdown) the given nodes.
     pub fn start(&mut self, ids: &[NodeId]) {
         for &id in ids {
-            self.world.hosts.entry(id).or_insert_with(|| Host {
-                app: None,
-                disk: Storage::default(),
-                vars: VarRegistry::default(),
-            });
             self.world.boot(id);
         }
     }
@@ -338,7 +337,7 @@ impl<N: NodeApp> Cluster<N> {
 
     /// The ids of running nodes.
     pub fn running(&self) -> Vec<NodeId> {
-        let running = self.world.hosts.iter().filter(|(_, h)| h.app.is_some());
+        let running = self.world.hosts.iter().filter(|(_, h)| h.up);
         running.map(|(&id, _)| id).collect()
     }
 
@@ -374,50 +373,53 @@ impl<N: NodeApp> Cluster<N> {
         result
     }
 
-    /// Aggregates every node's shadow variables into per-variable
-    /// functions `node id → value`, sorted by variable name, one clone
-    /// per shadow value. Reading a running node is one step; a crashed
-    /// node contributes the values it had when it went down — the
-    /// specification keeps modeling a crashed node's state.
+    /// Projects every node's mapped fields into per-variable functions
+    /// `node id → value`, sorted by variable name. Reading a running
+    /// node is one step; a crashed node contributes the values it had
+    /// when it went down — the specification keeps modeling a crashed
+    /// node's state.
     pub fn aggregate_snapshot(&mut self, all_ids: &[NodeId]) -> Vec<(String, Value)> {
         let mut vars = Vec::new();
         for &id in all_ids {
             let Some(host) = self.world.hosts.get(&id) else {
                 continue;
             };
-            if host.app.is_some() {
+            if host.up {
                 charge(&mut self.sim);
             }
-            host.vars.for_each(|name, value| {
+            host.app.project(|name, value| {
                 let at = vars.binary_search_by(|(n, _): &(String, Value)| n.as_str().cmp(name));
                 let i = at.unwrap_or_else(|i| {
                     vars.insert(i, (name.to_string(), Value::Fun(BTreeMap::new())));
                     i
                 });
                 if let Value::Fun(fun) = &mut vars[i].1 {
-                    fun.insert(Value::Int(id as i64), value.clone());
+                    fun.insert(Value::Int(id as i64), value);
                 }
             });
         }
         vars
     }
 
-    /// Kills `id` immediately (node-crash fault): dropping the node
-    /// *is* the crash — in-memory state gone, storage survives, and
-    /// its shadow values stay readable until it restarts.
+    /// Kills `id` immediately (node-crash fault): the node stops
+    /// stepping and its next boot starts from storage alone, while its
+    /// last values stay readable until it restarts.
     pub fn crash(&mut self, id: NodeId) {
         let host = self.world.hosts.get_mut(&id);
-        if host.and_then(|h| h.app.take()).is_some() {
+        if host.is_some_and(|h| std::mem::replace(&mut h.up, false)) {
             self.tracer.crash(id, self.vtime());
         }
     }
 
-    /// Restarts deployed node `id`: kill plus a fresh incarnation.
+    /// Restarts deployed node `id`: kill plus a fresh incarnation. An
+    /// id that was never deployed boots nothing.
     pub fn restart(&mut self, id: NodeId) {
-        self.crash(id);
-        if self.world.boot(id) {
-            self.tracer.restart(id, self.vtime());
+        if !self.is_member(id) {
+            return;
         }
+        self.crash(id);
+        self.world.boot(id);
+        self.tracer.restart(id, self.vtime());
     }
 
     /// Stops every node.
@@ -437,7 +439,6 @@ impl<N: NodeApp> Drop for Cluster<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Shadow;
     use crate::sutadapter::{ClusterSut, ScriptDriver};
     use mocket_core::mapping::{ActionBinding, MappingRegistry};
     use mocket_core::{run_test_case, Inconsistency, RunConfig, RunCtx, TestCase, TestOutcome};
@@ -462,33 +463,35 @@ mod tests {
     /// told to `boom`.
     #[derive(Clone)]
     struct CounterApp {
-        count: Shadow<i64>,
+        count: i64,
     }
 
     impl NodeApp for CounterApp {
         type Msg = u64;
         type Config = ();
 
-        fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
-            CounterApp {
-                count: Shadow::new("count", 0, cx.vars),
-            }
+        fn boot(_id: NodeId, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
+            CounterApp { count: 0 }
         }
 
         fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
-            if *self.count.get() < 3 {
+            if self.count < 3 {
                 vec![ActionInstance::nullary("bump")]
             } else {
                 vec![]
             }
         }
 
-        fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
+        fn execute(&mut self, action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
             if action.name == "boom" {
                 panic!("injected fault: boom");
             }
-            self.count.update(cx.vars, |c| c + 1);
+            self.count += 1;
             vec![]
+        }
+
+        fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+            visit("count", Value::Int(self.count));
         }
     }
 
@@ -496,7 +499,7 @@ mod tests {
         ActionInstance::nullary("bump")
     }
 
-    /// `id`'s shadow variables, read through a one-node aggregate.
+    /// `id`'s mapped variables, read through a one-node aggregate.
     fn vars_of<N: NodeApp>(c: &mut Cluster<N>, id: NodeId) -> Vec<(String, Value)> {
         let key = Value::Int(id as i64);
         c.aggregate_snapshot(&[id])
@@ -656,6 +659,8 @@ mod tests {
             self.ran_on.lock().unwrap().push(std::thread::current().id());
             vec![]
         }
+
+        fn project(&self, _visit: impl FnMut(&'static str, Value)) {}
     }
 
     /// Node code runs on the caller's thread: no step of an original
@@ -686,8 +691,7 @@ mod tests {
         type Msg = u64;
         type Config = ();
 
-        fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
-            Shadow::new("x", 0i64, cx.vars);
+        fn boot(_id: NodeId, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
             HangApp
         }
 
@@ -708,6 +712,10 @@ mod tests {
                     std::thread::park();
                 },
             }
+        }
+
+        fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+            visit("x", Value::Int(0));
         }
     }
 

@@ -94,36 +94,40 @@ pub fn run_random(
 mod tests {
     use super::*;
     use crate::cluster::{Backend, Cluster, NodeApp, NodeCx, NodeId};
-    use crate::registry::Shadow;
     use crate::sutadapter::{ClusterSut, ScriptDriver};
     use mocket_core::sut::MsgEvent;
     use mocket_dsnet::Net;
-    use mocket_tla::ActionInstance;
+    use mocket_tla::{ActionInstance, Value};
 
     #[derive(Clone)]
     struct StepApp {
-        n: Shadow<i64>,
+        n: i64,
     }
 
     impl NodeApp for StepApp {
         type Msg = u64;
         type Config = ();
 
-        fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
-            StepApp {
-                n: Shadow::new("n", 0, cx.vars),
-            }
+        fn boot(_id: NodeId, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
+            StepApp { n: 0 }
         }
         fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
-            if *self.n.get() < 5 {
+            if self.n < 5 {
                 vec![ActionInstance::nullary("a"), ActionInstance::nullary("b")]
             } else {
                 vec![]
             }
         }
-        fn execute(&mut self, _action: &ActionInstance, cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
-            self.n.update(cx.vars, |v| v + 1);
+        fn execute(
+            &mut self,
+            _action: &ActionInstance,
+            _cx: &mut NodeCx<'_, u64>,
+        ) -> Vec<MsgEvent> {
+            self.n += 1;
             vec![]
+        }
+        fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+            visit("n", Value::Int(self.n));
         }
     }
 

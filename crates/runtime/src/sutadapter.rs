@@ -56,7 +56,7 @@ impl<N: NodeApp> ExternalDriver<N> for ScriptDriver {
     ) -> Result<ExecReport, SutError> {
         match action.name.as_str() {
             "ClientRequest" => {
-                let leader = int_param(action, 0)? as NodeId;
+                let leader = member(cluster, action)?;
                 self.client_counter += 1;
                 let write =
                     ActionInstance::new(self.client_hook, vec![Value::Int(self.client_counter)]);
@@ -98,8 +98,9 @@ impl<N: NodeApp, D: ExternalDriver<N>> ClusterSut<N, D> {
     }
 }
 
-/// The node an external fault targets: parameter 0, which must name a
-/// deployed node — a fault on any other id would boot a phantom.
+/// The node an external action targets: parameter 0, which must name a
+/// deployed node — a fault on any other id would boot a phantom, and a
+/// client request would be charged to a node that never existed.
 fn member<N: NodeApp>(cluster: &Cluster<N>, action: &ActionInstance) -> Result<NodeId, SutError> {
     let id = int_param(action, 0)?;
     match NodeId::try_from(id) {
@@ -166,7 +167,6 @@ impl<N: NodeApp, D: ExternalDriver<N>> SystemUnderTest for ClusterSut<N, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Shadow;
     use crate::{Backend, NodeCx};
     use mocket_core::sut::MsgEvent;
     use mocket_dsnet::Net;
@@ -175,8 +175,8 @@ mod tests {
     /// (re)start and written back on each ping.
     #[derive(Clone)]
     struct PingApp {
-        pinged: Shadow<bool>,
-        count: Shadow<i64>,
+        pinged: bool,
+        count: i64,
     }
 
     impl NodeApp for PingApp {
@@ -184,15 +184,15 @@ mod tests {
         type Config = ();
 
         fn boot(_id: NodeId, _config: &(), cx: &mut NodeCx<'_, u64>) -> Self {
-            let recovered = cx.disk.get("count").and_then(Value::as_int).unwrap_or(0);
+            let count = cx.disk.get("count").and_then(Value::as_int).unwrap_or(0);
             PingApp {
-                pinged: Shadow::new("pinged", false, cx.vars),
-                count: Shadow::new("count", recovered, cx.vars),
+                pinged: false,
+                count,
             }
         }
 
         fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
-            if *self.pinged.get() {
+            if self.pinged {
                 vec![]
             } else {
                 vec![ActionInstance::nullary("ping")]
@@ -200,10 +200,15 @@ mod tests {
         }
 
         fn execute(&mut self, _action: &ActionInstance, cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
-            self.pinged.set(cx.vars, true);
-            self.count.update(cx.vars, |c| c + 1);
-            cx.disk.put("count", Value::Int(*self.count.get()));
+            self.pinged = true;
+            self.count += 1;
+            cx.disk.put("count", Value::Int(self.count));
             vec![]
+        }
+
+        fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+            visit("pinged", Value::Bool(self.pinged));
+            visit("count", Value::Int(self.count));
         }
     }
 
@@ -292,6 +297,33 @@ mod tests {
         let mut offering: Vec<u64> = s.offers().unwrap().iter().map(|o| o.node).collect();
         offering.dedup();
         assert_eq!(offering, [1, 2], "only deployed nodes offer actions");
+        s.teardown();
+    }
+
+    /// A client request to a node outside the membership fails before
+    /// it is counted or reaches the cluster; one to a crashed member
+    /// still reaches it and fails there.
+    #[test]
+    fn client_requests_to_undeployed_nodes_are_typed_errors() {
+        let mut s = sut();
+        s.deploy().unwrap();
+        for node in [-1, 9] {
+            match s.execute_external(&external("ClientRequest", node)) {
+                Err(SutError::External(msg)) => assert!(msg.ends_with("never deployed"), "{msg}"),
+                other => panic!("ClientRequest({node}): {other:?}"),
+            }
+        }
+        assert_eq!(
+            s.external.client_counter, 0,
+            "a refused request is not counted"
+        );
+        s.execute_external(&external("ClientRequest", 1)).unwrap();
+        assert_eq!(var_of(&mut s, "count", 1), Value::Int(1));
+        s.execute_external(&external("Crash", 2)).unwrap();
+        assert!(matches!(
+            s.execute_external(&external("ClientRequest", 2)),
+            Err(SutError::NodeFailure { node: 2, .. })
+        ));
         s.teardown();
     }
 

@@ -16,7 +16,7 @@ use crate::value::Value;
 /// The purpose of a variable in the specification (§4.1.1).
 ///
 /// The class determines how Mocket maps the variable onto the
-/// implementation: state-related variables map to shadow fields,
+/// implementation: state-related variables map to node fields,
 /// message-related variables map to testbed message pools, and action
 /// counters / auxiliary variables are not mapped at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mocket_core::sut::MsgEvent;
 use mocket_dsnet::NodeId;
-use mocket_runtime::{NodeApp, NodeCx, Shadow};
+use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
 use crate::bugs::ZabBugs;
@@ -37,14 +37,14 @@ pub struct ZabNode {
     /// an action.
     broken: bool,
 
-    state: Shadow<String>,
-    current_vote: Shadow<Value>,
+    state: &'static str,
+    current_vote: Option<ZVote>,
     recv_set: BTreeMap<NodeId, ZVote>,
-    following: Shadow<Value>,
-    accepted_epoch: Shadow<i64>,
-    current_epoch: Shadow<i64>,
+    following: Value,
+    accepted_epoch: i64,
+    current_epoch: i64,
     history: Vec<ZEntry>,
-    last_committed: Shadow<i64>,
+    last_committed: i64,
     synced_set: BTreeSet<NodeId>,
     epoch_ack_set: BTreeSet<NodeId>,
     ack_set: BTreeSet<NodeId>,
@@ -57,30 +57,6 @@ impl ZabNode {
 
     fn last_zxid(&self) -> i64 {
         self.history.last().map(|e| e.zxid).unwrap_or(0)
-    }
-
-    fn mirror_collections(&mut self, cx: &mut Cx<'_>) {
-        cx.vars.write(
-            "recvSet",
-            Value::Fun(
-                self.recv_set
-                    .iter()
-                    .map(|(&j, v)| (Value::Int(j as i64), v.to_value()))
-                    .collect(),
-            ),
-        );
-        cx.vars.write(
-            "dataLog",
-            Value::seq(self.history.iter().map(ZEntry::to_value)),
-        );
-        for (name, set) in [
-            ("syncedSet", &self.synced_set),
-            ("epochAckSet", &self.epoch_ack_set),
-            ("ackSet", &self.ack_set),
-        ] {
-            cx.vars
-                .write(name, Value::set(set.iter().map(|&j| Value::Int(j as i64))));
-        }
     }
 
     fn persist_history(&self, cx: &mut Cx<'_>) {
@@ -123,36 +99,23 @@ impl ZabNode {
         }
     }
 
-    fn my_vote(&self) -> Option<ZVote> {
-        self.current_vote.get().as_record().map(|r| ZVote {
-            leader: r["vleader"].expect_int(),
-            zxid: r["vzxid"].expect_int(),
-        })
-    }
-
-    fn set_vote(&mut self, cx: &mut Cx<'_>, v: Option<ZVote>) {
-        self.current_vote
-            .set(cx.vars, v.map(|v| v.to_value()).unwrap_or(Value::Nil));
-    }
-
     // ------------------------------------------------------------------
     // Handlers.
     // ------------------------------------------------------------------
 
-    fn look_for_leader(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
+    fn look_for_leader(&mut self) -> Vec<MsgEvent> {
         let v = ZVote {
             leader: self.id as i64,
             zxid: self.last_zxid(),
         };
-        self.set_vote(cx, Some(v.clone()));
+        self.current_vote = Some(v.clone());
         self.recv_set.clear();
         self.recv_set.insert(self.id, v);
-        self.mirror_collections(cx);
         Vec::new()
     }
 
     fn send_notification(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
-        let Some(vote) = self.my_vote() else {
+        let Some(vote) = self.current_vote.clone() else {
             return Vec::new();
         };
         // Plain send: the scheduler only releases this action when the
@@ -176,10 +139,10 @@ impl ZabNode {
         let ZabMsg::Vote { vote, from, .. } = msg else {
             return events;
         };
-        if self.state.get() != LOOKING {
+        if self.state != LOOKING {
             // Answer with the decided vote so late joiners find the
             // leader.
-            if let Some(mine) = self.my_vote() {
+            if let Some(mine) = self.current_vote.clone() {
                 events.extend(self.send_deduped(
                     cx,
                     ZabMsg::Vote {
@@ -191,15 +154,14 @@ impl ZabNode {
             }
             return events;
         }
-        let Some(mine) = self.my_vote() else {
+        let Some(mine) = self.current_vote.clone() else {
             // Election not started here yet: record only.
             self.recv_set.insert(from, vote);
-            self.mirror_collections(cx);
             return events;
         };
         self.recv_set.insert(from, vote.clone());
         if vote.beats(&mine) {
-            self.set_vote(cx, Some(vote.clone()));
+            self.current_vote = Some(vote.clone());
             self.recv_set.insert(self.id, vote);
         } else if vote == mine && self.bugs.election_echo_storm {
             // ZooKeeper bug #1 (ZOOKEEPER-1419 analog): on an agreeing
@@ -224,25 +186,24 @@ impl ZabNode {
                 }
             }
         }
-        self.mirror_collections(cx);
         events
     }
 
-    fn finish_election(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
-        let Some(mine) = self.my_vote() else {
+    fn finish_election(&mut self) -> Vec<MsgEvent> {
+        let Some(mine) = self.current_vote.clone() else {
             return Vec::new();
         };
-        self.following.set(cx.vars, Value::Int(mine.leader));
+        self.following = Value::Int(mine.leader);
         if mine.leader == self.id as i64 {
-            self.state.set(cx.vars, LEADING.to_string());
+            self.state = LEADING;
         } else {
-            self.state.set(cx.vars, FOLLOWING.to_string());
+            self.state = FOLLOWING;
         }
         Vec::new()
     }
 
     fn propose_new_epoch(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
-        let epoch = *self.current_epoch.get() + 1;
+        let epoch = self.current_epoch + 1;
         self.send_deduped(
             cx,
             ZabMsg::NewEpoch {
@@ -263,11 +224,11 @@ impl ZabNode {
         let ZabMsg::NewEpoch { epoch, from, .. } = msg else {
             return events;
         };
-        if epoch < *self.accepted_epoch.get() {
+        if epoch < self.accepted_epoch {
             return events;
         }
         // Durably accept the epoch, then acknowledge.
-        self.accepted_epoch.set(cx.vars, epoch);
+        self.accepted_epoch = epoch;
         cx.disk.put("acceptedEpoch", Value::Int(epoch));
         events.extend(self.send_deduped(
             cx,
@@ -290,7 +251,6 @@ impl ZabNode {
             return events;
         };
         self.epoch_ack_set.insert(from);
-        self.mirror_collections(cx);
         events.extend(self.send_deduped(
             cx,
             ZabMsg::NewLeader {
@@ -321,14 +281,13 @@ impl ZabNode {
         // conformant implementation also updates the second epoch
         // file (the marker); the seeded ZOOKEEPER-1653 race skips it,
         // which the startup sanity check later trips over.
-        self.current_epoch.set(cx.vars, epoch);
+        self.current_epoch = epoch;
         cx.disk.put("currentEpoch", Value::Int(epoch));
         if !self.bugs.epoch_marker_race {
             cx.disk.put("epochMarker", Value::Int(epoch));
         }
         self.history = history;
         self.persist_history(cx);
-        self.mirror_collections(cx);
         events.extend(self.send_deduped(
             cx,
             ZabMsg::AckLd {
@@ -349,8 +308,7 @@ impl ZabNode {
             return events;
         };
         self.synced_set.insert(from);
-        self.mirror_collections(cx);
-        self.current_epoch.set(cx.vars, epoch);
+        self.current_epoch = epoch;
         cx.disk.put("currentEpoch", Value::Int(epoch));
         if !self.bugs.epoch_marker_race {
             cx.disk.put("epochMarker", Value::Int(epoch));
@@ -359,12 +317,11 @@ impl ZabNode {
     }
 
     fn create_znode(&mut self, cx: &mut Cx<'_>, datum: i64) -> Vec<MsgEvent> {
-        let zxid = *self.current_epoch.get() * 100 + datum;
+        let zxid = self.current_epoch * 100 + datum;
         self.history.push(ZEntry { zxid, value: datum });
         self.persist_history(cx);
         self.ack_set.clear();
         self.ack_set.insert(self.id);
-        self.mirror_collections(cx);
         Vec::new()
     }
 
@@ -396,7 +353,6 @@ impl ZabNode {
         if self.last_zxid() < zxid {
             self.history.push(entry);
             self.persist_history(cx);
-            self.mirror_collections(cx);
         }
         events.extend(self.send_deduped(
             cx,
@@ -418,19 +374,18 @@ impl ZabNode {
             return events;
         };
         self.ack_set.insert(from);
-        self.mirror_collections(cx);
         events
     }
 
     fn commit_proposal(&mut self, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         let zxid = self.last_zxid();
-        self.last_committed.set(cx.vars, zxid);
+        self.last_committed = zxid;
         cx.disk.put("lastCommitted", Value::Int(zxid));
         Vec::new()
     }
 
     fn send_commit(&mut self, cx: &mut Cx<'_>, peer: NodeId) -> Vec<MsgEvent> {
-        let zxid = *self.last_committed.get();
+        let zxid = self.last_committed;
         self.send_deduped(
             cx,
             ZabMsg::Commit {
@@ -451,10 +406,9 @@ impl ZabNode {
         let ZabMsg::Commit { zxid, .. } = msg else {
             return events;
         };
-        let cur = *self.last_committed.get();
-        let new = cur.max(zxid);
-        self.last_committed.set(cx.vars, new);
-        cx.disk.put("lastCommitted", Value::Int(new));
+        self.last_committed = self.last_committed.max(zxid);
+        cx.disk
+            .put("lastCommitted", Value::Int(self.last_committed));
         events
     }
 }
@@ -503,25 +457,23 @@ impl NodeApp for ZabNode {
         // and never joins an election (ZOOKEEPER-1653).
         let broken = current != marker;
 
-        let mut node = ZabNode {
+        ZabNode {
             id,
-            state: Shadow::new("zkState", LOOKING.to_string(), cx.vars),
-            current_vote: Shadow::new("currentVote", Value::Nil, cx.vars),
+            state: LOOKING,
+            current_vote: None,
             recv_set: BTreeMap::new(),
-            following: Shadow::new("following", Value::Nil, cx.vars),
-            accepted_epoch: Shadow::new("acceptedEpoch", accepted, cx.vars),
-            current_epoch: Shadow::new("currentEpoch", current, cx.vars),
+            following: Value::Nil,
+            accepted_epoch: accepted,
+            current_epoch: current,
             history,
-            last_committed: Shadow::new("lastCommitted", committed, cx.vars),
+            last_committed: committed,
             synced_set: BTreeSet::new(),
             epoch_ack_set: BTreeSet::new(),
             ack_set: BTreeSet::new(),
             servers: servers.clone(),
             bugs: bugs.clone(),
             broken,
-        };
-        node.mirror_collections(cx);
-        node
+        }
     }
 
     fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
@@ -531,12 +483,12 @@ impl NodeApp for ZabNode {
         }
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
-        let state = self.state.get().clone();
+        let state = self.state;
 
-        if state == LOOKING && self.current_vote.get() == &Value::Nil {
+        if state == LOOKING && self.current_vote.is_none() {
             offers.push(ActionInstance::new("lookForLeader", vec![me.clone()]));
         }
-        if state == LOOKING && self.current_vote.get() != &Value::Nil {
+        if let (LOOKING, Some(mine)) = (state, &self.current_vote) {
             for &j in &self.servers {
                 if j != self.id {
                     offers.push(ActionInstance::new(
@@ -545,11 +497,9 @@ impl NodeApp for ZabNode {
                     ));
                 }
             }
-            if let Some(mine) = self.my_vote() {
-                let agreeing = self.recv_set.values().filter(|v| **v == mine).count();
-                if agreeing >= self.quorum() {
-                    offers.push(ActionInstance::new("finishElection", vec![me.clone()]));
-                }
+            let agreeing = self.recv_set.values().filter(|v| *v == mine).count();
+            if agreeing >= self.quorum() {
+                offers.push(ActionInstance::new("finishElection", vec![me.clone()]));
             }
         }
         if state == LEADING {
@@ -563,22 +513,21 @@ impl NodeApp for ZabNode {
                         vec![me.clone(), Value::Int(j as i64)],
                     ));
                 }
-                let outstanding = self.last_zxid() > *self.last_committed.get();
+                let outstanding = self.last_zxid() > self.last_committed;
                 if self.synced_set.contains(&j) && outstanding {
                     offers.push(ActionInstance::new(
                         "sendProposal",
                         vec![me.clone(), Value::Int(j as i64)],
                     ));
                 }
-                if self.synced_set.contains(&j) && *self.last_committed.get() > 0 {
+                if self.synced_set.contains(&j) && self.last_committed > 0 {
                     offers.push(ActionInstance::new(
                         "sendCommitMsg",
                         vec![me.clone(), Value::Int(j as i64)],
                     ));
                 }
             }
-            if self.last_zxid() > *self.last_committed.get() && self.ack_set.len() >= self.quorum()
-            {
+            if self.last_zxid() > self.last_committed && self.ack_set.len() >= self.quorum() {
                 offers.push(ActionInstance::new("commitProposal", vec![me.clone()]));
             }
         }
@@ -603,12 +552,12 @@ impl NodeApp for ZabNode {
 
     fn execute(&mut self, action: &ActionInstance, cx: &mut Cx<'_>) -> Vec<MsgEvent> {
         match action.name.as_str() {
-            "lookForLeader" => self.look_for_leader(cx),
+            "lookForLeader" => self.look_for_leader(),
             "sendNotification" => {
                 self.send_notification(cx, action.params[1].expect_int() as NodeId)
             }
             "handleNotification" => self.handle_notification(cx, &action.params[0]),
-            "finishElection" => self.finish_election(cx),
+            "finishElection" => self.finish_election(),
             "proposeNewEpoch" => {
                 self.propose_new_epoch(cx, action.params[1].expect_int() as NodeId)
             }
@@ -626,21 +575,46 @@ impl NodeApp for ZabNode {
             other => panic!("unknown action {other}"),
         }
     }
+
+    fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+        let ids = |set: &BTreeSet<NodeId>| Value::set(set.iter().map(|&j| Value::Int(j as i64)));
+        let votes = self
+            .recv_set
+            .iter()
+            .map(|(&j, v)| (Value::Int(j as i64), v.to_value()));
+        visit("zkState", Value::str(self.state));
+        visit(
+            "currentVote",
+            self.current_vote
+                .as_ref()
+                .map_or(Value::Nil, ZVote::to_value),
+        );
+        visit("recvSet", Value::fun(votes));
+        visit("following", self.following.clone());
+        visit("acceptedEpoch", Value::Int(self.accepted_epoch));
+        visit("currentEpoch", Value::Int(self.current_epoch));
+        visit(
+            "dataLog",
+            Value::seq(self.history.iter().map(ZEntry::to_value)),
+        );
+        visit("lastCommitted", Value::Int(self.last_committed));
+        visit("syncedSet", ids(&self.synced_set));
+        visit("epochAckSet", ids(&self.epoch_ack_set));
+        visit("ackSet", ids(&self.ack_set));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mocket_dsnet::{Net, Storage};
-    use mocket_runtime::VarRegistry;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
-    /// its disk and registry at the same index.
+    /// its disk at the same index.
     struct Bed {
         config: (Vec<NodeId>, ZabBugs),
         net: Net<ZabMsg>,
         disks: Vec<Storage<Value>>,
-        vars: Vec<VarRegistry>,
         nodes: Vec<ZabNode>,
     }
 
@@ -650,7 +624,6 @@ mod tests {
             let mut bed = Bed {
                 net: Net::new(servers.iter().copied()),
                 disks: vec![Storage::default(); n as usize],
-                vars: vec![VarRegistry::default(); n as usize],
                 nodes: Vec::new(),
                 config: (servers, bugs),
             };
@@ -663,7 +636,6 @@ mod tests {
             NodeCx {
                 net: &mut self.net,
                 disk: &mut self.disks[i],
-                vars: &mut self.vars[i],
             }
         }
 
@@ -714,12 +686,14 @@ mod tests {
         let mut bed = Bed::new(2, ZabBugs::none());
         elect_and_sync(&mut bed);
         let nodes = &bed.nodes;
-        assert_eq!(nodes[1].state.get(), LEADING);
-        assert_eq!(nodes[0].state.get(), FOLLOWING);
-        assert_eq!(*nodes[0].accepted_epoch.get(), 1);
-        assert_eq!(*nodes[0].current_epoch.get(), 1);
+        assert_eq!(nodes[1].state, LEADING);
+        assert_eq!(nodes[0].state, FOLLOWING);
+        assert_eq!(nodes[0].accepted_epoch, 1);
+        assert_eq!(nodes[0].current_epoch, 1);
         assert!(nodes[1].synced_set.contains(&1));
-        assert_eq!(bed.vars[0].read("zkState"), Some(&Value::str(FOLLOWING)));
+        let mut projected = Vec::new();
+        nodes[0].project(|name, value| projected.push((name, value)));
+        assert!(projected.contains(&("zkState", Value::str(FOLLOWING))));
     }
 
     #[test]
@@ -736,8 +710,8 @@ mod tests {
         bed.exec(2, "sendCommitMsg", vec![Value::Int(2), Value::Int(1)]);
         let m = bed.head(1);
         bed.exec(1, "onCommit", vec![m]);
-        assert_eq!(*bed.nodes[0].last_committed.get(), 101);
-        assert_eq!(*bed.nodes[1].last_committed.get(), 101);
+        assert_eq!(bed.nodes[0].last_committed, 101);
+        assert_eq!(bed.nodes[1].last_committed, 101);
     }
 
     #[test]
@@ -746,9 +720,9 @@ mod tests {
         elect_and_sync(&mut bed);
         let mut node1 = bed.boot(1);
         assert!(!node1.broken);
-        assert_eq!(*node1.accepted_epoch.get(), 1);
-        assert_eq!(*node1.current_epoch.get(), 1);
-        assert_eq!(node1.state.get(), LOOKING);
+        assert_eq!(node1.accepted_epoch, 1);
+        assert_eq!(node1.current_epoch, 1);
+        assert_eq!(node1.state, LOOKING);
         // A healthy restarted node offers lookForLeader.
         let offers = node1.enabled(&mut bed.cx(1));
         assert!(offers.iter().any(|a| a.name == "lookForLeader"));
@@ -772,8 +746,8 @@ mod tests {
         );
         // Its durable state still reads back consistently with the
         // specification's view.
-        assert_eq!(*node1.accepted_epoch.get(), 1);
-        assert_eq!(*node1.current_epoch.get(), 1);
+        assert_eq!(node1.accepted_epoch, 1);
+        assert_eq!(node1.current_epoch, 1);
     }
 
     #[test]

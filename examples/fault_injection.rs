@@ -13,43 +13,45 @@ use mocket::core::mapping::{ActionBinding, MappingRegistry};
 use mocket::core::sut::MsgEvent;
 use mocket::core::{run_test_case, RunConfig, RunCtx, TestCase, TestOutcome};
 use mocket::dsnet::Net;
-use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, Shadow};
+use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx};
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
 /// One node's application code panics while the runner drives it; the
 /// harness reports a "Node crash" inconsistency and keeps going. A node
 /// is a handler over its own state: each step lends it a `NodeCx` with
-/// the deployment's network and its own disk and shadow registry.
+/// the deployment's network and its own disk, and `project` shows the
+/// checker its mapped fields between steps.
 fn main() {
     println!("=== Panic isolation: the campaign outlives a crashing node ===");
 
     #[derive(Clone)]
     struct App {
-        pinged: Shadow<bool>,
+        pinged: bool,
     }
     impl NodeApp for App {
         type Msg = i64;
         type Config = ();
 
-        fn boot(_id: u64, _config: &(), cx: &mut NodeCx<'_, i64>) -> Self {
-            App {
-                pinged: Shadow::new("pinged", false, cx.vars),
-            }
+        fn boot(_id: u64, _config: &(), _cx: &mut NodeCx<'_, i64>) -> Self {
+            App { pinged: false }
         }
         fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
             let mut v = vec![ActionInstance::nullary("boom")];
-            if !*self.pinged.get() {
+            if !self.pinged {
                 v.push(ActionInstance::nullary("ping"));
             }
             v
         }
-        fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
+        fn execute(&mut self, action: &ActionInstance, _cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
             match action.name.as_str() {
-                "ping" => self.pinged.set(cx.vars, true),
+                "ping" => self.pinged = true,
                 "boom" => panic!("simulated application bug"),
                 _ => {}
             }
             vec![]
+        }
+        fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+            visit("pinged", Value::Bool(self.pinged));
         }
     }
     #[derive(Clone)]
@@ -89,6 +91,7 @@ fn main() {
     match outcome {
         TestOutcome::Failed(inc) => {
             println!("case 1 verdict: {} -> {}", inc.kind(), inc.to_string().trim_end());
+            assert!(inc.is_crash(), "expected a node crash, got {inc:?}");
         }
         other => panic!("expected a failure, got {other:?}"),
     }
@@ -99,5 +102,9 @@ fn main() {
     println!(
         "case 2 after the crash: {:?} ({} action(s) executed) — harness survived",
         outcome, stats.actions_executed
+    );
+    assert!(
+        matches!(outcome, TestOutcome::Passed),
+        "expected a pass, got {outcome:?}"
     );
 }

@@ -4,8 +4,8 @@
 //!    (messages as values in simulated inboxes, durable storage)
 //!    until a leader is elected, synchronized and a request is
 //!    committed. The
-//!    deployment is one owned world of nodes, network, disks and
-//!    shadow registries; each step lends a node its context.
+//!    deployment is one owned world of nodes, network and disks;
+//!    each step lends a node its context.
 //! 2. *Controlled*: Mocket replays spec-verified test cases against
 //!    it and confirms conformance.
 //!

@@ -91,15 +91,23 @@ if git grep -nE 'make_sut_full\(' -- '*.rs' \
 fi
 
 # A deployment is one owned value (ROADMAP item 9): the world owns the
-# network, the disks and the shadow registries and lends them to one
-# node step at a time, so none of them takes a lock or hides behind a
-# shared handle.
-if grep -nw 'Mutex' crates/dsnet/src/net.rs crates/dsnet/src/storage.rs crates/runtime/src/registry.rs; then
-    echo "error: Mutex in the network, storage or shadow registry; the world owns them" >&2
+# network and the disks and lends them to one node step at a time, so
+# neither takes a lock or hides behind a shared handle.
+if grep -nw 'Mutex' crates/dsnet/src/net.rs crates/dsnet/src/storage.rs; then
+    echo "error: Mutex in the network or storage; the world owns them" >&2
     fail=1
 fi
-if git grep -nE 'Arc<(Net|Storage|ClusterStorage|VarRegistry)\b' -- crates src tests examples; then
+if git grep -nE 'Arc<(Net|Storage|ClusterStorage)\b' -- crates src tests examples; then
     echo "error: shared handle to a deployment part; reach it through NodeCx or the Cluster" >&2
+    fail=1
+fi
+
+# A snapshot reads the node's fields (ROADMAP item 14): nothing runs
+# between steps, so a node keeps its mapped fields as plain fields and
+# shows them through NodeApp::project; no write is mirrored into a
+# second copy.
+if git grep -nE 'Shadow<|VarRegistry|vars\.write\(' -- crates src tests examples; then
+    echo "error: shadow cell or variable registry; keep a plain field and project it (NodeApp::project)" >&2
     fail=1
 fi
 

@@ -8,6 +8,7 @@
 
 mod common;
 
+use mocket::core::mapping::VarTarget;
 use mocket::core::{PipelineConfig, PipelineResult, SystemUnderTest};
 use mocket::raft_sync::SyncRaftBugs;
 use mocket::runtime::Backend;
@@ -125,6 +126,58 @@ fn disk_loss_restarts_empty_and_plain_restart_keeps_the_disk_on_every_target() {
         assert_ne!(node1(sut), fresh, "{name}: Restart recovers the disk");
         restart(sut, "DiskLoss");
         assert_eq!(node1(sut), fresh, "{name}: DiskLoss comes back empty");
+        sut.teardown();
+    }
+}
+
+/// Every target's projection shows exactly its mapped class fields, as
+/// functions over exactly the deployed nodes, and a crash leaves the
+/// crashed node's slice as it was: a forgotten or misspelt field fails
+/// here by name, not as a divergence somewhere in a suite.
+#[test]
+fn every_target_projects_exactly_its_mapped_fields() {
+    for name in targets::TARGETS {
+        let target = targets::by_name(name, None).unwrap();
+        let mut mapped: Vec<&str> = target
+            .registry
+            .variables()
+            .iter()
+            .filter_map(|v| match &v.target {
+                Some(VarTarget::ClassField { impl_name }) => Some(impl_name.as_str()),
+                _ => None,
+            })
+            .collect();
+        mapped.sort_unstable();
+        let ids = [1, 2, 3];
+        let mut deployment = target.sut_on(ids.to_vec(), Backend::Threads, None);
+        deployment.deploy().expect("deploy");
+
+        let snapshot = deployment.snapshot().expect("snapshot");
+        let names: Vec<&str> = snapshot.vars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, mapped, "{name}: projected names");
+        let deployed: Vec<Value> = ids.iter().map(|&i| Value::Int(i as i64)).collect();
+        for (var, value) in &snapshot.vars {
+            let domain: Option<Vec<Value>> = value.as_fun().map(|f| f.keys().cloned().collect());
+            assert_eq!(
+                domain.as_ref(),
+                Some(&deployed),
+                "{name}: {var} over the deployed ids"
+            );
+        }
+
+        let fresh = node1(deployment.as_mut());
+        let (_, mut deployment) =
+            mocket::runtime::run_random(deployment, 400, 11, 5).expect("random run");
+        let sut = deployment.as_mut();
+        let before = node1(sut);
+        assert_ne!(before, fresh, "{name}: node 1 moved");
+        sut.execute_external(&ActionInstance::new("Crash", vec![Value::Int(1)]))
+            .unwrap_or_else(|e| panic!("{name}: Crash: {e}"));
+        assert_eq!(
+            node1(sut),
+            before,
+            "{name}: a crashed node keeps its last values"
+        );
         sut.teardown();
     }
 }

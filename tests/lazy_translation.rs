@@ -168,7 +168,7 @@ fn lazy_paths_agree_with_eager_translation_on_every_target() {
         let consts = registry.consts();
         assert!(cps.len() > 20, "{}: {} checkpoints", target.name, cps.len());
 
-        // The view: every shadow value, every offer parameter. Only the
+        // The view: every snapshot value, every offer parameter. Only the
         // Raft role carries a mapped constant; ZooKeeper maps none.
         let role = role_variable(registry);
         for cp in &cps {

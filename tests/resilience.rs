@@ -13,7 +13,7 @@ use mocket::core::{
 };
 use mocket::dsnet::Net;
 use mocket::runtime::{
-    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver, Shadow,
+    Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver,
 };
 use mocket::tla::{ActionClass, ActionInstance, State, Value};
 
@@ -21,17 +21,15 @@ use mocket::tla::{ActionClass, ActionInstance, State, Value};
 /// the node, `hang` sleeps far past any per-action budget.
 #[derive(Clone)]
 struct VolatileApp {
-    pinged: Shadow<bool>,
+    pinged: bool,
 }
 
 impl NodeApp for VolatileApp {
     type Msg = i64;
     type Config = ();
 
-    fn boot(_id: u64, _config: &(), cx: &mut NodeCx<'_, i64>) -> Self {
-        VolatileApp {
-            pinged: Shadow::new("pinged", false, cx.vars),
-        }
+    fn boot(_id: u64, _config: &(), _cx: &mut NodeCx<'_, i64>) -> Self {
+        VolatileApp { pinged: false }
     }
 
     fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
@@ -39,20 +37,24 @@ impl NodeApp for VolatileApp {
             ActionInstance::nullary("boom"),
             ActionInstance::nullary("hang"),
         ];
-        if !*self.pinged.get() {
+        if !self.pinged {
             offers.push(ActionInstance::nullary("ping"));
         }
         offers
     }
 
-    fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
+    fn execute(&mut self, action: &ActionInstance, _cx: &mut NodeCx<'_, i64>) -> Vec<MsgEvent> {
         match action.name.as_str() {
-            "ping" => self.pinged.set(cx.vars, true),
+            "ping" => self.pinged = true,
             "boom" => panic!("application invariant violated"),
             "hang" => std::thread::sleep(Duration::from_secs(3600)),
             _ => {}
         }
         vec![]
+    }
+
+    fn project(&self, mut visit: impl FnMut(&'static str, Value)) {
+        visit("pinged", Value::Bool(self.pinged));
     }
 }
 

@@ -187,6 +187,8 @@ impl NodeApp for HangApp {
         }
         vec![]
     }
+
+    fn project(&self, _visit: impl FnMut(&'static str, Value)) {}
 }
 
 #[derive(Clone)]
@@ -325,6 +327,8 @@ impl NodeApp for MuteApp {
     fn execute(&mut self, _action: &ActionInstance, _cx: &mut NodeCx<'_, u64>) -> Vec<MsgEvent> {
         vec![]
     }
+
+    fn project(&self, _visit: impl FnMut(&'static str, Value)) {}
 }
 
 /// A system whose offer poll blocks forever.
