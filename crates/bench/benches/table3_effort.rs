@@ -66,7 +66,7 @@ fn measure(name: &'static str, target: Target) -> SystemRow {
         let final_node = graph.edge(*path.last().unwrap()).to;
         let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
         let (outcome, _) = run_test_case(
-            target.sut(Backend::Threads, None),
+            target.sut(Backend::Threads),
             &tc,
             &registry,
             &final_enabled,

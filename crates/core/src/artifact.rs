@@ -4,9 +4,8 @@
 //! A bug report that dies with its campaign is a bug lost. Every
 //! confirmed failure is persisted as a [`ReplayArtifact`]: one text
 //! file carrying the (minimized) revealing [`TestCase`], the actions
-//! the specification enables in its final state, the fault-plan
-//! identity (seed + intensities, serialized by `dsnet` and opaque
-//! here), the [`RunConfig`], the spec identity and the observed
+//! the specification enables in its final state, the [`RunConfig`],
+//! the spec identity and the observed
 //! inconsistency classification. [`replay`] re-drives a fresh SUT
 //! from nothing but the artifact — the "small, deterministic
 //! reproducer" that trace-validation and model-guided-fuzzing work
@@ -104,10 +103,6 @@ pub struct ReplayArtifact {
     pub summary: String,
     /// Repro-rate classification from confirm & classify.
     pub determinism: Determinism,
-    /// The optional `fault-plan:` line, kept verbatim so artifacts
-    /// that recorded a message-fault plan still parse and re-serialize
-    /// byte-identically. An artifact the harness writes has none.
-    pub fault_plan: Option<String>,
     /// The runner configuration the failure was observed under.
     pub run: RunConfig,
     /// Length of the original revealing case (the stored case is the
@@ -136,13 +131,9 @@ fn dur_ms(d: Duration) -> u64 {
 
 fn serialize_run(run: &RunConfig) -> String {
     format!(
-        "check_initial={} offer_deadline_ms={} per_action_budget_ms={} \
-         poll_backoff_ms={} poll_backoff_max_ms={}",
+        "check_initial={} per_action_budget_ms={}",
         run.check_initial,
-        dur_ms(run.offer_deadline),
         dur_ms(run.per_action_budget),
-        dur_ms(run.poll_backoff),
-        dur_ms(run.poll_backoff_max),
     )
 }
 
@@ -161,22 +152,12 @@ fn deserialize_run(input: &str) -> Result<RunConfig, ArtifactError> {
             "check_initial" => {
                 run.check_initial = value.parse().map_err(|_| bad(format!("{value:?}")))?
             }
-            "offer_deadline_ms" => {
-                run.offer_deadline =
-                    Duration::from_millis(value.parse().map_err(|e| bad(format!("{e}")))?)
-            }
             "per_action_budget_ms" => {
                 run.per_action_budget =
                     Duration::from_millis(value.parse().map_err(|e| bad(format!("{e}")))?)
             }
-            "poll_backoff_ms" => {
-                run.poll_backoff =
-                    Duration::from_millis(value.parse().map_err(|e| bad(format!("{e}")))?)
-            }
-            "poll_backoff_max_ms" => {
-                run.poll_backoff_max =
-                    Duration::from_millis(value.parse().map_err(|e| bad(format!("{e}")))?)
-            }
+            // Polling knobs of earlier builds: their artifacts still load.
+            "offer_deadline_ms" | "poll_backoff_ms" | "poll_backoff_max_ms" => {}
             other => {
                 return Err(ArtifactError::BadValue {
                     key: "run".into(),
@@ -266,7 +247,6 @@ impl ReplayArtifact {
             subject: inconsistency.subject(),
             summary: one_line(&inconsistency.to_string()),
             determinism,
-            fault_plan: None,
             run: run.clone(),
             original_len,
             final_enabled,
@@ -296,9 +276,6 @@ impl ReplayArtifact {
             "determinism: {}\n",
             serialize_determinism(&self.determinism)
         ));
-        if let Some(fp) = &self.fault_plan {
-            out.push_str(&format!("fault-plan: {}\n", one_line(fp)));
-        }
         out.push_str(&format!("run: {}\n", serialize_run(&self.run)));
         out.push_str(&format!("original-len: {}\n", self.original_len));
         for a in &self.final_enabled {
@@ -332,7 +309,6 @@ impl ReplayArtifact {
         let mut subject = None;
         let mut summary = None;
         let mut determinism = None;
-        let mut fault_plan = None;
         let mut run = None;
         let mut original_len = None;
         let mut final_enabled = Vec::new();
@@ -360,7 +336,8 @@ impl ReplayArtifact {
                 "subject" => subject = Some(value.to_string()),
                 "summary" => summary = Some(value.to_string()),
                 "determinism" => determinism = Some(deserialize_determinism(value)?),
-                "fault-plan" => fault_plan = Some(value.to_string()),
+                // A link-delay plan of earlier builds: ignored.
+                "fault-plan" => {}
                 "run" => run = Some(deserialize_run(value)?),
                 "original-len" => {
                     original_len =
@@ -412,7 +389,6 @@ impl ReplayArtifact {
             subject: subject.unwrap_or_default(),
             summary: summary.unwrap_or_default(),
             determinism: determinism.unwrap_or(Determinism::Unconfirmed),
-            fault_plan,
             run: run.ok_or(ArtifactError::MissingField("run"))?,
             original_len: original_len.unwrap_or(0),
             final_enabled,
@@ -767,7 +743,7 @@ mod tests {
                 alt_path: vec!["Inc".into()],
             },
         };
-        let mut a = ReplayArtifact::from_failure(
+        ReplayArtifact::from_failure(
             "Counter",
             "limit=2 buggy=true",
             &inc,
@@ -777,10 +753,7 @@ mod tests {
             vec![ActionInstance::nullary("Inc")],
             Some(explanation),
             case(),
-        );
-        a.fault_plan =
-            Some("seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20".into());
-        a
+        )
     }
 
     #[test]
@@ -791,20 +764,16 @@ mod tests {
         assert_eq!(back, a);
     }
 
-    /// A verbatim artifact as written by builds that recorded a
-    /// message-fault plan. Campaign directories in the wild hold
-    /// documents exactly like this one; they must keep parsing, their
-    /// `fault-plan` line must survive untouched, and re-serialization
-    /// must reproduce the document byte-for-byte.
-    const PRE_PR9_GOLDEN: &str = "mocket-artifact: v1\n\
+    /// [`artifact`] as this build writes it; any format drift fails
+    /// here first.
+    const GOLDEN: &str = "mocket-artifact: v1\n\
 spec: Counter\n\
 spec-config: limit=2 buggy=true\n\
 kind: Missing action\n\
 subject: Add\n\
 summary: Missing action at step 1: Add(5) was never offered.; offered instead: Inc\n\
 determinism: deterministic reruns=2\n\
-fault-plan: seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20\n\
-run: check_initial=true offer_deadline_ms=50 per_action_budget_ms=5000 poll_backoff_ms=1 poll_backoff_max_ms=10\n\
+run: check_initial=true per_action_budget_ms=5000\n\
 original-len: 5\n\
 final: Inc\n\
 explain: step\t1\tAdd(5)\n\
@@ -817,27 +786,32 @@ step: Inc => /\\ n = 1\n\
 step: Add(5) => /\\ n = 6\n";
 
     #[test]
-    fn pre_pr9_golden_artifact_roundtrips_byte_identically() {
-        let back = ReplayArtifact::deserialize(PRE_PR9_GOLDEN).unwrap();
-        assert_eq!(
-            back.fault_plan.as_deref(),
-            Some("seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20"),
-            "the legacy fault-plan line must be preserved verbatim"
+    fn golden_artifact_roundtrips_byte_identically() {
+        assert_eq!(artifact().serialize(), GOLDEN);
+        assert_eq!(ReplayArtifact::deserialize(GOLDEN).unwrap().serialize(), GOLDEN);
+    }
+
+    /// The same artifact as earlier v1 builds wrote it: a `fault-plan:`
+    /// line and the runner's retired polling keys. Campaign directories
+    /// in the wild hold documents like this one; they must keep loading,
+    /// and saving one again writes the current format.
+    #[test]
+    fn v1_artifact_with_a_fault_plan_and_polling_keys_still_loads() {
+        let old = GOLDEN.replace(
+            "run: check_initial=true per_action_budget_ms=5000\n",
+            "fault-plan: seed=42 drop=20 dup=20 delay=40 max_delay=3 reorder=40 partition=5 heal=20\n\
+             run: check_initial=true offer_deadline_ms=50 per_action_budget_ms=5000 \
+             poll_backoff_ms=1 poll_backoff_max_ms=10\n",
         );
-        assert_eq!(
-            back.serialize(),
-            PRE_PR9_GOLDEN,
-            "re-serializing a pre-PR-9 artifact must be byte-identical"
-        );
-        // And the fixture above still produces exactly this document,
-        // so any future format drift fails here first.
-        assert_eq!(artifact().serialize(), PRE_PR9_GOLDEN);
+        assert_ne!(old, GOLDEN);
+        let loaded = ReplayArtifact::deserialize(&old).unwrap();
+        assert_eq!(loaded, artifact());
+        assert_eq!(loaded.serialize(), GOLDEN, "re-saved in the current format");
     }
 
     #[test]
-    fn artifact_roundtrip_without_fault_plan() {
+    fn artifact_roundtrip_of_a_flaky_failure_without_explanation() {
         let mut a = artifact();
-        a.fault_plan = None;
         a.explanation = None;
         a.determinism = Determinism::Flaky {
             reproduced: 1,

@@ -178,8 +178,8 @@ pub struct PipelineConfig {
     /// The clock every stage counts time on. Defaults to the wall
     /// clock; a simulation run installs a shared
     /// [`mocket_sim::SimClock`] here (and in the cluster backend) so
-    /// deadlines, backoffs and all `timing.*`/`wall_*` figures are
-    /// virtual — the same seed then yields byte-identical summaries.
+    /// step budgets and all `timing.*`/`wall_*` figures are virtual —
+    /// the same seed then yields byte-identical summaries.
     pub clock: Arc<dyn Clock>,
 }
 

@@ -36,11 +36,10 @@ use crate::watchdog::{self, on_case_thread};
 
 /// Runner configuration.
 ///
-/// Offer polling is deadline-based: the runner keeps polling (with
-/// exponential backoff between rounds) until a matching offer shows
-/// up or [`offer_deadline`](Self::offer_deadline) elapses — replacing
-/// the old fixed `poll_rounds` count, which conflated "how long to
-/// wait" with "how fast to poll". A separate
+/// The runner polls offers once per step: a node's offers are a pure
+/// read of the deployment, in which every sent message already waits
+/// in its inbox, so a scheduled action that is not offered now never
+/// will be and is a missing action. The
 /// [`per_action_budget`](Self::per_action_budget) bounds each step
 /// end-to-end; blowing it is reported as a watchdog-timeout
 /// inconsistency rather than an opaque hang.
@@ -49,60 +48,32 @@ pub struct RunConfig {
     /// Check the verified initial state before the first action
     /// (§4.3.1 adds `checkAllStates` for the first scheduled action).
     pub check_initial: bool,
-    /// How long to wait for a matching offer before declaring a
-    /// missing action (the paper's scheduler timeout). At least one
-    /// poll always happens, even with a zero deadline.
-    pub offer_deadline: Duration,
     /// Budget for one step end-to-end (offer matching, execution,
     /// state check) on the run's clock, and the real time one call
     /// into the system under test may take before the case is
     /// abandoned. Exceeding either fails the test case with
     /// [`Inconsistency::WatchdogTimeout`].
     pub per_action_budget: Duration,
-    /// Sleep between the first and second offer poll; doubled after
-    /// every further miss.
-    pub poll_backoff: Duration,
-    /// Upper bound for the poll backoff.
-    pub poll_backoff_max: Duration,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             check_initial: true,
-            offer_deadline: Duration::from_secs(2),
             per_action_budget: Duration::from_secs(10),
-            poll_backoff: Duration::from_millis(1),
-            poll_backoff_max: Duration::from_millis(50),
         }
     }
 }
 
 impl RunConfig {
-    /// A configuration for in-process targets that answer offers
-    /// immediately: short deadlines so missing-action cases fail fast.
+    /// A configuration for in-process targets: a shorter budget, so a
+    /// hung case fails fast.
     pub fn fast() -> Self {
         RunConfig {
             check_initial: true,
-            offer_deadline: Duration::from_millis(50),
             per_action_budget: Duration::from_secs(5),
-            poll_backoff: Duration::from_millis(1),
-            poll_backoff_max: Duration::from_millis(10),
         }
     }
-}
-
-/// The runner's deterministic poll-backoff schedule: `poll_backoff`
-/// doubled after every miss, capped at `poll_backoff_max`. Pure
-/// function of the config — the sleep sequence between offer polls is
-/// identical on every run, real or simulated; only the number of
-/// sleeps taken differs (bounded by `offer_deadline` on the run's
-/// clock).
-pub fn backoff_schedule(config: &RunConfig) -> impl Iterator<Item = Duration> {
-    let cap = config.poll_backoff_max;
-    std::iter::successors(Some(config.poll_backoff.min(cap)), move |&d| {
-        Some((d * 2).min(cap))
-    })
 }
 
 /// Outcome of one controlled run.
@@ -150,10 +121,10 @@ pub fn pools_from_registry(registry: &MappingRegistry) -> MessagePools {
 /// [`Obs`], no causal trace.
 #[derive(Clone)]
 pub struct RunCtx {
-    /// Every wait and every measured duration — offer deadline, poll
-    /// backoff, per-action budget, [`RunStats::seconds`] — counts this
-    /// clock's time. With a `SimClock` the whole run takes zero wall
-    /// time on waits and its timings are byte-reproducible.
+    /// Every measured duration — per-action budget, release latency,
+    /// [`RunStats::seconds`] — counts this clock's time. With a
+    /// `SimClock` a hung step is charged exactly the budget and the
+    /// run's timings are byte-reproducible.
     pub clock: Arc<dyn Clock>,
     /// Receives the run's metrics: scheduler release latency
     /// (`timing.runner.release_latency_ms`), offer-poll and action
@@ -298,9 +269,8 @@ fn drive(
     let obs = &ctx.obs;
     let mut pools = pools_from_registry(registry);
 
-    // Offers seen per poll round: the number of rounds depends on the
-    // run's clock, so both counters live under the `timing.`
-    // quarantine and never appear in the deterministic summary.
+    // Offers seen per poll, kept under the `timing.` quarantine with
+    // the other poll counters, out of the deterministic summary.
     let count_offers = |offers: &[Offer]| {
         let m = obs.metrics();
         m.add("timing.scheduler.offers_translated", offers.len() as u64);
@@ -374,51 +344,30 @@ fn drive(
                 try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start)
             }
             _ => {
-                // Deadline-based offer matching with exponential
-                // backoff: poll, sleep, poll again until the offer
-                // shows up or the deadline elapses. Poll counts depend
-                // on how much clock time each poll burns, so the poll
-                // metrics live under the `timing.` quarantine.
-                let mut matched = None;
-                let mut last_offers = Vec::new();
-                let mut backoff = backoff_schedule(config);
-                loop {
-                    obs.metrics().add("timing.runner.offer_polls", 1);
-                    let mut offers = try_sut!(None, sut.offers(), i, &step.action, step_start);
-                    count_offers(&offers);
-                    if let Some(hit) = find_match(registry, &step.action, &offers) {
-                        matched = Some(offers.swap_remove(hit));
-                        break;
-                    }
-                    last_offers = offers;
-                    if clock.now().saturating_sub(step_start) >= config.offer_deadline {
-                        break;
-                    }
-                    clock.sleep(backoff.next().expect("backoff schedule is infinite"));
-                }
-                match matched {
-                    Some(offer) => {
-                        // Scheduler release latency: time from step
-                        // start until the blocked action was matched
-                        // and released for execution.
-                        let waited = clock.now().saturating_sub(step_start);
-                        obs.metrics()
-                            .observe("timing.runner.release_latency_ms", waited.as_secs_f64() * 1e3);
-                        obs.metrics()
-                            .observe("timing.profile.scheduler_release_seconds", waited.as_secs_f64());
-                        obs.metrics().add("runner.actions_released", 1);
-                        tracer.release(i as u64, offer.node, &step.action.name, 0);
-                        try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
-                    }
-                    None => {
-                        obs.metrics().add("runner.missing_actions", 1);
-                        return Ok(TestOutcome::Failed(Inconsistency::MissingAction {
-                            step: i,
-                            action: step.action.clone(),
-                            offered: offered_actions(&translate_offers(registry, last_offers)),
-                        }));
-                    }
-                }
+                // One poll: what is not offered now is missing.
+                obs.metrics().add("timing.runner.offer_polls", 1);
+                let mut offers = try_sut!(None, sut.offers(), i, &step.action, step_start);
+                count_offers(&offers);
+                let Some(hit) = find_match(registry, &step.action, &offers) else {
+                    obs.metrics().add("runner.missing_actions", 1);
+                    return Ok(TestOutcome::Failed(Inconsistency::MissingAction {
+                        step: i,
+                        action: step.action.clone(),
+                        offered: offered_actions(&translate_offers(registry, offers)),
+                    }));
+                };
+                let offer = offers.swap_remove(hit);
+                // Scheduler release latency: time from step start until
+                // the blocked action was matched and released for
+                // execution.
+                let waited = clock.now().saturating_sub(step_start);
+                obs.metrics()
+                    .observe("timing.runner.release_latency_ms", waited.as_secs_f64() * 1e3);
+                obs.metrics()
+                    .observe("timing.profile.scheduler_release_seconds", waited.as_secs_f64());
+                obs.metrics().add("runner.actions_released", 1);
+                tracer.release(i as u64, offer.node, &step.action.name, 0);
+                try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
             }
         };
         stats.actions_executed += 1;
@@ -538,7 +487,7 @@ mod tests {
     use crate::mapping::ActionBinding;
     use crate::sut::{MsgEvent, Offer, Snapshot};
     use mocket_tla::Value;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// A scripted fake SUT: a counter machine with one variable `n`.
     /// The script controls which offers appear and what executing
@@ -557,8 +506,12 @@ mod tests {
         /// Extra `recv` offer emitted always: a message receive the
         /// spec never enables (unexpected at end).
         stray_recv: bool,
+        /// If true, executing `inc` never returns (watchdog timeout).
+        hang: bool,
         /// Set by deploy, cleared by teardown; shared with the test.
         deployed: Arc<AtomicBool>,
+        /// Calls to `offers`; shared with the test.
+        polls: Arc<AtomicUsize>,
     }
 
     impl FakeSut {
@@ -570,7 +523,9 @@ mod tests {
                 mute: false,
                 rogue_offer: false,
                 stray_recv: false,
+                hang: false,
                 deployed: Arc::default(),
+                polls: Arc::default(),
             }
         }
     }
@@ -588,6 +543,7 @@ mod tests {
 
         fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
             assert!(self.deployed.load(Ordering::SeqCst));
+            self.polls.fetch_add(1, Ordering::SeqCst);
             let mut out = Vec::new();
             if !self.mute && self.n < self.limit {
                 out.push(Offer {
@@ -612,6 +568,12 @@ mod tests {
 
         fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
             assert_eq!(offer.action.name, "inc");
+            if self.hang {
+                // park() can wake spuriously, hence the loop.
+                loop {
+                    std::thread::park();
+                }
+            }
             if !self.broken_inc {
                 self.n += 1;
             }
@@ -981,85 +943,61 @@ mod tests {
         }
     }
 
+    /// A scheduled action that is not offered is missing at once: one
+    /// poll, no wait on the run's clock.
     #[test]
-    fn backoff_schedule_is_capped_doubling() {
-        let cfg = RunConfig::fast();
-        let seq: Vec<Duration> = backoff_schedule(&cfg).take(7).collect();
-        assert_eq!(
-            seq,
-            [1, 2, 4, 8, 10, 10, 10]
-                .map(Duration::from_millis)
-                .to_vec()
-        );
-    }
-
-    #[test]
-    fn missing_action_retry_sequence_is_identical_across_runs() {
-        // Satellite check: a mute SUT forces the runner through its
-        // whole poll-backoff loop; on a virtual clock the sleep
-        // sequence must be the exact capped-doubling schedule, byte
-        // for byte the same on every run.
-        let run_once = || {
-            let mut sut = FakeSut::new(10);
-            sut.mute = true;
-            let clock = Arc::new(RecordingClock::new());
-            let (outcome, _) = run_test_case(
-                Box::new(sut),
-                &inc_case(1),
-                &Arc::new(registry()),
-                &[],
-                &RunConfig::fast(),
-                &RunCtx {
-                    clock: clock.clone(),
-                    ..RunCtx::default()
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                outcome,
-                TestOutcome::Failed(Inconsistency::MissingAction { .. })
-            ));
-            clock.recorded()
-        };
-        let first = run_once();
-        let second = run_once();
-        assert_eq!(first, second, "retry sequence must be deterministic");
-        // 50ms deadline over the 1,2,4,8,10,… schedule: cumulative
-        // waits hit 1,3,7,15,25,35,45,55ms, so the elapsed virtual
-        // time crosses the deadline after the eighth sleep.
-        assert_eq!(
-            first,
-            [1, 2, 4, 8, 10, 10, 10, 10]
-                .map(Duration::from_millis)
-                .to_vec()
-        );
-    }
-
-    #[test]
-    fn virtual_clock_runs_report_virtual_seconds() {
+    fn mute_sut_is_missing_after_one_poll_and_no_sleep() {
         let mut sut = FakeSut::new(10);
         sut.mute = true;
-        let wall = std::time::Instant::now();
-        let (_, stats) = run_test_case(
+        let polls = sut.polls.clone();
+        let clock = Arc::new(RecordingClock::new());
+        let (outcome, _) = run_test_case(
             Box::new(sut),
             &inc_case(1),
             &Arc::new(registry()),
             &[],
-            &RunConfig::default(), // 2s offer deadline — instant virtually
+            &RunConfig::fast(),
+            &RunCtx {
+                clock: clock.clone(),
+                ..RunCtx::default()
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            outcome,
+            TestOutcome::Failed(Inconsistency::MissingAction { .. })
+        ));
+        assert_eq!(polls.load(Ordering::SeqCst), 1, "offers polled once");
+        assert_eq!(clock.recorded(), [], "the runner never sleeps");
+    }
+
+    /// On a virtual clock a hung step is charged exactly the budget:
+    /// the run reports that virtual span, not the real time the
+    /// watchdog waited.
+    #[test]
+    fn virtual_clock_runs_report_virtual_seconds() {
+        let mut sut = FakeSut::new(10);
+        sut.hang = true;
+        let config = RunConfig {
+            per_action_budget: Duration::from_millis(100),
+            ..RunConfig::fast()
+        };
+        let (outcome, stats) = run_test_case(
+            Box::new(sut),
+            &inc_case(1),
+            &Arc::new(registry()),
+            &[],
+            &config,
             &RunCtx {
                 clock: Arc::new(mocket_sim::SimClock::new()),
                 ..RunCtx::default()
             },
         )
         .unwrap();
-        assert!(
-            stats.seconds >= 2.0,
-            "virtual deadline must be fully counted, got {}",
-            stats.seconds
-        );
-        assert!(
-            wall.elapsed() < Duration::from_secs(2),
-            "a 2s virtual deadline must not cost 2s of wall time"
-        );
+        assert!(matches!(
+            outcome,
+            TestOutcome::Failed(Inconsistency::WatchdogTimeout { .. })
+        ));
+        assert_eq!(stats.seconds, 0.1, "exactly the budget, in virtual seconds");
     }
 }

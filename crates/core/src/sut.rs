@@ -194,8 +194,12 @@ pub trait SystemUnderTest: Send {
     fn teardown(&mut self);
 
     /// Collects the actions currently offered (blocked notifications)
-    /// by all alive nodes. Idempotent: polling twice without an
-    /// intervening execution returns the same offers.
+    /// by all alive nodes. Complete and idempotent: every action the
+    /// system can take now is offered now, and polling again without an
+    /// intervening execution returns the same offers. The runner polls
+    /// once per step, so an action missing from this poll is a missing
+    /// action; a system that would offer it only later (a message still
+    /// held in its network) breaks this contract.
     fn offers(&mut self) -> Result<Vec<Offer>, SutError>;
 
     /// Releases one offered action and waits for it to finish.

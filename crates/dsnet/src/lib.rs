@@ -4,14 +4,18 @@
 //! on this crate: a simulated [`net::Net`] that carries each message
 //! as an owned value and whose delivery order is externally
 //! controllable (which is what lets Mocket's scheduler decide
-//! interleavings), an optional seeded link delay
-//! ([`faults::FaultPlan`]) under it, and per-node
-//! [`storage::Storage`] that survives restarts.
+//! interleavings), and per-node [`storage::Storage`] that survives
+//! restarts.
 
-pub mod faults;
 pub mod net;
 pub mod storage;
 
-pub use faults::FaultPlan;
 pub use net::{Envelope, Net, NodeId};
 pub use storage::Storage;
+
+/// No value exists: a sent message is deliverable at once, so there is
+/// no link delay to plan. The type stays only because the benchmark
+/// adapter passes `None` as the fourth argument of each SUT crate's
+/// `make_sut_full`, whose parameter is an `Option<FaultPlan>`.
+#[derive(Debug, Clone)]
+pub enum FaultPlan {}

@@ -3,7 +3,7 @@
 //! A [`Tracer`] records one test case's execution as a flat list of
 //! [`CausalEvent`]s: scheduler releases, per-node execution spans,
 //! and every network-level message fate (send / recv / drop /
-//! duplicate / delay). Message events are linked into causal edges by
+//! duplicate). Message events are linked into causal edges by
 //! a per-trace message id — a `recv` carries the `msg` id of the
 //! `send` that produced it — and every event carries the scheduler
 //! context active when it happened: the step index, the released
@@ -90,8 +90,6 @@ pub enum CausalKind {
     Drop,
     /// A fault added another copy of a message.
     Duplicate,
-    /// A fault held a message back.
-    Delay,
     /// A node crashed (scheduled fault or teardown).
     Crash,
     /// A node restarted.
@@ -112,7 +110,6 @@ impl CausalKind {
             CausalKind::Recv => "recv",
             CausalKind::Drop => "drop",
             CausalKind::Duplicate => "dup",
-            CausalKind::Delay => "delay",
             CausalKind::Crash => "crash",
             CausalKind::Restart => "restart",
         }
@@ -131,7 +128,6 @@ impl CausalKind {
             "recv" => CausalKind::Recv,
             "drop" => CausalKind::Drop,
             "dup" => CausalKind::Duplicate,
-            "delay" => CausalKind::Delay,
             "crash" => CausalKind::Crash,
             "restart" => CausalKind::Restart,
             _ => return None,
@@ -469,11 +465,6 @@ impl Tracer {
         self.record_message(CausalKind::Duplicate, node, from, tag, vt, None);
     }
 
-    /// Records a message to `node` being held back by a delay fault.
-    pub fn on_delay(&self, node: u64, from: u64, tag: MsgTag, vt: u64) {
-        self.record_message(CausalKind::Delay, node, from, tag, vt, None);
-    }
-
     fn record_message(
         &self,
         kind: CausalKind,
@@ -712,13 +703,16 @@ mod tests {
         let good = Tracer::for_case(0);
         good.release(0, 1, "A", 0);
         let text = to_jsonl(&good.take_events());
-        // A garbage middle line and a truncated final line are both
-        // reported and skipped; intact lines load.
-        let dirty = format!("{text}not json\n{}", &text[..text.len() - 3]);
+        // A `delay` line of a build that still held messages back, a
+        // garbage line and a truncated final line are all reported and
+        // skipped; intact lines load.
+        let delay = r#"{"seq":1,"case":0,"kind":"delay","vt":0,"node":2,"peer":1,"msg":1}"#;
+        let dirty = format!("{text}{delay}\nnot json\n{}", &text[..text.len() - 3]);
         let (events, issues) = parse_trace(&dirty);
         assert_eq!(events.len(), 1);
-        assert_eq!(issues.len(), 2, "{issues:?}");
-        assert!(issues[1].message.contains("truncated final line"));
+        assert_eq!(issues.len(), 3, "{issues:?}");
+        assert!(issues[0].message.contains("unknown kind"), "{issues:?}");
+        assert!(issues[2].message.contains("truncated final line"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use mocket_core::sut::MsgEvent;
-use mocket_dsnet::NodeId;
+use mocket_dsnet::{Net, NodeId};
 use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
@@ -502,7 +502,7 @@ impl NodeApp for AsyncRaftNode {
         }
     }
 
-    fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
+    fn enabled(&self, net: &Net<RaftMsg>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
         let role = self.role;
@@ -542,7 +542,7 @@ impl NodeApp for AsyncRaftNode {
         }
 
         // Message-driven actions: one offer per inbox message.
-        for env in cx.net.inbox(self.id) {
+        for env in net.inbox(self.id) {
             let hook = match env.msg {
                 RaftMsg::VoteRequest { .. } => "onRequestVoteRpc",
                 RaftMsg::VoteResponse { .. } => "onRequestVoteResult",
@@ -602,7 +602,7 @@ fn peer_fun(map: &BTreeMap<NodeId, i64>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_dsnet::{Net, Storage};
+    use mocket_dsnet::Storage;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
     /// its disk at the same index.
@@ -834,7 +834,7 @@ mod tests {
     #[test]
     fn enabled_offers_track_role_and_inbox() {
         let mut bed = Bed::new(2, XraftBugs::none());
-        let offers = bed.on(1, |node, cx| node.enabled(cx));
+        let offers = bed.nodes[0].enabled(&bed.net);
         assert_eq!(
             offers,
             vec![ActionInstance::new(
@@ -843,7 +843,7 @@ mod tests {
             )]
         );
         bed.exec(1, "onElectionTimeout", vec![Value::Int(1)]);
-        let offers = bed.on(1, |node, cx| node.enabled(cx));
+        let offers = bed.nodes[0].enabled(&bed.net);
         let names: Vec<&str> = offers.iter().map(|a| a.name.as_str()).collect();
         assert!(names.contains(&"doRequestVote"));
         assert!(!names.contains(&"becomeLeader"), "no quorum yet");

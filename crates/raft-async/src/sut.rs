@@ -166,24 +166,19 @@ impl ExternalDriver<AsyncRaftNode> for XraftDriver {
 }
 
 /// Builds a deployable AsyncRaft cluster as a Mocket system under
-/// test, on an explicit cluster backend, plus an optional seed-driven
-/// fault plan installed on the network before deployment. Every call
-/// creates a fresh network and fresh durable storage (one cluster per
-/// test case, §4.3.2). Under [`Backend::Sim`] the network runs on the
-/// simulation's shared virtual clock, so time-based delay faults
-/// mature deterministically in virtual time. Disk-loss faults erase a
-/// node's storage, so the next restart recovers nothing (unlike a
-/// plain Restart, which reloads whatever the node persisted).
+/// test, on an explicit cluster backend. Every call creates a fresh
+/// network and fresh durable storage (one cluster per test case,
+/// §4.3.2). Disk-loss faults erase a node's storage, so the next
+/// restart recovers nothing (unlike a plain Restart, which reloads
+/// whatever the node persisted). The fourth parameter is always
+/// `None` (see [`mocket_dsnet::FaultPlan`]).
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: XraftBugs,
     backend: Backend,
-    fault_plan: Option<mocket_dsnet::FaultPlan>,
+    _: Option<mocket_dsnet::FaultPlan>,
 ) -> ClusterSut<AsyncRaftNode, impl ExternalDriver<AsyncRaftNode>> {
-    let mut net = Net::new(servers.iter().copied());
-    if let Some(plan) = fault_plan {
-        net.install_fault_plan(plan);
-    }
+    let net = Net::new(servers.iter().copied());
     let cluster = Cluster::new((servers.clone(), bugs), net, backend);
     let scripts = ScriptDriver::new("clientSet");
     ClusterSut::new(cluster, servers, XraftDriver { scripts })

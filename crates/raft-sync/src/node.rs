@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mocket_core::sut::MsgEvent;
-use mocket_dsnet::NodeId;
+use mocket_dsnet::{Net, NodeId};
 use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
@@ -391,7 +391,7 @@ impl NodeApp for SyncRaftNode {
         }
     }
 
-    fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
+    fn enabled(&self, net: &Net<Rpc>) -> Vec<ActionInstance> {
         let mut offers = Vec::new();
         let me = Value::Int(self.id as i64);
         let role = self.role;
@@ -428,7 +428,7 @@ impl NodeApp for SyncRaftNode {
             }
         }
 
-        for env in cx.net.inbox(self.id) {
+        for env in net.inbox(self.id) {
             let hook = match env.msg {
                 Rpc::VoteCall { .. } => "onVoteRequest",
                 Rpc::VoteReply { .. } => {
@@ -520,7 +520,7 @@ fn peer_fun(map: &BTreeMap<NodeId, i64>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_dsnet::{Net, Storage};
+    use mocket_dsnet::Storage;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
     /// its disk at the same index.
@@ -604,7 +604,7 @@ mod tests {
         // Two replies waiting; both must be offered.
         let reply1 = bed.head(1);
         bed.exec(1, "onVoteReply", vec![reply1]);
-        let offers = bed.on(1, |node, cx| node.enabled(cx));
+        let offers = bed.nodes[0].enabled(&bed.net);
         assert!(
             offers.iter().any(|a| a.name == "onVoteReply"),
             "second reply still offered: {offers:?}"
@@ -630,7 +630,7 @@ mod tests {
         }
         let reply1 = bed.head(1);
         bed.exec(1, "onVoteReply", vec![reply1]);
-        let offers = bed.on(1, |node, cx| node.enabled(cx));
+        let offers = bed.nodes[0].enabled(&bed.net);
         assert!(
             !offers.iter().any(|a| a.name == "onVoteReply"),
             "the deregistered callback never notifies: {offers:?}"

@@ -127,21 +127,16 @@ pub fn mapping(with_update_term: bool) -> MappingRegistry {
 /// (*inconsistent state* `messages`) — the two spec-bug rows of
 /// Table 2.
 ///
-/// `fault_plan`: an optional seeded link delay installed on the
-/// network before deployment. Under [`Backend::Sim`] the network
-/// additionally runs on the simulation's shared virtual clock, so
-/// held messages mature in virtual time.
+/// The fifth parameter is always `None` (see
+/// [`mocket_dsnet::FaultPlan`]).
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: SyncRaftBugs,
     expose_update_term: bool,
     backend: Backend,
-    fault_plan: Option<mocket_dsnet::FaultPlan>,
+    _: Option<mocket_dsnet::FaultPlan>,
 ) -> ClusterSut<SyncRaftNode> {
-    let mut net = Net::new(servers.iter().copied());
-    if let Some(plan) = fault_plan {
-        net.install_fault_plan(plan);
-    }
+    let net = Net::new(servers.iter().copied());
     let config = (servers.clone(), bugs, expose_update_term);
     let cluster = Cluster::new(config, net, backend);
     ClusterSut::new(cluster, servers, ScriptDriver::new("clientWrite"))

@@ -87,8 +87,9 @@ pub trait NodeApp: Clone + Send + 'static {
     fn boot(id: NodeId, config: &Self::Config, cx: &mut NodeCx<'_, Self::Msg>) -> Self;
 
     /// The actions this node is currently blocked on (implementation
-    /// domain: hook names + collected parameters).
-    fn enabled(&mut self, cx: &mut NodeCx<'_, Self::Msg>) -> Vec<ActionInstance>;
+    /// domain: hook names + collected parameters). A pure read of the
+    /// node and the network: every message sent to it is in its inbox.
+    fn enabled(&self, net: &Net<Self::Msg>) -> Vec<ActionInstance>;
 
     /// Executes one action, returning the reported message events.
     fn execute(&mut self, action: &ActionInstance, cx: &mut NodeCx<'_, Self::Msg>)
@@ -263,8 +264,8 @@ pub struct Cluster<N: NodeApp> {
 impl<N: NodeApp> Cluster<N> {
     /// Creates a cluster (no nodes running yet) over `net`, booting
     /// every incarnation from `config`. Under [`Backend::Sim`] the
-    /// network runs on the simulation's virtual clock, so time-based
-    /// delay faults mature in virtual time.
+    /// network stamps trace events with the simulation's virtual
+    /// clock.
     pub fn new(config: N::Config, mut net: Net<N::Msg>, backend: Backend) -> Self {
         install_node_panic_hook();
         let sim = match backend {
@@ -352,7 +353,7 @@ impl<N: NodeApp> Cluster<N> {
         let mut out = Vec::new();
         for id in self.running() {
             charge(&mut self.sim);
-            let actions = self.world.step(id, |app, cx| app.enabled(cx))?;
+            let actions = self.world.step(id, |app, cx| app.enabled(cx.net))?;
             out.extend(actions.into_iter().map(|a| (id, a)));
         }
         Ok(out)
@@ -474,7 +475,7 @@ mod tests {
             CounterApp { count: 0 }
         }
 
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
             if self.count < 3 {
                 vec![ActionInstance::nullary("bump")]
             } else {
@@ -651,7 +652,7 @@ mod tests {
             }
         }
 
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
             vec![bump()]
         }
 
@@ -695,7 +696,7 @@ mod tests {
             HangApp
         }
 
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
             vec![ActionInstance::nullary("stall"), ActionInstance::nullary("doze")]
         }
 
@@ -748,7 +749,6 @@ mod tests {
         let config = RunConfig {
             check_initial: false,
             per_action_budget: budget,
-            ..RunConfig::fast()
         };
         let sut = ClusterSut::new(toy::<HangApp>(backend), vec![1, 2], ScriptDriver::new("tick"));
         let start = std::time::Instant::now();

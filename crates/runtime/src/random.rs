@@ -40,40 +40,30 @@ impl XorShift {
 pub struct RandomRunStats {
     /// Actions executed.
     pub executed: usize,
-    /// Steps where no action was enabled (quiescent polls).
-    pub quiescent_polls: usize,
     /// The distinct action names executed, with counts.
     pub action_counts: std::collections::BTreeMap<String, usize>,
 }
 
 /// Runs up to `steps` random enabled actions on a case thread that
-/// owns `sut`, and hands the deployment back; stops early after
-/// `max_quiescent` consecutive polls with nothing enabled. A call that
-/// outlives [`RunConfig::fast`]'s per-action budget abandons the
-/// deployment with its thread and fails with
+/// owns `sut`, and hands the deployment back; stops at the first poll
+/// that offers nothing, since polling again would offer nothing again.
+/// A call that outlives [`RunConfig::fast`]'s per-action budget
+/// abandons the deployment with its thread and fails with
 /// [`SutError::NodeFailure`].
 pub fn run_random(
     sut: Box<dyn SystemUnderTest>,
     steps: usize,
     seed: u64,
-    max_quiescent: usize,
 ) -> Result<(RandomRunStats, Box<dyn SystemUnderTest>), SutError> {
     let budget = RunConfig::fast().per_action_budget;
     let ran = on_case_thread(sut, budget, move |sut| {
         let mut rng = XorShift::new(seed);
         let mut stats = RandomRunStats::default();
-        let mut quiescent = 0usize;
         for _ in 0..steps {
             let mut offers = guard(None, || sut.offers())?;
             if offers.is_empty() {
-                stats.quiescent_polls += 1;
-                quiescent += 1;
-                if quiescent >= max_quiescent {
-                    break;
-                }
-                continue;
+                break;
             }
-            quiescent = 0;
             let offer = offers.swap_remove(rng.pick(offers.len()));
             guard(Some(offer.node), || sut.execute(&offer))?;
             *stats.action_counts.entry(offer.action.name).or_insert(0) += 1;
@@ -98,20 +88,26 @@ mod tests {
     use mocket_core::sut::MsgEvent;
     use mocket_dsnet::Net;
     use mocket_tla::{ActionInstance, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
+    /// Offers `a` and `b` until it has stepped five times; counts the
+    /// polls in the counter it is booted with.
     #[derive(Clone)]
     struct StepApp {
         n: i64,
+        polls: Arc<AtomicUsize>,
     }
 
     impl NodeApp for StepApp {
         type Msg = u64;
-        type Config = ();
+        type Config = Arc<AtomicUsize>;
 
-        fn boot(_id: NodeId, _config: &(), _cx: &mut NodeCx<'_, u64>) -> Self {
-            StepApp { n: 0 }
+        fn boot(_id: NodeId, polls: &Self::Config, _cx: &mut NodeCx<'_, u64>) -> Self {
+            StepApp { n: 0, polls: polls.clone() }
         }
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
+            self.polls.fetch_add(1, Ordering::SeqCst);
             if self.n < 5 {
                 vec![ActionInstance::nullary("a"), ActionInstance::nullary("b")]
             } else {
@@ -131,15 +127,18 @@ mod tests {
         }
     }
 
+    /// The run stops at its first empty poll: five polls that each
+    /// execute one action, then one that offers nothing.
     #[test]
-    fn random_run_executes_until_quiescent() {
-        let cluster = Cluster::<StepApp>::new((), Net::new([1]), Backend::Threads);
+    fn random_run_stops_after_one_empty_poll() {
+        let polls = Arc::new(AtomicUsize::new(0));
+        let cluster = Cluster::<StepApp>::new(polls.clone(), Net::new([1]), Backend::Threads);
         let mut sut: Box<dyn SystemUnderTest> =
             Box::new(ClusterSut::new(cluster, vec![1], ScriptDriver::new("a")));
         sut.deploy().unwrap();
-        let (stats, mut sut) = run_random(sut, 100, 7, 2).unwrap();
+        let (stats, mut sut) = run_random(sut, 100, 7).unwrap();
         assert_eq!(stats.executed, 5);
-        assert!(stats.quiescent_polls >= 1);
+        assert_eq!(polls.load(Ordering::SeqCst), 6, "one empty poll, then stop");
         let total: usize = stats.action_counts.values().sum();
         assert_eq!(total, 5);
         sut.teardown();

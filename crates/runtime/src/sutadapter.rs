@@ -191,7 +191,7 @@ mod tests {
             }
         }
 
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
             if self.pinged {
                 vec![]
             } else {

@@ -4,7 +4,7 @@
 //! through [`Clock`]. Under [`RealClock`] the calls are exactly what
 //! they replace (`Instant::now()` deltas and `thread::sleep`). Under
 //! [`SimClock`] *now* is a counter and *sleep* is an instant jump:
-//! a 50 ms offer deadline costs zero wall time, and the observed
+//! a hung step's budget costs zero wall time, and the observed
 //! durations are identical on every run with the same inputs.
 
 use std::sync::atomic::{AtomicU64, Ordering};

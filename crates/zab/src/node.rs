@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mocket_core::sut::MsgEvent;
-use mocket_dsnet::NodeId;
+use mocket_dsnet::{Net, NodeId};
 use mocket_runtime::{NodeApp, NodeCx};
 use mocket_tla::{ActionInstance, Value};
 
@@ -476,7 +476,7 @@ impl NodeApp for ZabNode {
         }
     }
 
-    fn enabled(&mut self, cx: &mut Cx<'_>) -> Vec<ActionInstance> {
+    fn enabled(&self, net: &Net<ZabMsg>) -> Vec<ActionInstance> {
         if self.broken {
             // The startup check failed: the server never participates.
             return Vec::new();
@@ -531,7 +531,7 @@ impl NodeApp for ZabNode {
                 offers.push(ActionInstance::new("commitProposal", vec![me.clone()]));
             }
         }
-        for env in cx.net.inbox(self.id) {
+        for env in net.inbox(self.id) {
             let hook = match env.msg {
                 ZabMsg::Vote { .. } => "handleNotification",
                 ZabMsg::NewEpoch { .. } => "onNewEpoch",
@@ -607,7 +607,7 @@ impl NodeApp for ZabNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocket_dsnet::{Net, Storage};
+    use mocket_dsnet::Storage;
 
     /// Nodes `1..=n` driven by hand: `nodes[i]` is node `i + 1`, with
     /// its disk at the same index.
@@ -718,13 +718,13 @@ mod tests {
     fn restart_recovers_durable_state() {
         let mut bed = Bed::new(2, ZabBugs::none());
         elect_and_sync(&mut bed);
-        let mut node1 = bed.boot(1);
+        let node1 = bed.boot(1);
         assert!(!node1.broken);
         assert_eq!(node1.accepted_epoch, 1);
         assert_eq!(node1.current_epoch, 1);
         assert_eq!(node1.state, LOOKING);
         // A healthy restarted node offers lookForLeader.
-        let offers = node1.enabled(&mut bed.cx(1));
+        let offers = node1.enabled(&bed.net);
         assert!(offers.iter().any(|a| a.name == "lookForLeader"));
     }
 
@@ -738,10 +738,10 @@ mod tests {
         elect_and_sync(&mut bed);
         // Restart follower 1: currentEpoch was written, the marker
         // was not — the sanity check refuses to start.
-        let mut node1 = bed.boot(1);
+        let node1 = bed.boot(1);
         assert!(node1.broken);
         assert!(
-            node1.enabled(&mut bed.cx(1)).is_empty(),
+            node1.enabled(&bed.net).is_empty(),
             "a broken server offers nothing"
         );
         // Its durable state still reads back consistently with the

@@ -144,21 +144,15 @@ pub fn mapping() -> MappingRegistry {
 }
 
 /// Builds a deployable ZabKeeper cluster as a Mocket system under
-/// test, on an explicit cluster backend, plus an optional seed-driven
-/// fault plan installed on the network before deployment. Under
-/// [`Backend::Sim`] the network runs on the simulation's shared
-/// virtual clock, so time-based delay faults mature deterministically
-/// in virtual time.
+/// test, on an explicit cluster backend. The fourth parameter is
+/// always `None` (see [`mocket_dsnet::FaultPlan`]).
 pub fn make_sut_full(
     servers: Vec<NodeId>,
     bugs: ZabBugs,
     backend: Backend,
-    fault_plan: Option<mocket_dsnet::FaultPlan>,
+    _: Option<mocket_dsnet::FaultPlan>,
 ) -> ClusterSut<ZabNode> {
-    let mut net = Net::new(servers.iter().copied());
-    if let Some(plan) = fault_plan {
-        net.install_fault_plan(plan);
-    }
+    let net = Net::new(servers.iter().copied());
     let cluster = Cluster::new((servers.clone(), bugs), net, backend);
     ClusterSut::new(cluster, servers, ScriptDriver::new("createZNode"))
 }

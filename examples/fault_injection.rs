@@ -35,7 +35,7 @@ fn main() {
         fn boot(_id: u64, _config: &(), _cx: &mut NodeCx<'_, i64>) -> Self {
             App { pinged: false }
         }
-        fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
+        fn enabled(&self, _net: &Net<i64>) -> Vec<ActionInstance> {
             let mut v = vec![ActionInstance::nullary("boom")];
             if !self.pinged {
                 v.push(ActionInstance::nullary("ping"));
@@ -82,7 +82,6 @@ fn main() {
     let cfg = RunConfig {
         check_initial: false,
         per_action_budget: Duration::from_millis(500),
-        ..RunConfig::fast()
     };
 
     let ctx = RunCtx::default();

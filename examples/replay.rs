@@ -77,7 +77,7 @@ fn main() {
         "stored reproducer is never longer than the revealing case"
     );
 
-    let fresh = target.sut(Backend::Threads, None);
+    let fresh = target.sut(Backend::Threads);
     let (verdict, stats) =
         replay(&artifact, fresh, &target.registry).expect("replay run completes");
     println!(

@@ -19,9 +19,9 @@ use mocket::zab::ZabBugs;
 fn main() {
     // --- Uncontrolled random-schedule run -----------------------------
     let conformant = targets::by_name("zab", None).expect("catalogue target");
-    let mut sut = conformant.sut_on(vec![1, 2, 3], Backend::Threads, None);
+    let mut sut = conformant.sut_on(vec![1, 2, 3], Backend::Threads);
     sut.deploy().expect("deploy");
-    let (stats, mut sut) = mocket::runtime::run_random(sut, 4000, 7, 3).expect("random run");
+    let (stats, mut sut) = mocket::runtime::run_random(sut, 4000, 7).expect("random run");
     println!("Uncontrolled run: {} actions executed", stats.executed);
     for (action, count) in &stats.action_counts {
         println!("  {action:<22} x{count}");

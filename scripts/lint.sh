@@ -144,14 +144,12 @@ if grep -nwE 'Arc|Rc|Weak|Cell|RefCell|Mutex|RwLock' \
     fail=1
 fi
 
-# The network under the scheduler only delays: a fault plan decides how
-# long to hold a send and nothing else. Dropping and duplicating a
-# message are scheduled actions (Net::drop_matching/duplicate_matching),
-# and reordering or partitioning is the scheduler's choice of delivery
-# (unit-test module aside).
-if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/dsnet/src/faults.rs \
-    | grep -iwE 'drop|duplicate|reorder|partition'; then
-    echo "error: crates/dsnet/src/faults.rs names a message fault; a plan decides only a hold" >&2
+# A sent message is deliverable at once: the network holds nothing
+# back, so the runner polls offers once per step and a random run stops
+# at its first empty poll. Nothing of the retired delay path may return.
+if grep -rnwE 'install_fault_plan|release_due|offer_deadline|poll_backoff|max_quiescent|rtt-ms' \
+    crates/ src/ tests/ examples/ --include='*.rs'; then
+    echo "error: a name of the retired link-delay path; a message waits in its inbox until a scheduled action takes it" >&2
     fail=1
 fi
 
@@ -174,11 +172,41 @@ fi
 nontest() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }' "$@"; }
 mapfile -t product < <(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -v '/tests\.rs$')
 mapfile -t callers < <(git ls-files 'crates/bench/*.rs' 'examples/*.rs' 'perfbench/src/*.rs')
-# A `pub use` re-export block and a string literal name nothing a
-# product path runs, so neither counts as a use.
+# A `pub use` re-export block, a `mod` declaration and a string literal
+# (every line of a multi-line one) name nothing a product path runs, so
+# none counts as a use. strip_literals drops comments and string
+# literals, raw ones included, carrying an open literal across lines.
+strip_literals() {
+    awk -v q='"' -v sq="'" '{
+        out = ""; n = length($0); i = 1
+        while (i <= n) {
+            if (raw != "") {
+                at = index(substr($0, i), raw)
+                if (!at) { i = n + 1; break }
+                i += at - 1 + length(raw); raw = ""; continue
+            }
+            c = substr($0, i, 1)
+            if (instr) {
+                if (c == "\\") { i += 2; continue }
+                if (c == q) instr = 0
+                i++; continue
+            }
+            if (substr($0, i, 2) == "//") break
+            if (c == q) { instr = 1; i++; continue }
+            if (c == sq && substr($0, i + 2, 1) == sq) { i += 3; continue }
+            if (c == sq && substr($0, i + 1, 1) == "\\" && substr($0, i + 3, 1) == sq) { i += 4; continue }
+            if (c == "r" && substr($0, i - 1, 1) !~ /[A-Za-z_0-9]/ && match(substr($0, i), /^r#*"/)) {
+                raw = q substr($0, i + 1, RLENGTH - 2); i += RLENGTH; continue
+            }
+            out = out c; i++
+        }
+        print out
+    }'
+}
 used=$({ nontest "${product[@]}" "${callers[@]}" | cut -d: -f3-; git ls-files -z 'tests/*.rs' | xargs -0 cat; } \
     | awk '/^[[:space:]]*pub(\(crate\))? use / { reexport = 1 } reexport { reexport = !/;/; next } { print }' \
-    | sed -E 's/"([^"\\]|\\.)*"//g; s://.*$::; s/\bfn +[A-Za-z_0-9]+//g' \
+    | strip_literals \
+    | sed -E 's/\b(fn|mod) +[A-Za-z_0-9]+//g' \
     | grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u)
 while IFS=: read -r file line name; do
     if ! grep -qxF "$name" <<<"$used" && ! grep -qE "^$name " scripts/reach-allowlist.txt; then

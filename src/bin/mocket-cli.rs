@@ -5,10 +5,9 @@
 //! mocket-cli generate <spec> [--por] [--max-path-len N] [--limit N] [--out FILE]
 //! mocket-cli test <target> [--bug NAME] [--limit N] [--progress] [--obs-dir DIR]
 //!                          [--priority-edges FILE] [--sim] [--sim-seed S]
-//!                          [--rtt-ms B] [--rtt-spread-ms S]
 //! mocket-cli campaign <target> --campaign-dir DIR [--bug NAME] [--workers N] [--limit N]
 //!                          [--shard-size N] [--poison-threshold K] [--progress]
-//!                          [--sim] [--sim-seed S] [--rtt-ms B] [--rtt-spread-ms S] ...
+//!                          [--sim] [--sim-seed S] ...
 //! mocket-cli report --obs-dir DIR [--html] [--out FILE]
 //! mocket-cli simulate <target> [--steps N] [--seed S]
 //! mocket-cli list
@@ -38,7 +37,6 @@ use mocket::core::orchestrator::{
 };
 use mocket::core::{CampaignJournal, CaseOutcome};
 use mocket::core::{PipelineConfig, RetryPolicy, RunConfig, SystemUnderTest};
-use mocket::dsnet::FaultPlan;
 use mocket::runtime::Backend;
 use mocket::sim::SimHandle;
 use mocket::targets::{self, Target};
@@ -48,12 +46,11 @@ fn usage() -> ! {
         "usage:\n  mocket-cli check <spec> [--max-states N] [--dot FILE]\n  \
          mocket-cli generate <spec> [--por] [--max-path-len N] [--limit N] [--out FILE]\n  \
          mocket-cli test <target> [--bug NAME] [--limit N] [--progress] [--obs-dir DIR] \
-         [--priority-edges FILE] [--trace] [--sim] [--sim-seed S] [--rtt-ms B] \
-         [--rtt-spread-ms S]\n  \
+         [--priority-edges FILE] [--trace] [--sim] [--sim-seed S]\n  \
          mocket-cli campaign <target> --campaign-dir DIR [--bug NAME] [--workers N] \
          [--limit N] [--max-states N] [--max-path-len N] [--shard-size N] \
          [--poison-threshold K] [--max-restarts N] [--lease-ttl-ms N] [--progress] \
-         [--trace] [--sim] [--sim-seed S] [--rtt-ms B] [--rtt-spread-ms S]\n  \
+         [--trace] [--sim] [--sim-seed S]\n  \
          mocket-cli campaign --status --campaign-dir DIR [--watch] [--interval-ms N]\n  \
          mocket-cli report --obs-dir DIR [--html] [--out FILE]\n  \
          mocket-cli report --trace-view [--trace-file FILE | --obs-dir DIR] [--out FILE]\n  \
@@ -71,7 +68,7 @@ fn usage() -> ! {
 const KNOWN_FLAGS: &[&str] = &[
     "bug", "campaign-dir", "dot", "html", "interval-ms", "lease-ttl-ms", "limit",
     "max-path-len", "max-restarts", "max-states", "obs-dir", "out", "poison-threshold", "por",
-    "priority-edges", "progress", "rtt-ms", "rtt-spread-ms", "seed",
+    "priority-edges", "progress", "seed",
     "shard-size", "sim", "sim-seed", "status", "steps", "trace", "trace-file", "trace-view",
     "watch", "worker-id", "workers",
 ];
@@ -83,7 +80,7 @@ struct Args {
     /// This command line with the subcommand swapped for the hidden
     /// `campaign-worker`: what the campaign supervisor spawns its
     /// workers with (plus `--worker-id N`), so every flag a worker
-    /// reads (`--sim`, `--trace`, `--rtt-ms`, lease timing, ...) is
+    /// reads (`--sim`, `--trace`, lease timing, ...) is
     /// forwarded. Target, bug and bounds a worker takes from `plan.txt`.
     worker_argv: Vec<String>,
 }
@@ -155,25 +152,6 @@ impl Args {
     fn target(&self) -> Target {
         or_exit_2(targets::by_name(self.name(), self.bug()))
     }
-
-    /// Virtual link latency selected by `--rtt-ms` / `--rtt-spread-ms`:
-    /// when set, every SUT network gets a seed-driven fault plan that
-    /// holds messages for a base RTT plus a stable per-link offset and
-    /// per-message jitter. The holds mature on the cluster clock —
-    /// virtual time under `--sim`, wall time otherwise —
-    /// and the seed is shared with `--sim-seed` so one number pins the
-    /// whole run. Plans carry mutable replay state, so every deployment
-    /// takes its own clone of this pristine one.
-    fn fault_plan(&self) -> Option<FaultPlan> {
-        let base_ms = self.flag_usize("rtt-ms", 0);
-        (base_ms > 0).then(|| {
-            FaultPlan::new(
-                self.flag_usize("sim-seed", 42) as u64,
-                Duration::from_millis(base_ms as u64),
-                Duration::from_millis(self.flag_usize("rtt-spread-ms", 0) as u64),
-            )
-        })
-    }
 }
 
 /// Unknown spec, target and bug names all exit 2 with the catalogue's
@@ -186,14 +164,13 @@ fn or_exit_2<T>(resolved: Result<T, String>) -> T {
 }
 
 /// A fresh deployment of `target` per call, on the backend `--sim`
-/// selects and under the `--rtt-ms` fault plan.
+/// selects.
 fn deployer<'a>(
     target: &'a Target,
     sim: Option<&SimHandle>,
-    faults: Option<FaultPlan>,
 ) -> impl FnMut() -> Box<dyn SystemUnderTest> + 'a {
     let backend = sim.map_or(Backend::Threads, |handle| Backend::Sim(handle.clone()));
-    move || target.sut(backend.clone(), faults.clone())
+    move || target.sut(backend.clone())
 }
 
 fn cmd_check(args: &Args) {
@@ -298,7 +275,7 @@ fn cmd_test(args: &Args) {
         }
         std::process::exit(1);
     });
-    let result = pipeline.run(deployer(&target, sim.as_ref(), args.fault_plan()));
+    let result = pipeline.run(deployer(&target, sim.as_ref()));
     println!(
         "{name}{}: {} states, {} cases selected, {} run, {} passed, {} quarantined",
         bug.map(|b| format!(" (bug: {b})")).unwrap_or_default(),
@@ -798,7 +775,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
             .pipeline(pc)
             .expect("mapping validated at worker startup")
     };
-    let make = deployer(&target, sim.as_ref(), args.fault_plan());
+    let make = deployer(&target, sim.as_ref());
     match mocket::core::orchestrator::worker_loop(&wcfg, &ctx, graph, build, make) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
@@ -897,11 +874,11 @@ fn cmd_trace_view(args: &Args) {
 fn cmd_simulate(args: &Args) {
     // A free-running three-node cluster of the target's implementation.
     let target = args.target();
-    let mut sut = target.sut_on(vec![1, 2, 3], Backend::Threads, None);
+    let mut sut = target.sut_on(vec![1, 2, 3], Backend::Threads);
     let steps = args.flag_usize("steps", 2000);
     let seed = args.flag_usize("seed", 42) as u64;
     sut.deploy().expect("deploy");
-    let (stats, mut sut) = mocket::runtime::run_random(sut, steps, seed, 5).expect("random run");
+    let (stats, mut sut) = mocket::runtime::run_random(sut, steps, seed).expect("random run");
     sut.teardown();
     println!("{}: {} actions under a random schedule", target.name, stats.executed);
     for (action, count) in &stats.action_counts {

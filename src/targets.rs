@@ -17,7 +17,7 @@ use mocket_core::{
     MappingIssue, MappingRegistry, Pipeline, PipelineConfig, PipelineResult, RunConfig,
     SystemUnderTest,
 };
-use mocket_dsnet::{FaultPlan, NodeId};
+use mocket_dsnet::NodeId;
 use mocket_raft_async::XraftBugs;
 use mocket_raft_sync::SyncRaftBugs;
 use mocket_runtime::Backend;
@@ -38,7 +38,7 @@ pub struct Target {
     /// Developer-guided scoping (§4.2.1) a hunt on this target applies.
     pub case_filter: Option<fn(&[&str]) -> bool>,
     servers: Vec<NodeId>,
-    build: Box<dyn Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> Box<dyn SystemUnderTest>>,
+    build: Box<dyn Fn(Vec<NodeId>, Backend) -> Box<dyn SystemUnderTest>>,
 }
 
 impl Target {
@@ -47,7 +47,7 @@ impl Target {
         servers: &[i64],
         spec: impl Spec + 'static,
         registry: MappingRegistry,
-        build: impl Fn(Vec<NodeId>, Backend, Option<FaultPlan>) -> Box<dyn SystemUnderTest> + 'static,
+        build: impl Fn(Vec<NodeId>, Backend) -> Box<dyn SystemUnderTest> + 'static,
     ) -> Target {
         Target {
             name,
@@ -60,23 +60,18 @@ impl Target {
     }
 
     /// A fresh deployment of the model's servers (one per test case).
-    pub fn sut(&self, backend: Backend, faults: Option<FaultPlan>) -> Box<dyn SystemUnderTest> {
-        self.sut_on(self.servers.clone(), backend, faults)
+    pub fn sut(&self, backend: Backend) -> Box<dyn SystemUnderTest> {
+        self.sut_on(self.servers.clone(), backend)
     }
 
     /// The same implementation on other servers — for free-running
     /// clusters that no specification drives.
-    pub fn sut_on(
-        &self,
-        servers: Vec<NodeId>,
-        backend: Backend,
-        faults: Option<FaultPlan>,
-    ) -> Box<dyn SystemUnderTest> {
-        (self.build)(servers, backend, faults)
+    pub fn sut_on(&self, servers: Vec<NodeId>, backend: Backend) -> Box<dyn SystemUnderTest> {
+        (self.build)(servers, backend)
     }
 
     /// The one bug-hunt configuration: no POR, stop at the first
-    /// report, paths capped at 60 actions, fast runner deadlines, this
+    /// report, paths capped at 60 actions, the fast runner budget, this
     /// target's scoping filter.
     pub fn hunt_config(&self) -> PipelineConfig {
         let mut pc = PipelineConfig::default();
@@ -93,22 +88,22 @@ impl Target {
         Pipeline::new(self.spec.clone(), self.registry.clone(), pc)
     }
 
-    /// Runs `pc` against fault-free deployments on `backend`, counting
-    /// time on the simulation's clock when there is one.
+    /// Runs `pc` against fresh deployments on `backend`, counting time
+    /// on the simulation's clock when there is one.
     pub fn run(&self, mut pc: PipelineConfig, backend: &Backend) -> PipelineResult {
         if let Backend::Sim(handle) = backend {
             pc.clock = handle.clock.clone();
         }
         let pipeline = self.pipeline(pc).expect("catalogue mappings validate");
-        pipeline.run(|| self.sut(backend.clone(), None))
+        pipeline.run(|| self.sut(backend.clone()))
     }
 }
 
 /// AsyncRaft (the Xraft analog) against `cfg`.
 pub fn xraft(cfg: RaftSpecConfig, bugs: XraftBugs) -> Target {
     let registry = mocket_raft_async::mapping();
-    Target::new("xraft", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b, f| {
-        Box::new(mocket_raft_async::make_sut_full(s, bugs.clone(), b, f))
+    Target::new("xraft", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b| {
+        Box::new(mocket_raft_async::make_sut_full(s, bugs.clone(), b, None))
     })
 }
 
@@ -117,16 +112,16 @@ pub fn xraft(cfg: RaftSpecConfig, bugs: XraftBugs) -> Target {
 /// `expose_update_term` is the §6.1 mapping variant of `make_sut_full`.
 pub fn raft_java(cfg: RaftSpecConfig, bugs: SyncRaftBugs, expose_update_term: bool) -> Target {
     let registry = mocket_raft_sync::mapping(cfg.bug_update_term_independent);
-    Target::new("raft-java", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b, f| {
-        Box::new(mocket_raft_sync::make_sut_full(s, bugs.clone(), expose_update_term, b, f))
+    Target::new("raft-java", &cfg.servers.clone(), RaftSpec::new(cfg), registry, move |s, b| {
+        Box::new(mocket_raft_sync::make_sut_full(s, bugs.clone(), expose_update_term, b, None))
     })
 }
 
 /// ZabKeeper (the ZooKeeper analog) against `cfg`.
 pub fn zab(cfg: ZabSpecConfig, bugs: ZabBugs) -> Target {
     let registry = mocket_zab::mapping();
-    Target::new("zab", &cfg.servers.clone(), ZabSpec::new(cfg), registry, move |s, b, f| {
-        Box::new(mocket_zab::make_sut_full(s, bugs.clone(), b, f))
+    Target::new("zab", &cfg.servers.clone(), ZabSpec::new(cfg), registry, move |s, b| {
+        Box::new(mocket_zab::make_sut_full(s, bugs.clone(), b, None))
     })
 }
 

@@ -59,7 +59,7 @@ pub fn checkpoints(target: &Target, window: usize, cases: usize) -> Vec<Checkpoi
 
     let mut out = Vec::new();
     for case in suite.iter().take(cases) {
-        let mut sut = target.sut(Backend::Threads, None);
+        let mut sut = target.sut(Backend::Threads);
         sut.deploy().expect("deploys");
         let mut pools = pools_from_registry(registry);
         out.push(Checkpoint {

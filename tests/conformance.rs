@@ -110,12 +110,12 @@ fn node1(sut: &mut dyn SystemUnderTest) -> Vec<(String, Value)> {
 fn disk_loss_restarts_empty_and_plain_restart_keeps_the_disk_on_every_target() {
     for name in targets::TARGETS {
         let target = targets::by_name(name, None).unwrap();
-        let mut deployment = target.sut_on(vec![1, 2, 3], Backend::Threads, None);
+        let mut deployment = target.sut_on(vec![1, 2, 3], Backend::Threads);
         deployment.deploy().expect("deploy");
         let fresh = node1(deployment.as_mut());
         // Long enough for node 1 to persist terms, votes or epochs.
         let (_, mut deployment) =
-            mocket::runtime::run_random(deployment, 400, 11, 5).expect("random run");
+            mocket::runtime::run_random(deployment, 400, 11).expect("random run");
         let sut = deployment.as_mut();
 
         let restart = |sut: &mut dyn SystemUnderTest, action: &str| {
@@ -149,7 +149,7 @@ fn every_target_projects_exactly_its_mapped_fields() {
             .collect();
         mapped.sort_unstable();
         let ids = [1, 2, 3];
-        let mut deployment = target.sut_on(ids.to_vec(), Backend::Threads, None);
+        let mut deployment = target.sut_on(ids.to_vec(), Backend::Threads);
         deployment.deploy().expect("deploy");
 
         let snapshot = deployment.snapshot().expect("snapshot");
@@ -167,7 +167,7 @@ fn every_target_projects_exactly_its_mapped_fields() {
 
         let fresh = node1(deployment.as_mut());
         let (_, mut deployment) =
-            mocket::runtime::run_random(deployment, 400, 11, 5).expect("random run");
+            mocket::runtime::run_random(deployment, 400, 11).expect("random run");
         let sut = deployment.as_mut();
         let before = node1(sut);
         assert_ne!(before, fresh, "{name}: node 1 moved");

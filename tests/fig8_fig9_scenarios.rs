@@ -18,7 +18,7 @@ use mocket::tla::{ActionInstance, Value};
 fn xraft_cluster(bug: Option<&str>, servers: Vec<u64>) -> Box<dyn SystemUnderTest> {
     by_name("xraft", bug)
         .unwrap()
-        .sut_on(servers, Backend::Threads, None)
+        .sut_on(servers, Backend::Threads)
 }
 
 fn offer(node: u64, name: &str, params: Vec<Value>) -> Offer {

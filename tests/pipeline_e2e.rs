@@ -54,7 +54,7 @@ fn dot_boundary_then_controlled_testing() {
 
         // ④ controlled testing on a real cluster, wall clock.
         let (outcome, stats) = run_test_case(
-            target.sut(Backend::Threads, None),
+            target.sut(Backend::Threads),
             &tc,
             &registry,
             &final_enabled,

@@ -13,7 +13,7 @@ use mocket::tla::{ActionInstance, Value};
 fn cluster(target: &str) -> Box<dyn SystemUnderTest> {
     by_name(target, None)
         .unwrap()
-        .sut_on(vec![1, 2, 3], Backend::Threads, None)
+        .sut_on(vec![1, 2, 3], Backend::Threads)
 }
 
 /// At most one Raft leader per term (election safety), read from the
@@ -44,7 +44,7 @@ fn asyncraft_election_safety_under_random_schedules() {
     for seed in SEEDS {
         let mut sut = cluster("xraft");
         sut.deploy().expect("deploy");
-        let (_, mut sut) = run_random(sut, 250, seed, 5).expect("random run");
+        let (_, mut sut) = run_random(sut, 250, seed).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");
         sut.teardown();
         assert!(
@@ -60,7 +60,7 @@ fn asyncraft_committed_logs_agree() {
     for seed in SEEDS {
         let mut sut = cluster("xraft");
         sut.deploy().expect("deploy");
-        let (_, mut sut) = run_random(sut, 300, seed.wrapping_mul(31), 5).expect("random run");
+        let (_, mut sut) = run_random(sut, 300, seed.wrapping_mul(31)).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");
         sut.teardown();
         let (Some(Value::Fun(logs)), Some(Value::Fun(commits))) =
@@ -89,7 +89,7 @@ fn zabkeeper_single_leader_under_random_schedules() {
     for seed in SEEDS {
         let mut sut = cluster("zab");
         sut.deploy().expect("deploy");
-        let (_, mut sut) = run_random(sut, 250, seed.wrapping_mul(17), 5).expect("random run");
+        let (_, mut sut) = run_random(sut, 250, seed.wrapping_mul(17)).expect("random run");
         let snapshot = sut.snapshot().expect("snapshot");
         sut.teardown();
         let Some(Value::Fun(states)) = snapshot.get("zkState") else {

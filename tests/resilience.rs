@@ -32,7 +32,7 @@ impl NodeApp for VolatileApp {
         VolatileApp { pinged: false }
     }
 
-    fn enabled(&mut self, _cx: &mut NodeCx<'_, i64>) -> Vec<ActionInstance> {
+    fn enabled(&self, _net: &Net<i64>) -> Vec<ActionInstance> {
         let mut offers = vec![
             ActionInstance::nullary("boom"),
             ActionInstance::nullary("hang"),
@@ -98,7 +98,6 @@ fn config() -> RunConfig {
     RunConfig {
         check_initial: false,
         per_action_budget: Duration::from_millis(200),
-        ..RunConfig::fast()
     }
 }
 

@@ -10,15 +10,11 @@
 //! - two sim runs with the same seed are byte-identical *including*
 //!   the wall-clock section — under the virtual clock even the
 //!   `wall_*` keys are deterministic;
-//! - a virtual-clock run spends no wall time sleeping: the sim run of
-//!   a workload full of 50ms offer deadlines finishes in a fraction
-//!   of the real run's wall clock;
+//! - a missing action costs no waiting: a sim run whose every case
+//!   ends in one accounts only its step costs in virtual time;
 //! - a forever-blocking `NodeApp` terminates under `--sim` via the
 //!   case watchdog, with the same verdict as on the wall clock (PR-9
-//!   defect #1), and so does a forever-blocking offer poll;
-//! - a campaign under seeded time-based delay faults produces
-//!   identical verdicts and minimized schedules on both backends
-//!   (PR-9 defect #2).
+//!   defect #1), and so does a forever-blocking offer poll.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +25,7 @@ use mocket::core::{
     run_test_case, ExecReport, Inconsistency, Offer, RunConfig, RunCtx, Snapshot, SutError,
     SystemUnderTest, TestCase, TestOutcome,
 };
-use mocket::dsnet::{FaultPlan, Net};
+use mocket::dsnet::Net;
 use mocket::obs::{strip_wall_clock, Obs};
 use mocket::runtime::{Backend, Cluster, ClusterSut, ExternalDriver, NodeApp, NodeCx, ScriptDriver};
 use mocket::sim::{Clock, RealClock, SimHandle};
@@ -45,14 +41,11 @@ struct RunOutput {
     summary: String,
     /// Raw `trace.jsonl` bytes when the run was traced, else empty.
     trace: String,
-    wall_seconds: f64,
 }
 
-/// The first six cases of `target`'s hunt, all run, under the fault
-/// plan `faults` builds per deployment.
+/// The first six cases of `target`'s hunt, all run.
 fn run_workload(
     target: Target,
-    faults: impl Fn() -> Option<FaultPlan>,
     sim: Option<&SimHandle>,
     trace_dir: Option<&std::path::Path>,
 ) -> RunOutput {
@@ -73,9 +66,7 @@ fn run_workload(
         None => Backend::Threads,
     };
     let pipeline = target.pipeline(pc).expect("mapping validates");
-    let start = Instant::now();
-    let result = pipeline.run(|| target.sut(backend.clone(), faults()));
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let result = pipeline.run(|| target.sut(backend.clone()));
     let trace = trace_dir
         .map(|d| std::fs::read_to_string(d.join(mocket::obs::TRACE_FILE_NAME)).unwrap_or_default())
         .unwrap_or_default();
@@ -93,7 +84,6 @@ fn run_workload(
         events: rec.to_jsonl(),
         summary: result.summary.to_json(),
         trace,
-        wall_seconds,
     }
 }
 
@@ -107,7 +97,7 @@ fn buggy_raft() -> Target {
 }
 
 fn run_raft_in(sim: Option<&SimHandle>, trace_dir: Option<&std::path::Path>) -> RunOutput {
-    run_workload(buggy_raft(), || None, sim, trace_dir)
+    run_workload(buggy_raft(), sim, trace_dir)
 }
 
 /// A fresh scratch directory for traced runs.
@@ -120,7 +110,7 @@ fn trace_dir(tag: &str) -> std::path::PathBuf {
 
 fn run_zab(sim: Option<&SimHandle>) -> RunOutput {
     let target = by_name("zab", Some("election-echo-storm")).unwrap();
-    run_workload(target, || None, sim, None)
+    run_workload(target, sim, None)
 }
 
 fn assert_equivalent(real: &RunOutput, sim: &RunOutput, system: &str) {
@@ -143,26 +133,6 @@ fn assert_equivalent(real: &RunOutput, sim: &RunOutput, system: &str) {
     );
 }
 
-/// The delay-fault-heavy variant of [`run_raft`]: the same buggy
-/// campaign, but every deployment installs a seeded plan that holds
-/// ~40% of messages for a 5–12ms virtual RTT (base + stable per-link
-/// offset + per-message jitter). The holds mature on the cluster
-/// clock — wall time on the threaded backend, virtual time under the
-/// simulation — and sit far below the 50ms offer deadline, so both
-/// backends must reach the same verdicts through the same schedules.
-fn run_raft_timed_delays(sim: Option<&SimHandle>) -> RunOutput {
-    // Plans carry mutable replay state, so each deployment gets a
-    // fresh one; the fixed seed keeps them identical.
-    let plan = || {
-        Some(FaultPlan::new(
-            99,
-            Duration::from_millis(5),
-            Duration::from_millis(2),
-        ))
-    };
-    run_workload(buggy_raft(), plan, sim, None)
-}
-
 /// Offers only `hang`; executing it blocks the node forever. The case
 /// watchdog abandons such a case on either backend; before PR-9 the
 /// sim backend simply deadlocked on it.
@@ -177,7 +147,7 @@ impl NodeApp for HangApp {
         HangApp
     }
 
-    fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+    fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
         vec![ActionInstance::nullary("hang")]
     }
 
@@ -232,7 +202,6 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
     let cfg = RunConfig {
         check_initial: false,
         per_action_budget: Duration::from_millis(200),
-        ..RunConfig::fast()
     };
     let start = Instant::now();
     let (outcome, _) = run_test_case(
@@ -282,13 +251,6 @@ fn zab_sim_run_is_equivalent_to_real_run() {
 }
 
 #[test]
-fn raft_sync_timed_delay_run_is_equivalent_across_backends() {
-    let real = run_raft_timed_delays(None);
-    let sim = run_raft_timed_delays(Some(&SimHandle::new(42)));
-    assert_equivalent(&real, &sim, "raft-sync+timed-delays");
-}
-
-#[test]
 fn hung_node_sim_verdict_is_byte_identical_to_threaded_mode() {
     let (real, _, _) = run_hang(None);
     let (sim, sim_waited, sim_wall) = run_hang(Some(&SimHandle::new(42)));
@@ -318,7 +280,7 @@ impl NodeApp for MuteApp {
         MuteApp
     }
 
-    fn enabled(&mut self, _cx: &mut NodeCx<'_, u64>) -> Vec<ActionInstance> {
+    fn enabled(&self, _net: &Net<u64>) -> Vec<ActionInstance> {
         loop {
             std::thread::park();
         }
@@ -368,7 +330,6 @@ fn offer_poll_hang_is_a_watchdog_verdict() {
     let cfg = RunConfig {
         check_initial: false,
         per_action_budget: Duration::from_millis(200),
-        ..RunConfig::fast()
     };
     let sim = SimHandle::new(42);
     let node_sut = |backend| Box::new(ClusterSut::new(Cluster::<MuteApp>::new((), Net::new([1, 2]), backend), vec![1, 2], ScriptDriver::new("hang")));
@@ -442,22 +403,31 @@ fn same_seed_sim_traces_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// The number under `key` in a run summary.
+fn summary_number(summary: &str, key: &str) -> f64 {
+    let key = format!("\"{key}\": ");
+    let at = summary.find(&key).unwrap_or_else(|| panic!("no {key} in {summary}"));
+    let rest = &summary[at + key.len()..];
+    rest[..rest.find([',', '\n']).unwrap()].parse().unwrap()
+}
+
 #[test]
 fn sim_runs_skip_real_sleeps() {
-    // Each missing-action case in this workload waits out a 50ms
-    // offer deadline through the runner's backoff loop. Real mode
-    // pays it in wall clock; sim mode must jump over it.
-    let real = run_raft(None);
+    // Every case in this workload ends in a missing action. A missing
+    // action is found by one offer poll, so no run waits for anything:
+    // the sim run's virtual test time is its step costs alone, less
+    // than one 50 ms offer deadline per missing action.
     let sim = run_raft(Some(&SimHandle::new(42)));
     assert!(
-        sim.wall_seconds < real.wall_seconds / 2.0,
-        "sim wall {}s vs real wall {}s: virtual time must not cost wall time",
-        sim.wall_seconds,
-        real.wall_seconds
+        sim.verdicts.iter().all(|(kind, _)| kind == "Missing action"),
+        "{:?}",
+        sim.verdicts
     );
-    // And the sim run still *reports* the waited-out virtual time.
+    let missing = summary_number(&sim.summary, "metric.runner.missing_actions");
+    let virtual_s = summary_number(&sim.summary, "wall_test_seconds");
+    assert!(missing >= 6.0, "{missing} missing actions");
     assert!(
-        sim.summary.contains("\"wall_test_seconds\""),
-        "summary keeps its wall section under sim"
+        virtual_s > 0.0 && virtual_s < 0.05 * missing,
+        "{virtual_s} virtual seconds for {missing} missing actions: a missing action costs no waiting"
     );
 }

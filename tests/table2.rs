@@ -185,13 +185,13 @@ fn minimized_raft_failure_validates_and_replays_to_the_same_kind() {
         report.test_case.len(),
         "artifact records the pre-shrink length"
     );
-    let fresh = target.sut(Backend::Threads, None);
+    let fresh = target.sut(Backend::Threads);
     let (verdict, _) = replay(&artifact, fresh, &target.registry).unwrap();
     assert!(verdict.reproduced(), "{verdict:?}");
 
     // A fixed build does NOT reproduce: replay distinguishes "still
     // broken" from "fixed" for free.
-    let fixed = by_name("xraft", None).unwrap().sut(Backend::Threads, None);
+    let fixed = by_name("xraft", None).unwrap().sut(Backend::Threads);
     let (verdict, _) = replay(&artifact, fixed, &target.registry).unwrap();
     assert!(
         !verdict.reproduced(),
