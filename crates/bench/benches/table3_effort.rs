@@ -3,28 +3,32 @@
 //! Columns mirror the paper: distinct states in the state-space
 //! graph, paths from edge-coverage traversal alone (`PathEC`), paths
 //! with partial-order reduction (`PathEC+POR`), and controlled-testing
-//! time. The time column is measured by executing a sample of the
-//! reduced cases against the conformant implementation and
-//! extrapolating to the full reduced set (the paper ran everything
+//! time. The time column runs the whole reduced suite against the
+//! conformant implementation, on the virtual clock, as one pipeline
+//! window: a case resumes from the deployment that passed the steps it
+//! shares with the case before, so the steps executed are far fewer
+//! than the suite's length (the paper deploys every case fresh and ran
 //! for days; the shape to check is the POR reduction ratio and the
 //! ordering between systems).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mocket::obs::causal::Tracer;
+use mocket::obs::Obs;
 use mocket::runtime::Backend;
+use mocket::sim::SimHandle;
 use mocket::targets::{self, Target};
 use mocket_bench::fmt_secs;
-use mocket_checker::ModelChecker;
 use mocket_core::{
-    edge_coverage_paths, partial_order_reduction, run_test_case, RunConfig, RunCtx, TestCase,
-    TraversalConfig,
+    ExecReport, Offer, PipelineConfig, RunConfig, Snapshot, SutError, SystemUnderTest,
 };
 use mocket_raft_async::XraftBugs;
 use mocket_raft_sync::SyncRaftBugs;
+use mocket_tla::ActionInstance;
 use mocket_zab::ZabBugs;
 
-const SAMPLE: usize = 150;
 const MAX_PATH_LEN: usize = 60;
 
 struct SystemRow {
@@ -34,63 +38,93 @@ struct SystemRow {
     path_ec: usize,
     path_ec_por: usize,
     check_secs: f64,
-    est_test_secs: f64,
-    sample_passed: usize,
-    sample_run: usize,
+    test_secs: f64,
+    /// Steps the suite's cases name, and steps executed.
+    steps: usize,
+    executed: usize,
+    passed: usize,
+    cases_run: usize,
+}
+
+/// Forwards every call, `fork` included, and counts executed steps.
+struct Counted {
+    inner: Box<dyn SystemUnderTest>,
+    executed: Arc<AtomicUsize>,
+}
+
+impl SystemUnderTest for Counted {
+    fn deploy(&mut self) -> Result<(), SutError> {
+        self.inner.deploy()
+    }
+    fn teardown(&mut self) {
+        self.inner.teardown()
+    }
+    fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
+        self.inner.offers()
+    }
+    fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.inner.execute(offer)
+    }
+    fn execute_external(&mut self, action: &ActionInstance) -> Result<ExecReport, SutError> {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.inner.execute_external(action)
+    }
+    fn snapshot(&mut self) -> Result<Snapshot, SutError> {
+        self.inner.snapshot()
+    }
+    fn install_tracer(&mut self, tracer: &Tracer) {
+        self.inner.install_tracer(tracer)
+    }
+    fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
+        Some(Box::new(Counted {
+            inner: self.inner.fork()?,
+            executed: self.executed.clone(),
+        }))
+    }
 }
 
 fn measure(name: &'static str, target: Target) -> SystemRow {
+    let sim = SimHandle::new(42);
+    let mut pc = PipelineConfig::default();
+    pc.max_path_len = MAX_PATH_LEN;
+    pc.stop_at_first_bug = false;
+    pc.run = RunConfig::fast();
+    pc.clock = sim.clock.clone();
+    let obs = Obs::disabled();
+    pc.obs = obs.clone();
+    let pipeline = target.pipeline(pc).expect("catalogue mappings validate");
+
     let start = Instant::now();
-    let result = ModelChecker::new(target.spec.clone()).run();
+    let (graph, _) = pipeline.check();
     let check_secs = start.elapsed().as_secs_f64();
-    let graph = result.graph;
 
-    let mut plain = TraversalConfig::default();
-    plain.max_path_len = MAX_PATH_LEN;
-    let ec = edge_coverage_paths(&graph, &plain);
-
-    let por = partial_order_reduction(&graph);
-    let mut reduced_cfg = TraversalConfig::default().with_excluded_edges(por.excluded_edges);
-    reduced_cfg.max_path_len = MAX_PATH_LEN;
-    let reduced = edge_coverage_paths(&graph, &reduced_cfg);
-
-    // Execute a sample of the reduced cases to estimate per-case cost.
-    let run_cfg = RunConfig::fast();
-    let registry = Arc::new(target.registry.clone());
-    let sample_start = Instant::now();
-    let mut sample_run = 0usize;
-    let mut sample_passed = 0usize;
-    let step = (reduced.paths.len() / SAMPLE).max(1);
-    for path in reduced.paths.iter().step_by(step).take(SAMPLE) {
-        let tc = TestCase::from_edge_path(&graph, path).expect("traversal paths are non-empty");
-        let final_node = graph.edge(*path.last().unwrap()).to;
-        let final_enabled: Vec<_> = graph.enabled_at(final_node).into_iter().cloned().collect();
-        let (outcome, _) = run_test_case(
-            target.sut(Backend::Threads),
-            &tc,
-            &registry,
-            &final_enabled,
-            &run_cfg,
-            &RunCtx::default(),
-        )
-        .expect("no SUT failure");
-        sample_run += 1;
-        if outcome.passed() {
-            sample_passed += 1;
-        }
-    }
-    let per_case = sample_start.elapsed().as_secs_f64() / sample_run.max(1) as f64;
+    let executed = Arc::new(AtomicUsize::new(0));
+    let backend = Backend::Sim(sim);
+    let mut first_case = None;
+    let result = pipeline.run_prepared(graph, check_secs, || {
+        first_case.get_or_insert_with(Instant::now);
+        Box::new(Counted {
+            inner: target.sut(backend.clone()),
+            executed: executed.clone(),
+        })
+    });
+    let test_secs = first_case.map_or(0.0, |t| t.elapsed().as_secs_f64());
+    let m = obs.metrics();
+    let steps = m.counter("runner.actions_released") + m.counter("runner.external_triggers");
 
     SystemRow {
         name,
-        states: graph.state_count(),
-        edges: graph.edge_count(),
-        path_ec: ec.paths.len(),
-        path_ec_por: reduced.paths.len(),
+        states: result.effort.states,
+        edges: result.effort.edges,
+        path_ec: result.effort.paths_ec,
+        path_ec_por: result.effort.paths_ec_por,
         check_secs,
-        est_test_secs: per_case * reduced.paths.len() as f64,
-        sample_passed,
-        sample_run,
+        test_secs,
+        steps: steps as usize,
+        executed: executed.load(Ordering::Relaxed),
+        passed: result.passed,
+        cases_run: result.effort.cases_run,
     }
 }
 
@@ -113,8 +147,9 @@ fn main() {
 
     println!("=== Table 3: Testing Effort ===");
     println!(
-        "{:<11} {:>8} {:>8} {:>9} {:>11} {:>7} {:>10} {:>12}",
-        "System", "State", "Edges", "PathEC", "PathEC+POR", "POR-%", "Check", "Time(est.)"
+        "{:<11} {:>8} {:>8} {:>9} {:>11} {:>7} {:>10} {:>10} {:>10} {:>9}",
+        "System", "State", "Edges", "PathEC", "PathEC+POR", "POR-%", "Check", "Time", "Steps",
+        "Executed"
     );
     for r in &rows {
         let reduction = if r.path_ec == 0 {
@@ -123,7 +158,7 @@ fn main() {
             100.0 * (1.0 - r.path_ec_por as f64 / r.path_ec as f64)
         };
         println!(
-            "{:<11} {:>8} {:>8} {:>9} {:>11} {:>6.1}% {:>10} {:>12}",
+            "{:<11} {:>8} {:>8} {:>9} {:>11} {:>6.1}% {:>10} {:>10} {:>10} {:>9}",
             r.name,
             r.states,
             r.edges,
@@ -131,11 +166,13 @@ fn main() {
             r.path_ec_por,
             reduction,
             fmt_secs(r.check_secs),
-            fmt_secs(r.est_test_secs),
+            fmt_secs(r.test_secs),
+            r.steps,
+            r.executed,
         );
         assert_eq!(
-            r.sample_passed, r.sample_run,
-            "{}: conformant samples must all pass",
+            r.passed, r.cases_run,
+            "{}: a conformant implementation passes every case",
             r.name
         );
     }

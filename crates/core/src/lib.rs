@@ -53,7 +53,10 @@ pub use pipeline::{
 };
 pub use por::{partial_order_reduction, Diamond, PorResult};
 pub use report::{BugReport, Determinism, Inconsistency, VariableDivergence};
-pub use runner::{pools_from_registry, run_test_case, RunConfig, RunCtx, RunStats, TestOutcome};
+pub use runner::{
+    pools_from_registry, resume_test_case, run_test_case, CaseStart, ResumePoint, RunConfig,
+    RunCtx, RunStats, TestOutcome,
+};
 pub use scheduler::{find_match, translate_offers, unexpected_offers, SpecOffer};
 pub use statecheck::{check_state, value_diff, values_match};
 pub use sut::{

@@ -8,6 +8,9 @@
 //! [`Pipeline::drive_case`] materializes one case, consults the gate
 //! and the journal, and runs it once: it passes, fails (handed to
 //! [`triage`](super::triage)) or, on a harness error, is quarantined.
+//! A window runs its cases as a walk over their prefix tree ([`Walk`]):
+//! each starts from the deepest resume point it shares with the case
+//! run before it.
 
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -21,7 +24,7 @@ use mocket_tla::ActionInstance;
 
 use crate::artifact::{CampaignJournal, CaseOutcome, JournalEntry, JournalOpenError};
 use crate::report::BugReport;
-use crate::runner::{run_test_case, RunCtx, RunStats, TestOutcome};
+use crate::runner::{resume_test_case, CaseStart, ResumePoint, RunCtx, RunStats, TestOutcome};
 use crate::sut::{SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
@@ -65,6 +68,38 @@ pub(crate) struct WindowResult {
     pub(crate) stopped_by_gate: bool,
 }
 
+/// The window's walk over its cases' prefix tree: the path of the
+/// last case run and the resume points along it, `points[i]` the state
+/// after its step `i` passed. A case starts from the deepest point on
+/// its own path, or from a fresh deployment when none is left.
+#[derive(Default)]
+struct Walk {
+    path: Vec<EdgeId>,
+    points: Vec<ResumePoint>,
+}
+
+impl Walk {
+    /// Where a case on `path` starts: a copy of the deepest point the
+    /// two paths share, or a fresh `make_sut()` deployment. Points past
+    /// the shared prefix are dropped.
+    fn start<F>(&mut self, path: &[EdgeId], make_sut: &mut F) -> CaseStart
+    where
+        F: FnMut() -> Box<dyn SystemUnderTest>,
+    {
+        let shared = self.path.iter().zip(path).take_while(|(a, b)| a == b).count();
+        self.points.truncate(shared);
+        self.path.clear();
+        self.path.extend_from_slice(path);
+        match self.points.last().and_then(ResumePoint::copy) {
+            Some(point) => CaseStart::Resume(point),
+            None => {
+                self.points.clear();
+                CaseStart::Fresh(make_sut())
+            }
+        }
+    }
+}
+
 /// One open case window of `run` over `graph`.
 pub(super) struct Window<'r> {
     pub(super) run: &'r mut Run,
@@ -73,6 +108,7 @@ pub(super) struct Window<'r> {
     journal: Option<CampaignJournal>,
     /// `trace.jsonl`, when tracing is on and there is a directory.
     trace_path: Option<PathBuf>,
+    walk: Walk,
     pub(super) result: WindowResult,
 }
 
@@ -181,6 +217,7 @@ impl Pipeline {
             graph,
             journal,
             trace_path,
+            walk: Walk::default(),
             result: WindowResult::default(),
         };
         let (start, end) = self.config.case_range.unwrap_or((0, paths.len()));
@@ -314,9 +351,9 @@ impl Pipeline {
         }
     }
 
-    /// The one run of `case` on a fresh SUT: the runner's verdict (or
-    /// the harness error) plus the run's causal trace, which has
-    /// already been appended to the window's trace log.
+    /// The one run of `case`, from the window's walk: the runner's
+    /// verdict (or the harness error) plus the run's causal trace,
+    /// which has already been appended to the window's trace log.
     fn attempt_case<F>(
         &self,
         w: &mut Window<'_>,
@@ -335,7 +372,7 @@ impl Pipeline {
         } else {
             Tracer::disabled()
         };
-        let sut = make_sut();
+        let start = w.walk.start(case.path, make_sut);
         let ctx = RunCtx {
             clock: self.config.clock.clone(),
             obs: obs.clone(),
@@ -345,9 +382,9 @@ impl Pipeline {
         // observability events down with it: flush the event log
         // before letting the unwind continue, so the triage evidence —
         // including this case's `case.start` — reaches events.jsonl.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_test_case(
-                sut,
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            resume_test_case(
+                start,
                 &case.tc,
                 &self.registry,
                 &case.final_enabled,
@@ -355,8 +392,11 @@ impl Pipeline {
                 &ctx,
             )
         }));
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
+        let outcome = match ran {
+            Ok((outcome, points)) => {
+                w.walk.points.extend(points);
+                outcome
+            }
             Err(payload) => {
                 obs.flush();
                 resume_unwind(payload);

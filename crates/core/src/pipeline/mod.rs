@@ -330,8 +330,11 @@ impl Pipeline {
 
     /// Stage ④: controlled testing of the generated cases.
     ///
-    /// `make_sut` deploys a fresh system per call; a new cluster is
-    /// used for every test case (§4.3.2).
+    /// `make_sut` builds a fresh system per call. A case starts from a
+    /// fork of the deployment that passed its longest prefix shared
+    /// with the case before, when the system forks, and from a fresh
+    /// `make_sut()` deployment otherwise (§4.3.2 uses a new cluster for
+    /// every case); triage's re-runs always start fresh.
     ///
     /// The campaign always runs to completion (or to
     /// `stop_at_first_bug`): a single misbehaving case can no longer

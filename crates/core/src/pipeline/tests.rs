@@ -34,6 +34,7 @@ impl Spec for CounterSpec {
 }
 
 /// A counter implementation with an optional off-by-one bug.
+#[derive(Clone)]
 pub(crate) struct CounterSut {
     pub(crate) n: i64,
     pub(crate) buggy: bool,
@@ -153,6 +154,76 @@ fn max_test_cases_truncates() {
     let result = p
         .run(|| Box::new(CounterSut { n: 0, buggy: false }));
     assert_eq!(result.effort.cases_run, 1);
+}
+
+/// A [`CounterSut`] that counts its deploys and executions and, when
+/// `forks`, copies itself.
+#[derive(Clone)]
+struct CountedSut {
+    inner: CounterSut,
+    forks: bool,
+    /// `[deploys, executes]`, shared by every copy.
+    calls: Arc<[std::sync::atomic::AtomicUsize; 2]>,
+}
+
+impl SystemUnderTest for CountedSut {
+    fn deploy(&mut self) -> Result<(), SutError> {
+        self.calls[0].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.deploy()
+    }
+    fn teardown(&mut self) {}
+    fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
+        self.inner.offers()
+    }
+    fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
+        self.calls[1].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.execute(offer)
+    }
+    fn execute_external(&mut self, a: &ActionInstance) -> Result<ExecReport, SutError> {
+        self.inner.execute_external(a)
+    }
+    fn snapshot(&mut self) -> Result<Snapshot, SutError> {
+        self.inner.snapshot()
+    }
+    fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
+        self.forks.then(|| Box::new(self.clone()) as Box<dyn SystemUnderTest>)
+    }
+}
+
+/// A window walks its cases' prefix tree when the system forks: the
+/// verdicts are the fresh runs', with fewer deployments and steps,
+/// failing cases included. A fork-less system deploys once per case.
+#[test]
+fn a_forking_system_runs_the_window_as_its_prefix_tree() {
+    for buggy in [false, true] {
+        let run = |forks: bool| {
+            let mut cfg = PipelineConfig::default();
+            (cfg.por, cfg.stop_at_first_bug, cfg.max_path_len) = (false, false, 3);
+            cfg.triage = TriageConfig::off();
+            let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
+            let calls: Arc<[std::sync::atomic::AtomicUsize; 2]> = Arc::default();
+            let sut = CountedSut {
+                inner: CounterSut { n: 0, buggy },
+                forks,
+                calls: calls.clone(),
+            };
+            let result = p.run(|| Box::new(sut.clone()));
+            let verdicts: Vec<_> = result
+                .reports
+                .iter()
+                .map(|r| (r.test_case.clone(), r.inconsistency.kind(), r.actions_executed))
+                .collect();
+            let calls = calls.each_ref().map(|c| c.load(std::sync::atomic::Ordering::SeqCst));
+            (result.passed, result.effort.cases_run, verdicts, calls)
+        };
+        let (passed, cases, verdicts, [deploys, executes]) = run(false);
+        assert_eq!(cases, 2);
+        assert_eq!(deploys, cases, "a fork-less system deploys once per case");
+        let (walk_passed, walk_cases, walk_verdicts, [walk_deploys, walk_executes]) = run(true);
+        assert_eq!((walk_passed, walk_cases, &walk_verdicts), (passed, cases, &verdicts));
+        assert!(walk_deploys < deploys, "{walk_deploys} deploys of {cases} cases");
+        assert!(walk_executes < executes, "{walk_executes} of {executes} executes");
+    }
 }
 
 /// Delegates to a [`CounterSut`] but fails deployment with a harness

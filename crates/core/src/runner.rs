@@ -1,7 +1,9 @@
 //! Controlled testing of a single test case (§4.3.2, Figure 7).
 //!
-//! The runner deploys a fresh cluster, optionally checks the initial
-//! state, then walks the test case: external faults and user requests
+//! The runner deploys a fresh cluster and optionally checks the initial
+//! state — or starts from a [`ResumePoint`], a copy of the deployment
+//! another case left after the steps the two share — then walks the
+//! rest of the test case: external faults and user requests
 //! are triggered by the testbed, every other action must be offered
 //! by a blocked node and is released on match. After each action the
 //! state checker compares runtime values with the verified state; at
@@ -150,7 +152,60 @@ impl Default for RunCtx {
     }
 }
 
-/// Runs one test case against the system under test.
+/// A case's progress through its steps: what the checks compare
+/// against and what the run has tallied.
+#[derive(Clone)]
+struct Progress {
+    /// Steps that passed their checks.
+    depth: usize,
+    pools: MessagePools,
+    stats: RunStats,
+    /// External faults and user requests among the passed steps.
+    external_triggers: usize,
+}
+
+/// The state of a case after its first steps passed their checks: a
+/// copy of the deployment, the message pools, the tallies, the time the
+/// case had spent and its trace so far. A later case that shares those
+/// steps resumes here instead of running them again on a fresh
+/// deployment.
+pub struct ResumePoint {
+    progress: Progress,
+    /// Carries the disabled tracer, so dropping it records nothing.
+    sut: Box<dyn SystemUnderTest>,
+    /// When the case that made this point started, and how much time
+    /// it had spent here, on the run's clock.
+    start: Duration,
+    spent: Duration,
+    /// A detached fork of that case's trace.
+    trace: Tracer,
+}
+
+impl ResumePoint {
+    /// A copy to resume a case from, or `None` when the deployment no
+    /// longer forks. A case runs on a copy, so the point stays as it
+    /// is for the next case.
+    pub fn copy(&self) -> Option<ResumePoint> {
+        Some(ResumePoint {
+            progress: self.progress.clone(),
+            sut: self.sut.fork()?,
+            start: self.start,
+            spent: self.spent,
+            trace: self.trace.clone(),
+        })
+    }
+}
+
+/// Where a case starts.
+pub enum CaseStart {
+    /// A fresh system, which the runner deploys.
+    Fresh(Box<dyn SystemUnderTest>),
+    /// A copy of a [`ResumePoint`] along the case's own path.
+    Resume(ResumePoint),
+}
+
+/// Runs one test case against a fresh deployment of the system under
+/// test.
 ///
 /// `final_enabled` lists the action instances the specification
 /// enables in the test case's final state (read from the state-space
@@ -169,32 +224,113 @@ pub fn run_test_case(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<(TestOutcome, RunStats), SutError> {
-    let start = ctx.clock.now();
+    let start = CaseStart::Fresh(sut);
+    run_from(start, test_case, registry, final_enabled, config, ctx, false).0
+}
+
+/// Runs one test case from `start` — a fresh deployment or a resume
+/// point on its path — and returns a [`ResumePoint`] after each step it
+/// ran that passed, while the system can fork.
+///
+/// A resumed case is the fresh run of the same case with its first
+/// steps already done: on a virtual clock the prefix's recorded time is
+/// charged before the case goes on; its trace continues the prefix's
+/// ([`Tracer::resume_from`]); and the deterministic counters
+/// (`runner.actions_released`, `runner.external_triggers`,
+/// `statecheck.checks`) are credited with the prefix's counts. Polls
+/// that were not made are not credited. A case that fails returns the
+/// points of the steps that passed before; a hung case returns none.
+pub fn resume_test_case(
+    start: CaseStart,
+    test_case: &TestCase,
+    registry: &Arc<MappingRegistry>,
+    final_enabled: &[ActionInstance],
+    config: &RunConfig,
+    ctx: &RunCtx,
+) -> (Result<(TestOutcome, RunStats), SutError>, Vec<ResumePoint>) {
+    run_from(start, test_case, registry, final_enabled, config, ctx, true)
+}
+
+/// The one case loop behind [`run_test_case`] and
+/// [`resume_test_case`]; `keep` asks for resume points.
+fn run_from(
+    start: CaseStart,
+    test_case: &TestCase,
+    registry: &Arc<MappingRegistry>,
+    final_enabled: &[ActionInstance],
+    config: &RunConfig,
+    ctx: &RunCtx,
+    keep: bool,
+) -> (Result<(TestOutcome, RunStats), SutError>, Vec<ResumePoint>) {
+    let clock = ctx.clock.as_ref();
+    let started = clock.now();
+    let (sut, progress, fresh) = match start {
+        CaseStart::Fresh(sut) => {
+            let progress = Progress {
+                depth: 0,
+                pools: pools_from_registry(registry),
+                stats: RunStats::default(),
+                external_triggers: 0,
+            };
+            (sut, progress, true)
+        }
+        CaseStart::Resume(point) => {
+            clock.charge(point.spent);
+            let shift = if clock.is_virtual() {
+                started.saturating_sub(point.start).as_nanos() as u64
+            } else {
+                0
+            };
+            ctx.tracer.resume_from(&point.trace, shift);
+            let p = &point.progress;
+            let m = ctx.obs.metrics();
+            let released = p.stats.actions_executed - p.external_triggers;
+            for (name, n) in [
+                ("runner.actions_released", released),
+                ("runner.external_triggers", p.external_triggers),
+                ("statecheck.checks", p.stats.checks),
+            ] {
+                if n > 0 {
+                    m.add(name, n as u64);
+                }
+            }
+            (point.sut, point.progress, false)
+        }
+    };
     let (tc, reg, enabled) = (test_case.clone(), Arc::clone(registry), final_enabled.to_vec());
     let (cfg, run_ctx) = (config.clone(), ctx.clone());
     let ran = on_case_thread(sut, config.per_action_budget, move |sut| {
-        let mut stats = RunStats::default();
-        watchdog::at(None, start);
+        let mut case = Case {
+            progress,
+            started,
+            points: keep.then(Vec::new),
+        };
+        watchdog::at(None, started);
         sut.install_tracer(&run_ctx.tracer);
-        watchdog::guard(None, || sut.deploy())?;
-        let result = drive(sut, &tc, &reg, &enabled, &cfg, &mut stats, &run_ctx);
+        if fresh {
+            if let Err(e) = watchdog::guard(None, || sut.deploy()) {
+                return (Err(e), Vec::new());
+            }
+        }
+        let result = drive(sut, &tc, &reg, &enabled, &cfg, &mut case, &run_ctx);
         watchdog::guard(None, || sut.teardown());
-        stats.seconds = run_ctx.clock.now().saturating_sub(start).as_secs_f64();
-        result.map(|outcome| (outcome, stats))
+        let mut stats = case.progress.stats;
+        stats.seconds = run_ctx.clock.now().saturating_sub(started).as_secs_f64();
+        (result.map(|outcome| (outcome, stats)), case.points.unwrap_or_default())
     });
     let hung = match ran {
-        Ok((result, _)) => return result,
+        Ok((ran, _)) => return ran,
         Err(hung) => hung,
     };
     // The abandoned call burned its budget in real time while a virtual
-    // clock stood still: advancing it by exactly the budget lands the
+    // clock stood still: charging it exactly the budget lands the
     // verdict at a deterministic virtual deadline.
-    let clock = ctx.clock.as_ref();
-    let mut vt = 0;
-    if clock.is_virtual() {
-        clock.sleep(config.per_action_budget);
-        vt = clock.now().as_nanos() as u64;
-    }
+    clock.charge(config.per_action_budget);
+    let vt = if clock.is_virtual() {
+        clock.now().as_nanos() as u64
+    } else {
+        0
+    };
     ctx.tracer.close_step(vt);
     let action = match hung.step {
         None => ActionInstance::nullary("<Init>"),
@@ -212,10 +348,41 @@ pub fn run_test_case(
     let stats = RunStats {
         // Every step before the hung one executed its action.
         actions_executed: hung.step.map_or(0, |i| i.min(test_case.steps.len())),
-        seconds: clock.now().saturating_sub(start).as_secs_f64(),
+        seconds: clock.now().saturating_sub(started).as_secs_f64(),
         ..RunStats::default()
     };
-    Ok((TestOutcome::Failed(inc), stats))
+    (Ok((TestOutcome::Failed(inc), stats)), Vec::new())
+}
+
+/// One case on its case thread: its progress, when it started on the
+/// run's clock, and the resume points it makes (`None`: it makes none,
+/// or the system stopped forking).
+struct Case {
+    progress: Progress,
+    started: Duration,
+    points: Option<Vec<ResumePoint>>,
+}
+
+impl Case {
+    /// Records a resume point after a step passed; a system that does
+    /// not fork ends the recording for the rest of the case.
+    fn keep_point(&mut self, sut: &dyn SystemUnderTest, ctx: &RunCtx) {
+        let Some(points) = self.points.as_mut() else {
+            return;
+        };
+        let Some(mut copy) = sut.fork() else {
+            self.points = None;
+            return;
+        };
+        copy.install_tracer(&Tracer::disabled());
+        points.push(ResumePoint {
+            progress: self.progress.clone(),
+            sut: copy,
+            start: self.started,
+            spent: ctx.clock.now().saturating_sub(self.started),
+            trace: ctx.tracer.fork(),
+        });
+    }
 }
 
 /// How a SUT error during a driven step is handled.
@@ -255,19 +422,20 @@ fn classify_sut_error(
     }
 }
 
+/// Drives `test_case` from the step `case` has reached: the initial
+/// check on a fresh deployment, every step left, the final offers.
 fn drive(
     sut: &mut dyn SystemUnderTest,
     test_case: &TestCase,
     registry: &MappingRegistry,
     final_enabled: &[ActionInstance],
     config: &RunConfig,
-    stats: &mut RunStats,
+    case: &mut Case,
     ctx: &RunCtx,
 ) -> Result<TestOutcome, SutError> {
     let clock = ctx.clock.as_ref();
     let tracer = &ctx.tracer;
     let obs = &ctx.obs;
-    let mut pools = pools_from_registry(registry);
 
     // Offers seen per poll, kept under the `timing.` quarantine with
     // the other poll counters, out of the deterministic summary.
@@ -311,12 +479,12 @@ fn drive(
         };
     }
 
-    if config.check_initial {
+    if config.check_initial && case.progress.depth == 0 {
         let init_start = clock.now();
         let init_action = ActionInstance::nullary("<Init>");
         let snapshot = try_sut!(None, sut.snapshot(), 0, &init_action, init_start);
-        stats.checks += 1;
-        let divergences = check(&test_case.initial, &snapshot, &pools);
+        case.progress.stats.checks += 1;
+        let divergences = check(&test_case.initial, &snapshot, &case.progress.pools);
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: 0,
@@ -326,7 +494,9 @@ fn drive(
         }
     }
 
-    for (i, step) in test_case.steps.iter().enumerate() {
+    let first = case.progress.depth;
+    for (i, step) in test_case.steps.iter().enumerate().skip(first) {
+        let progress = &mut case.progress;
         let step_start = clock.now();
         watchdog::at(Some(i), step_start);
         let class = registry
@@ -341,7 +511,10 @@ fn drive(
                 // for drop/duplicate.
                 obs.metrics().add("runner.external_triggers", 1);
                 tracer.external(i as u64, &step.action.name, 0);
-                try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start)
+                let report =
+                    try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start);
+                progress.external_triggers += 1;
+                report
             }
             _ => {
                 // One poll: what is not offered now is missing.
@@ -370,22 +543,23 @@ fn drive(
                 try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
             }
         };
-        stats.actions_executed += 1;
+        progress.stats.actions_executed += 1;
 
         // Maintain the message pools from the reported events,
         // translating message contents into the spec domain.
+        let pools = &mut progress.pools;
         for event in report.msg_events {
             if let Err(err) = pools.apply(translate_event(registry, event)) {
                 return Ok(TestOutcome::Failed(pool_error_to_inconsistency(
-                    i, step, &pools, err,
+                    i, step, pools, err,
                 )));
             }
         }
 
         // Check the verified post-state.
         let snapshot = try_sut!(None, sut.snapshot(), i, &step.action, step_start);
-        stats.checks += 1;
-        let divergences = check(&step.expected, &snapshot, &pools);
+        progress.stats.checks += 1;
+        let divergences = check(&step.expected, &snapshot, pools);
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: i,
@@ -409,6 +583,8 @@ fn drive(
                 reason: "per-action budget exceeded".to_string(),
             }));
         }
+        progress.depth = i + 1;
+        case.keep_point(sut, ctx);
     }
 
     // End of test case: leftover notifications the spec does not
@@ -492,6 +668,7 @@ mod tests {
     /// A scripted fake SUT: a counter machine with one variable `n`.
     /// The script controls which offers appear and what executing
     /// them does, so every runner path is testable without threads.
+    #[derive(Clone)]
     struct FakeSut {
         n: i64,
         /// Offer `inc` whenever `n < limit`.
@@ -506,10 +683,17 @@ mod tests {
         /// Extra `recv` offer emitted always: a message receive the
         /// spec never enables (unexpected at end).
         stray_recv: bool,
-        /// If true, executing `inc` never returns (watchdog timeout).
-        hang: bool,
+        /// Executing `inc` at this `n` never returns (watchdog
+        /// timeout).
+        hang_at: Option<i64>,
+        /// Whether `fork` copies the deployment.
+        forks: bool,
+        /// Charged a millisecond per executed `inc`, when set.
+        clock: Option<Arc<mocket_sim::SimClock>>,
         /// Set by deploy, cleared by teardown; shared with the test.
         deployed: Arc<AtomicBool>,
+        /// Calls to `deploy`; shared with the test and the forks.
+        deploys: Arc<AtomicUsize>,
         /// Calls to `offers`; shared with the test.
         polls: Arc<AtomicUsize>,
     }
@@ -523,8 +707,11 @@ mod tests {
                 mute: false,
                 rogue_offer: false,
                 stray_recv: false,
-                hang: false,
+                hang_at: None,
+                forks: false,
+                clock: None,
                 deployed: Arc::default(),
+                deploys: Arc::default(),
                 polls: Arc::default(),
             }
         }
@@ -534,6 +721,7 @@ mod tests {
         fn deploy(&mut self) -> Result<(), SutError> {
             self.n = 0;
             self.deployed.store(true, Ordering::SeqCst);
+            self.deploys.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }
 
@@ -568,11 +756,14 @@ mod tests {
 
         fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
             assert_eq!(offer.action.name, "inc");
-            if self.hang {
+            if self.hang_at == Some(self.n) {
                 // park() can wake spuriously, hence the loop.
                 loop {
                     std::thread::park();
                 }
+            }
+            if let Some(clock) = &self.clock {
+                clock.advance(Duration::from_millis(1));
             }
             if !self.broken_inc {
                 self.n += 1;
@@ -593,6 +784,17 @@ mod tests {
 
         fn snapshot(&mut self) -> Result<Snapshot, SutError> {
             Ok(Snapshot::from_pairs([("counter", Value::Int(self.n))]))
+        }
+
+        /// A copy with its own deployment flag: tearing one down
+        /// leaves the other deployed.
+        fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
+            let deployed = Arc::new(AtomicBool::new(self.deployed.load(Ordering::SeqCst)));
+            let copy = FakeSut {
+                deployed,
+                ..self.clone()
+            };
+            self.forks.then(|| Box::new(copy) as Box<dyn SystemUnderTest>)
         }
     }
 
@@ -910,23 +1112,23 @@ mod tests {
         }
     }
 
-    /// A virtual clock that records every sleep it serves, so a test
-    /// can assert the exact wait sequence a run produced.
+    /// A virtual clock that records every charge it serves, so a test
+    /// can assert the exact charges a run made.
     struct RecordingClock {
         sim: mocket_sim::SimClock,
-        sleeps: std::sync::Mutex<Vec<Duration>>,
+        charges: std::sync::Mutex<Vec<Duration>>,
     }
 
     impl RecordingClock {
         fn new() -> Self {
             RecordingClock {
                 sim: mocket_sim::SimClock::new(),
-                sleeps: std::sync::Mutex::new(Vec::new()),
+                charges: std::sync::Mutex::new(Vec::new()),
             }
         }
 
         fn recorded(&self) -> Vec<Duration> {
-            self.sleeps.lock().unwrap().clone()
+            self.charges.lock().unwrap().clone()
         }
     }
 
@@ -934,9 +1136,9 @@ mod tests {
         fn now(&self) -> Duration {
             self.sim.now()
         }
-        fn sleep(&self, d: Duration) {
-            self.sleeps.lock().unwrap().push(d);
-            self.sim.sleep(d);
+        fn charge(&self, d: Duration) {
+            self.charges.lock().unwrap().push(d);
+            self.sim.charge(d);
         }
         fn is_virtual(&self) -> bool {
             true
@@ -944,9 +1146,9 @@ mod tests {
     }
 
     /// A scheduled action that is not offered is missing at once: one
-    /// poll, no wait on the run's clock.
+    /// poll, nothing charged to the run's clock.
     #[test]
-    fn mute_sut_is_missing_after_one_poll_and_no_sleep() {
+    fn mute_sut_is_missing_after_one_poll_and_no_charge() {
         let mut sut = FakeSut::new(10);
         sut.mute = true;
         let polls = sut.polls.clone();
@@ -968,7 +1170,7 @@ mod tests {
             TestOutcome::Failed(Inconsistency::MissingAction { .. })
         ));
         assert_eq!(polls.load(Ordering::SeqCst), 1, "offers polled once");
-        assert_eq!(clock.recorded(), [], "the runner never sleeps");
+        assert_eq!(clock.recorded(), [], "a fresh passing run charges nothing");
     }
 
     /// On a virtual clock a hung step is charged exactly the budget:
@@ -977,7 +1179,7 @@ mod tests {
     #[test]
     fn virtual_clock_runs_report_virtual_seconds() {
         let mut sut = FakeSut::new(10);
-        sut.hang = true;
+        sut.hang_at = Some(0);
         let config = RunConfig {
             per_action_budget: Duration::from_millis(100),
             ..RunConfig::fast()
@@ -999,5 +1201,143 @@ mod tests {
             TestOutcome::Failed(Inconsistency::WatchdogTimeout { .. })
         ));
         assert_eq!(stats.seconds, 0.1, "exactly the budget, in virtual seconds");
+    }
+
+    /// What `resume_test_case` returns, unwrapped: the verdict, the
+    /// stats and the depths of the points made.
+    fn resume(
+        start: CaseStart,
+        len: i64,
+        config: &RunConfig,
+        ctx: &RunCtx,
+    ) -> (TestOutcome, RunStats, Vec<ResumePoint>) {
+        let enabled = [ActionInstance::nullary("Inc")];
+        let (ran, points) =
+            resume_test_case(start, &inc_case(len), &Arc::new(registry()), &enabled, config, ctx);
+        let (outcome, stats) = ran.unwrap();
+        (outcome, stats, points)
+    }
+
+    fn depths(points: &[ResumePoint]) -> Vec<usize> {
+        points.iter().map(|p| p.progress.depth).collect()
+    }
+
+    fn sim_ctx(clock: &Arc<mocket_sim::SimClock>) -> RunCtx {
+        RunCtx {
+            clock: clock.clone(),
+            obs: Obs::disabled(),
+            ..RunCtx::default()
+        }
+    }
+
+    /// A case resumed after any passed step of another gives the fresh
+    /// run's outcome, stats, counters and virtual time, without
+    /// deploying again.
+    #[test]
+    fn a_resumed_case_matches_its_fresh_run() {
+        let clock = Arc::new(mocket_sim::SimClock::new());
+        let mut sut = FakeSut::new(10);
+        (sut.forks, sut.clock) = (true, Some(clock.clone()));
+        let config = RunConfig::fast();
+        let counters = |ctx: &RunCtx| {
+            let m = ctx.obs.metrics();
+            ["runner.actions_released", "statecheck.checks"].map(|k| m.counter(k))
+        };
+
+        let fresh_ctx = sim_ctx(&clock);
+        let t0 = clock.now();
+        let (fresh, fresh_stats, _) =
+            resume(CaseStart::Fresh(Box::new(sut.clone())), 5, &config, &fresh_ctx);
+        let fresh_took = clock.now() - t0;
+        assert!(fresh.passed(), "{fresh:?}");
+        assert_eq!(fresh_took, Duration::from_millis(5));
+
+        let (first, _, points) = resume(CaseStart::Fresh(Box::new(sut.clone())), 3, &config, &sim_ctx(&clock));
+        assert!(first.passed(), "{first:?}");
+        assert_eq!(depths(&points), [1, 2, 3]);
+        let deploys = sut.deploys.load(Ordering::SeqCst);
+        for point in &points {
+            let ctx = sim_ctx(&clock);
+            let t1 = clock.now();
+            let start = CaseStart::Resume(point.copy().unwrap());
+            let (outcome, stats, more) = resume(start, 5, &config, &ctx);
+            assert!(outcome.passed(), "{outcome:?}");
+            assert_eq!(stats.actions_executed, fresh_stats.actions_executed);
+            assert_eq!(stats.checks, fresh_stats.checks);
+            assert_eq!(stats.seconds, fresh_stats.seconds);
+            assert_eq!(clock.now() - t1, fresh_took, "prefix time charged once");
+            assert_eq!(counters(&ctx), counters(&fresh_ctx), "prefix counts credited");
+            let after: Vec<usize> = (point.progress.depth + 1..=5).collect();
+            assert_eq!(depths(&more), after);
+        }
+        assert_eq!(sut.deploys.load(Ordering::SeqCst), deploys, "no resumed case deploys");
+    }
+
+    /// A resumed case charges the prefix's time once, before it goes
+    /// on; a fresh one charges nothing.
+    #[test]
+    fn a_resumed_case_charges_its_prefix_time() {
+        let clock = Arc::new(RecordingClock::new());
+        let sim = Arc::new(mocket_sim::SimClock::new());
+        let mut sut = FakeSut::new(10);
+        (sut.forks, sut.clock) = (true, Some(sim));
+        let ctx = RunCtx {
+            clock: clock.clone(),
+            ..RunCtx::default()
+        };
+        let (_, _, points) = resume(CaseStart::Fresh(Box::new(sut)), 2, &RunConfig::fast(), &ctx);
+        assert_eq!(clock.recorded(), []);
+        clock.sim.advance(Duration::from_millis(7));
+        let spent = points[1].spent;
+        let start = CaseStart::Resume(points[1].copy().unwrap());
+        resume(start, 3, &RunConfig::fast(), &ctx);
+        assert_eq!(clock.recorded(), [spent]);
+    }
+
+    /// A hang after the resume point is a watchdog verdict at the
+    /// case's own step index; the point it resumed from is untouched,
+    /// so the next case still resumes there.
+    #[test]
+    fn a_hang_in_a_resumed_case_is_reported_at_its_absolute_step() {
+        let clock = Arc::new(mocket_sim::SimClock::new());
+        let mut sut = FakeSut::new(10);
+        (sut.forks, sut.hang_at) = (true, Some(3));
+        let config = RunConfig {
+            per_action_budget: Duration::from_millis(100),
+            ..RunConfig::fast()
+        };
+        let (_, _, points) = resume(CaseStart::Fresh(Box::new(sut.clone())), 2, &config, &sim_ctx(&clock));
+        let top = points.last().unwrap();
+
+        let start = CaseStart::Resume(top.copy().unwrap());
+        let (outcome, stats, more) = resume(start, 5, &config, &sim_ctx(&clock));
+        match outcome {
+            TestOutcome::Failed(Inconsistency::WatchdogTimeout { step, .. }) => assert_eq!(step, 3),
+            other => panic!("expected a watchdog timeout, got {other:?}"),
+        }
+        assert_eq!(stats.actions_executed, 3);
+        assert!(more.is_empty(), "a hung case returns no points");
+
+        let start = CaseStart::Resume(top.copy().unwrap());
+        let (outcome, stats, more) = resume(start, 3, &config, &sim_ctx(&clock));
+        assert!(outcome.passed(), "{outcome:?}");
+        assert_eq!(stats.actions_executed, 3);
+        assert_eq!(depths(&more), [3]);
+        assert_eq!(sut.deploys.load(Ordering::SeqCst), 1);
+    }
+
+    /// A system that cannot fork leaves no resume point: every case it
+    /// runs is a fresh deployment.
+    #[test]
+    fn a_forkless_system_deploys_once_per_case() {
+        let sut = FakeSut::new(10);
+        let ctx = RunCtx::default();
+        for _ in 0..3 {
+            let start = CaseStart::Fresh(Box::new(sut.clone()));
+            let (outcome, _, points) = resume(start, 3, &RunConfig::fast(), &ctx);
+            assert!(outcome.passed(), "{outcome:?}");
+            assert!(points.is_empty());
+        }
+        assert_eq!(sut.deploys.load(Ordering::SeqCst), 3);
     }
 }

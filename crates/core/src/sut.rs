@@ -184,8 +184,10 @@ pub fn record_int_field(value: &Value, field: &str) -> Result<i64, SutError> {
 ///
 /// Mocket deploys a fresh cluster per test case (§4.3.2), so a typical
 /// implementation spawns its nodes in [`deploy`](Self::deploy) and
-/// kills them in [`teardown`](Self::teardown). A case moves its
-/// system to the thread that runs it, hence `Send`.
+/// kills them in [`teardown`](Self::teardown); a system that can
+/// [`fork`](Self::fork) lets a case start from a copy of the deployment
+/// that passed the steps it shares with the case before. A case moves
+/// its system to the thread that runs it, hence `Send`.
 pub trait SystemUnderTest: Send {
     /// Deploys a fresh cluster.
     fn deploy(&mut self) -> Result<(), SutError>;
@@ -221,7 +223,8 @@ pub trait SystemUnderTest: Send {
 
     /// A copy of the deployment as it stands, stepping independently
     /// of this one (an installed tracer and a simulated clock stay
-    /// shared). `None` when the system cannot be copied.
+    /// shared). `None` when the system cannot be copied: then every
+    /// case runs on a fresh deployment.
     fn fork(&self) -> Option<Box<dyn SystemUnderTest>> {
         None
     }

@@ -273,7 +273,7 @@ struct StepContext {
     edge: Option<u64>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct TracerState {
     case: u64,
     next_seq: u64,
@@ -350,6 +350,49 @@ impl Tracer {
         let inner = self.inner.as_ref()?;
         let mut state = inner.lock().unwrap_or_else(|e| e.into_inner());
         Some(f(&mut state))
+    }
+
+    /// A detached copy of everything recorded so far: recording into
+    /// either leaves the other unchanged. The disabled tracer forks
+    /// into itself.
+    pub fn fork(&self) -> Tracer {
+        Tracer {
+            inner: self.with(|s| Arc::new(Mutex::new(s.clone()))),
+        }
+    }
+
+    /// Continues this case's trace from `prefix`, a fork of another
+    /// case's trace taken after the steps the two cases share, as if
+    /// this case had run those steps itself. Call it right after the
+    /// case marker. The prefix's events and its sequence, message-id,
+    /// Lamport and step-context counters are taken over; each event is
+    /// re-stamped with this trace's case (the case marker with this
+    /// trace's note), and each event the cluster or network stamped
+    /// from the clock is shifted by `vt_shift`, the distance between
+    /// the two cases' start times. The runner's own markers (case,
+    /// release, external) carry a literal 0 and stay put.
+    pub fn resume_from(&self, prefix: &Tracer, vt_shift: u64) {
+        let Some(prefix) = prefix.with(|s| s.clone()) else {
+            return;
+        };
+        self.with(|s| {
+            let begin = s.events.iter().find(|e| e.kind == CausalKind::CaseBegin);
+            let note = begin.and_then(|e| e.note.clone());
+            let (case, edge_path) = (s.case, std::mem::take(&mut s.edge_path));
+            *s = TracerState {
+                case,
+                edge_path,
+                ..prefix
+            };
+            for ev in &mut s.events {
+                ev.case = case;
+                match ev.kind {
+                    CausalKind::CaseBegin => ev.note.clone_from(&note),
+                    CausalKind::CaseEnd | CausalKind::Release | CausalKind::External => {}
+                    _ => ev.vt = ev.vt.saturating_add(vt_shift),
+                }
+            }
+        });
     }
 
     /// Preloads the spec edge exercised by each step, index-aligned
@@ -677,6 +720,51 @@ mod tests {
         assert_eq!(events[0].edge, Some(7));
         assert_eq!(events[1].edge, Some(7), "net event inherits step edge");
         assert_eq!(events[2].edge, Some(9));
+    }
+
+    #[test]
+    fn a_fork_is_detached_from_its_original() {
+        let t = Tracer::for_case(0);
+        t.release(0, 1, "A", 0);
+        let fork = t.fork();
+        t.on_send(1, 2, 5);
+        assert_eq!(fork.take_events().len(), 1);
+        assert_eq!(t.take_events().len(), 2);
+        assert!(!Tracer::disabled().fork().is_enabled());
+    }
+
+    /// Case 1 resumed from a fork of case 0 after their shared step
+    /// writes exactly what case 1 run from its own start writes.
+    #[test]
+    fn a_resumed_trace_equals_the_fresh_one() {
+        // Case `case` from its start at virtual time `t0` to the end
+        // of the step the two cases share.
+        let run = |case: u64, hash: &str, t0: u64| {
+            let t = Tracer::for_case(case);
+            t.set_edge_path(vec![4, 8 + case]);
+            t.begin_case(hash, 0);
+            let tag = t.on_send(1, 2, t0);
+            t.release(0, 2, "Recv", 0);
+            t.step_begin(2, t0 + 10);
+            t.on_recv(2, 1, tag, t0 + 20);
+            t.step_end(2, t0 + 30);
+            t
+        };
+        let second_step = |t: &Tracer, t0: u64| {
+            t.external(1, "Crash", 0);
+            t.crash(1, t0 + 40);
+            t.end_case("passed", 0);
+        };
+        let fresh = run(1, "bbbb", 1000);
+        second_step(&fresh, 1000);
+
+        let prefix = run(0, "aaaa", 0).fork();
+        let resumed = Tracer::for_case(1);
+        resumed.set_edge_path(vec![4, 9]);
+        resumed.begin_case("bbbb", 0);
+        resumed.resume_from(&prefix, 1000);
+        second_step(&resumed, 1000);
+        assert_eq!(to_jsonl(&resumed.take_events()), to_jsonl(&fresh.take_events()));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The clock abstraction: real wall time vs. simulated virtual time.
 //!
-//! Everything in the harness that waits, measures, or times out goes
-//! through [`Clock`]. Under [`RealClock`] the calls are exactly what
-//! they replace (`Instant::now()` deltas and `thread::sleep`). Under
-//! [`SimClock`] *now* is a counter and *sleep* is an instant jump:
-//! a hung step's budget costs zero wall time, and the observed
-//! durations are identical on every run with the same inputs.
+//! Everything in the harness that measures or times out goes through
+//! [`Clock`]. Nothing waits on one: the harness releases one action at
+//! a time, so the only way time is spent on purpose is an explicit
+//! [`charge`](Clock::charge) — a hung case's budget, or the steps a
+//! resumed case did not re-run. Under [`RealClock`] *now* is an
+//! `Instant` delta and a charge is a no-op (real time moves on its
+//! own). Under [`SimClock`] *now* is a counter and a charge moves it,
+//! so the observed durations are identical on every run with the same
+//! inputs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A monotonic time source plus a way to wait on it.
+/// A monotonic time source that can be charged time.
 ///
 /// `now()` is relative to an arbitrary per-clock epoch; only
 /// differences are meaningful, exactly like `Instant`.
@@ -18,15 +21,15 @@ pub trait Clock: Send + Sync {
     /// Time elapsed since this clock's epoch.
     fn now(&self) -> Duration;
 
-    /// Waits for `d` to elapse on this clock. Real clocks block the
-    /// thread; virtual clocks jump forward instantly.
-    fn sleep(&self, d: Duration);
+    /// Charges `d` to this clock as time the system spent: a virtual
+    /// clock jumps forward by `d` at once; a real clock does nothing.
+    fn charge(&self, d: Duration);
 
-    /// Whether sleeps are virtual-time jumps (no wall time passes).
+    /// Whether this clock's time is virtual (moved only by charges).
     fn is_virtual(&self) -> bool;
 }
 
-/// Wall-clock time: `Instant` + `thread::sleep`.
+/// Wall-clock time: an `Instant` delta.
 #[derive(Debug)]
 pub struct RealClock {
     epoch: Instant,
@@ -52,9 +55,8 @@ impl Clock for RealClock {
         self.epoch.elapsed()
     }
 
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
+    /// Real time cannot be charged: it passes on its own.
+    fn charge(&self, _d: Duration) {}
 
     fn is_virtual(&self) -> bool {
         false
@@ -63,8 +65,9 @@ impl Clock for RealClock {
 
 /// Virtual time: an atomic nanosecond counter.
 ///
-/// Time only moves when something advances it — a `sleep` or an
-/// explicit [`advance`](Self::advance) — and only forwards, so
+/// Time only moves when something advances it — a
+/// [`charge`](Clock::charge) or an [`advance`](Self::advance) — and
+/// only forwards, so
 /// cooperating components sharing one clock can never move it
 /// backwards.
 #[derive(Debug, Default)]
@@ -99,9 +102,9 @@ impl Clock for SimClock {
         Duration::from_nanos(self.now_nanos())
     }
 
-    /// A virtual sleep is an instant jump: nothing is ever pending on
-    /// this clock, so there is nothing to wake on the way.
-    fn sleep(&self, d: Duration) {
+    /// A charge is an instant jump: nothing is ever pending on this
+    /// clock, so there is nothing to wake on the way.
+    fn charge(&self, d: Duration) {
         self.advance(d);
     }
 
@@ -127,34 +130,40 @@ mod tests {
     }
 
     #[test]
-    fn sleep_is_an_instant_virtual_jump() {
+    fn a_charge_is_an_instant_virtual_jump() {
         let c = SimClock::new();
         let wall = Instant::now();
-        c.sleep(Duration::from_secs(3600));
+        c.charge(Duration::from_secs(3600));
         assert_eq!(c.now(), Duration::from_secs(3600));
         assert!(
             wall.elapsed() < Duration::from_secs(5),
-            "an hour of virtual sleep must not cost wall time"
+            "an hour of virtual charge must not cost wall time"
         );
         assert!(c.is_virtual());
     }
 
     #[test]
-    fn sim_sleep_is_advance() {
-        let (slept, advanced) = (SimClock::new(), SimClock::new());
+    fn sim_charge_is_advance() {
+        let (charged, advanced) = (SimClock::new(), SimClock::new());
         for d in [Duration::from_nanos(1), Duration::from_millis(50), Duration::ZERO] {
-            slept.sleep(d);
+            charged.charge(d);
             advanced.advance(d);
-            assert_eq!(slept.now_nanos(), advanced.now_nanos());
+            assert_eq!(charged.now_nanos(), advanced.now_nanos());
         }
-        assert_eq!(slept.now_nanos(), 50_000_001);
+        assert_eq!(charged.now_nanos(), 50_000_001);
     }
 
     #[test]
-    fn real_clock_measures_and_sleeps_wall_time() {
+    fn a_real_clock_measures_wall_time_and_ignores_charges() {
         let c = RealClock::new();
         let t0 = c.now();
-        c.sleep(Duration::from_millis(2));
+        let wall = Instant::now();
+        c.charge(Duration::from_secs(3600));
+        assert!(
+            wall.elapsed() < Duration::from_secs(5),
+            "a charge on the wall clock must not block"
+        );
+        while wall.elapsed() < Duration::from_millis(2) {}
         assert!(c.now() - t0 >= Duration::from_millis(2));
         assert!(!c.is_virtual());
     }

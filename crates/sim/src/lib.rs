@@ -4,8 +4,8 @@
 //! them:
 //!
 //! - [`Clock`] — the real-vs-virtual time abstraction. [`RealClock`]
-//!   is `Instant` + `thread::sleep`; [`SimClock`] is an atomic
-//!   nanosecond counter where sleeping is an instant jump.
+//!   is an `Instant` delta that no charge moves; [`SimClock`] is an
+//!   atomic nanosecond counter where a charge is an instant jump.
 //! - [`SimRng`] — the simulation's private SplitMix64 stream.
 //!
 //! The harness releases one action at a time, so nothing is ever
