@@ -401,7 +401,13 @@ impl ReplayArtifact {
     /// The file name this artifact is stored under (keyed by the
     /// reproducer's stable hash).
     pub fn file_name(&self) -> String {
-        format!("case-{}.artifact", self.test_case.stable_hash())
+        Self::file_name_of(&self.test_case.stable_hash())
+    }
+
+    /// The file name of the artifact whose reproducer has the stable
+    /// hash `hash`.
+    pub fn file_name_of(hash: &str) -> String {
+        format!("case-{hash}.artifact")
     }
 
     /// Writes the artifact into `dir` (created if needed); returns the

@@ -12,6 +12,7 @@
 //! each starts from the deepest resume point it shares with the case
 //! run before it.
 
+use std::collections::HashMap;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -29,6 +30,7 @@ use crate::sut::{SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 
 use super::outputs::BugTally;
+use super::triage::{FailureKey, Triaged};
 use super::{CaseGate, Pipeline, QuarantinedCase};
 
 /// The tallies of one run, over however many windows it drives:
@@ -109,6 +111,9 @@ pub(super) struct Window<'r> {
     /// `trace.jsonl`, when tracing is on and there is a directory.
     trace_path: Option<PathBuf>,
     walk: Walk,
+    /// The triage of each failure key met so far (see
+    /// [`triage`](super::triage)).
+    pub(super) triaged: HashMap<FailureKey, Triaged>,
     pub(super) result: WindowResult,
 }
 
@@ -218,6 +223,7 @@ impl Pipeline {
             journal,
             trace_path,
             walk: Walk::default(),
+            triaged: HashMap::new(),
             result: WindowResult::default(),
         };
         let (start, end) = self.config.case_range.unwrap_or((0, paths.len()));

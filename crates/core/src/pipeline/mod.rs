@@ -248,8 +248,9 @@ pub struct PipelineResult {
     /// verdict for them (their verdicts are folded into `passed` /
     /// `effort.cases_run`).
     pub skipped_from_journal: usize,
-    /// Replay artifacts written this run (one per confirmed failure,
-    /// when a campaign directory is configured).
+    /// Replay artifacts written this run, each once, when a campaign
+    /// directory is configured: one per distinct reproducer not
+    /// already on disk (cases that fail the same way share one).
     pub artifacts: Vec<PathBuf>,
     /// Non-fatal persistence problems: malformed journal lines,
     /// failed appends, failed artifact writes. Surfaced, never

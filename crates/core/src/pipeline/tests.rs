@@ -637,3 +637,187 @@ fn two_windows_leave_the_journal_of_one_run() {
     let _ = std::fs::remove_dir_all(&whole_dir);
     let _ = std::fs::remove_dir_all(&split_dir);
 }
+
+/// A counter whose snapshot reads `offset` too high: with an offset,
+/// every case fails its initial state check.
+struct OffsetSut {
+    inner: CounterSut,
+    offset: i64,
+}
+
+impl SystemUnderTest for OffsetSut {
+    fn deploy(&mut self) -> Result<(), SutError> {
+        self.inner.deploy()
+    }
+    fn teardown(&mut self) {}
+    fn offers(&mut self) -> Result<Vec<Offer>, SutError> {
+        self.inner.offers()
+    }
+    fn execute(&mut self, offer: &Offer) -> Result<ExecReport, SutError> {
+        self.inner.execute(offer)
+    }
+    fn execute_external(&mut self, a: &ActionInstance) -> Result<ExecReport, SutError> {
+        self.inner.execute_external(a)
+    }
+    fn snapshot(&mut self) -> Result<Snapshot, SutError> {
+        Ok(Snapshot::from_pairs([(
+            "count",
+            Value::Int(self.inner.n + self.offset),
+        )]))
+    }
+}
+
+/// The counter's cases up to 3 steps, run to the end; every case
+/// starts with the one `Inc` out of the initial state.
+fn every_case(range: Option<(usize, usize)>, dir: Option<&std::path::Path>) -> Pipeline {
+    let mut cfg = PipelineConfig::default();
+    (cfg.por, cfg.stop_at_first_bug, cfg.max_path_len) = (false, false, 3);
+    cfg.case_range = range;
+    cfg.triage.campaign_dir = dir.map(|d| d.to_path_buf());
+    Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap()
+}
+
+/// A failure that reproduces on every other deployment is flaky, and a
+/// flaky failure is never reused: each case with it is triaged on its
+/// own, even when it shares its failure key with the case before.
+#[test]
+fn each_flaky_failure_is_triaged_on_its_own() {
+    use super::triage::{failure_key, FLAKY_RERUNS};
+    let p = every_case(None, None);
+    let (graph, _) = p.check();
+    let (paths, ..) = p.generate_paths(&graph);
+    let mut deploys = 0i64;
+    let result = p.run_prepared(graph, 0.0, || {
+        deploys += 1;
+        Box::new(OffsetSut {
+            inner: CounterSut { n: 0, buggy: false },
+            offset: deploys % 2,
+        })
+    });
+    assert_eq!(
+        result.reports.len(),
+        paths.len(),
+        "every case fails on its deployment"
+    );
+    let keys: Vec<_> = result
+        .reports
+        .iter()
+        .zip(&paths)
+        .map(|(r, path)| failure_key(path, &r.inconsistency))
+        .collect();
+    assert!(
+        keys.len() >= 2 && keys.iter().all(|k| *k == keys[0]),
+        "{keys:?}"
+    );
+    for r in &result.reports {
+        assert_eq!(
+            r.determinism,
+            Determinism::Flaky {
+                reproduced: 1,
+                reruns: FLAKY_RERUNS
+            }
+        );
+    }
+    let m = p.obs().metrics();
+    assert_eq!(
+        m.counter("pipeline.triage_reruns"),
+        (FLAKY_RERUNS * paths.len()) as u64
+    );
+    assert_eq!(m.counter("pipeline.triage_reused"), 0);
+    assert_eq!(deploys as usize, (1 + FLAKY_RERUNS) * paths.len());
+}
+
+/// A window run as `[s, m)` and then `[s, e)` over one campaign
+/// directory leaves the journal and the artifacts that `[s, e)` in one
+/// go leaves: the resumed half keeps the reproducer the first half
+/// wrote, although its own case reaches the same reproducer first.
+#[test]
+fn a_resumed_window_writes_the_bytes_of_one_window() {
+    let whole_dir = temp_campaign_dir("triage-whole");
+    let split_dir = temp_campaign_dir("triage-split");
+    let probe = every_case(None, None);
+    let (graph, _) = probe.check();
+    let (paths, ..) = probe.generate_paths(&graph);
+    let (s, e) = (0, paths.len());
+    let m = s + 1;
+    assert!(m < e, "need cases on both sides of the split, got {e}");
+    assert_ne!(
+        paths[s].len(),
+        paths[m].len(),
+        "the two halves' cases differ in length"
+    );
+    let make = || -> Box<dyn SystemUnderTest> {
+        Box::new(OffsetSut {
+            inner: CounterSut { n: 0, buggy: false },
+            offset: 1,
+        })
+    };
+
+    let whole = every_case(Some((s, e)), Some(&whole_dir)).run_prepared(graph.clone(), 0.0, make);
+    assert_eq!(whole.reports.len(), e - s);
+    assert_eq!(
+        whole.artifacts.len(),
+        1,
+        "one reproducer: {:?}",
+        whole.artifacts
+    );
+    let first = every_case(Some((s, m)), Some(&split_dir)).run_prepared(graph.clone(), 0.0, make);
+    let resumed = every_case(Some((s, e)), Some(&split_dir)).run_prepared(graph, 0.0, make);
+    assert_eq!(
+        (first.reports.len(), resumed.skipped_from_journal),
+        (m - s, m - s)
+    );
+    assert!(resumed.artifacts.is_empty(), "{:?}", resumed.artifacts);
+
+    let files = |dir: &std::path::Path| -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_string_lossy();
+                name == crate::artifact::CampaignJournal::FILE_NAME || name.ends_with(".artifact")
+            })
+            .map(|p| {
+                (
+                    p.file_name().unwrap().to_string_lossy().into_owned(),
+                    std::fs::read(&p).unwrap(),
+                )
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let (whole_files, split_files) = (files(&whole_dir), files(&split_dir));
+    assert_eq!(whole_files.len(), 2, "journal.log and one artifact");
+    assert_eq!(whole_files, split_files);
+    let artifact = crate::artifact::ReplayArtifact::load(&whole.artifacts[0]).unwrap();
+    assert_eq!(
+        artifact.original_len,
+        paths[s].len(),
+        "the first case wrote it"
+    );
+    let _ = std::fs::remove_dir_all(&whole_dir);
+    let _ = std::fs::remove_dir_all(&split_dir);
+}
+
+/// A failure key is the path through the failing step, plus whether
+/// the case runs on past it; a failure at test end keys on the whole
+/// path.
+#[test]
+fn a_failure_key_cuts_the_path_at_its_failing_step() {
+    use super::triage::failure_key;
+    use mocket_checker::EdgeId;
+    let path: Vec<EdgeId> = (0..4).map(EdgeId).collect();
+    let at = |step| Inconsistency::MissingAction {
+        step,
+        action: ActionInstance::nullary("Inc"),
+        offered: vec![],
+    };
+    assert_eq!(failure_key(&path, &at(1)), (path[..2].to_vec(), true));
+    assert_eq!(failure_key(&path[..2], &at(1)), (path[..2].to_vec(), false));
+    assert_eq!(failure_key(&path, &at(3)), (path.clone(), false));
+    let unexpected = Inconsistency::UnexpectedAction {
+        actions: vec![ActionInstance::nullary("Dec")],
+    };
+    assert_eq!(failure_key(&path, &unexpected), (path.clone(), false));
+}

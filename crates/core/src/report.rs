@@ -109,6 +109,20 @@ impl Inconsistency {
         }
     }
 
+    /// The index of the step this inconsistency surfaced at, in a case
+    /// of `case_len` steps: the step being driven or checked, or
+    /// `case_len` for leftovers found at test end. Steps after it never
+    /// ran.
+    pub fn failing_step(&self, case_len: usize) -> usize {
+        match self {
+            Inconsistency::InconsistentState { step, .. }
+            | Inconsistency::MissingAction { step, .. }
+            | Inconsistency::NodeDeath { step, .. }
+            | Inconsistency::WatchdogTimeout { step, .. } => *step,
+            Inconsistency::UnexpectedAction { .. } => case_len,
+        }
+    }
+
     /// Whether the inconsistency reflects the system under test
     /// crashing or stalling (rather than a state/action divergence).
     pub fn is_crash(&self) -> bool {
@@ -354,6 +368,42 @@ mod tests {
         };
         assert_eq!(inc.kind(), "Unexpected action");
         assert_eq!(inc.subject(), "HandleRequestVoteResponse");
+    }
+
+    #[test]
+    fn failing_step_is_the_step_or_the_test_end() {
+        let action = ActionInstance::nullary("Step");
+        let cases = [
+            Inconsistency::InconsistentState {
+                step: 2,
+                action: action.clone(),
+                divergences: vec![],
+            },
+            Inconsistency::MissingAction {
+                step: 2,
+                action: action.clone(),
+                offered: vec![],
+            },
+            Inconsistency::NodeDeath {
+                step: 2,
+                action: action.clone(),
+                node: 1,
+                reason: "panic".into(),
+            },
+            Inconsistency::WatchdogTimeout {
+                step: 2,
+                action: action.clone(),
+                waited: Duration::from_secs(1),
+                reason: "hung".into(),
+            },
+        ];
+        for inc in &cases {
+            assert_eq!(inc.failing_step(5), 2, "{}", inc.kind());
+        }
+        let unexpected = Inconsistency::UnexpectedAction {
+            actions: vec![action],
+        };
+        assert_eq!(unexpected.failing_step(5), 5);
     }
 
     #[test]
