@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mocket_checker::{EdgeId, StateGraph};
-use mocket_obs::causal::{append_trace, CausalEvent, Tracer, TRACE_FILE_NAME};
+use mocket_obs::causal::{append_trace, CausalEvent, ClockReader, Tracer, TRACE_FILE_NAME};
 use mocket_obs::{CoverageMap, FieldValue};
 use mocket_tla::ActionInstance;
 
@@ -71,20 +71,24 @@ pub(crate) struct WindowResult {
 }
 
 /// The window's walk over its cases' prefix tree: the path of the
-/// last case run and the resume points along it, `points[i]` the state
-/// after its step `i` passed. A case starts from the deepest point on
-/// its own path, or from a fresh deployment when none is left.
+/// last case run, the resume points along it, `points[i]` the state
+/// after its step `i` passed, and its trace (empty when untraced),
+/// which holds every event up to each point's mark. A case starts from
+/// the deepest point on its own path, or from a fresh deployment when
+/// none is left.
 #[derive(Default)]
 struct Walk {
     path: Vec<EdgeId>,
     points: Vec<ResumePoint>,
+    trace: Vec<CausalEvent>,
 }
 
 impl Walk {
     /// Where a case on `path` starts: a copy of the deepest point the
-    /// two paths share, or a fresh `make_sut()` deployment. Points past
-    /// the shared prefix are dropped.
-    fn start<F>(&mut self, path: &[EdgeId], make_sut: &mut F) -> CaseStart
+    /// two paths share, with `tracer` continued from the last case's
+    /// trace at that point, or a fresh `make_sut()` deployment. Points
+    /// past the shared prefix are dropped.
+    fn start<F>(&mut self, path: &[EdgeId], make_sut: &mut F, tracer: &Tracer) -> CaseStart
     where
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
@@ -93,7 +97,10 @@ impl Walk {
         self.path.clear();
         self.path.extend_from_slice(path);
         match self.points.last().and_then(ResumePoint::copy) {
-            Some(point) => CaseStart::Resume(point),
+            Some(point) => {
+                tracer.resume_from(&self.trace, point.trace_mark());
+                CaseStart::Resume(point)
+            }
             None => {
                 self.points.clear();
                 CaseStart::Fresh(make_sut())
@@ -314,7 +321,7 @@ impl Pipeline {
 
         // A case runs once; the `attempt` field of its verdict event
         // and the journal's `attempts=` stay at 1 as format slots.
-        let (outcome, trace) = self.attempt_case(w, &case, make_sut);
+        let outcome = self.attempt_case(w, &case, make_sut);
         let (outcome, stats) = match outcome {
             Ok(verdict) => verdict,
             Err(err) => {
@@ -347,7 +354,9 @@ impl Pipeline {
                 Continue(())
             }
             TestOutcome::Failed(inconsistency) => {
+                let trace = std::mem::take(&mut w.walk.trace);
                 self.dispose_failure(w, &case, inconsistency, &stats, &trace, make_sut);
+                w.walk.trace = trace;
                 if self.config.stop_at_first_bug {
                     Break(())
                 } else {
@@ -358,27 +367,34 @@ impl Pipeline {
     }
 
     /// The one run of `case`, from the window's walk: the runner's
-    /// verdict (or the harness error) plus the run's causal trace,
-    /// which has already been appended to the window's trace log.
+    /// verdict (or the harness error). The run's causal trace is
+    /// appended to the window's trace log and becomes the walk's.
     fn attempt_case<F>(
         &self,
         w: &mut Window<'_>,
         case: &Case<'_>,
         make_sut: &mut F,
-    ) -> (Result<(TestOutcome, RunStats), SutError>, Vec<CausalEvent>)
+    ) -> Result<(TestOutcome, RunStats), SutError>
     where
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
         let obs = &self.config.obs;
         let tracer = if self.config.trace {
-            let t = Tracer::for_case(case.idx as u64);
+            // `vt` reads the run clock only when it is virtual. The
+            // tracer's epoch is the runner's `started`: nothing charges
+            // the clock in between.
+            let clock = self.config.clock.clone();
+            let now = clock.is_virtual().then(|| -> ClockReader {
+                Box::new(move || clock.now().as_nanos() as u64)
+            });
+            let t = Tracer::for_case(case.idx as u64, now);
             t.set_edge_path(case.path.iter().map(|e| e.0 as u64).collect());
-            t.begin_case(&case.hash, 0);
+            t.begin_case(&case.hash);
             t
         } else {
             Tracer::disabled()
         };
-        let start = w.walk.start(case.path, make_sut);
+        let start = w.walk.start(case.path, make_sut, &tracer);
         let ctx = RunCtx {
             clock: self.config.clock.clone(),
             obs: obs.clone(),
@@ -408,22 +424,21 @@ impl Pipeline {
                 resume_unwind(payload);
             }
         };
-        let mut trace = Vec::new();
         if tracer.is_enabled() {
             let label = match &outcome {
                 Ok((TestOutcome::Passed, _)) => "passed",
                 Ok((TestOutcome::Failed(inc), _)) => inc.kind(),
                 Err(_) => "harness-error",
             };
-            tracer.end_case(label, 0);
-            trace = tracer.take_events();
+            tracer.end_case(label);
+            w.walk.trace = tracer.take_events();
             if let Some(tp) = &w.trace_path {
-                if let Err(e) = append_trace(tp, &trace) {
+                if let Err(e) = append_trace(tp, &w.walk.trace) {
                     w.run.issues.push(format!("trace append failed: {e}"));
                 }
             }
         }
-        (outcome, trace)
+        outcome
     }
 
     /// Emits case `idx`'s `case.verdict` event: `case`, `outcome`,

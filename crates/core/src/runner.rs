@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mocket_obs::causal::Tracer;
+use mocket_obs::causal::{TraceMark, Tracer};
 use mocket_obs::Obs;
 use mocket_sim::{Clock, RealClock};
 use mocket_tla::{ActionClass, ActionInstance, State};
@@ -166,19 +166,16 @@ struct Progress {
 
 /// The state of a case after its first steps passed their checks: a
 /// copy of the deployment, the message pools, the tallies, the time the
-/// case had spent and its trace so far. A later case that shares those
-/// steps resumes here instead of running them again on a fresh
+/// case had spent and where its trace stood. A later case that shares
+/// those steps resumes here instead of running them again on a fresh
 /// deployment.
 pub struct ResumePoint {
     progress: Progress,
     /// Carries the disabled tracer, so dropping it records nothing.
     sut: Box<dyn SystemUnderTest>,
-    /// When the case that made this point started, and how much time
-    /// it had spent here, on the run's clock.
-    start: Duration,
+    /// How much time the case had spent here, on the run's clock.
     spent: Duration,
-    /// A detached fork of that case's trace.
-    trace: Tracer,
+    trace: TraceMark,
 }
 
 impl ResumePoint {
@@ -189,10 +186,16 @@ impl ResumePoint {
         Some(ResumePoint {
             progress: self.progress.clone(),
             sut: self.sut.fork()?,
-            start: self.start,
             spent: self.spent,
             trace: self.trace.clone(),
         })
+    }
+
+    /// Where the trace of the case that made this point stood here: a
+    /// case resumed from it continues that trace from this mark
+    /// ([`Tracer::resume_from`]).
+    pub fn trace_mark(&self) -> &TraceMark {
+        &self.trace
     }
 }
 
@@ -234,8 +237,10 @@ pub fn run_test_case(
 ///
 /// A resumed case is the fresh run of the same case with its first
 /// steps already done: on a virtual clock the prefix's recorded time is
-/// charged before the case goes on; its trace continues the prefix's
-/// ([`Tracer::resume_from`]); and the deterministic counters
+/// charged before the case goes on, so its later trace events land
+/// where the fresh run's do; the caller has already continued its
+/// trace from the point's [`trace_mark`](ResumePoint::trace_mark); and
+/// the deterministic counters
 /// (`runner.actions_released`, `runner.external_triggers`,
 /// `statecheck.checks`) are credited with the prefix's counts. Polls
 /// that were not made are not credited. A case that fails returns the
@@ -276,12 +281,6 @@ fn run_from(
         }
         CaseStart::Resume(point) => {
             clock.charge(point.spent);
-            let shift = if clock.is_virtual() {
-                started.saturating_sub(point.start).as_nanos() as u64
-            } else {
-                0
-            };
-            ctx.tracer.resume_from(&point.trace, shift);
             let p = &point.progress;
             let m = ctx.obs.metrics();
             let released = p.stats.actions_executed - p.external_triggers;
@@ -326,12 +325,7 @@ fn run_from(
     // clock stood still: charging it exactly the budget lands the
     // verdict at a deterministic virtual deadline.
     clock.charge(config.per_action_budget);
-    let vt = if clock.is_virtual() {
-        clock.now().as_nanos() as u64
-    } else {
-        0
-    };
-    ctx.tracer.close_step(vt);
+    ctx.tracer.close_step();
     let action = match hung.step {
         None => ActionInstance::nullary("<Init>"),
         Some(i) => match test_case.steps.get(i) {
@@ -378,9 +372,8 @@ impl Case {
         points.push(ResumePoint {
             progress: self.progress.clone(),
             sut: copy,
-            start: self.started,
             spent: ctx.clock.now().saturating_sub(self.started),
-            trace: ctx.tracer.fork(),
+            trace: ctx.tracer.mark(),
         });
     }
 }
@@ -510,7 +503,7 @@ fn drive(
                 // for crash/restart/user requests, overriding switches
                 // for drop/duplicate.
                 obs.metrics().add("runner.external_triggers", 1);
-                tracer.external(i as u64, &step.action.name, 0);
+                tracer.external(i as u64, &step.action.name);
                 let report =
                     try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start);
                 progress.external_triggers += 1;
@@ -539,7 +532,7 @@ fn drive(
                 obs.metrics()
                     .observe("timing.profile.scheduler_release_seconds", waited.as_secs_f64());
                 obs.metrics().add("runner.actions_released", 1);
-                tracer.release(i as u64, offer.node, &step.action.name, 0);
+                tracer.release(i as u64, offer.node, &step.action.name);
                 try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
             }
         };

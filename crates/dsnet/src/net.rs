@@ -11,10 +11,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use mocket_obs::causal::{MsgTag, Tracer};
-use mocket_sim::{Clock, RealClock};
 
 /// A node identifier.
 pub type NodeId = u64;
@@ -37,26 +35,9 @@ pub struct Envelope<M> {
 #[derive(Clone)]
 pub struct Net<M> {
     inboxes: BTreeMap<NodeId, Vec<Envelope<M>>>,
-    /// The time source of trace `vt` stamps: wall clock by default
-    /// (stamped 0), the shared `SimClock` under the virtual-time
-    /// backend (see [`Net::set_clock`]). A copy of the network shares
-    /// it.
-    clock: Arc<dyn Clock>,
-    /// Causal-trace recorder for message fates; inert by default.
+    /// Causal-trace recorder for message fates; inert by default. It
+    /// stamps each event's time itself.
     tracer: Tracer,
-}
-
-impl<M> Net<M> {
-    /// Virtual timestamp for trace events: the clock reading under a
-    /// virtual clock, `0` under a real one (wall clock never leaks
-    /// into traces — see the causal determinism contract).
-    fn vtime(&self) -> u64 {
-        if self.clock.is_virtual() {
-            u64::try_from(self.clock.now().as_nanos()).unwrap_or(u64::MAX)
-        } else {
-            0
-        }
-    }
 }
 
 impl<M> fmt::Debug for Net<M> {
@@ -73,16 +54,8 @@ impl<M: Clone> Net<M> {
     pub fn new<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
         Net {
             inboxes: nodes.into_iter().map(|n| (n, Vec::new())).collect(),
-            clock: Arc::new(RealClock::new()),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Replaces the time source of trace `vt` stamps. The virtual-time
-    /// backend installs its shared `SimClock` here; the default is a
-    /// private real clock, which stamps 0.
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
     }
 
     /// Installs (or replaces) the causal tracer consulted on every
@@ -95,7 +68,7 @@ impl<M: Clone> Net<M> {
     /// Sends `msg` from `from` to `to`: it joins the back of the
     /// destination inbox at once.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let tag = self.tracer.on_send(from, to, self.vtime());
+        let tag = self.tracer.on_send(from, to);
         self.inboxes.entry(to).or_default().push(Envelope { from, msg, tag });
     }
 
@@ -112,7 +85,7 @@ impl<M: Clone> Net<M> {
         F: Fn(&Envelope<M>) -> bool,
     {
         let env = self.remove_matching(node, pred)?;
-        self.tracer.on_recv(node, env.from, env.tag, self.vtime());
+        self.tracer.on_recv(node, env.from, env.tag);
         Some(env)
     }
 
@@ -123,8 +96,7 @@ impl<M: Clone> Net<M> {
         F: Fn(&Envelope<M>) -> bool,
     {
         let env = self.remove_matching(node, pred)?;
-        self.tracer
-            .on_drop(node, env.from, env.tag, self.vtime(), "scheduled");
+        self.tracer.on_drop(node, env.from, env.tag, "scheduled");
         Some(env)
     }
 
@@ -147,8 +119,7 @@ impl<M: Clone> Net<M> {
         let idx = inbox.iter().position(pred)?;
         let copy = inbox[idx].clone();
         inbox.insert(idx + 1, copy.clone());
-        self.tracer
-            .on_duplicate(node, copy.from, copy.tag, self.vtime());
+        self.tracer.on_duplicate(node, copy.from, copy.tag);
         Some(copy)
     }
 }
@@ -229,7 +200,7 @@ mod tests {
     fn tracer_records_message_fates_with_shared_ids() {
         use mocket_obs::causal::CausalKind;
         let mut net: Net<String> = Net::new([1, 2]);
-        let tracer = Tracer::for_case(0);
+        let tracer = Tracer::for_case(0, None);
         net.set_tracer(tracer.clone());
         net.send(1, 2, "x".to_string());
         net.duplicate_matching(2, |_| true).unwrap();
@@ -257,7 +228,7 @@ mod tests {
         assert_eq!(events[3].msg, events[0].msg);
         assert_eq!(events[5].msg, events[4].msg);
         assert_eq!(events[5].note.as_deref(), Some("scheduled"));
-        // Threaded/real clock: vt stays zero everywhere.
+        // A tracer without a clock stamps vt zero everywhere.
         assert!(events.iter().all(|e| e.vt == 0));
     }
 }

@@ -18,13 +18,13 @@
 //! inside that step) — never from timing-dependent points such as
 //! offer polls. Sequence numbers, message ids and Lamport clocks are
 //! assigned in recording order, which the sequential runner makes
-//! deterministic. The only timing-dependent field is `vt`, the
-//! virtual timestamp: under the simulation backend it is the shared
-//! `SimClock` reading (deterministic per seed, so sim traces are
-//! byte-identical per seed); on the wall-clock backend it is always
-//! `0` (wall clock never leaks into a trace). Comparing a wall-clock
-//! trace against a sim trace therefore means comparing the events
-//! with `vt` zeroed — see [`strip_virtual_time`].
+//! deterministic. Only the tracer stamps `vt`: nanoseconds since the
+//! case began on the clock it was created with. The pipeline gives it
+//! the run clock only when that is virtual, where a case's time from
+//! its start depends only on the seed and the case — the same bytes
+//! whichever process ran it. Otherwise `vt` is `0` (wall clock never
+//! leaks into a trace); compare across backends with `vt` zeroed —
+//! see [`strip_virtual_time`].
 //!
 //! A disabled tracer (the default) is a `None` behind a cheap clone:
 //! every recording call is a branch on a discriminant and returns
@@ -33,6 +33,7 @@
 //! `--trace` is given.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -145,8 +146,8 @@ pub struct CausalEvent {
     pub kind: CausalKind,
     /// The case index the trace belongs to.
     pub case: u64,
-    /// Virtual timestamp in nanoseconds: the shared sim clock under
-    /// the simulation backend, always `0` on the wall-clock backend.
+    /// Nanoseconds since the case began on the run clock under the
+    /// simulation backend; always `0` on the wall-clock backend.
     pub vt: u64,
     /// The node the event happened on (sender for message events).
     pub node: Option<u64>,
@@ -170,41 +171,40 @@ pub struct CausalEvent {
 impl CausalEvent {
     /// Renders the event as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str(&format!(
-            "{{\"seq\":{},\"case\":{},\"kind\":",
-            self.seq, self.case
-        ));
-        push_escaped(&mut out, self.kind.label());
-        out.push_str(&format!(",\"vt\":{}", self.vt));
-        if let Some(n) = self.node {
-            out.push_str(&format!(",\"node\":{n}"));
-        }
-        if let Some(p) = self.peer {
-            out.push_str(&format!(",\"peer\":{p}"));
-        }
-        if let Some(m) = self.msg {
-            out.push_str(&format!(",\"msg\":{m}"));
-        }
-        if let Some(l) = self.lamport {
-            out.push_str(&format!(",\"lamport\":{l}"));
-        }
-        if let Some(s) = self.step {
-            out.push_str(&format!(",\"step\":{s}"));
+        let mut out = String::with_capacity(128);
+        self.push_json_line(&mut out);
+        out
+    }
+
+    /// Appends the event's JSON line (no trailing newline) to `out`.
+    fn push_json_line(&self, out: &mut String) {
+        let _ = write!(out, "{{\"seq\":{},\"case\":{},\"kind\":", self.seq, self.case);
+        push_escaped(out, self.kind.label());
+        let _ = write!(out, ",\"vt\":{}", self.vt);
+        let ids = [
+            ("node", self.node),
+            ("peer", self.peer),
+            ("msg", self.msg),
+            ("lamport", self.lamport),
+            ("step", self.step),
+        ];
+        for (key, id) in ids {
+            if let Some(id) = id {
+                let _ = write!(out, ",\"{key}\":{id}");
+            }
         }
         if let Some(a) = &self.action {
             out.push_str(",\"action\":");
-            push_escaped(&mut out, a);
+            push_escaped(out, a);
         }
         if let Some(e) = self.edge {
-            out.push_str(&format!(",\"edge\":{e}"));
+            let _ = write!(out, ",\"edge\":{e}");
         }
         if let Some(n) = &self.note {
             out.push_str(",\"note\":");
-            push_escaped(&mut out, n);
+            push_escaped(out, n);
         }
         out.push('}');
-        out
     }
 
     /// Parses one `trace.jsonl` line.
@@ -273,26 +273,49 @@ struct StepContext {
     edge: Option<u64>,
 }
 
+/// What the next event continues from: the message-id counter, the
+/// per-node Lamport clocks, the step context and the open node step.
 #[derive(Debug, Clone, Default)]
-struct TracerState {
-    case: u64,
-    next_seq: u64,
+struct Counters {
     next_msg: u64,
-    /// Per-node Lamport clocks.
-    clocks: BTreeMap<u64, u64>,
-    /// Spec edge per step index, preloaded from the case's edge path
-    /// so releases can stamp the `(action, spec-edge)` mapping.
-    edge_path: Vec<u64>,
+    lamport: BTreeMap<u64, u64>,
     ctx: StepContext,
     /// The node whose step span is open.
     open_step: Option<u64>,
+}
+
+/// Where a trace stood: how many events it held and its counters. A
+/// mark stands in for a copy of those events ([`Tracer::resume_from`]).
+#[derive(Debug, Clone, Default)]
+pub struct TraceMark {
+    events: usize,
+    counters: Counters,
+}
+
+/// Reads the run clock, in nanoseconds.
+pub type ClockReader = Box<dyn Fn() -> u64 + Send>;
+
+struct TracerState {
+    case: u64,
+    /// The run clock; `None` stamps every `vt` 0.
+    clock: Option<ClockReader>,
+    /// The clock reading when the case began: `vt` counts from here.
+    epoch: u64,
+    /// Spec edge per step index, preloaded from the case's edge path
+    /// so releases can stamp the `(action, spec-edge)` mapping.
+    edge_path: Vec<u64>,
+    counters: Counters,
     events: Vec<CausalEvent>,
 }
 
 impl TracerState {
-    fn record(&mut self, kind: CausalKind, vt: u64) -> &mut CausalEvent {
+    /// Appends one event of `kind`, stamped with the next sequence
+    /// number, the step context and the time since the case began.
+    fn record(&mut self, kind: CausalKind) -> &mut CausalEvent {
+        let vt = self.clock.as_ref().map_or(0, |now| now().saturating_sub(self.epoch));
+        let ctx = &self.counters.ctx;
         let ev = CausalEvent {
-            seq: self.next_seq,
+            seq: self.events.len() as u64,
             kind,
             case: self.case,
             vt,
@@ -300,14 +323,22 @@ impl TracerState {
             peer: None,
             msg: None,
             lamport: None,
-            step: self.ctx.step,
-            action: self.ctx.action.clone(),
-            edge: self.ctx.edge,
+            step: ctx.step,
+            action: ctx.action.clone(),
+            edge: ctx.edge,
             note: None,
         };
-        self.next_seq += 1;
         self.events.push(ev);
         self.events.last_mut().expect("just pushed")
+    }
+
+    /// Enters step `step` of the case, running `action`.
+    fn enter(&mut self, step: u64, action: &str) {
+        self.counters.ctx = StepContext {
+            step: Some(step),
+            action: Some(action.to_string()),
+            edge: self.edge_path.get(step as usize).copied(),
+        };
     }
 }
 
@@ -319,7 +350,7 @@ impl TracerState {
 /// sequential harness only ever records from one thread at a time
 /// (the case thread while it runs, its caller before and after), so
 /// recording order is deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<TracerState>>>,
 }
@@ -330,12 +361,19 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A live tracer for case `case` (trace id `case + 1`).
-    pub fn for_case(case: u64) -> Tracer {
+    /// A live tracer for case `case` (trace id `case + 1`), beginning
+    /// now: every event's `vt` is the nanoseconds `clock` has advanced
+    /// since this call, or 0 without a clock.
+    pub fn for_case(case: u64, clock: Option<ClockReader>) -> Tracer {
+        let epoch = clock.as_ref().map_or(0, |now| now());
         Tracer {
             inner: Some(Arc::new(Mutex::new(TracerState {
                 case,
-                ..TracerState::default()
+                clock,
+                epoch,
+                edge_path: Vec::new(),
+                counters: Counters::default(),
+                events: Vec::new(),
             }))),
         }
     }
@@ -352,46 +390,38 @@ impl Tracer {
         Some(f(&mut state))
     }
 
-    /// A detached copy of everything recorded so far: recording into
-    /// either leaves the other unchanged. The disabled tracer forks
-    /// into itself.
-    pub fn fork(&self) -> Tracer {
-        Tracer {
-            inner: self.with(|s| Arc::new(Mutex::new(s.clone()))),
-        }
+    /// Where this trace stands now. The disabled tracer's mark is
+    /// empty.
+    pub fn mark(&self) -> TraceMark {
+        self.with(|s| TraceMark {
+            events: s.events.len(),
+            counters: s.counters.clone(),
+        })
+        .unwrap_or_default()
     }
 
-    /// Continues this case's trace from `prefix`, a fork of another
-    /// case's trace taken after the steps the two cases share, as if
-    /// this case had run those steps itself. Call it right after the
-    /// case marker. The prefix's events and its sequence, message-id,
-    /// Lamport and step-context counters are taken over; each event is
-    /// re-stamped with this trace's case (the case marker with this
-    /// trace's note), and each event the cluster or network stamped
-    /// from the clock is shifted by `vt_shift`, the distance between
-    /// the two cases' start times. The runner's own markers (case,
-    /// release, external) carry a literal 0 and stay put.
-    pub fn resume_from(&self, prefix: &Tracer, vt_shift: u64) {
-        let Some(prefix) = prefix.with(|s| s.clone()) else {
-            return;
-        };
+    /// Continues this case's trace as if it had run the steps another
+    /// case's trace `prefix` ran up to `mark`: takes over the events
+    /// before the mark and its counters. Call it right after the case
+    /// marker. Each copied event gets this trace's case, the case
+    /// marker its note; `vt` counts from each case's start, so it stays.
+    pub fn resume_from(&self, prefix: &[CausalEvent], mark: &TraceMark) {
         self.with(|s| {
             let begin = s.events.iter().find(|e| e.kind == CausalKind::CaseBegin);
             let note = begin.and_then(|e| e.note.clone());
-            let (case, edge_path) = (s.case, std::mem::take(&mut s.edge_path));
-            *s = TracerState {
-                case,
-                edge_path,
-                ..prefix
-            };
-            for ev in &mut s.events {
-                ev.case = case;
-                match ev.kind {
-                    CausalKind::CaseBegin => ev.note.clone_from(&note),
-                    CausalKind::CaseEnd | CausalKind::Release | CausalKind::External => {}
-                    _ => ev.vt = ev.vt.saturating_add(vt_shift),
-                }
-            }
+            let case = s.case;
+            s.events = prefix[..mark.events]
+                .iter()
+                .map(|ev| {
+                    let mut ev = ev.clone();
+                    ev.case = case;
+                    if ev.kind == CausalKind::CaseBegin {
+                        ev.note.clone_from(&note);
+                    }
+                    ev
+                })
+                .collect();
+            s.counters = mark.counters.clone();
         });
     }
 
@@ -402,81 +432,73 @@ impl Tracer {
     }
 
     /// Records the case-begin marker (note = the case's stable hash).
-    pub fn begin_case(&self, hash: &str, vt: u64) {
+    pub fn begin_case(&self, hash: &str) {
         self.with(|s| {
-            s.record(CausalKind::CaseBegin, vt).note = Some(hash.to_string());
+            s.record(CausalKind::CaseBegin).note = Some(hash.to_string());
         });
     }
 
     /// Records the case-end marker (note = outcome label).
-    pub fn end_case(&self, outcome: &str, vt: u64) {
+    pub fn end_case(&self, outcome: &str) {
         self.with(|s| {
-            s.ctx = StepContext::default();
-            s.record(CausalKind::CaseEnd, vt).note = Some(outcome.to_string());
+            s.counters.ctx = StepContext::default();
+            s.record(CausalKind::CaseEnd).note = Some(outcome.to_string());
         });
     }
 
     /// Records a scheduler release: step `step` released `action` on
     /// `node`. Sets the step context every later event inherits.
-    pub fn release(&self, step: u64, node: u64, action: &str, vt: u64) {
+    pub fn release(&self, step: u64, node: u64, action: &str) {
         self.with(|s| {
-            s.ctx = StepContext {
-                step: Some(step),
-                action: Some(action.to_string()),
-                edge: s.edge_path.get(step as usize).copied(),
-            };
-            s.record(CausalKind::Release, vt).node = Some(node);
+            s.enter(step, action);
+            s.record(CausalKind::Release).node = Some(node);
         });
     }
 
     /// Records an external fault / user-request trigger at `step`.
-    pub fn external(&self, step: u64, action: &str, vt: u64) {
+    pub fn external(&self, step: u64, action: &str) {
         self.with(|s| {
-            s.ctx = StepContext {
-                step: Some(step),
-                action: Some(action.to_string()),
-                edge: s.edge_path.get(step as usize).copied(),
-            };
-            s.record(CausalKind::External, vt);
+            s.enter(step, action);
+            s.record(CausalKind::External);
         });
     }
 
     /// Records the start of one node step (cluster execution span).
-    pub fn step_begin(&self, node: u64, vt: u64) {
+    pub fn step_begin(&self, node: u64) {
         self.with(|s| {
-            s.open_step = Some(node);
-            s.record(CausalKind::StepBegin, vt).node = Some(node);
+            s.counters.open_step = Some(node);
+            s.record(CausalKind::StepBegin).node = Some(node);
         });
     }
 
     /// Records the end of the node step started last.
-    pub fn step_end(&self, node: u64, vt: u64) {
+    pub fn step_end(&self, node: u64) {
         self.with(|s| {
-            s.open_step = None;
-            s.record(CausalKind::StepEnd, vt).node = Some(node);
+            s.counters.open_step = None;
+            s.record(CausalKind::StepEnd).node = Some(node);
         });
     }
 
     /// Ends the open node step span, if any: the step the watchdog
     /// abandoned never ends it itself.
-    pub fn close_step(&self, vt: u64) {
-        if let Some(Some(node)) = self.with(|s| s.open_step) {
-            self.step_end(node, vt);
+    pub fn close_step(&self) {
+        if let Some(Some(node)) = self.with(|s| s.counters.open_step) {
+            self.step_end(node);
         }
     }
 
     /// Records a send from `from` to `to` and returns the tag to
     /// stamp on the wire message. The disabled tracer returns the
     /// zero tag without recording.
-    pub fn on_send(&self, from: u64, to: u64, vt: u64) -> MsgTag {
+    pub fn on_send(&self, from: u64, to: u64) -> MsgTag {
         self.with(|s| {
-            let clock = s.clocks.entry(from).or_insert(0);
+            let clock = s.counters.lamport.entry(from).or_insert(0);
             *clock += 1;
             let lamport = *clock;
-            let msg = s.next_msg;
-            s.next_msg += 1;
+            let msg = s.counters.next_msg;
+            s.counters.next_msg += 1;
             let trace = s.case + 1;
-            let ev = s.record(CausalKind::Send, vt);
+            let ev = s.record(CausalKind::Send);
             ev.node = Some(from);
             ev.peer = Some(to);
             ev.msg = Some(msg);
@@ -492,20 +514,20 @@ impl Tracer {
 
     /// Records `node` consuming a message sent by `from` under `tag`
     /// (the causal edge: this event's `msg` id is the send's).
-    pub fn on_recv(&self, node: u64, from: u64, tag: MsgTag, vt: u64) {
-        self.record_message(CausalKind::Recv, node, from, tag, vt, None);
+    pub fn on_recv(&self, node: u64, from: u64, tag: MsgTag) {
+        self.record_message(CausalKind::Recv, node, from, tag, None);
     }
 
     /// Records a message addressed to `node` being discarded.
-    pub fn on_drop(&self, node: u64, from: u64, tag: MsgTag, vt: u64, why: &str) {
-        self.record_message(CausalKind::Drop, node, from, tag, vt, Some(why));
+    pub fn on_drop(&self, node: u64, from: u64, tag: MsgTag, why: &str) {
+        self.record_message(CausalKind::Drop, node, from, tag, Some(why));
     }
 
     /// Records a duplicate copy appearing in `node`'s inbox. The copy
     /// keeps the original tag, so both eventual recvs share the
     /// send's `msg` id.
-    pub fn on_duplicate(&self, node: u64, from: u64, tag: MsgTag, vt: u64) {
-        self.record_message(CausalKind::Duplicate, node, from, tag, vt, None);
+    pub fn on_duplicate(&self, node: u64, from: u64, tag: MsgTag) {
+        self.record_message(CausalKind::Duplicate, node, from, tag, None);
     }
 
     fn record_message(
@@ -514,18 +536,17 @@ impl Tracer {
         node: u64,
         from: u64,
         tag: MsgTag,
-        vt: u64,
         note: Option<&str>,
     ) {
         self.with(|s| {
             let lamport = if kind == CausalKind::Recv {
-                let clock = s.clocks.entry(node).or_insert(0);
+                let clock = s.counters.lamport.entry(node).or_insert(0);
                 *clock = (*clock).max(tag.lamport) + 1;
                 Some(*clock)
             } else {
                 tag.is_live().then_some(tag.lamport)
             };
-            let ev = s.record(kind, vt);
+            let ev = s.record(kind);
             ev.node = Some(node);
             ev.peer = Some(from);
             ev.msg = tag.is_live().then_some(tag.seq);
@@ -535,33 +556,31 @@ impl Tracer {
     }
 
     /// Records a node crash.
-    pub fn crash(&self, node: u64, vt: u64) {
+    pub fn crash(&self, node: u64) {
         self.with(|s| {
-            s.record(CausalKind::Crash, vt).node = Some(node);
+            s.record(CausalKind::Crash).node = Some(node);
         });
     }
 
     /// Records a node restart.
-    pub fn restart(&self, node: u64, vt: u64) {
+    pub fn restart(&self, node: u64) {
         self.with(|s| {
-            s.record(CausalKind::Restart, vt).node = Some(node);
+            s.record(CausalKind::Restart).node = Some(node);
         });
     }
 
     /// Drains and returns everything recorded so far.
     pub fn take_events(&self) -> Vec<CausalEvent> {
-        self.with(std::mem::take)
-            .map(|s: TracerState| s.events)
-            .unwrap_or_default()
+        self.with(|s| std::mem::take(&mut s.events)).unwrap_or_default()
     }
 }
 
 /// Renders events as `trace.jsonl` content (one JSON object per
 /// line, trailing newline after each).
 pub fn to_jsonl(events: &[CausalEvent]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(events.len() * 128);
     for ev in events {
-        out.push_str(&ev.to_json_line());
+        ev.push_json_line(&mut out);
         out.push('\n');
     }
     out
@@ -671,28 +690,57 @@ pub fn chrome_trace(events: &[CausalEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A reader of the settable run clock `now`.
+    fn reader(now: &Arc<AtomicU64>) -> Option<ClockReader> {
+        let now = Arc::clone(now);
+        Some(Box::new(move || now.load(Ordering::SeqCst)))
+    }
+
+    fn tick(now: &AtomicU64, nanos: u64) {
+        now.fetch_add(nanos, Ordering::SeqCst);
+    }
 
     #[test]
     fn disabled_tracer_records_nothing_and_tags_zero() {
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
-        let tag = t.on_send(1, 2, 0);
+        let tag = t.on_send(1, 2);
         assert_eq!(tag, MsgTag::default());
         assert!(!tag.is_live());
-        t.on_recv(2, 1, tag, 0);
-        t.release(0, 1, "A", 0);
-        t.crash(1, 0);
+        t.on_recv(2, 1, tag);
+        t.release(0, 1, "A");
+        t.crash(1);
         assert!(t.take_events().is_empty());
+    }
+
+    /// `vt` is the run clock's advance since the tracer was made; a
+    /// tracer without a clock stamps 0 however far the clock runs.
+    #[test]
+    fn vt_counts_from_the_case_start_and_is_zero_without_a_clock() {
+        let now = Arc::new(AtomicU64::new(7_000));
+        let (timed, untimed) = (Tracer::for_case(0, reader(&now)), Tracer::for_case(0, None));
+        for t in [&timed, &untimed] {
+            t.begin_case("aaaa");
+        }
+        tick(&now, 50);
+        for t in [&timed, &untimed] {
+            t.release(0, 1, "A");
+        }
+        let vts = |t: &Tracer| t.take_events().iter().map(|e| e.vt).collect::<Vec<_>>();
+        assert_eq!(vts(&timed), [0, 50]);
+        assert_eq!(vts(&untimed), [0, 0]);
     }
 
     #[test]
     fn send_recv_link_through_msg_id_and_lamport_advances() {
-        let t = Tracer::for_case(3);
-        t.release(0, 1, "Vote", 10);
-        let tag = t.on_send(1, 2, 20);
+        let t = Tracer::for_case(3, None);
+        t.release(0, 1, "Vote");
+        let tag = t.on_send(1, 2);
         assert!(tag.is_live());
         assert_eq!(tag.trace, 4);
-        t.on_recv(2, 1, tag, 30);
+        t.on_recv(2, 1, tag);
         let events = t.take_events();
         assert_eq!(events.len(), 3);
         let send = &events[1];
@@ -711,74 +759,93 @@ mod tests {
 
     #[test]
     fn edge_path_stamps_the_spec_edge_mapping() {
-        let t = Tracer::for_case(0);
+        let t = Tracer::for_case(0, None);
         t.set_edge_path(vec![7, 9]);
-        t.release(0, 1, "A", 0);
-        t.on_send(1, 2, 0);
-        t.external(1, "Crash", 0);
+        t.release(0, 1, "A");
+        t.on_send(1, 2);
+        t.external(1, "Crash");
         let events = t.take_events();
         assert_eq!(events[0].edge, Some(7));
         assert_eq!(events[1].edge, Some(7), "net event inherits step edge");
         assert_eq!(events[2].edge, Some(9));
     }
 
-    #[test]
-    fn a_fork_is_detached_from_its_original() {
-        let t = Tracer::for_case(0);
-        t.release(0, 1, "A", 0);
-        let fork = t.fork();
-        t.on_send(1, 2, 5);
-        assert_eq!(fork.take_events().len(), 1);
-        assert_eq!(t.take_events().len(), 2);
-        assert!(!Tracer::disabled().fork().is_enabled());
-    }
-
-    /// Case 1 resumed from a fork of case 0 after their shared step
-    /// writes exactly what case 1 run from its own start writes.
+    /// Case 1 resumed at a mark of case 0 taken after their shared
+    /// step writes exactly what case 1 run from its own start writes,
+    /// whenever either case began on the run clock.
     #[test]
     fn a_resumed_trace_equals_the_fresh_one() {
-        // Case `case` from its start at virtual time `t0` to the end
-        // of the step the two cases share.
-        let run = |case: u64, hash: &str, t0: u64| {
-            let t = Tracer::for_case(case);
+        let now = Arc::new(AtomicU64::new(1_000));
+        // Case `case` from its start to the end of the step the two
+        // cases share: 20 ns of run time.
+        let run = |case: u64, hash: &str| {
+            let t = Tracer::for_case(case, reader(&now));
             t.set_edge_path(vec![4, 8 + case]);
-            t.begin_case(hash, 0);
-            let tag = t.on_send(1, 2, t0);
-            t.release(0, 2, "Recv", 0);
-            t.step_begin(2, t0 + 10);
-            t.on_recv(2, 1, tag, t0 + 20);
-            t.step_end(2, t0 + 30);
+            t.begin_case(hash);
+            let tag = t.on_send(1, 2);
+            tick(&now, 10);
+            t.release(0, 2, "Recv");
+            t.step_begin(2);
+            t.on_recv(2, 1, tag);
+            tick(&now, 10);
+            t.step_end(2);
             t
         };
-        let second_step = |t: &Tracer, t0: u64| {
-            t.external(1, "Crash", 0);
-            t.crash(1, t0 + 40);
-            t.end_case("passed", 0);
+        let second_step = |t: &Tracer, action: &str| {
+            tick(&now, 10);
+            t.external(1, action);
+            t.crash(1);
+            t.end_case("passed");
         };
-        let fresh = run(1, "bbbb", 1000);
-        second_step(&fresh, 1000);
+        let fresh = run(1, "bbbb");
+        second_step(&fresh, "Crash");
 
-        let prefix = run(0, "aaaa", 0).fork();
-        let resumed = Tracer::for_case(1);
+        now.store(0, Ordering::SeqCst);
+        let prefix = run(0, "aaaa");
+        let mark = prefix.mark();
+        second_step(&prefix, "Restart");
+        let prefix = prefix.take_events();
+
+        now.store(5_000, Ordering::SeqCst);
+        let resumed = Tracer::for_case(1, reader(&now));
         resumed.set_edge_path(vec![4, 9]);
-        resumed.begin_case("bbbb", 0);
-        resumed.resume_from(&prefix, 1000);
-        second_step(&resumed, 1000);
-        assert_eq!(to_jsonl(&resumed.take_events()), to_jsonl(&fresh.take_events()));
+        resumed.begin_case("bbbb");
+        resumed.resume_from(&prefix, &mark);
+        // The runner charges the prefix's run time before going on.
+        tick(&now, 20);
+        second_step(&resumed, "Crash");
+        let (fresh, resumed) = (fresh.take_events(), resumed.take_events());
+        assert_eq!(to_jsonl(&resumed), to_jsonl(&fresh));
+        assert_eq!(fresh.last().map(|e| e.vt), Some(30));
+    }
+
+    #[test]
+    fn resuming_the_disabled_tracer_records_nothing() {
+        let t = Tracer::for_case(0, None);
+        t.release(0, 1, "A");
+        let (mark, events) = (t.mark(), t.take_events());
+        let off = Tracer::disabled();
+        off.resume_from(&events, &mark);
+        assert!(off.take_events().is_empty());
+        assert_eq!(off.mark().events, 0);
     }
 
     #[test]
     fn jsonl_roundtrip_is_lossless() {
-        let t = Tracer::for_case(1);
-        t.begin_case("abcd", 0);
-        t.release(0, 2, "Append \"x\"", 100);
-        let tag = t.on_send(2, 3, 150);
-        t.on_duplicate(3, 2, tag, 160);
-        t.on_drop(3, 2, tag, 170, "partition");
-        t.step_begin(2, 180);
-        t.step_end(2, 200);
-        t.crash(3, 210);
-        t.end_case("passed", 300);
+        let now = Arc::new(AtomicU64::new(0));
+        let t = Tracer::for_case(1, reader(&now));
+        t.begin_case("abcd");
+        tick(&now, 100);
+        t.release(0, 2, "Append \"x\"");
+        tick(&now, 50);
+        let tag = t.on_send(2, 3);
+        t.on_duplicate(3, 2, tag);
+        t.on_drop(3, 2, tag, "partition");
+        tick(&now, 30);
+        t.step_begin(2);
+        t.step_end(2);
+        t.crash(3);
+        t.end_case("passed");
         let events = t.take_events();
         let text = to_jsonl(&events);
         let (back, issues) = parse_trace(&text);
@@ -788,8 +855,8 @@ mod tests {
 
     #[test]
     fn parse_trace_salvages_torn_lines() {
-        let good = Tracer::for_case(0);
-        good.release(0, 1, "A", 0);
+        let good = Tracer::for_case(0, None);
+        good.release(0, 1, "A");
         let text = to_jsonl(&good.take_events());
         // A `delay` line of a build that still held messages back, a
         // garbage line and a truncated final line are all reported and
@@ -805,16 +872,18 @@ mod tests {
 
     #[test]
     fn same_call_sequence_is_byte_identical() {
+        let now = Arc::new(AtomicU64::new(0));
         let run = || {
-            let t = Tracer::for_case(5);
+            let t = Tracer::for_case(5, reader(&now));
             t.set_edge_path(vec![1, 2, 3]);
-            t.begin_case("ffff", 0);
+            t.begin_case("ffff");
             for step in 0..3u64 {
-                t.release(step, 1 + step % 2, "Act", step * 100);
-                let tag = t.on_send(1, 2, step * 100 + 10);
-                t.on_recv(2, 1, tag, step * 100 + 20);
+                tick(&now, 100);
+                t.release(step, 1 + step % 2, "Act");
+                let tag = t.on_send(1, 2);
+                t.on_recv(2, 1, tag);
             }
-            t.end_case("passed", 400);
+            t.end_case("passed");
             to_jsonl(&t.take_events())
         };
         assert_eq!(run(), run());
@@ -822,9 +891,12 @@ mod tests {
 
     #[test]
     fn strip_virtual_time_zeroes_only_vt() {
-        let t = Tracer::for_case(0);
-        t.release(0, 1, "A", 999);
+        let now = Arc::new(AtomicU64::new(0));
+        let t = Tracer::for_case(0, reader(&now));
+        tick(&now, 999);
+        t.release(0, 1, "A");
         let events = t.take_events();
+        assert_eq!(events[0].vt, 999);
         let stripped = strip_virtual_time(&events);
         assert_eq!(stripped[0].vt, 0);
         assert_eq!(stripped[0].action, events[0].action);
@@ -832,14 +904,20 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_flat_json_with_flow_arrows() {
-        let t = Tracer::for_case(0);
-        t.release(0, 1, "A", 1000);
-        t.step_begin(1, 1000);
-        let tag = t.on_send(1, 2, 2000);
-        t.step_end(1, 3000);
-        t.step_begin(2, 3000);
-        t.on_recv(2, 1, tag, 4000);
-        t.step_end(2, 5000);
+        let now = Arc::new(AtomicU64::new(0));
+        let t = Tracer::for_case(0, reader(&now));
+        tick(&now, 1000);
+        t.release(0, 1, "A");
+        t.step_begin(1);
+        tick(&now, 1000);
+        let tag = t.on_send(1, 2);
+        tick(&now, 1000);
+        t.step_end(1);
+        t.step_begin(2);
+        tick(&now, 1000);
+        t.on_recv(2, 1, tag);
+        tick(&now, 1000);
+        t.step_end(2);
         let json = chrome_trace(&t.take_events());
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
@@ -857,12 +935,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(TRACE_FILE_NAME);
-        let t = Tracer::for_case(0);
-        t.begin_case("aaaa", 0);
+        let t = Tracer::for_case(0, None);
+        t.begin_case("aaaa");
         let first = t.take_events();
         append_trace(&path, &first).unwrap();
-        let t2 = Tracer::for_case(1);
-        t2.begin_case("bbbb", 0);
+        let t2 = Tracer::for_case(1, None);
+        t2.begin_case("bbbb");
         append_trace(&path, &t2.take_events()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let (events, issues) = parse_trace(&text);

@@ -35,14 +35,14 @@
 //!
 //! **Backends.** A [`Backend`] only chooses the clock the steps are
 //! accounted on. [`Backend::Threads`] is the wall clock: steps cost
-//! what they cost, and trace timestamps stay 0 so wall time never
-//! leaks into a trace. [`Backend::Sim`] charges the same steps to the
+//! what they cost. [`Backend::Sim`] charges the same steps to the
 //! run's shared [`mocket_sim::SimClock`]: each costs a seeded slice of
 //! virtual time (a hung step costs exactly the budget on top, charged
 //! by the runner), so timings, traces and watchdog verdicts are
-//! byte-reproducible per seed. Verdict parity between the two holds
-//! by construction — they share every line below except those clock
-//! reads. (The variant names are pinned by the benchmark adapter in
+//! byte-reproducible per seed. The cluster reads no clock for a trace:
+//! the tracer stamps its own events. Verdict parity between the two
+//! holds by construction — they share every line below except those
+//! charges. (The variant names are pinned by the benchmark adapter in
 //! `perfbench/`.)
 
 use std::cell::Cell;
@@ -263,17 +263,12 @@ pub struct Cluster<N: NodeApp> {
 
 impl<N: NodeApp> Cluster<N> {
     /// Creates a cluster (no nodes running yet) over `net`, booting
-    /// every incarnation from `config`. Under [`Backend::Sim`] the
-    /// network stamps trace events with the simulation's virtual
-    /// clock.
-    pub fn new(config: N::Config, mut net: Net<N::Msg>, backend: Backend) -> Self {
+    /// every incarnation from `config`.
+    pub fn new(config: N::Config, net: Net<N::Msg>, backend: Backend) -> Self {
         install_node_panic_hook();
         let sim = match backend {
             Backend::Threads => None,
-            Backend::Sim(handle) => {
-                net.set_clock(handle.clock.clone());
-                Some((handle.clock, SimRng::new(handle.seed)))
-            }
+            Backend::Sim(handle) => Some((handle.clock, SimRng::new(handle.seed))),
         };
         Cluster {
             world: World {
@@ -290,23 +285,11 @@ impl<N: NodeApp> Cluster<N> {
     /// steps become spans
     /// ([`CausalKind::StepBegin`](mocket_obs::causal::CausalKind) /
     /// `StepEnd`), crashes and restarts become instants, and message
-    /// fates become message events. Under the simulation backend the
-    /// events carry virtual timestamps, so traces are
-    /// byte-deterministic per seed; on the wall clock timestamps stay
-    /// zero (the event *order* is still deterministic for a given
-    /// schedule).
+    /// fates become message events. The tracer stamps each event's
+    /// time itself.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.world.net.set_tracer(tracer.clone());
         self.tracer = tracer;
-    }
-
-    /// Virtual time for trace events: the simulation clock when
-    /// present, else 0 (wall-clock must never leak into traces).
-    fn vtime(&self) -> u64 {
-        match &self.sim {
-            Some((clock, _)) => clock.now_nanos(),
-            None => 0,
-        }
     }
 
     /// The deployment's network.
@@ -365,12 +348,12 @@ impl<N: NodeApp> Cluster<N> {
         id: NodeId,
         action: &ActionInstance,
     ) -> Result<Vec<MsgEvent>, SutError> {
-        self.tracer.step_begin(id, self.vtime());
+        self.tracer.step_begin(id);
         if self.is_running(id) {
             charge(&mut self.sim);
         }
         let result = self.world.step(id, |app, cx| app.execute(action, cx));
-        self.tracer.step_end(id, self.vtime());
+        self.tracer.step_end(id);
         result
     }
 
@@ -408,7 +391,7 @@ impl<N: NodeApp> Cluster<N> {
     pub fn crash(&mut self, id: NodeId) {
         let host = self.world.hosts.get_mut(&id);
         if host.is_some_and(|h| std::mem::replace(&mut h.up, false)) {
-            self.tracer.crash(id, self.vtime());
+            self.tracer.crash(id);
         }
     }
 
@@ -420,7 +403,7 @@ impl<N: NodeApp> Cluster<N> {
         }
         self.crash(id);
         self.world.boot(id);
-        self.tracer.restart(id, self.vtime());
+        self.tracer.restart(id);
     }
 
     /// Stops every node.
@@ -804,7 +787,7 @@ mod tests {
     fn an_abandoned_case_writes_nothing_after_its_verdict() {
         let handle = SimHandle::new(7);
         let ctx = RunCtx {
-            tracer: Tracer::for_case(0),
+            tracer: Tracer::for_case(0, None),
             ..RunCtx::default()
         };
         let (inc, _) = run_hang("Doze", Some(&handle), BUDGET, ctx.clone());
@@ -855,8 +838,8 @@ mod tests {
     /// step costs `SIM_STEP_COST` plus the next draw of the seed's
     /// jitter stream (a hung step's budget is the runner's, pinned in
     /// `sim_hang_reading_is_one_step_cost_then_the_budget`). `wall_*`
-    /// summary keys and trace `vt` stamps under `--sim` are sums of
-    /// these readings, so a moved literal is a moved byte.
+    /// summary keys and trace `vt` stamps under `--sim` are differences
+    /// of these readings, so a moved literal is a moved byte.
     #[test]
     fn sim_timeline_is_pinned_for_seed_7() {
         let handle = SimHandle::new(7);

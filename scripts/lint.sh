@@ -153,6 +153,13 @@ if grep -rnwE 'install_fault_plan|release_due|offer_deadline|poll_backoff|max_qu
     fail=1
 fi
 
+# Only the tracer stamps trace time: the network and the cluster read
+# no clock for a trace event and hand the tracer none.
+if grep -rnE '\bset_clock\b|\bfn vtime\b' crates/dsnet/src crates/runtime/src --include='*.rs'; then
+    echo "error: a retired trace-clock name; the tracer stamps vt itself, from the case's start" >&2
+    fail=1
+fi
+
 # The workspace is std only: every workspace dependency is one of its
 # own crates under crates/.
 if awk '/^\[/ { deps = ($0 == "[workspace.dependencies]") } deps && /^[A-Za-z0-9_-]+ *=/' Cargo.toml \

@@ -60,18 +60,26 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Every flag some subcommand reads. Anything else on the command line
-/// is a typo that would otherwise silently fall back to a default
-/// (`--sim-sed 7` running seed 42), so `Args::parse` rejects it. The
-/// hidden `campaign-worker` is spawned with the campaign's own flags
-/// plus `--worker-id`, all of them listed here.
-const KNOWN_FLAGS: &[&str] = &[
-    "bug", "campaign-dir", "dot", "html", "interval-ms", "lease-ttl-ms", "limit",
-    "max-path-len", "max-restarts", "max-states", "obs-dir", "out", "poison-threshold", "por",
-    "priority-edges", "progress", "seed",
-    "shard-size", "sim", "sim-seed", "status", "steps", "trace", "trace-file", "trace-view",
-    "watch", "worker-id", "workers",
-];
+/// Whether `subcommand` reads `--flag`. Any other flag is a typo or
+/// another subcommand's, and would silently do nothing (`--sim-sed 7`
+/// running seed 42, `test --campaign-dir D` leaving D empty), so
+/// `Args::parse` rejects it. The hidden `campaign-worker` is spawned
+/// with the campaign's command line plus `--worker-id`.
+fn reads_flag(subcommand: &str, flag: &str) -> bool {
+    let flags = match subcommand {
+        "check" => "dot max-states",
+        "generate" => "limit max-path-len out por",
+        "test" => "bug limit obs-dir priority-edges progress sim sim-seed trace",
+        "campaign" => "bug campaign-dir interval-ms lease-ttl-ms limit max-path-len max-restarts \
+                       max-states poison-threshold progress shard-size sim sim-seed status trace \
+                       watch workers",
+        "campaign-worker" => return flag == "worker-id" || reads_flag("campaign", flag),
+        "report" => "campaign-dir html obs-dir out trace-file trace-view",
+        "simulate" => "bug seed steps",
+        _ => "",
+    };
+    flags.split_whitespace().any(|known| known == flag)
+}
 
 /// Minimal flag parser: `--key value` pairs and bare flags.
 struct Args {
@@ -93,10 +101,6 @@ impl Args {
         let mut args = worker_argv.clone().into_iter().enumerate().peekable();
         while let Some((at, a)) = args.next() {
             if let Some(key) = a.strip_prefix("--") {
-                if !KNOWN_FLAGS.contains(&key) {
-                    eprintln!("mocket-cli: unknown flag --{key}");
-                    std::process::exit(2);
-                }
                 let value = match args.next_if(|(_, v)| !v.starts_with("--")) {
                     Some((_, v)) => v,
                     None => "true".to_string(),
@@ -109,6 +113,11 @@ impl Args {
                 positional.push(a);
             }
         }
+        let subcommand = positional.first().map_or("", String::as_str);
+        if let Some(key) = flags.keys().find(|key| !reads_flag(subcommand, key)) {
+            eprintln!("{}: unknown flag --{key}", format!("mocket-cli {subcommand}").trim_end());
+            std::process::exit(2);
+        }
         Args {
             positional,
             flags,
@@ -118,7 +127,10 @@ impl Args {
 
     /// The value of `--key`, if given (`"true"` for a bare flag).
     fn flag(&self, key: &str) -> Option<&str> {
-        debug_assert!(KNOWN_FLAGS.contains(&key), "--{key} is read but not in KNOWN_FLAGS");
+        debug_assert!(
+            reads_flag(&self.positional[0], key),
+            "--{key} is read but not listed in reads_flag"
+        );
         self.flags.get(key).map(String::as_str)
     }
 

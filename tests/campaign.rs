@@ -195,6 +195,60 @@ fn merge_is_invariant_to_worker_count_and_rerun_is_idempotent() {
     );
 }
 
+/// The `case-*.artifact` files of a campaign directory, by name.
+fn artifacts(dir: &Path) -> Vec<(String, ReplayArtifact)> {
+    let mut found: Vec<(String, ReplayArtifact)> = std::fs::read_dir(dir)
+        .expect("campaign dir readable")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "artifact"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, ReplayArtifact::load(&path).expect("artifact loads"))
+        })
+        .collect();
+    found.sort_by(|a, b| a.0.cmp(&b.0));
+    found
+}
+
+/// A traced `--sim` campaign's trace is a function of its plan: `vt`
+/// counts from each case's own start, so neither the worker that ran a
+/// case nor what that worker ran before leaves a mark on the merged
+/// `trace.jsonl` or on an artifact's `trace:` lines.
+#[test]
+fn traced_sim_campaign_trace_is_invariant_to_worker_count() {
+    for bug in [None, Some("duplicate-vote-counting")] {
+        let runs: Vec<CampaignRun> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let run = CampaignRun::new(&format!("traced-{}-w{workers}", bug.unwrap_or("none")));
+                let mut extra = vec!["--limit", "48", "--shard-size", "8", "--sim", "--trace"];
+                extra.extend(bug.iter().flat_map(|b| ["--bug", *b]));
+                let status = run.command(workers, &extra).status().expect("spawn mocket-cli");
+                assert!(status.success(), "traced campaign {bug:?} on {workers} worker(s)");
+                run
+            })
+            .collect();
+        let trace = runs[0].read("trace.jsonl");
+        assert!(!trace.is_empty(), "{bug:?}: the campaign traced nothing");
+        assert!(
+            trace == runs[1].read("trace.jsonl"),
+            "{bug:?}: trace.jsonl differs between 1 and 2 workers"
+        );
+        let (one, two) = (artifacts(&runs[0].dir), artifacts(&runs[1].dir));
+        let names = |found: &[(String, ReplayArtifact)]| -> Vec<String> {
+            found.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&one), names(&two), "{bug:?}: artifact names");
+        for ((name, a), (_, b)) in one.iter().zip(&two) {
+            assert!(!a.trace.is_empty(), "{name} carries no trace");
+            assert_eq!(a.trace, b.trace, "{name}: trace lines differ between 1 and 2 workers");
+        }
+        if bug.is_some() {
+            assert!(!one.is_empty(), "the seeded bug must leave an artifact");
+        }
+    }
+}
+
 /// Polls the campaign's lease records until one names a case in
 /// flight, stops that worker with SIGSTOP and returns its shard and
 /// record. A worker caught after journaling the named case (or after

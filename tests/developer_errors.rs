@@ -1,7 +1,10 @@
 //! The §5.4 lesson: errors *developers* introduce while applying
 //! Mocket — a miswritten annotation name, an unmapped element — and
 //! the multi-round workflow that shakes them out: validate, fix the
-//! mapping, regenerate, re-test.
+//! mapping, regenerate, re-test — and a flag given to a subcommand
+//! that does not read it.
+
+use std::process::Command;
 
 use mocket::core::mapping::ActionBinding;
 use mocket::core::{MappingIssue, MappingRegistry, Pipeline, PipelineConfig};
@@ -133,4 +136,34 @@ fn unmapped_message_variable_is_reported() {
         .iter()
         .any(|i| matches!(i, MappingIssue::UnmappedVariable(v) if v == "messages")));
     let _ = &mut registry;
+}
+
+/// A flag its subcommand does not read exits 2 naming it, also where
+/// another subcommand reads it: `test --campaign-dir D` would otherwise
+/// run the hunt and leave D empty.
+#[test]
+fn a_flag_its_subcommand_does_not_read_exits_2_naming_it() {
+    let dir = std::env::temp_dir().join(format!("mocket-foreign-flag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let hunt = ["test", "xraft", "--bug", "duplicate-vote-counting", "--sim"];
+    for (argv, flag) in [
+        ([&hunt[..], &["--campaign-dir", dir_arg]].concat(), "--campaign-dir"),
+        ([&hunt[..], &["--workers", "2"]].concat(), "--workers"),
+        ([&hunt[..], &["--shard-size", "4"]].concat(), "--shard-size"),
+        (vec!["check", "xraft", "--sim"], "--sim"),
+        (vec!["campaign", "xraft", "--worker-id", "0"], "--worker-id"),
+        (vec!["report", "--obs-dir", dir_arg, "--trace"], "--trace"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mocket-cli"))
+            .args(&argv)
+            .output()
+            .expect("spawn mocket-cli");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one line, got: {stderr}");
+        assert!(stderr.contains(flag), "must name {flag}, got: {stderr}");
+        assert!(stderr.contains(argv[0]), "must name {}, got: {stderr}", argv[0]);
+    }
+    assert!(!dir.exists(), "a rejected command writes nothing");
 }
