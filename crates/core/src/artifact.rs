@@ -471,8 +471,8 @@ pub fn replay(
         &artifact.final_enabled,
         &artifact.run,
         &RunCtx::default(),
-    )?;
-    let verdict = match outcome {
+    );
+    let verdict = match outcome? {
         TestOutcome::Passed => ReplayVerdict::Passed,
         TestOutcome::Failed(inc) => {
             if inc.kind() == artifact.kind {

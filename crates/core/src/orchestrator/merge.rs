@@ -383,7 +383,6 @@ pub fn merge_campaign(inp: &MergeInputs<'_>) -> io::Result<MergeReport> {
     // `worker-<id>/run-summary.json` it writes when its loop ends).
     let summary = RunSummary {
         spec: inp.spec_name.to_string(),
-        fault_plan: None,
         states: inp.graph.state_count() as u64,
         edges: inp.graph.edge_count() as u64,
         coverage_edges_visited: inp.coverage_visited,

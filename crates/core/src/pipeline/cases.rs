@@ -321,9 +321,9 @@ impl Pipeline {
 
         // A case runs once; the `attempt` field of its verdict event
         // and the journal's `attempts=` stay at 1 as format slots.
-        let outcome = self.attempt_case(w, &case, make_sut);
-        let (outcome, stats) = match outcome {
-            Ok(verdict) => verdict,
+        let (outcome, stats) = self.attempt_case(w, &case, make_sut);
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
             Err(err) => {
                 // A harness-side failure (an external action that could
                 // not be triggered, a node lost outside the schedule):
@@ -367,14 +367,15 @@ impl Pipeline {
     }
 
     /// The one run of `case`, from the window's walk: the runner's
-    /// verdict (or the harness error). The run's causal trace is
-    /// appended to the window's trace log and becomes the walk's.
+    /// verdict (or the harness error) and its tally, which goes into the
+    /// run's metrics. The run's causal trace is appended to the window's
+    /// trace log and becomes the walk's.
     fn attempt_case<F>(
         &self,
         w: &mut Window<'_>,
         case: &Case<'_>,
         make_sut: &mut F,
-    ) -> Result<(TestOutcome, RunStats), SutError>
+    ) -> (Result<TestOutcome, SutError>, RunStats)
     where
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
@@ -397,7 +398,6 @@ impl Pipeline {
         let start = w.walk.start(case.path, make_sut, &tracer);
         let ctx = RunCtx {
             clock: self.config.clock.clone(),
-            obs: obs.clone(),
             tracer: tracer.clone(),
         };
         // A panicking SUT (or checker) must not take the staged
@@ -414,20 +414,21 @@ impl Pipeline {
                 &ctx,
             )
         }));
-        let outcome = match ran {
-            Ok((outcome, points)) => {
+        let (outcome, stats) = match ran {
+            Ok((outcome, stats, points)) => {
                 w.walk.points.extend(points);
-                outcome
+                (outcome, stats)
             }
             Err(payload) => {
                 obs.flush();
                 resume_unwind(payload);
             }
         };
+        self.record_tally(&stats);
         if tracer.is_enabled() {
             let label = match &outcome {
-                Ok((TestOutcome::Passed, _)) => "passed",
-                Ok((TestOutcome::Failed(inc), _)) => inc.kind(),
+                Ok(TestOutcome::Passed) => "passed",
+                Ok(TestOutcome::Failed(inc)) => inc.kind(),
                 Err(_) => "harness-error",
             };
             tracer.end_case(label);
@@ -438,7 +439,7 @@ impl Pipeline {
                 }
             }
         }
-        outcome
+        (outcome, stats)
     }
 
     /// Emits case `idx`'s `case.verdict` event: `case`, `outcome`,

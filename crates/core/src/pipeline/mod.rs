@@ -29,7 +29,7 @@ use mocket_checker::{EdgeId, ModelChecker, StateGraph};
 use crate::mapping::{MappingIssue, MappingRegistry};
 use crate::minimize::MinimizeConfig;
 use crate::report::BugReport;
-use crate::runner::RunConfig;
+use crate::runner::{RunConfig, RunStats};
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 
@@ -418,6 +418,28 @@ impl Pipeline {
         };
         let window = self.run_window(&mut run, &graph, &paths, &mut make_sut);
         self.finish(run, window, graph, check_seconds)
+    }
+
+    /// Adds the tally of one runner call — a case's run, or a triage or
+    /// shrink re-run — to the run's metrics. A zero count adds nothing,
+    /// so a key appears only for what happened.
+    fn record_tally(&self, stats: &RunStats) {
+        let metrics = self.config.obs.metrics();
+        for (name, n) in [
+            ("runner.actions_released", stats.actions_released),
+            ("runner.external_triggers", stats.external_triggers),
+            ("runner.missing_actions", stats.missing_actions),
+            ("runner.offer_polls", stats.offer_polls),
+            ("scheduler.offers_translated", stats.offers_translated),
+            ("scheduler.unmapped_offers", stats.unmapped_offers),
+            ("scheduler.unexpected_offers", stats.unexpected_offers),
+            ("statecheck.checks", stats.checks),
+            ("statecheck.divergences", stats.divergences),
+        ] {
+            if n > 0 {
+                metrics.add(name, n as u64);
+            }
+        }
     }
 
     /// Emits one `--progress` line when enabled.

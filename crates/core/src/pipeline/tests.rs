@@ -191,8 +191,9 @@ impl SystemUnderTest for CountedSut {
 }
 
 /// A window walks its cases' prefix tree when the system forks: the
-/// verdicts are the fresh runs', with fewer deployments and steps,
-/// failing cases included. A fork-less system deploys once per case.
+/// verdicts and the tallied counts are the fresh runs', with fewer
+/// deployments and steps, failing cases included. A fork-less system
+/// deploys once per case.
 #[test]
 fn a_forking_system_runs_the_window_as_its_prefix_tree() {
     for buggy in [false, true] {
@@ -214,13 +215,19 @@ fn a_forking_system_runs_the_window_as_its_prefix_tree() {
                 .map(|r| (r.test_case.clone(), r.inconsistency.kind(), r.actions_executed))
                 .collect();
             let calls = calls.each_ref().map(|c| c.load(std::sync::atomic::Ordering::SeqCst));
-            (result.passed, result.effort.cases_run, verdicts, calls)
+            let m = p.obs().metrics();
+            let counts = ["runner.offer_polls", "statecheck.checks", "runner.actions_released"]
+                .map(|name| m.counter(name));
+            (result.passed, result.effort.cases_run, verdicts, counts, calls)
         };
-        let (passed, cases, verdicts, [deploys, executes]) = run(false);
+        let (passed, cases, verdicts, counts, [deploys, executes]) = run(false);
         assert_eq!(cases, 2);
         assert_eq!(deploys, cases, "a fork-less system deploys once per case");
-        let (walk_passed, walk_cases, walk_verdicts, [walk_deploys, walk_executes]) = run(true);
+        assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+        let (walk_passed, walk_cases, walk_verdicts, walk_counts, [walk_deploys, walk_executes]) =
+            run(true);
         assert_eq!((walk_passed, walk_cases, &walk_verdicts), (passed, cases, &verdicts));
+        assert_eq!(walk_counts, counts, "polls, checks and releases of the fresh runs");
         assert!(walk_deploys < deploys, "{walk_deploys} deploys of {cases} cases");
         assert!(walk_executes < executes, "{walk_executes} of {executes} executes");
     }

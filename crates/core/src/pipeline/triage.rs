@@ -240,22 +240,14 @@ impl Pipeline {
         let obs = &self.config.obs;
         let ctx = RunCtx {
             clock: self.config.clock.clone(),
-            obs: obs.clone(),
             tracer: Tracer::disabled(),
         };
         let mut rerun = |case: &TestCase, enabled: &[ActionInstance]| -> bool {
             obs.metrics().add("pipeline.triage_reruns", 1);
-            matches!(
-                run_test_case(
-                    make_sut(),
-                    case,
-                    &self.registry,
-                    enabled,
-                    &self.config.run,
-                    &ctx,
-                ),
-                Ok((TestOutcome::Failed(inc), _)) if inc.kind() == kind
-            )
+            let (outcome, stats) =
+                run_test_case(make_sut(), case, &self.registry, enabled, &self.config.run, &ctx);
+            self.record_tally(&stats);
+            matches!(outcome, Ok(TestOutcome::Failed(inc)) if inc.kind() == kind)
         };
 
         let determinism = if rerun(tc, final_enabled) {

@@ -10,6 +10,12 @@
 //! the end leftover offers are classified against the actions the
 //! specification enables in the final state.
 //!
+//! The runner writes no metric. Each run tallies what it did in its
+//! [`RunStats`] — actions released, external triggers, offer polls,
+//! state checks and their divergences — and hands the tally back however
+//! the case ends; the caller records it. The case thread writes nothing
+//! shared but its tracer.
+//!
 //! A passing step copies nothing on the harness side: the scheduled
 //! action is matched against the raw offers and the matched offer is
 //! taken out of the batch, not cloned; reported messages enter the pools
@@ -23,7 +29,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mocket_obs::causal::{TraceMark, Tracer};
-use mocket_obs::Obs;
 use mocket_sim::{Clock, RealClock};
 use mocket_tla::{ActionClass, ActionInstance, State};
 
@@ -32,7 +37,7 @@ use crate::msgpool::{MessagePools, PoolError};
 use crate::report::{Inconsistency, VariableDivergence};
 use crate::scheduler::{find_match, offered_actions, translate_offers, unexpected_offers};
 use crate::statecheck::check_state;
-use crate::sut::{ExecReport, MsgEvent, Offer, Snapshot, SutError, SystemUnderTest};
+use crate::sut::{ExecReport, MsgEvent, Offer, SutError, SystemUnderTest};
 use crate::testcase::TestCase;
 use crate::watchdog::{self, on_case_thread};
 
@@ -94,15 +99,47 @@ impl TestOutcome {
     }
 }
 
-/// Statistics of one controlled run.
+/// The tally of one controlled run: what the case did, counted as it
+/// happened, each count under the metric name the caller records it as.
+/// A resumed case starts from its prefix's tally, so it counts what the
+/// fresh run of the same case counts. A hung case returns only its
+/// executed actions and its seconds.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Actions actually executed (scheduled and matched).
     pub actions_executed: usize,
-    /// State checks performed.
+    /// `runner.actions_released`: offers released, before they execute.
+    pub actions_released: usize,
+    /// `runner.external_triggers`: faults and requests, before they run.
+    pub external_triggers: usize,
+    /// `runner.missing_actions`: scheduled actions nobody offered.
+    pub missing_actions: usize,
+    /// `runner.offer_polls`: one poll per scheduled offered action.
+    pub offer_polls: usize,
+    /// `scheduler.offers_translated`: offers of every poll, the final one's too.
+    pub offers_translated: usize,
+    /// `scheduler.unmapped_offers`: of those, offers no mapping names.
+    pub unmapped_offers: usize,
+    /// `scheduler.unexpected_offers`: final leftovers the spec does not enable.
+    pub unexpected_offers: usize,
+    /// `statecheck.checks`: state checks performed.
     pub checks: usize,
-    /// Wall-clock duration in seconds.
+    /// `statecheck.divergences`: diverged variables over every check.
+    pub divergences: usize,
+    /// The case's duration in seconds on the run's clock: virtual time
+    /// under simulation, and a resumed case's includes its prefix's.
     pub seconds: f64,
+}
+
+impl RunStats {
+    /// Counts the offers of one poll.
+    fn count_offers(&mut self, registry: &MappingRegistry, offers: &[Offer]) {
+        self.offers_translated += offers.len();
+        self.unmapped_offers += offers
+            .iter()
+            .filter(|o| registry.action_by_impl_name(&o.action.name).is_none())
+            .count();
+    }
 }
 
 /// Builds fresh message pools from the registry's message-related
@@ -119,22 +156,15 @@ pub fn pools_from_registry(registry: &MappingRegistry) -> MessagePools {
 
 /// The ambient services of one controlled run.
 ///
-/// The default is a plain run: wall clock, a private metrics-only
-/// [`Obs`], no causal trace.
+/// The default is a plain run: wall clock, no causal trace. The run's
+/// counts come back in its [`RunStats`], not through a shared registry.
 #[derive(Clone)]
 pub struct RunCtx {
-    /// Every measured duration — per-action budget, release latency,
+    /// Every measured duration — per-action budget,
     /// [`RunStats::seconds`] — counts this clock's time. With a
     /// `SimClock` a hung step is charged exactly the budget and the
     /// run's timings are byte-reproducible.
     pub clock: Arc<dyn Clock>,
-    /// Receives the run's metrics: scheduler release latency
-    /// (`timing.runner.release_latency_ms`), offer-poll and action
-    /// counters (`runner.*`, `timing.scheduler.*`) and state-check
-    /// counters (`statecheck.*`). Only metrics are recorded here —
-    /// per-step events would dominate the event stream; the pipeline
-    /// owns per-case events.
-    pub obs: Obs,
     /// Installed on the SUT before deployment (so cluster and network
     /// events reach it); every scheduler release and external trigger
     /// is recorded with its step context, and the caller drains the
@@ -146,7 +176,6 @@ impl Default for RunCtx {
     fn default() -> Self {
         RunCtx {
             clock: Arc::new(RealClock::new()),
-            obs: Obs::disabled(),
             tracer: Tracer::disabled(),
         }
     }
@@ -160,8 +189,6 @@ struct Progress {
     depth: usize,
     pools: MessagePools,
     stats: RunStats,
-    /// External faults and user requests among the passed steps.
-    external_triggers: usize,
 }
 
 /// The state of a case after its first steps passed their checks: a
@@ -170,7 +197,7 @@ struct Progress {
 /// those steps resumes here instead of running them again on a fresh
 /// deployment.
 pub struct ResumePoint {
-    progress: Progress,
+    progress: Box<Progress>,
     /// Carries the disabled tracer, so dropping it records nothing.
     sut: Box<dyn SystemUnderTest>,
     /// How much time the case had spent here, on the run's clock.
@@ -219,6 +246,9 @@ pub enum CaseStart {
 /// [`RunConfig::per_action_budget`] of real time abandons the thread
 /// with the system and fails the case with
 /// [`Inconsistency::WatchdogTimeout`].
+///
+/// The verdict, or the harness error that ended the case, comes back
+/// with the case's tally either way.
 pub fn run_test_case(
     sut: Box<dyn SystemUnderTest>,
     test_case: &TestCase,
@@ -226,9 +256,10 @@ pub fn run_test_case(
     final_enabled: &[ActionInstance],
     config: &RunConfig,
     ctx: &RunCtx,
-) -> Result<(TestOutcome, RunStats), SutError> {
+) -> (Result<TestOutcome, SutError>, RunStats) {
     let start = CaseStart::Fresh(sut);
-    run_from(start, test_case, registry, final_enabled, config, ctx, false).0
+    let (outcome, stats, _) = run_from(start, test_case, registry, final_enabled, config, ctx, false);
+    (outcome, stats)
 }
 
 /// Runs one test case from `start` — a fresh deployment or a resume
@@ -240,10 +271,8 @@ pub fn run_test_case(
 /// charged before the case goes on, so its later trace events land
 /// where the fresh run's do; the caller has already continued its
 /// trace from the point's [`trace_mark`](ResumePoint::trace_mark); and
-/// the deterministic counters
-/// (`runner.actions_released`, `runner.external_triggers`,
-/// `statecheck.checks`) are credited with the prefix's counts. Polls
-/// that were not made are not credited. A case that fails returns the
+/// the case's tally starts from the point's, so its [`RunStats`] are
+/// the fresh run's, offer polls included. A case that fails returns the
 /// points of the steps that passed before; a hung case returns none.
 pub fn resume_test_case(
     start: CaseStart,
@@ -252,7 +281,7 @@ pub fn resume_test_case(
     final_enabled: &[ActionInstance],
     config: &RunConfig,
     ctx: &RunCtx,
-) -> (Result<(TestOutcome, RunStats), SutError>, Vec<ResumePoint>) {
+) -> (Result<TestOutcome, SutError>, RunStats, Vec<ResumePoint>) {
     run_from(start, test_case, registry, final_enabled, config, ctx, true)
 }
 
@@ -266,7 +295,7 @@ fn run_from(
     config: &RunConfig,
     ctx: &RunCtx,
     keep: bool,
-) -> (Result<(TestOutcome, RunStats), SutError>, Vec<ResumePoint>) {
+) -> (Result<TestOutcome, SutError>, RunStats, Vec<ResumePoint>) {
     let clock = ctx.clock.as_ref();
     let started = clock.now();
     let (sut, progress, fresh) = match start {
@@ -275,25 +304,12 @@ fn run_from(
                 depth: 0,
                 pools: pools_from_registry(registry),
                 stats: RunStats::default(),
-                external_triggers: 0,
             };
             (sut, progress, true)
         }
         CaseStart::Resume(point) => {
             clock.charge(point.spent);
-            let p = &point.progress;
-            let m = ctx.obs.metrics();
-            let released = p.stats.actions_executed - p.external_triggers;
-            for (name, n) in [
-                ("runner.actions_released", released),
-                ("runner.external_triggers", p.external_triggers),
-                ("statecheck.checks", p.stats.checks),
-            ] {
-                if n > 0 {
-                    m.add(name, n as u64);
-                }
-            }
-            (point.sut, point.progress, false)
+            (point.sut, *point.progress, false)
         }
     };
     let (tc, reg, enabled) = (test_case.clone(), Arc::clone(registry), final_enabled.to_vec());
@@ -306,16 +322,15 @@ fn run_from(
         };
         watchdog::at(None, started);
         sut.install_tracer(&run_ctx.tracer);
-        if fresh {
-            if let Err(e) = watchdog::guard(None, || sut.deploy()) {
-                return (Err(e), Vec::new());
-            }
-        }
-        let result = drive(sut, &tc, &reg, &enabled, &cfg, &mut case, &run_ctx);
-        watchdog::guard(None, || sut.teardown());
+        let deployed = if fresh { watchdog::guard(None, || sut.deploy()) } else { Ok(()) };
+        let result = deployed.and_then(|()| {
+            let result = drive(sut, &tc, &reg, &enabled, &cfg, &mut case, &run_ctx);
+            watchdog::guard(None, || sut.teardown());
+            result
+        });
         let mut stats = case.progress.stats;
         stats.seconds = run_ctx.clock.now().saturating_sub(started).as_secs_f64();
-        (result.map(|outcome| (outcome, stats)), case.points.unwrap_or_default())
+        (result, stats, case.points.unwrap_or_default())
     });
     let hung = match ran {
         Ok((ran, _)) => return ran,
@@ -345,7 +360,7 @@ fn run_from(
         seconds: clock.now().saturating_sub(started).as_secs_f64(),
         ..RunStats::default()
     };
-    (Ok((TestOutcome::Failed(inc), stats)), Vec::new())
+    (Ok(TestOutcome::Failed(inc)), stats, Vec::new())
 }
 
 /// One case on its case thread: its progress, when it started on the
@@ -370,7 +385,7 @@ impl Case {
         };
         copy.install_tracer(&Tracer::disabled());
         points.push(ResumePoint {
-            progress: self.progress.clone(),
+            progress: Box::new(self.progress.clone()),
             sut: copy,
             spent: ctx.clock.now().saturating_sub(self.started),
             trace: ctx.tracer.mark(),
@@ -428,30 +443,6 @@ fn drive(
 ) -> Result<TestOutcome, SutError> {
     let clock = ctx.clock.as_ref();
     let tracer = &ctx.tracer;
-    let obs = &ctx.obs;
-
-    // Offers seen per poll, kept under the `timing.` quarantine with
-    // the other poll counters, out of the deterministic summary.
-    let count_offers = |offers: &[Offer]| {
-        let m = obs.metrics();
-        m.add("timing.scheduler.offers_translated", offers.len() as u64);
-        let unmapped = offers
-            .iter()
-            .filter(|o| registry.action_by_impl_name(&o.action.name).is_none())
-            .count() as u64;
-        if unmapped > 0 {
-            m.add("timing.scheduler.unmapped_offers", unmapped);
-        }
-    };
-    let check = |expected: &State, snapshot: &Snapshot, pools: &MessagePools| {
-        let divergences = check_state(expected, snapshot, pools, registry);
-        let m = obs.metrics();
-        m.add("statecheck.checks", 1);
-        if !divergences.is_empty() {
-            m.add("statecheck.divergences", divergences.len() as u64);
-        }
-        divergences
-    };
 
     // Makes one guarded SUT call on behalf of `$node` (when known) and
     // classifies a failure: crash-style errors become a failed
@@ -476,8 +467,10 @@ fn drive(
         let init_start = clock.now();
         let init_action = ActionInstance::nullary("<Init>");
         let snapshot = try_sut!(None, sut.snapshot(), 0, &init_action, init_start);
-        case.progress.stats.checks += 1;
-        let divergences = check(&test_case.initial, &snapshot, &case.progress.pools);
+        let progress = &mut case.progress;
+        progress.stats.checks += 1;
+        let divergences = check_state(&test_case.initial, &snapshot, &progress.pools, registry);
+        progress.stats.divergences += divergences.len();
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: 0,
@@ -502,20 +495,17 @@ fn drive(
                 // Triggered by the testbed itself (§4.1.2): scripts
                 // for crash/restart/user requests, overriding switches
                 // for drop/duplicate.
-                obs.metrics().add("runner.external_triggers", 1);
+                progress.stats.external_triggers += 1;
                 tracer.external(i as u64, &step.action.name);
-                let report =
-                    try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start);
-                progress.external_triggers += 1;
-                report
+                try_sut!(None, sut.execute_external(&step.action), i, &step.action, step_start)
             }
             _ => {
                 // One poll: what is not offered now is missing.
-                obs.metrics().add("timing.runner.offer_polls", 1);
+                progress.stats.offer_polls += 1;
                 let mut offers = try_sut!(None, sut.offers(), i, &step.action, step_start);
-                count_offers(&offers);
+                progress.stats.count_offers(registry, &offers);
                 let Some(hit) = find_match(registry, &step.action, &offers) else {
-                    obs.metrics().add("runner.missing_actions", 1);
+                    progress.stats.missing_actions += 1;
                     return Ok(TestOutcome::Failed(Inconsistency::MissingAction {
                         step: i,
                         action: step.action.clone(),
@@ -523,15 +513,7 @@ fn drive(
                     }));
                 };
                 let offer = offers.swap_remove(hit);
-                // Scheduler release latency: time from step start until
-                // the blocked action was matched and released for
-                // execution.
-                let waited = clock.now().saturating_sub(step_start);
-                obs.metrics()
-                    .observe("timing.runner.release_latency_ms", waited.as_secs_f64() * 1e3);
-                obs.metrics()
-                    .observe("timing.profile.scheduler_release_seconds", waited.as_secs_f64());
-                obs.metrics().add("runner.actions_released", 1);
+                progress.stats.actions_released += 1;
                 tracer.release(i as u64, offer.node, &step.action.name);
                 try_sut!(Some(offer.node), sut.execute(&offer), i, &step.action, step_start)
             }
@@ -552,7 +534,8 @@ fn drive(
         // Check the verified post-state.
         let snapshot = try_sut!(None, sut.snapshot(), i, &step.action, step_start);
         progress.stats.checks += 1;
-        let divergences = check(&step.expected, &snapshot, pools);
+        let divergences = check_state(&step.expected, &snapshot, pools, registry);
+        progress.stats.divergences += divergences.len();
         if !divergences.is_empty() {
             return Ok(TestOutcome::Failed(Inconsistency::InconsistentState {
                 step: i,
@@ -566,8 +549,6 @@ fn drive(
         // eventually answered. The budget counts the run's clock —
         // virtual time under simulation.
         let step_elapsed = clock.now().saturating_sub(step_start);
-        obs.metrics()
-            .observe("timing.profile.runner_step_seconds", step_elapsed.as_secs_f64());
         if step_elapsed > config.per_action_budget {
             return Ok(TestOutcome::Failed(Inconsistency::WatchdogTimeout {
                 step: i,
@@ -592,11 +573,11 @@ fn drive(
         &final_action,
         final_start
     );
-    count_offers(&offers);
+    case.progress.stats.count_offers(registry, &offers);
     let offers = translate_offers(registry, offers);
     let unexpected = unexpected_offers(registry, &offers, final_enabled);
     if !unexpected.is_empty() {
-        obs.metrics().add("scheduler.unexpected_offers", unexpected.len() as u64);
+        case.progress.stats.unexpected_offers += unexpected.len();
         return Ok(TestOutcome::Failed(Inconsistency::UnexpectedAction {
             actions: unexpected,
         }));
@@ -832,8 +813,8 @@ mod tests {
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         assert!(outcome.passed(), "{outcome:?}");
         assert_eq!(stats.actions_executed, 3);
         assert_eq!(stats.checks, 4, "initial + one per action");
@@ -841,33 +822,28 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_records_scheduler_and_statecheck_metrics() {
+    fn a_run_tallies_its_releases_polls_and_checks() {
         let sut = FakeSut::new(10);
-        let obs = Obs::disabled();
         let (outcome, stats) = run_test_case(
             Box::new(sut),
             &inc_case(3),
             &Arc::new(registry()),
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
-            &RunCtx {
-                obs: obs.clone(),
-                ..RunCtx::default()
-            },
-        )
-        .unwrap();
+            &RunCtx::default(),
+        );
+        let outcome = outcome.unwrap();
         assert!(outcome.passed(), "{outcome:?}");
-        let m = obs.metrics();
-        assert_eq!(m.counter("runner.actions_released"), 3);
-        assert!(m.counter("timing.runner.offer_polls") >= 3);
-        assert_eq!(m.counter("statecheck.checks"), stats.checks as u64);
-        assert_eq!(m.counter("statecheck.divergences"), 0);
-        let latency = m.snapshot().histograms["timing.runner.release_latency_ms"];
-        assert_eq!(latency.count, 3, "release latency recorded");
+        assert_eq!(stats.actions_released, 3);
+        assert_eq!(stats.external_triggers, 0);
+        assert_eq!(stats.offer_polls, 3, "one poll per step");
+        assert_eq!(stats.checks, 4);
+        assert_eq!(stats.divergences, 0);
+        assert_eq!(stats.missing_actions, 0);
     }
 
     #[test]
-    fn observed_run_counts_unmapped_and_unexpected_offers() {
+    fn a_run_tallies_unmapped_and_unexpected_offers() {
         // No steps, so the only poll is the final one: `inc` (benign
         // single-node leftover), `rogue` (unmapped) and `recv` (a
         // message receive the spec does not enable).
@@ -881,29 +857,60 @@ mod tests {
             mocket_tla::ActionClass::MessageReceive,
             ActionBinding::Snippet,
         );
-        let obs = Obs::disabled();
-        let (outcome, _) = run_test_case(
+        let (outcome, stats) = run_test_case(
             Box::new(sut),
             &inc_case(0),
             &Arc::new(registry),
             &[],
             &RunConfig::fast(),
-            &RunCtx {
-                obs: obs.clone(),
-                ..RunCtx::default()
-            },
-        )
-        .unwrap();
+            &RunCtx::default(),
+        );
+        let outcome = outcome.unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::UnexpectedAction { actions }) => {
                 assert_eq!(actions.len(), 2, "{actions:?}");
             }
             other => panic!("expected unexpected action, got {other:?}"),
         }
-        let m = obs.metrics();
-        assert_eq!(m.counter("timing.scheduler.offers_translated"), 3);
-        assert_eq!(m.counter("timing.scheduler.unmapped_offers"), 1);
-        assert_eq!(m.counter("scheduler.unexpected_offers"), 2);
+        assert_eq!(stats.offer_polls, 0, "the final poll is not a step's");
+        assert_eq!(stats.offers_translated, 3);
+        assert_eq!(stats.unmapped_offers, 1);
+        assert_eq!(stats.unexpected_offers, 2);
+    }
+
+    /// A harness error ends the case without a verdict, but the tally
+    /// of the steps it ran comes back with the error.
+    #[test]
+    fn a_harness_error_returns_the_tally_of_its_steps() {
+        let mut registry = registry();
+        registry.map_action(
+            "Partition",
+            "partition.sh",
+            mocket_tla::ActionClass::ExternalFault,
+            ActionBinding::Script,
+        );
+        let tc = TestCase::new(
+            st(0),
+            vec![
+                (ActionInstance::nullary("Inc"), st(1)),
+                (ActionInstance::nullary("Inc"), st(2)),
+                (ActionInstance::nullary("Partition"), st(2)),
+            ],
+        );
+        let (outcome, stats) = run_test_case(
+            Box::new(FakeSut::new(10)),
+            &tc,
+            &Arc::new(registry),
+            &[],
+            &RunConfig::fast(),
+            &RunCtx::default(),
+        );
+        assert!(matches!(outcome, Err(SutError::External(_))), "{outcome:?}");
+        assert_eq!(stats.actions_executed, 2);
+        assert_eq!(stats.actions_released, 2);
+        assert_eq!(stats.external_triggers, 1, "counted before it ran");
+        assert_eq!(stats.offer_polls, 2);
+        assert_eq!(stats.checks, 3);
     }
 
     #[test]
@@ -917,8 +924,8 @@ mod tests {
             &[],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::InconsistentState {
                 step, divergences, ..
@@ -943,8 +950,8 @@ mod tests {
             &[],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::MissingAction { action, .. }) => {
                 assert_eq!(action.name, "Inc");
@@ -964,8 +971,8 @@ mod tests {
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::UnexpectedAction { actions }) => {
                 assert_eq!(actions, vec![ActionInstance::nullary("rogue")]);
@@ -986,8 +993,8 @@ mod tests {
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         assert!(outcome.passed());
     }
 
@@ -1008,8 +1015,8 @@ mod tests {
             &[ActionInstance::nullary("Inc")],
             &RunConfig::fast(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         assert!(outcome.passed(), "{outcome:?}");
         assert_eq!(stats.actions_executed, 2);
     }
@@ -1018,17 +1025,15 @@ mod tests {
     fn wrong_initial_state_detected() {
         let sut = FakeSut::new(10);
         let tc = TestCase::new(st(7), vec![]);
-        let (outcome, _) =
-            run_test_case(
-                Box::new(sut),
-                &tc,
-                &Arc::new(registry()),
-                &[],
-                &RunConfig::fast(),
-                &RunCtx::default(),
-            )
-            .unwrap();
-        match outcome {
+        let (outcome, _) = run_test_case(
+            Box::new(sut),
+            &tc,
+            &Arc::new(registry()),
+            &[],
+            &RunConfig::fast(),
+            &RunCtx::default(),
+        );
+        match outcome.unwrap() {
             TestOutcome::Failed(Inconsistency::InconsistentState { action, .. }) => {
                 assert_eq!(action.name, "<Init>");
             }
@@ -1095,8 +1100,8 @@ mod tests {
                 ..RunConfig::fast()
             },
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         match outcome {
             TestOutcome::Failed(Inconsistency::InconsistentState { divergences, .. }) => {
                 assert_eq!(divergences[0].variable, "messages");
@@ -1156,8 +1161,8 @@ mod tests {
                 clock: clock.clone(),
                 ..RunCtx::default()
             },
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         assert!(matches!(
             outcome,
             TestOutcome::Failed(Inconsistency::MissingAction { .. })
@@ -1187,8 +1192,8 @@ mod tests {
                 clock: Arc::new(mocket_sim::SimClock::new()),
                 ..RunCtx::default()
             },
-        )
-        .unwrap();
+        );
+        let outcome = outcome.unwrap();
         assert!(matches!(
             outcome,
             TestOutcome::Failed(Inconsistency::WatchdogTimeout { .. })
@@ -1205,10 +1210,9 @@ mod tests {
         ctx: &RunCtx,
     ) -> (TestOutcome, RunStats, Vec<ResumePoint>) {
         let enabled = [ActionInstance::nullary("Inc")];
-        let (ran, points) =
+        let (outcome, stats, points) =
             resume_test_case(start, &inc_case(len), &Arc::new(registry()), &enabled, config, ctx);
-        let (outcome, stats) = ran.unwrap();
-        (outcome, stats, points)
+        (outcome.unwrap(), stats, points)
     }
 
     fn depths(points: &[ResumePoint]) -> Vec<usize> {
@@ -1218,23 +1222,21 @@ mod tests {
     fn sim_ctx(clock: &Arc<mocket_sim::SimClock>) -> RunCtx {
         RunCtx {
             clock: clock.clone(),
-            obs: Obs::disabled(),
             ..RunCtx::default()
         }
     }
 
     /// A case resumed after any passed step of another gives the fresh
-    /// run's outcome, stats, counters and virtual time, without
-    /// deploying again.
+    /// run's outcome, tally and virtual time, without deploying again.
     #[test]
     fn a_resumed_case_matches_its_fresh_run() {
         let clock = Arc::new(mocket_sim::SimClock::new());
         let mut sut = FakeSut::new(10);
         (sut.forks, sut.clock) = (true, Some(clock.clone()));
         let config = RunConfig::fast();
-        let counters = |ctx: &RunCtx| {
-            let m = ctx.obs.metrics();
-            ["runner.actions_released", "statecheck.checks"].map(|k| m.counter(k))
+        let tally = |s: &RunStats| {
+            let counts = [s.actions_executed, s.actions_released, s.offer_polls];
+            (counts, [s.offers_translated, s.checks], s.seconds)
         };
 
         let fresh_ctx = sim_ctx(&clock);
@@ -1255,11 +1257,8 @@ mod tests {
             let start = CaseStart::Resume(point.copy().unwrap());
             let (outcome, stats, more) = resume(start, 5, &config, &ctx);
             assert!(outcome.passed(), "{outcome:?}");
-            assert_eq!(stats.actions_executed, fresh_stats.actions_executed);
-            assert_eq!(stats.checks, fresh_stats.checks);
-            assert_eq!(stats.seconds, fresh_stats.seconds);
+            assert_eq!(tally(&stats), tally(&fresh_stats), "the prefix's tally carried");
             assert_eq!(clock.now() - t1, fresh_took, "prefix time charged once");
-            assert_eq!(counters(&ctx), counters(&fresh_ctx), "prefix counts credited");
             let after: Vec<usize> = (point.progress.depth + 1..=5).collect();
             assert_eq!(depths(&more), after);
         }

@@ -6,10 +6,12 @@
 //! waits. The case thread publishes its step ([`at`]) and each call in
 //! flight ([`guard`]); a node host guards each node step again, naming
 //! the node. When one call outlives the budget in real time, the caller
-//! abandons the thread with the system it owns and gets [`Hung`]. If
+//! abandons the thread with the system it owns and gets [`Hung`]. The
+//! case thread writes nothing shared but its tracer: its counts stay in
+//! the case's own tally, which an abandoned thread never hands back. If
 //! the call returns after all, [`guard`] parks the thread for good
-//! before it writes anything: no metric, trace event or clock reading
-//! moves after the verdict. Off a case thread both do nothing.
+//! before it writes anything: no trace event or clock reading moves
+//! after the verdict. Off a case thread both do nothing.
 
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -248,7 +248,7 @@ mod tests {
         let m = MetricsRegistry::default();
         m.add("checker.edges", 4);
         m.add("timing.span.check_seconds.count", 1);
-        m.observe("timing.runner.release_latency_ms", 3.5);
+        m.observe("timing.profile.case_seconds", 3.5);
         m.set_gauge("coverage.fraction", 1.0);
         let det = m.snapshot().deterministic();
         assert_eq!(det.counters.len(), 1);

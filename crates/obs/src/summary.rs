@@ -21,9 +21,6 @@ pub const RUN_SUMMARY_FILE_NAME: &str = "run-summary.json";
 pub struct RunSummary {
     /// Spec name (module name of the checked spec).
     pub spec: String,
-    /// A recorded fault plan; every run writes `null` here, a slot kept
-    /// so the document keeps its shape.
-    pub fault_plan: Option<String>,
     /// Distinct states in the state-space graph.
     pub states: u64,
     /// Edges in the state-space graph.
@@ -72,12 +69,9 @@ impl RunSummary {
     /// [`TIMING_PREFIX`] metrics).
     pub fn to_json(&self) -> String {
         let mut w = FlatJson::document();
-        w.num("schema_version", 1).string("spec", &self.spec);
-        match &self.fault_plan {
-            Some(plan) => w.string("fault_plan", plan),
-            None => w.raw("fault_plan", "null"),
-        };
-        w.num("states", self.states)
+        w.num("schema_version", 1)
+            .string("spec", &self.spec)
+            .num("states", self.states)
             .num("edges", self.edges)
             .num("coverage_edges_visited", self.coverage_edges_visited)
             .num("coverage_edge_targets", self.coverage_edge_targets)
@@ -160,7 +154,7 @@ mod tests {
     fn sample(wall: f64) -> RunSummary {
         let m = MetricsRegistry::default();
         m.add("checker.distinct_states", 12);
-        m.observe("timing.runner.release_latency_ms", wall);
+        m.observe("timing.profile.case_seconds", wall);
         let mut s = RunSummary {
             spec: "Counter".into(),
             states: 12,
@@ -194,7 +188,7 @@ mod tests {
         assert!(json.contains("\"bugs_by_kind.Divergence\": 1"));
         assert!(json.contains("\"metric.checker.distinct_states\": 12"));
         // Timing metrics appear only under wall_.
-        assert!(json.contains("\"wall_metric.timing.runner.release_latency_ms.count\": 1"));
+        assert!(json.contains("\"wall_metric.timing.profile.case_seconds.count\": 1"));
         assert!(!json.contains("\n  \"metric.timing."));
     }
 

@@ -735,9 +735,9 @@ mod tests {
         };
         let sut = ClusterSut::new(toy::<HangApp>(backend), vec![1, 2], ScriptDriver::new("tick"));
         let start = std::time::Instant::now();
-        let ran = run_test_case(Box::new(sut), &case, &Arc::new(registry), &[], &config, &ctx);
+        let (ran, _) = run_test_case(Box::new(sut), &case, &Arc::new(registry), &[], &config, &ctx);
         match ran.expect("a hang is a verdict, not a harness error") {
-            (TestOutcome::Failed(inc), _) => (inc, start.elapsed()),
+            TestOutcome::Failed(inc) => (inc, start.elapsed()),
             other => panic!("expected a watchdog verdict, got {other:?}"),
         }
     }
@@ -780,9 +780,9 @@ mod tests {
         assert_eq!(run(42), run(42), "same seed, same virtual deadline");
     }
 
-    /// A step that returns after its verdict writes nothing: no
-    /// metric, trace event or virtual-clock reading moves once the
-    /// runner has reported the hang.
+    /// A step that returns after its verdict writes nothing: no trace
+    /// event or virtual-clock reading moves once the runner has
+    /// reported the hang.
     #[test]
     fn an_abandoned_case_writes_nothing_after_its_verdict() {
         let handle = SimHandle::new(7);
@@ -794,11 +794,9 @@ mod tests {
         assert_eq!(inc.kind(), "Watchdog timeout", "{inc:?}");
         let kinds: Vec<_> = ctx.tracer.take_events().iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["release", "step", "step.end"]);
-        let metrics = ctx.obs.metrics().snapshot();
         let now = handle.clock.now_nanos();
         std::thread::sleep(4 * BUDGET);
         assert!(ctx.tracer.take_events().is_empty(), "trace written after the verdict");
-        assert_eq!(ctx.obs.metrics().snapshot(), metrics, "metric written after the verdict");
         assert_eq!(handle.clock.now_nanos(), now, "clock moved after the verdict");
     }
 

@@ -85,8 +85,8 @@ fn main() {
     };
 
     let ctx = RunCtx::default();
-    let (outcome, _) = run_test_case(sut(), &case("Boom"), &registry, &[], &cfg, &ctx)
-        .expect("a panic is a verdict, not a harness error");
+    let (outcome, _) = run_test_case(sut(), &case("Boom"), &registry, &[], &cfg, &ctx);
+    let outcome = outcome.expect("a panic is a verdict, not a harness error");
     match outcome {
         TestOutcome::Failed(inc) => {
             println!("case 1 verdict: {} -> {}", inc.kind(), inc.to_string().trim_end());
@@ -96,8 +96,8 @@ fn main() {
     }
 
     let boom = ActionInstance::nullary("Boom");
-    let (outcome, stats) = run_test_case(sut(), &case("Ping"), &registry, &[boom], &cfg, &ctx)
-        .expect("healthy case");
+    let (outcome, stats) = run_test_case(sut(), &case("Ping"), &registry, &[boom], &cfg, &ctx);
+    let outcome = outcome.expect("healthy case");
     println!(
         "case 2 after the crash: {:?} ({} action(s) executed) — harness survived",
         outcome, stats.actions_executed

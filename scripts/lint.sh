@@ -153,6 +153,18 @@ if grep -rnwE 'install_fault_plan|release_due|offer_deadline|poll_backoff|max_qu
     fail=1
 fi
 
+# A case is tallied once: the case thread writes nothing shared but its
+# tracer. The runner hands its counts back in RunStats and the pipeline
+# records them, so the non-test part of the runner and the watchdog
+# names no Obs handle and reaches no metrics registry.
+for file in crates/core/src/runner.rs crates/core/src/watchdog.rs; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$file" \
+        | grep -E '\bObs\b|\bmetrics\(\)'; then
+        echo "error: $file names Obs or calls metrics(); count into RunStats and let the caller record it" >&2
+        fail=1
+    fi
+done
+
 # Only the tracer stamps trace time: the network and the cluster read
 # no clock for a trace event and hand the tracer none.
 if grep -rnE '\bset_clock\b|\bfn vtime\b' crates/dsnet/src crates/runtime/src --include='*.rs'; then
@@ -181,7 +193,10 @@ mapfile -t product < <(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -v '/t
 mapfile -t callers < <(git ls-files 'crates/bench/*.rs' 'examples/*.rs' 'perfbench/src/*.rs')
 # A `pub use` re-export block, a `mod` declaration and a string literal
 # (every line of a multi-line one) name nothing a product path runs, so
-# none counts as a use. strip_literals drops comments and string
+# none counts as a use; nor does a path rooted at `std::`, `core::` or
+# `alloc::` (with a one-line `{..}` group at its end), which names a
+# standard-library item, never a product one: `std::iter::successors`
+# is not a use of a product `successors`. strip_literals drops comments and string
 # literals, raw ones included, carrying an open literal across lines.
 strip_literals() {
     awk -v q='"' -v sq="'" '{
@@ -213,6 +228,7 @@ strip_literals() {
 used=$({ nontest "${product[@]}" "${callers[@]}" | cut -d: -f3-; git ls-files -z 'tests/*.rs' | xargs -0 cat; } \
     | awk '/^[[:space:]]*pub(\(crate\))? use / { reexport = 1 } reexport { reexport = !/;/; next } { print }' \
     | strip_literals \
+    | sed -E 's/(^|[^:A-Za-z_0-9])(std|core|alloc)(::[A-Za-z_][A-Za-z_0-9]*)+(::\{[^{}]*\})?/\1/g' \
     | sed -E 's/\b(fn|mod) +[A-Za-z_0-9]+//g' \
     | grep -oE '[A-Za-z_][A-Za-z_0-9]*' | sort -u)
 while IFS=: read -r file line name; do

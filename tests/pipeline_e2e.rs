@@ -60,8 +60,8 @@ fn dot_boundary_then_controlled_testing() {
             &final_enabled,
             &run_cfg,
             &RunCtx::default(),
-        )
-        .expect("no SUT failure");
+        );
+        let outcome = outcome.expect("no SUT failure");
         assert!(outcome.passed(), "case {ran} failed: {outcome:?}");
         assert_eq!(stats.actions_executed, tc.len());
         ran += 1;

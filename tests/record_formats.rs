@@ -48,7 +48,6 @@ const TRACE: &str = "{\"seq\":7,\"case\":3,\"kind\":\"send\",\"vt\":1250,\"node\
 const SUMMARY: &str = "{\n\
 \x20 \"schema_version\": 1,\n\
 \x20 \"spec\": \"Counter\",\n\
-\x20 \"fault_plan\": \"seed=42 drop=20\",\n\
 \x20 \"states\": 12,\n\
 \x20 \"edges\": 30,\n\
 \x20 \"coverage_edges_visited\": 27,\n\
@@ -343,7 +342,6 @@ fn run_summary_document_is_pinned() {
     metrics.observe("timing.stage.check_seconds", 0.5);
     let mut summary = RunSummary {
         spec: "Counter".into(),
-        fault_plan: Some("seed=42 drop=20".into()),
         states: 12,
         edges: 30,
         coverage_edges_visited: 27,
@@ -372,7 +370,4 @@ fn run_summary_document_is_pinned() {
     assert_eq!(pairs.len(), SUMMARY.lines().count() - 2);
     assert_eq!(pairs[1].1.as_str(), Some("Counter"));
     assert_eq!(pairs.last().unwrap().1.as_f64(), Some(0.5));
-
-    summary.fault_plan = None;
-    assert!(summary.to_json().contains("  \"fault_plan\": null,\n"));
 }

@@ -110,8 +110,8 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
         &[],
         &config(),
         &RunCtx::default(),
-    )
-    .expect("a node panic must not surface as a harness error");
+    );
+    let outcome = outcome.expect("a node panic must not surface as a harness error");
 
     match outcome {
         TestOutcome::Failed(inc) => {
@@ -141,8 +141,8 @@ fn node_panic_mid_case_is_a_crash_inconsistency_and_harness_survives() {
         ],
         &config(),
         &RunCtx::default(),
-    )
-    .expect("healthy case");
+    );
+    let outcome = outcome.expect("healthy case");
     assert!(outcome.passed(), "{outcome:?}");
     assert_eq!(stats.actions_executed, 1);
 }
@@ -165,8 +165,8 @@ fn hung_node_trips_the_watchdog_instead_of_blocking_forever() {
         &[],
         &config(),
         &RunCtx::default(),
-    )
-    .expect("a hung node must not surface as a harness error");
+    );
+    let outcome = outcome.expect("a hung node must not surface as a harness error");
 
     match outcome {
         TestOutcome::Failed(inc) => {
@@ -200,8 +200,8 @@ fn node_panic_serving_a_client_request_is_a_crash_inconsistency() {
     let request = ActionInstance::new("ClientRequest", vec![Value::Int(1)]);
     let s = State::from_pairs([("x", Value::Int(0))]);
     let case = TestCase::new(s.clone(), vec![(request, s)]);
-    let (outcome, _) = run_test_case(Box::new(sut), &case, &registry(), &[], &config(), &RunCtx::default())
-        .expect("a node panic must not surface as a harness error");
+    let (outcome, _) = run_test_case(Box::new(sut), &case, &registry(), &[], &config(), &RunCtx::default());
+    let outcome = outcome.expect("a node panic must not surface as a harness error");
     match outcome {
         TestOutcome::Failed(Inconsistency::NodeDeath { node, reason, .. }) => {
             assert_eq!(node, 1);

@@ -214,8 +214,8 @@ fn run_hang(sim: Option<&SimHandle>) -> (HangVerdict, Duration, f64) {
             clock: clock.clone(),
             ..RunCtx::default()
         },
-    )
-    .expect("a hung node is a verdict, not a harness error");
+    );
+    let outcome = outcome.expect("a hung node is a verdict, not a harness error");
     let wall_seconds = start.elapsed().as_secs_f64();
     match outcome {
         TestOutcome::Failed(Inconsistency::WatchdogTimeout {
@@ -341,8 +341,8 @@ fn offer_poll_hang_is_a_watchdog_verdict() {
     for (sut, clock, expected) in runs {
         let wall = RealClock::new();
         let ctx = RunCtx { clock, ..RunCtx::default() };
-        let (outcome, _) = run_test_case(sut, &case, &registry, &[], &cfg, &ctx)
-            .expect("a hung poll is a verdict, not a harness error");
+        let (outcome, _) = run_test_case(sut, &case, &registry, &[], &cfg, &ctx);
+        let outcome = outcome.expect("a hung poll is a verdict, not a harness error");
         match outcome {
             TestOutcome::Failed(Inconsistency::WatchdogTimeout { step, reason, .. }) => {
                 assert_eq!((step, reason.as_str()), (0, expected));
